@@ -8,6 +8,7 @@ given identical arguments and inputs.
 
 import argparse
 import sys
+from dataclasses import fields
 
 import numpy as np
 
@@ -21,6 +22,15 @@ from .model import Segmenter, TrainConfig
 from .train import fit, load_model, model_gradient_check, save_model
 
 GRADCHECK_THRESHOLD = 1e-3
+
+# argparse settings beyond name, type and default for the `train` flags
+# built from TrainConfig's fields
+_TRAIN_FLAG_EXTRAS = {
+    "attn_dim": {"help": "attention dimension (default: same as --hidden)"},
+    "extra_layers": {"choices": (0, 1, 2)},
+    "bigrams": {"help": "add character-bigram embeddings"},
+    "memory_span": {"help": "cap attention to the last N tape entries"},
+}
 
 
 def _log(msg):
@@ -44,24 +54,13 @@ def _build_parser():
     p_train.add_argument("--embeddings", help="pretrained embeddings, text "
                          "format ('count dim' header, token + values per line)")
     p_train.add_argument("--lexicon", help="idiom list, one per line")
-    p_train.add_argument("--epochs", type=int, default=30)
-    p_train.add_argument("--batch-size", type=int, default=50)
-    p_train.add_argument("--learning-rate", type=float, default=0.1)
-    p_train.add_argument("--adagrad-epsilon", type=float, default=1e-6)
-    p_train.add_argument("--dropout", type=float, default=0.2)
-    p_train.add_argument("--hidden", type=int, default=150)
-    p_train.add_argument("--emb-dim", type=int, default=100)
-    p_train.add_argument("--attn-dim", type=int, default=None,
-                         help="attention dimension (default: same as --hidden)")
-    p_train.add_argument("--extra-layers", type=int, default=0, choices=(0, 1, 2))
-    p_train.add_argument("--window", type=int, default=3)
-    p_train.add_argument("--bigrams", action="store_true",
-                         help="add character-bigram embeddings")
-    p_train.add_argument("--memory-span", type=int, default=None,
-                         help="cap attention to the last N tape entries")
-    p_train.add_argument("--clip-norm", type=float, default=None)
-    p_train.add_argument("--dev-fraction", type=float, default=0.1)
-    p_train.add_argument("--seed", type=int, default=42)
+    for f in fields(TrainConfig):
+        flag = "--" + f.name.replace("_", "-")
+        extra = _TRAIN_FLAG_EXTRAS.get(f.name, {})
+        if f.type is bool:
+            p_train.add_argument(flag, action="store_true", **extra)
+        else:
+            p_train.add_argument(flag, type=f.type, default=f.default, **extra)
 
     p_seg = sub.add_parser("segment", help="segment raw text")
     p_seg.add_argument("--model", required=True, help="model directory")
@@ -86,23 +85,8 @@ def _build_parser():
 
 def _run_train(args):
     lexicon = load_lexicon(args.lexicon) if args.lexicon else None
-    config = TrainConfig(
-        batch_size=args.batch_size,
-        learning_rate=args.learning_rate,
-        adagrad_epsilon=args.adagrad_epsilon,
-        dropout=args.dropout,
-        epochs=args.epochs,
-        seed=args.seed,
-        hidden=args.hidden,
-        emb_dim=args.emb_dim,
-        attn_dim=args.attn_dim,
-        extra_layers=args.extra_layers,
-        window=args.window,
-        bigrams=args.bigrams,
-        memory_span=args.memory_span,
-        clip_norm=args.clip_norm,
-        dev_fraction=args.dev_fraction,
-    )
+    config = TrainConfig(**{f.name: getattr(args, f.name)
+                            for f in fields(TrainConfig)})
     train_corpus = load_corpus(args.train, lexicon)
     if args.dev:
         dev_corpus = load_corpus(args.dev, lexicon)
@@ -144,8 +128,12 @@ def _run_train(args):
 
 def _run_segment(args):
     model = load_model(args.model)
-    with open(args.input, encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+    # lines end at "\n" only; str.splitlines would also break inside a
+    # line at U+2028, U+0085 and other separators
+    with open(args.input, encoding="utf-8", newline="") as fh:
+        lines = fh.read().split("\n")
+    if lines[-1] == "":
+        lines.pop()
     out = sys.stdout if args.output is None else open(
         args.output, "w", encoding="utf-8"
     )

@@ -76,32 +76,6 @@ class CellParams:
     b: np.ndarray
 
 
-@dataclass
-class LstmnState:
-    """Per-sentence recurrent state: the two tapes plus the summary
-    vector the last step produced (attention scores of the next step
-    look at it)."""
-
-    hidden_tape: list
-    memory_tape: list
-    summary: np.ndarray
-
-    def __post_init__(self):
-        if len(self.hidden_tape) != len(self.memory_tape):
-            raise ValueError(
-                f"tape lengths differ: {len(self.hidden_tape)} hidden "
-                f"vs {len(self.memory_tape)} memory"
-            )
-
-    def __len__(self):
-        return len(self.hidden_tape)
-
-
-def initial_state(hidden_dim):
-    """Empty tapes; the initial summary is the zero vector."""
-    return LstmnState([], [], np.zeros(hidden_dim))
-
-
 def _glorot(rng, rows, cols):
     r = np.sqrt(6.0 / (rows + cols))
     return rng.uniform(-r, r, size=(rows, cols))
@@ -160,45 +134,6 @@ def dropout_mask(shape, p, rng):
     return (rng.random(shape) >= p) / (1.0 - p)
 
 
-def attention_weights(x_t, state, attn):
-    """Softmax attention weights over the current tape (empty at t=1)."""
-    if x_t.shape[0] != attn.wx.shape[1]:
-        raise ShapeError(
-            f"input of length {x_t.shape[0]} vs attention expecting "
-            f"{attn.wx.shape[1]}"
-        )
-    scores, _ = _attention_scores(
-        x_t, state.hidden_tape, state.summary, attn
-    )
-    return softmax(scores)
-
-
-def _attention_scores(x_t, tape, prev_summary, attn):
-    count = len(tape)
-    scores = np.empty(count)
-    pre_tanh = []
-    for i in range(count):
-        u = np.tanh(attn.wh @ tape[i] + attn.wx @ x_t + attn.wp @ prev_summary)
-        pre_tanh.append(u)
-        scores[i] = attn.v @ u
-    return scores, pre_tanh
-
-
-def summarize(state, weights):
-    """Weighted sums of the two tapes; empty weights give zero vectors."""
-    if len(weights) != len(state):
-        raise ShapeError(
-            f"{len(weights)} weights for a tape of length {len(state)}"
-        )
-    h = state.summary.shape[0]
-    h_sum = np.zeros(h)
-    c_sum = np.zeros(h)
-    for i in range(len(weights)):
-        h_sum += weights[i] * state.hidden_tape[i]
-        c_sum += weights[i] * state.memory_tape[i]
-    return h_sum, c_sum
-
-
 @dataclass
 class _StepCache:
     x: np.ndarray
@@ -215,11 +150,22 @@ class _StepCache:
     tanh_c: np.ndarray
 
 
-def _step_core(x_t, tape_h, tape_c, window_start, prev_summary, attn, cell):
+def tape_step(x_t, tape_h, tape_c, window_start, prev_summary, attn, cell):
+    """One recurrent step over the tape entries from `window_start` on.
+
+    Returns (h_t, c_t, cache); cache.weights are the attention weights
+    over the window.  The caller owns the tapes: it appends h_t and c_t,
+    and passes cache.h_summary as the next prev_summary.
+    """
     hidden = prev_summary.shape[0]
     window_h = tape_h[window_start:]
     window_c = tape_c[window_start:]
-    scores, pre_tanh = _attention_scores(x_t, window_h, prev_summary, attn)
+    scores = np.empty(len(window_h))
+    pre_tanh = []
+    for i in range(len(window_h)):
+        u = np.tanh(attn.wh @ window_h[i] + attn.wx @ x_t + attn.wp @ prev_summary)
+        pre_tanh.append(u)
+        scores[i] = attn.v @ u
     weights = softmax(scores)
     h_summary = np.zeros(hidden)
     c_summary = np.zeros(hidden)
@@ -243,30 +189,6 @@ def _step_core(x_t, tape_h, tape_c, window_start, prev_summary, attn, cell):
     return h_t, c_t, cache
 
 
-def lstmn_step(x_t, state, attn, cell, memory_span=None):
-    """One recurrent step; returns (h_t, c_t, new state).
-
-    The new state has both tapes grown by one entry (truncated to the
-    last `memory_span` entries when a span cap is configured) and carries
-    the fresh summary vector.
-    """
-    hidden = cell.b.shape[0] // 4
-    if cell.w.shape != (4 * hidden, hidden + x_t.shape[0]):
-        raise ShapeError(
-            f"cell weights {cell.w.shape} do not match hidden {hidden} "
-            f"and input {x_t.shape[0]}"
-        )
-    h_t, c_t, cache = _step_core(
-        x_t, state.hidden_tape, state.memory_tape, 0, state.summary, attn, cell
-    )
-    new_h = list(state.hidden_tape) + [h_t]
-    new_c = list(state.memory_tape) + [c_t]
-    if memory_span is not None:
-        new_h = new_h[-memory_span:]
-        new_c = new_c[-memory_span:]
-    return h_t, c_t, LstmnState(new_h, new_c, cache.h_summary)
-
-
 @dataclass
 class _DirectionCache:
     inputs: np.ndarray
@@ -283,7 +205,7 @@ def _direction_forward(inputs, attn, cell, memory_span):
     steps = []
     for t in range(n):
         window_start = 0 if memory_span is None else max(0, t - memory_span)
-        h_t, c_t, cache = _step_core(
+        h_t, c_t, cache = tape_step(
             inputs[t], tape_h, tape_c, window_start, prev_summary, attn, cell
         )
         steps.append(cache)
@@ -396,6 +318,20 @@ def forward(params, config, inputs, dropout=0.0, rng=None):
         raise ValueError("dropout needs an rng")
     n = inputs.shape[0]
     h = config.hidden_dim
+    for layer in range(config.num_layers):
+        d = config.layer_input_dim(layer)
+        for direction in ("fwd", "bwd"):
+            attn, cell = direction_view(params, layer, direction)
+            if attn.wx.shape[1] != d:
+                raise ShapeError(
+                    f"enc{layer}.{direction}: input of length {d} vs "
+                    f"attention expecting {attn.wx.shape[1]}"
+                )
+            if cell.w.shape != (4 * h, h + d):
+                raise ShapeError(
+                    f"enc{layer}.{direction}: cell weights {cell.w.shape} do "
+                    f"not match hidden {h} and input {d}"
+                )
 
     input_mask = dropout_mask(inputs.shape, dropout, rng) if dropout else None
     current = inputs * input_mask if dropout else inputs

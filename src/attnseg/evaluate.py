@@ -35,12 +35,7 @@ def prf1(gold, pred):
         raise ValueError(
             f"span sets cover different lengths: gold {n_gold}, pred {n_pred}"
         )
-    correct = len(gold & pred)
-    precision = correct / len(pred) if pred else 0.0
-    recall = correct / len(gold) if gold else 0.0
-    if precision + recall == 0.0:
-        return precision, recall, 0.0
-    return precision, recall, 2 * precision * recall / (precision + recall)
+    return _ratios(*score_counts(gold, pred))
 
 
 def score_counts(gold, pred):
@@ -58,20 +53,24 @@ def _ratios(correct, n_pred, n_gold):
     return precision, recall, 2 * precision * recall / (precision + recall)
 
 
-def evaluate_corpus(model, corpus):
-    """Micro-averaged (P, R, F1) of masked decoding against gold tags."""
-    if len(corpus) == 0:
-        raise ValueError("cannot evaluate an empty corpus")
+def _micro_average(pairs):
+    """(P, R, F1) from counts summed over (gold tags, predicted tags)."""
     correct = 0
     n_pred = 0
     n_gold = 0
-    for sent in corpus:
-        path = model.decode(sent.tokens)
-        c, p, g = score_counts(tags_to_spans(sent.tags), tags_to_spans(path))
+    for gold_tags, pred_tags in pairs:
+        c, p, g = score_counts(tags_to_spans(gold_tags), tags_to_spans(pred_tags))
         correct += c
         n_pred += p
         n_gold += g
     return _ratios(correct, n_pred, n_gold)
+
+
+def evaluate_corpus(model, corpus):
+    """Micro-averaged (P, R, F1) of masked decoding against gold tags."""
+    if len(corpus) == 0:
+        raise ValueError("cannot evaluate an empty corpus")
+    return _micro_average((sent.tags, model.decode(sent.tokens)) for sent in corpus)
 
 
 def score_segmentations(gold_corpus, pred_corpus):
@@ -82,19 +81,11 @@ def score_segmentations(gold_corpus, pred_corpus):
             f"corpora differ in size: gold {len(gold_corpus)} sentences, "
             f"predicted {len(pred_corpus)}"
         )
-    correct = 0
-    n_pred = 0
-    n_gold = 0
     for i, (gold, pred) in enumerate(zip(gold_corpus, pred_corpus)):
         if len(gold.tokens) != len(pred.tokens):
             raise ValueError(
                 f"sentence {i + 1}: gold has {len(gold.tokens)} characters "
                 f"but prediction has {len(pred.tokens)}"
             )
-        c, p, g = score_counts(
-            tags_to_spans(gold.tags), tags_to_spans(pred.tags)
-        )
-        correct += c
-        n_pred += p
-        n_gold += g
-    return _ratios(correct, n_pred, n_gold)
+    return _micro_average((gold.tags, pred.tags)
+                          for gold, pred in zip(gold_corpus, pred_corpus))

@@ -59,16 +59,13 @@ class TrainConfig:
             raise ValueError(f"attn_dim must be >= 1, got {self.attn_dim}")
         if self.window < 1 or self.window % 2 == 0:
             raise ValueError(f"window must be odd and >= 1, got {self.window}")
-        if self.extra_layers not in (0, 1, 2):
-            raise ValueError(f"extra_layers must be 0, 1 or 2, got {self.extra_layers}")
-        if self.memory_span is not None and self.memory_span < 1:
-            raise ValueError(f"memory_span must be >= 1, got {self.memory_span}")
         if self.clip_norm is not None and self.clip_norm <= 0:
             raise ValueError(f"clip_norm must be > 0, got {self.clip_norm}")
         if not 0.0 < self.dev_fraction < 1.0:
             raise ValueError(
                 f"dev_fraction must be in (0, 1), got {self.dev_fraction}"
             )
+        make_encoder_config(self)  # checks extra_layers and memory_span
 
     def to_dict(self):
         return asdict(self)
@@ -101,6 +98,22 @@ def unpack_params(vector, params):
     return out
 
 
+def make_encoder_config(config):
+    """The encoder shape a TrainConfig implies: `window` unigram
+    embeddings per position, plus one bigram embedding when on."""
+    input_dim = config.window * config.emb_dim
+    if config.bigrams:
+        input_dim += config.emb_dim
+    return encoder.EncoderConfig(
+        input_dim=input_dim,
+        hidden_dim=config.hidden,
+        attn_dim=config.attn_dim if config.attn_dim is not None else config.hidden,
+        num_tags=NUM_TAGS,
+        extra_layers=config.extra_layers,
+        memory_span=config.memory_span,
+    )
+
+
 class Segmenter:
     """A trained (or trainable) segmentation model.
 
@@ -125,23 +138,8 @@ class Segmenter:
         self.lexicon = lexicon
 
     @property
-    def input_dim(self):
-        d = self.config.window * self.config.emb_dim
-        if self.config.bigrams:
-            d += self.config.emb_dim
-        return d
-
-    @property
     def encoder_config(self):
-        c = self.config
-        return encoder.EncoderConfig(
-            input_dim=self.input_dim,
-            hidden_dim=c.hidden,
-            attn_dim=c.attn_dim if c.attn_dim is not None else c.hidden,
-            num_tags=NUM_TAGS,
-            extra_layers=c.extra_layers,
-            memory_span=c.memory_span,
-        )
+        return make_encoder_config(self.config)
 
     @classmethod
     def build(cls, train_corpus, config, embeddings=None, lexicon=None):
@@ -169,15 +167,7 @@ class Segmenter:
             params["emb.bi"] = random_embeddings(
                 len(bigram_vocab), config.emb_dim, rng
             )
-        enc_cfg = encoder.EncoderConfig(
-            input_dim=config.window * config.emb_dim
-            + (config.emb_dim if config.bigrams else 0),
-            hidden_dim=config.hidden,
-            attn_dim=config.attn_dim if config.attn_dim is not None else config.hidden,
-            extra_layers=config.extra_layers,
-            memory_span=config.memory_span,
-        )
-        params.update(encoder.init_params(enc_cfg, rng))
+        params.update(encoder.init_params(make_encoder_config(config), rng))
         params["crf.trans"] = np.zeros((NUM_TAGS + 2, NUM_TAGS + 2))
         return cls(config, vocab, params, bigram_vocab, lexicon)
 

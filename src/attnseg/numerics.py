@@ -14,26 +14,6 @@ class ShapeError(ValueError):
     """Operand shapes are incompatible for the requested operation."""
 
 
-def _as_array(x, name):
-    a = np.asarray(x, dtype=np.float64)
-    return a, name
-
-
-def matmul(a, b):
-    """Matrix product of two 2-d arrays, shape-checked.
-
-    Raises ShapeError naming both shapes when a.cols != b.rows or when
-    either operand is not 2-d.
-    """
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.ndim != 2 or b.ndim != 2:
-        raise ShapeError(f"matmul needs 2-d operands, got {a.shape} and {b.shape}")
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"cannot multiply {a.shape} by {b.shape}")
-    return a @ b
-
-
 def sigmoid(x):
     """Elementwise logistic function 1 / (1 + exp(-x)).
 

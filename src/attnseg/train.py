@@ -31,7 +31,6 @@ import numpy as np
 
 from .corpus import Vocab
 from .evaluate import evaluate_corpus
-from .encoder import dropout_mask  # re-export: masks are built here by callers
 from .model import Segmenter, TrainConfig, pack_params, unpack_params
 from .numerics import ShapeError, grad_check
 
@@ -39,7 +38,7 @@ FORMAT_VERSION = "attnseg-model/1"
 
 __all__ = [
     "AdagradState", "EpochStats", "EpochRecord", "adagrad_update",
-    "dropout_mask", "train_epoch", "fit", "tag_accuracy",
+    "train_epoch", "fit", "tag_accuracy",
     "save_model", "load_model", "model_gradient_check", "TrainConfig",
 ]
 

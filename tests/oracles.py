@@ -104,11 +104,12 @@ def _softmax_maxsub(a):
     return e / np.sum(e)
 
 
-def lstmn_unrolled(inputs, wh, wx, wp, v, w, b):
+def lstmn_unrolled(inputs, wh, wx, wp, v, w, b, memory_span=None):
     """Straight-line transcription of the attention-tape recurrence.
 
     Processes the whole input list with explicit Python loops and no
-    helper reuse: per step, score each tape entry, softmax (max-
+    helper reuse: per step, score each tape entry (only the last
+    `memory_span` entries when a span is given), softmax (max-
     subtracted, like the implementation under test, so results can be
     compared for bit equality), form both summaries in tape order, run
     the gate block.  Returns the list of hidden vectors.
@@ -119,19 +120,22 @@ def lstmn_unrolled(inputs, wh, wx, wp, v, w, b):
     outputs = []
     for x in inputs:
         t = len(tape_h)
+        first = 0 if memory_span is None else max(0, t - memory_span)
         if t == 0:
             h_sum = np.zeros(hidden)
             c_sum = np.zeros(hidden)
         else:
-            scores = np.empty(t)
-            for i in range(t):
-                scores[i] = v @ np.tanh(wh @ tape_h[i] + wx @ x + wp @ prev_summary)
+            scores = np.empty(t - first)
+            for i in range(first, t):
+                scores[i - first] = v @ np.tanh(
+                    wh @ tape_h[i] + wx @ x + wp @ prev_summary
+                )
             s = _softmax_maxsub(scores)
             h_sum = np.zeros(hidden)
             c_sum = np.zeros(hidden)
-            for i in range(t):
-                h_sum += s[i] * tape_h[i]
-                c_sum += s[i] * tape_c[i]
+            for i in range(first, t):
+                h_sum += s[i - first] * tape_h[i]
+                c_sum += s[i - first] * tape_c[i]
         z = w @ np.concatenate((h_sum, x)) + b
         gi = 1.0 / (1.0 + np.exp(-z[:hidden]))
         gf = 1.0 / (1.0 + np.exp(-z[hidden:2 * hidden]))

@@ -19,8 +19,8 @@ from attnseg.cli import gradcheck_fixture
 from attnseg.corpus import load_corpus, load_toy_corpus, split_train_dev
 from attnseg.crf import log_partition, nll_and_grads, viterbi
 from attnseg.encoder import (
-    AttentionParams, CellParams, EncoderConfig, LstmnState, attention_weights,
-    forward, init_params, lstmn_step,
+    AttentionParams, CellParams, EncoderConfig, forward, init_params,
+    tape_step,
 )
 from attnseg.evaluate import evaluate_corpus
 from attnseg.model import Segmenter, TrainConfig, pack_params
@@ -114,18 +114,20 @@ def test_criterion_4_lstmn_structural_checks():
     rng = np.random.default_rng(102)
     hid, att, dim = 6, 5, 7
     ok_sum = True
+    # the weights do not depend on the gate block
+    no_cell = CellParams(w=np.zeros((4 * hid, hid + dim)), b=np.zeros(4 * hid))
     for _ in range(100):
         attn = AttentionParams(
             wh=rng.normal(size=(att, hid)), wx=rng.normal(size=(att, dim)),
             wp=rng.normal(size=(att, hid)), v=rng.normal(size=att),
         )
         t = int(rng.integers(2, 9))
-        state = LstmnState(
-            [rng.normal(size=hid) for _ in range(t)],
-            [rng.normal(size=hid) for _ in range(t)],
-            rng.normal(size=hid),
-        )
-        w = attention_weights(rng.normal(size=dim), state, attn)
+        tape_h = [rng.normal(size=hid) for _ in range(t)]
+        tape_c = [rng.normal(size=hid) for _ in range(t)]
+        summary = rng.normal(size=hid)
+        _, _, step = tape_step(rng.normal(size=dim), tape_h, tape_c, 0,
+                               summary, attn, no_cell)
+        w = step.weights
         ok_sum = ok_sum and abs(w.sum() - 1.0) < 1e-12 and np.all(w >= 0)
 
     ok_lstm = True
@@ -139,8 +141,7 @@ def test_criterion_4_lstmn_structural_checks():
         )
         h1, c1 = rng.normal(size=hid), rng.normal(size=hid)
         x = rng.normal(size=dim)
-        state = LstmnState([h1], [c1], rng.normal(size=hid))
-        h, c, _ = lstmn_step(x, state, attn, cell)
+        h, c, _ = tape_step(x, [h1], [c1], 0, rng.normal(size=hid), attn, cell)
         h_ref, c_ref = lstm_step_reference(x, h1, c1, cell.w, cell.b)
         ok_lstm = ok_lstm and np.array_equal(h, h_ref) and np.array_equal(c, c_ref)
 

@@ -99,6 +99,19 @@ def test_segment_empty_line_stays_empty(tmp_path):
     assert lines[0] == lines[2]
 
 
+def test_segment_splits_lines_on_newline_only(tmp_path):
+    # U+2028 and U+0085 are line breaks to str.splitlines, not to a file
+    model_dir = train_into(tmp_path, "m")
+    raw = tmp_path / "raw.txt"
+    raw.write_text("我爱\u2028北京\n北京\u0085我爱\n", encoding="utf-8")
+    out_file = tmp_path / "seg.txt"
+    assert main(["segment", "--model", model_dir, "--input", str(raw),
+                 "--output", str(out_file)]) == 0
+    out = out_file.read_text(encoding="utf-8")
+    assert out.count("\n") == 2
+    assert out.endswith("\n")
+
+
 def test_segment_to_stdout(tmp_path, capsys):
     model_dir = train_into(tmp_path, "m")
     raw = tmp_path / "raw.txt"

@@ -2,9 +2,8 @@ import numpy as np
 import pytest
 
 from attnseg.encoder import (
-    AttentionParams, CellParams, EncoderConfig, LstmnState, attention_weights,
-    backward, direction_view, dropout_mask, forward, init_params,
-    initial_state, lstmn_step, summarize,
+    AttentionParams, CellParams, EncoderConfig, backward, direction_view,
+    dropout_mask, forward, init_params, tape_step,
 )
 from attnseg.numerics import ShapeError, grad_check
 from oracles import lstm_step_reference, lstmn_unrolled
@@ -26,96 +25,102 @@ def random_direction_params(rng, hidden=HID, attn=ATT, dim=DIM, scale=0.5):
     return a, c
 
 
-def run_steps(inputs, attn, cell, memory_span=None, hidden=HID):
-    state = initial_state(hidden)
-    outs = []
-    for x in inputs:
-        h, c, state = lstmn_step(x, state, attn, cell, memory_span=memory_span)
-        outs.append(h)
-    return outs, state
+def small_config(**kw):
+    args = dict(input_dim=DIM, hidden_dim=HID, attn_dim=ATT)
+    args.update(kw)
+    return EncoderConfig(**args)
+
+
+def random_tapes(rng, t):
+    """Hidden tape, memory tape and previous summary of length-t history."""
+    hs = [rng.normal(size=HID) for _ in range(t)]
+    cs = [rng.normal(size=HID) for _ in range(t)]
+    return hs, cs, rng.normal(size=HID)
 
 
 def test_attention_weights_empty_at_first_step():
     rng = np.random.default_rng(30)
-    attn, _ = random_direction_params(rng)
-    w = attention_weights(rng.normal(size=DIM), initial_state(HID), attn)
-    assert w.shape == (0,)
+    attn, cell = random_direction_params(rng)
+    x = rng.normal(size=DIM)
+    _, _, cache = tape_step(x, [], [], 0, np.zeros(HID), attn, cell)
+    assert cache.weights.shape == (0,)
 
 
 def test_attention_weights_singleton_is_one():
     rng = np.random.default_rng(31)
-    attn, _ = random_direction_params(rng)
-    state = LstmnState([rng.normal(size=HID)], [rng.normal(size=HID)],
-                       rng.normal(size=HID))
-    w = attention_weights(rng.normal(size=DIM), state, attn)
-    assert np.array_equal(w, [1.0])
+    attn, cell = random_direction_params(rng)
+    hs, cs, summary = random_tapes(rng, 1)
+    _, _, cache = tape_step(rng.normal(size=DIM), hs, cs, 0, summary, attn, cell)
+    assert np.array_equal(cache.weights, [1.0])
 
 
 def test_attention_weights_zero_v_is_uniform():
     rng = np.random.default_rng(32)
-    attn, _ = random_direction_params(rng)
+    attn, cell = random_direction_params(rng)
     attn.v[:] = 0.0
-    state = LstmnState([rng.normal(size=HID) for _ in range(4)],
-                       [rng.normal(size=HID) for _ in range(4)],
-                       rng.normal(size=HID))
-    w = attention_weights(rng.normal(size=DIM), state, attn)
-    assert np.allclose(w, 0.25, atol=1e-15)
+    hs, cs, summary = random_tapes(rng, 4)
+    _, _, cache = tape_step(rng.normal(size=DIM), hs, cs, 0, summary, attn, cell)
+    assert np.allclose(cache.weights, 0.25, atol=1e-15)
 
 
 def test_attention_weights_normalized():
     rng = np.random.default_rng(33)
     for _ in range(100):
-        attn, _ = random_direction_params(rng)
+        attn, cell = random_direction_params(rng)
         t = int(rng.integers(2, 8))
-        state = LstmnState([rng.normal(size=HID) for _ in range(t)],
-                           [rng.normal(size=HID) for _ in range(t)],
-                           rng.normal(size=HID))
-        w = attention_weights(rng.normal(size=DIM), state, attn)
+        hs, cs, summary = random_tapes(rng, t)
+        _, _, cache = tape_step(rng.normal(size=DIM), hs, cs, 0, summary,
+                                attn, cell)
+        w = cache.weights
         assert np.all(w >= 0)
         assert abs(w.sum() - 1.0) < 1e-12
 
 
 def test_attention_weights_shape_error():
     rng = np.random.default_rng(34)
-    attn, _ = random_direction_params(rng)
+    cfg = small_config()
+    params = init_params(cfg, rng)
+    params["enc0.bwd.attn.wx"] = np.zeros((ATT, DIM + 1))
     with pytest.raises(ShapeError):
-        attention_weights(np.zeros(DIM + 1), initial_state(HID), attn)
+        forward(params, cfg, rng.normal(size=(3, DIM)))
 
 
 def test_summarize_empty_gives_zeros():
-    h, c = summarize(initial_state(HID), np.array([]))
-    assert np.array_equal(h, np.zeros(HID))
-    assert np.array_equal(c, np.zeros(HID))
+    rng = np.random.default_rng(65)
+    attn, cell = random_direction_params(rng)
+    _, _, cache = tape_step(rng.normal(size=DIM), [], [], 0, np.zeros(HID),
+                            attn, cell)
+    assert np.array_equal(cache.h_summary, np.zeros(HID))
+    assert np.array_equal(cache.c_summary, np.zeros(HID))
 
 
 def test_summarize_one_hot_selects():
+    # a saturated score gap underflows every other weight to exactly 0
     rng = np.random.default_rng(35)
-    hs = [rng.normal(size=HID) for _ in range(3)]
-    cs = [rng.normal(size=HID) for _ in range(3)]
-    state = LstmnState(hs, cs, np.zeros(HID))
-    h, c = summarize(state, np.array([0.0, 1.0, 0.0]))
-    assert np.array_equal(h, hs[1])
-    assert np.array_equal(c, cs[1])
+    attn, cell = random_direction_params(rng)
+    attn.wh[:] = 0.0
+    attn.wh[0, 0] = 1.0
+    attn.wx[:] = 0.0
+    attn.wp[:] = 0.0
+    attn.v[:] = 0.0
+    attn.v[0] = 1e4
+    hs, cs, summary = random_tapes(rng, 3)
+    for i, sign in enumerate((-3.0, 3.0, -3.0)):
+        hs[i][0] = sign
+    _, _, cache = tape_step(rng.normal(size=DIM), hs, cs, 0, summary, attn, cell)
+    assert np.array_equal(cache.weights, [0.0, 1.0, 0.0])
+    assert np.array_equal(cache.h_summary, hs[1])
+    assert np.array_equal(cache.c_summary, cs[1])
 
 
 def test_summarize_uniform_is_mean():
     rng = np.random.default_rng(36)
-    hs = [rng.normal(size=HID) for _ in range(2)]
-    cs = [rng.normal(size=HID) for _ in range(2)]
-    state = LstmnState(hs, cs, np.zeros(HID))
-    h, c = summarize(state, np.array([0.5, 0.5]))
-    assert np.allclose(h, (hs[0] + hs[1]) / 2.0, atol=1e-15)
-    assert np.allclose(c, (cs[0] + cs[1]) / 2.0, atol=1e-15)
-
-
-def test_summarize_length_mismatch():
-    with pytest.raises(ShapeError):
-        summarize(initial_state(HID), np.array([1.0]))
-
-
-def test_state_tape_length_mismatch():
-    with pytest.raises(ValueError):
-        LstmnState([np.zeros(HID)], [], np.zeros(HID))
+    attn, cell = random_direction_params(rng)
+    attn.v[:] = 0.0
+    hs, cs, summary = random_tapes(rng, 2)
+    _, _, cache = tape_step(rng.normal(size=DIM), hs, cs, 0, summary, attn, cell)
+    assert np.allclose(cache.h_summary, (hs[0] + hs[1]) / 2.0, atol=1e-15)
+    assert np.allclose(cache.c_summary, (cs[0] + cs[1]) / 2.0, atol=1e-15)
 
 
 def test_lstmn_step_all_zero_parameters():
@@ -123,10 +128,8 @@ def test_lstmn_step_all_zero_parameters():
                            wp=np.zeros((ATT, HID)), v=np.zeros(ATT))
     cell = CellParams(w=np.zeros((4 * HID, HID + DIM)), b=np.zeros(4 * HID))
     rng = np.random.default_rng(37)
-    hs = [rng.normal(size=HID) for _ in range(3)]
-    cs = [rng.normal(size=HID) for _ in range(3)]
-    state = LstmnState(hs, cs, rng.normal(size=HID))
-    h, c, _ = lstmn_step(rng.normal(size=DIM), state, attn, cell)
+    hs, cs, summary = random_tapes(rng, 3)
+    h, c, _ = tape_step(rng.normal(size=DIM), hs, cs, 0, summary, attn, cell)
     c_summary = (cs[0] + cs[1] + cs[2]) / 3.0
     assert np.allclose(c, 0.5 * c_summary, atol=1e-15)
     assert np.allclose(h, 0.5 * np.tanh(c), atol=1e-15)
@@ -138,9 +141,9 @@ def test_lstmn_step_singleton_reduces_to_plain_lstm():
         attn, cell = random_direction_params(rng)
         h1 = rng.normal(size=HID)
         c1 = rng.normal(size=HID)
-        state = LstmnState([h1], [c1], rng.normal(size=HID))
+        summary = rng.normal(size=HID)
         x = rng.normal(size=DIM)
-        h, c, _ = lstmn_step(x, state, attn, cell)
+        h, c, _ = tape_step(x, [h1], [c1], 0, summary, attn, cell)
         h_ref, c_ref = lstm_step_reference(x, h1, c1, cell.w, cell.b)
         assert np.array_equal(h, h_ref)
         assert np.array_equal(c, c_ref)
@@ -152,40 +155,67 @@ def test_lstmn_step_matches_straight_line_unrolling():
         attn, cell = random_direction_params(rng)
         n = int(rng.integers(1, 7))
         inputs = [rng.normal(size=DIM) for _ in range(n)]
-        got, _ = run_steps(inputs, attn, cell)
+        tape_h, tape_c, summary = [], [], np.zeros(HID)
+        for x in inputs:
+            h, c, cache = tape_step(x, tape_h, tape_c, 0, summary, attn, cell)
+            tape_h.append(h)
+            tape_c.append(c)
+            summary = cache.h_summary
         want = lstmn_unrolled(inputs, attn.wh, attn.wx, attn.wp, attn.v,
                               cell.w, cell.b)
-        for a, b in zip(got, want):
+        assert len(tape_h) == len(want)
+        for a, b in zip(tape_h, want):
             assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("span", [None, 1, 2])
+def test_forward_tapes_match_straight_line_unrolling(span):
+    rng = np.random.default_rng(64)
+    cfg = small_config(memory_span=span)
+    for _ in range(10):
+        params = {k: rng.normal(scale=0.5, size=v.shape)
+                  for k, v in init_params(cfg, rng).items()}
+        x = rng.normal(size=(int(rng.integers(1, 8)), DIM))
+        _, cache = forward(params, cfg, x)
+        cache_f, cache_b = cache.layer_caches[0]
+        # the backward direction reads the sentence right to left
+        for direction, rows, got in (("fwd", x, cache_f.tape_h),
+                                     ("bwd", x[::-1], cache_b.tape_h)):
+            attn, cell = direction_view(params, 0, direction)
+            want = lstmn_unrolled(list(rows), attn.wh, attn.wx, attn.wp,
+                                  attn.v, cell.w, cell.b, memory_span=span)
+            assert len(got) == len(want)
+            for a, b in zip(got, want):
+                assert np.array_equal(a, b)
 
 
 def test_lstmn_step_tape_growth():
     rng = np.random.default_rng(40)
-    attn, cell = random_direction_params(rng)
-    inputs = [rng.normal(size=DIM) for _ in range(5)]
-    _, state = run_steps(inputs, attn, cell)
-    assert len(state) == 5
+    cfg = small_config()
+    params = init_params(cfg, rng)
+    _, cache = forward(params, cfg, rng.normal(size=(5, DIM)))
+    for direction_cache in cache.layer_caches[0]:
+        assert len(direction_cache.tape_h) == 5
+        assert len(direction_cache.tape_c) == 5
 
 
 def test_lstmn_step_memory_span_caps_tape():
     rng = np.random.default_rng(41)
-    attn, cell = random_direction_params(rng)
-    inputs = [rng.normal(size=DIM) for _ in range(6)]
-    _, state = run_steps(inputs, attn, cell, memory_span=2)
-    assert len(state) == 2
+    cfg = small_config(memory_span=2)
+    params = init_params(cfg, rng)
+    _, cache = forward(params, cfg, rng.normal(size=(6, DIM)))
+    for direction_cache in cache.layer_caches[0]:
+        window = [len(step.weights) for step in direction_cache.steps]
+        assert window == [0, 1, 2, 2, 2, 2]
 
 
 def test_lstmn_step_shape_error():
     rng = np.random.default_rng(42)
-    attn, cell = random_direction_params(rng)
+    cfg = small_config(extra_layers=1)
+    params = init_params(cfg, rng)
+    params["enc1.fwd.cell.w"] = np.zeros((4 * HID, HID + 2 * HID + 2))
     with pytest.raises(ShapeError):
-        lstmn_step(np.zeros(DIM + 2), initial_state(HID), attn, cell)
-
-
-def small_config(**kw):
-    args = dict(input_dim=DIM, hidden_dim=HID, attn_dim=ATT)
-    args.update(kw)
-    return EncoderConfig(**args)
+        forward(params, cfg, rng.normal(size=(3, DIM)))
 
 
 def test_init_params_shapes_and_biases():
@@ -226,8 +256,8 @@ def test_forward_single_position_structure():
     out, cache = forward(params, cfg, x)
     attn_f, cell_f = direction_view(params, 0, "fwd")
     attn_b, cell_b = direction_view(params, 0, "bwd")
-    hf, _, _ = lstmn_step(x[0], initial_state(HID), attn_f, cell_f)
-    hb, _, _ = lstmn_step(x[0], initial_state(HID), attn_b, cell_b)
+    hf, _, _ = tape_step(x[0], [], [], 0, np.zeros(HID), attn_f, cell_f)
+    hb, _, _ = tape_step(x[0], [], [], 0, np.zeros(HID), attn_b, cell_b)
     want = params["out.wf"] @ hf + params["out.wb"] @ hb + params["out.b"]
     assert np.array_equal(out[0], want)
 
@@ -238,9 +268,16 @@ def test_backward_direction_is_forward_on_reversed_input():
     params = init_params(cfg, rng)
     x = rng.normal(size=(5, DIM))
     _, cache = forward(params, cfg, x)
-    attn_b, cell_b = direction_view(params, 0, "bwd")
-    rev_outs, _ = run_steps([x[t] for t in range(4, -1, -1)], attn_b, cell_b)
+    # the forward direction, given the backward weights and the sentence
+    # reversed, must replay the backward tape
+    swapped = dict(params)
+    for name in params:
+        if name.startswith("enc0.bwd."):
+            swapped[name.replace(".bwd.", ".fwd.")] = params[name]
+    _, rev_cache = forward(swapped, cfg, x[::-1])
     got_bwd = cache.layer_caches[0][1].tape_h
+    rev_outs = rev_cache.layer_caches[0][0].tape_h
+    assert len(got_bwd) == len(rev_outs) == 5
     for a, b in zip(got_bwd, rev_outs):
         assert np.array_equal(a, b)
 
@@ -288,12 +325,13 @@ def test_memory_span_equivalences():
     # a tight cap really does change the computation
     out_one, _ = forward(params, small_config(memory_span=1), x)
     assert not np.array_equal(out_none, out_one)
-    # step-by-step state carrying agrees with the batch pass
+    # the windowed batch pass agrees with the straight-line recurrence
     cfg2 = small_config(memory_span=2)
     out_two, cache = forward(params, cfg2, x)
     attn_f, cell_f = direction_view(params, 0, "fwd")
-    stepped, _ = run_steps([x[t] for t in range(6)], attn_f, cell_f,
-                           memory_span=2)
+    stepped = lstmn_unrolled([x[t] for t in range(6)], attn_f.wh, attn_f.wx,
+                             attn_f.wp, attn_f.v, cell_f.w, cell_f.b,
+                             memory_span=2)
     for a, b in zip(cache.layer_caches[0][0].tape_h, stepped):
         assert np.array_equal(a, b)
 

@@ -1,46 +1,7 @@
 import numpy as np
 import pytest
 
-from attnseg.numerics import ShapeError, grad_check, logsumexp, matmul, sigmoid, softmax
-
-
-def test_matmul_identity():
-    a = np.array([[2.0, 3.0], [4.0, 5.0]])
-    assert np.array_equal(matmul(np.eye(2), a), a)
-
-
-def test_matmul_zero():
-    z = np.zeros((3, 2))
-    b = np.arange(8.0).reshape(2, 4)
-    assert np.array_equal(matmul(z, b), np.zeros((3, 4)))
-
-
-def test_matmul_small_case():
-    out = matmul(np.array([[1.0, 2.0]]), np.array([[3.0], [4.0]]))
-    assert out.shape == (1, 1)
-    assert out[0, 0] == 11.0
-
-
-def test_matmul_mismatch_names_both_shapes():
-    with pytest.raises(ShapeError, match=r"\(2, 3\).*\(2, 2\)"):
-        matmul(np.zeros((2, 3)), np.zeros((2, 2)))
-
-
-def test_matmul_rejects_non_2d():
-    with pytest.raises(ShapeError):
-        matmul(np.zeros(3), np.zeros((3, 2)))
-
-
-def test_matmul_associativity_random_chains():
-    rng = np.random.default_rng(0)
-    for _ in range(50):
-        a = rng.normal(size=(3, 4))
-        b = rng.normal(size=(4, 5))
-        c = rng.normal(size=(5, 2))
-        left = matmul(matmul(a, b), c)
-        right = matmul(a, matmul(b, c))
-        denom = np.maximum(np.abs(left), 1.0)
-        assert np.max(np.abs(left - right) / denom) < 1e-9
+from attnseg.numerics import ShapeError, grad_check, logsumexp, sigmoid, softmax
 
 
 def test_softmax_symmetry():

@@ -9,7 +9,7 @@ from attnseg.evaluate import evaluate_corpus
 from attnseg.model import Segmenter, TrainConfig, pack_params, unpack_params
 from attnseg.numerics import ShapeError
 from attnseg.train import (
-    AdagradState, adagrad_update, dropout_mask, fit, load_model,
+    AdagradState, adagrad_update, fit, load_model,
     model_gradient_check, save_model, tag_accuracy, train_epoch,
 )
 
@@ -71,12 +71,6 @@ def test_adagrad_accumulator_never_decreases():
         adagrad_update(p, rng.normal(size=5), acc, 0.05, 1e-6)
         assert np.all(acc >= prev)
         prev = acc.copy()
-
-
-def test_dropout_mask_reexport():
-    rng = np.random.default_rng(63)
-    m = dropout_mask((4,), 0.5, rng)
-    assert m.shape == (4,)
 
 
 def test_config_validation():
