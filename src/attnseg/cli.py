@@ -2,8 +2,8 @@
 
 Data outputs (epoch lines, segmented text, scores) go to stdout or the
 requested file; progress notes go to stderr, so piping stdout stays
-clean.  All subcommands take --seed (default 42) and are deterministic
-given identical arguments and inputs.
+clean.  `train` and `gradcheck` take --seed (default 42); every
+subcommand is deterministic given identical arguments and inputs.
 """
 
 import argparse
@@ -66,13 +66,11 @@ def _build_parser():
     p_seg.add_argument("--model", required=True, help="model directory")
     p_seg.add_argument("--input", required=True, help="raw sentences, one per line")
     p_seg.add_argument("--output", help="output file (default: stdout)")
-    p_seg.add_argument("--seed", type=int, default=42)
 
     p_eval = sub.add_parser("eval", help="score a segmentation against gold")
     p_eval.add_argument("--gold", required=True)
     p_eval.add_argument("--pred", required=True)
     p_eval.add_argument("--lexicon", help="idiom list used at training time")
-    p_eval.add_argument("--seed", type=int, default=42)
 
     p_gc = sub.add_parser(
         "gradcheck",

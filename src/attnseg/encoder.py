@@ -25,6 +25,16 @@ the top layer projects to per-tag emission scores
 Tapes reset to empty for every sentence.  The backward pass is written
 by hand (gradients flow through the attention weights, the summaries and
 the tapes) and is verified against central finite differences.
+
+Cost.  Wh h_i does not depend on t, so it is computed once, when h_i
+enters the tape, and Wx x_t + Wp p_{t-1} once per step; a step then
+costs O(a·h) of matrix-vector work plus O(w·a) for its window of w
+entries, and a sentence of n tokens O(n·a·h + n²·a) per direction
+(rather than O(n²·a·h)).  The backward pass sums the tape term of every
+later step's attention gradient per entry before multiplying by Wh^T,
+for the same bound.  Training keeps each step's (w, a) activations for
+backward; decoding runs the same loop with keep_cache=False, keeps no
+step caches, and so holds O(n·(h + a)) memory.
 """
 
 from dataclasses import dataclass, field
@@ -139,7 +149,7 @@ class _StepCache:
     x: np.ndarray
     window_start: int
     weights: np.ndarray
-    pre_tanh: list
+    pre_tanh: np.ndarray
     prev_summary: np.ndarray
     h_summary: np.ndarray
     c_summary: np.ndarray
@@ -150,28 +160,35 @@ class _StepCache:
     tanh_c: np.ndarray
 
 
-def tape_step(x_t, tape_h, tape_c, window_start, prev_summary, attn, cell):
+def tape_step(x_t, tape_h, tape_c, window_start, prev_summary, attn, cell,
+              tape_wh=None):
     """One recurrent step over the tape entries from `window_start` on.
 
-    Returns (h_t, c_t, cache); cache.weights are the attention weights
-    over the window.  The caller owns the tapes: it appends h_t and c_t,
-    and passes cache.h_summary as the next prev_summary.
+    `tape_wh[i]` is `attn.wh @ tape_h[i]`: the sentence loop computes it
+    once, when entry i enters the tape, and this step computes it for
+    the window when it is not given.  Returns (h_t, c_t, cache);
+    cache.weights are the attention weights over the window and
+    cache.pre_tanh the (window, attn_dim) attention activations.  The
+    caller owns the tapes: it appends h_t and c_t, and passes
+    cache.h_summary as the next prev_summary.
     """
     hidden = prev_summary.shape[0]
-    window_h = tape_h[window_start:]
-    window_c = tape_c[window_start:]
-    scores = np.empty(len(window_h))
-    pre_tanh = []
-    for i in range(len(window_h)):
-        u = np.tanh(attn.wh @ window_h[i] + attn.wx @ x_t + attn.wp @ prev_summary)
-        pre_tanh.append(u)
-        scores[i] = attn.v @ u
-    weights = softmax(scores)
-    h_summary = np.zeros(hidden)
-    c_summary = np.zeros(hidden)
-    for i in range(len(weights)):
-        h_summary += weights[i] * window_h[i]
-        c_summary += weights[i] * window_c[i]
+    window_h = np.asarray(tape_h[window_start:]).reshape(-1, hidden)
+    window_c = np.asarray(tape_c[window_start:]).reshape(-1, hidden)
+    if tape_wh is None:
+        window_wh = np.array([attn.wh @ h for h in window_h]).reshape(
+            -1, attn.wh.shape[0])
+    else:
+        window_wh = tape_wh[window_start:]
+    # (Wh h_i + Wx x_t) + Wp p in the oracle's order, so tapes stay bit-equal
+    pre_tanh = window_wh + attn.wx @ x_t
+    pre_tanh += attn.wp @ prev_summary
+    np.tanh(pre_tanh, out=pre_tanh)
+    # vecdot takes one dot product per row, like v @ u; pre_tanh @ v
+    # (a matrix-vector product) rounds differently
+    weights = softmax(np.vecdot(pre_tanh, attn.v))
+    h_summary = (weights[:, None] * window_h).sum(axis=0)
+    c_summary = (weights[:, None] * window_c).sum(axis=0)
     z = cell.w @ np.concatenate((h_summary, x_t)) + cell.b
     gate_i = sigmoid(z[:hidden])
     gate_f = sigmoid(z[hidden:2 * hidden])
@@ -192,46 +209,62 @@ def tape_step(x_t, tape_h, tape_c, window_start, prev_summary, attn, cell):
 @dataclass
 class _DirectionCache:
     inputs: np.ndarray
-    tape_h: list
-    tape_c: list
+    tape_h: np.ndarray
+    tape_c: np.ndarray
     steps: list
 
 
-def _direction_forward(inputs, attn, cell, memory_span):
-    n = len(inputs)
+def _direction_forward(inputs, attn, cell, memory_span, keep_steps):
+    """Run one direction over `inputs` (n, d); the tapes are (n, hidden)
+    arrays.  Step caches are kept only when `keep_steps` is true, so a
+    pass that needs no gradients holds O(n) memory, not O(n^2)."""
+    n = inputs.shape[0]
     hidden = cell.b.shape[0] // 4
-    tape_h, tape_c = [], []
+    tape_h = np.empty((n, hidden))
+    tape_c = np.empty((n, hidden))
+    tape_wh = np.empty((n, attn.wh.shape[0]))
     prev_summary = np.zeros(hidden)
     steps = []
     for t in range(n):
         window_start = 0 if memory_span is None else max(0, t - memory_span)
         h_t, c_t, cache = tape_step(
-            inputs[t], tape_h, tape_c, window_start, prev_summary, attn, cell
+            inputs[t], tape_h[:t], tape_c[:t], window_start, prev_summary,
+            attn, cell, tape_wh[:t],
         )
-        steps.append(cache)
-        tape_h.append(h_t)
-        tape_c.append(c_t)
+        if keep_steps:
+            steps.append(cache)
+        tape_h[t] = h_t
+        tape_c[t] = c_t
+        tape_wh[t] = attn.wh @ h_t
         prev_summary = cache.h_summary
     return _DirectionCache(inputs=inputs, tape_h=tape_h, tape_c=tape_c, steps=steps)
 
 
 def _direction_backward(cache, attn, cell, d_hidden_out):
+    """Gradients of one direction, given d loss / d h_t for every t.
+
+    The tape term of the attention pre-activation is accumulated per
+    tape entry, D[i] = sum over later steps t of d pre[t, i], and is
+    complete when reverse time reaches step i: then Wh^T D[i] joins
+    d h_i, and after the loop g_wh = D^T H is one matrix product.
+    Likewise the gate and attention input weights take their gradients
+    from per-step rows stacked over the sentence.
+    """
     n = len(cache.steps)
     hidden = cell.b.shape[0] // 4
-    d_in = cache.inputs[0].shape[0]
-    d_tape_h = [g.copy() for g in d_hidden_out]
-    d_tape_c = [np.zeros(hidden) for _ in range(n)]
-    d_summary = [np.zeros(hidden) for _ in range(n)]
-    g_wh = np.zeros_like(attn.wh)
-    g_wx = np.zeros_like(attn.wx)
-    g_wp = np.zeros_like(attn.wp)
+    tape_h, tape_c = cache.tape_h, cache.tape_c
+    d_tape_h = np.array(d_hidden_out, dtype=np.float64)
+    d_tape_c = np.zeros((n, hidden))
+    d_tape_wh = np.zeros((n, attn.wh.shape[0]))
+    d_z = np.zeros((n, 4 * hidden))
+    d_pre_sums = np.zeros((n, attn.wh.shape[0]))
     g_v = np.zeros_like(attn.v)
-    g_w = np.zeros_like(cell.w)
-    g_b = np.zeros_like(cell.b)
-    d_inputs = np.zeros((n, d_in))
+    w_summary = cell.w[:, :hidden]
+    # d loss / d h_summary[t] through step t + 1's Wp p term
+    d_summary = np.zeros(hidden)
     for t in range(n - 1, -1, -1):
         st = cache.steps[t]
-        dh = d_tape_h[t]
+        dh = d_tape_h[t] + attn.wh.T @ d_tape_wh[t]
         dc = d_tape_c[t]
         # h = o * tanh(c)
         d_o = dh * st.tanh_c
@@ -241,47 +274,37 @@ def _direction_backward(cache, attn, cell, d_hidden_out):
         d_c_summary = dc * st.gate_f
         d_i = dc * st.candidate
         d_candidate = dc * st.gate_i
-        dz = np.concatenate((
-            d_i * st.gate_i * (1.0 - st.gate_i),
-            d_f * st.gate_f * (1.0 - st.gate_f),
-            d_o * st.gate_o * (1.0 - st.gate_o),
-            d_candidate * (1.0 - st.candidate ** 2),
-        ))
-        g_w += np.outer(dz, np.concatenate((st.h_summary, st.x)))
-        g_b += dz
-        d_cat = cell.w.T @ dz
-        d_h_summary = d_cat[:hidden] + d_summary[t]
-        dx = d_cat[hidden:].copy()
+        dz = d_z[t]
+        dz[:hidden] = d_i * st.gate_i * (1.0 - st.gate_i)
+        dz[hidden:2 * hidden] = d_f * st.gate_f * (1.0 - st.gate_f)
+        dz[2 * hidden:3 * hidden] = d_o * st.gate_o * (1.0 - st.gate_o)
+        dz[3 * hidden:] = d_candidate * (1.0 - st.candidate ** 2)
+        d_h_summary = w_summary.T @ dz + d_summary
         weights = st.weights
-        count = weights.shape[0]
-        if count:
+        if weights.shape[0]:
             # summaries -> tape entries and attention weights
-            d_weights = np.empty(count)
-            for i in range(count):
-                gi = st.window_start + i
-                d_weights[i] = d_h_summary @ cache.tape_h[gi] \
-                    + d_c_summary @ cache.tape_c[gi]
-                d_tape_h[gi] += weights[i] * d_h_summary
-                d_tape_c[gi] += weights[i] * d_c_summary
+            window = slice(st.window_start, t)
+            d_weights = tape_h[window] @ d_h_summary + tape_c[window] @ d_c_summary
+            d_tape_h[window] += weights[:, None] * d_h_summary
+            d_tape_c[window] += weights[:, None] * d_c_summary
             d_scores = weights * (d_weights - weights @ d_weights)
-            d_pre_sum = np.zeros_like(attn.v)
-            for i in range(count):
-                gi = st.window_start + i
-                g_v += d_scores[i] * st.pre_tanh[i]
-                d_pre = (d_scores[i] * attn.v) * (1.0 - st.pre_tanh[i] ** 2)
-                g_wh += np.outer(d_pre, cache.tape_h[gi])
-                d_tape_h[gi] += attn.wh.T @ d_pre
-                d_pre_sum += d_pre
-            g_wx += np.outer(d_pre_sum, st.x)
-            dx += attn.wx.T @ d_pre_sum
-            g_wp += np.outer(d_pre_sum, st.prev_summary)
-            if t > 0:
-                d_summary[t - 1] += attn.wp.T @ d_pre_sum
-        # empty window: both summaries are constant zero vectors
-        d_inputs[t] = dx
+            g_v += d_scores @ st.pre_tanh
+            d_pre = (d_scores[:, None] * attn.v) * (1.0 - st.pre_tanh ** 2)
+            d_tape_wh[window] += d_pre
+            d_pre_sums[t] = d_pre.sum(axis=0)
+        # an empty window leaves d_pre_sums[t] zero: both summaries are
+        # constant zero vectors
+        d_summary = attn.wp.T @ d_pre_sums[t]
+    h_summaries = np.array([st.h_summary for st in cache.steps])
+    prev_summaries = np.array([st.prev_summary for st in cache.steps])
+    d_inputs = d_z @ cell.w[:, hidden:] + d_pre_sums @ attn.wx
     grads = {
-        "attn.wh": g_wh, "attn.wx": g_wx, "attn.wp": g_wp, "attn.v": g_v,
-        "cell.w": g_w, "cell.b": g_b,
+        "attn.wh": d_tape_wh.T @ tape_h,
+        "attn.wx": d_pre_sums.T @ cache.inputs,
+        "attn.wp": d_pre_sums.T @ prev_summaries,
+        "attn.v": g_v,
+        "cell.w": d_z.T @ np.hstack((h_summaries, cache.inputs)),
+        "cell.b": d_z.sum(axis=0),
     }
     return grads, d_inputs
 
@@ -299,13 +322,15 @@ class ForwardCache:
     top_h_b: np.ndarray = None
 
 
-def forward(params, config, inputs, dropout=0.0, rng=None):
+def forward(params, config, inputs, dropout=0.0, rng=None, keep_cache=True):
     """Emission scores (n, num_tags) for one sentence, plus the cache.
 
     Tapes start empty: per-sentence state isolation is structural.  With
     dropout > 0, inverted-dropout masks apply to the featurized inputs
     and to the (forward, backward) hidden vectors feeding the output
-    projection; evaluation passes use dropout=0.
+    projection; evaluation passes use dropout=0.  With keep_cache=False
+    no step caches are kept and the returned cache is None: decoding
+    needs no gradients, and its memory then grows linearly in n.
     """
     inputs = np.asarray(inputs, dtype=np.float64)
     if inputs.ndim != 2 or inputs.shape[0] == 0:
@@ -340,22 +365,23 @@ def forward(params, config, inputs, dropout=0.0, rng=None):
     for layer in range(config.num_layers):
         attn_f, cell_f = direction_view(params, layer, "fwd")
         attn_b, cell_b = direction_view(params, layer, "bwd")
-        rows = [current[t] for t in range(n)]
-        cache_f = _direction_forward(rows, attn_f, cell_f, config.memory_span)
-        cache_b = _direction_forward(rows[::-1], attn_b, cell_b, config.memory_span)
+        cache_f = _direction_forward(
+            current, attn_f, cell_f, config.memory_span, keep_cache
+        )
+        cache_b = _direction_forward(
+            current[::-1], attn_b, cell_b, config.memory_span, keep_cache
+        )
         cache.layer_caches.append((cache_f, cache_b))
         h_f = cache_f.tape_h
         h_b = cache_b.tape_h[::-1]
         if layer + 1 < config.num_layers:
-            current = np.stack(
-                [np.concatenate((h_f[t], h_b[t])) for t in range(n)]
-            )
+            current = np.concatenate((h_f, h_b), axis=1)
 
     if dropout:
         cache.out_mask_f = dropout_mask((n, h), dropout, rng)
         cache.out_mask_b = dropout_mask((n, h), dropout, rng)
-        h_f = [h_f[t] * cache.out_mask_f[t] for t in range(n)]
-        h_b = [h_b[t] * cache.out_mask_b[t] for t in range(n)]
+        h_f = h_f * cache.out_mask_f
+        h_b = h_b * cache.out_mask_b
     cache.top_h_f = h_f
     cache.top_h_b = h_b
 
@@ -363,7 +389,7 @@ def forward(params, config, inputs, dropout=0.0, rng=None):
     emissions = np.empty((n, config.num_tags))
     for t in range(n):
         emissions[t] = wf @ h_f[t] + wb @ h_b[t] + b
-    return emissions, cache
+    return emissions, (cache if keep_cache else None)
 
 
 def backward(params, config, cache, d_emissions):
@@ -376,29 +402,19 @@ def backward(params, config, cache, d_emissions):
     if cache is None or not cache.layer_caches:
         raise ValueError("backward called without a cached forward pass")
     d_emissions = np.asarray(d_emissions, dtype=np.float64)
-    n = d_emissions.shape[0]
     h = config.hidden_dim
     wf, wb = params["out.wf"], params["out.wb"]
 
     grads = {
-        "out.wf": np.zeros_like(wf),
-        "out.wb": np.zeros_like(wb),
-        "out.b": np.zeros_like(params["out.b"]),
+        "out.wf": d_emissions.T @ cache.top_h_f,
+        "out.wb": d_emissions.T @ cache.top_h_b,
+        "out.b": d_emissions.sum(axis=0),
     }
-    d_h_f = []
-    d_h_b = []
-    for t in range(n):
-        dy = d_emissions[t]
-        grads["out.wf"] += np.outer(dy, cache.top_h_f[t])
-        grads["out.wb"] += np.outer(dy, cache.top_h_b[t])
-        grads["out.b"] += dy
-        df = wf.T @ dy
-        db = wb.T @ dy
-        if cache.out_mask_f is not None:
-            df = df * cache.out_mask_f[t]
-            db = db * cache.out_mask_b[t]
-        d_h_f.append(df)
-        d_h_b.append(db)
+    d_h_f = d_emissions @ wf
+    d_h_b = d_emissions @ wb
+    if cache.out_mask_f is not None:
+        d_h_f = d_h_f * cache.out_mask_f
+        d_h_b = d_h_b * cache.out_mask_b
 
     for layer in range(config.num_layers - 1, -1, -1):
         attn_f, cell_f = direction_view(params, layer, "fwd")
@@ -414,8 +430,8 @@ def backward(params, config, cache, d_emissions):
             grads[f"enc{layer}.bwd.{name}"] = g
         d_layer_in = d_in_f + d_in_b_rev[::-1]
         if layer > 0:
-            d_h_f = [d_layer_in[t, :h] for t in range(n)]
-            d_h_b = [d_layer_in[t, h:] for t in range(n)]
+            d_h_f = d_layer_in[:, :h]
+            d_h_b = d_layer_in[:, h:]
 
     d_inputs = d_layer_in
     if cache.input_mask is not None:

@@ -185,13 +185,16 @@ class Segmenter:
             )
         return featurize(ids, self.params["emb.uni"], self.config.window)
 
-    def emissions(self, tokens, dropout=0.0, rng=None):
+    def emissions(self, tokens, dropout=0.0, rng=None, keep_cache=True):
         """Per-tag scores (n, 4) for one token sequence, plus the caches
-        needed to push gradients back (ids, bigram ids, encoder cache)."""
+        needed to push gradients back (ids, bigram ids, encoder cache).
+        Passes that need no gradients set keep_cache=False: the encoder
+        cache is then None and memory stays linear in n."""
         ids, bigram_ids = self._encode_tokens(tokens)
         x = self._features(ids, bigram_ids)
         scores, cache = encoder.forward(
-            self.params, self.encoder_config, x, dropout=dropout, rng=rng
+            self.params, self.encoder_config, x, dropout=dropout, rng=rng,
+            keep_cache=keep_cache,
         )
         return scores, (ids, bigram_ids, cache)
 
@@ -230,7 +233,7 @@ class Segmenter:
     def nll(self, sentence, mask=None):
         """Loss only, skipping all gradient work (finite-difference
         probes call this thousands of times)."""
-        scores, _ = self.emissions(sentence.tokens)
+        scores, _ = self.emissions(sentence.tokens, keep_cache=False)
         trans = self.params["crf.trans"]
         return crf.log_partition(scores, trans, mask=mask) \
             - crf.sequence_score(scores, trans, sentence.tags)
@@ -238,7 +241,7 @@ class Segmenter:
     def decode(self, tokens, masked=True):
         """Most likely tag sequence for a token sequence (grammar mask on
         by default, so output is always a valid BMES string)."""
-        scores, _ = self.emissions(tokens)
+        scores, _ = self.emissions(tokens, keep_cache=False)
         mask = tagging.transition_mask() if masked else None
         path, _ = crf.viterbi(scores, self.params["crf.trans"], mask=mask)
         return path

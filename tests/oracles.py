@@ -150,6 +150,136 @@ def lstmn_unrolled(inputs, wh, wx, wp, v, w, b, memory_span=None):
     return outputs
 
 
+def _direction_backward_unrolled(cache, wh, wx, wp, v, w, b, d_hidden_out):
+    """One direction's gradients, pair by pair: for every step t and
+    every tape entry i it attends to, an outer product into the Wh
+    gradient and a Wh^T product into d h_i."""
+    n = len(cache.steps)
+    hidden = b.shape[0] // 4
+    d_in = cache.inputs[0].shape[0]
+    d_tape_h = [g.copy() for g in d_hidden_out]
+    d_tape_c = [np.zeros(hidden) for _ in range(n)]
+    d_summary = [np.zeros(hidden) for _ in range(n)]
+    g_wh = np.zeros_like(wh)
+    g_wx = np.zeros_like(wx)
+    g_wp = np.zeros_like(wp)
+    g_v = np.zeros_like(v)
+    g_w = np.zeros_like(w)
+    g_b = np.zeros_like(b)
+    d_inputs = np.zeros((n, d_in))
+    for t in range(n - 1, -1, -1):
+        st = cache.steps[t]
+        dh = d_tape_h[t]
+        dc = d_tape_c[t]
+        # h = o * tanh(c)
+        d_o = dh * st.tanh_c
+        dc = dc + dh * st.gate_o * (1.0 - st.tanh_c ** 2)
+        # c = f * c_summary + i * candidate
+        d_f = dc * st.c_summary
+        d_c_summary = dc * st.gate_f
+        d_i = dc * st.candidate
+        d_candidate = dc * st.gate_i
+        dz = np.concatenate((
+            d_i * st.gate_i * (1.0 - st.gate_i),
+            d_f * st.gate_f * (1.0 - st.gate_f),
+            d_o * st.gate_o * (1.0 - st.gate_o),
+            d_candidate * (1.0 - st.candidate ** 2),
+        ))
+        g_w += np.outer(dz, np.concatenate((st.h_summary, st.x)))
+        g_b += dz
+        d_cat = w.T @ dz
+        d_h_summary = d_cat[:hidden] + d_summary[t]
+        dx = d_cat[hidden:].copy()
+        weights = st.weights
+        count = weights.shape[0]
+        if count:
+            # summaries -> tape entries and attention weights
+            d_weights = np.empty(count)
+            for i in range(count):
+                gi = st.window_start + i
+                d_weights[i] = d_h_summary @ cache.tape_h[gi] \
+                    + d_c_summary @ cache.tape_c[gi]
+                d_tape_h[gi] += weights[i] * d_h_summary
+                d_tape_c[gi] += weights[i] * d_c_summary
+            d_scores = weights * (d_weights - weights @ d_weights)
+            d_pre_sum = np.zeros_like(v)
+            for i in range(count):
+                gi = st.window_start + i
+                g_v += d_scores[i] * st.pre_tanh[i]
+                d_pre = (d_scores[i] * v) * (1.0 - st.pre_tanh[i] ** 2)
+                g_wh += np.outer(d_pre, cache.tape_h[gi])
+                d_tape_h[gi] += wh.T @ d_pre
+                d_pre_sum += d_pre
+            g_wx += np.outer(d_pre_sum, st.x)
+            dx += wx.T @ d_pre_sum
+            g_wp += np.outer(d_pre_sum, st.prev_summary)
+            if t > 0:
+                d_summary[t - 1] += wp.T @ d_pre_sum
+        # empty window: both summaries are constant zero vectors
+        d_inputs[t] = dx
+    grads = {
+        "attn.wh": g_wh, "attn.wx": g_wx, "attn.wp": g_wp, "attn.v": g_v,
+        "cell.w": g_w, "cell.b": g_b,
+    }
+    return grads, d_inputs
+
+
+def lstmn_backward_unrolled(params, num_layers, cache, d_emissions):
+    """Reference encoder backward pass, one time step and one tape entry
+    at a time, over the step caches of a forward pass.
+
+    Returns (grads, d_inputs) like the encoder's own backward; it reads
+    the cache's fields but calls no production code.
+    """
+    d_emissions = np.asarray(d_emissions, dtype=np.float64)
+    n = d_emissions.shape[0]
+    wf, wb = params["out.wf"], params["out.wb"]
+    h = wf.shape[1]
+    grads = {
+        "out.wf": np.zeros_like(wf),
+        "out.wb": np.zeros_like(wb),
+        "out.b": np.zeros_like(params["out.b"]),
+    }
+    d_h_f = []
+    d_h_b = []
+    for t in range(n):
+        dy = d_emissions[t]
+        grads["out.wf"] += np.outer(dy, cache.top_h_f[t])
+        grads["out.wb"] += np.outer(dy, cache.top_h_b[t])
+        grads["out.b"] += dy
+        df = wf.T @ dy
+        db = wb.T @ dy
+        if cache.out_mask_f is not None:
+            df = df * cache.out_mask_f[t]
+            db = db * cache.out_mask_b[t]
+        d_h_f.append(df)
+        d_h_b.append(db)
+
+    for layer in range(num_layers - 1, -1, -1):
+        layer_grads = []
+        for direction, d_out, dir_cache in (
+                ("fwd", d_h_f, cache.layer_caches[layer][0]),
+                ("bwd", d_h_b[::-1], cache.layer_caches[layer][1])):
+            prefix = f"enc{layer}.{direction}."
+            g, d_in = _direction_backward_unrolled(
+                dir_cache, *(params[prefix + k] for k in (
+                    "attn.wh", "attn.wx", "attn.wp", "attn.v", "cell.w", "cell.b")),
+                d_out,
+            )
+            for name, value in g.items():
+                grads[prefix + name] = value
+            layer_grads.append(d_in)
+        d_layer_in = layer_grads[0] + layer_grads[1][::-1]
+        if layer > 0:
+            d_h_f = [d_layer_in[t, :h] for t in range(n)]
+            d_h_b = [d_layer_in[t, h:] for t in range(n)]
+
+    d_inputs = d_layer_in
+    if cache.input_mask is not None:
+        d_inputs = d_inputs * cache.input_mask
+    return grads, d_inputs
+
+
 CHAR_POOL = "的一是在不了有大这中人上为个国我以要他时来用们生到作地于出就分"
 
 

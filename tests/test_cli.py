@@ -1,6 +1,8 @@
 import os
 import re
 
+import pytest
+
 from attnseg.cli import _build_parser, main
 from attnseg.corpus import load_toy_corpus
 
@@ -29,11 +31,18 @@ def test_parser_defaults_match_stated_values():
     assert args.extra_layers == 0
 
 
-def test_all_subcommands_take_seed():
+def test_seed_only_on_train_and_gradcheck():
     parser = _build_parser()
-    assert parser.parse_args(["segment", "--model", "m", "--input", "i"]).seed == 42
-    assert parser.parse_args(["eval", "--gold", "g", "--pred", "p"]).seed == 42
+    assert parser.parse_args(["train", "--train", "x", "--out", "y",
+                              "--seed", "7"]).seed == 7
     assert parser.parse_args(["gradcheck"]).seed == 42
+    assert parser.parse_args(["gradcheck", "--seed", "7"]).seed == 7
+    # segment and eval draw no random numbers, so they take no seed
+    for argv in (["segment", "--model", "m", "--input", "i"],
+                 ["eval", "--gold", "g", "--pred", "p"]):
+        assert "seed" not in vars(parser.parse_args(argv))
+        with pytest.raises(SystemExit):
+            parser.parse_args(argv + ["--seed", "42"])
 
 
 def test_train_writes_model_and_epoch_lines(tmp_path, capsys):

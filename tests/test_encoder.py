@@ -6,7 +6,7 @@ from attnseg.encoder import (
     dropout_mask, forward, init_params, tape_step,
 )
 from attnseg.numerics import ShapeError, grad_check
-from oracles import lstm_step_reference, lstmn_unrolled
+from oracles import lstm_step_reference, lstmn_backward_unrolled, lstmn_unrolled
 
 HID, ATT, DIM = 5, 4, 6
 
@@ -468,3 +468,30 @@ def test_backward_matches_finite_differences_memory_span():
 def test_backward_matches_finite_differences_with_dropout():
     # dropout masks replayed from a fixed seed make the loss deterministic
     assert encoder_gradcheck(dropout=0.35, seed=61) < 1e-3
+
+
+@pytest.mark.parametrize("extra_layers, memory_span, dropout", [
+    (0, None, 0.0), (0, 1, 0.0), (0, 2, 0.0), (1, None, 0.0),
+    (0, None, 0.35), (1, 2, 0.35),
+])
+def test_backward_matches_pairwise_oracle(extra_layers, memory_span, dropout):
+    # accumulation order differs from the pair-by-pair reference, so the
+    # bound is relative to the largest entry, far below the gradient checks'
+    rng = np.random.default_rng(66)
+    cfg = small_config(extra_layers=extra_layers, memory_span=memory_span)
+    for _ in range(5):
+        params = {k: rng.normal(scale=0.5, size=v.shape)
+                  for k, v in init_params(cfg, rng).items()}
+        n = int(rng.integers(1, 10))
+        x = rng.normal(size=(n, DIM))
+        drop_rng = np.random.default_rng(7) if dropout else None
+        _, cache = forward(params, cfg, x, dropout=dropout, rng=drop_rng)
+        d_emissions = rng.normal(size=(n, 4))
+        grads, d_x = backward(params, cfg, cache, d_emissions)
+        want, want_d_x = lstmn_backward_unrolled(
+            params, cfg.num_layers, cache, d_emissions
+        )
+        assert set(grads) == set(want) == set(params)
+        for got, ref in [(grads[k], want[k]) for k in want] + [(d_x, want_d_x)]:
+            assert got.shape == ref.shape
+            assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))

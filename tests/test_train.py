@@ -1,5 +1,6 @@
 import json
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -278,3 +279,22 @@ def test_tag_accuracy_bounds():
     model, corpus, _ = toy_model()
     acc = tag_accuracy(model, corpus)
     assert 0.0 <= acc <= 1.0
+
+
+def test_decode_memory_grows_linearly_with_length():
+    # the tapes grow with n; step caches kept for a backward pass would
+    # grow with n^2 and make the doubled line take about 4x the memory
+    model, corpus, _ = toy_model()
+    chars = [tok for sent in corpus for tok in sent.tokens]
+    model.decode(chars[:8])
+
+    def peak(n):
+        tokens = (chars * (n // len(chars) + 1))[:n]
+        tracemalloc.start()
+        try:
+            model.decode(tokens)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(400) < 3 * peak(200)
