@@ -48,12 +48,13 @@ def preprocess(sentence, lexicon=None):
 
     Maximal runs of Latin letters collapse to one <ENG> token and maximal
     runs of digits to one <NUM> token (fullwidth forms included).  With a
-    lexicon, exact idiom matches collapse to <IDIOM>, longest match first.
-    Flag tokens already present pass through untouched, which makes the
-    function idempotent.
+    lexicon, exact idiom matches collapse to <IDIOM>, longest match first;
+    a match covers one-character tokens only, and empty idioms are
+    ignored.  Flag tokens already present pass through untouched, which
+    makes the function idempotent.
     """
     toks = list(sentence)
-    idioms = sorted(lexicon, key=len, reverse=True) if lexicon else ()
+    lengths = sorted({len(idiom) for idiom in lexicon or () if idiom}, reverse=True)
     out = []
     i = 0
     n = len(toks)
@@ -63,27 +64,27 @@ def preprocess(sentence, lexicon=None):
             out.append(tok)
             i += 1
             continue
-        matched = False
-        for idiom in idioms:
-            k = len(idiom)
-            if i + k <= n and toks[i:i + k] == list(idiom):
+        for k in lengths:
+            chunk = toks[i:i + k]
+            word = "".join(chunk)
+            # k tokens, none empty, k characters: one character each
+            if word in lexicon and len(chunk) == len(word) == k \
+                    and "" not in chunk:
                 out.append(IDIOM)
                 i += k
-                matched = True
                 break
-        if matched:
-            continue
-        if _is_latin(tok):
-            while i < n and _is_latin(toks[i]):
-                i += 1
-            out.append(ENG)
-        elif _is_digit(tok):
-            while i < n and _is_digit(toks[i]):
-                i += 1
-            out.append(NUM)
         else:
-            out.append(tok)
-            i += 1
+            if _is_latin(tok):
+                while i < n and _is_latin(toks[i]):
+                    i += 1
+                out.append(ENG)
+            elif _is_digit(tok):
+                while i < n and _is_digit(toks[i]):
+                    i += 1
+                out.append(NUM)
+            else:
+                out.append(tok)
+                i += 1
     return out
 
 
@@ -301,13 +302,9 @@ def featurize(ids, table, window, bigram_ids=None, bigram_table=None):
         raise ValueError(f"window must be odd and >= 1, got {window}")
     if (bigram_ids is None) != (bigram_table is None):
         raise ValueError("bigram_ids and bigram_table go together")
-    ids = np.asarray(ids, dtype=np.intp)
-    n = ids.shape[0]
-    half = window // 2
-    padded = np.concatenate([np.zeros(half, dtype=np.intp), ids,
-                             np.zeros(half, dtype=np.intp)])
-    rows = table[padded]
-    x = np.concatenate([rows[j:j + n] for j in range(window)], axis=1)
+    wids = window_ids(ids, window)
+    n = wids.shape[0]
+    x = table[wids].reshape(n, window * table.shape[1])
     if bigram_ids is not None:
         bigram_ids = np.asarray(bigram_ids, dtype=np.intp)
         if bigram_ids.shape[0] != n:
@@ -322,8 +319,5 @@ def window_ids(ids, window):
     """(n, window) matrix of the padded character ids each row of
     featurize() reads, used to scatter gradients back into the table."""
     ids = np.asarray(ids, dtype=np.intp)
-    n = ids.shape[0]
-    half = window // 2
-    padded = np.concatenate([np.zeros(half, dtype=np.intp), ids,
-                             np.zeros(half, dtype=np.intp)])
-    return np.stack([padded[j:j + n] for j in range(window)], axis=1)
+    padded = np.pad(ids, window // 2)
+    return np.stack([padded[j:j + len(ids)] for j in range(window)], axis=1)

@@ -171,34 +171,24 @@ class Segmenter:
         params["crf.trans"] = np.zeros((NUM_TAGS + 2, NUM_TAGS + 2))
         return cls(config, vocab, params, bigram_vocab, lexicon)
 
-    def _encode_tokens(self, tokens):
-        ids = self.vocab.encode(tokens)
-        if self.bigram_vocab is not None:
-            return ids, self.bigram_vocab.encode(sentence_bigrams(tokens))
-        return ids, None
-
-    def _features(self, ids, bigram_ids):
-        if bigram_ids is not None:
-            return featurize(
-                ids, self.params["emb.uni"], self.config.window,
-                bigram_ids, self.params["emb.bi"],
-            )
-        return featurize(ids, self.params["emb.uni"], self.config.window)
-
     def emissions(self, tokens, dropout=0.0, rng=None, keep_cache=True):
         """Per-tag scores (n, 4) for one token sequence, plus the caches
         needed to push gradients back (ids, bigram ids, encoder cache).
         Passes that need no gradients set keep_cache=False: the encoder
         cache is then None and memory stays linear in n."""
-        ids, bigram_ids = self._encode_tokens(tokens)
-        x = self._features(ids, bigram_ids)
+        ids = self.vocab.encode(tokens)
+        bigram_ids = None
+        if self.bigram_vocab is not None:
+            bigram_ids = self.bigram_vocab.encode(sentence_bigrams(tokens))
+        x = featurize(ids, self.params["emb.uni"], self.config.window,
+                      bigram_ids, self.params.get("emb.bi"))
         scores, cache = encoder.forward(
             self.params, self.encoder_config, x, dropout=dropout, rng=rng,
             keep_cache=keep_cache,
         )
         return scores, (ids, bigram_ids, cache)
 
-    def loss_and_grads(self, sentence, dropout=0.0, rng=None, mask=None):
+    def loss_and_grads(self, sentence, dropout=0.0, rng=None):
         """NLL of the gold tags and gradients for every parameter.
 
         The returned dict has exactly the keys of self.params; embedding
@@ -208,34 +198,32 @@ class Segmenter:
             sentence.tokens, dropout=dropout, rng=rng
         )
         loss, d_scores, d_trans = crf.nll_and_grads(
-            scores, self.params["crf.trans"], sentence.tags, mask=mask
+            scores, self.params["crf.trans"], sentence.tags
         )
         enc_grads, d_inputs = encoder.backward(
             self.params, self.encoder_config, cache, d_scores
         )
         grads = {"emb.uni": np.zeros_like(self.params["emb.uni"])}
-        if self.config.bigrams:
-            grads["emb.bi"] = np.zeros_like(self.params["emb.bi"])
         d = self.config.emb_dim
         wids = window_ids(ids, self.config.window)
         for j in range(self.config.window):
             np.add.at(grads["emb.uni"], wids[:, j], d_inputs[:, j * d:(j + 1) * d])
         if bigram_ids is not None:
-            start = self.config.window * d
-            np.add.at(grads["emb.bi"], np.asarray(bigram_ids, dtype=np.intp),
-                      d_inputs[:, start:])
+            grads["emb.bi"] = np.zeros_like(self.params["emb.bi"])
+            np.add.at(grads["emb.bi"], bigram_ids,
+                      d_inputs[:, self.config.window * d:])
         for name in self.params:
             if name in enc_grads:
                 grads[name] = enc_grads[name]
         grads["crf.trans"] = d_trans
         return loss, grads
 
-    def nll(self, sentence, mask=None):
+    def nll(self, sentence):
         """Loss only, skipping all gradient work (finite-difference
         probes call this thousands of times)."""
         scores, _ = self.emissions(sentence.tokens, keep_cache=False)
         trans = self.params["crf.trans"]
-        return crf.log_partition(scores, trans, mask=mask) \
+        return crf.log_partition(scores, trans) \
             - crf.sequence_score(scores, trans, sentence.tags)
 
     def decode(self, tokens, masked=True):

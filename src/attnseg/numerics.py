@@ -1,10 +1,13 @@
 """Small dense-numerics kernel used by every other module.
 
 Conventions: matrices are 2-d float64 arrays in row-major (C) order and
-vectors are 1-d float64 arrays.  There is no broadcasting anywhere; shape
-mismatches raise :class:`ShapeError` so that wiring bugs in the
-hand-written backward passes surface immediately instead of silently
-producing garbage gradients.
+vectors are 1-d float64 arrays.  The helpers here check the shapes they
+are given and raise :class:`ShapeError` on a mismatch, as do the entry
+points of the CRF, the encoder and the AdaGrad update, so that wiring
+bugs surface immediately instead of silently producing garbage
+gradients.  Inside those entry points numpy broadcasting is used where
+it is the natural spelling (e.g. ``encoder.tape_step`` and
+``crf.nll_and_grads``).
 """
 
 import numpy as np

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import Vocab
+from .corpus import Vocab, load_lexicon
 from .evaluate import evaluate_corpus
 from .model import Segmenter, TrainConfig, pack_params, unpack_params
 from .numerics import ShapeError, grad_check
@@ -105,12 +105,12 @@ def _clip(grads, max_norm):
     return grads
 
 
-def train_epoch(model, corpus, config, rng, state=None, mask=None):
+def train_epoch(model, corpus, config, rng, state=None):
     """One pass over the corpus; returns EpochStats(mean NLL, accuracy).
 
     The rng drives the shuffle and every dropout mask, so a fixed
     (corpus, config, seed) triple replays bit-identically.  Training
-    NLL is unmasked by default; decoding stays masked regardless.
+    NLL is unmasked; decoding stays masked.
     """
     n = len(corpus)
     if n == 0:
@@ -125,7 +125,7 @@ def train_epoch(model, corpus, config, rng, state=None, mask=None):
         for idx in batch:
             sent = corpus[int(idx)]
             loss, grads = model.loss_and_grads(
-                sent, dropout=config.dropout, rng=rng, mask=mask
+                sent, dropout=config.dropout, rng=rng
             )
             if not np.isfinite(loss):
                 raise FloatingPointError(
@@ -148,7 +148,7 @@ def train_epoch(model, corpus, config, rng, state=None, mask=None):
     return EpochStats(nll=total_nll / n, accuracy=tag_accuracy(model, corpus))
 
 
-def fit(model, train_corpus, dev_corpus, config, on_epoch=None, mask=None):
+def fit(model, train_corpus, dev_corpus, config, on_epoch=None):
     """Train for config.epochs epochs, keep the best dev-F1 parameters.
 
     Returns (model, history); the model is updated in place to the best
@@ -163,7 +163,7 @@ def fit(model, train_corpus, dev_corpus, config, on_epoch=None, mask=None):
     best_f1 = -1.0
     best_params = None
     for epoch in range(1, config.epochs + 1):
-        stats = train_epoch(model, train_corpus, config, rng, state, mask=mask)
+        stats = train_epoch(model, train_corpus, config, rng, state)
         precision, recall, f1 = evaluate_corpus(model, dev_corpus)
         record = EpochRecord(
             epoch=epoch, nll=stats.nll, accuracy=stats.accuracy,
@@ -246,7 +246,7 @@ def load_model(directory):
     lexicon = None
     lex_path = os.path.join(directory, "lexicon.txt")
     if os.path.exists(lex_path):
-        lexicon = frozenset(_read_tokens(lex_path))
+        lexicon = load_lexicon(lex_path)
     with open(os.path.join(directory, "manifest.json"), encoding="utf-8") as fh:
         manifest = json.load(fh)
     with open(os.path.join(directory, "params.bin"), "rb") as fh:

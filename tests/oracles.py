@@ -2,9 +2,10 @@
 
 Everything here is deliberately written the dumb way: brute-force
 enumeration over all tag sequences, straight-line transcriptions of the
-recurrence arithmetic, a textbook LSTM step.  None of it imports the
-production code paths it checks (shared constants and shapes excepted),
-so agreement between the two routes is evidence, not tautology.
+recurrence arithmetic, a textbook LSTM step, an idiom scan that tries
+every lexicon entry.  None of it imports the production code paths it
+checks (shared constants, shapes and character classes excepted), so
+agreement between the two routes is evidence, not tautology.
 
 Score accumulation order matters in a few places: the dynamic programs
 under test build path scores strictly left to right, so oracles that
@@ -15,6 +16,8 @@ commutative, and identical association gives identical bits).
 import itertools
 
 import numpy as np
+
+from attnseg.corpus import ENG, IDIOM, NUM, SPECIALS, _is_digit, _is_latin
 
 START = 4
 END = 5
@@ -294,3 +297,49 @@ def random_segmentation(rng, max_len=30, pool=CHAR_POOL):
         words.append("".join(chars[pos:pos + step]))
         pos += step
     return words
+
+
+def preprocess_scan(sentence, lexicon=None):
+    """Reference for corpus.preprocess: every call sorts the lexicon and
+    tries each idiom at each position, longest first.  Normalizes a
+    sentence (a string, or a list of tokens) to a token list.
+
+    Maximal runs of Latin letters collapse to one <ENG> token and maximal
+    runs of digits to one <NUM> token (fullwidth forms included).  With a
+    lexicon, exact idiom matches collapse to <IDIOM>, longest match first.
+    Flag tokens already present pass through untouched, which makes the
+    function idempotent.
+    """
+    toks = list(sentence)
+    idioms = sorted(lexicon, key=len, reverse=True) if lexicon else ()
+    out = []
+    i = 0
+    n = len(toks)
+    while i < n:
+        tok = toks[i]
+        if tok in SPECIALS:
+            out.append(tok)
+            i += 1
+            continue
+        matched = False
+        for idiom in idioms:
+            k = len(idiom)
+            if i + k <= n and toks[i:i + k] == list(idiom):
+                out.append(IDIOM)
+                i += k
+                matched = True
+                break
+        if matched:
+            continue
+        if _is_latin(tok):
+            while i < n and _is_latin(toks[i]):
+                i += 1
+            out.append(ENG)
+        elif _is_digit(tok):
+            while i < n and _is_digit(toks[i]):
+                i += 1
+            out.append(NUM)
+        else:
+            out.append(tok)
+            i += 1
+    return out

@@ -8,7 +8,7 @@ from attnseg.corpus import (
     split_train_dev, window_ids,
 )
 from attnseg.tagging import TAG_IDS
-from oracles import random_segmentation
+from oracles import preprocess_scan, random_segmentation
 
 
 def tags_of(s):
@@ -49,6 +49,78 @@ def test_preprocess_idiom_lexicon(tmp_path):
     assert preprocess("祝你一帆风顺啊", lexicon) == ["祝", "你", IDIOM, "啊"]
     assert preprocess("风顺", lexicon) == [IDIOM]
     assert preprocess("一帆风顺", None) == ["一", "帆", "风", "顺"]
+
+
+def test_preprocess_idioms_match_one_character_tokens_only():
+    lexicon = frozenset({"甲乙丙"})
+    assert preprocess(["甲", "乙", "丙"], lexicon) == [IDIOM]
+    # the joined tokens spell the idiom, but not one character per token
+    for toks in (["甲乙", "丙"], ["甲", "乙丙"], ["", "甲乙", "丙"],
+                 ["甲", "", "乙丙"]):
+        assert preprocess(toks, lexicon) == toks
+    assert preprocess([ENG, "甲", "乙", "丙"], lexicon) == [ENG, IDIOM]
+
+
+def test_preprocess_ignores_empty_idiom():
+    assert preprocess("ab", frozenset({""})) == [ENG]
+    assert preprocess("甲乙丙", frozenset({"", "乙丙"})) == ["甲", IDIOM]
+
+
+HAN = "甲乙丙丁戊"
+TEXT_POOL = HAN + "abXY09ＡＢ２３ "
+
+
+def _random_lexicon(rng):
+    """Idioms of 1-5 characters that overlap, prefix one another and mix
+    in Latin letters and digits."""
+    def chars(k, pool):
+        return "".join(pool[int(rng.integers(len(pool)))] for _ in range(k))
+
+    idioms = set()
+    for _ in range(int(rng.integers(1, 8))):
+        idiom = chars(int(rng.integers(1, 6)),
+                      HAN if rng.random() < 0.7 else TEXT_POOL)
+        idioms.add(idiom)
+        if len(idiom) > 1 and rng.random() < 0.5:
+            idioms.add(idiom[:int(rng.integers(1, len(idiom)))])
+        if rng.random() < 0.5:
+            idioms.add(idiom[1:] + chars(int(rng.integers(0, 3)), HAN))
+    idioms.discard("")
+    return frozenset(idioms)
+
+
+def _random_input(rng, lexicon):
+    """A string of idioms and pool characters, or its token list with some
+    tokens swapped for flag tokens, joined characters or empty tokens."""
+    idioms = sorted(lexicon)
+    parts = []
+    for _ in range(int(rng.integers(0, 8))):
+        if rng.random() < 0.4:
+            parts.append(idioms[int(rng.integers(len(idioms)))])
+        else:
+            parts.append(TEXT_POOL[int(rng.integers(len(TEXT_POOL)))])
+    text = "".join(parts)
+    if rng.random() < 0.5:
+        return text
+    toks = list(text)
+    others = [ENG, NUM, IDIOM, PAD, UNK, "", "甲乙", "乙丙丁"]
+    for _ in range(int(rng.integers(1, 4))):
+        tok = others[int(rng.integers(len(others)))]
+        toks.insert(int(rng.integers(len(toks) + 1)), tok)
+    return toks
+
+
+def test_preprocess_matches_scan_oracle():
+    rng = np.random.default_rng(20)
+    matched = 0
+    for _ in range(3000):
+        lexicon = _random_lexicon(rng)
+        sentence = _random_input(rng, lexicon)
+        once = preprocess(sentence, lexicon)
+        assert once == preprocess_scan(sentence, lexicon), (sentence, lexicon)
+        assert preprocess(once, lexicon) == once, (sentence, lexicon)
+        matched += IDIOM in once and IDIOM not in sentence
+    assert matched > 500  # the lexicon path is exercised, not bypassed
 
 
 def test_vocab_reserved_slots():

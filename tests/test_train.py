@@ -264,6 +264,18 @@ def test_load_rejects_unknown_format_version(tmp_path):
         load_model(d)
 
 
+def test_load_ignores_blank_lexicon_lines(tmp_path):
+    model, _, _ = toy_model()
+    model.lexicon = frozenset({"我们"})
+    d = os.path.join(tmp_path, "m")
+    save_model(model, d)
+    with open(os.path.join(d, "lexicon.txt"), "a", encoding="utf-8") as fh:
+        fh.write("\n")
+    loaded = load_model(d)
+    assert loaded.lexicon == model.lexicon
+    assert loaded.segment("我们") == ["<IDIOM>"]
+
+
 def test_save_is_byte_deterministic(tmp_path):
     bins = []
     for run in ("a", "b"):
