@@ -60,6 +60,20 @@ def sequence_score(emissions, transitions, tags):
     return float(_masked_sequence_score(emissions, trans, tags, k))
 
 
+def _logsumexp_along(scores, axis):
+    """logsumexp of a (k, k) array along `axis`, one reduction for all k
+    vectors.  Per vector it computes what numerics.logsumexp does: the
+    maximum m, then m + log(sum(exp(v - m))).  numpy sums fewer than 8
+    terms in index order along either axis, so for the four BMES tags
+    the results are bit-equal.  A vector that is entirely -inf gives
+    -inf, with no NaN and no warning."""
+    m = scores.max(axis=axis, keepdims=True)
+    shift = np.where(m == -np.inf, 0.0, m)
+    with np.errstate(divide="ignore"):
+        sums = np.log(np.exp(scores - shift).sum(axis=axis))
+    return m.squeeze(axis) + sums
+
+
 def _forward_table(emissions, trans, k):
     """alpha[t, j]: log-sum score of prefixes ending in tag j at t
     (emissions included through t, start transition included)."""
@@ -68,8 +82,9 @@ def _forward_table(emissions, trans, k):
     alpha = np.empty((n, k))
     alpha[0] = trans[start, :k] + emissions[0]
     for t in range(1, n):
-        for j in range(k):
-            alpha[t, j] = emissions[t, j] + logsumexp(alpha[t - 1] + trans[:k, j])
+        # column j holds alpha[t-1] + trans[:k, j]
+        alpha[t] = emissions[t] + _logsumexp_along(
+            alpha[t - 1][:, None] + trans[:k, :k], axis=0)
     return alpha
 
 
@@ -81,8 +96,9 @@ def _backward_table(emissions, trans, k):
     beta = np.empty((n, k))
     beta[n - 1] = trans[:k, end]
     for t in range(n - 2, -1, -1):
-        for j in range(k):
-            beta[t, j] = logsumexp(trans[j, :k] + emissions[t + 1] + beta[t + 1])
+        # row j holds (trans[j, :k] + emissions[t+1]) + beta[t+1]
+        beta[t] = _logsumexp_along(
+            (trans[:k, :k] + emissions[t + 1]) + beta[t + 1], axis=1)
     return beta
 
 
@@ -93,12 +109,14 @@ def log_partition(emissions, transitions, mask=None):
     every path is masked out the partition is empty, which is an error.
     """
     emissions, trans, k = _check(emissions, transitions, mask)
-    alpha = _forward_table(emissions, trans, k)
-    end = end_index(k)
-    log_z = logsumexp(alpha[-1] + trans[:k, end])
+    return float(_log_z(_forward_table(emissions, trans, k), trans, k))
+
+
+def _log_z(alpha, trans, k):
+    log_z = logsumexp(alpha[-1] + trans[:k, end_index(k)])
     if log_z == -np.inf:
         raise ValueError("all tag sequences are masked out")
-    return float(log_z)
+    return log_z
 
 
 def _assert_path_allowed(trans, tags, k):
@@ -107,6 +125,25 @@ def _assert_path_allowed(trans, tags, k):
     for a, b in zip(path, path[1:]):
         if trans[a, b] == -np.inf:
             raise ValueError(f"gold transition {a} -> {b} is masked out")
+
+
+def _posteriors(emissions, trans, k):
+    """(unary, alpha, beta, log_z) by forward-backward, where
+    unary[t, j] = p(y_t = j | x)."""
+    alpha = _forward_table(emissions, trans, k)
+    beta = _backward_table(emissions, trans, k)
+    log_z = _log_z(alpha, trans, k)
+    return np.exp(alpha + beta - log_z), alpha, beta, log_z
+
+
+def marginals(emissions, transitions, mask=None):
+    """Per-position tag posteriors, an (n, K) array whose rows sum to 1.
+
+    With a constraint mask, masked paths get probability 0; if every path
+    is masked out, raises.
+    """
+    emissions, trans, k = _check(emissions, transitions, mask)
+    return _posteriors(emissions, trans, k)[0]
 
 
 def nll_and_grads(emissions, transitions, gold, mask=None):
@@ -126,16 +163,9 @@ def nll_and_grads(emissions, transitions, gold, mask=None):
         _assert_path_allowed(trans, gold, k)
     start, end = start_index(k), end_index(k)
 
-    alpha = _forward_table(emissions, trans, k)
-    beta = _backward_table(emissions, trans, k)
-    log_z = logsumexp(alpha[-1] + trans[:k, end])
-    if log_z == -np.inf:
-        raise ValueError("all tag sequences are masked out")
-
+    unary, alpha, beta, log_z = _posteriors(emissions, trans, k)
     gold_score = _masked_sequence_score(emissions, trans, gold, k)
     loss = log_z - gold_score
-
-    unary = np.exp(alpha + beta - log_z)
 
     d_emissions = unary.copy()
     d_emissions[np.arange(n), gold] -= 1.0
@@ -145,12 +175,13 @@ def nll_and_grads(emissions, transitions, gold, mask=None):
     d_trans[start, gold[0]] -= 1.0
     d_trans[:k, end] = unary[-1]
     d_trans[gold[-1], end] -= 1.0
+    # pair[t, i, j] = p(y_t = i, y_{t+1} = j | x), all t at once
+    pairs = np.exp(
+        alpha[:-1, :, None] + trans[:k, :k] + emissions[1:, None, :]
+        + beta[1:, None, :] - log_z
+    )
     for t in range(n - 1):
-        pair = np.exp(
-            alpha[t][:, None] + trans[:k, :k] + emissions[t + 1][None, :]
-            + beta[t + 1][None, :] - log_z
-        )
-        d_trans[:k, :k] += pair
+        d_trans[:k, :k] += pairs[t]
         d_trans[gold[t], gold[t + 1]] -= 1.0
     return float(loss), d_emissions, d_trans
 

@@ -190,9 +190,10 @@ def tape_step(x_t, tape_h, tape_c, window_start, prev_summary, attn, cell,
     h_summary = (weights[:, None] * window_h).sum(axis=0)
     c_summary = (weights[:, None] * window_c).sum(axis=0)
     z = cell.w @ np.concatenate((h_summary, x_t)) + cell.b
-    gate_i = sigmoid(z[:hidden])
-    gate_f = sigmoid(z[hidden:2 * hidden])
-    gate_o = sigmoid(z[2 * hidden:3 * hidden])
+    gates = sigmoid(z[:3 * hidden])
+    gate_i = gates[:hidden]
+    gate_f = gates[hidden:2 * hidden]
+    gate_o = gates[2 * hidden:]
     candidate = np.tanh(z[3 * hidden:])
     c_t = gate_f * c_summary + gate_i * candidate
     tanh_c = np.tanh(c_t)

@@ -40,8 +40,9 @@ def softmax(v):
         raise ShapeError(f"softmax needs a vector, got shape {v.shape}")
     if v.size == 0:
         return np.zeros(0)
-    e = np.exp(v - np.max(v))
-    return e / np.sum(e)
+    e = np.exp(v - v.max())
+    e /= e.sum()
+    return e
 
 
 def logsumexp(v):

@@ -3,8 +3,12 @@
 One epoch shuffles the corpus, walks it in batches (last partial batch
 kept), and for each batch averages per-sentence gradients before a
 single AdaGrad step over every parameter, transition scores included.
-fit() repeats this, scores the dev set after each epoch with masked
-Viterbi decoding, and keeps the parameters of the best dev-F1 epoch.
+It reports the mean training NLL and decodes nothing.  fit() repeats
+this, scores the dev set after each epoch with masked Viterbi decoding,
+and keeps the parameters of the best dev-F1 epoch; each EpochRecord
+holds the epoch number, the training NLL and the dev P/R/F1.
+tag_accuracy() decodes a corpus for its tag accuracy when a caller
+wants that figure.
 
 Saved models are directories:
 
@@ -69,14 +73,12 @@ def adagrad_update(param, grad, accum, lr, eps):
 @dataclass
 class EpochStats:
     nll: float
-    accuracy: float
 
 
 @dataclass
 class EpochRecord:
     epoch: int
     nll: float
-    accuracy: float
     precision: float
     recall: float
     f1: float
@@ -106,7 +108,12 @@ def _clip(grads, max_norm):
 
 
 def train_epoch(model, corpus, config, rng, state=None):
-    """One pass over the corpus; returns EpochStats(mean NLL, accuracy).
+    """One pass over the corpus; returns EpochStats(mean NLL).
+
+    The epoch computes only what training needs: per sentence a cached
+    forward pass, the CRF loss and its gradients, and the backward pass;
+    per batch one AdaGrad step.  Nothing is decoded; call tag_accuracy
+    for the training-set accuracy.
 
     The rng drives the shuffle and every dropout mask, so a fixed
     (corpus, config, seed) triple replays bit-identically.  Training
@@ -145,7 +152,7 @@ def train_epoch(model, corpus, config, rng, state=None):
                 model.params[name], sums[name], state.accum[name],
                 config.learning_rate, config.adagrad_epsilon,
             )
-    return EpochStats(nll=total_nll / n, accuracy=tag_accuracy(model, corpus))
+    return EpochStats(nll=total_nll / n)
 
 
 def fit(model, train_corpus, dev_corpus, config, on_epoch=None):
@@ -166,7 +173,7 @@ def fit(model, train_corpus, dev_corpus, config, on_epoch=None):
         stats = train_epoch(model, train_corpus, config, rng, state)
         precision, recall, f1 = evaluate_corpus(model, dev_corpus)
         record = EpochRecord(
-            epoch=epoch, nll=stats.nll, accuracy=stats.accuracy,
+            epoch=epoch, nll=stats.nll,
             precision=precision, recall=recall, f1=f1,
         )
         history.append(record)

@@ -2,10 +2,12 @@
 
 Everything here is deliberately written the dumb way: brute-force
 enumeration over all tag sequences, straight-line transcriptions of the
-recurrence arithmetic, a textbook LSTM step, an idiom scan that tries
-every lexicon entry.  None of it imports the production code paths it
-checks (shared constants, shapes and character classes excepted), so
-agreement between the two routes is evidence, not tautology.
+recurrence arithmetic, per-tag loops for the CRF tables, a textbook
+LSTM step, an idiom scan that tries every lexicon entry.  None of it
+imports the production code paths it checks (shared constants, shapes,
+character classes, numerics.logsumexp and the CRF's gold-path score
+excepted), so agreement between the two routes is evidence, not
+tautology.
 
 Score accumulation order matters in a few places: the dynamic programs
 under test build path scores strictly left to right, so oracles that
@@ -18,6 +20,8 @@ import itertools
 import numpy as np
 
 from attnseg.corpus import ENG, IDIOM, NUM, SPECIALS, _is_digit, _is_latin
+from attnseg.crf import _masked_sequence_score, end_index, start_index
+from attnseg.numerics import logsumexp
 
 START = 4
 END = 5
@@ -87,6 +91,71 @@ def brute_marginals(emissions, trans, mask=None):
         for t in range(n - 1):
             pairwise[t, seq[t], seq[t + 1]] += p
     return unary, pairwise, start, end
+
+
+def crf_forward_table_loops(emissions, trans, k):
+    """Reference for crf._forward_table: one logsumexp per tag and
+    position.  alpha[t, j]: log-sum score of prefixes ending in tag j at
+    t (emissions included through t, start transition included)."""
+    n = emissions.shape[0]
+    start = start_index(k)
+    alpha = np.empty((n, k))
+    alpha[0] = trans[start, :k] + emissions[0]
+    for t in range(1, n):
+        for j in range(k):
+            alpha[t, j] = emissions[t, j] + logsumexp(alpha[t - 1] + trans[:k, j])
+    return alpha
+
+
+def crf_backward_table_loops(emissions, trans, k):
+    """Reference for crf._backward_table, per tag and position.
+    beta[t, j]: log-sum score of completing the sequence from tag j at
+    position t (emissions after t and the end transition included)."""
+    n = emissions.shape[0]
+    end = end_index(k)
+    beta = np.empty((n, k))
+    beta[n - 1] = trans[:k, end]
+    for t in range(n - 2, -1, -1):
+        for j in range(k):
+            beta[t, j] = logsumexp(trans[j, :k] + emissions[t + 1] + beta[t + 1])
+    return beta
+
+
+def crf_nll_and_grads_loops(emissions, trans, gold):
+    """Reference for crf.nll_and_grads on an already masked transition
+    matrix (excluded entries -inf): the tables above, then one pairwise
+    marginal per step.  Returns (loss, d_emissions, d_transitions, alpha,
+    beta): the gradients, then the two tables they came from."""
+    n, k = emissions.shape
+    start, end = start_index(k), end_index(k)
+
+    alpha = crf_forward_table_loops(emissions, trans, k)
+    beta = crf_backward_table_loops(emissions, trans, k)
+    log_z = logsumexp(alpha[-1] + trans[:k, end])
+    if log_z == -np.inf:
+        raise ValueError("all tag sequences are masked out")
+
+    gold_score = _masked_sequence_score(emissions, trans, gold, k)
+    loss = log_z - gold_score
+
+    unary = np.exp(alpha + beta - log_z)
+
+    d_emissions = unary.copy()
+    d_emissions[np.arange(n), gold] -= 1.0
+
+    d_trans = np.zeros_like(trans)
+    d_trans[start, :k] = unary[0]
+    d_trans[start, gold[0]] -= 1.0
+    d_trans[:k, end] = unary[-1]
+    d_trans[gold[-1], end] -= 1.0
+    for t in range(n - 1):
+        pair = np.exp(
+            alpha[t][:, None] + trans[:k, :k] + emissions[t + 1][None, :]
+            + beta[t + 1][None, :] - log_z
+        )
+        d_trans[:k, :k] += pair
+        d_trans[gold[t], gold[t + 1]] -= 1.0
+    return float(loss), d_emissions, d_trans, alpha, beta
 
 
 def lstm_step_reference(x, h_prev, c_prev, w, b):

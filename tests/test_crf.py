@@ -1,13 +1,15 @@
 import numpy as np
 import pytest
 
-from attnseg import tagging
+from attnseg import crf, tagging
 from attnseg.crf import (
-    end_index, log_partition, nll_and_grads, sequence_score, start_index, viterbi,
+    end_index, log_partition, marginals, nll_and_grads, sequence_score,
+    start_index, viterbi,
 )
 from attnseg.numerics import grad_check, logsumexp
 from oracles import (
-    brute_log_partition, brute_marginals, brute_viterbi, enumerate_scores,
+    brute_log_partition, brute_marginals, brute_viterbi,
+    crf_nll_and_grads_loops, enumerate_scores, random_segmentation,
 )
 
 K = 4
@@ -99,6 +101,7 @@ def test_log_partition_masked_matches_brute_force():
         ) < 1e-8
 
 
+@pytest.mark.filterwarnings("error")
 def test_log_partition_all_masked_errors():
     mask = np.zeros((6, 6), dtype=bool)
     with pytest.raises(ValueError):
@@ -136,6 +139,50 @@ def test_emission_row_shift_invariance():
         path, _ = viterbi(emissions, trans)
         path2, _ = viterbi(shifted, trans)
         assert path == path2
+
+
+@pytest.mark.filterwarnings("error")
+def test_tables_and_nll_match_per_tag_loops_bitwise():
+    # the tables reduce a (K, K) array per step; the reference takes one
+    # logsumexp per tag.  Same additions in the same order give the same
+    # bits, masked columns included, and no warning on the way.
+    rng = np.random.default_rng(31)
+    grammar = tagging.transition_mask()
+    scales = (0.01, 1.0, 5.0, 50.0)
+    for _ in range(2000):
+        words = random_segmentation(rng, max_len=30)
+        n = sum(len(w) for w in words)
+        scale = scales[int(rng.integers(len(scales)))]
+        emissions, trans = random_instance(rng, n=n, scale=scale)
+        for mask in (None, grammar):
+            if mask is None:
+                gold = [int(g) for g in rng.integers(K, size=n)]
+                eff = trans
+            else:
+                gold = tagging.encode_tags(words)
+                eff = np.where(mask, trans, -np.inf)
+            want_loss, want_e, want_t, alpha, beta = crf_nll_and_grads_loops(
+                emissions, eff, gold)
+            assert np.array_equal(crf._forward_table(emissions, eff, K), alpha)
+            assert np.array_equal(crf._backward_table(emissions, eff, K), beta)
+            loss, d_e, d_t = nll_and_grads(emissions, trans, gold, mask=mask)
+            assert loss == want_loss
+            assert np.array_equal(d_e, want_e)
+            assert np.array_equal(d_t, want_t)
+
+
+def test_marginals_match_brute_force():
+    rng = np.random.default_rng(32)
+    grammar = tagging.transition_mask()
+    for _ in range(100):
+        emissions, trans = random_instance(rng, n=int(rng.integers(1, 6)))
+        for mask in (None, grammar):
+            unary, _, _, _ = brute_marginals(emissions, trans, mask=mask)
+            assert np.max(np.abs(
+                marginals(emissions, trans, mask=mask) - unary)) < 1e-9
+    with pytest.raises(ValueError):
+        marginals(np.zeros((2, K)), np.zeros((6, 6)),
+                  mask=np.zeros((6, 6), dtype=bool))
 
 
 def test_nll_single_tag_problem_is_zero():

@@ -109,10 +109,23 @@ def test_train_epoch_returns_finite_stats_and_learns():
     rng = np.random.default_rng(cfg.seed)
     state = AdagradState.for_params(model.params)
     s1 = train_epoch(model, corpus, cfg, rng, state)
+    acc = tag_accuracy(model, corpus)
     s2 = train_epoch(model, corpus, cfg, rng, state)
     assert np.isfinite(s1.nll) and np.isfinite(s2.nll)
-    assert 0.0 <= s1.accuracy <= 1.0
+    assert 0.0 <= acc <= 1.0
     assert s2.nll < s1.nll
+
+
+def test_train_epoch_does_not_decode(monkeypatch):
+    # an epoch trains; decoding the training set is tag_accuracy's job
+    model, corpus, cfg = toy_model()
+
+    def no_decode(self, tokens, masked=True):
+        raise AssertionError("train_epoch decoded a sentence")
+
+    monkeypatch.setattr(Segmenter, "decode", no_decode)
+    stats = train_epoch(model, corpus, cfg, np.random.default_rng(cfg.seed))
+    assert np.isfinite(stats.nll)
 
 
 def test_train_epoch_empty_corpus_errors():
