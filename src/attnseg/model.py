@@ -114,6 +114,18 @@ def make_encoder_config(config):
     )
 
 
+def param_shapes(config, vocab_size, bigram_vocab_size=None):
+    """Name -> shape of every parameter of a model with this config and
+    these vocabulary sizes, in canonical order: the order build() makes
+    them in and save_model writes them in."""
+    shapes = {"emb.uni": (vocab_size, config.emb_dim)}
+    if config.bigrams:
+        shapes["emb.bi"] = (bigram_vocab_size, config.emb_dim)
+    shapes.update(encoder.param_shapes(make_encoder_config(config)))
+    shapes["crf.trans"] = (NUM_TAGS + 2, NUM_TAGS + 2)
+    return shapes
+
+
 class Segmenter:
     """A trained (or trainable) segmentation model.
 

@@ -17,20 +17,29 @@ class ShapeError(ValueError):
     """Operand shapes are incompatible for the requested operation."""
 
 
-def sigmoid(x):
+def sigmoid(x, out=None):
     """Elementwise logistic function 1 / (1 + exp(-x)).
 
     Deliberately the plain formula: exp overflow for very negative inputs
     saturates to exactly 0.0, which is the correct limit, so the warning
-    is suppressed rather than the formula rearranged.
+    is suppressed rather than the formula rearranged.  With `out` (which
+    may be `x` itself) the result is computed in place there, and the
+    suppression is left to the caller's ``np.errstate(over="ignore")``,
+    so that a loop of many small calls enters that context once.
     """
-    x = np.asarray(x, dtype=np.float64)
-    with np.errstate(over="ignore"):
-        return 1.0 / (1.0 + np.exp(-x))
+    if out is None:
+        x = np.asarray(x, dtype=np.float64)
+        with np.errstate(over="ignore"):
+            return sigmoid(x, out=np.empty(x.shape))
+    np.negative(x, out=out)
+    np.exp(out, out=out)
+    out += 1.0
+    return np.divide(1.0, out, out=out)
 
 
-def softmax(v):
-    """Stable softmax of a 1-d array via max subtraction.
+def softmax(v, out=None):
+    """Stable softmax of a 1-d array via max subtraction, into `out`
+    when given (which may be `v` itself).
 
     An empty vector maps to an empty vector: the attention layer
     legitimately sees zero previous tokens at the first time step.
@@ -40,9 +49,10 @@ def softmax(v):
         raise ShapeError(f"softmax needs a vector, got shape {v.shape}")
     if v.size == 0:
         return np.zeros(0)
-    e = np.exp(v - v.max())
-    e /= e.sum()
-    return e
+    out = np.subtract(v, v.max(), out=out)
+    np.exp(out, out=out)
+    out /= out.sum()
+    return out
 
 
 def logsumexp(v):

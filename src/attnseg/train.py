@@ -35,7 +35,9 @@ import numpy as np
 
 from .corpus import Vocab, load_lexicon
 from .evaluate import evaluate_corpus
-from .model import Segmenter, TrainConfig, pack_params, unpack_params
+from .model import (
+    Segmenter, TrainConfig, pack_params, param_shapes, unpack_params,
+)
 from .numerics import ShapeError, grad_check
 
 FORMAT_VERSION = "attnseg-model/1"
@@ -238,8 +240,66 @@ def _read_tokens(path):
         return [line.rstrip("\n") for line in fh]
 
 
+def _read_params(entries, payload, expected):
+    """The tensors of params.bin, named by the manifest `entries`.
+
+    The entries must list exactly the names and shapes of `expected`, in
+    its order, at offsets that tile params.bin with no gap, overlap or
+    trailing byte, and every value must be finite.  A ValueError names
+    the first parameter that breaks a rule.
+    """
+    for entry in entries:
+        if not (isinstance(entry, dict)
+                and entry.keys() == {"name", "shape", "offset"}
+                and isinstance(entry["name"], str)):
+            raise ValueError(
+                f"manifest entry {entry!r} is not a name, shape and offset"
+            )
+    names = [entry["name"] for entry in entries]
+    if names != list(expected):
+        missing = [name for name in expected if name not in names]
+        unexpected = [name for name in names if name not in expected]
+        if missing:
+            raise ValueError(f"manifest lacks parameter {missing[0]}")
+        if unexpected:
+            raise ValueError(f"manifest has unexpected parameter {unexpected[0]}")
+        raise ValueError("manifest lists parameters twice or out of order")
+    params = {}
+    offset = 0
+    for entry in entries:
+        name, shape, start = entry["name"], entry["shape"], entry["offset"]
+        if not isinstance(shape, list) or tuple(shape) != expected[name]:
+            raise ValueError(
+                f"parameter {name} has shape {shape}, but the config and "
+                f"vocabularies give {expected[name]}"
+            )
+        if type(start) is not int or start != offset:
+            raise ValueError(
+                f"parameter {name} starts at byte {start} of params.bin, "
+                f"not {offset}"
+            )
+        count = int(np.prod(expected[name], dtype=np.int64))
+        if offset + 4 * count > len(payload):
+            raise ValueError(f"parameter {name} overruns params.bin")
+        # a short-lived bytes copy per tensor: reading in place
+        # (frombuffer with offset=) left repeated loads on freshly mapped
+        # pages, some 2000 page faults per load at paper dimensions
+        values = np.frombuffer(payload[offset:offset + 4 * count], dtype="<f4")
+        if not np.isfinite(values).all():
+            raise ValueError(f"parameter {name} holds a non-finite value")
+        params[name] = values.astype(np.float64).reshape(expected[name])
+        offset += 4 * count
+    if offset != len(payload):
+        raise ValueError(
+            f"params.bin has {len(payload) - offset} bytes after the last "
+            f"parameter, {names[-1]}"
+        )
+    return params
+
+
 def load_model(directory):
-    """Load a saved model directory, verifying format and checksum."""
+    """Load a saved model directory, verifying format and checksum, and
+    the stored tensors against the shapes the config implies."""
     with open(os.path.join(directory, "model.json"), encoding="utf-8") as fh:
         meta = json.load(fh)
     version = meta.get("format")
@@ -259,21 +319,15 @@ def load_model(directory):
     with open(os.path.join(directory, "params.bin"), "rb") as fh:
         payload = fh.read()
     digest = hashlib.sha256(payload).hexdigest()
-    if digest != manifest["sha256"]:
+    if digest != manifest.get("sha256"):
         raise ValueError(
             f"params.bin checksum {digest} does not match manifest "
-            f"{manifest['sha256']}"
+            f"{manifest.get('sha256')}"
         )
-    params = {}
-    for entry in manifest["params"]:
-        shape = tuple(entry["shape"])
-        count = int(np.prod(shape, dtype=np.int64)) if shape else 1
-        start = entry["offset"]
-        end = start + 4 * count
-        if end > len(payload):
-            raise ValueError(f"parameter {entry['name']} overruns params.bin")
-        flat = np.frombuffer(payload[start:end], dtype="<f4")
-        params[entry["name"]] = flat.astype(np.float64).reshape(shape)
+    expected = param_shapes(
+        config, len(vocab), None if bigram_vocab is None else len(bigram_vocab)
+    )
+    params = _read_params(manifest.get("params", []), payload, expected)
     return Segmenter(config, vocab, params, bigram_vocab, lexicon)
 
 

@@ -16,6 +16,7 @@ commutative, and identical association gives identical bits).
 """
 
 import itertools
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -222,13 +223,36 @@ def lstmn_unrolled(inputs, wh, wx, wp, v, w, b, memory_span=None):
     return outputs
 
 
-def _direction_backward_unrolled(cache, wh, wx, wp, v, w, b, d_hidden_out):
+def _step_fields(state, t):
+    """Step t's values, read by name from a forward pass's
+    encoder.DirectionState rows."""
+    hidden = state.tanh_c.shape[1]
+    gates = state.gates[t]
+    weights = state.weights[t]
+    return SimpleNamespace(
+        x=state.gate_in[t, hidden:],
+        window_start=t - weights.shape[0],
+        weights=weights,
+        pre_tanh=state.pre_tanh[t],
+        prev_summary=state.gate_in[t - 1, :hidden] if t else np.zeros(hidden),
+        h_summary=state.gate_in[t, :hidden],
+        c_summary=state.summary[t, hidden:],
+        gate_i=gates[:hidden],
+        gate_f=gates[hidden:2 * hidden],
+        gate_o=gates[2 * hidden:3 * hidden],
+        candidate=gates[3 * hidden:],
+        tanh_c=state.tanh_c[t],
+    )
+
+
+def _direction_backward_unrolled(state, wh, wx, wp, v, w, b, d_hidden_out):
     """One direction's gradients, pair by pair: for every step t and
     every tape entry i it attends to, an outer product into the Wh
     gradient and a Wh^T product into d h_i."""
-    n = len(cache.steps)
+    n = state.tape.shape[0]
     hidden = b.shape[0] // 4
-    d_in = cache.inputs[0].shape[0]
+    d_in = w.shape[1] - hidden
+    tape_h, tape_c = state.tape_h, state.tape_c
     d_tape_h = [g.copy() for g in d_hidden_out]
     d_tape_c = [np.zeros(hidden) for _ in range(n)]
     d_summary = [np.zeros(hidden) for _ in range(n)]
@@ -240,7 +264,7 @@ def _direction_backward_unrolled(cache, wh, wx, wp, v, w, b, d_hidden_out):
     g_b = np.zeros_like(b)
     d_inputs = np.zeros((n, d_in))
     for t in range(n - 1, -1, -1):
-        st = cache.steps[t]
+        st = _step_fields(state, t)
         dh = d_tape_h[t]
         dc = d_tape_c[t]
         # h = o * tanh(c)
@@ -269,8 +293,8 @@ def _direction_backward_unrolled(cache, wh, wx, wp, v, w, b, d_hidden_out):
             d_weights = np.empty(count)
             for i in range(count):
                 gi = st.window_start + i
-                d_weights[i] = d_h_summary @ cache.tape_h[gi] \
-                    + d_c_summary @ cache.tape_c[gi]
+                d_weights[i] = d_h_summary @ tape_h[gi] \
+                    + d_c_summary @ tape_c[gi]
                 d_tape_h[gi] += weights[i] * d_h_summary
                 d_tape_c[gi] += weights[i] * d_c_summary
             d_scores = weights * (d_weights - weights @ d_weights)
@@ -279,7 +303,7 @@ def _direction_backward_unrolled(cache, wh, wx, wp, v, w, b, d_hidden_out):
                 gi = st.window_start + i
                 g_v += d_scores[i] * st.pre_tanh[i]
                 d_pre = (d_scores[i] * v) * (1.0 - st.pre_tanh[i] ** 2)
-                g_wh += np.outer(d_pre, cache.tape_h[gi])
+                g_wh += np.outer(d_pre, tape_h[gi])
                 d_tape_h[gi] += wh.T @ d_pre
                 d_pre_sum += d_pre
             g_wx += np.outer(d_pre_sum, st.x)
@@ -298,7 +322,7 @@ def _direction_backward_unrolled(cache, wh, wx, wp, v, w, b, d_hidden_out):
 
 def lstmn_backward_unrolled(params, num_layers, cache, d_emissions):
     """Reference encoder backward pass, one time step and one tape entry
-    at a time, over the step caches of a forward pass.
+    at a time, over the kept step rows of a forward pass.
 
     Returns (grads, d_inputs) like the encoder's own backward; it reads
     the cache's fields but calls no production code.

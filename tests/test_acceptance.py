@@ -20,7 +20,6 @@ from attnseg.corpus import load_corpus, load_toy_corpus, split_train_dev
 from attnseg.crf import log_partition, nll_and_grads, viterbi
 from attnseg.encoder import (
     AttentionParams, CellParams, EncoderConfig, forward, init_params,
-    tape_step,
 )
 from attnseg.evaluate import evaluate_corpus
 from attnseg.model import Segmenter, TrainConfig, pack_params
@@ -34,6 +33,7 @@ from oracles import (
     brute_log_partition, brute_viterbi, lstm_step_reference,
     random_segmentation,
 )
+from test_encoder import step_after
 
 K = 4
 
@@ -125,8 +125,8 @@ def test_criterion_4_lstmn_structural_checks():
         tape_h = [rng.normal(size=hid) for _ in range(t)]
         tape_c = [rng.normal(size=hid) for _ in range(t)]
         summary = rng.normal(size=hid)
-        _, _, step = tape_step(rng.normal(size=dim), tape_h, tape_c, 0,
-                               summary, attn, no_cell)
+        _, _, step = step_after(rng.normal(size=dim), tape_h, tape_c,
+                                summary, attn, no_cell)
         w = step.weights
         ok_sum = ok_sum and abs(w.sum() - 1.0) < 1e-12 and np.all(w >= 0)
 
@@ -141,7 +141,7 @@ def test_criterion_4_lstmn_structural_checks():
         )
         h1, c1 = rng.normal(size=hid), rng.normal(size=hid)
         x = rng.normal(size=dim)
-        h, c, _ = tape_step(x, [h1], [c1], 0, rng.normal(size=hid), attn, cell)
+        h, c, _ = step_after(x, [h1], [c1], rng.normal(size=hid), attn, cell)
         h_ref, c_ref = lstm_step_reference(x, h1, c1, cell.w, cell.b)
         ok_lstm = ok_lstm and np.array_equal(h, h_ref) and np.array_equal(c, c_ref)
 

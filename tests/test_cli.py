@@ -1,3 +1,4 @@
+import json
 import os
 import re
 
@@ -144,6 +145,20 @@ def test_segment_rejects_unknown_model_version(tmp_path, capsys):
     rc = main(["segment", "--model", model_dir, "--input", str(raw)])
     assert rc != 0
     assert "format" in capsys.readouterr().err
+
+
+def test_segment_rejects_incomplete_model(tmp_path, capsys):
+    model_dir = train_into(tmp_path, "m")
+    manifest_path = os.path.join(model_dir, "manifest.json")
+    manifest = json.load(open(manifest_path))
+    manifest["params"] = [e for e in manifest["params"] if e["name"] != "out.b"]
+    json.dump(manifest, open(manifest_path, "w"))
+    raw = tmp_path / "raw.txt"
+    raw.write_text("我\n", encoding="utf-8")
+    capsys.readouterr()
+    rc = main(["segment", "--model", model_dir, "--input", str(raw)])
+    assert rc == 1
+    assert "error:" in capsys.readouterr().err
 
 
 def test_eval_prints_four_decimals(tmp_path, capsys):

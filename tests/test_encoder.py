@@ -1,9 +1,11 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from attnseg.encoder import (
-    AttentionParams, CellParams, EncoderConfig, backward, direction_view,
-    dropout_mask, forward, init_params, tape_step,
+    AttentionParams, CellParams, DirectionState, EncoderConfig, backward,
+    direction_view, dropout_mask, forward, init_params, tape_step,
 )
 from attnseg.numerics import ShapeError, grad_check
 from oracles import lstm_step_reference, lstmn_backward_unrolled, lstmn_unrolled
@@ -31,6 +33,31 @@ def small_config(**kw):
     return EncoderConfig(**args)
 
 
+def step_after(x, hs, cs, summary, attn, cell):
+    """tape_step at t = len(hs) over the tape entries (hs, cs), with
+    `summary` as the previous step's h~ and the step's rows kept.
+    Returns (h_t, c_t, step), step holding the attention weights and
+    both summaries."""
+    t = len(hs)
+    hidden = cell.b.shape[0] // 4
+    inputs = np.zeros((t + 1, x.shape[0]))
+    inputs[t] = x
+    state = DirectionState.start(inputs, attn, cell, keep_steps=True)
+    for i in range(t):
+        state.tape[i] = np.concatenate((hs[i], cs[i]))
+        state.tape_wh[i] = attn.wh @ hs[i]
+    if t:
+        state.gate_in[t - 1, :hidden] = summary
+    with np.errstate(over="ignore"):
+        tape_step(state, t, 0, attn, cell)
+    step = SimpleNamespace(
+        weights=state.weights[t],
+        h_summary=state.gate_in[t, :hidden],
+        c_summary=state.summary[t, hidden:],
+    )
+    return state.tape[t, :hidden], state.tape[t, hidden:], step
+
+
 def random_tapes(rng, t):
     """Hidden tape, memory tape and previous summary of length-t history."""
     hs = [rng.normal(size=HID) for _ in range(t)]
@@ -42,7 +69,7 @@ def test_attention_weights_empty_at_first_step():
     rng = np.random.default_rng(30)
     attn, cell = random_direction_params(rng)
     x = rng.normal(size=DIM)
-    _, _, cache = tape_step(x, [], [], 0, np.zeros(HID), attn, cell)
+    _, _, cache = step_after(x, [], [], np.zeros(HID), attn, cell)
     assert cache.weights.shape == (0,)
 
 
@@ -50,7 +77,7 @@ def test_attention_weights_singleton_is_one():
     rng = np.random.default_rng(31)
     attn, cell = random_direction_params(rng)
     hs, cs, summary = random_tapes(rng, 1)
-    _, _, cache = tape_step(rng.normal(size=DIM), hs, cs, 0, summary, attn, cell)
+    _, _, cache = step_after(rng.normal(size=DIM), hs, cs, summary, attn, cell)
     assert np.array_equal(cache.weights, [1.0])
 
 
@@ -59,7 +86,7 @@ def test_attention_weights_zero_v_is_uniform():
     attn, cell = random_direction_params(rng)
     attn.v[:] = 0.0
     hs, cs, summary = random_tapes(rng, 4)
-    _, _, cache = tape_step(rng.normal(size=DIM), hs, cs, 0, summary, attn, cell)
+    _, _, cache = step_after(rng.normal(size=DIM), hs, cs, summary, attn, cell)
     assert np.allclose(cache.weights, 0.25, atol=1e-15)
 
 
@@ -69,7 +96,7 @@ def test_attention_weights_normalized():
         attn, cell = random_direction_params(rng)
         t = int(rng.integers(2, 8))
         hs, cs, summary = random_tapes(rng, t)
-        _, _, cache = tape_step(rng.normal(size=DIM), hs, cs, 0, summary,
+        _, _, cache = step_after(rng.normal(size=DIM), hs, cs, summary,
                                 attn, cell)
         w = cache.weights
         assert np.all(w >= 0)
@@ -88,7 +115,7 @@ def test_attention_weights_shape_error():
 def test_summarize_empty_gives_zeros():
     rng = np.random.default_rng(65)
     attn, cell = random_direction_params(rng)
-    _, _, cache = tape_step(rng.normal(size=DIM), [], [], 0, np.zeros(HID),
+    _, _, cache = step_after(rng.normal(size=DIM), [], [], np.zeros(HID),
                             attn, cell)
     assert np.array_equal(cache.h_summary, np.zeros(HID))
     assert np.array_equal(cache.c_summary, np.zeros(HID))
@@ -107,7 +134,7 @@ def test_summarize_one_hot_selects():
     hs, cs, summary = random_tapes(rng, 3)
     for i, sign in enumerate((-3.0, 3.0, -3.0)):
         hs[i][0] = sign
-    _, _, cache = tape_step(rng.normal(size=DIM), hs, cs, 0, summary, attn, cell)
+    _, _, cache = step_after(rng.normal(size=DIM), hs, cs, summary, attn, cell)
     assert np.array_equal(cache.weights, [0.0, 1.0, 0.0])
     assert np.array_equal(cache.h_summary, hs[1])
     assert np.array_equal(cache.c_summary, cs[1])
@@ -118,7 +145,7 @@ def test_summarize_uniform_is_mean():
     attn, cell = random_direction_params(rng)
     attn.v[:] = 0.0
     hs, cs, summary = random_tapes(rng, 2)
-    _, _, cache = tape_step(rng.normal(size=DIM), hs, cs, 0, summary, attn, cell)
+    _, _, cache = step_after(rng.normal(size=DIM), hs, cs, summary, attn, cell)
     assert np.allclose(cache.h_summary, (hs[0] + hs[1]) / 2.0, atol=1e-15)
     assert np.allclose(cache.c_summary, (cs[0] + cs[1]) / 2.0, atol=1e-15)
 
@@ -129,7 +156,7 @@ def test_lstmn_step_all_zero_parameters():
     cell = CellParams(w=np.zeros((4 * HID, HID + DIM)), b=np.zeros(4 * HID))
     rng = np.random.default_rng(37)
     hs, cs, summary = random_tapes(rng, 3)
-    h, c, _ = tape_step(rng.normal(size=DIM), hs, cs, 0, summary, attn, cell)
+    h, c, _ = step_after(rng.normal(size=DIM), hs, cs, summary, attn, cell)
     c_summary = (cs[0] + cs[1] + cs[2]) / 3.0
     assert np.allclose(c, 0.5 * c_summary, atol=1e-15)
     assert np.allclose(h, 0.5 * np.tanh(c), atol=1e-15)
@@ -143,7 +170,7 @@ def test_lstmn_step_singleton_reduces_to_plain_lstm():
         c1 = rng.normal(size=HID)
         summary = rng.normal(size=HID)
         x = rng.normal(size=DIM)
-        h, c, _ = tape_step(x, [h1], [c1], 0, summary, attn, cell)
+        h, c, _ = step_after(x, [h1], [c1], summary, attn, cell)
         h_ref, c_ref = lstm_step_reference(x, h1, c1, cell.w, cell.b)
         assert np.array_equal(h, h_ref)
         assert np.array_equal(c, c_ref)
@@ -157,7 +184,7 @@ def test_lstmn_step_matches_straight_line_unrolling():
         inputs = [rng.normal(size=DIM) for _ in range(n)]
         tape_h, tape_c, summary = [], [], np.zeros(HID)
         for x in inputs:
-            h, c, cache = tape_step(x, tape_h, tape_c, 0, summary, attn, cell)
+            h, c, cache = step_after(x, tape_h, tape_c, summary, attn, cell)
             tape_h.append(h)
             tape_c.append(c)
             summary = cache.h_summary
@@ -189,6 +216,32 @@ def test_forward_tapes_match_straight_line_unrolling(span):
                 assert np.array_equal(a, b)
 
 
+@pytest.mark.parametrize("n, span, extra_layers", [
+    (1, None, 0), (2, None, 0), (5, None, 0), (12, None, 0),
+    (1, 2, 0), (2, 2, 0), (5, 2, 0), (12, 2, 0), (7, None, 1),
+])
+def test_forward_tapes_match_unrolling_at_paper_dimensions(n, span, extra_layers):
+    # at 150 rows OpenBLAS runs its full-width kernels, which the toy
+    # dimensions above never reach
+    rng = np.random.default_rng(67 + n)
+    cfg = EncoderConfig(input_dim=300, hidden_dim=150, attn_dim=150,
+                        extra_layers=extra_layers, memory_span=span)
+    params = init_params(cfg, rng)
+    x = rng.normal(size=(n, 300))
+    _, cache = forward(params, cfg, x)
+    rows = x
+    for layer, (state_f, state_b) in enumerate(cache.layer_caches):
+        for direction, inputs, got in (("fwd", rows, state_f.tape_h),
+                                       ("bwd", rows[::-1], state_b.tape_h)):
+            attn, cell = direction_view(params, layer, direction)
+            want = lstmn_unrolled(list(inputs), attn.wh, attn.wx, attn.wp,
+                                  attn.v, cell.w, cell.b, memory_span=span)
+            assert len(got) == len(want)
+            for a, b in zip(got, want):
+                assert np.array_equal(a, b)
+        rows = np.concatenate((state_f.tape_h, state_b.tape_h[::-1]), axis=1)
+
+
 def test_lstmn_step_tape_growth():
     rng = np.random.default_rng(40)
     cfg = small_config()
@@ -205,7 +258,7 @@ def test_lstmn_step_memory_span_caps_tape():
     params = init_params(cfg, rng)
     _, cache = forward(params, cfg, rng.normal(size=(6, DIM)))
     for direction_cache in cache.layer_caches[0]:
-        window = [len(step.weights) for step in direction_cache.steps]
+        window = [len(w) for w in direction_cache.weights]
         assert window == [0, 1, 2, 2, 2, 2]
 
 
@@ -256,8 +309,8 @@ def test_forward_single_position_structure():
     out, cache = forward(params, cfg, x)
     attn_f, cell_f = direction_view(params, 0, "fwd")
     attn_b, cell_b = direction_view(params, 0, "bwd")
-    hf, _, _ = tape_step(x[0], [], [], 0, np.zeros(HID), attn_f, cell_f)
-    hb, _, _ = tape_step(x[0], [], [], 0, np.zeros(HID), attn_b, cell_b)
+    hf, _, _ = step_after(x[0], [], [], np.zeros(HID), attn_f, cell_f)
+    hb, _, _ = step_after(x[0], [], [], np.zeros(HID), attn_b, cell_b)
     want = params["out.wf"] @ hf + params["out.wb"] @ hb + params["out.b"]
     assert np.array_equal(out[0], want)
 
@@ -470,20 +523,27 @@ def test_backward_matches_finite_differences_with_dropout():
     assert encoder_gradcheck(dropout=0.35, seed=61) < 1e-3
 
 
-@pytest.mark.parametrize("extra_layers, memory_span, dropout", [
-    (0, None, 0.0), (0, 1, 0.0), (0, 2, 0.0), (1, None, 0.0),
-    (0, None, 0.35), (1, 2, 0.35),
-])
-def test_backward_matches_pairwise_oracle(extra_layers, memory_span, dropout):
+PAPER_DIMS = dict(input_dim=300, hidden_dim=150, attn_dim=150)
+
+
+@pytest.mark.parametrize("extra_layers, memory_span, dropout, dims", [
+    pytest.param(*case, {}, id="-".join(map(str, case))) for case in [
+        (0, None, 0.0), (0, 1, 0.0), (0, 2, 0.0), (1, None, 0.0),
+        (0, None, 0.35), (1, 2, 0.35),
+    ]
+] + [pytest.param(0, None, 0.35, PAPER_DIMS, id="paper-0-None-0.35")])
+def test_backward_matches_pairwise_oracle(extra_layers, memory_span, dropout,
+                                          dims):
     # accumulation order differs from the pair-by-pair reference, so the
     # bound is relative to the largest entry, far below the gradient checks'
     rng = np.random.default_rng(66)
-    cfg = small_config(extra_layers=extra_layers, memory_span=memory_span)
+    cfg = small_config(extra_layers=extra_layers, memory_span=memory_span,
+                       **dims)
     for _ in range(5):
         params = {k: rng.normal(scale=0.5, size=v.shape)
                   for k, v in init_params(cfg, rng).items()}
         n = int(rng.integers(1, 10))
-        x = rng.normal(size=(n, DIM))
+        x = rng.normal(size=(n, cfg.input_dim))
         drop_rng = np.random.default_rng(7) if dropout else None
         _, cache = forward(params, cfg, x, dropout=dropout, rng=drop_rng)
         d_emissions = rng.normal(size=(n, 4))

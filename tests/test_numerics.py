@@ -79,6 +79,20 @@ def test_sigmoid_saturates_cleanly():
     assert out[2] == 1.0
 
 
+def test_out_forms_match_and_write_in_place():
+    rng = np.random.default_rng(5)
+    x = rng.normal(scale=30.0, size=50)
+    x[0] = -800.0
+    want_sig, want_soft = sigmoid(x), softmax(x)
+    buf = x.copy()
+    with np.errstate(over="ignore"):
+        assert sigmoid(buf, out=buf) is buf
+    assert np.array_equal(buf, want_sig)
+    buf = x.copy()
+    assert softmax(buf, out=buf) is buf
+    assert np.array_equal(buf, want_soft)
+
+
 def test_grad_check_quadratic():
     f = lambda x: float(x[0] ** 2)
     err = grad_check(f, np.array([6.0]), np.array([3.0]))

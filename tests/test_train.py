@@ -1,5 +1,7 @@
+import hashlib
 import json
 import os
+import re
 import tracemalloc
 
 import numpy as np
@@ -274,6 +276,70 @@ def test_load_rejects_unknown_format_version(tmp_path):
     meta["format"] = "attnseg-model/99"
     json.dump(meta, open(meta_path, "w"))
     with pytest.raises(ValueError, match="format"):
+        load_model(d)
+
+
+def rehashed(directory, edit):
+    """Apply `edit(entries, payload) -> payload` to a saved model's
+    manifest entries and params.bin, then re-hash the manifest so that
+    only the new load checks can catch the change."""
+    manifest_path = os.path.join(directory, "manifest.json")
+    params_path = os.path.join(directory, "params.bin")
+    manifest = json.load(open(manifest_path))
+    payload = edit(manifest["params"], open(params_path, "rb").read())
+    manifest["sha256"] = hashlib.sha256(payload).hexdigest()
+    open(params_path, "wb").write(payload)
+    json.dump(manifest, open(manifest_path, "w"))
+
+
+def entry(entries, name):
+    return next(e for e in entries if e["name"] == name)
+
+
+def nan_in_transitions(entries, payload):
+    at = entry(entries, "crf.trans")["offset"] + 4
+    return payload[:at] + np.float32(np.nan).tobytes() + payload[at + 4:]
+
+
+def trailing_bytes(entries, payload):
+    return payload + bytes(8)
+
+
+def v_as_row(entries, payload):
+    e = entry(entries, "enc0.fwd.attn.v")
+    e["shape"] = [1] + e["shape"]
+    return payload
+
+
+def out_wf_shifted(entries, payload):
+    entry(entries, "out.wf")["offset"] -= 4
+    return payload
+
+
+def out_b_dropped(entries, payload):
+    entries.remove(entry(entries, "out.b"))
+    return payload
+
+
+def offset_missing(entries, payload):
+    del entry(entries, "emb.uni")["offset"]
+    return payload
+
+
+@pytest.mark.parametrize("edit, named", [
+    (nan_in_transitions, "crf.trans"),
+    (trailing_bytes, "crf.trans"),
+    (v_as_row, "enc0.fwd.attn.v"),
+    (out_wf_shifted, "out.wf"),
+    (out_b_dropped, "out.b"),
+    (offset_missing, "emb.uni"),
+])
+def test_load_rejects_tampered_params(tmp_path, edit, named):
+    model, _, _ = toy_model()
+    d = os.path.join(tmp_path, "m")
+    save_model(model, d)
+    rehashed(d, edit)
+    with pytest.raises(ValueError, match=re.escape(named)):
         load_model(d)
 
 
