@@ -26,29 +26,39 @@ Tapes reset to empty for every sentence.  The backward pass is written
 by hand (gradients flow through the attention weights, the summaries and
 the tapes) and is verified against central finite differences.
 
-State.  Each direction writes one sentence's arrays by row
-(DirectionState): the tapes side by side as [h_t | c_t], Wh h_t, the
-gate input [h~_t | x_t] and, when kept for backward, the gate
-activations, tanh c_t and [h~_t | c~_t].  One tape_step serves training
-and decoding alike.
+State.  forward() and backward() take one sentence or a batch of them.
+A batch runs in lock-step: sorted longest first, step t advances the
+sentences still running, the first k of them, which all share the
+window [window_start, t).  Each direction writes the batch's arrays by
+sentence and row (DirectionState): the tapes side by side as
+[h_t | c_t], Wh h_t, the gate input [h~_t | x_t] and, when kept for
+backward, the gate activations, tanh c_t and [h~_t | c~_t]; a kept step
+also stores its attention weights (k, w) and tanh activations (k, w, a)
+as one block.  One sentence is a batch of one: one tape_step serves
+training and decoding alike.  Every product is a stack of matrix-vector
+products, one per sentence (np.matmul over a stack of vectors), and
+every reduction runs along each sentence's own axis in its own order,
+so a sentence's values do not depend on the batch it runs in, and stay
+bit-equal to the straight-line recurrence.
 
 Cost.  Wh h_i does not depend on t, so it is computed once, when h_i
 enters the tape; Wx x_t is computed for every t before the first step,
 one matrix-vector product per row (bit-equal to the per-step product,
 which one matrix product would not be).  A step then costs three
-matrix-vector products (Wp p_{t-1}, the gate block and Wh h_t), O(a·h)
-work, plus O(w·a) for its window of w entries, and a sentence of n
-tokens O(n·a·h + n²·a) per direction (rather than O(n²·a·h)).  At
-paper dimensions the three products, the gate block's above all, take
-more than half of a step's time (README, Performance); the rest is one
-pass over the [h | c] window for both summaries and in-place gates,
-sigmoid and softmax.  The backward pass sums the tape term
-of every later step's attention gradient per entry before multiplying
-by Wh^T, for the same bound.  Training keeps each step's (w, a)
-activations and its gate rows for backward.  Decoding runs the same loop
-with keep_cache=False: it keeps no window arrays and overwrites one
-scratch row of gates, tanh c_t and summaries per step, so it holds
-O(n·(h + a + d)) memory.
+matrix-vector products per sentence (Wp p_{t-1}, the gate block and
+Wh h_t), O(a·h) work, plus O(w·a) for its window of w entries, and a
+sentence of n tokens O(n·a·h + n²·a) per direction (rather than
+O(n²·a·h)).  A batch of B sentences takes one set of numpy calls per
+step for all of them, where one sentence at a time takes B sets.  The
+backward pass sums the tape term of every later step's attention
+gradient per entry before multiplying by Wh^T, for the same bound.
+Training keeps each step's (k, w, a) activations and its gate rows for
+backward: sum over the batch of n_i²/2 · a · 8 bytes of window
+activations.  Decoding runs the same loop with keep_cache=False: it
+keeps no window arrays, overwrites one scratch row of gates, tanh c_t
+and summaries per step, and releases each direction's gate input and
+attention terms once its tape has been read, so it holds O(n·(h + a +
+d)) memory.
 """
 
 from dataclasses import dataclass, field
@@ -176,25 +186,56 @@ def dropout_mask(shape, p, rng):
 
 
 @dataclass
+class Rows:
+    """Views of a DirectionState's arrays: one sentence's, without the
+    batch axis, or the first k sentences', (k, n, ...).  For one
+    sentence whose steps were kept, weights[t] (w,) and pre_tanh[t]
+    (w, a) list its window arrays per step (None otherwise)."""
+
+    tape: np.ndarray
+    tape_wh: np.ndarray
+    wx_x: np.ndarray
+    gate_in: np.ndarray
+    summary: np.ndarray
+    gates: np.ndarray
+    tanh_c: np.ndarray
+    weights: list = None
+    pre_tanh: list = None
+
+    @property
+    def tape_h(self):
+        return self.tape[..., :self.tape.shape[-1] // 2]
+
+    @property
+    def tape_c(self):
+        return self.tape[..., self.tape.shape[-1] // 2:]
+
+
+@dataclass
 class DirectionState:
-    """One direction's arrays for one sentence of n tokens; step t
-    writes row t of each.
+    """One direction's arrays for a batch of B sentences, longest first
+    and padded to the longest, n tokens; step t writes row t of the
+    first active[t] sentences, those longer than t.
 
-        tape      (n, 2h)    [h_t | c_t]: the hidden and memory tapes
-        tape_wh   (n, a)     Wh h_t, stored when h_t enters the tape
-        wx_x      (n, a)     Wx x_t, for every t before the first step
-        gate_in   (n, h + d) [h~_t | x_t], the gate block's input; h~_t
-                             is also step t + 1's previous summary
-        summary   (r, 2h)    [h~_t | c~_t]
-        gates     (r, 4h)    i, f, o and chat after their activations
-        tanh_c    (r, h)     tanh(c_t)
+        tape      (B, n, 2h)    [h_t | c_t]: the hidden and memory tapes
+        tape_wh   (B, n, a)     Wh h_t, stored when h_t enters the tape
+        wx_x      (B, n, a)     Wx x_t, for every t before the first step
+        gate_in   (B, n, h + d) [h~_t | x_t], the gate block's input; h~_t
+                                is also step t + 1's previous summary
+        summary   (B, r, 2h)    [h~_t | c~_t]
+        gates     (B, r, 4h)    i, f, o and chat after their activations
+        tanh_c    (B, r, h)     tanh(c_t)
 
-    r is n when the steps are kept for backward and 1 otherwise: a pass
-    without gradients overwrites one scratch row per step.  Kept steps
-    also hold their window arrays, weights[t] (w,) and pre_tanh[t]
-    (w, a); both lists are None otherwise.
+    r is n when the steps are kept for backward, and 1 otherwise: a pass
+    without gradients overwrites one scratch row per step.  Kept arrays
+    have zero padding rows, and kept steps also hold their window arrays
+    for the active sentences, weights[t] (k, w) and pre_tanh[t] (k, w,
+    a); both lists are None otherwise.  running[t] holds the Rows step t
+    advances, and sentence(p) the rows of the sentence at position p.
     """
 
+    lengths: list
+    active: list
     tape: np.ndarray
     tape_wh: np.ndarray
     wx_x: np.ndarray
@@ -204,57 +245,102 @@ class DirectionState:
     tanh_c: np.ndarray
     weights: list
     pre_tanh: list
+    running: list = field(init=False)
 
-    @property
-    def tape_h(self):
-        return self.tape[:, :self.tape.shape[1] // 2]
+    def __post_init__(self):
+        views = {k: self.first(k) for k in set(self.active)}
+        self.running = [views[k] for k in self.active]
 
-    @property
-    def tape_c(self):
-        return self.tape[:, self.tape.shape[1] // 2:]
+    def first(self, k):
+        """Rows of the first k sentences.  One sentence's rows drop the
+        batch axis: numpy calls on fewer dimensions cost less, and
+        decoding runs one sentence at a time."""
+        i = 0 if k == 1 else slice(0, k)
+        return Rows(self.tape[i], self.tape_wh[i], self.wx_x[i], self.gate_in[i],
+                    self.summary[i], self.gates[i], self.tanh_c[i])
 
     @classmethod
     def start(cls, inputs, attn, cell, keep_steps):
-        """Empty tapes over `inputs` (n, d), with the input rows of
-        gate_in and wx_x filled in."""
-        n, d = inputs.shape
+        """Empty tapes over `inputs`, a list of (n_i, d) arrays with
+        non-increasing n_i, with the input rows of gate_in and wx_x
+        filled in."""
+        lengths = [x.shape[0] for x in inputs]
+        if lengths != sorted(lengths, reverse=True):
+            raise ValueError(f"batch lengths {lengths} are not longest first")
+        batch = len(inputs)
+        n, d = inputs[0].shape
         hidden = cell.b.shape[0] // 4
         attn_dim = attn.wh.shape[0]
         rows = n if keep_steps else 1
-        gate_in = np.empty((n, hidden + d))
-        gate_in[:, hidden:] = inputs
-        return cls(
-            tape=np.empty((n, 2 * hidden)),
-            tape_wh=np.empty((n, attn_dim)),
+        # backward reads the kept arrays whole, padding included
+        alloc = np.zeros if keep_steps else np.empty
+        gate_in = alloc((batch, n, hidden + d))
+        wx_x = alloc((batch, n, attn_dim))
+        for p, (m, x) in enumerate(zip(lengths, inputs)):
+            gate_in[p, :m, hidden:] = x
             # one matrix-vector product per row, bit-equal to Wx @ x_t;
             # one matrix product (X @ Wx^T) rounds differently
-            wx_x=np.matmul(attn.wx, gate_in[:, hidden:, None])[:, :, 0],
+            np.matmul(attn.wx, gate_in[p, :m, hidden:, None],
+                      out=wx_x[p, :m, :, None])
+        # active[t]: the sentences longer than t, a prefix of the batch
+        active = []
+        for p in range(batch, 0, -1):
+            active += [p] * (lengths[p - 1] - len(active))
+        return cls(
+            lengths=lengths,
+            active=active,
+            tape=alloc((batch, n, 2 * hidden)),
+            tape_wh=alloc((batch, n, attn_dim)),
+            wx_x=wx_x,
             gate_in=gate_in,
-            summary=np.empty((rows, 2 * hidden)),
-            gates=np.empty((rows, 4 * hidden)),
-            tanh_c=np.empty((rows, hidden)),
-            weights=[np.zeros(0)] * n if keep_steps else None,
-            pre_tanh=[np.zeros((0, attn_dim))] * n if keep_steps else None,
+            summary=alloc((batch, rows, 2 * hidden)),
+            gates=alloc((batch, rows, 4 * hidden)),
+            tanh_c=alloc((batch, rows, hidden)),
+            weights=[np.zeros((batch, 0))] * n if keep_steps else None,
+            pre_tanh=[np.zeros((batch, 0, attn_dim))] * n if keep_steps else None,
+        )
+
+    def sentence(self, p):
+        """Rows of the sentence at position p."""
+        m = self.lengths[p]
+        kept = self.weights is not None
+        rows = m if kept else 1
+        return Rows(
+            tape=self.tape[p, :m],
+            tape_wh=self.tape_wh[p, :m],
+            wx_x=self.wx_x[p, :m],
+            gate_in=self.gate_in[p, :m],
+            summary=self.summary[p, :rows],
+            gates=self.gates[p, :rows],
+            tanh_c=self.tanh_c[p, :rows],
+            weights=[w[p] for w in self.weights[:m]] if kept else None,
+            pre_tanh=[u[p] for u in self.pre_tanh[:m]] if kept else None,
         )
 
 
 def tape_step(state, t, window_start, attn, cell):
-    """One recurrent step over the tape rows window_start .. t-1.
+    """One recurrent step of the sentences still running at t, the
+    first state.active[t], over their tape rows window_start .. t-1.
 
     Reads x_t and Wx x_t from row t of the state and the previous
     summary from gate_in row t-1 (at t = window_start the window is
     empty and both summaries are zero), and writes h_t, c_t and Wh h_t
-    into row t.  The gate sigmoid saturates through exp overflow, so the
-    caller holds np.errstate(over="ignore") around its loop of steps.
+    into row t.  It indexes from the right (rows.tape[..., t, :]), so
+    the same calls serve the Rows of one sentence and of several.  The
+    gate sigmoid saturates through exp overflow, so the caller holds
+    np.errstate(over="ignore") around its loop of steps.
     """
+    rows = state.running[t]
     hidden = cell.b.shape[0] // 4
     kept = state.weights is not None
     row = t if kept else 0
-    summary = state.summary[row]
+    summary = rows.summary[..., row, :]
     if t > window_start:
-        # (Wh h_i + Wx x_t) + Wp p in the oracle's order, so tapes stay bit-equal
-        pre_tanh = state.tape_wh[window_start:t] + state.wx_x[t]
-        pre_tanh += attn.wp @ state.gate_in[t - 1, :hidden]
+        # (Wh h_i + Wx x_t) + Wp p in the oracle's order, so tapes stay
+        # bit-equal; a stack of row vectors times Wp^T runs one
+        # matrix-vector product per sentence, the same one as Wp @ p
+        pre_tanh = rows.tape_wh[..., window_start:t, :] + rows.wx_x[..., t, None, :]
+        pre_tanh += np.matmul(rows.gate_in[..., t - 1, None, :hidden], attn.wp.T)
         np.tanh(pre_tanh, out=pre_tanh)
         # vecdot takes one dot product per row, like v @ u; pre_tanh @ v
         # (a matrix-vector product) rounds differently
@@ -262,43 +348,60 @@ def tape_step(state, t, window_start, attn, cell):
         weights = softmax(scores, out=scores)
         # one pass sums [h_i | c_i] rows in tape order into [h~ | c~]
         # (np.sum's reduction, without its per-call Python wrapper)
-        np.add.reduce(weights[:, None] * state.tape[window_start:t], axis=0,
-                      out=summary)
+        np.add.reduce(weights[..., None] * rows.tape[..., window_start:t, :],
+                      axis=-2, out=summary)
         if kept:
-            state.weights[t] = weights
-            state.pre_tanh[t] = pre_tanh
+            # (k, w) and (k, w, a) blocks, one sentence's included
+            k = state.active[t]
+            state.weights[t] = weights.reshape(k, -1)
+            state.pre_tanh[t] = pre_tanh.reshape(k, -1, pre_tanh.shape[-1])
     else:
-        summary[:] = 0.0
-    gate_in = state.gate_in[t]
-    gate_in[:hidden] = summary[:hidden]
-    z = np.matmul(cell.w, gate_in, out=state.gates[row])
+        summary[...] = 0.0
+    gate_in = rows.gate_in[..., t, :]
+    gate_in[..., :hidden] = summary[..., :hidden]
+    z = rows.gates[..., row, :]
+    # W [h~ | x_t], one matrix-vector product per sentence like Wp p
+    np.matmul(gate_in[..., None, :], cell.w.T, out=z[..., None, :])
     z += cell.b
-    sigmoid(z[:3 * hidden], out=z[:3 * hidden])
-    candidate = np.tanh(z[3 * hidden:], out=z[3 * hidden:])
+    gates_ifo, candidate = z[..., :3 * hidden], z[..., 3 * hidden:]
+    sigmoid(gates_ifo, out=gates_ifo)
+    np.tanh(candidate, out=candidate)
     # c_t = f * c~ + i * chat
-    c_t = np.multiply(z[hidden:2 * hidden], summary[hidden:],
-                      out=state.tape[t, hidden:])
-    c_t += z[:hidden] * candidate
-    tanh_c = np.tanh(c_t, out=state.tanh_c[row])
-    h_t = np.multiply(z[2 * hidden:3 * hidden], tanh_c,
-                      out=state.tape[t, :hidden])
-    np.matmul(attn.wh, h_t, out=state.tape_wh[t])
+    c_t = np.multiply(z[..., hidden:2 * hidden], summary[..., hidden:],
+                      out=rows.tape[..., t, hidden:])
+    c_t += z[..., :hidden] * candidate
+    tanh_c = np.tanh(c_t, out=rows.tanh_c[..., row, :])
+    h_t = np.multiply(z[..., 2 * hidden:3 * hidden], tanh_c,
+                      out=rows.tape[..., t, :hidden])
+    np.matmul(h_t[..., None, :], attn.wh.T, out=rows.tape_wh[..., t, None, :])
 
 
 def _direction_forward(inputs, attn, cell, memory_span, keep_steps):
-    """Run one direction over `inputs` (n, d).  Step rows are kept only
-    when `keep_steps` is true, so a pass that needs no gradients holds
-    O(n) memory, not O(n^2)."""
+    """Run one direction over `inputs`, a list of (n_i, d) arrays,
+    longest first.  Step rows are kept only when `keep_steps` is true,
+    so a pass that needs no gradients holds O(n) memory, not O(n^2)."""
     state = DirectionState.start(inputs, attn, cell, keep_steps)
+    n = state.tape.shape[1]
+    if memory_span is None:
+        window_starts = [0] * n
+    else:
+        window_starts = [max(0, t - memory_span) for t in range(n)]
     with np.errstate(over="ignore"):
-        for t in range(inputs.shape[0]):
-            window_start = 0 if memory_span is None else max(0, t - memory_span)
+        for t, window_start in enumerate(window_starts):
             tape_step(state, t, window_start, attn, cell)
     return state
 
 
-def _direction_backward(state, attn, cell, d_hidden_out):
-    """Gradients of one direction, given d loss / d h_t for every t.
+def _direction_backward(state, attn, cell, d_hidden_out, positions, grads,
+                        prefix):
+    """Gradients of one direction over a batch, given d loss / d h_t for
+    every sentence and t, (B, n, h) by position like the state.
+
+    Runs the steps in lock-step in reverse time.  Each sentence's
+    parameter gradients are then formed and added to grads[prefix +
+    name], sentence by sentence in batch order: positions[s] is the
+    position of batch sentence s.  Returns each position's input
+    gradient.
 
     The tape term of the attention pre-activation is accumulated per
     tape entry, D[i] = sum over later steps t of d pre[t, i], and is
@@ -307,114 +410,151 @@ def _direction_backward(state, attn, cell, d_hidden_out):
     Likewise the gate and attention input weights take their gradients
     from per-step rows stacked over the sentence.
     """
-    n = state.tape.shape[0]
+    batch, n = state.tape.shape[:2]
     hidden = cell.b.shape[0] // 4
-    tape_h, tape_c = state.tape_h, state.tape_c
+    attn_dim = attn.wh.shape[0]
+    tape_h, tape_c = state.tape[:, :, :hidden], state.tape[:, :, hidden:]
     gates = state.gates
-    gate_f = gates[:, hidden:2 * hidden]
-    gate_o = gates[:, 2 * hidden:3 * hidden]
-    candidate = gates[:, 3 * hidden:]
+    gate_f = gates[:, :, hidden:2 * hidden]
+    gate_o = gates[:, :, 2 * hidden:3 * hidden]
+    candidate = gates[:, :, 3 * hidden:]
     # d z[t] = ((e * M[t]) * G[t]) * K[t] with e = [dc, dc, dh, dc]: per
     # gate, d i = ((dc * chat) * i) * (1 - i), d f = ((dc * c~) * f) *
     # (1 - f), d o = ((dh * tanh c) * o) * (1 - o) and d chat =
     # ((dc * i) * 1) * (1 - chat^2), each in the order of the chain rule
-    m_rows = np.hstack((candidate, state.summary[:, hidden:], state.tanh_c,
-                        gates[:, :hidden]))
+    m_rows = np.concatenate((candidate, state.summary[:, :, hidden:],
+                             state.tanh_c, gates[:, :, :hidden]), axis=2)
     g_rows = gates.copy()
-    g_rows[:, 3 * hidden:] = 1.0
+    g_rows[:, :, 3 * hidden:] = 1.0
     k_rows = 1.0 - gates
-    k_rows[:, 3 * hidden:] = 1.0 - candidate ** 2
+    k_rows[:, :, 3 * hidden:] = 1.0 - candidate ** 2
     d_tanh_c = 1.0 - state.tanh_c ** 2
-    d_tape = np.zeros((n, 2 * hidden))
-    d_tape[:, :hidden] = d_hidden_out
-    d_tape_wh = np.zeros((n, attn.wh.shape[0]))
-    d_z = np.zeros((n, 4 * hidden))
-    d_pre_sums = np.zeros((n, attn.wh.shape[0]))
-    g_v = np.zeros_like(attn.v)
-    w_summary = cell.w[:, :hidden]
+    d_tape = np.zeros((batch, n, 2 * hidden))
+    d_tape[:, :, :hidden] = d_hidden_out
+    d_tape_wh = np.zeros((batch, n, attn_dim))
+    d_z = np.zeros((batch, n, 4 * hidden))
+    d_pre_sums = np.zeros((batch, n, attn_dim))
+    g_v = np.zeros((batch, attn_dim))
+    # stacks of vectors times these run one matrix-vector product per
+    # sentence, the same one as a single sentence's W^T @ u
+    wh_t, wp_t, w_summary_t = attn.wh.T, attn.wp.T, cell.w[:, :hidden].T
     # [d h~ | d c~] of the current step
-    d_summaries = np.empty(2 * hidden)
-    d_h_summary = d_summaries[:hidden]
-    d_c_summary = d_summaries[hidden:]
+    d_summaries = np.empty((batch, 2 * hidden))
+    d_h_summary = d_summaries[:, :hidden]
+    d_c_summary = d_summaries[:, hidden:]
     # d loss / d h_summary[t] through step t + 1's Wp p term
-    d_summary = np.zeros(hidden)
+    d_summary = np.zeros((batch, hidden))
     for t in range(n - 1, -1, -1):
-        dh = d_tape[t, :hidden] + attn.wh.T @ d_tape_wh[t]
-        dc = d_tape[t, hidden:] + dh * gate_o[t] * d_tanh_c[t]
-        dz = d_z[t]
-        e = dz.reshape(4, hidden)
-        e[:2] = dc
-        e[2] = dh
-        e[3] = dc
-        dz *= m_rows[t]
-        dz *= g_rows[t]
-        dz *= k_rows[t]
-        np.matmul(w_summary.T, dz, out=d_h_summary)
-        d_h_summary += d_summary
-        np.multiply(dc, gate_f[t], out=d_c_summary)
+        k = state.active[t]
+        dh = np.matmul(wh_t, d_tape_wh[:k, t, :, None])[:, :, 0]
+        dh += d_tape[:k, t, :hidden]
+        dc = d_tape[:k, t, hidden:] + dh * gate_o[:k, t] * d_tanh_c[:k, t]
+        dz = d_z[:k, t]
+        e = dz.reshape(k, 4, hidden)
+        e[:, :2] = dc[:, None]
+        e[:, 2] = dh
+        e[:, 3] = dc
+        dz *= m_rows[:k, t]
+        dz *= g_rows[:k, t]
+        dz *= k_rows[:k, t]
+        np.matmul(w_summary_t, dz[:, :, None], out=d_h_summary[:k, :, None])
+        d_h_summary[:k] += d_summary[:k]
+        np.multiply(dc, gate_f[:k, t], out=d_c_summary[:k])
         weights = state.weights[t]
-        if weights.shape[0]:
+        if weights.shape[1]:
             # summaries -> tape entries and attention weights
-            window = slice(t - weights.shape[0], t)
-            d_weights = tape_h[window] @ d_h_summary + tape_c[window] @ d_c_summary
-            d_tape[window] += weights[:, None] * d_summaries
-            d_scores = weights * (d_weights - weights @ d_weights)
+            window = slice(t - weights.shape[1], t)
+            d_weights = np.matmul(tape_h[:k, window], d_h_summary[:k, :, None])
+            d_weights += np.matmul(tape_c[:k, window], d_c_summary[:k, :, None])
+            d_weights = d_weights[:, :, 0]
+            d_tape[:k, window] += weights[:, :, None] * d_summaries[:k, None]
+            d_scores = weights * (d_weights - np.vecdot(weights, d_weights)[:, None])
             pre_tanh = state.pre_tanh[t]
-            g_v += d_scores @ pre_tanh
-            d_pre = (d_scores[:, None] * attn.v) * (1.0 - pre_tanh ** 2)
-            d_tape_wh[window] += d_pre
-            d_pre_sums[t] = d_pre.sum(axis=0)
+            g_v[:k] += np.matmul(d_scores[:, None], pre_tanh)[:, 0]
+            d_pre = (d_scores[:, :, None] * attn.v) * (1.0 - pre_tanh ** 2)
+            d_tape_wh[:k, window] += d_pre
+            d_pre.sum(axis=1, out=d_pre_sums[:k, t])
         # an empty window leaves d_pre_sums[t] zero: both summaries are
         # constant zero vectors
-        d_summary = attn.wp.T @ d_pre_sums[t]
-    prev_summaries = np.zeros((n, hidden))
-    prev_summaries[1:] = state.gate_in[:-1, :hidden]
-    d_inputs = d_z @ cell.w[:, hidden:] + d_pre_sums @ attn.wx
-    grads = {
-        "attn.wh": d_tape_wh.T @ tape_h,
-        "attn.wx": d_pre_sums.T @ state.gate_in[:, hidden:],
-        "attn.wp": d_pre_sums.T @ prev_summaries,
-        "attn.v": g_v,
-        "cell.w": d_z.T @ state.gate_in,
-        "cell.b": d_z.sum(axis=0),
-    }
-    return grads, d_inputs
+        np.matmul(wp_t, d_pre_sums[:k, t, :, None], out=d_summary[:k, :, None])
+    w_input = cell.w[:, hidden:]
+    d_inputs = [None] * batch
+    for p in positions:
+        m = state.lengths[p]
+        gate_in = state.gate_in[p, :m]
+        d_z_p, d_pre_p = d_z[p, :m], d_pre_sums[p, :m]
+        prev_summaries = np.zeros((m, hidden))
+        prev_summaries[1:] = gate_in[:-1, :hidden]
+        d_inputs[p] = d_z_p @ w_input + d_pre_p @ attn.wx
+        # added as formed: one sentence's dense gradient at a time
+        grads[prefix + "attn.wh"] += d_tape_wh[p, :m].T @ tape_h[p, :m]
+        grads[prefix + "attn.wx"] += d_pre_p.T @ gate_in[:, hidden:]
+        grads[prefix + "attn.wp"] += d_pre_p.T @ prev_summaries
+        grads[prefix + "attn.v"] += g_v[p]
+        grads[prefix + "cell.w"] += d_z_p.T @ gate_in
+        grads[prefix + "cell.b"] += d_z_p.sum(axis=0)
+    return d_inputs
+
+
+@dataclass
+class SentenceCache:
+    """One sentence's part of a forward pass, as views: its inputs and
+    dropout masks, its (forward, backward) Rows per layer and the
+    top hidden rows that fed the output projection.  `batch` is the
+    ForwardCache it belongs to."""
+
+    inputs: np.ndarray
+    input_mask: np.ndarray
+    layer_caches: list
+    out_mask_f: np.ndarray
+    out_mask_b: np.ndarray
+    top_h_f: np.ndarray
+    top_h_b: np.ndarray
+    batch: "ForwardCache"
 
 
 @dataclass
 class ForwardCache:
-    """Everything backward() needs from one sentence's forward pass."""
+    """Everything backward() needs from a forward pass over a batch.
 
-    inputs: np.ndarray
-    input_mask: np.ndarray
-    # (forward, backward) DirectionState per layer
-    layer_caches: list = field(default_factory=list)
-    out_mask_f: np.ndarray = None
-    out_mask_b: np.ndarray = None
-    top_h_f: np.ndarray = None
-    top_h_b: np.ndarray = None
-
-
-def forward(params, config, inputs, dropout=0.0, rng=None, keep_cache=True):
-    """Emission scores (n, num_tags) for one sentence, plus the cache.
-
-    Tapes start empty: per-sentence state isolation is structural.  With
-    dropout > 0, inverted-dropout masks apply to the featurized inputs
-    and to the (forward, backward) hidden vectors feeding the output
-    projection; evaluation passes use dropout=0.  With keep_cache=False
-    no step rows are kept and the returned cache is None: decoding
-    needs no gradients, and its memory then grows linearly in n.
+    Lists run in batch order; masks are None without dropout.  `layers`
+    holds a (forward, backward) DirectionState per layer, and
+    positions[s] is the position of batch sentence s in their length
+    order.
     """
-    inputs = np.asarray(inputs, dtype=np.float64)
-    if inputs.ndim != 2 or inputs.shape[0] == 0:
-        raise ValueError(f"need a non-empty (n, input_dim) array, got {inputs.shape}")
-    if inputs.shape[1] != config.input_dim:
-        raise ShapeError(
-            f"input dim {inputs.shape[1]} != configured {config.input_dim}"
+
+    inputs: list
+    input_masks: list
+    layers: list
+    positions: list
+    out_masks_f: list
+    out_masks_b: list
+    top_h_f: list
+    top_h_b: list
+
+    def sentence(self, s):
+        """Views of batch sentence s, as a SentenceCache."""
+        p = self.positions[s]
+        masks = (self.input_masks, self.out_masks_f, self.out_masks_b)
+        input_mask, out_mask_f, out_mask_b = (
+            None if m is None else m[s] for m in masks
         )
-    if dropout and rng is None:
-        raise ValueError("dropout needs an rng")
-    n = inputs.shape[0]
+        return SentenceCache(
+            inputs=self.inputs[s], input_mask=input_mask,
+            layer_caches=[(f.sentence(p), b.sentence(p)) for f, b in self.layers],
+            out_mask_f=out_mask_f, out_mask_b=out_mask_b,
+            top_h_f=self.top_h_f[s], top_h_b=self.top_h_b[s], batch=self,
+        )
+
+
+def _check_shapes(params, config, batch):
+    for x in batch:
+        if x.ndim != 2 or x.shape[0] == 0:
+            raise ValueError(f"need a non-empty (n, input_dim) array, got {x.shape}")
+        if x.shape[1] != config.input_dim:
+            raise ShapeError(
+                f"input dim {x.shape[1]} != configured {config.input_dim}"
+            )
     h = config.hidden_dim
     for layer in range(config.num_layers):
         d = config.layer_input_dim(layer)
@@ -431,83 +571,160 @@ def forward(params, config, inputs, dropout=0.0, rng=None, keep_cache=True):
                     f"not match hidden {h} and input {d}"
                 )
 
-    input_mask = dropout_mask(inputs.shape, dropout, rng) if dropout else None
-    current = inputs * input_mask if dropout else inputs
 
-    cache = ForwardCache(inputs=inputs, input_mask=input_mask)
+def forward(params, config, inputs, dropout=0.0, rng=None, keep_cache=True):
+    """Emission scores for one sentence or a batch, plus the cache.
+
+    `inputs` is one sentence's (n, input_dim) array, or a list (or
+    tuple) of them: a batch, run in lock-step.  One sentence gives
+    (emissions (n, num_tags), SentenceCache); a batch gives (list of
+    emissions, ForwardCache), in batch order.  A sentence's results are
+    bit-equal whichever batch it runs in.
+
+    Tapes start empty: per-sentence state isolation is structural.  With
+    dropout > 0, inverted-dropout masks apply to the featurized inputs
+    and to the (forward, backward) hidden vectors feeding the output
+    projection, drawn per sentence in batch order (input, forward,
+    backward), the stream one sentence at a time would draw; evaluation
+    passes use dropout=0.  With keep_cache=False no step rows are kept
+    and the returned cache is None: decoding needs no gradients, and its
+    memory then grows linearly in n.
+    """
+    single = not isinstance(inputs, (list, tuple))
+    batch = [np.asarray(x, dtype=np.float64) for x in ([inputs] if single else inputs)]
+    if not batch:
+        raise ValueError("need at least one sentence")
+    _check_shapes(params, config, batch)
+    if dropout and rng is None:
+        raise ValueError("dropout needs an rng")
+    h = config.hidden_dim
+
+    input_masks = out_masks_f = out_masks_b = None
+    current = batch
+    if dropout:
+        input_masks, out_masks_f, out_masks_b = [], [], []
+        for x in batch:
+            input_masks.append(dropout_mask(x.shape, dropout, rng))
+            out_masks_f.append(dropout_mask((x.shape[0], h), dropout, rng))
+            out_masks_b.append(dropout_mask((x.shape[0], h), dropout, rng))
+        current = [x * m for x, m in zip(batch, input_masks)]
+
+    lengths = [x.shape[0] for x in batch]
+    # longest first; sorted() is stable, so equal lengths keep batch order
+    by_length = sorted(range(len(batch)), key=lambda s: -lengths[s])
+    positions = [0] * len(batch)
+    for p, s in enumerate(by_length):
+        positions[s] = p
+    layers = []
     for layer in range(config.num_layers):
         attn_f, cell_f = direction_view(params, layer, "fwd")
         attn_b, cell_b = direction_view(params, layer, "bwd")
         state_f = _direction_forward(
-            current, attn_f, cell_f, config.memory_span, keep_cache
+            [current[s] for s in by_length], attn_f, cell_f,
+            config.memory_span, keep_cache,
         )
+        h_f = [state_f.tape[p, :m, :h] for p, m in zip(positions, lengths)]
+        if not keep_cache:
+            # h_f keeps the tape; the rest of the state goes now
+            state_f = None
         state_b = _direction_forward(
-            current[::-1], attn_b, cell_b, config.memory_span, keep_cache
+            [current[s][::-1] for s in by_length], attn_b, cell_b,
+            config.memory_span, keep_cache,
         )
-        cache.layer_caches.append((state_f, state_b))
-        h_f = state_f.tape_h
-        h_b = state_b.tape_h[::-1]
+        h_b = [state_b.tape[p, :m, :h][::-1] for p, m in zip(positions, lengths)]
+        if keep_cache:
+            layers.append((state_f, state_b))
+        state_b = None
         if layer + 1 < config.num_layers:
-            current = np.concatenate((h_f, h_b), axis=1)
+            current = [np.concatenate(pair, axis=1) for pair in zip(h_f, h_b)]
 
     if dropout:
-        cache.out_mask_f = dropout_mask((n, h), dropout, rng)
-        cache.out_mask_b = dropout_mask((n, h), dropout, rng)
-        h_f = h_f * cache.out_mask_f
-        h_b = h_b * cache.out_mask_b
-    cache.top_h_f = h_f
-    cache.top_h_b = h_b
+        h_f = [x * m for x, m in zip(h_f, out_masks_f)]
+        h_b = [x * m for x, m in zip(h_b, out_masks_b)]
 
     wf, wb, b = params["out.wf"], params["out.wb"], params["out.b"]
     # one matrix-vector product per row, bit-equal to wf @ h_f[t] +
     # wb @ h_b[t] + b, like the hoisted Wx x_t
-    emissions = (np.matmul(wf, h_f[:, :, None])
-                 + np.matmul(wb, h_b[:, :, None]))[:, :, 0] + b
-    return emissions, (cache if keep_cache else None)
+    emissions = [
+        (np.matmul(wf, f[:, :, None]) + np.matmul(wb, r[:, :, None]))[:, :, 0] + b
+        for f, r in zip(h_f, h_b)
+    ]
+    cache = None
+    if keep_cache:
+        cache = ForwardCache(
+            inputs=batch, input_masks=input_masks, layers=layers,
+            positions=positions, out_masks_f=out_masks_f,
+            out_masks_b=out_masks_b, top_h_f=h_f, top_h_b=h_b,
+        )
+    if single:
+        return emissions[0], (cache.sentence(0) if keep_cache else None)
+    return emissions, cache
 
 
-def backward(params, config, cache, d_emissions):
+def backward(params, config, cache, d_emissions, grads=None):
     """Gradients of a scalar loss through the cached forward pass.
 
-    Returns (grads, d_inputs): grads maps every encoder parameter name to
-    its gradient; d_inputs is the gradient with respect to the original
-    featurized inputs (for the embedding tables).
+    `cache` is what forward() returned: a SentenceCache with one (n,
+    num_tags) d_emissions array, or a ForwardCache with a list of them
+    in batch order.  Returns (grads, d_inputs).  grads maps every
+    encoder parameter name to its gradient summed over the batch,
+    sentence by sentence in batch order; when `grads` is given, the sums
+    are added to its arrays in place.  d_inputs is the gradient with
+    respect to the original featurized inputs (for the embedding
+    tables): one array, or a list in batch order.
     """
-    if cache is None or not cache.layer_caches:
+    if cache is None:
         raise ValueError("backward called without a cached forward pass")
-    d_emissions = np.asarray(d_emissions, dtype=np.float64)
+    if isinstance(cache, SentenceCache):
+        if len(cache.batch.inputs) != 1:
+            raise ValueError("backward of one sentence of a larger batch; "
+                             "pass the batch's ForwardCache")
+        grads, d_inputs = backward(params, config, cache.batch, [d_emissions],
+                                   grads)
+        return grads, d_inputs[0]
+    if len(d_emissions) != len(cache.inputs):
+        raise ValueError(f"{len(d_emissions)} emission gradients for a batch "
+                         f"of {len(cache.inputs)}")
+    if grads is None:
+        grads = {name: np.zeros(shape)
+                 for name, shape in param_shapes(config).items()}
     h = config.hidden_dim
     wf, wb = params["out.wf"], params["out.wb"]
+    lengths = [x.shape[0] for x in cache.inputs]
 
-    grads = {
-        "out.wf": d_emissions.T @ cache.top_h_f,
-        "out.wb": d_emissions.T @ cache.top_h_b,
-        "out.b": d_emissions.sum(axis=0),
-    }
-    d_h_f = d_emissions @ wf
-    d_h_b = d_emissions @ wb
-    if cache.out_mask_f is not None:
-        d_h_f = d_h_f * cache.out_mask_f
-        d_h_b = d_h_b * cache.out_mask_b
+    d_h_f, d_h_b = [], []
+    for s, d_e in enumerate(d_emissions):
+        d_e = np.asarray(d_e, dtype=np.float64)
+        grads["out.wf"] += d_e.T @ cache.top_h_f[s]
+        grads["out.wb"] += d_e.T @ cache.top_h_b[s]
+        grads["out.b"] += d_e.sum(axis=0)
+        d_f = d_e @ wf
+        d_b = d_e @ wb
+        if cache.out_masks_f is not None:
+            d_f = d_f * cache.out_masks_f[s]
+            d_b = d_b * cache.out_masks_b[s]
+        d_h_f.append(d_f)
+        d_h_b.append(d_b)
 
     for layer in range(config.num_layers - 1, -1, -1):
         attn_f, cell_f = direction_view(params, layer, "fwd")
         attn_b, cell_b = direction_view(params, layer, "bwd")
-        state_f, state_b = cache.layer_caches[layer]
-        grads_f, d_in_f = _direction_backward(state_f, attn_f, cell_f, d_h_f)
-        grads_b, d_in_b_rev = _direction_backward(
-            state_b, attn_b, cell_b, d_h_b[::-1]
-        )
-        for name, g in grads_f.items():
-            grads[f"enc{layer}.fwd.{name}"] = g
-        for name, g in grads_b.items():
-            grads[f"enc{layer}.bwd.{name}"] = g
-        d_layer_in = d_in_f + d_in_b_rev[::-1]
+        state_f, state_b = cache.layers[layer]
+        d_out_f = np.zeros(state_f.tape.shape[:2] + (h,))
+        d_out_b = np.zeros(state_b.tape.shape[:2] + (h,))
+        for p, m, d_f, d_b in zip(cache.positions, lengths, d_h_f, d_h_b):
+            d_out_f[p, :m] = d_f
+            d_out_b[p, :m] = d_b[::-1]
+        d_in_f = _direction_backward(state_f, attn_f, cell_f, d_out_f,
+                                     cache.positions, grads, f"enc{layer}.fwd.")
+        d_in_b = _direction_backward(state_b, attn_b, cell_b, d_out_b,
+                                     cache.positions, grads, f"enc{layer}.bwd.")
+        d_layer_in = [d_in_f[p] + d_in_b[p][::-1] for p in cache.positions]
         if layer > 0:
-            d_h_f = d_layer_in[:, :h]
-            d_h_b = d_layer_in[:, h:]
+            d_h_f = [d[:, :h] for d in d_layer_in]
+            d_h_b = [d[:, h:] for d in d_layer_in]
 
     d_inputs = d_layer_in
-    if cache.input_mask is not None:
-        d_inputs = d_inputs * cache.input_mask
+    if cache.input_masks is not None:
+        d_inputs = [d * m for d, m in zip(d_inputs, cache.input_masks)]
     return grads, d_inputs

@@ -14,7 +14,7 @@ Insertion order is the canonical order for flattening and for the
 serialized binary layout.
 """
 
-from dataclasses import dataclass, asdict
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -72,11 +72,34 @@ class TrainConfig:
 
     @classmethod
     def from_dict(cls, d):
-        known = {f for f in cls.__dataclass_fields__}
-        extra = set(d) - known
+        """The config a dict (say, a parsed model.json) describes.
+
+        Every value must have its field's declared type: a bool is not an
+        int, an int is taken for a float, and None is taken only where
+        the default is None.  A ValueError names the first field that
+        breaks a rule.
+        """
+        if not isinstance(d, dict):
+            raise ValueError(f"config must be a mapping, got {type(d).__name__}")
+        declared = {f.name: f for f in fields(cls)}
+        extra = set(d) - set(declared)
         if extra:
             raise ValueError(f"unknown config fields: {sorted(extra)}")
-        return cls(**d)
+        values = {}
+        for name, value in d.items():
+            f = declared[name]
+            if value is None and f.default is None:
+                values[name] = None
+            elif f.type is float and type(value) in (int, float):
+                values[name] = float(value)
+            elif type(value) is f.type:
+                values[name] = value
+            else:
+                raise ValueError(
+                    f"config field {name} must be {f.type.__name__}"
+                    f"{' or null' if f.default is None else ''}, got {value!r}"
+                )
+        return cls(**values)
 
 
 def pack_params(params):
@@ -130,8 +153,8 @@ class Segmenter:
     """A trained (or trainable) segmentation model.
 
     Holds the vocabularies, the parameter dict and the configuration;
-    exposes per-sentence loss/gradients for training and masked Viterbi
-    decoding for inference.
+    exposes loss/gradients of a sentence or a batch for training and
+    masked Viterbi decoding for inference.
     """
 
     def __init__(self, config, vocab, params, bigram_vocab=None, lexicon=None):
@@ -183,52 +206,76 @@ class Segmenter:
         params["crf.trans"] = np.zeros((NUM_TAGS + 2, NUM_TAGS + 2))
         return cls(config, vocab, params, bigram_vocab, lexicon)
 
-    def emissions(self, tokens, dropout=0.0, rng=None, keep_cache=True):
-        """Per-tag scores (n, 4) for one token sequence, plus the caches
-        needed to push gradients back (ids, bigram ids, encoder cache).
-        Passes that need no gradients set keep_cache=False: the encoder
-        cache is then None and memory stays linear in n."""
+    def _features(self, tokens):
+        """(featurized inputs, unigram ids, bigram ids or None)."""
         ids = self.vocab.encode(tokens)
         bigram_ids = None
         if self.bigram_vocab is not None:
             bigram_ids = self.bigram_vocab.encode(sentence_bigrams(tokens))
         x = featurize(ids, self.params["emb.uni"], self.config.window,
                       bigram_ids, self.params.get("emb.bi"))
+        return x, ids, bigram_ids
+
+    def emissions(self, tokens, dropout=0.0, rng=None, keep_cache=True):
+        """Per-tag scores (n, 4) for one token sequence, plus the caches
+        needed to push gradients back (ids, bigram ids, encoder cache).
+        Passes that need no gradients set keep_cache=False: the encoder
+        cache is then None and memory stays linear in n."""
+        x, ids, bigram_ids = self._features(tokens)
         scores, cache = encoder.forward(
             self.params, self.encoder_config, x, dropout=dropout, rng=rng,
             keep_cache=keep_cache,
         )
         return scores, (ids, bigram_ids, cache)
 
-    def loss_and_grads(self, sentence, dropout=0.0, rng=None):
-        """NLL of the gold tags and gradients for every parameter.
+    def loss_and_grads(self, sentences, dropout=0.0, rng=None, into=None):
+        """NLL of the gold tags and gradients for every parameter, for one
+        Sentence or for a batch (a list of them) run in lock-step through
+        one encoder forward and one backward call.
 
-        The returned dict has exactly the keys of self.params; embedding
-        gradients are dense tables with nonzero rows only where looked up.
+        One sentence gives (loss, grads); a batch gives (losses, grads),
+        the per-sentence losses in batch order and each gradient summed
+        sentence by sentence in batch order, ((0 + g_1) + g_2) + ...
+        The grads dict has exactly the keys of self.params; with `into`
+        (such a dict) the sums are added to its arrays in place and it is
+        returned.  Embedding gradients are dense tables with nonzero rows
+        only where looked up.
         """
-        scores, (ids, bigram_ids, cache) = self.emissions(
-            sentence.tokens, dropout=dropout, rng=rng
+        single = not isinstance(sentences, (list, tuple))
+        batch = [sentences] if single else sentences
+        grads = into if into is not None else {
+            name: np.zeros_like(p) for name, p in self.params.items()
+        }
+        features = [self._features(sent.tokens) for sent in batch]
+        scores, cache = encoder.forward(
+            self.params, self.encoder_config, [x for x, _, _ in features],
+            dropout=dropout, rng=rng,
         )
-        loss, d_scores, d_trans = crf.nll_and_grads(
-            scores, self.params["crf.trans"], sentence.tags
+        trans = self.params["crf.trans"]
+        losses, d_scores = [], []
+        for sent, sent_scores in zip(batch, scores):
+            loss, d_sent, d_trans = crf.nll_and_grads(sent_scores, trans, sent.tags)
+            losses.append(loss)
+            d_scores.append(d_sent)
+            grads["crf.trans"] += d_trans
+        _, d_inputs = encoder.backward(
+            self.params, self.encoder_config, cache, d_scores, grads
         )
-        enc_grads, d_inputs = encoder.backward(
-            self.params, self.encoder_config, cache, d_scores
-        )
-        grads = {"emb.uni": np.zeros_like(self.params["emb.uni"])}
         d = self.config.emb_dim
-        wids = window_ids(ids, self.config.window)
-        for j in range(self.config.window):
-            np.add.at(grads["emb.uni"], wids[:, j], d_inputs[:, j * d:(j + 1) * d])
-        if bigram_ids is not None:
-            grads["emb.bi"] = np.zeros_like(self.params["emb.bi"])
-            np.add.at(grads["emb.bi"], bigram_ids,
-                      d_inputs[:, self.config.window * d:])
-        for name in self.params:
-            if name in enc_grads:
-                grads[name] = enc_grads[name]
-        grads["crf.trans"] = d_trans
-        return loss, grads
+        window = self.config.window
+        for (_, ids, bigram_ids), d_in in zip(features, d_inputs):
+            # one sentence's table, then its sum: np.add.at straight into
+            # the batch sum would round differently
+            table = np.zeros_like(self.params["emb.uni"])
+            wids = window_ids(ids, window)
+            for j in range(window):
+                np.add.at(table, wids[:, j], d_in[:, j * d:(j + 1) * d])
+            grads["emb.uni"] += table
+            if bigram_ids is not None:
+                table = np.zeros_like(self.params["emb.bi"])
+                np.add.at(table, bigram_ids, d_in[:, window * d:])
+                grads["emb.bi"] += table
+        return (losses[0] if single else losses), grads
 
     def nll(self, sentence):
         """Loss only, skipping all gradient work (finite-difference

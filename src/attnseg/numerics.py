@@ -38,20 +38,22 @@ def sigmoid(x, out=None):
 
 
 def softmax(v, out=None):
-    """Stable softmax of a 1-d array via max subtraction, into `out`
-    when given (which may be `v` itself).
+    """Stable softmax of a vector, or of each row of a matrix, via max
+    subtraction, into `out` when given (which may be `v` itself).  Each
+    row gets exactly the values it would get as a vector on its own.
 
     An empty vector maps to an empty vector: the attention layer
     legitimately sees zero previous tokens at the first time step.
     """
     v = np.asarray(v, dtype=np.float64)
-    if v.ndim != 1:
-        raise ShapeError(f"softmax needs a vector, got shape {v.shape}")
+    if v.ndim not in (1, 2):
+        raise ShapeError(f"softmax needs a vector or a matrix, got shape {v.shape}")
     if v.size == 0:
-        return np.zeros(0)
-    out = np.subtract(v, v.max(), out=out)
+        return np.zeros(v.shape)
+    # the reductions of v.max() and out.sum(), called directly
+    out = np.subtract(v, np.maximum.reduce(v, axis=-1, keepdims=True), out=out)
     np.exp(out, out=out)
-    out /= out.sum()
+    out /= np.add.reduce(out, axis=-1, keepdims=True)
     return out
 
 

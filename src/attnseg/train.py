@@ -60,15 +60,30 @@ class AdagradState:
         return cls({name: np.zeros_like(p) for name, p in params.items()})
 
 
-def adagrad_update(param, grad, accum, lr, eps):
-    """One AdaGrad step, in place: G += g*g; p -= lr*g/(sqrt(G)+eps)."""
+def adagrad_update(param, grad, accum, lr, eps, scratch=None):
+    """One AdaGrad step, in place: G += g*g; p -= lr*g/(sqrt(G)+eps).
+
+    The intermediates g*g, sqrt(G)+eps and lr*g go to `scratch`, a flat
+    float64 array of at least 2 * param.size entries (allocated when
+    None), so a training loop can reuse one for every parameter.  The
+    operations and their order are those of the formula.
+    """
     if not (param.shape == grad.shape == accum.shape):
         raise ShapeError(
             f"param {param.shape}, grad {grad.shape} and accumulator "
             f"{accum.shape} must all match"
         )
-    accum += grad * grad
-    param -= lr * grad / (np.sqrt(accum) + eps)
+    size = param.size
+    if scratch is None:
+        scratch = np.empty(2 * size)
+    denom = scratch[:size].reshape(param.shape)
+    step = scratch[size:2 * size].reshape(param.shape)
+    accum += np.multiply(grad, grad, out=denom)
+    np.sqrt(accum, out=denom)
+    denom += eps
+    np.multiply(lr, grad, out=step)
+    step /= denom
+    param -= step
     return param, accum
 
 
@@ -112,14 +127,17 @@ def _clip(grads, max_norm):
 def train_epoch(model, corpus, config, rng, state=None):
     """One pass over the corpus; returns EpochStats(mean NLL).
 
-    The epoch computes only what training needs: per sentence a cached
-    forward pass, the CRF loss and its gradients, and the backward pass;
-    per batch one AdaGrad step.  Nothing is decoded; call tag_accuracy
-    for the training-set accuracy.
+    The epoch computes only what training needs: per batch one
+    loss_and_grads call, which runs the batch's sentences in lock-step
+    through a cached forward pass, the CRF loss and its gradients and the
+    backward pass, then one AdaGrad step.  Nothing is decoded; call
+    tag_accuracy for the training-set accuracy.
 
     The rng drives the shuffle and every dropout mask, so a fixed
-    (corpus, config, seed) triple replays bit-identically.  Training
-    NLL is unmasked; decoding stays masked.
+    (corpus, config, seed) triple replays bit-identically, and the batch
+    sums and losses add up sentence by sentence in shuffled order, as a
+    loop over single sentences would.  Training NLL is unmasked;
+    decoding stays masked.
     """
     n = len(corpus)
     if n == 0:
@@ -128,31 +146,33 @@ def train_epoch(model, corpus, config, rng, state=None):
         state = AdagradState.for_params(model.params)
     order = rng.permutation(n)
     total_nll = 0.0
+    # reused by every batch: the gradient sums and the AdaGrad scratch
+    sums = {name: np.zeros_like(p) for name, p in model.params.items()}
+    scratch = np.empty(2 * max(p.size for p in model.params.values()))
     for start in range(0, n, config.batch_size):
         batch = order[start:start + config.batch_size]
-        sums = {name: np.zeros_like(p) for name, p in model.params.items()}
-        for idx in batch:
-            sent = corpus[int(idx)]
-            loss, grads = model.loss_and_grads(
-                sent, dropout=config.dropout, rng=rng
-            )
+        for g in sums.values():
+            g.fill(0.0)
+        losses, grads = model.loss_and_grads(
+            [corpus[int(idx)] for idx in batch], dropout=config.dropout,
+            rng=rng, into=sums,
+        )
+        for loss in losses:
             if not np.isfinite(loss):
                 raise FloatingPointError(
                     f"non-finite loss {loss!r} in the batch starting at "
                     f"shuffled position {start}"
                 )
             total_nll += loss
-            for name in sums:
-                sums[name] += grads[name]
         inv = 1.0 / len(batch)
-        for name in sums:
-            sums[name] *= inv
+        for name in grads:
+            grads[name] *= inv
         if config.clip_norm is not None:
-            _clip(sums, config.clip_norm)
+            _clip(grads, config.clip_norm)
         for name in model.params:
             adagrad_update(
-                model.params[name], sums[name], state.accum[name],
-                config.learning_rate, config.adagrad_epsilon,
+                model.params[name], grads[name], state.accum[name],
+                config.learning_rate, config.adagrad_epsilon, scratch,
             )
     return EpochStats(nll=total_nll / n)
 

@@ -436,3 +436,43 @@ def preprocess_scan(sentence, lexicon=None):
             out.append(tok)
             i += 1
     return out
+
+
+def train_epoch_sequential(model, corpus, config, rng, accum):
+    """Reference for train.train_epoch: one sentence at a time, the loop
+    before batches ran in lock-step.  Per batch a fresh dict of sums gets
+    each sentence's single-sentence gradients in shuffled order; then the
+    mean, the optional clip to config.clip_norm and the AdaGrad formula
+    with numpy temporaries update model.params and `accum` (a dict like
+    it) in place.  Returns the mean NLL."""
+    n = len(corpus)
+    order = rng.permutation(n)
+    total_nll = 0.0
+    for start in range(0, n, config.batch_size):
+        batch = order[start:start + config.batch_size]
+        sums = {name: np.zeros_like(p) for name, p in model.params.items()}
+        for idx in batch:
+            loss, grads = model.loss_and_grads(
+                corpus[int(idx)], dropout=config.dropout, rng=rng
+            )
+            total_nll += loss
+            for name in sums:
+                sums[name] += grads[name]
+        inv = 1.0 / len(batch)
+        for g in sums.values():
+            g *= inv
+        if config.clip_norm is not None:
+            total = 0.0
+            for g in sums.values():
+                total += float(np.sum(g * g))
+            norm = np.sqrt(total)
+            if norm > config.clip_norm:
+                for g in sums.values():
+                    g *= config.clip_norm / norm
+        for name, p in model.params.items():
+            g = sums[name]
+            accum[name] += g * g
+            p -= config.learning_rate * g / (
+                np.sqrt(accum[name]) + config.adagrad_epsilon
+            )
+    return total_nll / n

@@ -161,6 +161,21 @@ def test_segment_rejects_incomplete_model(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_segment_rejects_mistyped_config(tmp_path, capsys):
+    model_dir = train_into(tmp_path, "m")
+    meta_path = os.path.join(model_dir, "model.json")
+    meta = json.load(open(meta_path, encoding="utf-8"))
+    meta["config"]["hidden"] = "4"
+    json.dump(meta, open(meta_path, "w", encoding="utf-8"))
+    raw = tmp_path / "raw.txt"
+    raw.write_text("我\n", encoding="utf-8")
+    capsys.readouterr()
+    rc = main(["segment", "--model", model_dir, "--input", str(raw)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "error:" in err and "hidden" in err
+
+
 def test_eval_prints_four_decimals(tmp_path, capsys):
     gold = tmp_path / "gold.txt"
     gold.write_text("你 好吗\n北京\n", encoding="utf-8")

@@ -42,20 +42,23 @@ def step_after(x, hs, cs, summary, attn, cell):
     hidden = cell.b.shape[0] // 4
     inputs = np.zeros((t + 1, x.shape[0]))
     inputs[t] = x
-    state = DirectionState.start(inputs, attn, cell, keep_steps=True)
+    # a batch of one sentence; rows views its arrays
+    batch = DirectionState.start([inputs], attn, cell, keep_steps=True)
+    rows = batch.sentence(0)
     for i in range(t):
-        state.tape[i] = np.concatenate((hs[i], cs[i]))
-        state.tape_wh[i] = attn.wh @ hs[i]
+        rows.tape[i] = np.concatenate((hs[i], cs[i]))
+        rows.tape_wh[i] = attn.wh @ hs[i]
     if t:
-        state.gate_in[t - 1, :hidden] = summary
+        rows.gate_in[t - 1, :hidden] = summary
     with np.errstate(over="ignore"):
-        tape_step(state, t, 0, attn, cell)
+        tape_step(batch, t, 0, attn, cell)
+    rows = batch.sentence(0)
     step = SimpleNamespace(
-        weights=state.weights[t],
-        h_summary=state.gate_in[t, :hidden],
-        c_summary=state.summary[t, hidden:],
+        weights=rows.weights[t],
+        h_summary=rows.gate_in[t, :hidden],
+        c_summary=rows.summary[t, hidden:],
     )
-    return state.tape[t, :hidden], state.tape[t, hidden:], step
+    return rows.tape[t, :hidden], rows.tape[t, hidden:], step
 
 
 def random_tapes(rng, t):
@@ -555,3 +558,104 @@ def test_backward_matches_pairwise_oracle(extra_layers, memory_span, dropout,
         for got, ref in [(grads[k], want[k]) for k in want] + [(d_x, want_d_x)]:
             assert got.shape == ref.shape
             assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def batch_case(dims, memory_span, extra_layers, lengths, seed):
+    cfg = small_config(memory_span=memory_span, extra_layers=extra_layers,
+                       **dims)
+    rng = np.random.default_rng(seed)
+    params = {k: rng.normal(scale=0.5, size=v.shape)
+              for k, v in init_params(cfg, rng).items()}
+    xs = [rng.normal(size=(n, cfg.input_dim)) for n in lengths]
+    return cfg, params, xs
+
+
+BATCH_CASES = [
+    pytest.param({}, span, layers, dropout, id=f"toy-{span}-{layers}-{dropout}")
+    for span in (None, 1, 2) for layers in (0, 1) for dropout in (0.0, 0.3)
+] + [
+    pytest.param(PAPER_DIMS, None, 0, 0.0, id="paper-None-0-0.0"),
+    pytest.param(PAPER_DIMS, 2, 1, 0.3, id="paper-2-1-0.3"),
+]
+
+
+@pytest.mark.parametrize("dims, memory_span, extra_layers, dropout", BATCH_CASES)
+def test_batched_forward_matches_batch_of_one(dims, memory_span, extra_layers,
+                                              dropout):
+    # mixed lengths, a length-1 sentence and a tie; the shared rng must
+    # give each sentence the masks it draws on its own
+    lengths = [5, 1, 9, 5, 3] if not dims else [4, 1, 7]
+    cfg, params, xs = batch_case(dims, memory_span, extra_layers, lengths, 68)
+    out, cache = forward(params, cfg, xs, dropout=dropout,
+                         rng=np.random.default_rng(3))
+    one_rng = np.random.default_rng(3)
+    for s, x in enumerate(xs):
+        want, want_cache = forward(params, cfg, x, dropout=dropout, rng=one_rng)
+        assert np.array_equal(out[s], want)
+        got_cache = cache.sentence(s)
+        for got_layer, want_layer in zip(got_cache.layer_caches,
+                                         want_cache.layer_caches):
+            for got, ref in zip(got_layer, want_layer):
+                # both tapes, [h | c], and every step's attention weights
+                assert np.array_equal(got.tape, ref.tape)
+                assert len(got.weights) == len(ref.weights) == x.shape[0]
+                for a, b in zip(got.weights, ref.weights):
+                    assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("dims, memory_span, extra_layers, dropout", BATCH_CASES)
+def test_batched_backward_matches_batch_of_one(dims, memory_span, extra_layers,
+                                               dropout):
+    lengths = [5, 1, 9, 5, 3] if not dims else [4, 1, 7]
+    cfg, params, xs = batch_case(dims, memory_span, extra_layers, lengths, 69)
+    rng = np.random.default_rng(70)
+    d_emissions = [rng.normal(size=(n, 4)) for n in lengths]
+    _, cache = forward(params, cfg, xs, dropout=dropout,
+                       rng=np.random.default_rng(4))
+    grads, d_inputs = backward(params, cfg, cache, d_emissions)
+    one_rng = np.random.default_rng(4)
+    sums = {k: np.zeros_like(p) for k, p in params.items()}
+    for s, x in enumerate(xs):
+        _, one_cache = forward(params, cfg, x, dropout=dropout, rng=one_rng)
+        one_grads, one_d_x = backward(params, cfg, one_cache, d_emissions[s])
+        assert np.array_equal(d_inputs[s], one_d_x)
+        for k in sums:
+            sums[k] += one_grads[k]
+    assert set(grads) == set(sums)
+    for k in sums:
+        assert np.array_equal(grads[k], sums[k]), k
+
+
+def test_backward_adds_into_given_grads():
+    cfg, params, xs = batch_case({}, None, 0, [3, 2], 71)
+    _, cache = forward(params, cfg, xs)
+    d_emissions = [np.ones((3, 4)), np.ones((2, 4))]
+    fresh, _ = backward(params, cfg, cache, d_emissions)
+    into = {k: np.zeros_like(p) for k, p in params.items()}
+    got, _ = backward(params, cfg, cache, d_emissions, into)
+    assert got is into
+    for k in fresh:
+        assert np.array_equal(got[k], fresh[k])
+    # one sentence's gradient lands on what the dict already holds
+    _, one_cache = forward(params, cfg, xs[0])
+    one, _ = backward(params, cfg, one_cache, d_emissions[0])
+    backward(params, cfg, one_cache, d_emissions[0], into)
+    for k in fresh:
+        assert np.array_equal(into[k], fresh[k] + one[k])
+
+
+def test_backward_of_one_sentence_needs_its_own_batch():
+    cfg, params, xs = batch_case({}, None, 0, [3, 2], 72)
+    _, cache = forward(params, cfg, xs)
+    with pytest.raises(ValueError):
+        backward(params, cfg, cache.sentence(0), np.zeros((3, 4)))
+    with pytest.raises(ValueError):
+        backward(params, cfg, cache, [np.zeros((3, 4))])
+
+
+def test_batch_state_rejects_unsorted_lengths():
+    rng = np.random.default_rng(73)
+    attn, cell = random_direction_params(rng)
+    with pytest.raises(ValueError):
+        DirectionState.start([np.zeros((2, DIM)), np.zeros((3, DIM))],
+                             attn, cell, keep_steps=True)

@@ -15,6 +15,7 @@ from attnseg.train import (
     AdagradState, adagrad_update, fit, load_model,
     model_gradient_check, save_model, tag_accuracy, train_epoch,
 )
+from oracles import train_epoch_sequential
 
 TOY_CONFIG = dict(hidden=12, emb_dim=8, window=3, dropout=0.0,
                   batch_size=8, epochs=2, seed=42)
@@ -96,6 +97,45 @@ def test_config_roundtrip():
         TrainConfig.from_dict({"no_such_field": 1})
 
 
+@pytest.mark.parametrize("fields, name", [
+    ({"hidden": "4"}, "hidden"),
+    ({"bigrams": "no"}, "bigrams"),
+    ({"bigrams": 1}, "bigrams"),
+    ({"batch_size": 2.5}, "batch_size"),
+    ({"batch_size": True}, "batch_size"),
+    ({"dropout": True}, "dropout"),
+    ({"hidden": None}, "hidden"),
+    ({"memory_span": "2"}, "memory_span"),
+])
+def test_config_from_dict_checks_field_types(fields, name):
+    with pytest.raises(ValueError, match=name):
+        TrainConfig.from_dict(fields)
+
+
+def test_config_from_dict_takes_declared_types():
+    cfg = TrainConfig.from_dict({"dropout": 0, "clip_norm": 1, "attn_dim": None,
+                                 "memory_span": None, "bigrams": True})
+    assert cfg == TrainConfig(dropout=0.0, clip_norm=1.0, bigrams=True)
+    assert type(cfg.dropout) is float and type(cfg.clip_norm) is float
+    with pytest.raises(ValueError):
+        TrainConfig.from_dict([["hidden", 4]])
+
+
+def test_adagrad_scratch_update_matches_formula_bitwise():
+    rng = np.random.default_rng(63)
+    p = rng.normal(size=(60, 45))
+    g = rng.normal(size=(60, 45))
+    acc = rng.random((60, 45))
+    want_p, want_acc = p.copy(), acc.copy()
+    want_acc += g * g
+    want_p -= 0.1 * g / (np.sqrt(want_acc) + 1e-6)
+    g_before = g.copy()
+    adagrad_update(p, g, acc, 0.1, 1e-6, np.empty(2 * p.size + 7))
+    assert np.array_equal(p, want_p)
+    assert np.array_equal(acc, want_acc)
+    assert np.array_equal(g, g_before)
+
+
 def test_pack_unpack_roundtrip():
     model, _, _ = toy_model()
     vec = pack_params(model.params)
@@ -173,6 +213,49 @@ def test_gradient_accumulation_is_batch_mean():
                        0.5, cfg.adagrad_epsilon)
     for k in model.params:
         assert np.array_equal(model.params[k], twin.params[k]), k
+
+
+@pytest.mark.parametrize("overrides", [
+    {}, {"bigrams": True}, {"memory_span": 2, "extra_layers": 1},
+])
+def test_batched_loss_and_grads_match_single_sentences(overrides):
+    model, corpus, _ = toy_model(**overrides)
+    batch = [corpus[i] for i in (3, 0, 7, 1, 5)]
+    losses, grads = model.loss_and_grads(batch, dropout=0.3,
+                                         rng=np.random.default_rng(9))
+    rng = np.random.default_rng(9)
+    sums = {k: np.zeros_like(p) for k, p in model.params.items()}
+    for sent, loss in zip(batch, losses):
+        one_loss, one_grads = model.loss_and_grads(sent, dropout=0.3, rng=rng)
+        assert loss == one_loss
+        for k in sums:
+            sums[k] += one_grads[k]
+    assert list(grads) == list(model.params)
+    for k in sums:
+        assert np.array_equal(grads[k], sums[k]), k
+
+
+@pytest.mark.parametrize("overrides", [
+    {}, {"bigrams": True}, {"clip_norm": 0.1},
+    {"memory_span": 2, "extra_layers": 1},
+])
+def test_train_epoch_matches_sequential_reference(overrides):
+    # batches of 5 over 32 sentences end in a partial batch
+    kw = dict(dropout=0.2, batch_size=5, **overrides)
+    model, corpus, cfg = toy_model(**kw)
+    twin, _, _ = toy_model(**kw)
+    state = AdagradState.for_params(model.params)
+    accum = {k: np.zeros_like(p) for k, p in twin.params.items()}
+    rng = np.random.default_rng(cfg.seed)
+    twin_rng = np.random.default_rng(cfg.seed)
+    for _ in range(2):
+        stats = train_epoch(model, corpus, cfg, rng, state)
+        assert stats.nll == train_epoch_sequential(twin, corpus, cfg,
+                                                   twin_rng, accum)
+    assert pack_params(model.params).tobytes() == \
+        pack_params(twin.params).tobytes()
+    for k in accum:
+        assert np.array_equal(state.accum[k], accum[k]), k
 
 
 def test_clip_norm_caps_update():
@@ -389,3 +472,29 @@ def test_decode_memory_grows_linearly_with_length():
             tracemalloc.stop()
 
     assert peak(400) < 3 * peak(200)
+
+
+def test_decode_releases_each_direction_before_the_next():
+    # per token, decoding holds the input row, one direction's whole
+    # state row ([h | c], Wh h, Wx x, [h~ | x]), the other direction's
+    # tape row and the window temporaries of a step; holding the first
+    # direction's whole state while the second runs adds (2a + h + d) * 8
+    # bytes per token and breaks the bound
+    model, corpus, cfg = toy_model()
+    h = a = cfg.hidden
+    d = cfg.window * cfg.emb_dim
+    chars = [tok for sent in corpus for tok in sent.tokens]
+    model.decode(chars[:8])
+
+    def peak(n):
+        tokens = (chars * (n // len(chars) + 1))[:n]
+        tracemalloc.start()
+        try:
+            model.decode(tokens)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    state_row = (2 * h + a + a + h + d) * 8
+    per_token = (peak(800) - peak(400)) / 400
+    assert per_token < d * 8 + 2 * state_row
