@@ -8,6 +8,7 @@ then count as single characters everywhere downstream.
 """
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -43,6 +44,13 @@ def load_lexicon(path):
     return frozenset(i for i in idioms if i)
 
 
+@lru_cache(maxsize=8)
+def _idiom_lengths(lexicon):
+    """Distinct lengths of a frozenset's non-empty idioms, longest first:
+    computed once per lexicon, not once per call."""
+    return tuple(sorted({len(idiom) for idiom in lexicon if idiom}, reverse=True))
+
+
 def preprocess(sentence, lexicon=None):
     """Normalize a sentence (a string, or a list of tokens) to a token list.
 
@@ -54,7 +62,8 @@ def preprocess(sentence, lexicon=None):
     makes the function idempotent.
     """
     toks = list(sentence)
-    lengths = sorted({len(idiom) for idiom in lexicon or () if idiom}, reverse=True)
+    # frozenset() of a frozenset is the set itself, so the cache hits
+    lengths = _idiom_lengths(frozenset(lexicon)) if lexicon else ()
     out = []
     i = 0
     n = len(toks)

@@ -46,9 +46,11 @@ enters the tape; Wx x_t is computed for every t before the first step,
 one matrix-vector product per row (bit-equal to the per-step product,
 which one matrix product would not be).  A step then costs three
 matrix-vector products per sentence (Wp p_{t-1}, the gate block and
-Wh h_t), O(a·h) work, plus O(w·a) for its window of w entries, and a
-sentence of n tokens O(n·a·h + n²·a) per direction (rather than
-O(n²·a·h)).  A batch of B sentences takes one set of numpy calls per
+Wh h_t), O(a·h) work, plus O(w·(a + h)) for its window of w entries,
+and a sentence of n tokens O(n·a·h + n²·(a + h)) per direction (rather
+than O(n²·a·h)).  Both summaries are one sum of products per step,
+which reads the window's [h_i | c_i] rows once and forms no (w, 2h)
+product array.  A batch of B sentences takes one set of numpy calls per
 step for all of them, where one sentence at a time takes B sets.  The
 backward pass sums the tape term of every later step's attention
 gradient per entry before multiplying by Wh^T, for the same bound.
@@ -346,10 +348,12 @@ def tape_step(state, t, window_start, attn, cell):
         # (a matrix-vector product) rounds differently
         scores = np.vecdot(pre_tanh, attn.v)
         weights = softmax(scores, out=scores)
-        # one pass sums [h_i | c_i] rows in tape order into [h~ | c~]
-        # (np.sum's reduction, without its per-call Python wrapper)
-        np.add.reduce(weights[..., None] * rows.tape[..., window_start:t, :],
-                      axis=-2, out=summary)
+        # [h~ | c~] as one sum of products over the window: einsum's C
+        # loop (optimize=False, no BLAS) adds s_i * [h_i | c_i] into the
+        # row in tape order, multiply then add, like the oracle's
+        # h_sum += s_i * h_i, and forms no (w, 2h) product array
+        np.einsum("...i,...ij->...j", weights, rows.tape[..., window_start:t, :],
+                  out=summary)
         if kept:
             # (k, w) and (k, w, a) blocks, one sentence's included
             k = state.active[t]

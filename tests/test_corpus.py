@@ -123,6 +123,29 @@ def test_preprocess_matches_scan_oracle():
     assert matched > 500  # the lexicon path is exercised, not bypassed
 
 
+def test_preprocess_alternating_lexicons_match_scan_oracle():
+    # the idiom lengths are kept per lexicon: calls that alternate
+    # lexicons of different lengths, more of them than the cache holds,
+    # must each use their own lexicon's lengths
+    short = frozenset({"甲乙", "丙"})
+    long = frozenset({"甲乙丙丁", "乙丙丁戊"})
+    sentence = "甲乙丙丁戊甲乙丙"
+    for _ in range(3):
+        for lexicon in (short, long, set(short), None):
+            assert preprocess(sentence, lexicon) == preprocess_scan(sentence, lexicon)
+    assert preprocess(sentence, short) == [IDIOM, IDIOM, "丁", "戊", IDIOM, IDIOM]
+    assert preprocess(sentence, long) == [IDIOM, "戊", "甲", "乙", "丙"]
+    rng = np.random.default_rng(21)
+    lexicons = [_random_lexicon(rng) for _ in range(12)]
+    assert len({max(map(len, lexicon)) for lexicon in lexicons}) > 1
+    for _ in range(2):
+        for lexicon in lexicons:
+            for _ in range(5):
+                sentence = _random_input(rng, lexicon)
+                assert preprocess(sentence, lexicon) == \
+                    preprocess_scan(sentence, lexicon), (sentence, lexicon)
+
+
 def test_vocab_reserved_slots():
     v = Vocab.build([["你", "好"]])
     assert v.id_to_token[:4] == [PAD, UNK, ENG, NUM]

@@ -626,6 +626,49 @@ def test_batched_backward_matches_batch_of_one(dims, memory_span, extra_layers,
         assert np.array_equal(grads[k], sums[k]), k
 
 
+def assert_tapes_match_unrolling(params, cfg, xs):
+    """Run the batch `xs` and check every sentence's hidden tapes, per
+    layer and direction, bit for bit against lstmn_unrolled over that
+    sentence alone."""
+    _, cache = forward(params, cfg, xs)
+    for s, x in enumerate(xs):
+        rows = x
+        for layer, (got_f, got_b) in enumerate(cache.sentence(s).layer_caches):
+            for direction, inputs, got in (("fwd", rows, got_f.tape_h),
+                                           ("bwd", rows[::-1], got_b.tape_h)):
+                attn, cell = direction_view(params, layer, direction)
+                want = lstmn_unrolled(list(inputs), attn.wh, attn.wx, attn.wp,
+                                      attn.v, cell.w, cell.b,
+                                      memory_span=cfg.memory_span)
+                assert len(got) == len(want)
+                for t, (a, b) in enumerate(zip(got, want)):
+                    assert np.array_equal(a, b), (s, layer, direction, t)
+            rows = np.concatenate((got_f.tape_h, got_b.tape_h[::-1]), axis=1)
+
+
+@pytest.mark.parametrize("lengths", [[40], [37, 23, 23, 12, 2, 1], [1, 31, 9, 33]])
+@pytest.mark.parametrize("extra_layers", [0, 1])
+@pytest.mark.parametrize("span", [None, 3])
+def test_long_window_tapes_match_unrolling(span, extra_layers, lengths):
+    # unbounded windows grow to 39 entries, wider than the 2h = 10
+    # columns of a [h | c] tape row; ragged batches, in any order
+    assert max(lengths) - 1 > 2 * HID
+    cfg, params, xs = batch_case({}, span, extra_layers, lengths,
+                                 74 + sum(lengths))
+    assert_tapes_match_unrolling(params, cfg, xs)
+
+
+@pytest.mark.parametrize("lengths", [[60], [41, 60, 7]], ids=["alone", "batch"])
+def test_long_window_tapes_match_unrolling_at_paper_dimensions(lengths):
+    cfg = EncoderConfig(**PAPER_DIMS)
+    rng = np.random.default_rng(75)
+    params = init_params(cfg, rng)
+    # the same 60-token sentence alone and inside the batch
+    x = rng.normal(size=(60, cfg.input_dim))
+    xs = [x if n == 60 else rng.normal(size=(n, cfg.input_dim)) for n in lengths]
+    assert_tapes_match_unrolling(params, cfg, xs)
+
+
 def test_backward_adds_into_given_grads():
     cfg, params, xs = batch_case({}, None, 0, [3, 2], 71)
     _, cache = forward(params, cfg, xs)

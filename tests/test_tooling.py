@@ -1,10 +1,19 @@
-"""The benchmark's tracer wraps the package's functions by name
+"""Guards on the tools the package relies on.
+
+The benchmark's tracer wraps the package's functions by name
 (perfbench/spans.py).  Installing and removing it here makes a rename of
-a wrapped function fail the tests, not a traced benchmark run."""
+a wrapped function fail the tests, not a traced benchmark run.
+
+The attention summaries rely on numpy's einsum adding products in order;
+a numpy release that changes that order fails here, by name, before the
+tape bit-equality tests fail without saying why."""
 
 import importlib.util
 import os
 import sys
+
+import numpy as np
+import pytest
 
 import attnseg
 
@@ -43,3 +52,29 @@ def test_tracer_wraps_and_restores_every_layer():
         tracer.uninstall()
     for owner, attr, original in targets:
         assert vars(owner)[attr] is original, (owner, attr)
+
+
+@pytest.mark.parametrize("k", [None, 1, 2, 3, 5, 8])
+def test_einsum_sums_window_rows_in_tape_order(k):
+    # the layout of encoder.tape_step: a (k, w) weight block and a window
+    # of rows of a (k, n, 2h) tape, into a strided summary row, w > 2h
+    rng = np.random.default_rng(90 + (k or 0))
+    batch = () if k is None else (k,)
+    two_h, n, start = 6, 40, 3
+    tape = rng.normal(size=batch + (n, two_h))
+    summary = np.zeros(batch + (n, two_h))
+    for t in range(start + 1, n):
+        window = tape[..., start:t, :]
+        weights = rng.random(batch + (t - start,))
+        weights /= weights.sum(axis=-1, keepdims=True)
+        out = summary[..., t, :]
+        np.einsum("...i,...ij->...j", weights, window, out=out)
+        want = np.zeros(batch + (two_h,))
+        for i in range(t - start):
+            want += weights[..., i, None] * window[..., i, :]
+        assert np.array_equal(out, want), (
+            f"numpy {np.__version__}: einsum no longer sums window rows in "
+            f"order (k={k}, w={t - start}); encoder.tape_step's summaries "
+            "would break the bit-equality pin of the tapes to "
+            "tests/oracles.py::lstmn_unrolled"
+        )
