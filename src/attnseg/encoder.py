@@ -50,10 +50,22 @@ Wh h_t), O(a·h) work, plus O(w·(a + h)) for its window of w entries,
 and a sentence of n tokens O(n·a·h + n²·(a + h)) per direction (rather
 than O(n²·a·h)).  Both summaries are one sum of products per step,
 which reads the window's [h_i | c_i] rows once and forms no (w, 2h)
-product array.  A batch of B sentences takes one set of numpy calls per
-step for all of them, where one sentence at a time takes B sets.  The
-backward pass sums the tape term of every later step's attention
-gradient per entry before multiplying by Wh^T, for the same bound.
+product array.  The backward pass sums the tape term of every later
+step's attention gradient per entry before multiplying by Wh^T, for the
+same bound.  A batch of B sentences takes one set of numpy calls per
+step for all of them, where one sentence at a time takes B sets.  A
+step of k > 1 sentences forms the gate block by row blocks of W,
+GATE_BLOCK_ROWS (192) at a time, one stacked product per block: at
+paper dimensions W is 600 x 450 float64, 2.16 MB, more than a 2 MB
+per-core L2, so k products over all of W would each stream it from L3,
+while a 690 KB block is read from L3 once and from L2 for the other
+k - 1 sentences.  Each row of the result is still one dot product of
+the same dgemv kernel in the same order as in the whole product,
+because blocks start at multiples of 64 rows: OpenBLAS's dgemv_t forms
+output rows in groups of 4, and 64 is a multiple of any power-of-two
+group a kernel uses.  Blocks per gate (150 rows) start inside such
+groups and round differently (24 of 48 random cases differed), so W
+is not split by gate.  One sentence reads W once and takes it whole.
 Training keeps each step's (k, w, a) activations and its gate rows for
 backward: sum over the batch of n_i²/2 · a · 8 bytes of window
 activations.  Decoding runs the same loop with keep_cache=False: it
@@ -68,6 +80,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .numerics import ShapeError, sigmoid, softmax
+
+# rows of cell.w per gate product of a stacked step: 690 KB at paper
+# dimensions, and a multiple of 64 (module docstring, Cost)
+GATE_BLOCK_ROWS = 192
 
 
 @dataclass
@@ -365,7 +381,14 @@ def tape_step(state, t, window_start, attn, cell):
     gate_in[..., :hidden] = summary[..., :hidden]
     z = rows.gates[..., row, :]
     # W [h~ | x_t], one matrix-vector product per sentence like Wp p
-    np.matmul(gate_in[..., None, :], cell.w.T, out=z[..., None, :])
+    if gate_in.ndim == 1:
+        np.matmul(gate_in[None, :], cell.w.T, out=z[None, :])
+    else:
+        # by row blocks of W that stay in L2 across the stack (module
+        # docstring, Cost)
+        for r in range(0, z.shape[-1], GATE_BLOCK_ROWS):
+            block = slice(r, r + GATE_BLOCK_ROWS)
+            np.matmul(gate_in[:, None, :], cell.w[block].T, out=z[:, None, block])
     z += cell.b
     gates_ifo, candidate = z[..., :3 * hidden], z[..., 3 * hidden:]
     sigmoid(gates_ifo, out=gates_ifo)

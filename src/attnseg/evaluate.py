@@ -67,10 +67,15 @@ def _micro_average(pairs):
 
 
 def evaluate_corpus(model, corpus):
-    """Micro-averaged (P, R, F1) of masked decoding against gold tags."""
+    """Micro-averaged (P, R, F1) of masked decoding against gold tags.
+
+    `model.decode` must take a list of token sequences and return their
+    paths in that order: the corpus is decoded with one such call.
+    """
     if len(corpus) == 0:
         raise ValueError("cannot evaluate an empty corpus")
-    return _micro_average((sent.tags, model.decode(sent.tokens)) for sent in corpus)
+    paths = model.decode([sent.tokens for sent in corpus])
+    return _micro_average(zip((sent.tags for sent in corpus), paths))
 
 
 def score_segmentations(gold_corpus, pred_corpus):

@@ -287,11 +287,34 @@ class Segmenter:
 
     def decode(self, tokens, masked=True):
         """Most likely tag sequence for a token sequence (grammar mask on
-        by default, so output is always a valid BMES string)."""
-        scores, _ = self.emissions(tokens, keep_cache=False)
+        by default, so output is always a valid BMES string), or the
+        list of them for a list of token sequences, in input order.
+
+        A list is decoded in lock-step chunks of config.batch_size
+        sentences, longest first: one encoder pass without a cache per
+        chunk, so memory holds one chunk's arrays at a time.  A path
+        does not depend on the chunk it runs in, and an empty sequence
+        decodes to [].
+        """
+        if not tokens:
+            return []
+        single = isinstance(tokens[0], str)
+        sentences = [tokens] if single else tokens
         mask = tagging.transition_mask() if masked else None
-        path, _ = crf.viterbi(scores, self.params["crf.trans"], mask=mask)
-        return path
+        trans = self.params["crf.trans"]
+        config, size = self.encoder_config, self.config.batch_size
+        paths = [[] for _ in sentences]
+        order = sorted((s for s in range(len(sentences)) if sentences[s]),
+                       key=lambda s: -len(sentences[s]))
+        for start in range(0, len(order), size):
+            chunk = order[start:start + size]
+            scores, _ = encoder.forward(
+                self.params, config,
+                [self._features(sentences[s])[0] for s in chunk], keep_cache=False,
+            )
+            for s, sent_scores in zip(chunk, scores):
+                paths[s], _ = crf.viterbi(sent_scores, trans, mask=mask)
+        return paths[0] if single else paths
 
     def segment(self, line):
         """Raw text line -> list of words (preprocessed token spelling)."""

@@ -4,9 +4,10 @@ One epoch shuffles the corpus, walks it in batches (last partial batch
 kept), and for each batch averages per-sentence gradients before a
 single AdaGrad step over every parameter, transition scores included.
 It reports the mean training NLL and decodes nothing.  fit() repeats
-this, scores the dev set after each epoch with masked Viterbi decoding,
-and keeps the parameters of the best dev-F1 epoch; each EpochRecord
-holds the epoch number, the training NLL and the dev P/R/F1.
+this, scores the dev set after each epoch with masked Viterbi decoding
+(one list decode, in lock-step chunks of batch_size), and keeps the
+parameters of the best dev-F1 epoch; each EpochRecord holds the epoch
+number, the training NLL and the dev P/R/F1.
 tag_accuracy() decodes a corpus for its tag accuracy when a caller
 wants that figure.
 
@@ -102,14 +103,14 @@ class EpochRecord:
 
 
 def tag_accuracy(model, corpus):
-    """Fraction of positions where masked decoding returns the gold tag."""
-    correct = 0
-    total = 0
-    for sent in corpus:
-        path = model.decode(sent.tokens)
-        correct += sum(1 for p, g in zip(path, sent.tags) if p == g)
-        total += len(sent.tags)
-    return correct / total
+    """Fraction of positions where masked decoding returns the gold tag;
+    the corpus is decoded with one list call to model.decode."""
+    if len(corpus) == 0:
+        raise ValueError("cannot score an empty corpus")
+    paths = model.decode([sent.tokens for sent in corpus])
+    correct = sum(p == g for path, sent in zip(paths, corpus)
+                  for p, g in zip(path, sent.tags))
+    return correct / sum(len(sent.tags) for sent in corpus)
 
 
 def _clip(grads, max_norm):

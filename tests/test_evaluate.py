@@ -84,13 +84,14 @@ def test_prf1_f1_between_p_and_r():
 
 
 class FakeModel:
-    """Decodes to a canned tag sequence per sentence text."""
+    """Decodes a list of token sequences to a canned tag sequence per
+    sentence text, as evaluate_corpus calls it."""
 
     def __init__(self, answers):
         self.answers = answers
 
-    def decode(self, tokens, masked=True):
-        return self.answers["".join(tokens)]
+    def decode(self, sentences, masked=True):
+        return [self.answers["".join(tokens)] for tokens in sentences]
 
 
 def sentence(words):

@@ -4,9 +4,11 @@ The benchmark's tracer wraps the package's functions by name
 (perfbench/spans.py).  Installing and removing it here makes a rename of
 a wrapped function fail the tests, not a traced benchmark run.
 
-The attention summaries rely on numpy's einsum adding products in order;
-a numpy release that changes that order fails here, by name, before the
-tape bit-equality tests fail without saying why."""
+The attention summaries rely on numpy's einsum adding products in order,
+and the gate product of a stacked step on OpenBLAS forming each row of a
+row block as it forms it in the whole product; a numpy or BLAS release
+that changes either fails here, by name, before the tape bit-equality
+tests fail without saying why."""
 
 import importlib.util
 import os
@@ -16,6 +18,7 @@ import numpy as np
 import pytest
 
 import attnseg
+from attnseg.encoder import GATE_BLOCK_ROWS
 
 SPANS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                      "perfbench", "spans.py")
@@ -76,5 +79,29 @@ def test_einsum_sums_window_rows_in_tape_order(k):
             f"numpy {np.__version__}: einsum no longer sums window rows in "
             f"order (k={k}, w={t - start}); encoder.tape_step's summaries "
             "would break the bit-equality pin of the tapes to "
+            "tests/oracles.py::lstmn_unrolled"
+        )
+
+
+@pytest.mark.parametrize("shape", [(600, 450), (600, 550), (20, 25)])
+@pytest.mark.parametrize("k", [2, 3, 8, 26])
+def test_gate_product_by_row_blocks_matches_each_sentence(shape, k):
+    # the layout of encoder.tape_step at a stacked step: k strided gate
+    # inputs times cell.w, GATE_BLOCK_ROWS rows at a time, into strided
+    # gate rows; paper, bigram and toy dimensions of cell.w
+    rng = np.random.default_rng(shape[1] + k)
+    rows, cols = shape
+    w = rng.uniform(-0.1, 0.1, size=shape)
+    gate_in = rng.normal(size=(k, 3, cols))[:, 1]
+    z = np.zeros((k, 3, rows))[:, 1]
+    for r in range(0, rows, GATE_BLOCK_ROWS):
+        block = slice(r, r + GATE_BLOCK_ROWS)
+        np.matmul(gate_in[:, None, :], w[block].T, out=z[:, None, block])
+    for s in range(k):
+        assert np.array_equal(z[s], w @ gate_in[s]), (
+            f"numpy {np.__version__}: the gate product by blocks of "
+            f"{GATE_BLOCK_ROWS} rows no longer equals W @ x for each sentence "
+            f"(W {shape}, k={k}, sentence {s}); encoder.tape_step's stacked "
+            "steps would break the bit-equality pin of the tapes to "
             "tests/oracles.py::lstmn_unrolled"
         )

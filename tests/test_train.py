@@ -455,6 +455,52 @@ def test_tag_accuracy_bounds():
     assert 0.0 <= acc <= 1.0
 
 
+def test_tag_accuracy_empty_corpus_errors():
+    model, _, _ = toy_model()
+    with pytest.raises(ValueError, match="empty corpus"):
+        tag_accuracy(model, Corpus([]))
+
+
+@pytest.mark.parametrize("dims", [{}, dict(hidden=150, emb_dim=100, batch_size=4)])
+def test_list_decode_matches_single_sentences(dims):
+    # toy and paper dimensions; ragged lengths in no order, ties, one
+    # token, and more sentences than batch_size, so chunks have edges
+    model, corpus, cfg = toy_model(**dims)
+    chars = [tok for sent in corpus for tok in sent.tokens]
+    rng = np.random.default_rng(3)
+    lengths = [5, 1, 17, 3, 17, 9, 2, 12, 1, 6, 20]
+    assert len(lengths) > cfg.batch_size
+    sentences = []
+    for n in lengths:
+        start = int(rng.integers(len(chars) - n))
+        sentences.append(chars[start:start + n])
+    paths = model.decode(sentences)
+    assert paths == [model.decode(tokens) for tokens in sentences]
+    assert model.decode([sentences[2], [], sentences[1]]) == [paths[2], [], paths[1]]
+    assert model.decode([]) == []
+
+
+def test_list_decode_holds_one_chunk_at_a_time():
+    # each chunk's arrays go before the next chunk runs: four chunks'
+    # worth of sentences peak near one chunk's memory, where one forward
+    # pass over the whole list would hold four times its arrays
+    model, corpus, cfg = toy_model()
+    chars = [tok for sent in corpus for tok in sent.tokens]
+    sentence = (chars * (60 // len(chars) + 1))[:60]
+    model.decode([sentence] * 2)
+
+    def peak(count):
+        sentences = [list(sentence) for _ in range(count)]
+        tracemalloc.start()
+        try:
+            model.decode(sentences)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(4 * cfg.batch_size) < 1.5 * peak(cfg.batch_size)
+
+
 def test_decode_memory_grows_linearly_with_length():
     # the tapes grow with n; step caches kept for a backward pass would
     # grow with n^2 and make the doubled line take about 4x the memory
