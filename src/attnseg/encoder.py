@@ -59,13 +59,18 @@ GATE_BLOCK_ROWS (192) at a time, one stacked product per block: at
 paper dimensions W is 600 x 450 float64, 2.16 MB, more than a 2 MB
 per-core L2, so k products over all of W would each stream it from L3,
 while a 690 KB block is read from L3 once and from L2 for the other
-k - 1 sentences.  Each row of the result is still one dot product of
-the same dgemv kernel in the same order as in the whole product,
-because blocks start at multiples of 64 rows: OpenBLAS's dgemv_t forms
-output rows in groups of 4, and 64 is a multiple of any power-of-two
-group a kernel uses.  Blocks per gate (150 rows) start inside such
-groups and round differently (24 of 48 random cases differed), so W
-is not split by gate.  One sentence reads W once and takes it whole.
+k - 1 sentences.  Each row of the result stays bit-equal to W @ x
+only if the BLAS forms it from the same kernel group in a block as in
+the whole product: OpenBLAS 0.3.31's dgemv_t (Haswell kernels) did so
+for blocks of 64, 128 and 192 rows in every case tried, at 1 to 8
+threads on a 2-core box, which fits output rows formed 4 at a time;
+block starts are kept at multiples of 64 rows so that any power-of-two
+row group up to 64 starts at the same row in a block as in W.
+Blocks of one gate (150 rows) or of 37 rows rounded differently (24 of
+48 random cases each), so W is not split by gate.  Another BLAS build
+or core count may group rows otherwise; tests/test_tooling.py checks
+the blocks on the installed one.  One sentence reads W once and takes
+it whole.
 Training keeps each step's (k, w, a) activations and its gate rows for
 backward: sum over the batch of n_i²/2 · a · 8 bytes of window
 activations.  Decoding runs the same loop with keep_cache=False: it

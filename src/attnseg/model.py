@@ -291,7 +291,7 @@ class Segmenter:
         list of them for a list of token sequences, in input order.
 
         A list is decoded in lock-step chunks of config.batch_size
-        sentences, longest first: one encoder pass without a cache per
+        sentences, in list order: one encoder pass without a cache per
         chunk, so memory holds one chunk's arrays at a time.  A path
         does not depend on the chunk it runs in, and an empty sequence
         decodes to [].
@@ -304,10 +304,9 @@ class Segmenter:
         trans = self.params["crf.trans"]
         config, size = self.encoder_config, self.config.batch_size
         paths = [[] for _ in sentences]
-        order = sorted((s for s in range(len(sentences)) if sentences[s]),
-                       key=lambda s: -len(sentences[s]))
-        for start in range(0, len(order), size):
-            chunk = order[start:start + size]
+        nonempty = [s for s in range(len(sentences)) if sentences[s]]
+        for start in range(0, len(nonempty), size):
+            chunk = nonempty[start:start + size]
             scores, _ = encoder.forward(
                 self.params, config,
                 [self._features(sentences[s])[0] for s in chunk], keep_cache=False,

@@ -24,6 +24,15 @@ SPANS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
                      "perfbench", "spans.py")
 
 
+def blas_build():
+    # the BLAS and thread count decide how gemv groups rows (encoder
+    # module docstring, Cost)
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    threads = os.environ.get("OPENBLAS_NUM_THREADS", "unset")
+    return (f"numpy {np.__version__}, {blas.get('name')} {blas.get('version')}, "
+            f"{os.cpu_count()} cores, OPENBLAS_NUM_THREADS={threads}")
+
+
 def load_spans():
     # read the file as it is: no bytecode cache is written next to it
     spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
@@ -99,7 +108,7 @@ def test_gate_product_by_row_blocks_matches_each_sentence(shape, k):
         np.matmul(gate_in[:, None, :], w[block].T, out=z[:, None, block])
     for s in range(k):
         assert np.array_equal(z[s], w @ gate_in[s]), (
-            f"numpy {np.__version__}: the gate product by blocks of "
+            f"{blas_build()}: the gate product by blocks of "
             f"{GATE_BLOCK_ROWS} rows no longer equals W @ x for each sentence "
             f"(W {shape}, k={k}, sentence {s}); encoder.tape_step's stacked "
             "steps would break the bit-equality pin of the tapes to "
