@@ -26,10 +26,10 @@ Tapes reset to empty for every sentence.  The backward pass is written
 by hand (gradients flow through the attention weights, the summaries and
 the tapes) and is verified against central finite differences.
 
-State.  forward() and backward() take one sentence or a batch of them.
-A batch runs in lock-step: sorted longest first, step t advances the
-sentences still running, the first k of them, which all share the
-window [window_start, t).  Each direction writes the batch's arrays by
+State.  forward() and backward() take a batch: a list of sentences,
+run in lock-step.  Sorted longest first, step t advances the sentences
+still running, the first k of them, which all share the window
+[window_start, t).  Each direction writes the batch's arrays by
 sentence and row (DirectionState): the tapes side by side as
 [h_t | c_t], Wh h_t, the gate input [h~_t | x_t] and, when kept for
 backward, the gate activations, tanh c_t and [h~_t | c~_t]; a kept step
@@ -210,10 +210,9 @@ def dropout_mask(shape, p, rng):
 
 @dataclass
 class Rows:
-    """Views of a DirectionState's arrays: one sentence's, without the
-    batch axis, or the first k sentences', (k, n, ...).  For one
-    sentence whose steps were kept, weights[t] (w,) and pre_tanh[t]
-    (w, a) list its window arrays per step (None otherwise)."""
+    """Views of the first k sentences' arrays in a DirectionState,
+    (k, n, ...), or of the first sentence's without the batch axis when
+    k = 1 (DirectionState.first)."""
 
     tape: np.ndarray
     tape_wh: np.ndarray
@@ -222,16 +221,6 @@ class Rows:
     summary: np.ndarray
     gates: np.ndarray
     tanh_c: np.ndarray
-    weights: list = None
-    pre_tanh: list = None
-
-    @property
-    def tape_h(self):
-        return self.tape[..., :self.tape.shape[-1] // 2]
-
-    @property
-    def tape_c(self):
-        return self.tape[..., self.tape.shape[-1] // 2:]
 
 
 @dataclass
@@ -254,7 +243,8 @@ class DirectionState:
     have zero padding rows, and kept steps also hold their window arrays
     for the active sentences, weights[t] (k, w) and pre_tanh[t] (k, w,
     a); both lists are None otherwise.  running[t] holds the Rows step t
-    advances, and sentence(p) the rows of the sentence at position p.
+    advances.  Sentence p's rows are the arrays' [p, :lengths[p]]
+    slices.
     """
 
     lengths: list
@@ -276,8 +266,8 @@ class DirectionState:
 
     def first(self, k):
         """Rows of the first k sentences.  One sentence's rows drop the
-        batch axis: numpy calls on fewer dimensions cost less, and
-        decoding runs one sentence at a time."""
+        batch axis: numpy calls on fewer dimensions cost less, and a
+        segmented line runs as a batch of one."""
         i = 0 if k == 1 else slice(0, k)
         return Rows(self.tape[i], self.tape_wh[i], self.wx_x[i], self.gate_in[i],
                     self.summary[i], self.gates[i], self.tanh_c[i])
@@ -321,23 +311,6 @@ class DirectionState:
             tanh_c=alloc((batch, rows, hidden)),
             weights=[np.zeros((batch, 0))] * n if keep_steps else None,
             pre_tanh=[np.zeros((batch, 0, attn_dim))] * n if keep_steps else None,
-        )
-
-    def sentence(self, p):
-        """Rows of the sentence at position p."""
-        m = self.lengths[p]
-        kept = self.weights is not None
-        rows = m if kept else 1
-        return Rows(
-            tape=self.tape[p, :m],
-            tape_wh=self.tape_wh[p, :m],
-            wx_x=self.wx_x[p, :m],
-            gate_in=self.gate_in[p, :m],
-            summary=self.summary[p, :rows],
-            gates=self.gates[p, :rows],
-            tanh_c=self.tanh_c[p, :rows],
-            weights=[w[p] for w in self.weights[:m]] if kept else None,
-            pre_tanh=[u[p] for u in self.pre_tanh[:m]] if kept else None,
         )
 
 
@@ -529,23 +502,6 @@ def _direction_backward(state, attn, cell, d_hidden_out, positions, grads,
 
 
 @dataclass
-class SentenceCache:
-    """One sentence's part of a forward pass, as views: its inputs and
-    dropout masks, its (forward, backward) Rows per layer and the
-    top hidden rows that fed the output projection.  `batch` is the
-    ForwardCache it belongs to."""
-
-    inputs: np.ndarray
-    input_mask: np.ndarray
-    layer_caches: list
-    out_mask_f: np.ndarray
-    out_mask_b: np.ndarray
-    top_h_f: np.ndarray
-    top_h_b: np.ndarray
-    batch: "ForwardCache"
-
-
-@dataclass
 class ForwardCache:
     """Everything backward() needs from a forward pass over a batch.
 
@@ -563,20 +519,6 @@ class ForwardCache:
     out_masks_b: list
     top_h_f: list
     top_h_b: list
-
-    def sentence(self, s):
-        """Views of batch sentence s, as a SentenceCache."""
-        p = self.positions[s]
-        masks = (self.input_masks, self.out_masks_f, self.out_masks_b)
-        input_mask, out_mask_f, out_mask_b = (
-            None if m is None else m[s] for m in masks
-        )
-        return SentenceCache(
-            inputs=self.inputs[s], input_mask=input_mask,
-            layer_caches=[(f.sentence(p), b.sentence(p)) for f, b in self.layers],
-            out_mask_f=out_mask_f, out_mask_b=out_mask_b,
-            top_h_f=self.top_h_f[s], top_h_b=self.top_h_b[s], batch=self,
-        )
 
 
 def _check_shapes(params, config, batch):
@@ -605,13 +547,12 @@ def _check_shapes(params, config, batch):
 
 
 def forward(params, config, inputs, dropout=0.0, rng=None, keep_cache=True):
-    """Emission scores for one sentence or a batch, plus the cache.
+    """Emission scores for a batch of sentences, plus the cache.
 
-    `inputs` is one sentence's (n, input_dim) array, or a list (or
-    tuple) of them: a batch, run in lock-step.  One sentence gives
-    (emissions (n, num_tags), SentenceCache); a batch gives (list of
-    emissions, ForwardCache), in batch order.  A sentence's results are
-    bit-equal whichever batch it runs in.
+    `inputs` is a list (or tuple) of (n_i, input_dim) arrays, run in
+    lock-step; one sentence is a list of one.  Returns (list of
+    emissions (n_i, num_tags), ForwardCache), in batch order.  A
+    sentence's results are bit-equal whichever batch it runs in.
 
     Tapes start empty: per-sentence state isolation is structural.  With
     dropout > 0, inverted-dropout masks apply to the featurized inputs
@@ -622,8 +563,7 @@ def forward(params, config, inputs, dropout=0.0, rng=None, keep_cache=True):
     and the returned cache is None: decoding needs no gradients, and its
     memory then grows linearly in n.
     """
-    single = not isinstance(inputs, (list, tuple))
-    batch = [np.asarray(x, dtype=np.float64) for x in ([inputs] if single else inputs)]
+    batch = [np.asarray(x, dtype=np.float64) for x in inputs]
     if not batch:
         raise ValueError("need at least one sentence")
     _check_shapes(params, config, batch)
@@ -688,32 +628,22 @@ def forward(params, config, inputs, dropout=0.0, rng=None, keep_cache=True):
             positions=positions, out_masks_f=out_masks_f,
             out_masks_b=out_masks_b, top_h_f=h_f, top_h_b=h_b,
         )
-    if single:
-        return emissions[0], (cache.sentence(0) if keep_cache else None)
     return emissions, cache
 
 
 def backward(params, config, cache, d_emissions, grads=None):
     """Gradients of a scalar loss through the cached forward pass.
 
-    `cache` is what forward() returned: a SentenceCache with one (n,
-    num_tags) d_emissions array, or a ForwardCache with a list of them
-    in batch order.  Returns (grads, d_inputs).  grads maps every
-    encoder parameter name to its gradient summed over the batch,
-    sentence by sentence in batch order; when `grads` is given, the sums
-    are added to its arrays in place.  d_inputs is the gradient with
-    respect to the original featurized inputs (for the embedding
-    tables): one array, or a list in batch order.
+    `cache` is the ForwardCache forward() returned, and d_emissions a
+    list of (n_i, num_tags) arrays in its batch order.  Returns (grads,
+    d_inputs).  grads maps every encoder parameter name to its gradient
+    summed over the batch, sentence by sentence in batch order; when
+    `grads` is given, the sums are added to its arrays in place.
+    d_inputs lists, in batch order, the gradients with respect to the
+    original featurized inputs (for the embedding tables).
     """
     if cache is None:
         raise ValueError("backward called without a cached forward pass")
-    if isinstance(cache, SentenceCache):
-        if len(cache.batch.inputs) != 1:
-            raise ValueError("backward of one sentence of a larger batch; "
-                             "pass the batch's ForwardCache")
-        grads, d_inputs = backward(params, config, cache.batch, [d_emissions],
-                                   grads)
-        return grads, d_inputs[0]
     if len(d_emissions) != len(cache.inputs):
         raise ValueError(f"{len(d_emissions)} emission gradients for a batch "
                          f"of {len(cache.inputs)}")

@@ -78,19 +78,28 @@ def evaluate_corpus(model, corpus):
     return _micro_average(zip((sent.tags for sent in corpus), paths))
 
 
+def _token_at(tokens, j):
+    return repr(tokens[j]) if j < len(tokens) else "end of sentence"
+
+
 def score_segmentations(gold_corpus, pred_corpus):
     """Micro-averaged (P, R, F1) of one corpus's segmentation against
-    another's, sentence by sentence (both over the same text)."""
+    another's, sentence by sentence.  Both must segment the same text:
+    a ValueError names the first sentence whose preprocessed tokens
+    differ, and the first position where they do."""
     if len(gold_corpus) != len(pred_corpus):
         raise ValueError(
             f"corpora differ in size: gold {len(gold_corpus)} sentences, "
             f"predicted {len(pred_corpus)}"
         )
     for i, (gold, pred) in enumerate(zip(gold_corpus, pred_corpus)):
-        if len(gold.tokens) != len(pred.tokens):
+        if gold.tokens != pred.tokens:
+            pairs = enumerate(zip(gold.tokens, pred.tokens))
+            j = next((j for j, (g, p) in pairs if g != p),
+                     min(len(gold.tokens), len(pred.tokens)))
             raise ValueError(
-                f"sentence {i + 1}: gold has {len(gold.tokens)} characters "
-                f"but prediction has {len(pred.tokens)}"
+                f"sentence {i + 1}: texts differ at token {j + 1}: gold "
+                f"{_token_at(gold.tokens, j)}, prediction {_token_at(pred.tokens, j)}"
             )
     return _micro_average((gold.tags, pred.tags)
                           for gold, pred in zip(gold_corpus, pred_corpus))

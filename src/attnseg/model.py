@@ -216,17 +216,15 @@ class Segmenter:
                       bigram_ids, self.params.get("emb.bi"))
         return x, ids, bigram_ids
 
-    def emissions(self, tokens, dropout=0.0, rng=None, keep_cache=True):
-        """Per-tag scores (n, 4) for one token sequence, plus the caches
-        needed to push gradients back (ids, bigram ids, encoder cache).
-        Passes that need no gradients set keep_cache=False: the encoder
-        cache is then None and memory stays linear in n."""
+    def emissions(self, tokens):
+        """Per-tag scores (n, 4) for one token sequence, from an encoder
+        pass without a cache or dropout (memory linear in n), plus the
+        (unigram ids, bigram ids or None) it looked up."""
         x, ids, bigram_ids = self._features(tokens)
-        scores, cache = encoder.forward(
-            self.params, self.encoder_config, x, dropout=dropout, rng=rng,
-            keep_cache=keep_cache,
+        (scores,), _ = encoder.forward(
+            self.params, self.encoder_config, [x], keep_cache=False
         )
-        return scores, (ids, bigram_ids, cache)
+        return scores, (ids, bigram_ids)
 
     def loss_and_grads(self, sentences, dropout=0.0, rng=None, into=None):
         """NLL of the gold tags and gradients for every parameter, for one
@@ -280,7 +278,7 @@ class Segmenter:
     def nll(self, sentence):
         """Loss only, skipping all gradient work (finite-difference
         probes call this thousands of times)."""
-        scores, _ = self.emissions(sentence.tokens, keep_cache=False)
+        scores, _ = self.emissions(sentence.tokens)
         trans = self.params["crf.trans"]
         return crf.log_partition(scores, trans) \
             - crf.sequence_score(scores, trans, sentence.tags)

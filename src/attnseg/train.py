@@ -318,12 +318,28 @@ def _read_params(entries, payload, expected):
     return params
 
 
+def _read_json_object(path, keys):
+    """The JSON object in the file at `path`, which must hold `keys`; a
+    ValueError names the file and what is wrong with it."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            data = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path} is not valid JSON: {exc}") from None
+    if not isinstance(data, dict):
+        raise ValueError(f"{path} holds a {type(data).__name__}, not a JSON object")
+    for key in keys:
+        if key not in data:
+            raise ValueError(f"{path} has no {key!r} field")
+    return data
+
+
 def load_model(directory):
     """Load a saved model directory, verifying format and checksum, and
     the stored tensors against the shapes the config implies."""
-    with open(os.path.join(directory, "model.json"), encoding="utf-8") as fh:
-        meta = json.load(fh)
-    version = meta.get("format")
+    meta = _read_json_object(os.path.join(directory, "model.json"),
+                             ("format", "config"))
+    version = meta["format"]
     if version != FORMAT_VERSION:
         raise ValueError(f"unknown model format {version!r}")
     config = TrainConfig.from_dict(meta["config"])
@@ -335,20 +351,22 @@ def load_model(directory):
     lex_path = os.path.join(directory, "lexicon.txt")
     if os.path.exists(lex_path):
         lexicon = load_lexicon(lex_path)
-    with open(os.path.join(directory, "manifest.json"), encoding="utf-8") as fh:
-        manifest = json.load(fh)
+    manifest_path = os.path.join(directory, "manifest.json")
+    manifest = _read_json_object(manifest_path, ("params", "sha256"))
+    if not isinstance(manifest["params"], list):
+        raise ValueError(f"{manifest_path}: params is not a list")
     with open(os.path.join(directory, "params.bin"), "rb") as fh:
         payload = fh.read()
     digest = hashlib.sha256(payload).hexdigest()
-    if digest != manifest.get("sha256"):
+    if digest != manifest["sha256"]:
         raise ValueError(
             f"params.bin checksum {digest} does not match manifest "
-            f"{manifest.get('sha256')}"
+            f"{manifest['sha256']}"
         )
     expected = param_shapes(
         config, len(vocab), None if bigram_vocab is None else len(bigram_vocab)
     )
-    params = _read_params(manifest.get("params", []), payload, expected)
+    params = _read_params(manifest["params"], payload, expected)
     return Segmenter(config, vocab, params, bigram_vocab, lexicon)
 
 

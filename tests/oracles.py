@@ -223,9 +223,48 @@ def lstmn_unrolled(inputs, wh, wx, wp, v, w, b, memory_span=None):
     return outputs
 
 
+def sentence_rows(state, p):
+    """The rows of the sentence at position p of an encoder.DirectionState
+    whose steps were kept, as views without the batch axis: every array's
+    rows, the tape also split into tape_h and tape_c, and the window
+    arrays of each step, weights[t] (w,) and pre_tanh[t] (w, a)."""
+    m = state.lengths[p]
+    hidden = state.tanh_c.shape[-1]
+    return SimpleNamespace(
+        tape=state.tape[p, :m],
+        tape_h=state.tape[p, :m, :hidden],
+        tape_c=state.tape[p, :m, hidden:],
+        tape_wh=state.tape_wh[p, :m],
+        wx_x=state.wx_x[p, :m],
+        gate_in=state.gate_in[p, :m],
+        summary=state.summary[p, :m],
+        gates=state.gates[p, :m],
+        tanh_c=state.tanh_c[p, :m],
+        weights=[w[p] for w in state.weights[:m]],
+        pre_tanh=[u[p] for u in state.pre_tanh[:m]],
+    )
+
+
+def sentence_cache(cache, s):
+    """Batch sentence s of an encoder.ForwardCache, as views: its inputs
+    and dropout masks (None without dropout), its (forward, backward)
+    sentence_rows per layer, and the top hidden rows that fed the output
+    projection."""
+    p = cache.positions[s]
+    masks = (cache.input_masks, cache.out_masks_f, cache.out_masks_b)
+    input_mask, out_mask_f, out_mask_b = (None if m is None else m[s] for m in masks)
+    return SimpleNamespace(
+        inputs=cache.inputs[s], input_mask=input_mask,
+        layer_caches=[(sentence_rows(f, p), sentence_rows(b, p))
+                      for f, b in cache.layers],
+        out_mask_f=out_mask_f, out_mask_b=out_mask_b,
+        top_h_f=cache.top_h_f[s], top_h_b=cache.top_h_b[s],
+    )
+
+
 def _step_fields(state, t):
-    """Step t's values, read by name from a forward pass's
-    encoder.DirectionState rows."""
+    """Step t's values, read by name from one sentence's rows of a
+    forward pass (sentence_rows)."""
     hidden = state.tanh_c.shape[1]
     gates = state.gates[t]
     weights = state.weights[t]
@@ -322,11 +361,14 @@ def _direction_backward_unrolled(state, wh, wx, wp, v, w, b, d_hidden_out):
 
 def lstmn_backward_unrolled(params, num_layers, cache, d_emissions):
     """Reference encoder backward pass, one time step and one tape entry
-    at a time, over the kept step rows of a forward pass.
+    at a time, over the kept step rows of a forward pass over one
+    sentence (a ForwardCache of a batch of one), given its d_emissions.
 
-    Returns (grads, d_inputs) like the encoder's own backward; it reads
-    the cache's fields but calls no production code.
+    Returns (grads, d_inputs) like the encoder's own backward, with
+    d_inputs one array; it reads the cache's fields through
+    sentence_cache but calls no production code.
     """
+    cache = sentence_cache(cache, 0)
     d_emissions = np.asarray(d_emissions, dtype=np.float64)
     n = d_emissions.shape[0]
     wf, wb = params["out.wf"], params["out.wb"]

@@ -149,9 +149,9 @@ def test_criterion_4_lstmn_structural_checks():
     params = init_params(cfg, rng)
     a = rng.normal(size=(4, dim))
     b = rng.normal(size=(6, dim))
-    out_alone, _ = forward(params, cfg, b)
-    forward(params, cfg, a)
-    out_after, _ = forward(params, cfg, b)
+    (out_alone,), _ = forward(params, cfg, [b])
+    forward(params, cfg, [a])
+    (out_after,), _ = forward(params, cfg, [b])
     ok_isolation = np.array_equal(out_alone, out_after)
 
     report(

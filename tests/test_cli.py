@@ -202,6 +202,32 @@ def test_eval_mismatched_files_fail(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_eval_rejects_prediction_of_other_text(tmp_path, capsys):
+    gold = tmp_path / "gold.txt"
+    gold.write_text("我们 是\n", encoding="utf-8")
+    pred = tmp_path / "pred.txt"
+    pred.write_text("你们 去\n", encoding="utf-8")
+    assert main(["eval", "--gold", str(gold), "--pred", str(pred)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: sentence 1: texts differ at token 1" in captured.err
+
+
+def test_segment_rejects_model_json_without_config(tmp_path, capsys):
+    model_dir = train_into(tmp_path, "m")
+    meta_path = os.path.join(model_dir, "model.json")
+    meta = json.load(open(meta_path, encoding="utf-8"))
+    del meta["config"]
+    json.dump(meta, open(meta_path, "w", encoding="utf-8"))
+    raw = tmp_path / "raw.txt"
+    raw.write_text("我\n", encoding="utf-8")
+    capsys.readouterr()
+    rc = main(["segment", "--model", model_dir, "--input", str(raw)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "error:" in err and "model.json" in err and "'config'" in err
+
+
 def test_gradcheck_passes_and_prints_error(capsys):
     assert main(["gradcheck", "--seed", "1"]) == 0
     out = capsys.readouterr().out

@@ -8,7 +8,10 @@ from attnseg.encoder import (
     direction_view, dropout_mask, forward, init_params, tape_step,
 )
 from attnseg.numerics import ShapeError, grad_check
-from oracles import lstm_step_reference, lstmn_backward_unrolled, lstmn_unrolled
+from oracles import (
+    lstm_step_reference, lstmn_backward_unrolled, lstmn_unrolled, sentence_cache,
+    sentence_rows,
+)
 
 HID, ATT, DIM = 5, 4, 6
 
@@ -44,7 +47,7 @@ def step_after(x, hs, cs, summary, attn, cell):
     inputs[t] = x
     # a batch of one sentence; rows views its arrays
     batch = DirectionState.start([inputs], attn, cell, keep_steps=True)
-    rows = batch.sentence(0)
+    rows = sentence_rows(batch, 0)
     for i in range(t):
         rows.tape[i] = np.concatenate((hs[i], cs[i]))
         rows.tape_wh[i] = attn.wh @ hs[i]
@@ -52,7 +55,7 @@ def step_after(x, hs, cs, summary, attn, cell):
         rows.gate_in[t - 1, :hidden] = summary
     with np.errstate(over="ignore"):
         tape_step(batch, t, 0, attn, cell)
-    rows = batch.sentence(0)
+    rows = sentence_rows(batch, 0)
     step = SimpleNamespace(
         weights=rows.weights[t],
         h_summary=rows.gate_in[t, :hidden],
@@ -112,7 +115,7 @@ def test_attention_weights_shape_error():
     params = init_params(cfg, rng)
     params["enc0.bwd.attn.wx"] = np.zeros((ATT, DIM + 1))
     with pytest.raises(ShapeError):
-        forward(params, cfg, rng.normal(size=(3, DIM)))
+        forward(params, cfg, [rng.normal(size=(3, DIM))])
 
 
 def test_summarize_empty_gives_zeros():
@@ -206,8 +209,8 @@ def test_forward_tapes_match_straight_line_unrolling(span):
         params = {k: rng.normal(scale=0.5, size=v.shape)
                   for k, v in init_params(cfg, rng).items()}
         x = rng.normal(size=(int(rng.integers(1, 8)), DIM))
-        _, cache = forward(params, cfg, x)
-        cache_f, cache_b = cache.layer_caches[0]
+        _, cache = forward(params, cfg, [x])
+        cache_f, cache_b = sentence_cache(cache, 0).layer_caches[0]
         # the backward direction reads the sentence right to left
         for direction, rows, got in (("fwd", x, cache_f.tape_h),
                                      ("bwd", x[::-1], cache_b.tape_h)):
@@ -231,9 +234,9 @@ def test_forward_tapes_match_unrolling_at_paper_dimensions(n, span, extra_layers
                         extra_layers=extra_layers, memory_span=span)
     params = init_params(cfg, rng)
     x = rng.normal(size=(n, 300))
-    _, cache = forward(params, cfg, x)
+    _, cache = forward(params, cfg, [x])
     rows = x
-    for layer, (state_f, state_b) in enumerate(cache.layer_caches):
+    for layer, (state_f, state_b) in enumerate(sentence_cache(cache, 0).layer_caches):
         for direction, inputs, got in (("fwd", rows, state_f.tape_h),
                                        ("bwd", rows[::-1], state_b.tape_h)):
             attn, cell = direction_view(params, layer, direction)
@@ -249,8 +252,8 @@ def test_lstmn_step_tape_growth():
     rng = np.random.default_rng(40)
     cfg = small_config()
     params = init_params(cfg, rng)
-    _, cache = forward(params, cfg, rng.normal(size=(5, DIM)))
-    for direction_cache in cache.layer_caches[0]:
+    _, cache = forward(params, cfg, [rng.normal(size=(5, DIM))])
+    for direction_cache in sentence_cache(cache, 0).layer_caches[0]:
         assert len(direction_cache.tape_h) == 5
         assert len(direction_cache.tape_c) == 5
 
@@ -259,8 +262,8 @@ def test_lstmn_step_memory_span_caps_tape():
     rng = np.random.default_rng(41)
     cfg = small_config(memory_span=2)
     params = init_params(cfg, rng)
-    _, cache = forward(params, cfg, rng.normal(size=(6, DIM)))
-    for direction_cache in cache.layer_caches[0]:
+    _, cache = forward(params, cfg, [rng.normal(size=(6, DIM))])
+    for direction_cache in sentence_cache(cache, 0).layer_caches[0]:
         window = [len(w) for w in direction_cache.weights]
         assert window == [0, 1, 2, 2, 2, 2]
 
@@ -271,7 +274,7 @@ def test_lstmn_step_shape_error():
     params = init_params(cfg, rng)
     params["enc1.fwd.cell.w"] = np.zeros((4 * HID, HID + 2 * HID + 2))
     with pytest.raises(ShapeError):
-        forward(params, cfg, rng.normal(size=(3, DIM)))
+        forward(params, cfg, [rng.normal(size=(3, DIM))])
 
 
 def test_init_params_shapes_and_biases():
@@ -300,7 +303,7 @@ def test_forward_output_shape():
     rng = np.random.default_rng(44)
     cfg = small_config()
     params = init_params(cfg, rng)
-    out, _ = forward(params, cfg, rng.normal(size=(7, DIM)))
+    (out,), _ = forward(params, cfg, [rng.normal(size=(7, DIM))])
     assert out.shape == (7, 4)
 
 
@@ -309,7 +312,7 @@ def test_forward_single_position_structure():
     cfg = small_config()
     params = init_params(cfg, rng)
     x = rng.normal(size=(1, DIM))
-    out, cache = forward(params, cfg, x)
+    (out,), _ = forward(params, cfg, [x])
     attn_f, cell_f = direction_view(params, 0, "fwd")
     attn_b, cell_b = direction_view(params, 0, "bwd")
     hf, _, _ = step_after(x[0], [], [], np.zeros(HID), attn_f, cell_f)
@@ -323,16 +326,16 @@ def test_backward_direction_is_forward_on_reversed_input():
     cfg = small_config()
     params = init_params(cfg, rng)
     x = rng.normal(size=(5, DIM))
-    _, cache = forward(params, cfg, x)
+    _, cache = forward(params, cfg, [x])
     # the forward direction, given the backward weights and the sentence
     # reversed, must replay the backward tape
     swapped = dict(params)
     for name in params:
         if name.startswith("enc0.bwd."):
             swapped[name.replace(".bwd.", ".fwd.")] = params[name]
-    _, rev_cache = forward(swapped, cfg, x[::-1])
-    got_bwd = cache.layer_caches[0][1].tape_h
-    rev_outs = rev_cache.layer_caches[0][0].tape_h
+    _, rev_cache = forward(swapped, cfg, [x[::-1]])
+    got_bwd = sentence_cache(cache, 0).layer_caches[0][1].tape_h
+    rev_outs = sentence_cache(rev_cache, 0).layer_caches[0][0].tape_h
     assert len(got_bwd) == len(rev_outs) == 5
     for a, b in zip(got_bwd, rev_outs):
         assert np.array_equal(a, b)
@@ -343,7 +346,16 @@ def test_forward_rejects_empty_input():
     cfg = small_config()
     params = init_params(cfg, rng)
     with pytest.raises(ValueError):
-        forward(params, cfg, np.zeros((0, DIM)))
+        forward(params, cfg, [np.zeros((0, DIM))])
+
+
+def test_forward_takes_a_list_of_sentences():
+    # one sentence is a list of one; a bare (n, input_dim) array is not
+    rng = np.random.default_rng(76)
+    cfg = small_config()
+    params = init_params(cfg, rng)
+    with pytest.raises(ValueError):
+        forward(params, cfg, rng.normal(size=(3, DIM)))
 
 
 def test_per_sentence_isolation():
@@ -352,9 +364,9 @@ def test_per_sentence_isolation():
     params = init_params(cfg, rng)
     a = rng.normal(size=(4, DIM))
     b = rng.normal(size=(6, DIM))
-    out_b_alone, _ = forward(params, cfg, b)
-    forward(params, cfg, a)
-    out_b_after, _ = forward(params, cfg, b)
+    (out_b_alone,), _ = forward(params, cfg, [b])
+    forward(params, cfg, [a])
+    (out_b_after,), _ = forward(params, cfg, [b])
     assert np.array_equal(out_b_alone, out_b_after)
 
 
@@ -364,8 +376,8 @@ def test_hidden_outputs_bounded_by_one():
     params = init_params(cfg, rng)
     for _ in range(20):
         x = rng.normal(scale=3.0, size=(int(rng.integers(1, 9)), DIM))
-        _, cache = forward(params, cfg, x)
-        for hf in cache.layer_caches[0][0].tape_h:
+        _, cache = forward(params, cfg, [x])
+        for hf in sentence_cache(cache, 0).layer_caches[0][0].tape_h:
             assert np.max(np.abs(hf)) <= 1.0
 
 
@@ -374,21 +386,21 @@ def test_memory_span_equivalences():
     x = rng.normal(size=(6, DIM))
     cfg_none = small_config()
     params = init_params(cfg_none, rng)
-    out_none, _ = forward(params, cfg_none, x)
+    (out_none,), _ = forward(params, cfg_none, [x])
     # a cap at least as long as the sentence changes nothing
-    out_big, _ = forward(params, small_config(memory_span=10), x)
+    (out_big,), _ = forward(params, small_config(memory_span=10), [x])
     assert np.array_equal(out_none, out_big)
     # a tight cap really does change the computation
-    out_one, _ = forward(params, small_config(memory_span=1), x)
+    (out_one,), _ = forward(params, small_config(memory_span=1), [x])
     assert not np.array_equal(out_none, out_one)
     # the windowed batch pass agrees with the straight-line recurrence
     cfg2 = small_config(memory_span=2)
-    out_two, cache = forward(params, cfg2, x)
+    _, cache = forward(params, cfg2, [x])
     attn_f, cell_f = direction_view(params, 0, "fwd")
     stepped = lstmn_unrolled([x[t] for t in range(6)], attn_f.wh, attn_f.wx,
                              attn_f.wp, attn_f.v, cell_f.w, cell_f.b,
                              memory_span=2)
-    for a, b in zip(cache.layer_caches[0][0].tape_h, stepped):
+    for a, b in zip(sentence_cache(cache, 0).layer_caches[0][0].tape_h, stepped):
         assert np.array_equal(a, b)
 
 
@@ -397,7 +409,7 @@ def test_stacked_layers_change_output_shape_only():
     for extra in (1, 2):
         cfg = small_config(extra_layers=extra)
         params = init_params(cfg, rng)
-        out, _ = forward(params, cfg, rng.normal(size=(4, DIM)))
+        (out,), _ = forward(params, cfg, [rng.normal(size=(4, DIM))])
         assert out.shape == (4, 4)
 
 
@@ -416,9 +428,9 @@ def test_dropout_zero_matches_eval_mode():
     cfg = small_config()
     params = init_params(cfg, rng)
     x = rng.normal(size=(4, DIM))
-    out_eval, _ = forward(params, cfg, x)
-    out_train, _ = forward(params, cfg, x, dropout=0.0,
-                           rng=np.random.default_rng(0))
+    (out_eval,), _ = forward(params, cfg, [x])
+    (out_train,), _ = forward(params, cfg, [x], dropout=0.0,
+                              rng=np.random.default_rng(0))
     assert np.array_equal(out_eval, out_train)
 
 
@@ -429,17 +441,17 @@ def test_dropout_sites_are_input_and_output_only():
     params = init_params(cfg, rng)
     x = rng.normal(size=(4, DIM))
     p = 0.4
-    out_drop, _ = forward(params, cfg, x, dropout=p,
-                          rng=np.random.default_rng(99))
+    (out_drop,), _ = forward(params, cfg, [x], dropout=p,
+                             rng=np.random.default_rng(99))
     replay = np.random.default_rng(99)
     m_in = dropout_mask(x.shape, p, replay)
-    _, cache = forward(params, cfg, x * m_in)
+    _, cache = forward(params, cfg, [x * m_in])
     m_f = dropout_mask((4, HID), p, replay)
     m_b = dropout_mask((4, HID), p, replay)
     manual = np.empty((4, 4))
     for t in range(4):
-        manual[t] = params["out.wf"] @ (cache.top_h_f[t] * m_f[t]) \
-            + params["out.wb"] @ (cache.top_h_b[t] * m_b[t]) + params["out.b"]
+        manual[t] = params["out.wf"] @ (cache.top_h_f[0][t] * m_f[t]) \
+            + params["out.wb"] @ (cache.top_h_b[0][t] * m_b[t]) + params["out.b"]
     assert np.array_equal(out_drop, manual)
 
 
@@ -448,7 +460,7 @@ def test_forward_dropout_needs_rng():
     cfg = small_config()
     params = init_params(cfg, rng)
     with pytest.raises(ValueError):
-        forward(params, cfg, np.zeros((2, DIM)), dropout=0.3)
+        forward(params, cfg, [np.zeros((2, DIM))], dropout=0.3)
 
 
 def test_backward_requires_cache():
@@ -456,7 +468,7 @@ def test_backward_requires_cache():
     cfg = small_config()
     params = init_params(cfg, rng)
     with pytest.raises(ValueError):
-        backward(params, cfg, None, np.zeros((2, 4)))
+        backward(params, cfg, None, [np.zeros((2, 4))])
 
 
 def test_backward_zero_upstream_gives_zero_grads():
@@ -464,8 +476,8 @@ def test_backward_zero_upstream_gives_zero_grads():
     cfg = small_config()
     params = init_params(cfg, rng)
     x = rng.normal(size=(3, DIM))
-    _, cache = forward(params, cfg, x)
-    grads, d_x = backward(params, cfg, cache, np.zeros((3, 4)))
+    _, cache = forward(params, cfg, [x])
+    grads, (d_x,) = backward(params, cfg, cache, [np.zeros((3, 4))])
     for g in grads.values():
         assert np.max(np.abs(g)) == 0.0
     assert np.max(np.abs(d_x)) == 0.0
@@ -498,12 +510,12 @@ def encoder_gradcheck(extra_layers=0, memory_span=None, dropout=0.0, seed=58):
     def f(vec):
         ps, xs = split(vec)
         drop_rng = np.random.default_rng(mask_rng_seed) if dropout else None
-        out, _ = forward(ps, cfg, xs, dropout=dropout, rng=drop_rng)
+        (out,), _ = forward(ps, cfg, [xs], dropout=dropout, rng=drop_rng)
         return float(np.sum(weight * out))
 
     drop_rng = np.random.default_rng(mask_rng_seed) if dropout else None
-    out, cache = forward(params, cfg, x, dropout=dropout, rng=drop_rng)
-    grads, d_x = backward(params, cfg, cache, weight)
+    _, cache = forward(params, cfg, [x], dropout=dropout, rng=drop_rng)
+    grads, (d_x,) = backward(params, cfg, cache, [weight])
     point = np.concatenate([params[k].ravel() for k in names] + [x.ravel()])
     analytic = np.concatenate([grads[k].ravel() for k in names] + [d_x.ravel()])
     return grad_check(f, analytic, point)
@@ -548,9 +560,9 @@ def test_backward_matches_pairwise_oracle(extra_layers, memory_span, dropout,
         n = int(rng.integers(1, 10))
         x = rng.normal(size=(n, cfg.input_dim))
         drop_rng = np.random.default_rng(7) if dropout else None
-        _, cache = forward(params, cfg, x, dropout=dropout, rng=drop_rng)
+        _, cache = forward(params, cfg, [x], dropout=dropout, rng=drop_rng)
         d_emissions = rng.normal(size=(n, 4))
-        grads, d_x = backward(params, cfg, cache, d_emissions)
+        grads, (d_x,) = backward(params, cfg, cache, [d_emissions])
         want, want_d_x = lstmn_backward_unrolled(
             params, cfg.num_layers, cache, d_emissions
         )
@@ -590,11 +602,12 @@ def test_batched_forward_matches_batch_of_one(dims, memory_span, extra_layers,
                          rng=np.random.default_rng(3))
     one_rng = np.random.default_rng(3)
     for s, x in enumerate(xs):
-        want, want_cache = forward(params, cfg, x, dropout=dropout, rng=one_rng)
+        (want,), want_cache = forward(params, cfg, [x], dropout=dropout,
+                                      rng=one_rng)
         assert np.array_equal(out[s], want)
-        got_cache = cache.sentence(s)
+        got_cache = sentence_cache(cache, s)
         for got_layer, want_layer in zip(got_cache.layer_caches,
-                                         want_cache.layer_caches):
+                                         sentence_cache(want_cache, 0).layer_caches):
             for got, ref in zip(got_layer, want_layer):
                 # both tapes, [h | c], and every step's attention weights
                 assert np.array_equal(got.tape, ref.tape)
@@ -616,8 +629,8 @@ def test_batched_backward_matches_batch_of_one(dims, memory_span, extra_layers,
     one_rng = np.random.default_rng(4)
     sums = {k: np.zeros_like(p) for k, p in params.items()}
     for s, x in enumerate(xs):
-        _, one_cache = forward(params, cfg, x, dropout=dropout, rng=one_rng)
-        one_grads, one_d_x = backward(params, cfg, one_cache, d_emissions[s])
+        _, one_cache = forward(params, cfg, [x], dropout=dropout, rng=one_rng)
+        one_grads, (one_d_x,) = backward(params, cfg, one_cache, [d_emissions[s]])
         assert np.array_equal(d_inputs[s], one_d_x)
         for k in sums:
             sums[k] += one_grads[k]
@@ -633,7 +646,7 @@ def assert_tapes_match_unrolling(params, cfg, xs):
     _, cache = forward(params, cfg, xs)
     for s, x in enumerate(xs):
         rows = x
-        for layer, (got_f, got_b) in enumerate(cache.sentence(s).layer_caches):
+        for layer, (got_f, got_b) in enumerate(sentence_cache(cache, s).layer_caches):
             for direction, inputs, got in (("fwd", rows, got_f.tape_h),
                                            ("bwd", rows[::-1], got_b.tape_h)):
                 attn, cell = direction_view(params, layer, direction)
@@ -680,18 +693,16 @@ def test_backward_adds_into_given_grads():
     for k in fresh:
         assert np.array_equal(got[k], fresh[k])
     # one sentence's gradient lands on what the dict already holds
-    _, one_cache = forward(params, cfg, xs[0])
-    one, _ = backward(params, cfg, one_cache, d_emissions[0])
-    backward(params, cfg, one_cache, d_emissions[0], into)
+    _, one_cache = forward(params, cfg, [xs[0]])
+    one, _ = backward(params, cfg, one_cache, [d_emissions[0]])
+    backward(params, cfg, one_cache, [d_emissions[0]], into)
     for k in fresh:
         assert np.array_equal(into[k], fresh[k] + one[k])
 
 
-def test_backward_of_one_sentence_needs_its_own_batch():
+def test_backward_needs_one_gradient_per_sentence():
     cfg, params, xs = batch_case({}, None, 0, [3, 2], 72)
     _, cache = forward(params, cfg, xs)
-    with pytest.raises(ValueError):
-        backward(params, cfg, cache.sentence(0), np.zeros((3, 4)))
     with pytest.raises(ValueError):
         backward(params, cfg, cache, [np.zeros((3, 4))])
 

@@ -170,6 +170,18 @@ def test_score_segmentations_size_mismatch():
         score_segmentations(a, b)
 
 
+def test_score_segmentations_rejects_different_text():
+    # as many characters, but not the same text
+    a = Corpus([sentence(["你好", "吗"]), sentence(["我们", "是"])])
+    b = Corpus([sentence(["你好", "吗"]), sentence(["你们", "去"])])
+    with pytest.raises(ValueError, match="sentence 2: texts differ at token 1: "
+                                         "gold '我', prediction '你'"):
+        score_segmentations(a, b)
+    c = Corpus([sentence(["你好", "吗"]), sentence(["我们", "去"])])
+    with pytest.raises(ValueError, match="sentence 2: .* token 3: "):
+        score_segmentations(a, c)
+
+
 def test_score_segmentations_char_mismatch_names_sentence():
     a = Corpus([sentence(["你好", "吗"])])
     b = Corpus([sentence(["你好"])])

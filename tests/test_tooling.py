@@ -2,7 +2,9 @@
 
 The benchmark's tracer wraps the package's functions by name
 (perfbench/spans.py).  Installing and removing it here makes a rename of
-a wrapped function fail the tests, not a traced benchmark run.
+a wrapped function fail the tests, not a traced benchmark run.  Each
+workload also runs once at toy sizes (perfbench/run.py), so a change to
+a library call the benchmark makes fails here too.
 
 The attention summaries rely on numpy's einsum adding products in order,
 and the gate product of a stacked step on OpenBLAS forming each row of a
@@ -11,6 +13,7 @@ that changes either fails here, by name, before the tape bit-equality
 tests fail without saying why."""
 
 import importlib.util
+import json
 import os
 import sys
 
@@ -20,8 +23,8 @@ import pytest
 import attnseg
 from attnseg.encoder import GATE_BLOCK_ROWS
 
-SPANS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-                     "perfbench", "spans.py")
+PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                         "perfbench")
 
 
 def blas_build():
@@ -33,21 +36,29 @@ def blas_build():
             f"{os.cpu_count()} cores, OPENBLAS_NUM_THREADS={threads}")
 
 
-def load_spans():
-    # read the file as it is: no bytecode cache is written next to it
-    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
+def load_perfbench(name):
+    """perfbench/<name>.py, read as it is: no bytecode cache is written
+    next to it or to the perfbench modules it imports, and neither
+    sys.path nor sys.modules keeps them."""
+    spec = importlib.util.spec_from_file_location(
+        f"perfbench_{name}", os.path.join(PERFBENCH, f"{name}.py"))
     module = importlib.util.module_from_spec(spec)
-    writes = sys.dont_write_bytecode
+    writes, path = sys.dont_write_bytecode, list(sys.path)
     sys.dont_write_bytecode = True
+    sys.path.insert(0, PERFBENCH)
     try:
         spec.loader.exec_module(module)
     finally:
         sys.dont_write_bytecode = writes
+        sys.path[:] = path
+        for added in [m for m, mod in sys.modules.items()
+                      if os.path.dirname(getattr(mod, "__file__", None) or "") == PERFBENCH]:
+            del sys.modules[added]
     return module
 
 
 def test_tracer_wraps_and_restores_every_layer():
-    spans = load_spans()
+    spans = load_perfbench("spans")
     targets = []
     for _, paths, attr in spans.LAYERS:
         for path in paths:
@@ -114,3 +125,25 @@ def test_gate_product_by_row_blocks_matches_each_sentence(shape, k):
             "steps would break the bit-equality pin of the tapes to "
             "tests/oracles.py::lstmn_unrolled"
         )
+
+
+@pytest.mark.parametrize("workload, attempted, most_failed", [
+    ("train", 1, 0),
+    ("segment-long", 2, 0),
+    # lines with Latin, digits or idioms, which segment does not yet
+    # spell as the input does
+    ("segment-short", 20, 4),
+])
+def test_benchmark_workload_runs_at_toy_sizes(workload, attempted, most_failed,
+                                              capsys):
+    run = load_perfbench("run")
+    path = list(sys.path)
+    try:
+        run.main(["--workload", workload, "--seed", "5", "--seconds", "1"],
+                 sizes=run.workloads.TOY)
+    finally:
+        sys.path[:] = path
+    result = json.loads(capsys.readouterr().out.strip().split("\n")[-1])
+    assert result["correct"] is True
+    assert result["attempted"] == attempted
+    assert result["failed"] <= most_failed

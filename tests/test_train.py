@@ -426,6 +426,62 @@ def test_load_rejects_tampered_params(tmp_path, edit, named):
         load_model(d)
 
 
+def no_config(meta):
+    del meta["config"]
+    return meta
+
+
+def no_sha256(manifest):
+    del manifest["sha256"]
+    return manifest
+
+
+def params_as_number(manifest):
+    manifest["params"] = 5
+    return manifest
+
+
+@pytest.mark.parametrize("name, edit, problem", [
+    pytest.param("model.json", no_config, "no 'config'", id="model-no-config"),
+    pytest.param("model.json", lambda meta: [meta],
+                 "holds a list, not a JSON object", id="model-list"),
+    pytest.param("model.json", lambda meta: "attnseg-model/1", "holds a str",
+                 id="model-string"),
+    pytest.param("manifest.json", lambda manifest: manifest["params"],
+                 "holds a list", id="manifest-list"),
+    pytest.param("manifest.json", lambda manifest: {}, "no 'params'",
+                 id="manifest-empty"),
+    pytest.param("manifest.json", no_sha256, "no 'sha256'", id="manifest-no-sha256"),
+    pytest.param("manifest.json", params_as_number, "params is not a list",
+                 id="manifest-params-number"),
+])
+def test_load_rejects_malformed_json(tmp_path, name, edit, problem):
+    model, _, _ = toy_model()
+    d = os.path.join(tmp_path, "m")
+    save_model(model, d)
+    path = os.path.join(d, name)
+    with open(path, encoding="utf-8") as fh:
+        data = edit(json.load(fh))
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(data, fh)
+    with pytest.raises(ValueError, match=re.escape(problem)) as info:
+        load_model(d)
+    assert path in str(info.value)
+
+
+@pytest.mark.parametrize("name", ["model.json", "manifest.json"])
+def test_load_rejects_invalid_json(tmp_path, name):
+    model, _, _ = toy_model()
+    d = os.path.join(tmp_path, "m")
+    save_model(model, d)
+    path = os.path.join(d, name)
+    with open(path, "a", encoding="utf-8") as fh:
+        fh.write("}")
+    with pytest.raises(ValueError, match="is not valid JSON") as info:
+        load_model(d)
+    assert path in str(info.value)
+
+
 def test_load_ignores_blank_lexicon_lines(tmp_path):
     model, _, _ = toy_model()
     model.lexicon = frozenset({"我们"})
