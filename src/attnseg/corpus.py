@@ -256,8 +256,8 @@ def load_embeddings(path, vocab, seed):
 
     Rows align to vocab ids.  Vocab tokens absent from the file keep a
     uniform random row in [-0.05, 0.05] drawn under `seed`; file tokens
-    absent from the vocab are ignored.  Malformed lines are errors naming
-    the line number.
+    absent from the vocab are ignored.  Malformed lines, non-finite
+    values included, are errors naming the line number.
     """
     with open(path, encoding="utf-8") as fh:
         header = fh.readline()
@@ -289,6 +289,8 @@ def load_embeddings(path, vocab, seed):
                 raise ValueError(
                     f"{path}: line {lineno}: non-numeric value"
                 ) from exc
+            if not np.isfinite(values).all():
+                raise ValueError(f"{path}: line {lineno}: non-finite value")
             seen += 1
             if token in vocab:
                 table[vocab.id(token)] = values

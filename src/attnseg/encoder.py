@@ -34,12 +34,13 @@ sentence and row (DirectionState): the tapes side by side as
 [h_t | c_t], Wh h_t, the gate input [h~_t | x_t] and, when kept for
 backward, the gate activations, tanh c_t and [h~_t | c~_t]; a kept step
 also stores its attention weights (k, w) and tanh activations (k, w, a)
-as one block.  One sentence is a batch of one: one tape_step serves
-training and decoding alike.  Every product is a stack of matrix-vector
-products, one per sentence (np.matmul over a stack of vectors), and
-every reduction runs along each sentence's own axis in its own order,
-so a sentence's values do not depend on the batch it runs in, and stay
-bit-equal to the straight-line recurrence.
+as one block.  tape_step slices the first k sentences of each array
+and keeps the batch axis for every k: one sentence is a batch of one,
+and one layout serves training and decoding alike.  Every product is a
+stack of matrix-vector products, one per sentence (np.matmul over a
+stack of vectors), and every reduction runs along each sentence's own
+axis in its own order, so a sentence's values do not depend on the
+batch it runs in, and stay bit-equal to the straight-line recurrence.
 
 Cost.  Wh h_i does not depend on t, so it is computed once, when h_i
 enters the tape; Wx x_t is computed for every t before the first step,
@@ -80,7 +81,7 @@ attention terms once its tape has been read, so it holds O(n·(h + a +
 d)) memory.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -209,21 +210,6 @@ def dropout_mask(shape, p, rng):
 
 
 @dataclass
-class Rows:
-    """Views of the first k sentences' arrays in a DirectionState,
-    (k, n, ...), or of the first sentence's without the batch axis when
-    k = 1 (DirectionState.first)."""
-
-    tape: np.ndarray
-    tape_wh: np.ndarray
-    wx_x: np.ndarray
-    gate_in: np.ndarray
-    summary: np.ndarray
-    gates: np.ndarray
-    tanh_c: np.ndarray
-
-
-@dataclass
 class DirectionState:
     """One direction's arrays for a batch of B sentences, longest first
     and padded to the longest, n tokens; step t writes row t of the
@@ -242,9 +228,9 @@ class DirectionState:
     without gradients overwrites one scratch row per step.  Kept arrays
     have zero padding rows, and kept steps also hold their window arrays
     for the active sentences, weights[t] (k, w) and pre_tanh[t] (k, w,
-    a); both lists are None otherwise.  running[t] holds the Rows step t
-    advances.  Sentence p's rows are the arrays' [p, :lengths[p]]
-    slices.
+    a); both lists are None otherwise.  Step t reads and writes the
+    arrays' [:active[t]] slices, batch axis included for one sentence
+    too, and sentence p's rows are their [p, :lengths[p]] slices.
     """
 
     lengths: list
@@ -258,19 +244,6 @@ class DirectionState:
     tanh_c: np.ndarray
     weights: list
     pre_tanh: list
-    running: list = field(init=False)
-
-    def __post_init__(self):
-        views = {k: self.first(k) for k in set(self.active)}
-        self.running = [views[k] for k in self.active]
-
-    def first(self, k):
-        """Rows of the first k sentences.  One sentence's rows drop the
-        batch axis: numpy calls on fewer dimensions cost less, and a
-        segmented line runs as a batch of one."""
-        i = 0 if k == 1 else slice(0, k)
-        return Rows(self.tape[i], self.tape_wh[i], self.wx_x[i], self.gate_in[i],
-                    self.summary[i], self.gates[i], self.tanh_c[i])
 
     @classmethod
     def start(cls, inputs, attn, cell, keep_steps):
@@ -316,27 +289,27 @@ class DirectionState:
 
 def tape_step(state, t, window_start, attn, cell):
     """One recurrent step of the sentences still running at t, the
-    first state.active[t], over their tape rows window_start .. t-1.
+    first k = state.active[t], over their tape rows window_start .. t-1.
 
     Reads x_t and Wx x_t from row t of the state and the previous
     summary from gate_in row t-1 (at t = window_start the window is
     empty and both summaries are zero), and writes h_t, c_t and Wh h_t
-    into row t.  It indexes from the right (rows.tape[..., t, :]), so
-    the same calls serve the Rows of one sentence and of several.  The
-    gate sigmoid saturates through exp overflow, so the caller holds
+    into row t.  Every array keeps its batch axis, one sentence's too;
+    only the gate product takes a different call for k = 1.  The gate
+    sigmoid saturates through exp overflow, so the caller holds
     np.errstate(over="ignore") around its loop of steps.
     """
-    rows = state.running[t]
+    k = state.active[t]
     hidden = cell.b.shape[0] // 4
     kept = state.weights is not None
     row = t if kept else 0
-    summary = rows.summary[..., row, :]
+    summary = state.summary[:k, row]
     if t > window_start:
         # (Wh h_i + Wx x_t) + Wp p in the oracle's order, so tapes stay
         # bit-equal; a stack of row vectors times Wp^T runs one
         # matrix-vector product per sentence, the same one as Wp @ p
-        pre_tanh = rows.tape_wh[..., window_start:t, :] + rows.wx_x[..., t, None, :]
-        pre_tanh += np.matmul(rows.gate_in[..., t - 1, None, :hidden], attn.wp.T)
+        pre_tanh = state.tape_wh[:k, window_start:t] + state.wx_x[:k, t, None]
+        pre_tanh += np.matmul(state.gate_in[:k, t - 1, None, :hidden], attn.wp.T)
         np.tanh(pre_tanh, out=pre_tanh)
         # vecdot takes one dot product per row, like v @ u; pre_tanh @ v
         # (a matrix-vector product) rounds differently
@@ -346,39 +319,37 @@ def tape_step(state, t, window_start, attn, cell):
         # loop (optimize=False, no BLAS) adds s_i * [h_i | c_i] into the
         # row in tape order, multiply then add, like the oracle's
         # h_sum += s_i * h_i, and forms no (w, 2h) product array
-        np.einsum("...i,...ij->...j", weights, rows.tape[..., window_start:t, :],
+        np.einsum("...i,...ij->...j", weights, state.tape[:k, window_start:t],
                   out=summary)
         if kept:
-            # (k, w) and (k, w, a) blocks, one sentence's included
-            k = state.active[t]
-            state.weights[t] = weights.reshape(k, -1)
-            state.pre_tanh[t] = pre_tanh.reshape(k, -1, pre_tanh.shape[-1])
+            state.weights[t] = weights
+            state.pre_tanh[t] = pre_tanh
     else:
         summary[...] = 0.0
-    gate_in = rows.gate_in[..., t, :]
-    gate_in[..., :hidden] = summary[..., :hidden]
-    z = rows.gates[..., row, :]
+    gate_in = state.gate_in[:k, t]
+    gate_in[:, :hidden] = summary[:, :hidden]
+    z = state.gates[:k, row]
     # W [h~ | x_t], one matrix-vector product per sentence like Wp p
-    if gate_in.ndim == 1:
-        np.matmul(gate_in[None, :], cell.w.T, out=z[None, :])
+    if k == 1:
+        np.matmul(gate_in, cell.w.T, out=z)
     else:
         # by row blocks of W that stay in L2 across the stack (module
         # docstring, Cost)
-        for r in range(0, z.shape[-1], GATE_BLOCK_ROWS):
+        for r in range(0, z.shape[1], GATE_BLOCK_ROWS):
             block = slice(r, r + GATE_BLOCK_ROWS)
             np.matmul(gate_in[:, None, :], cell.w[block].T, out=z[:, None, block])
     z += cell.b
-    gates_ifo, candidate = z[..., :3 * hidden], z[..., 3 * hidden:]
+    gates_ifo, candidate = z[:, :3 * hidden], z[:, 3 * hidden:]
     sigmoid(gates_ifo, out=gates_ifo)
     np.tanh(candidate, out=candidate)
     # c_t = f * c~ + i * chat
-    c_t = np.multiply(z[..., hidden:2 * hidden], summary[..., hidden:],
-                      out=rows.tape[..., t, hidden:])
-    c_t += z[..., :hidden] * candidate
-    tanh_c = np.tanh(c_t, out=rows.tanh_c[..., row, :])
-    h_t = np.multiply(z[..., 2 * hidden:3 * hidden], tanh_c,
-                      out=rows.tape[..., t, :hidden])
-    np.matmul(h_t[..., None, :], attn.wh.T, out=rows.tape_wh[..., t, None, :])
+    c_t = np.multiply(z[:, hidden:2 * hidden], summary[:, hidden:],
+                      out=state.tape[:k, t, hidden:])
+    c_t += z[:, :hidden] * candidate
+    tanh_c = np.tanh(c_t, out=state.tanh_c[:k, row])
+    h_t = np.multiply(z[:, 2 * hidden:3 * hidden], tanh_c,
+                      out=state.tape[:k, t, :hidden])
+    np.matmul(h_t[:, None, :], attn.wh.T, out=state.tape_wh[:k, t, None, :])
 
 
 def _direction_forward(inputs, attn, cell, memory_span, keep_steps):
@@ -529,21 +500,12 @@ def _check_shapes(params, config, batch):
             raise ShapeError(
                 f"input dim {x.shape[1]} != configured {config.input_dim}"
             )
-    h = config.hidden_dim
-    for layer in range(config.num_layers):
-        d = config.layer_input_dim(layer)
-        for direction in ("fwd", "bwd"):
-            attn, cell = direction_view(params, layer, direction)
-            if attn.wx.shape[1] != d:
-                raise ShapeError(
-                    f"enc{layer}.{direction}: input of length {d} vs "
-                    f"attention expecting {attn.wx.shape[1]}"
-                )
-            if cell.w.shape != (4 * h, h + d):
-                raise ShapeError(
-                    f"enc{layer}.{direction}: cell weights {cell.w.shape} do "
-                    f"not match hidden {h} and input {d}"
-                )
+    for name, shape in param_shapes(config).items():
+        if params[name].shape != shape:
+            raise ShapeError(
+                f"parameter {name} has shape {params[name].shape}, but the "
+                f"config gives {shape}"
+            )
 
 
 def forward(params, config, inputs, dropout=0.0, rng=None, keep_cache=True):

@@ -49,8 +49,15 @@ class TrainConfig:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
         if not 0.0 <= self.dropout < 1.0:
             raise ValueError(f"dropout must be in [0, 1), got {self.dropout}")
-        if self.learning_rate <= 0:
-            raise ValueError(f"learning_rate must be > 0, got {self.learning_rate}")
+        # nan fails both comparisons, inf the second
+        if not 0.0 < self.learning_rate < np.inf:
+            raise ValueError(
+                f"learning_rate must be finite and > 0, got {self.learning_rate}"
+            )
+        if not 0.0 < self.adagrad_epsilon < np.inf:
+            raise ValueError(
+                f"adagrad_epsilon must be finite and > 0, got {self.adagrad_epsilon}"
+            )
         if self.epochs < 1:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
         if self.hidden < 1 or self.emb_dim < 1:
@@ -59,8 +66,8 @@ class TrainConfig:
             raise ValueError(f"attn_dim must be >= 1, got {self.attn_dim}")
         if self.window < 1 or self.window % 2 == 0:
             raise ValueError(f"window must be odd and >= 1, got {self.window}")
-        if self.clip_norm is not None and self.clip_norm <= 0:
-            raise ValueError(f"clip_norm must be > 0, got {self.clip_norm}")
+        if self.clip_norm is not None and not 0.0 < self.clip_norm < np.inf:
+            raise ValueError(f"clip_norm must be finite and > 0, got {self.clip_norm}")
         if not 0.0 < self.dev_fraction < 1.0:
             raise ValueError(
                 f"dev_fraction must be in (0, 1), got {self.dev_fraction}"

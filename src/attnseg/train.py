@@ -40,6 +40,7 @@ from .model import (
     Segmenter, TrainConfig, pack_params, param_shapes, unpack_params,
 )
 from .numerics import ShapeError, grad_check
+from .tagging import TAG_IDS
 
 FORMAT_VERSION = "attnseg-model/1"
 
@@ -221,7 +222,7 @@ def save_model(model, directory):
     meta = {
         "format": FORMAT_VERSION,
         "config": model.config.to_dict(),
-        "tags": {name: i for i, name in enumerate(("B", "M", "E", "S"))},
+        "tags": TAG_IDS,
     }
     with open(os.path.join(directory, "model.json"), "w", encoding="utf-8") as fh:
         json.dump(meta, fh, ensure_ascii=False, indent=2, sort_keys=True)
@@ -335,13 +336,18 @@ def _read_json_object(path, keys):
 
 
 def load_model(directory):
-    """Load a saved model directory, verifying format and checksum, and
-    the stored tensors against the shapes the config implies."""
-    meta = _read_json_object(os.path.join(directory, "model.json"),
-                             ("format", "config"))
+    """Load a saved model directory, verifying format, tag table and
+    checksum, and the stored tensors against the shapes the config
+    implies."""
+    meta_path = os.path.join(directory, "model.json")
+    meta = _read_json_object(meta_path, ("format", "config", "tags"))
     version = meta["format"]
     if version != FORMAT_VERSION:
         raise ValueError(f"unknown model format {version!r}")
+    if meta["tags"] != TAG_IDS:
+        raise ValueError(
+            f"{meta_path}: tag table {meta['tags']!r} is not {TAG_IDS!r}"
+        )
     config = TrainConfig.from_dict(meta["config"])
     vocab = Vocab(_read_tokens(os.path.join(directory, "vocab.txt")))
     bigram_vocab = None

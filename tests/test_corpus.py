@@ -289,9 +289,10 @@ def test_load_embeddings_wrong_field_count_names_line(tmp_path):
         load_embeddings(p, Vocab.build([["你"]]), seed=0)
 
 
-def test_load_embeddings_non_numeric_names_line(tmp_path):
+@pytest.mark.parametrize("value", ["oops", "nan", "inf", "-inf"])
+def test_load_embeddings_non_numeric_names_line(tmp_path, value):
     p = tmp_path / "emb.txt"
-    p.write_text("1 2\n你 0.1 oops\n", encoding="utf-8")
+    p.write_text(f"1 2\n你 0.1 {value}\n", encoding="utf-8")
     with pytest.raises(ValueError, match="line 2"):
         load_embeddings(p, Vocab.build([["你"]]), seed=0)
 

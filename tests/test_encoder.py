@@ -1,3 +1,4 @@
+import re
 from types import SimpleNamespace
 
 import numpy as np
@@ -109,12 +110,18 @@ def test_attention_weights_normalized():
         assert abs(w.sum() - 1.0) < 1e-12
 
 
-def test_attention_weights_shape_error():
+@pytest.mark.parametrize("name", [
+    "enc0.bwd.attn.wx", "enc0.fwd.attn.wp", "enc0.bwd.attn.v", "enc0.fwd.cell.b",
+    "out.wf",
+])
+def test_attention_weights_shape_error(name):
     rng = np.random.default_rng(34)
     cfg = small_config()
     params = init_params(cfg, rng)
-    params["enc0.bwd.attn.wx"] = np.zeros((ATT, DIM + 1))
-    with pytest.raises(ShapeError):
+    # one column (or entry) too many
+    shape = params[name].shape
+    params[name] = np.zeros(shape[:-1] + (shape[-1] + 1,))
+    with pytest.raises(ShapeError, match=re.escape(name)):
         forward(params, cfg, [rng.normal(size=(3, DIM))])
 
 

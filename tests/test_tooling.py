@@ -104,26 +104,31 @@ def test_einsum_sums_window_rows_in_tape_order(k):
 
 
 @pytest.mark.parametrize("shape", [(600, 450), (600, 550), (20, 25)])
-@pytest.mark.parametrize("k", [2, 3, 8, 26])
+@pytest.mark.parametrize("k", [1, 2, 3, 8, 26])
 def test_gate_product_by_row_blocks_matches_each_sentence(shape, k):
-    # the layout of encoder.tape_step at a stacked step: k strided gate
-    # inputs times cell.w, GATE_BLOCK_ROWS rows at a time, into strided
-    # gate rows; paper, bigram and toy dimensions of cell.w
+    # the layout of encoder.tape_step: k strided gate inputs times cell.w
+    # into strided gate rows, all of W at once for one sentence and
+    # GATE_BLOCK_ROWS rows at a time for more; paper, bigram and toy
+    # dimensions of cell.w
     rng = np.random.default_rng(shape[1] + k)
     rows, cols = shape
     w = rng.uniform(-0.1, 0.1, size=shape)
     gate_in = rng.normal(size=(k, 3, cols))[:, 1]
     z = np.zeros((k, 3, rows))[:, 1]
-    for r in range(0, rows, GATE_BLOCK_ROWS):
-        block = slice(r, r + GATE_BLOCK_ROWS)
-        np.matmul(gate_in[:, None, :], w[block].T, out=z[:, None, block])
+    if k == 1:
+        np.matmul(gate_in, w.T, out=z)
+        product = "of one sentence"
+    else:
+        product = f"by blocks of {GATE_BLOCK_ROWS} rows"
+        for r in range(0, rows, GATE_BLOCK_ROWS):
+            block = slice(r, r + GATE_BLOCK_ROWS)
+            np.matmul(gate_in[:, None, :], w[block].T, out=z[:, None, block])
     for s in range(k):
         assert np.array_equal(z[s], w @ gate_in[s]), (
-            f"{blas_build()}: the gate product by blocks of "
-            f"{GATE_BLOCK_ROWS} rows no longer equals W @ x for each sentence "
-            f"(W {shape}, k={k}, sentence {s}); encoder.tape_step's stacked "
-            "steps would break the bit-equality pin of the tapes to "
-            "tests/oracles.py::lstmn_unrolled"
+            f"{blas_build()}: the gate product {product} no longer equals "
+            f"W @ x for each sentence (W {shape}, k={k}, "
+            f"sentence {s}); encoder.tape_step's steps would break the "
+            "bit-equality pin of the tapes to tests/oracles.py::lstmn_unrolled"
         )
 
 

@@ -88,6 +88,20 @@ def test_config_validation():
         TrainConfig(window=2)
     with pytest.raises(ValueError):
         TrainConfig(extra_layers=5)
+    # values that fail silently or late: a nan clip_norm clips nothing, a
+    # zero epsilon divides by zero after one batch, a negative one can
+    # flip the step
+    for fields in ({"learning_rate": float("inf")}, {"learning_rate": float("nan")},
+                   {"clip_norm": float("nan")}, {"clip_norm": float("inf")},
+                   {"adagrad_epsilon": 0.0}, {"adagrad_epsilon": -1.0},
+                   {"adagrad_epsilon": float("nan")},
+                   {"adagrad_epsilon": float("inf")}):
+        name = next(iter(fields))
+        with pytest.raises(ValueError, match=name):
+            TrainConfig(**fields)
+        # the path load_model takes for model.json
+        with pytest.raises(ValueError, match=name):
+            TrainConfig.from_dict(fields)
 
 
 def test_config_roundtrip():
@@ -431,6 +445,16 @@ def no_config(meta):
     return meta
 
 
+def no_tags(meta):
+    del meta["tags"]
+    return meta
+
+
+def swapped_tags(meta):
+    meta["tags"] = {"B": 0, "M": 1, "E": 3, "S": 2}
+    return meta
+
+
 def no_sha256(manifest):
     del manifest["sha256"]
     return manifest
@@ -447,6 +471,8 @@ def params_as_number(manifest):
                  "holds a list, not a JSON object", id="model-list"),
     pytest.param("model.json", lambda meta: "attnseg-model/1", "holds a str",
                  id="model-string"),
+    pytest.param("model.json", no_tags, "no 'tags'", id="model-no-tags"),
+    pytest.param("model.json", swapped_tags, "tag table", id="model-swapped-tags"),
     pytest.param("manifest.json", lambda manifest: manifest["params"],
                  "holds a list", id="manifest-list"),
     pytest.param("manifest.json", lambda manifest: {}, "no 'params'",
