@@ -14,7 +14,7 @@ import numpy as np
 
 from . import tagging
 from .corpus import (
-    Corpus, Sentence, load_corpus, load_embeddings, load_lexicon,
+    Corpus, Sentence, load_corpus, load_embeddings, load_lexicon, read_lines,
     split_train_dev, Vocab,
 )
 from .evaluate import score_segmentations
@@ -126,12 +126,7 @@ def _run_train(args):
 
 def _run_segment(args):
     model = load_model(args.model)
-    # lines end at "\n" only; str.splitlines would also break inside a
-    # line at U+2028, U+0085 and other separators
-    with open(args.input, encoding="utf-8", newline="") as fh:
-        lines = fh.read().split("\n")
-    if lines[-1] == "":
-        lines.pop()
+    lines = read_lines(args.input)
     out = sys.stdout if args.output is None else open(
         args.output, "w", encoding="utf-8"
     )

@@ -37,10 +37,31 @@ def _is_digit(tok):
     return ("0" <= tok <= "9") or tok in _FULLWIDTH_DIGIT
 
 
+def read_lines(path):
+    """The lines of a UTF-8 text file, as a list, without their "\n".
+
+    Lines end at "\n" only: str.splitlines would also break inside a
+    line at U+2028, U+0085 and other separators, and a text-mode file at
+    a lone "\r".  A final "\n" ends the last line.  A file that is not
+    valid UTF-8 is a ValueError naming the path and the first bad line.
+    The file is decoded whole, in one call, not line by line.
+    """
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        lineno = raw.count(b"\n", 0, exc.start) + 1
+        raise ValueError(f"{path}: line {lineno}: not valid UTF-8") from exc
+    lines = text.split("\n")
+    if lines[-1] == "":
+        lines.pop()
+    return lines
+
+
 def load_lexicon(path):
     """Idiom lexicon: UTF-8, one idiom per line; blank lines ignored."""
-    with open(path, encoding="utf-8") as fh:
-        idioms = [line.strip() for line in fh]
+    idioms = [line.strip() for line in read_lines(path)]
     return frozenset(i for i in idioms if i)
 
 
@@ -197,14 +218,8 @@ def load_corpus(path, lexicon=None):
     skipped; a file yielding zero sentences, or one that is not valid
     UTF-8, is an error naming the line.
     """
-    with open(path, "rb") as fh:
-        raw = fh.read()
     sentences = []
-    for lineno, line_bytes in enumerate(raw.split(b"\n"), start=1):
-        try:
-            line = line_bytes.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise ValueError(f"{path}: line {lineno}: not valid UTF-8") from exc
+    for line in read_lines(path):
         words = line.split()
         if not words:
             continue
@@ -259,45 +274,45 @@ def load_embeddings(path, vocab, seed):
     absent from the vocab are ignored.  Malformed lines, non-finite
     values included, are errors naming the line number.
     """
-    with open(path, encoding="utf-8") as fh:
-        header = fh.readline()
-        parts = header.split()
-        if len(parts) != 2:
-            raise ValueError(f"{path}: line 1: malformed header {header!r}")
-        try:
-            count, dim = int(parts[0]), int(parts[1])
-        except ValueError as exc:
-            raise ValueError(f"{path}: line 1: malformed header {header!r}") from exc
-        if count < 0 or dim <= 0:
-            raise ValueError(f"{path}: line 1: malformed header {header!r}")
-        rng = np.random.default_rng(seed)
-        table = random_embeddings(len(vocab), dim, rng)
-        seen = 0
-        for lineno, line in enumerate(fh, start=2):
-            if not line.strip():
-                continue
-            fields = line.split()
-            if len(fields) != dim + 1:
-                raise ValueError(
-                    f"{path}: line {lineno}: expected {dim + 1} fields, "
-                    f"got {len(fields)}"
-                )
-            token = fields[0]
-            try:
-                values = [float(v) for v in fields[1:]]
-            except ValueError as exc:
-                raise ValueError(
-                    f"{path}: line {lineno}: non-numeric value"
-                ) from exc
-            if not np.isfinite(values).all():
-                raise ValueError(f"{path}: line {lineno}: non-finite value")
-            seen += 1
-            if token in vocab:
-                table[vocab.id(token)] = values
-        if seen != count:
+    lines = iter(read_lines(path))
+    header = next(lines, "")
+    parts = header.split()
+    if len(parts) != 2:
+        raise ValueError(f"{path}: line 1: malformed header {header!r}")
+    try:
+        count, dim = int(parts[0]), int(parts[1])
+    except ValueError as exc:
+        raise ValueError(f"{path}: line 1: malformed header {header!r}") from exc
+    if count < 0 or dim <= 0:
+        raise ValueError(f"{path}: line 1: malformed header {header!r}")
+    rng = np.random.default_rng(seed)
+    table = random_embeddings(len(vocab), dim, rng)
+    seen = 0
+    for lineno, line in enumerate(lines, start=2):
+        if not line.strip():
+            continue
+        fields = line.split()
+        if len(fields) != dim + 1:
             raise ValueError(
-                f"{path}: header promised {count} vectors, file has {seen}"
+                f"{path}: line {lineno}: expected {dim + 1} fields, "
+                f"got {len(fields)}"
             )
+        token = fields[0]
+        try:
+            values = [float(v) for v in fields[1:]]
+        except ValueError as exc:
+            raise ValueError(
+                f"{path}: line {lineno}: non-numeric value"
+            ) from exc
+        if not np.isfinite(values).all():
+            raise ValueError(f"{path}: line {lineno}: non-finite value")
+        seen += 1
+        if token in vocab:
+            table[vocab.id(token)] = values
+    if seen != count:
+        raise ValueError(
+            f"{path}: header promised {count} vectors, file has {seen}"
+        )
     return table
 
 

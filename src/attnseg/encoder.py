@@ -29,18 +29,21 @@ the tapes) and is verified against central finite differences.
 State.  forward() and backward() take a batch: a list of sentences,
 run in lock-step.  Sorted longest first, step t advances the sentences
 still running, the first k of them, which all share the window
-[window_start, t).  Each direction writes the batch's arrays by
+[window_starts[t], t).  Each direction writes the batch's arrays by
 sentence and row (DirectionState): the tapes side by side as
 [h_t | c_t], Wh h_t, the gate input [h~_t | x_t] and, when kept for
-backward, the gate activations, tanh c_t and [h~_t | c~_t]; a kept step
-also stores its attention weights (k, w) and tanh activations (k, w, a)
-as one block.  tape_step slices the first k sentences of each array
-and keeps the batch axis for every k: one sentence is a batch of one,
-and one layout serves training and decoding alike.  Every product is a
-stack of matrix-vector products, one per sentence (np.matmul over a
-stack of vectors), and every reduction runs along each sentence's own
-axis in its own order, so a sentence's values do not depend on the
-batch it runs in, and stay bit-equal to the straight-line recurrence.
+backward, the gate activations, tanh c_t and [h~_t | c~_t].  No step
+keeps its window: attend() forms a step's tanh activations (k, w, a)
+and attention weights (k, w) from Wh h_i, Wx x_t and the previous
+summary, and backward calls it again on the same slices, with the same
+numpy calls on the same operands, so it sees bit-identical values.
+tape_step slices the first k sentences of each array and keeps the
+batch axis for every k: one sentence is a batch of one, and one layout
+serves training and decoding alike.  Every product is a stack of
+matrix-vector products, one per sentence (np.matmul over a stack of
+vectors), and every reduction runs along each sentence's own axis in
+its own order, so a sentence's values do not depend on the batch it
+runs in, and stay bit-equal to the straight-line recurrence.
 
 Cost.  Wh h_i does not depend on t, so it is computed once, when h_i
 enters the tape; Wx x_t is computed for every t before the first step,
@@ -72,13 +75,17 @@ Blocks of one gate (150 rows) or of 37 rows rounded differently (24 of
 or core count may group rows otherwise; tests/test_tooling.py checks
 the blocks on the installed one.  One sentence reads W once and takes
 it whole.
-Training keeps each step's (k, w, a) activations and its gate rows for
-backward: sum over the batch of n_i²/2 · a · 8 bytes of window
-activations.  Decoding runs the same loop with keep_cache=False: it
-keeps no window arrays, overwrites one scratch row of gates, tanh c_t
-and summaries per step, and releases each direction's gate input and
-attention terms once its tape has been read, so it holds O(n·(h + a +
-d)) memory.
+Training keeps each step's gate rows for backward, and no window
+arrays: backward recomputes a step's window with attend(), one window
+add, one matrix-vector product per sentence, one tanh and one softmax,
+the attention half of the forward step.  So a kept forward holds O(n·(h
++ a + d)) memory per sentence and direction, and backward adds O(n·(h +
+a)) gradient rows and one step's (k, w, a) window at a time.  Decoding
+runs the same loop with keep_cache=False: it overwrites one scratch row
+of gates, tanh c_t and summaries per step, and releases each
+direction's gate input and attention terms once its tape has been
+read, so it holds the same O(n·(h + a + d)) with one row in place of
+n.
 """
 
 from dataclasses import dataclass
@@ -226,15 +233,16 @@ class DirectionState:
 
     r is n when the steps are kept for backward, and 1 otherwise: a pass
     without gradients overwrites one scratch row per step.  Kept arrays
-    have zero padding rows, and kept steps also hold their window arrays
-    for the active sentences, weights[t] (k, w) and pre_tanh[t] (k, w,
-    a); both lists are None otherwise.  Step t reads and writes the
-    arrays' [:active[t]] slices, batch axis included for one sentence
-    too, and sentence p's rows are their [p, :lengths[p]] slices.
+    have zero padding rows.  No array holds a step's attention window:
+    attend() recomputes it from tape_wh, wx_x and gate_in.  Step t reads
+    and writes the arrays' [:active[t]] slices, batch axis included for
+    one sentence too, attends to tape rows window_starts[t] .. t-1, and
+    sentence p's rows are their [p, :lengths[p]] slices.
     """
 
     lengths: list
     active: list
+    window_starts: list
     tape: np.ndarray
     tape_wh: np.ndarray
     wx_x: np.ndarray
@@ -242,14 +250,13 @@ class DirectionState:
     summary: np.ndarray
     gates: np.ndarray
     tanh_c: np.ndarray
-    weights: list
-    pre_tanh: list
 
     @classmethod
-    def start(cls, inputs, attn, cell, keep_steps):
+    def start(cls, inputs, attn, cell, keep_steps, memory_span=None):
         """Empty tapes over `inputs`, a list of (n_i, d) arrays with
         non-increasing n_i, with the input rows of gate_in and wx_x
-        filled in."""
+        filled in, and each step's window start: 0, or the last
+        `memory_span` tape entries when that is set."""
         lengths = [x.shape[0] for x in inputs]
         if lengths != sorted(lengths, reverse=True):
             raise ValueError(f"batch lengths {lengths} are not longest first")
@@ -272,9 +279,14 @@ class DirectionState:
         active = []
         for p in range(batch, 0, -1):
             active += [p] * (lengths[p - 1] - len(active))
+        if memory_span is None:
+            window_starts = [0] * n
+        else:
+            window_starts = [max(0, t - memory_span) for t in range(n)]
         return cls(
             lengths=lengths,
             active=active,
+            window_starts=window_starts,
             tape=alloc((batch, n, 2 * hidden)),
             tape_wh=alloc((batch, n, attn_dim)),
             wx_x=wx_x,
@@ -282,48 +294,59 @@ class DirectionState:
             summary=alloc((batch, rows, 2 * hidden)),
             gates=alloc((batch, rows, 4 * hidden)),
             tanh_c=alloc((batch, rows, hidden)),
-            weights=[np.zeros((batch, 0))] * n if keep_steps else None,
-            pre_tanh=[np.zeros((batch, 0, attn_dim))] * n if keep_steps else None,
         )
 
 
-def tape_step(state, t, window_start, attn, cell):
+def attend(state, t, attn):
+    """Step t's attention over a non-empty window, for the first k =
+    state.active[t] sentences: (pre_tanh, weights), the window's tanh
+    activations (k, w, a) and its softmax weights (k, w).
+
+    Reads only rows that step t does not write, so the forward step and
+    backward's recompute get the same bits from the same state.
+    """
+    k = state.active[t]
+    hidden = attn.wp.shape[1]
+    # (Wh h_i + Wx x_t) + Wp p in the oracle's order, so tapes stay
+    # bit-equal; a stack of row vectors times Wp^T runs one
+    # matrix-vector product per sentence, the same one as Wp @ p
+    pre_tanh = state.tape_wh[:k, state.window_starts[t]:t] + state.wx_x[:k, t, None]
+    pre_tanh += np.matmul(state.gate_in[:k, t - 1, None, :hidden], attn.wp.T)
+    np.tanh(pre_tanh, out=pre_tanh)
+    # vecdot takes one dot product per row, like v @ u; pre_tanh @ v
+    # (a matrix-vector product) rounds differently
+    scores = np.vecdot(pre_tanh, attn.v)
+    return pre_tanh, softmax(scores, out=scores)
+
+
+def tape_step(state, t, attn, cell):
     """One recurrent step of the sentences still running at t, the
-    first k = state.active[t], over their tape rows window_start .. t-1.
+    first k = state.active[t], over their tape rows window_starts[t] ..
+    t-1.
 
     Reads x_t and Wx x_t from row t of the state and the previous
-    summary from gate_in row t-1 (at t = window_start the window is
-    empty and both summaries are zero), and writes h_t, c_t and Wh h_t
-    into row t.  Every array keeps its batch axis, one sentence's too;
-    only the gate product takes a different call for k = 1.  The gate
-    sigmoid saturates through exp overflow, so the caller holds
-    np.errstate(over="ignore") around its loop of steps.
+    summary from gate_in row t-1 (with an empty window both summaries
+    are zero), and writes h_t, c_t and Wh h_t into row t, and the gate
+    rows into row t of kept arrays or the one scratch row.  Every array
+    keeps its batch axis, one sentence's too; only the gate product
+    takes a different call for k = 1.  The gate sigmoid saturates
+    through exp overflow, so the caller holds np.errstate(over="ignore")
+    around its loop of steps.
     """
     k = state.active[t]
     hidden = cell.b.shape[0] // 4
-    kept = state.weights is not None
-    row = t if kept else 0
+    window_start = state.window_starts[t]
+    # kept arrays have a row per step, the others one scratch row
+    row = t if state.summary.shape[1] == state.tape.shape[1] else 0
     summary = state.summary[:k, row]
     if t > window_start:
-        # (Wh h_i + Wx x_t) + Wp p in the oracle's order, so tapes stay
-        # bit-equal; a stack of row vectors times Wp^T runs one
-        # matrix-vector product per sentence, the same one as Wp @ p
-        pre_tanh = state.tape_wh[:k, window_start:t] + state.wx_x[:k, t, None]
-        pre_tanh += np.matmul(state.gate_in[:k, t - 1, None, :hidden], attn.wp.T)
-        np.tanh(pre_tanh, out=pre_tanh)
-        # vecdot takes one dot product per row, like v @ u; pre_tanh @ v
-        # (a matrix-vector product) rounds differently
-        scores = np.vecdot(pre_tanh, attn.v)
-        weights = softmax(scores, out=scores)
+        _, weights = attend(state, t, attn)
         # [h~ | c~] as one sum of products over the window: einsum's C
         # loop (optimize=False, no BLAS) adds s_i * [h_i | c_i] into the
         # row in tape order, multiply then add, like the oracle's
         # h_sum += s_i * h_i, and forms no (w, 2h) product array
         np.einsum("...i,...ij->...j", weights, state.tape[:k, window_start:t],
                   out=summary)
-        if kept:
-            state.weights[t] = weights
-            state.pre_tanh[t] = pre_tanh
     else:
         summary[...] = 0.0
     gate_in = state.gate_in[:k, t]
@@ -354,17 +377,12 @@ def tape_step(state, t, window_start, attn, cell):
 
 def _direction_forward(inputs, attn, cell, memory_span, keep_steps):
     """Run one direction over `inputs`, a list of (n_i, d) arrays,
-    longest first.  Step rows are kept only when `keep_steps` is true,
-    so a pass that needs no gradients holds O(n) memory, not O(n^2)."""
-    state = DirectionState.start(inputs, attn, cell, keep_steps)
-    n = state.tape.shape[1]
-    if memory_span is None:
-        window_starts = [0] * n
-    else:
-        window_starts = [max(0, t - memory_span) for t in range(n)]
+    longest first.  Step rows are kept only when `keep_steps` is true;
+    a pass that needs no gradients overwrites one scratch row."""
+    state = DirectionState.start(inputs, attn, cell, keep_steps, memory_span)
     with np.errstate(over="ignore"):
-        for t, window_start in enumerate(window_starts):
-            tape_step(state, t, window_start, attn, cell)
+        for t in range(state.tape.shape[1]):
+            tape_step(state, t, attn, cell)
     return state
 
 
@@ -436,16 +454,16 @@ def _direction_backward(state, attn, cell, d_hidden_out, positions, grads,
         np.matmul(w_summary_t, dz[:, :, None], out=d_h_summary[:k, :, None])
         d_h_summary[:k] += d_summary[:k]
         np.multiply(dc, gate_f[:k, t], out=d_c_summary[:k])
-        weights = state.weights[t]
-        if weights.shape[1]:
+        if t > state.window_starts[t]:
+            # the step's window again, bit-equal to the forward's
+            pre_tanh, weights = attend(state, t, attn)
             # summaries -> tape entries and attention weights
-            window = slice(t - weights.shape[1], t)
+            window = slice(state.window_starts[t], t)
             d_weights = np.matmul(tape_h[:k, window], d_h_summary[:k, :, None])
             d_weights += np.matmul(tape_c[:k, window], d_c_summary[:k, :, None])
             d_weights = d_weights[:, :, 0]
             d_tape[:k, window] += weights[:, :, None] * d_summaries[:k, None]
             d_scores = weights * (d_weights - np.vecdot(weights, d_weights)[:, None])
-            pre_tanh = state.pre_tanh[t]
             g_v[:k] += np.matmul(d_scores[:, None], pre_tanh)[:, 0]
             d_pre = (d_scores[:, :, None] * attn.v) * (1.0 - pre_tanh ** 2)
             d_tape_wh[:k, window] += d_pre
@@ -522,8 +540,8 @@ def forward(params, config, inputs, dropout=0.0, rng=None, keep_cache=True):
     projection, drawn per sentence in batch order (input, forward,
     backward), the stream one sentence at a time would draw; evaluation
     passes use dropout=0.  With keep_cache=False no step rows are kept
-    and the returned cache is None: decoding needs no gradients, and its
-    memory then grows linearly in n.
+    and the returned cache is None: decoding needs no gradients.  Memory
+    grows linearly in n either way.
     """
     batch = [np.asarray(x, dtype=np.float64) for x in inputs]
     if not batch:

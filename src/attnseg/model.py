@@ -45,6 +45,17 @@ class TrainConfig:
     dev_fraction: float = 0.1
 
     def __post_init__(self):
+        # a bool is not an int, an int is taken for a float, and None
+        # only where the default is None
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not (value is None and f.default is None
+                    or type(value) is f.type
+                    or f.type is float and type(value) is int):
+                raise ValueError(
+                    f"config field {f.name} must be {f.type.__name__}"
+                    f"{' or null' if f.default is None else ''}, got {value!r}"
+                )
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
         if not 0.0 <= self.dropout < 1.0:
@@ -81,32 +92,19 @@ class TrainConfig:
     def from_dict(cls, d):
         """The config a dict (say, a parsed model.json) describes.
 
-        Every value must have its field's declared type: a bool is not an
-        int, an int is taken for a float, and None is taken only where
-        the default is None.  A ValueError names the first field that
-        breaks a rule.
+        Every value must have its field's declared type, as the
+        constructor checks; an int given for a float becomes a float.  A
+        ValueError names the first field that breaks a rule.
         """
         if not isinstance(d, dict):
             raise ValueError(f"config must be a mapping, got {type(d).__name__}")
-        declared = {f.name: f for f in fields(cls)}
+        declared = {f.name: f.type for f in fields(cls)}
         extra = set(d) - set(declared)
         if extra:
             raise ValueError(f"unknown config fields: {sorted(extra)}")
-        values = {}
-        for name, value in d.items():
-            f = declared[name]
-            if value is None and f.default is None:
-                values[name] = None
-            elif f.type is float and type(value) in (int, float):
-                values[name] = float(value)
-            elif type(value) is f.type:
-                values[name] = value
-            else:
-                raise ValueError(
-                    f"config field {name} must be {f.type.__name__}"
-                    f"{' or null' if f.default is None else ''}, got {value!r}"
-                )
-        return cls(**values)
+        return cls(**{name: float(value)
+                      if declared[name] is float and type(value) is int else value
+                      for name, value in d.items()})
 
 
 def pack_params(params):

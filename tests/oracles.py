@@ -5,7 +5,8 @@ enumeration over all tag sequences, straight-line transcriptions of the
 recurrence arithmetic, per-tag loops for the CRF tables, a textbook
 LSTM step, an idiom scan that tries every lexicon entry.  None of it
 imports the production code paths it checks (shared constants, shapes,
-character classes, numerics.logsumexp and the CRF's gold-path score
+character classes, numerics.logsumexp, the CRF's gold-path score and
+the encoder's attention window, read back from a forward pass,
 excepted), so agreement between the two routes is evidence, not
 tautology.
 
@@ -22,6 +23,7 @@ import numpy as np
 
 from attnseg.corpus import ENG, IDIOM, NUM, SPECIALS, _is_digit, _is_latin
 from attnseg.crf import _masked_sequence_score, end_index, start_index
+from attnseg.encoder import attend, direction_view
 from attnseg.numerics import logsumexp
 
 START = 4
@@ -223,13 +225,23 @@ def lstmn_unrolled(inputs, wh, wx, wp, v, w, b, memory_span=None):
     return outputs
 
 
-def sentence_rows(state, p):
+def sentence_rows(state, p, attn=None):
     """The rows of the sentence at position p of an encoder.DirectionState
     whose steps were kept, as views without the batch axis: every array's
-    rows, the tape also split into tape_h and tape_c, and the window
-    arrays of each step, weights[t] (w,) and pre_tanh[t] (w, a)."""
+    rows, the tape also split into tape_h and tape_c, and each step's
+    window start.  Given the direction's AttentionParams `attn`, also the
+    window arrays of each step, weights[t] (w,) and pre_tanh[t] (w, a),
+    formed by encoder.attend from the state's rows as forward and
+    backward form them."""
     m = state.lengths[p]
     hidden = state.tanh_c.shape[-1]
+    weights = pre_tanh = None
+    if attn is not None:
+        weights, pre_tanh = [np.zeros(0)] * m, [np.zeros((0, attn.v.shape[0]))] * m
+        for t in range(m):
+            if t > state.window_starts[t]:
+                u, w = attend(state, t, attn)
+                pre_tanh[t], weights[t] = u[p], w[p]
     return SimpleNamespace(
         tape=state.tape[p, :m],
         tape_h=state.tape[p, :m, :hidden],
@@ -240,23 +252,32 @@ def sentence_rows(state, p):
         summary=state.summary[p, :m],
         gates=state.gates[p, :m],
         tanh_c=state.tanh_c[p, :m],
-        weights=[w[p] for w in state.weights[:m]],
-        pre_tanh=[u[p] for u in state.pre_tanh[:m]],
+        window_starts=state.window_starts[:m],
+        weights=weights,
+        pre_tanh=pre_tanh,
     )
 
 
-def sentence_cache(cache, s):
+def sentence_cache(cache, s, params=None):
     """Batch sentence s of an encoder.ForwardCache, as views: its inputs
     and dropout masks (None without dropout), its (forward, backward)
-    sentence_rows per layer, and the top hidden rows that fed the output
+    sentence_rows per layer, with the window arrays when the parameter
+    dict `params` is given, and the top hidden rows that fed the output
     projection."""
     p = cache.positions[s]
     masks = (cache.input_masks, cache.out_masks_f, cache.out_masks_b)
     input_mask, out_mask_f, out_mask_b = (None if m is None else m[s] for m in masks)
+    layer_caches = []
+    for layer, (state_f, state_b) in enumerate(cache.layers):
+        attn_f = attn_b = None
+        if params is not None:
+            attn_f = direction_view(params, layer, "fwd")[0]
+            attn_b = direction_view(params, layer, "bwd")[0]
+        layer_caches.append((sentence_rows(state_f, p, attn_f),
+                             sentence_rows(state_b, p, attn_b)))
     return SimpleNamespace(
         inputs=cache.inputs[s], input_mask=input_mask,
-        layer_caches=[(sentence_rows(f, p), sentence_rows(b, p))
-                      for f, b in cache.layers],
+        layer_caches=layer_caches,
         out_mask_f=out_mask_f, out_mask_b=out_mask_b,
         top_h_f=cache.top_h_f[s], top_h_b=cache.top_h_b[s],
     )
@@ -267,11 +288,10 @@ def _step_fields(state, t):
     forward pass (sentence_rows)."""
     hidden = state.tanh_c.shape[1]
     gates = state.gates[t]
-    weights = state.weights[t]
     return SimpleNamespace(
         x=state.gate_in[t, hidden:],
-        window_start=t - weights.shape[0],
-        weights=weights,
+        window_start=state.window_starts[t],
+        weights=state.weights[t],
         pre_tanh=state.pre_tanh[t],
         prev_summary=state.gate_in[t - 1, :hidden] if t else np.zeros(hidden),
         h_summary=state.gate_in[t, :hidden],
@@ -366,9 +386,11 @@ def lstmn_backward_unrolled(params, num_layers, cache, d_emissions):
 
     Returns (grads, d_inputs) like the encoder's own backward, with
     d_inputs one array; it reads the cache's fields through
-    sentence_cache but calls no production code.
+    sentence_cache, each step's attention window included as
+    encoder.attend forms it from the forward's rows, and runs no other
+    production arithmetic.
     """
-    cache = sentence_cache(cache, 0)
+    cache = sentence_cache(cache, 0, params)
     d_emissions = np.asarray(d_emissions, dtype=np.float64)
     n = d_emissions.shape[0]
     wf, wb = params["out.wf"], params["out.wb"]

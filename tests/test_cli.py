@@ -122,6 +122,20 @@ def test_segment_splits_lines_on_newline_only(tmp_path):
     assert out.endswith("\n")
 
 
+@pytest.mark.parametrize("flag", ["--lexicon", "--embeddings", "--input"])
+def test_input_not_utf8_names_file_and_line(tmp_path, capsys, flag):
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"2 3\n\xff\n")
+    if flag == "--input":
+        argv = ["segment", "--model", train_into(tmp_path, "m"), flag, str(bad)]
+    else:
+        argv = ["train", "--train", TOY, "--out", str(tmp_path / "out"),
+                flag, str(bad)] + FAST
+    capsys.readouterr()
+    assert main(argv) == 1
+    assert f"error: {bad}: line 2: not valid UTF-8" in capsys.readouterr().err
+
+
 def test_segment_to_stdout(tmp_path, capsys):
     model_dir = train_into(tmp_path, "m")
     raw = tmp_path / "raw.txt"

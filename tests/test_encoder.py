@@ -1,11 +1,13 @@
 import re
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from attnseg import encoder
 from attnseg.encoder import (
-    AttentionParams, CellParams, DirectionState, EncoderConfig, backward,
+    AttentionParams, CellParams, DirectionState, EncoderConfig, attend, backward,
     direction_view, dropout_mask, forward, init_params, tape_step,
 )
 from attnseg.numerics import ShapeError, grad_check
@@ -55,8 +57,8 @@ def step_after(x, hs, cs, summary, attn, cell):
     if t:
         rows.gate_in[t - 1, :hidden] = summary
     with np.errstate(over="ignore"):
-        tape_step(batch, t, 0, attn, cell)
-    rows = sentence_rows(batch, 0)
+        tape_step(batch, t, attn, cell)
+    rows = sentence_rows(batch, 0, attn)
     step = SimpleNamespace(
         weights=rows.weights[t],
         h_summary=rows.gate_in[t, :hidden],
@@ -270,7 +272,7 @@ def test_lstmn_step_memory_span_caps_tape():
     cfg = small_config(memory_span=2)
     params = init_params(cfg, rng)
     _, cache = forward(params, cfg, [rng.normal(size=(6, DIM))])
-    for direction_cache in sentence_cache(cache, 0).layer_caches[0]:
+    for direction_cache in sentence_cache(cache, 0, params).layer_caches[0]:
         window = [len(w) for w in direction_cache.weights]
         assert window == [0, 1, 2, 2, 2, 2]
 
@@ -612,9 +614,9 @@ def test_batched_forward_matches_batch_of_one(dims, memory_span, extra_layers,
         (want,), want_cache = forward(params, cfg, [x], dropout=dropout,
                                       rng=one_rng)
         assert np.array_equal(out[s], want)
-        got_cache = sentence_cache(cache, s)
-        for got_layer, want_layer in zip(got_cache.layer_caches,
-                                         sentence_cache(want_cache, 0).layer_caches):
+        got_cache = sentence_cache(cache, s, params)
+        want_layers = sentence_cache(want_cache, 0, params).layer_caches
+        for got_layer, want_layer in zip(got_cache.layer_caches, want_layers):
             for got, ref in zip(got_layer, want_layer):
                 # both tapes, [h | c], and every step's attention weights
                 assert np.array_equal(got.tape, ref.tape)
@@ -644,6 +646,61 @@ def test_batched_backward_matches_batch_of_one(dims, memory_span, extra_layers,
     assert set(grads) == set(sums)
     for k in sums:
         assert np.array_equal(grads[k], sums[k]), k
+
+
+@pytest.mark.parametrize("dims, memory_span, extra_layers, dropout", BATCH_CASES)
+def test_backward_recomputes_the_forward_attention(monkeypatch, dims, memory_span,
+                                                   extra_layers, dropout):
+    # backward keeps no window arrays: it calls attend again on the same
+    # state, and must get the forward's activations and weights bit for bit
+    calls = {}
+
+    def recording_attend(state, t, attn):
+        pre_tanh, weights = attend(state, t, attn)
+        calls.setdefault((id(state), t), []).append((pre_tanh.copy(),
+                                                     weights.copy()))
+        return pre_tanh, weights
+
+    monkeypatch.setattr(encoder, "attend", recording_attend)
+    lengths = [5, 1, 9, 5, 3] if not dims else [4, 1, 7]
+    cfg, params, xs = batch_case(dims, memory_span, extra_layers, lengths, 77)
+    rng = np.random.default_rng(78)
+    d_emissions = [rng.normal(size=(n, 4)) for n in lengths]
+    _, cache = forward(params, cfg, xs, dropout=dropout,
+                       rng=np.random.default_rng(5))
+    # every step but the first has a window, in each direction and layer
+    assert len(calls) == 2 * cfg.num_layers * (max(lengths) - 1)
+    assert all(len(pairs) == 1 for pairs in calls.values())
+    backward(params, cfg, cache, d_emissions)
+    for key, pairs in calls.items():
+        assert len(pairs) == 2, key
+        (fwd_pre, fwd_weights), (bwd_pre, bwd_weights) = pairs
+        assert np.array_equal(fwd_pre, bwd_pre), key
+        assert np.array_equal(fwd_weights, bwd_weights), key
+
+
+def test_training_memory_grows_linearly_with_length():
+    # a kept forward holds O(n) rows per direction and backward forms one
+    # step's window at a time; windows kept from forward to backward
+    # would grow with n^2 and make the doubled sentence take about 3.5x
+    # the memory
+    cfg = small_config(input_dim=15, hidden_dim=8, attn_dim=8)
+    rng = np.random.default_rng(79)
+    params = init_params(cfg, rng)
+    x = rng.normal(size=(400, cfg.input_dim))
+    d_emissions = rng.normal(size=(400, cfg.num_tags))
+
+    def peak(n):
+        tracemalloc.start()
+        try:
+            _, cache = forward(params, cfg, [x[:n]])
+            backward(params, cfg, cache, [d_emissions[:n]])
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(8)
+    assert peak(400) < 2.5 * peak(200)
 
 
 def assert_tapes_match_unrolling(params, cfg, xs):

@@ -90,12 +90,15 @@ def test_config_validation():
         TrainConfig(extra_layers=5)
     # values that fail silently or late: a nan clip_norm clips nothing, a
     # zero epsilon divides by zero after one batch, a negative one can
-    # flip the step
+    # flip the step, a float count dies in train_epoch, and bigrams=1
+    # trains but writes a model.json that load_model refuses
     for fields in ({"learning_rate": float("inf")}, {"learning_rate": float("nan")},
                    {"clip_norm": float("nan")}, {"clip_norm": float("inf")},
                    {"adagrad_epsilon": 0.0}, {"adagrad_epsilon": -1.0},
                    {"adagrad_epsilon": float("nan")},
-                   {"adagrad_epsilon": float("inf")}):
+                   {"adagrad_epsilon": float("inf")},
+                   {"batch_size": 2.5}, {"hidden": 8.0}, {"window": 3.0},
+                   {"memory_span": 2.5}, {"bigrams": 1}):
         name = next(iter(fields))
         with pytest.raises(ValueError, match=name):
             TrainConfig(**fields)
