@@ -1,0 +1,66 @@
+"""Print the behaviour pins of this checkout, one line each.
+
+Trains one model per pin config on the bundled toy corpus (`attnseg
+train --epochs 4 --batch-size 4 --seed 3`) and prints a sha256 line per
+file of each model directory and one for each run's epoch lines, then
+the line `attnseg gradcheck --seed 1` prints.  Two checkouts that
+behave the same print the same lines, so a refactor is checked with
+
+    python3 scripts/pins.py > before.txt     # in the parent checkout
+    python3 scripts/pins.py > after.txt      # in the changed checkout
+    diff before.txt after.txt
+
+The runs take a few seconds.  Each runs the CLI of the checkout that
+holds this script, in a subprocess, with its model directory in a
+temporary directory.
+"""
+
+import hashlib
+import os
+import subprocess
+import sys
+import tempfile
+
+SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+TOY = os.path.join(SRC, "attnseg", "data", "toy.txt")
+COMMON = ["--epochs", "4", "--batch-size", "4", "--seed", "3"]
+CONFIGS = {
+    "default": [],
+    "bigrams": ["--bigrams"],
+    "span2-layers1-clip": ["--memory-span", "2", "--extra-layers", "1",
+                           "--clip-norm", "0.5"],
+    "dropout-window5": ["--dropout", "0.3", "--window", "5"],
+}
+
+
+def attnseg(*argv):
+    """Stdout of the checkout's CLI run with `argv`; a failed run stops
+    the script with its stderr."""
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(SRC))
+    done = subprocess.run([sys.executable, "-m", "attnseg.cli", *argv],
+                          env=env, capture_output=True, text=True)
+    if done.returncode != 0:
+        sys.exit(f"attnseg {' '.join(argv)} exited {done.returncode}:\n"
+                 f"{done.stderr}")
+    return done.stdout
+
+
+def sha256(data):
+    return hashlib.sha256(data).hexdigest()
+
+
+def main():
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, flags in CONFIGS.items():
+            out = os.path.join(tmp, name)
+            epochs = attnseg("train", "--train", TOY, "--out", out,
+                             *COMMON, *flags)
+            for filename in sorted(os.listdir(out)):
+                with open(os.path.join(out, filename), "rb") as fh:
+                    print(f"{sha256(fh.read())}  {name}/{filename}")
+            print(f"{sha256(epochs.encode('utf-8'))}  {name} epoch lines")
+    print(attnseg("gradcheck", "--seed", "1"), end="")
+
+
+if __name__ == "__main__":
+    main()

@@ -161,9 +161,7 @@ def gradcheck_fixture(seed):
         step = int(rng.integers(1, min(3, length - pos) + 1))
         words.append("".join(chars[pos:pos + step]))
         pos += step
-    sentence = Sentence(
-        tokens=chars, tags=tagging.encode_tags(words), raw=" ".join(words)
-    )
+    sentence = Sentence(tokens=chars, tags=tagging.encode_tags(words))
     corpus = Corpus([sentence])
     config = TrainConfig(
         hidden=5, emb_dim=6, attn_dim=4, window=1,

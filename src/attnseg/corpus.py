@@ -181,7 +181,6 @@ class Sentence:
 
     tokens: list
     tags: list
-    raw: str = ""
 
     def __post_init__(self):
         if len(self.tokens) != len(self.tags):
@@ -226,7 +225,7 @@ def load_corpus(path, lexicon=None):
         token_words = [preprocess(w, lexicon) for w in words]
         tags = tagging.encode_tags(token_words)
         tokens = [tok for w in token_words for tok in w]
-        sentences.append(Sentence(tokens=tokens, tags=tags, raw=line.strip()))
+        sentences.append(Sentence(tokens=tokens, tags=tags))
     if not sentences:
         raise ValueError(f"{path}: no sentences found")
     return Corpus(sentences)

@@ -27,9 +27,13 @@ by hand (gradients flow through the attention weights, the summaries and
 the tapes) and is verified against central finite differences.
 
 State.  forward() and backward() take a batch: a list of sentences,
-run in lock-step.  Sorted longest first, step t advances the sentences
-still running, the first k of them, which all share the window
-[window_starts[t], t).  Each direction writes the batch's arrays by
+run in lock-step.  Each layer runs its two directions through one loop
+over DIRECTIONS, pairs of a direction name and a read order: "fwd"
+reads each sentence as it is, "bwd" reads it reversed, and the same
+order maps the direction's rows back to input order.  Sorted longest
+first, step t advances the sentences still running, the first k of
+them, which all share the window [window_starts[t], t).  Each
+direction writes the batch's arrays by
 sentence and row (DirectionState): the tapes side by side as
 [h_t | c_t], Wh h_t, the gate input [h~_t | x_t] and, when kept for
 backward, the gate activations, tanh c_t and [h~_t | c~_t].  No step
@@ -84,8 +88,8 @@ a)) gradient rows and one step's (k, w, a) window at a time.  Decoding
 runs the same loop with keep_cache=False: it overwrites one scratch row
 of gates, tanh c_t and summaries per step, and releases each
 direction's gate input and attention terms once its tape has been
-read, so it holds the same O(n·(h + a + d)) with one row in place of
-n.
+read, before the next direction runs, so it holds the same O(n·(h + a
++ d)) with one row in place of n.
 """
 
 from dataclasses import dataclass
@@ -375,17 +379,6 @@ def tape_step(state, t, attn, cell):
     np.matmul(h_t[:, None, :], attn.wh.T, out=state.tape_wh[:k, t, None, :])
 
 
-def _direction_forward(inputs, attn, cell, memory_span, keep_steps):
-    """Run one direction over `inputs`, a list of (n_i, d) arrays,
-    longest first.  Step rows are kept only when `keep_steps` is true;
-    a pass that needs no gradients overwrites one scratch row."""
-    state = DirectionState.start(inputs, attn, cell, keep_steps, memory_span)
-    with np.errstate(over="ignore"):
-        for t in range(state.tape.shape[1]):
-            tape_step(state, t, attn, cell)
-    return state
-
-
 def _direction_backward(state, attn, cell, d_hidden_out, positions, grads,
                         prefix):
     """Gradients of one direction over a batch, given d loss / d h_t for
@@ -490,24 +483,29 @@ def _direction_backward(state, attn, cell, d_hidden_out, positions, grads,
     return d_inputs
 
 
+# (name, read order) of each direction (module docstring, State)
+DIRECTIONS = (("fwd", slice(None)), ("bwd", slice(None, None, -1)))
+
+
 @dataclass
 class ForwardCache:
     """Everything backward() needs from a forward pass over a batch.
 
-    Lists run in batch order; masks are None without dropout.  `layers`
-    holds a (forward, backward) DirectionState per layer, and
+    Lists run in batch order, and pairs in DIRECTIONS order (forward,
+    backward).  `layers` holds a pair of DirectionStates per layer, and
     positions[s] is the position of batch sentence s in their length
-    order.
+    order.  `top_h` is the pair of lists of the top layer's hidden rows
+    (n_i, h) in input order, dropout applied, that fed the output
+    projection.  input_masks is None without dropout, and so is
+    out_masks, otherwise a pair of lists of the masks on top_h.
     """
 
     inputs: list
     input_masks: list
     layers: list
     positions: list
-    out_masks_f: list
-    out_masks_b: list
-    top_h_f: list
-    top_h_b: list
+    out_masks: tuple
+    top_h: tuple
 
 
 def _check_shapes(params, config, batch):
@@ -551,14 +549,14 @@ def forward(params, config, inputs, dropout=0.0, rng=None, keep_cache=True):
         raise ValueError("dropout needs an rng")
     h = config.hidden_dim
 
-    input_masks = out_masks_f = out_masks_b = None
+    input_masks = out_masks = None
     current = batch
     if dropout:
-        input_masks, out_masks_f, out_masks_b = [], [], []
+        input_masks, out_masks = [], ([], [])
         for x in batch:
             input_masks.append(dropout_mask(x.shape, dropout, rng))
-            out_masks_f.append(dropout_mask((x.shape[0], h), dropout, rng))
-            out_masks_b.append(dropout_mask((x.shape[0], h), dropout, rng))
+            for masks in out_masks:
+                masks.append(dropout_mask((x.shape[0], h), dropout, rng))
         current = [x * m for x, m in zip(batch, input_masks)]
 
     lengths = [x.shape[0] for x in batch]
@@ -569,44 +567,42 @@ def forward(params, config, inputs, dropout=0.0, rng=None, keep_cache=True):
         positions[s] = p
     layers = []
     for layer in range(config.num_layers):
-        attn_f, cell_f = direction_view(params, layer, "fwd")
-        attn_b, cell_b = direction_view(params, layer, "bwd")
-        state_f = _direction_forward(
-            [current[s] for s in by_length], attn_f, cell_f,
-            config.memory_span, keep_cache,
-        )
-        h_f = [state_f.tape[p, :m, :h] for p, m in zip(positions, lengths)]
-        if not keep_cache:
-            # h_f keeps the tape; the rest of the state goes now
-            state_f = None
-        state_b = _direction_forward(
-            [current[s][::-1] for s in by_length], attn_b, cell_b,
-            config.memory_span, keep_cache,
-        )
-        h_b = [state_b.tape[p, :m, :h][::-1] for p, m in zip(positions, lengths)]
+        states, top_h = [], []
+        for direction, order in DIRECTIONS:
+            attn, cell = direction_view(params, layer, direction)
+            state = DirectionState.start([current[s][order] for s in by_length],
+                                         attn, cell, keep_cache, config.memory_span)
+            with np.errstate(over="ignore"):
+                for t in range(state.tape.shape[1]):
+                    tape_step(state, t, attn, cell)
+            top_h.append([state.tape[p, :m, :h][order]
+                          for p, m in zip(positions, lengths)])
+            if keep_cache:
+                states.append(state)
+            # top_h keeps the tape; without a cache the rest of the state
+            # goes before the next direction runs
+            state = None
         if keep_cache:
-            layers.append((state_f, state_b))
-        state_b = None
+            layers.append(tuple(states))
         if layer + 1 < config.num_layers:
-            current = [np.concatenate(pair, axis=1) for pair in zip(h_f, h_b)]
+            current = [np.concatenate(pair, axis=1) for pair in zip(*top_h)]
 
     if dropout:
-        h_f = [x * m for x, m in zip(h_f, out_masks_f)]
-        h_b = [x * m for x, m in zip(h_b, out_masks_b)]
+        top_h = [[x * m for x, m in zip(rows, masks)]
+                 for rows, masks in zip(top_h, out_masks)]
 
     wf, wb, b = params["out.wf"], params["out.wb"], params["out.b"]
     # one matrix-vector product per row, bit-equal to wf @ h_f[t] +
     # wb @ h_b[t] + b, like the hoisted Wx x_t
     emissions = [
         (np.matmul(wf, f[:, :, None]) + np.matmul(wb, r[:, :, None]))[:, :, 0] + b
-        for f, r in zip(h_f, h_b)
+        for f, r in zip(*top_h)
     ]
     cache = None
     if keep_cache:
         cache = ForwardCache(
             inputs=batch, input_masks=input_masks, layers=layers,
-            positions=positions, out_masks_f=out_masks_f,
-            out_masks_b=out_masks_b, top_h_f=h_f, top_h_b=h_b,
+            positions=positions, out_masks=out_masks, top_h=tuple(top_h),
         )
     return emissions, cache
 
@@ -631,40 +627,35 @@ def backward(params, config, cache, d_emissions, grads=None):
         grads = {name: np.zeros(shape)
                  for name, shape in param_shapes(config).items()}
     h = config.hidden_dim
-    wf, wb = params["out.wf"], params["out.wb"]
     lengths = [x.shape[0] for x in cache.inputs]
 
-    d_h_f, d_h_b = [], []
+    # d loss / d top_h, per direction and sentence
+    d_top = ([], [])
     for s, d_e in enumerate(d_emissions):
         d_e = np.asarray(d_e, dtype=np.float64)
-        grads["out.wf"] += d_e.T @ cache.top_h_f[s]
-        grads["out.wb"] += d_e.T @ cache.top_h_b[s]
         grads["out.b"] += d_e.sum(axis=0)
-        d_f = d_e @ wf
-        d_b = d_e @ wb
-        if cache.out_masks_f is not None:
-            d_f = d_f * cache.out_masks_f[s]
-            d_b = d_b * cache.out_masks_b[s]
-        d_h_f.append(d_f)
-        d_h_b.append(d_b)
+        for i, name in enumerate(("out.wf", "out.wb")):
+            grads[name] += d_e.T @ cache.top_h[i][s]
+            d = d_e @ params[name]
+            if cache.out_masks is not None:
+                d = d * cache.out_masks[i][s]
+            d_top[i].append(d)
 
     for layer in range(config.num_layers - 1, -1, -1):
-        attn_f, cell_f = direction_view(params, layer, "fwd")
-        attn_b, cell_b = direction_view(params, layer, "bwd")
-        state_f, state_b = cache.layers[layer]
-        d_out_f = np.zeros(state_f.tape.shape[:2] + (h,))
-        d_out_b = np.zeros(state_b.tape.shape[:2] + (h,))
-        for p, m, d_f, d_b in zip(cache.positions, lengths, d_h_f, d_h_b):
-            d_out_f[p, :m] = d_f
-            d_out_b[p, :m] = d_b[::-1]
-        d_in_f = _direction_backward(state_f, attn_f, cell_f, d_out_f,
-                                     cache.positions, grads, f"enc{layer}.fwd.")
-        d_in_b = _direction_backward(state_b, attn_b, cell_b, d_out_b,
-                                     cache.positions, grads, f"enc{layer}.bwd.")
-        d_layer_in = [d_in_f[p] + d_in_b[p][::-1] for p in cache.positions]
+        d_in = []
+        for (direction, order), state, d_rows in zip(
+                DIRECTIONS, cache.layers[layer], d_top):
+            attn, cell = direction_view(params, layer, direction)
+            d_out = np.zeros(state.tape.shape[:2] + (h,))
+            for p, m, d in zip(cache.positions, lengths, d_rows):
+                d_out[p, :m] = d[order]
+            prefix = f"enc{layer}.{direction}."
+            d_in.append([d[order] for d in _direction_backward(
+                state, attn, cell, d_out, cache.positions, grads, prefix)])
+        d_layer_in = [d_in[0][p] + d_in[1][p] for p in cache.positions]
         if layer > 0:
-            d_h_f = [d[:, :h] for d in d_layer_in]
-            d_h_b = [d[:, h:] for d in d_layer_in]
+            d_top = ([d[:, :h] for d in d_layer_in],
+                     [d[:, h:] for d in d_layer_in])
 
     d_inputs = d_layer_in
     if cache.input_masks is not None:

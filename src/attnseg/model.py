@@ -45,13 +45,15 @@ class TrainConfig:
     dev_fraction: float = 0.1
 
     def __post_init__(self):
-        # a bool is not an int, an int is taken for a float, and None
-        # only where the default is None
+        # a bool is not an int, an int given for a float becomes a float
+        # (so a loaded config saves as it was saved), and None only where
+        # the default is None
         for f in fields(self):
             value = getattr(self, f.name)
-            if not (value is None and f.default is None
-                    or type(value) is f.type
-                    or f.type is float and type(value) is int):
+            if f.type is float and type(value) is int:
+                setattr(self, f.name, float(value))
+            elif not (value is None and f.default is None
+                      or type(value) is f.type):
                 raise ValueError(
                     f"config field {f.name} must be {f.type.__name__}"
                     f"{' or null' if f.default is None else ''}, got {value!r}"
@@ -93,18 +95,15 @@ class TrainConfig:
         """The config a dict (say, a parsed model.json) describes.
 
         Every value must have its field's declared type, as the
-        constructor checks; an int given for a float becomes a float.  A
-        ValueError names the first field that breaks a rule.
+        constructor checks.  A ValueError names the first field that
+        breaks a rule.
         """
         if not isinstance(d, dict):
             raise ValueError(f"config must be a mapping, got {type(d).__name__}")
-        declared = {f.name: f.type for f in fields(cls)}
-        extra = set(d) - set(declared)
+        extra = set(d) - {f.name for f in fields(cls)}
         if extra:
             raise ValueError(f"unknown config fields: {sorted(extra)}")
-        return cls(**{name: float(value)
-                      if declared[name] is float and type(value) is int else value
-                      for name, value in d.items()})
+        return cls(**d)
 
 
 def pack_params(params):

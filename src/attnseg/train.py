@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import Vocab, load_lexicon
+from .corpus import Vocab, load_lexicon, read_lines
 from .evaluate import evaluate_corpus
 from .model import (
     Segmenter, TrainConfig, pack_params, param_shapes, unpack_params,
@@ -257,11 +257,6 @@ def save_model(model, directory):
         fh.write("\n")
 
 
-def _read_tokens(path):
-    with open(path, encoding="utf-8") as fh:
-        return [line.rstrip("\n") for line in fh]
-
-
 def _read_params(entries, payload, expected):
     """The tensors of params.bin, named by the manifest `entries`.
 
@@ -349,10 +344,10 @@ def load_model(directory):
             f"{meta_path}: tag table {meta['tags']!r} is not {TAG_IDS!r}"
         )
     config = TrainConfig.from_dict(meta["config"])
-    vocab = Vocab(_read_tokens(os.path.join(directory, "vocab.txt")))
+    vocab = Vocab(read_lines(os.path.join(directory, "vocab.txt")))
     bigram_vocab = None
     if config.bigrams:
-        bigram_vocab = Vocab(_read_tokens(os.path.join(directory, "bigrams.txt")))
+        bigram_vocab = Vocab(read_lines(os.path.join(directory, "bigrams.txt")))
     lexicon = None
     lex_path = os.path.join(directory, "lexicon.txt")
     if os.path.exists(lex_path):

@@ -265,7 +265,7 @@ def sentence_cache(cache, s, params=None):
     dict `params` is given, and the top hidden rows that fed the output
     projection."""
     p = cache.positions[s]
-    masks = (cache.input_masks, cache.out_masks_f, cache.out_masks_b)
+    masks = (cache.input_masks, *(cache.out_masks or (None, None)))
     input_mask, out_mask_f, out_mask_b = (None if m is None else m[s] for m in masks)
     layer_caches = []
     for layer, (state_f, state_b) in enumerate(cache.layers):
@@ -279,7 +279,7 @@ def sentence_cache(cache, s, params=None):
         inputs=cache.inputs[s], input_mask=input_mask,
         layer_caches=layer_caches,
         out_mask_f=out_mask_f, out_mask_b=out_mask_b,
-        top_h_f=cache.top_h_f[s], top_h_b=cache.top_h_b[s],
+        top_h_f=cache.top_h[0][s], top_h_b=cache.top_h[1][s],
     )
 
 

@@ -5,7 +5,7 @@ import re
 import pytest
 
 from attnseg.cli import _build_parser, main
-from attnseg.corpus import load_toy_corpus
+from attnseg.corpus import read_lines
 
 TOY = os.path.join(os.path.dirname(__file__), os.pardir,
                    "src", "attnseg", "data", "toy.txt")
@@ -84,7 +84,8 @@ def test_segment_conserves_characters(tmp_path, capsys):
     model_dir = train_into(tmp_path, "m")
     capsys.readouterr()
     raw = tmp_path / "raw.txt"
-    gold_lines = [s.raw.replace(" ", "") for s in load_toy_corpus()]
+    # the toy corpus's sentences with their spaces taken out
+    gold_lines = ["".join(line.split()) for line in read_lines(TOY) if line.strip()]
     raw.write_text("\n".join(gold_lines) + "\n", encoding="utf-8")
     out_file = tmp_path / "seg.txt"
     rc = main(["segment", "--model", model_dir, "--input", str(raw),
@@ -134,6 +135,21 @@ def test_input_not_utf8_names_file_and_line(tmp_path, capsys, flag):
     capsys.readouterr()
     assert main(argv) == 1
     assert f"error: {bad}: line 2: not valid UTF-8" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name, extra", [("vocab.txt", []),
+                                         ("bigrams.txt", ["--bigrams"])])
+def test_model_vocab_not_utf8_names_file_and_line(tmp_path, capsys, name, extra):
+    model_dir = train_into(tmp_path, "m", extra)
+    bad = os.path.join(model_dir, name)
+    lines = open(bad, "rb").read().split(b"\n")
+    lines[2] = b"\xff"
+    open(bad, "wb").write(b"\n".join(lines))
+    raw = tmp_path / "raw.txt"
+    raw.write_text("我\n", encoding="utf-8")
+    capsys.readouterr()
+    assert main(["segment", "--model", model_dir, "--input", str(raw)]) == 1
+    assert f"error: {bad}: line 3: not valid UTF-8" in capsys.readouterr().err
 
 
 def test_segment_to_stdout(tmp_path, capsys):

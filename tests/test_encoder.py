@@ -459,8 +459,8 @@ def test_dropout_sites_are_input_and_output_only():
     m_b = dropout_mask((4, HID), p, replay)
     manual = np.empty((4, 4))
     for t in range(4):
-        manual[t] = params["out.wf"] @ (cache.top_h_f[0][t] * m_f[t]) \
-            + params["out.wb"] @ (cache.top_h_b[0][t] * m_b[t]) + params["out.b"]
+        manual[t] = params["out.wf"] @ (cache.top_h[0][0][t] * m_f[t]) \
+            + params["out.wb"] @ (cache.top_h[1][0][t] * m_b[t]) + params["out.b"]
     assert np.array_equal(out_drop, manual)
 
 
@@ -623,6 +623,21 @@ def test_batched_forward_matches_batch_of_one(dims, memory_span, extra_layers,
                 assert len(got.weights) == len(ref.weights) == x.shape[0]
                 for a, b in zip(got.weights, ref.weights):
                     assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("dims, memory_span, extra_layers, dropout",
+                         [case for case in BATCH_CASES if case.values[3] == 0.0])
+def test_decode_pass_matches_training_pass(dims, memory_span, extra_layers,
+                                           dropout):
+    # without a cache each direction overwrites one scratch row of arrays
+    # from np.empty; with one it keeps every row, in arrays from np.zeros
+    lengths = [5, 1, 9, 5, 3] if not dims else [4, 1, 7]
+    cfg, params, xs = batch_case(dims, memory_span, extra_layers, lengths, 71)
+    kept, _ = forward(params, cfg, xs)
+    decoded, cache = forward(params, cfg, xs, keep_cache=False)
+    assert cache is None
+    for got, want in zip(decoded, kept, strict=True):
+        assert np.array_equal(got, want)
 
 
 @pytest.mark.parametrize("dims, memory_span, extra_layers, dropout", BATCH_CASES)

@@ -175,6 +175,17 @@ def test_train_epoch_returns_finite_stats_and_learns():
     assert s2.nll < s1.nll
 
 
+@pytest.mark.parametrize("overrides", [
+    {}, {"bigrams": True}, {"extra_layers": 1, "memory_span": 2},
+])
+def test_nll_matches_training_loss(overrides):
+    # nll runs the encoder without gradients and the CRF's log partition;
+    # loss_and_grads keeps the cache and takes the loss from nll_and_grads
+    model, corpus, _ = toy_model(**overrides)
+    for sent in corpus:
+        assert model.nll(sent) == model.loss_and_grads(sent)[0]
+
+
 def test_train_epoch_does_not_decode(monkeypatch):
     # an epoch trains; decoding the training set is tag_accuracy's job
     model, corpus, cfg = toy_model()
@@ -348,6 +359,18 @@ def test_save_load_roundtrip_decodes_identically(tmp_path):
     assert loaded.vocab.id_to_token == model.vocab.id_to_token
     for sent in corpus:
         assert loaded.decode(sent.tokens) == model.decode(sent.tokens)
+
+
+def test_save_load_save_is_byte_identical(tmp_path):
+    # ints given for float fields are stored as floats, so a loaded model
+    # saves the files it was loaded from
+    model, _, _ = toy_model(learning_rate=1, adagrad_epsilon=1, clip_norm=1)
+    first, second = tmp_path / "first", tmp_path / "second"
+    save_model(model, first)
+    save_model(load_model(first), second)
+    assert sorted(os.listdir(first)) == sorted(os.listdir(second))
+    for name in os.listdir(first):
+        assert (first / name).read_bytes() == (second / name).read_bytes(), name
 
 
 def test_save_load_float32_quantization_is_the_only_change(tmp_path):
