@@ -2,9 +2,11 @@
 
 Trains one model per pin config on the bundled toy corpus (`attnseg
 train --epochs 4 --batch-size 4 --seed 3`) and prints a sha256 line per
-file of each model directory and one for each run's epoch lines, then
-the line `attnseg gradcheck --seed 1` prints.  Two checkouts that
-behave the same print the same lines, so a refactor is checked with
+file of each model directory, one for each run's epoch lines and one for
+what `attnseg segment` prints with that model on the toy corpus's text
+(its lines with their spaces taken out), then the line `attnseg
+gradcheck --seed 1` prints.  Two checkouts that behave the same print
+the same lines, so a refactor is checked with
 
     python3 scripts/pins.py > before.txt     # in the parent checkout
     python3 scripts/pins.py > after.txt      # in the changed checkout
@@ -51,6 +53,10 @@ def sha256(data):
 
 def main():
     with tempfile.TemporaryDirectory() as tmp:
+        text = os.path.join(tmp, "toy-text.txt")
+        with open(TOY, encoding="utf-8") as src, \
+                open(text, "w", encoding="utf-8") as dst:
+            dst.writelines("".join(line.split()) + "\n" for line in src)
         for name, flags in CONFIGS.items():
             out = os.path.join(tmp, name)
             epochs = attnseg("train", "--train", TOY, "--out", out,
@@ -59,6 +65,8 @@ def main():
                 with open(os.path.join(out, filename), "rb") as fh:
                     print(f"{sha256(fh.read())}  {name}/{filename}")
             print(f"{sha256(epochs.encode('utf-8'))}  {name} epoch lines")
+            words = attnseg("segment", "--model", out, "--input", text)
+            print(f"{sha256(words.encode('utf-8'))}  {name} segment output")
     print(attnseg("gradcheck", "--seed", "1"), end="")
 
 

@@ -42,9 +42,10 @@ def read_lines(path):
 
     Lines end at "\n" only: str.splitlines would also break inside a
     line at U+2028, U+0085 and other separators, and a text-mode file at
-    a lone "\r".  A final "\n" ends the last line.  A file that is not
-    valid UTF-8 is a ValueError naming the path and the first bad line.
-    The file is decoded whole, in one call, not line by line.
+    a lone "\r".  A final "\n" ends the last line, and a leading UTF-8
+    byte order mark (U+FEFF) is dropped.  A file that is not valid UTF-8
+    is a ValueError naming the path and the first bad line.  The file is
+    decoded whole, in one call, not line by line.
     """
     with open(path, "rb") as fh:
         raw = fh.read()
@@ -53,7 +54,7 @@ def read_lines(path):
     except UnicodeDecodeError as exc:
         lineno = raw.count(b"\n", 0, exc.start) + 1
         raise ValueError(f"{path}: line {lineno}: not valid UTF-8") from exc
-    lines = text.split("\n")
+    lines = text.removeprefix("\ufeff").split("\n")
     if lines[-1] == "":
         lines.pop()
     return lines

@@ -7,14 +7,16 @@ scores
     A[START, y_1] + sum_t A[y_t, y_{t+1}] + A[y_n, END] + sum_t P[t, y_t]
 
 emissions contributing at real positions only.  All dynamic programming
-runs in log space.  An optional boolean constraint mask of the same shape
-as A excludes transitions outright (they contribute -inf); decoding with
-the BMES grammar mask can then never emit an invalid sequence.
+runs in log space.  An entry of A that is -inf forbids its transition
+outright: no path through it has any probability or can be decoded.
+Setting every transition the BMES grammar forbids to -inf
+(``np.where(tagging.transition_mask(), A, -np.inf)``) is how decoding
+keeps to the grammar.
 """
 
 import numpy as np
 
-from .numerics import ShapeError, logsumexp
+from .numerics import ShapeError
 
 
 def start_index(num_tags):
@@ -25,7 +27,7 @@ def end_index(num_tags):
     return num_tags + 1
 
 
-def _check(emissions, transitions, mask=None):
+def _check(emissions, transitions):
     emissions = np.asarray(emissions, dtype=np.float64)
     transitions = np.asarray(transitions, dtype=np.float64)
     if emissions.ndim != 2 or emissions.shape[0] < 1:
@@ -36,13 +38,6 @@ def _check(emissions, transitions, mask=None):
             f"transitions must be {(k + 2, k + 2)} for {k} tags, "
             f"got {transitions.shape}"
         )
-    if mask is not None:
-        mask = np.asarray(mask, dtype=bool)
-        if mask.shape != transitions.shape:
-            raise ShapeError(
-                f"mask shape {mask.shape} != transitions shape {transitions.shape}"
-            )
-        transitions = np.where(mask, transitions, -np.inf)
     return emissions, transitions, k
 
 
@@ -57,16 +52,17 @@ def sequence_score(emissions, transitions, tags):
     emissions, trans, k = _check(emissions, transitions)
     if len(tags) != emissions.shape[0]:
         raise ValueError(f"{len(tags)} tags for {emissions.shape[0]} positions")
-    return float(_masked_sequence_score(emissions, trans, tags, k))
+    return float(_sequence_score(emissions, trans, tags, k))
 
 
 def _logsumexp_along(scores, axis):
-    """logsumexp of a (k, k) array along `axis`, one reduction for all k
-    vectors.  Per vector it computes what numerics.logsumexp does: the
-    maximum m, then m + log(sum(exp(v - m))).  numpy sums fewer than 8
-    terms in index order along either axis, so for the four BMES tags
-    the results are bit-equal.  A vector that is entirely -inf gives
-    -inf, with no NaN and no warning."""
+    """log(sum(exp(v))) of every vector v of `scores` along `axis`, one
+    reduction for all of them: the maximum m, then
+    m + log(sum(exp(v - m))).  numpy sums fewer than 8 terms in index
+    order along any axis, so for the four BMES tags each result is
+    bit-equal to that of v alone (the per-tag loops of
+    tests/oracles.py).  A vector that is entirely -inf gives -inf, with
+    no NaN and no warning; an empty one is a ValueError."""
     m = scores.max(axis=axis, keepdims=True)
     shift = np.where(m == -np.inf, 0.0, m)
     with np.errstate(divide="ignore"):
@@ -102,29 +98,21 @@ def _backward_table(emissions, trans, k):
     return beta
 
 
-def log_partition(emissions, transitions, mask=None):
+def log_partition(emissions, transitions):
     """log of the summed exponentiated scores over all tag sequences.
 
-    With a constraint mask, excluded transitions contribute nothing; if
-    every path is masked out the partition is empty, which is an error.
+    A path through a -inf transition contributes nothing; if every path
+    does, the partition is empty, which is an error.
     """
-    emissions, trans, k = _check(emissions, transitions, mask)
+    emissions, trans, k = _check(emissions, transitions)
     return float(_log_z(_forward_table(emissions, trans, k), trans, k))
 
 
 def _log_z(alpha, trans, k):
-    log_z = logsumexp(alpha[-1] + trans[:k, end_index(k)])
+    log_z = _logsumexp_along(alpha[-1] + trans[:k, end_index(k)], axis=-1)
     if log_z == -np.inf:
-        raise ValueError("all tag sequences are masked out")
+        raise ValueError("every tag sequence has a forbidden transition")
     return log_z
-
-
-def _assert_path_allowed(trans, tags, k):
-    start, end = start_index(k), end_index(k)
-    path = [start] + list(tags) + [end]
-    for a, b in zip(path, path[1:]):
-        if trans[a, b] == -np.inf:
-            raise ValueError(f"gold transition {a} -> {b} is masked out")
 
 
 def _posteriors(emissions, trans, k):
@@ -136,17 +124,17 @@ def _posteriors(emissions, trans, k):
     return np.exp(alpha + beta - log_z), alpha, beta, log_z
 
 
-def marginals(emissions, transitions, mask=None):
+def marginals(emissions, transitions):
     """Per-position tag posteriors, an (n, K) array whose rows sum to 1.
 
-    With a constraint mask, masked paths get probability 0; if every path
-    is masked out, raises.
+    Paths through a -inf transition get probability 0; if every path
+    does, raises.
     """
-    emissions, trans, k = _check(emissions, transitions, mask)
+    emissions, trans, k = _check(emissions, transitions)
     return _posteriors(emissions, trans, k)[0]
 
 
-def nll_and_grads(emissions, transitions, gold, mask=None):
+def nll_and_grads(emissions, transitions, gold):
     """Negative log-likelihood of the gold sequence and its gradients.
 
     Returns (loss, d_emissions, d_transitions):
@@ -154,17 +142,18 @@ def nll_and_grads(emissions, transitions, gold, mask=None):
       d_emissions[t, j] = p(y_t = j | x) - 1{gold_t = j};
       d_transitions holds pairwise marginals minus gold counts, including
       the START row and END column.
+    A gold sequence through a -inf transition is a ValueError.
     """
-    emissions, trans, k = _check(emissions, transitions, mask)
+    emissions, trans, k = _check(emissions, transitions)
     n = emissions.shape[0]
     if len(gold) != n:
         raise ValueError(f"{len(gold)} gold tags for {n} positions")
-    if mask is not None:
-        _assert_path_allowed(trans, gold, k)
+    gold_score = _sequence_score(emissions, trans, gold, k)
+    if gold_score == -np.inf:
+        raise ValueError("the gold tag sequence has a forbidden transition")
     start, end = start_index(k), end_index(k)
 
     unary, alpha, beta, log_z = _posteriors(emissions, trans, k)
-    gold_score = _masked_sequence_score(emissions, trans, gold, k)
     loss = log_z - gold_score
 
     d_emissions = unary.copy()
@@ -186,9 +175,7 @@ def nll_and_grads(emissions, transitions, gold, mask=None):
     return float(loss), d_emissions, d_trans
 
 
-def _masked_sequence_score(emissions, trans, tags, k):
-    # Same accumulation order as sequence_score but on the (possibly
-    # masked) effective transition matrix.
+def _sequence_score(emissions, trans, tags, k):
     n = emissions.shape[0]
     start, end = start_index(k), end_index(k)
     score = trans[start, tags[0]] + emissions[0, tags[0]]
@@ -198,14 +185,15 @@ def _masked_sequence_score(emissions, trans, tags, k):
     return score + trans[tags[n - 1], end]
 
 
-def viterbi(emissions, transitions, mask=None):
+def viterbi(emissions, transitions):
     """Highest-scoring tag sequence and its score.
 
-    Ties break toward the lowest tag id at each backtracking step.  With
-    the grammar mask active the result is always grammar-valid; if no
-    path is feasible at all, raises.
+    Ties break toward the lowest tag id at each backtracking step.  The
+    path takes no -inf transition, so with the grammar's forbidden
+    transitions at -inf it is always grammar-valid; if every path takes
+    one, raises.
     """
-    emissions, trans, k = _check(emissions, transitions, mask)
+    emissions, trans, k = _check(emissions, transitions)
     n = emissions.shape[0]
     start, end = start_index(k), end_index(k)
     delta = trans[start, :k] + emissions[0]
@@ -218,7 +206,7 @@ def viterbi(emissions, transitions, mask=None):
     best_last = int(np.argmax(final))
     best_score = final[best_last]
     if best_score == -np.inf:
-        raise ValueError("all tag sequences are masked out")
+        raise ValueError("every tag sequence has a forbidden transition")
     path = [best_last]
     for t in range(n - 1, 0, -1):
         path.append(int(back[t, path[-1]]))

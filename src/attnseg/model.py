@@ -14,6 +14,7 @@ Insertion order is the canonical order for flattening and for the
 serialized binary layout.
 """
 
+import sys
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
@@ -46,11 +47,12 @@ class TrainConfig:
 
     def __post_init__(self):
         # a bool is not an int, an int given for a float becomes a float
-        # (so a loaded config saves as it was saved), and None only where
-        # the default is None
+        # (so a loaded config saves as it was saved) if it is in a float's
+        # range, and None only where the default is None
         for f in fields(self):
             value = getattr(self, f.name)
-            if f.type is float and type(value) is int:
+            if f.type is float and type(value) is int \
+                    and abs(value) <= sys.float_info.max:
                 setattr(self, f.name, float(value))
             elif not (value is None and f.default is None
                       or type(value) is f.type):
@@ -288,9 +290,10 @@ class Segmenter:
             - crf.sequence_score(scores, trans, sentence.tags)
 
     def decode(self, tokens, masked=True):
-        """Most likely tag sequence for a token sequence (grammar mask on
-        by default, so output is always a valid BMES string), or the
-        list of them for a list of token sequences, in input order.
+        """Most likely tag sequence for a token sequence, or the list of
+        them for a list of token sequences, in input order.  With
+        `masked` (the default) every transition the BMES grammar forbids
+        scores -inf, so each path is a valid BMES string.
 
         A list is decoded in lock-step chunks of config.batch_size
         sentences, in list order: one encoder pass without a cache per
@@ -302,8 +305,9 @@ class Segmenter:
             return []
         single = isinstance(tokens[0], str)
         sentences = [tokens] if single else tokens
-        mask = tagging.transition_mask() if masked else None
         trans = self.params["crf.trans"]
+        if masked:
+            trans = np.where(tagging.transition_mask(), trans, -np.inf)
         config, size = self.encoder_config, self.config.batch_size
         paths = [[] for _ in sentences]
         nonempty = [s for s in range(len(sentences)) if sentences[s]]
@@ -314,7 +318,7 @@ class Segmenter:
                 [self._features(sentences[s])[0] for s in chunk], keep_cache=False,
             )
             for s, sent_scores in zip(chunk, scores):
-                paths[s], _ = crf.viterbi(sent_scores, trans, mask=mask)
+                paths[s], _ = crf.viterbi(sent_scores, trans)
         return paths[0] if single else paths
 
     def segment(self, line):

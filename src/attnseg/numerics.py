@@ -7,7 +7,8 @@ points of the CRF, the encoder and the AdaGrad update, so that wiring
 bugs surface immediately instead of silently producing garbage
 gradients.  Inside those entry points numpy broadcasting is used where
 it is the natural spelling (e.g. ``encoder.tape_step`` and
-``crf.nll_and_grads``).
+``crf.nll_and_grads``).  The CRF's log-sum-exp lives in ``crf``, beside
+the tables that reduce with it.
 """
 
 import numpy as np
@@ -55,23 +56,6 @@ def softmax(v, out=None):
     np.exp(out, out=out)
     out /= np.add.reduce(out, axis=-1, keepdims=True)
     return out
-
-
-def logsumexp(v):
-    """log(sum(exp(v))) of a 1-d array, max-subtracted for stability.
-
-    Entries may be -inf (they drop out of the sum); an all -inf input
-    returns -inf.  An empty vector is an error (log of a zero sum).
-    """
-    v = np.asarray(v, dtype=np.float64)
-    if v.ndim != 1:
-        raise ShapeError(f"logsumexp needs a vector, got shape {v.shape}")
-    if v.size == 0:
-        raise ValueError("logsumexp of an empty vector")
-    m = np.max(v)
-    if m == -np.inf:
-        return -np.inf
-    return m + np.log(np.sum(np.exp(v - m)))
 
 
 def grad_check(f, analytic_grad, point, step=1e-4):

@@ -113,7 +113,9 @@ def transition_mask():
     """(NUM_TAGS+2, NUM_TAGS+2) boolean matrix of allowed transitions.
 
     Row/column order is B, M, E, S, START, END; entry [i, j] is True when
-    i -> j is grammatical.  Suitable as the CRF constraint mask.
+    i -> j is grammatical.  ``np.where(transition_mask(), A, -np.inf)``
+    turns a CRF transition matrix A into one that only decodes
+    grammatical paths.
     """
     size = NUM_TAGS + 2
     mask = np.zeros((size, size), dtype=bool)

@@ -5,10 +5,9 @@ enumeration over all tag sequences, straight-line transcriptions of the
 recurrence arithmetic, per-tag loops for the CRF tables, a textbook
 LSTM step, an idiom scan that tries every lexicon entry.  None of it
 imports the production code paths it checks (shared constants, shapes,
-character classes, numerics.logsumexp, the CRF's gold-path score and
-the encoder's attention window, read back from a forward pass,
-excepted), so agreement between the two routes is evidence, not
-tautology.
+character classes, the CRF's gold-path score and the encoder's
+attention window, read back from a forward pass, excepted), so
+agreement between the two routes is evidence, not tautology.
 
 Score accumulation order matters in a few places: the dynamic programs
 under test build path scores strictly left to right, so oracles that
@@ -22,15 +21,32 @@ from types import SimpleNamespace
 import numpy as np
 
 from attnseg.corpus import ENG, IDIOM, NUM, SPECIALS, _is_digit, _is_latin
-from attnseg.crf import _masked_sequence_score, end_index, start_index
+from attnseg.crf import _sequence_score, end_index, start_index
 from attnseg.encoder import attend, direction_view
-from attnseg.numerics import logsumexp
+from attnseg.numerics import ShapeError
 
 START = 4
 END = 5
 
 
-def enumerate_scores(emissions, trans, mask=None):
+def logsumexp(v):
+    """log(sum(exp(v))) of a 1-d array, max-subtracted for stability.
+
+    Entries may be -inf (they drop out of the sum); an all -inf input
+    returns -inf.  An empty vector is an error (log of a zero sum).
+    """
+    v = np.asarray(v, dtype=np.float64)
+    if v.ndim != 1:
+        raise ShapeError(f"logsumexp needs a vector, got shape {v.shape}")
+    if v.size == 0:
+        raise ValueError("logsumexp of an empty vector")
+    m = np.max(v)
+    if m == -np.inf:
+        return -np.inf
+    return m + np.log(np.sum(np.exp(v - m)))
+
+
+def enumerate_scores(emissions, trans):
     """(sequences, scores): every tag sequence over K tags and its score.
 
     Scores accumulate left to right exactly like a chain sum:
@@ -40,8 +56,6 @@ def enumerate_scores(emissions, trans, mask=None):
     """
     emissions = np.asarray(emissions, dtype=np.float64)
     n, k = emissions.shape
-    if mask is not None:
-        trans = np.where(mask, trans, -np.inf)
     seqs = np.array(list(itertools.product(range(k), repeat=n)), dtype=np.intp)
     scores = trans[START, seqs[:, 0]] + emissions[0, seqs[:, 0]]
     for t in range(1, n):
@@ -51,19 +65,19 @@ def enumerate_scores(emissions, trans, mask=None):
     return seqs, scores
 
 
-def brute_log_partition(emissions, trans, mask=None):
-    seqs, scores = enumerate_scores(emissions, trans, mask)
+def brute_log_partition(emissions, trans):
+    seqs, scores = enumerate_scores(emissions, trans)
     m = np.max(scores)
     if m == -np.inf:
         raise ValueError("all sequences masked")
     return float(m + np.log(np.sum(np.exp(scores - m))))
 
 
-def brute_viterbi(emissions, trans, mask=None):
+def brute_viterbi(emissions, trans):
     """(best path, best score); ties pick the path whose reversed tuple
     is lexicographically smallest (lowest tag id from the end inward),
     which is what backtracking with first-index argmax selects."""
-    seqs, scores = enumerate_scores(emissions, trans, mask)
+    seqs, scores = enumerate_scores(emissions, trans)
     best = np.max(scores)
     if best == -np.inf:
         raise ValueError("all sequences masked")
@@ -72,13 +86,13 @@ def brute_viterbi(emissions, trans, mask=None):
     return list(path), float(best)
 
 
-def brute_marginals(emissions, trans, mask=None):
+def brute_marginals(emissions, trans):
     """Per-position tag marginals and per-step pairwise marginals by
     enumeration; returns (unary (n,k), pairwise (n-1,k,k), start (k,),
     end (k,))."""
     emissions = np.asarray(emissions, dtype=np.float64)
     n, k = emissions.shape
-    seqs, scores = enumerate_scores(emissions, trans, mask)
+    seqs, scores = enumerate_scores(emissions, trans)
     m = np.max(scores)
     probs = np.exp(scores - m)
     probs /= probs.sum()
@@ -125,9 +139,9 @@ def crf_backward_table_loops(emissions, trans, k):
 
 
 def crf_nll_and_grads_loops(emissions, trans, gold):
-    """Reference for crf.nll_and_grads on an already masked transition
-    matrix (excluded entries -inf): the tables above, then one pairwise
-    marginal per step.  Returns (loss, d_emissions, d_transitions, alpha,
+    """Reference for crf.nll_and_grads, forbidden transitions (-inf
+    entries) included: the tables above, then one pairwise marginal per
+    step.  Returns (loss, d_emissions, d_transitions, alpha,
     beta): the gradients, then the two tables they came from."""
     n, k = emissions.shape
     start, end = start_index(k), end_index(k)
@@ -138,7 +152,7 @@ def crf_nll_and_grads_loops(emissions, trans, gold):
     if log_z == -np.inf:
         raise ValueError("all tag sequences are masked out")
 
-    gold_score = _masked_sequence_score(emissions, trans, gold, k)
+    gold_score = _sequence_score(emissions, trans, gold, k)
     loss = log_z - gold_score
 
     unary = np.exp(alpha + beta - log_z)

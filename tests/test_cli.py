@@ -206,6 +206,33 @@ def test_segment_rejects_mistyped_config(tmp_path, capsys):
     assert "error:" in err and "hidden" in err
 
 
+def test_segment_rejects_config_int_past_float_range(tmp_path, capsys):
+    model_dir = train_into(tmp_path, "m")
+    meta_path = os.path.join(model_dir, "model.json")
+    meta = json.load(open(meta_path, encoding="utf-8"))
+    meta["config"]["learning_rate"] = 10 ** 400
+    json.dump(meta, open(meta_path, "w", encoding="utf-8"))
+    raw = tmp_path / "raw.txt"
+    raw.write_text("我\n", encoding="utf-8")
+    capsys.readouterr()
+    rc = main(["segment", "--model", model_dir, "--input", str(raw)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "error:" in err and "learning_rate" in err
+
+
+def test_segment_drops_leading_byte_order_mark(tmp_path):
+    model_dir = train_into(tmp_path, "m")
+    raw = tmp_path / "raw.txt"
+    raw.write_text("\ufeff我爱北京\n我爱北京\n", encoding="utf-8")
+    out_file = tmp_path / "seg.txt"
+    assert main(["segment", "--model", model_dir, "--input", str(raw),
+                 "--output", str(out_file)]) == 0
+    first, second = out_file.read_text(encoding="utf-8").split("\n")[:2]
+    assert first == second
+    assert first.replace(" ", "") == "我爱北京"
+
+
 def test_eval_prints_four_decimals(tmp_path, capsys):
     gold = tmp_path / "gold.txt"
     gold.write_text("你 好吗\n北京\n", encoding="utf-8")

@@ -4,8 +4,8 @@ import pytest
 from attnseg.corpus import (
     ENG, IDIOM, NUM, PAD, UNK, Corpus, Sentence, Vocab, bigram_key,
     build_bigram_vocab, featurize, load_corpus, load_embeddings, load_lexicon,
-    load_toy_corpus, preprocess, random_embeddings, sentence_bigrams,
-    split_train_dev, window_ids,
+    load_toy_corpus, preprocess, random_embeddings, read_lines,
+    sentence_bigrams, split_train_dev, window_ids,
 )
 from attnseg.tagging import TAG_IDS
 from oracles import preprocess_scan, random_segmentation
@@ -199,6 +199,38 @@ def test_load_corpus_bad_utf8_names_line(tmp_path):
     p.write_bytes("你 好\n".encode("utf-8") + b"\xff\xfe\n")
     with pytest.raises(ValueError, match="line 2"):
         load_corpus(p)
+
+
+def test_read_lines_drops_only_a_leading_byte_order_mark(tmp_path):
+    p = tmp_path / "c.txt"
+    p.write_text("\ufeff中国\n\ufeff人\n", encoding="utf-8")
+    assert read_lines(p) == ["中国", "\ufeff人"]
+    # the bad line is counted in the file's bytes, mark included
+    p.write_bytes("\ufeffa\n".encode("utf-8") + b"\xff\n")
+    with pytest.raises(ValueError, match="line 2"):
+        read_lines(p)
+
+
+def test_load_corpus_drops_leading_byte_order_mark(tmp_path):
+    p = tmp_path / "c.txt"
+    p.write_text("\ufeff中国 人\n", encoding="utf-8")
+    sent = load_corpus(p)[0]
+    assert sent.tokens == ["中", "国", "人"]
+    assert sent.tags == tags_of("BES")
+
+
+def test_load_lexicon_drops_leading_byte_order_mark(tmp_path):
+    p = tmp_path / "lex.txt"
+    p.write_text("\ufeff一举两得\n", encoding="utf-8")
+    assert load_lexicon(p) == frozenset(["一举两得"])
+
+
+def test_load_embeddings_drops_leading_byte_order_mark(tmp_path):
+    p = tmp_path / "emb.txt"
+    p.write_text("\ufeff2 3\n你 0.1 0.2 0.3\n好 0.4 0.5 0.6\n", encoding="utf-8")
+    vocab = Vocab.build([["你", "好"]])
+    table = load_embeddings(p, vocab, seed=42)
+    assert np.array_equal(table[vocab.id("你")], [0.1, 0.2, 0.3])
 
 
 def test_loaded_sentences_roundtrip_their_segmentation(tmp_path):

@@ -7,6 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from attnseg import crf, tagging
 from attnseg.corpus import Corpus, Sentence, load_toy_corpus
 from attnseg.evaluate import evaluate_corpus
 from attnseg.model import Segmenter, TrainConfig, pack_params, unpack_params
@@ -90,15 +91,18 @@ def test_config_validation():
         TrainConfig(extra_layers=5)
     # values that fail silently or late: a nan clip_norm clips nothing, a
     # zero epsilon divides by zero after one batch, a negative one can
-    # flip the step, a float count dies in train_epoch, and bigrams=1
-    # trains but writes a model.json that load_model refuses
+    # flip the step, a float count dies in train_epoch, bigrams=1 trains
+    # but writes a model.json that load_model refuses, and an int past a
+    # float's range overflowed in the int-to-float conversion
     for fields in ({"learning_rate": float("inf")}, {"learning_rate": float("nan")},
                    {"clip_norm": float("nan")}, {"clip_norm": float("inf")},
                    {"adagrad_epsilon": 0.0}, {"adagrad_epsilon": -1.0},
                    {"adagrad_epsilon": float("nan")},
                    {"adagrad_epsilon": float("inf")},
                    {"batch_size": 2.5}, {"hidden": 8.0}, {"window": 3.0},
-                   {"memory_span": 2.5}, {"bigrams": 1}):
+                   {"memory_span": 2.5}, {"bigrams": 1},
+                   {"learning_rate": 10 ** 400}, {"clip_norm": -10 ** 400},
+                   {"dropout": 2 ** 1024}):
         name = next(iter(fields))
         with pytest.raises(ValueError, match=name):
             TrainConfig(**fields)
@@ -586,6 +590,31 @@ def test_list_decode_matches_single_sentences(dims):
     assert paths == [model.decode(tokens) for tokens in sentences]
     assert model.decode([sentences[2], [], sentences[1]]) == [paths[2], [], paths[1]]
     assert model.decode([]) == []
+
+
+def test_decode_keeps_the_grammar_when_forbidden_transitions_score_high(
+        monkeypatch):
+    # +50 on every forbidden transition outweighs any emission of an
+    # untrained model, so only the decode's -inf entries keep its paths
+    # grammatical: for one sentence, for a list and in segment()
+    model, corpus, _ = toy_model()
+    model.params["crf.trans"][~tagging.transition_mask()] = 50.0
+    paths = []
+    viterbi = crf.viterbi
+
+    def recording(emissions, transitions):
+        path, score = viterbi(emissions, transitions)
+        paths.append(path)
+        return path, score
+
+    monkeypatch.setattr(crf, "viterbi", recording)
+    sentences = [sent.tokens for sent in corpus][:10]
+    singles = [model.decode(tokens) for tokens in sentences]
+    assert model.decode(sentences) == singles
+    for tokens in sentences:
+        model.segment("".join(tokens))
+    assert len(paths) == 3 * len(sentences)
+    assert all(tagging.is_valid(path) for path in paths)
 
 
 def test_list_decode_holds_one_chunk_at_a_time():
