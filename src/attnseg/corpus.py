@@ -38,17 +38,22 @@ def _is_digit(tok):
 
 
 def read_lines(path):
-    """The lines of a UTF-8 text file, as a list, without their "\n".
+    """The lines of a UTF-8 text file, as decode_lines gives them."""
+    with open(path, "rb") as fh:
+        return decode_lines(fh.read(), path)
+
+
+def decode_lines(raw, path):
+    """The lines of the UTF-8 bytes `raw` of the file at `path`, as a
+    list, without their "\n".
 
     Lines end at "\n" only: str.splitlines would also break inside a
     line at U+2028, U+0085 and other separators, and a text-mode file at
     a lone "\r".  A final "\n" ends the last line, and a leading UTF-8
-    byte order mark (U+FEFF) is dropped.  A file that is not valid UTF-8
-    is a ValueError naming the path and the first bad line.  The file is
-    decoded whole, in one call, not line by line.
+    byte order mark (U+FEFF) is dropped.  Bytes that are not valid UTF-8
+    are a ValueError naming the path and the first bad line.  The bytes
+    are decoded whole, in one call, not line by line.
     """
-    with open(path, "rb") as fh:
-        raw = fh.read()
     try:
         text = raw.decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -62,7 +67,12 @@ def read_lines(path):
 
 def load_lexicon(path):
     """Idiom lexicon: UTF-8, one idiom per line; blank lines ignored."""
-    idioms = [line.strip() for line in read_lines(path)]
+    return lexicon_from_lines(read_lines(path))
+
+
+def lexicon_from_lines(lines):
+    """The idioms of a lexicon file's lines, stripped, blank ones dropped."""
+    idioms = [line.strip() for line in lines]
     return frozenset(i for i in idioms if i)
 
 

@@ -155,7 +155,7 @@ def param_shapes(config):
 
     Keys follow the ``enc{layer}.{fwd|bwd}.`` naming used across
     training and serialization; init_params draws them in this order and
-    model loading checks saved tensors against it.
+    params.bin stores them in it.
     """
     h, a, k = config.hidden_dim, config.attn_dim, config.num_tags
     shapes = {}

@@ -46,20 +46,28 @@ class TrainConfig:
     dev_fraction: float = 0.1
 
     def __post_init__(self):
-        # a bool is not an int, an int given for a float becomes a float
-        # (so a loaded config saves as it was saved) if it is in a float's
-        # range, and None only where the default is None
+        # a bool (np.bool_ too) is not an int; numpy integer and real
+        # scalars become plain ints and floats, and an integer given for
+        # a float becomes a float if it is in a float's range, so a config
+        # saves as plain JSON and a loaded one saves as it was saved; None
+        # only where the default is None
         for f in fields(self):
             value = getattr(self, f.name)
-            if f.type is float and type(value) is int \
-                    and abs(value) <= sys.float_info.max:
-                setattr(self, f.name, float(value))
+            integral = isinstance(value, (int, np.integer)) \
+                and not isinstance(value, bool)
+            if f.type is int and integral:
+                value = int(value)
+            elif f.type is float and (
+                    isinstance(value, (float, np.floating))
+                    or integral and abs(value) <= sys.float_info.max):
+                value = float(value)
             elif not (value is None and f.default is None
                       or type(value) is f.type):
                 raise ValueError(
                     f"config field {f.name} must be {f.type.__name__}"
                     f"{' or null' if f.default is None else ''}, got {value!r}"
                 )
+            setattr(self, f.name, value)
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
         if not 0.0 <= self.dropout < 1.0:

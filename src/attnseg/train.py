@@ -11,15 +11,16 @@ number, the training NLL and the dev P/R/F1.
 tag_accuracy() decodes a corpus for its tag accuracy when a caller
 wants that figure.
 
-Saved models are directories:
+Saved models are directories, format attnseg-model/2:
 
     model.json     format version, config, tag table
     vocab.txt      one token per line, id order
     bigrams.txt    same, only when the bigram channel is on
     lexicon.txt    idiom list, only when one was used
     params.bin     all tensors as binary32 little-endian, row-major,
-                   concatenated in canonical parameter order
-    manifest.json  per-tensor name/shape/byte-offset + sha256 of params.bin
+                   concatenated in the canonical order and shapes of
+                   model.param_shapes(config, vocabulary sizes)
+    manifest.json  file name -> sha256 of each file above that is present
 
 Weights are stored in 32-bit but all arithmetic runs in 64-bit, so a
 round-trip costs one quantization, not a behavioural change (decodes are
@@ -29,12 +30,13 @@ the round-trip test enforces it).
 
 import hashlib
 import json
+import math
 import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import Vocab, load_lexicon, read_lines
+from .corpus import Vocab, decode_lines, lexicon_from_lines
 from .evaluate import evaluate_corpus
 from .model import (
     Segmenter, TrainConfig, pack_params, param_shapes, unpack_params,
@@ -42,7 +44,9 @@ from .model import (
 from .numerics import ShapeError, grad_check
 from .tagging import TAG_IDS
 
-FORMAT_VERSION = "attnseg-model/1"
+FORMAT_VERSION = "attnseg-model/2"
+_REQUIRED_FILES = {"model.json", "vocab.txt", "params.bin"}
+_MODEL_FILES = _REQUIRED_FILES | {"bigrams.txt", "lexicon.txt"}
 
 __all__ = [
     "AdagradState", "EpochStats", "EpochRecord", "adagrad_update",
@@ -210,118 +214,45 @@ def fit(model, train_corpus, dev_corpus, config, on_epoch=None):
     return model, history
 
 
-def _write_tokens(path, tokens):
-    with open(path, "w", encoding="utf-8") as fh:
-        for tok in tokens:
-            fh.write(tok + "\n")
+def _token_lines(tokens):
+    return "".join(tok + "\n" for tok in tokens).encode("utf-8")
 
 
 def save_model(model, directory):
     """Write the model directory format described in the module docstring."""
     os.makedirs(directory, exist_ok=True)
-    meta = {
-        "format": FORMAT_VERSION,
-        "config": model.config.to_dict(),
-        "tags": TAG_IDS,
+    meta = {"format": FORMAT_VERSION, "config": model.config.to_dict(),
+            "tags": TAG_IDS}
+    files = {
+        "model.json": (json.dumps(meta, ensure_ascii=False, indent=2,
+                                  sort_keys=True) + "\n").encode("utf-8"),
+        "vocab.txt": _token_lines(model.vocab.id_to_token),
     }
-    with open(os.path.join(directory, "model.json"), "w", encoding="utf-8") as fh:
-        json.dump(meta, fh, ensure_ascii=False, indent=2, sort_keys=True)
-        fh.write("\n")
-    _write_tokens(os.path.join(directory, "vocab.txt"), model.vocab.id_to_token)
     if model.bigram_vocab is not None:
-        _write_tokens(
-            os.path.join(directory, "bigrams.txt"),
-            model.bigram_vocab.id_to_token,
-        )
+        files["bigrams.txt"] = _token_lines(model.bigram_vocab.id_to_token)
     if model.lexicon:
-        _write_tokens(
-            os.path.join(directory, "lexicon.txt"), sorted(model.lexicon)
-        )
-    entries = []
-    blobs = []
-    offset = 0
-    for name, p in model.params.items():
-        raw = np.ascontiguousarray(p, dtype="<f4").tobytes()
-        entries.append({"name": name, "shape": list(p.shape), "offset": offset})
-        blobs.append(raw)
-        offset += len(raw)
-    payload = b"".join(blobs)
-    with open(os.path.join(directory, "params.bin"), "wb") as fh:
-        fh.write(payload)
-    manifest = {
-        "params": entries,
-        "sha256": hashlib.sha256(payload).hexdigest(),
-    }
+        files["lexicon.txt"] = _token_lines(sorted(model.lexicon))
+    files["params.bin"] = b"".join(
+        np.ascontiguousarray(p, dtype="<f4").tobytes()
+        for p in model.params.values()
+    )
+    digests = {}
+    for name, raw in files.items():
+        with open(os.path.join(directory, name), "wb") as fh:
+            fh.write(raw)
+        digests[name] = hashlib.sha256(raw).hexdigest()
     with open(os.path.join(directory, "manifest.json"), "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2)
-        fh.write("\n")
+        fh.write(json.dumps(digests, indent=2) + "\n")
 
 
-def _read_params(entries, payload, expected):
-    """The tensors of params.bin, named by the manifest `entries`.
-
-    The entries must list exactly the names and shapes of `expected`, in
-    its order, at offsets that tile params.bin with no gap, overlap or
-    trailing byte, and every value must be finite.  A ValueError names
-    the first parameter that breaks a rule.
-    """
-    for entry in entries:
-        if not (isinstance(entry, dict)
-                and entry.keys() == {"name", "shape", "offset"}
-                and isinstance(entry["name"], str)):
-            raise ValueError(
-                f"manifest entry {entry!r} is not a name, shape and offset"
-            )
-    names = [entry["name"] for entry in entries]
-    if names != list(expected):
-        missing = [name for name in expected if name not in names]
-        unexpected = [name for name in names if name not in expected]
-        if missing:
-            raise ValueError(f"manifest lacks parameter {missing[0]}")
-        if unexpected:
-            raise ValueError(f"manifest has unexpected parameter {unexpected[0]}")
-        raise ValueError("manifest lists parameters twice or out of order")
-    params = {}
-    offset = 0
-    for entry in entries:
-        name, shape, start = entry["name"], entry["shape"], entry["offset"]
-        if not isinstance(shape, list) or tuple(shape) != expected[name]:
-            raise ValueError(
-                f"parameter {name} has shape {shape}, but the config and "
-                f"vocabularies give {expected[name]}"
-            )
-        if type(start) is not int or start != offset:
-            raise ValueError(
-                f"parameter {name} starts at byte {start} of params.bin, "
-                f"not {offset}"
-            )
-        count = int(np.prod(expected[name], dtype=np.int64))
-        if offset + 4 * count > len(payload):
-            raise ValueError(f"parameter {name} overruns params.bin")
-        # a short-lived bytes copy per tensor: reading in place
-        # (frombuffer with offset=) left repeated loads on freshly mapped
-        # pages, some 2000 page faults per load at paper dimensions
-        values = np.frombuffer(payload[offset:offset + 4 * count], dtype="<f4")
-        if not np.isfinite(values).all():
-            raise ValueError(f"parameter {name} holds a non-finite value")
-        params[name] = values.astype(np.float64).reshape(expected[name])
-        offset += 4 * count
-    if offset != len(payload):
-        raise ValueError(
-            f"params.bin has {len(payload) - offset} bytes after the last "
-            f"parameter, {names[-1]}"
-        )
-    return params
-
-
-def _read_json_object(path, keys):
-    """The JSON object in the file at `path`, which must hold `keys`; a
-    ValueError names the file and what is wrong with it."""
-    with open(path, encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{path} is not valid JSON: {exc}") from None
+def _parse_json_object(raw, path, keys):
+    """The JSON object in `raw`, the bytes of the file at `path`, which
+    must hold `keys`; a ValueError names the file and what is wrong with
+    it."""
+    try:
+        data = json.loads(raw.decode("utf-8"))
+    except (ValueError, RecursionError) as exc:
+        raise ValueError(f"{path} is not valid JSON: {exc}") from None
     if not isinstance(data, dict):
         raise ValueError(f"{path} holds a {type(data).__name__}, not a JSON object")
     for key in keys:
@@ -331,43 +262,84 @@ def _read_json_object(path, keys):
 
 
 def load_model(directory):
-    """Load a saved model directory, verifying format, tag table and
-    checksum, and the stored tensors against the shapes the config
-    implies."""
-    meta_path = os.path.join(directory, "model.json")
-    meta = _read_json_object(meta_path, ("format", "config", "tags"))
-    version = meta["format"]
-    if version != FORMAT_VERSION:
-        raise ValueError(f"unknown model format {version!r}")
+    """Load a saved model directory.
+
+    manifest.json must give the sha256 of model.json, vocab.txt and
+    params.bin, of bigrams.txt exactly when the config turns bigrams on,
+    and of no other file than lexicon.txt.  Each listed file is read
+    once and must match its sha256; no other file is read.  model.json
+    must name this format and tag table, and params.bin must hold the
+    tensors the config and vocabularies imply, every value finite.
+    """
+    manifest_path = os.path.join(directory, "manifest.json")
+    with open(manifest_path, "rb") as fh:
+        digests = _parse_json_object(fh.read(), manifest_path, ())
+    if not _REQUIRED_FILES <= digests.keys() <= _MODEL_FILES:
+        raise ValueError(
+            f"{manifest_path} is not an {FORMAT_VERSION} manifest (the sha256 "
+            f"of model.json, vocab.txt, params.bin and of no other file than "
+            f"bigrams.txt and lexicon.txt); retrain models of older formats"
+        )
+
+    def read(name):
+        """(bytes, path) of a listed file whose bytes match its sha256."""
+        path = os.path.join(directory, name)
+        with open(path, "rb") as fh:
+            raw = fh.read()
+        digest = hashlib.sha256(raw).hexdigest()
+        if digest != digests[name]:
+            raise ValueError(
+                f"{path}: checksum {digest} does not match "
+                f"{digests[name]!r} in {manifest_path}"
+            )
+        return raw, path
+
+    raw, meta_path = read("model.json")
+    meta = _parse_json_object(raw, meta_path, ("format", "config", "tags"))
+    if meta["format"] != FORMAT_VERSION:
+        raise ValueError(
+            f"{meta_path}: unknown model format {meta['format']!r}, "
+            f"expected {FORMAT_VERSION!r}"
+        )
     if meta["tags"] != TAG_IDS:
         raise ValueError(
             f"{meta_path}: tag table {meta['tags']!r} is not {TAG_IDS!r}"
         )
     config = TrainConfig.from_dict(meta["config"])
-    vocab = Vocab(read_lines(os.path.join(directory, "vocab.txt")))
+    if config.bigrams != ("bigrams.txt" in digests):
+        raise ValueError(
+            f"{meta_path} has bigrams {config.bigrams}, but {manifest_path} "
+            f"{'does not list' if config.bigrams else 'lists'} bigrams.txt"
+        )
+    vocab = Vocab(decode_lines(*read("vocab.txt")))
     bigram_vocab = None
     if config.bigrams:
-        bigram_vocab = Vocab(read_lines(os.path.join(directory, "bigrams.txt")))
+        bigram_vocab = Vocab(decode_lines(*read("bigrams.txt")))
     lexicon = None
-    lex_path = os.path.join(directory, "lexicon.txt")
-    if os.path.exists(lex_path):
-        lexicon = load_lexicon(lex_path)
-    manifest_path = os.path.join(directory, "manifest.json")
-    manifest = _read_json_object(manifest_path, ("params", "sha256"))
-    if not isinstance(manifest["params"], list):
-        raise ValueError(f"{manifest_path}: params is not a list")
-    with open(os.path.join(directory, "params.bin"), "rb") as fh:
-        payload = fh.read()
-    digest = hashlib.sha256(payload).hexdigest()
-    if digest != manifest["sha256"]:
-        raise ValueError(
-            f"params.bin checksum {digest} does not match manifest "
-            f"{manifest['sha256']}"
-        )
-    expected = param_shapes(
+    if "lexicon.txt" in digests:
+        lexicon = lexicon_from_lines(decode_lines(*read("lexicon.txt")))
+    payload, params_path = read("params.bin")
+    shapes = param_shapes(
         config, len(vocab), None if bigram_vocab is None else len(bigram_vocab)
     )
-    params = _read_params(manifest["params"], payload, expected)
+    size = 4 * sum(math.prod(shape) for shape in shapes.values())
+    if len(payload) != size:
+        raise ValueError(
+            f"{params_path} holds {len(payload)} bytes, the config and "
+            f"vocabularies give {size}"
+        )
+    params = {}
+    offset = 0
+    for name, shape in shapes.items():
+        end = offset + 4 * math.prod(shape)
+        # a short-lived bytes copy per tensor: reading in place
+        # (frombuffer with offset=) left repeated loads on freshly mapped
+        # pages, some 2000 page faults per load at paper dimensions
+        values = np.frombuffer(payload[offset:end], dtype="<f4")
+        if not np.isfinite(values).all():
+            raise ValueError(f"parameter {name} holds a non-finite value")
+        params[name] = values.astype(np.float64).reshape(shape)
+        offset = end
     return Segmenter(config, vocab, params, bigram_vocab, lexicon)
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import re
@@ -6,6 +7,8 @@ import pytest
 
 from attnseg.cli import _build_parser, main
 from attnseg.corpus import read_lines
+from attnseg.train import load_model
+from model_files import json_edit, rehashed_edit
 
 TOY = os.path.join(os.path.dirname(__file__), os.pardir,
                    "src", "attnseg", "data", "toy.txt")
@@ -19,6 +22,15 @@ def train_into(tmp_path, name, extra=()):
     rc = main(["train", "--train", TOY, "--out", out] + FAST + list(extra))
     assert rc == 0
     return out
+
+
+def segment_one_char(tmp_path, model_dir, capsys):
+    """(exit status, stderr) of `attnseg segment` on the line 我."""
+    raw = tmp_path / "raw.txt"
+    raw.write_text("我\n", encoding="utf-8")
+    capsys.readouterr()
+    rc = main(["segment", "--model", model_dir, "--input", str(raw)])
+    return rc, capsys.readouterr().err
 
 
 def test_parser_defaults_match_stated_values():
@@ -142,14 +154,16 @@ def test_input_not_utf8_names_file_and_line(tmp_path, capsys, flag):
 def test_model_vocab_not_utf8_names_file_and_line(tmp_path, capsys, name, extra):
     model_dir = train_into(tmp_path, "m", extra)
     bad = os.path.join(model_dir, name)
-    lines = open(bad, "rb").read().split(b"\n")
-    lines[2] = b"\xff"
-    open(bad, "wb").write(b"\n".join(lines))
-    raw = tmp_path / "raw.txt"
-    raw.write_text("我\n", encoding="utf-8")
-    capsys.readouterr()
-    assert main(["segment", "--model", model_dir, "--input", str(raw)]) == 1
-    assert f"error: {bad}: line 3: not valid UTF-8" in capsys.readouterr().err
+
+    def third_line_not_utf8(raw):
+        lines = raw.split(b"\n")
+        lines[2] = b"\xff"
+        return b"\n".join(lines)
+
+    rehashed_edit(model_dir, name, third_line_not_utf8)
+    rc, err = segment_one_char(tmp_path, model_dir, capsys)
+    assert rc == 1
+    assert f"error: {bad}: line 3: not valid UTF-8" in err
 
 
 def test_segment_to_stdout(tmp_path, capsys):
@@ -165,60 +179,86 @@ def test_segment_to_stdout(tmp_path, capsys):
 
 def test_segment_rejects_unknown_model_version(tmp_path, capsys):
     model_dir = train_into(tmp_path, "m")
-    meta = os.path.join(model_dir, "model.json")
-    text = open(meta, encoding="utf-8").read()
-    open(meta, "w", encoding="utf-8").write(
-        text.replace("attnseg-model/1", "attnseg-model/9")
-    )
-    raw = tmp_path / "raw.txt"
-    raw.write_text("我\n", encoding="utf-8")
-    rc = main(["segment", "--model", model_dir, "--input", str(raw)])
+    rehashed_edit(model_dir, "model.json", lambda raw: raw.replace(
+        b"attnseg-model/2", b"attnseg-model/9"))
+    rc, err = segment_one_char(tmp_path, model_dir, capsys)
     assert rc != 0
-    assert "format" in capsys.readouterr().err
+    assert "format" in err
 
 
 def test_segment_rejects_incomplete_model(tmp_path, capsys):
+    # params.bin without its last tensor, crf.trans: 6 x 6 binary32 values
     model_dir = train_into(tmp_path, "m")
-    manifest_path = os.path.join(model_dir, "manifest.json")
-    manifest = json.load(open(manifest_path))
-    manifest["params"] = [e for e in manifest["params"] if e["name"] != "out.b"]
-    json.dump(manifest, open(manifest_path, "w"))
-    raw = tmp_path / "raw.txt"
-    raw.write_text("我\n", encoding="utf-8")
-    capsys.readouterr()
-    rc = main(["segment", "--model", model_dir, "--input", str(raw)])
+    rehashed_edit(model_dir, "params.bin", lambda raw: raw[:-4 * 36])
+    rc, err = segment_one_char(tmp_path, model_dir, capsys)
     assert rc == 1
-    assert "error:" in capsys.readouterr().err
+    assert "error:" in err
+
+
+def config_edit(name, value):
+    """A model.json edit setting config field `name` to `value`."""
+    def edit(meta):
+        meta["config"][name] = value
+        return meta
+    return json_edit(edit)
 
 
 def test_segment_rejects_mistyped_config(tmp_path, capsys):
     model_dir = train_into(tmp_path, "m")
-    meta_path = os.path.join(model_dir, "model.json")
-    meta = json.load(open(meta_path, encoding="utf-8"))
-    meta["config"]["hidden"] = "4"
-    json.dump(meta, open(meta_path, "w", encoding="utf-8"))
-    raw = tmp_path / "raw.txt"
-    raw.write_text("我\n", encoding="utf-8")
-    capsys.readouterr()
-    rc = main(["segment", "--model", model_dir, "--input", str(raw)])
+    rehashed_edit(model_dir, "model.json", config_edit("hidden", "4"))
+    rc, err = segment_one_char(tmp_path, model_dir, capsys)
     assert rc == 1
-    err = capsys.readouterr().err
     assert "error:" in err and "hidden" in err
 
 
 def test_segment_rejects_config_int_past_float_range(tmp_path, capsys):
     model_dir = train_into(tmp_path, "m")
-    meta_path = os.path.join(model_dir, "model.json")
-    meta = json.load(open(meta_path, encoding="utf-8"))
-    meta["config"]["learning_rate"] = 10 ** 400
-    json.dump(meta, open(meta_path, "w", encoding="utf-8"))
-    raw = tmp_path / "raw.txt"
-    raw.write_text("我\n", encoding="utf-8")
-    capsys.readouterr()
-    rc = main(["segment", "--model", model_dir, "--input", str(raw)])
+    rehashed_edit(model_dir, "model.json", config_edit("learning_rate", 10 ** 400))
+    rc, err = segment_one_char(tmp_path, model_dir, capsys)
     assert rc == 1
-    err = capsys.readouterr().err
     assert "error:" in err and "learning_rate" in err
+
+
+def test_segment_rejects_window_past_any_params_size(tmp_path, capsys):
+    # the size check counts in Python ints: an int64 product overflowed
+    model_dir = train_into(tmp_path, "m")
+    rehashed_edit(model_dir, "model.json", config_edit("window", 10 ** 30 + 1))
+    rc, err = segment_one_char(tmp_path, model_dir, capsys)
+    assert rc == 1
+    assert err.startswith("error:") and "params.bin holds" in err
+
+
+@pytest.mark.parametrize("name", ["model.json", "vocab.txt", "bigrams.txt",
+                                  "lexicon.txt", "params.bin"])
+def test_segment_names_missing_listed_file(tmp_path, capsys, name):
+    lexicon = tmp_path / "lexicon.txt"
+    lexicon.write_text("一举两得\n", encoding="utf-8")
+    model_dir = train_into(tmp_path, "m", ["--bigrams", "--lexicon", str(lexicon)])
+    os.remove(os.path.join(model_dir, name))
+    rc, err = segment_one_char(tmp_path, model_dir, capsys)
+    assert rc == 1
+    assert err.startswith("error:") and os.path.join(model_dir, name) in err
+
+
+def test_segment_refuses_format_1_directory(tmp_path, capsys):
+    # format 1: model.json names attnseg-model/1 and manifest.json holds
+    # per-tensor entries and the sha256 of params.bin only
+    model_dir = train_into(tmp_path, "m")
+    model = load_model(model_dir)
+    rehashed_edit(model_dir, "model.json", lambda raw: raw.replace(
+        b"attnseg-model/2", b"attnseg-model/1"))
+    entries, offset = [], 0
+    for name, p in model.params.items():
+        entries.append({"name": name, "shape": list(p.shape), "offset": offset})
+        offset += 4 * p.size
+    payload = open(os.path.join(model_dir, "params.bin"), "rb").read()
+    manifest = {"params": entries, "sha256": hashlib.sha256(payload).hexdigest()}
+    with open(os.path.join(model_dir, "manifest.json"), "w") as fh:
+        json.dump(manifest, fh, indent=2)
+    rc, err = segment_one_char(tmp_path, model_dir, capsys)
+    assert rc == 1
+    assert err.count("\n") == 1 and err.startswith("error:")
+    assert "attnseg-model/2" in err
 
 
 def test_segment_drops_leading_byte_order_mark(tmp_path):
@@ -272,16 +312,14 @@ def test_eval_rejects_prediction_of_other_text(tmp_path, capsys):
 
 def test_segment_rejects_model_json_without_config(tmp_path, capsys):
     model_dir = train_into(tmp_path, "m")
-    meta_path = os.path.join(model_dir, "model.json")
-    meta = json.load(open(meta_path, encoding="utf-8"))
-    del meta["config"]
-    json.dump(meta, open(meta_path, "w", encoding="utf-8"))
-    raw = tmp_path / "raw.txt"
-    raw.write_text("我\n", encoding="utf-8")
-    capsys.readouterr()
-    rc = main(["segment", "--model", model_dir, "--input", str(raw)])
+
+    def no_config(meta):
+        del meta["config"]
+        return meta
+
+    rehashed_edit(model_dir, "model.json", json_edit(no_config))
+    rc, err = segment_one_char(tmp_path, model_dir, capsys)
     assert rc == 1
-    err = capsys.readouterr().err
     assert "error:" in err and "model.json" in err and "'config'" in err
 
 

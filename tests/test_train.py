@@ -1,4 +1,3 @@
-import hashlib
 import json
 import os
 import re
@@ -16,6 +15,7 @@ from attnseg.train import (
     AdagradState, adagrad_update, fit, load_model,
     model_gradient_check, save_model, tag_accuracy, train_epoch,
 )
+from model_files import json_edit, rehashed_edit
 from oracles import train_epoch_sequential
 
 TOY_CONFIG = dict(hidden=12, emb_dim=8, window=3, dropout=0.0,
@@ -109,6 +109,21 @@ def test_config_validation():
         # the path load_model takes for model.json
         with pytest.raises(ValueError, match=name):
             TrainConfig.from_dict(fields)
+    # numpy scalars are numbers like any other, stored as plain ints and
+    # floats; numpy bools are bools
+    cfg = TrainConfig(learning_rate=np.float64(0.05), hidden=np.int64(8),
+                      dropout=np.float32(0.25), clip_norm=np.int32(2))
+    assert cfg == TrainConfig(learning_rate=0.05, hidden=8, dropout=0.25,
+                              clip_norm=2.0)
+    assert [type(getattr(cfg, name)) for name in
+            ("learning_rate", "hidden", "dropout", "clip_norm")] == \
+        [float, int, float, float]
+    for fields in ({"bigrams": np.bool_(True)}, {"hidden": np.bool_(True)},
+                   {"learning_rate": np.bool_(True)}, {"hidden": np.float64(8.0)},
+                   {"learning_rate": np.float64("nan")}):
+        name = next(iter(fields))
+        with pytest.raises(ValueError, match=name):
+            TrainConfig(**fields)
 
 
 def test_config_roundtrip():
@@ -398,74 +413,43 @@ def test_load_rejects_corrupted_params(tmp_path):
 
 def test_load_rejects_unknown_format_version(tmp_path):
     _, _, d = trained_toy_model(tmp_path)
-    meta_path = os.path.join(d, "model.json")
-    meta = json.load(open(meta_path))
-    meta["format"] = "attnseg-model/99"
-    json.dump(meta, open(meta_path, "w"))
+
+    def version_99(meta):
+        meta["format"] = "attnseg-model/99"
+        return meta
+
+    rehashed_edit(d, "model.json", json_edit(version_99))
     with pytest.raises(ValueError, match="format"):
         load_model(d)
 
 
-def rehashed(directory, edit):
-    """Apply `edit(entries, payload) -> payload` to a saved model's
-    manifest entries and params.bin, then re-hash the manifest so that
-    only the new load checks can catch the change."""
-    manifest_path = os.path.join(directory, "manifest.json")
-    params_path = os.path.join(directory, "params.bin")
-    manifest = json.load(open(manifest_path))
-    payload = edit(manifest["params"], open(params_path, "rb").read())
-    manifest["sha256"] = hashlib.sha256(payload).hexdigest()
-    open(params_path, "wb").write(payload)
-    json.dump(manifest, open(manifest_path, "w"))
+# crf.trans, (NUM_TAGS + 2)^2 binary32 values, ends params.bin
+TRANS_BYTES = 4 * (tagging.NUM_TAGS + 2) ** 2
 
 
-def entry(entries, name):
-    return next(e for e in entries if e["name"] == name)
-
-
-def nan_in_transitions(entries, payload):
-    at = entry(entries, "crf.trans")["offset"] + 4
+def nan_in_transitions(payload):
+    at = len(payload) - TRANS_BYTES + 4
     return payload[:at] + np.float32(np.nan).tobytes() + payload[at + 4:]
 
 
-def trailing_bytes(entries, payload):
+def trailing_bytes(payload):
     return payload + bytes(8)
 
 
-def v_as_row(entries, payload):
-    e = entry(entries, "enc0.fwd.attn.v")
-    e["shape"] = [1] + e["shape"]
-    return payload
-
-
-def out_wf_shifted(entries, payload):
-    entry(entries, "out.wf")["offset"] -= 4
-    return payload
-
-
-def out_b_dropped(entries, payload):
-    entries.remove(entry(entries, "out.b"))
-    return payload
-
-
-def offset_missing(entries, payload):
-    del entry(entries, "emb.uni")["offset"]
-    return payload
+def truncated(payload):
+    return payload[:-4]
 
 
 @pytest.mark.parametrize("edit, named", [
     (nan_in_transitions, "crf.trans"),
-    (trailing_bytes, "crf.trans"),
-    (v_as_row, "enc0.fwd.attn.v"),
-    (out_wf_shifted, "out.wf"),
-    (out_b_dropped, "out.b"),
-    (offset_missing, "emb.uni"),
+    (trailing_bytes, "params.bin"),
+    (truncated, "params.bin"),
 ])
 def test_load_rejects_tampered_params(tmp_path, edit, named):
     model, _, _ = toy_model()
     d = os.path.join(tmp_path, "m")
     save_model(model, d)
-    rehashed(d, edit)
+    rehashed_edit(d, "params.bin", edit)
     with pytest.raises(ValueError, match=re.escape(named)):
         load_model(d)
 
@@ -486,12 +470,12 @@ def swapped_tags(meta):
 
 
 def no_sha256(manifest):
-    del manifest["sha256"]
+    del manifest["params.bin"]
     return manifest
 
 
 def params_as_number(manifest):
-    manifest["params"] = 5
+    manifest["params.bin"] = 5
     return manifest
 
 
@@ -503,12 +487,13 @@ def params_as_number(manifest):
                  id="model-string"),
     pytest.param("model.json", no_tags, "no 'tags'", id="model-no-tags"),
     pytest.param("model.json", swapped_tags, "tag table", id="model-swapped-tags"),
-    pytest.param("manifest.json", lambda manifest: manifest["params"],
+    pytest.param("manifest.json", lambda manifest: list(manifest),
                  "holds a list", id="manifest-list"),
-    pytest.param("manifest.json", lambda manifest: {}, "no 'params'",
-                 id="manifest-empty"),
-    pytest.param("manifest.json", no_sha256, "no 'sha256'", id="manifest-no-sha256"),
-    pytest.param("manifest.json", params_as_number, "params is not a list",
+    pytest.param("manifest.json", lambda manifest: {},
+                 "is not an attnseg-model/2 manifest", id="manifest-empty"),
+    pytest.param("manifest.json", no_sha256,
+                 "is not an attnseg-model/2 manifest", id="manifest-no-sha256"),
+    pytest.param("manifest.json", params_as_number, "does not match 5",
                  id="manifest-params-number"),
 ])
 def test_load_rejects_malformed_json(tmp_path, name, edit, problem):
@@ -516,23 +501,40 @@ def test_load_rejects_malformed_json(tmp_path, name, edit, problem):
     d = os.path.join(tmp_path, "m")
     save_model(model, d)
     path = os.path.join(d, name)
-    with open(path, encoding="utf-8") as fh:
-        data = edit(json.load(fh))
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(data, fh)
+    if name == "model.json":
+        rehashed_edit(d, name, json_edit(edit))
+    else:
+        with open(path, encoding="utf-8") as fh:
+            data = edit(json.load(fh))
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(data, fh)
     with pytest.raises(ValueError, match=re.escape(problem)) as info:
         load_model(d)
     assert path in str(info.value)
 
 
-@pytest.mark.parametrize("name", ["model.json", "manifest.json"])
-def test_load_rejects_invalid_json(tmp_path, name):
+@pytest.mark.parametrize("name, edit", [
+    pytest.param("model.json", lambda raw: raw + b"}", id="model.json"),
+    pytest.param("manifest.json", lambda raw: raw + b"}", id="manifest.json"),
+    pytest.param("model.json", lambda raw: b"[" * 200000, id="model.json-nested"),
+    pytest.param("manifest.json", lambda raw: b"[" * 200000,
+                 id="manifest.json-nested"),
+    pytest.param("model.json", lambda raw: b"\xff" + raw, id="model.json-not-utf8"),
+    pytest.param("manifest.json", lambda raw: b"\xff" + raw,
+                 id="manifest.json-not-utf8"),
+])
+def test_load_rejects_invalid_json(tmp_path, name, edit):
     model, _, _ = toy_model()
     d = os.path.join(tmp_path, "m")
     save_model(model, d)
     path = os.path.join(d, name)
-    with open(path, "a", encoding="utf-8") as fh:
-        fh.write("}")
+    if name == "model.json":
+        rehashed_edit(d, name, edit)
+    else:
+        with open(path, "rb") as fh:
+            raw = edit(fh.read())
+        with open(path, "wb") as fh:
+            fh.write(raw)
     with pytest.raises(ValueError, match="is not valid JSON") as info:
         load_model(d)
     assert path in str(info.value)
@@ -543,11 +545,69 @@ def test_load_ignores_blank_lexicon_lines(tmp_path):
     model.lexicon = frozenset({"我们"})
     d = os.path.join(tmp_path, "m")
     save_model(model, d)
-    with open(os.path.join(d, "lexicon.txt"), "a", encoding="utf-8") as fh:
-        fh.write("\n")
+    rehashed_edit(d, "lexicon.txt", lambda raw: raw + b"\n")
     loaded = load_model(d)
     assert loaded.lexicon == model.lexicon
     assert loaded.segment("我们") == ["<IDIOM>"]
+
+
+@pytest.mark.parametrize("name, old, new", [
+    pytest.param("vocab.txt", "中", "丑", id="vocab-character"),
+    pytest.param("lexicon.txt", "一举两得", "一举三得", id="lexicon-idiom"),
+    pytest.param("model.json", '"memory_span": null', '"memory_span": 2',
+                 id="model-memory-span"),
+])
+def test_load_rejects_edited_model_file(tmp_path, name, old, new):
+    # each edit passes every check behind the checksum: without it the
+    # model would load with another vocabulary, lexicon or attention span
+    model, _, _ = toy_model()
+    model.lexicon = frozenset({"一举两得"})
+    d = os.path.join(tmp_path, "m")
+    save_model(model, d)
+    path = os.path.join(d, name)
+    text = open(path, encoding="utf-8").read()
+    assert text.count(old) == 1 and new not in text
+    open(path, "w", encoding="utf-8").write(text.replace(old, new))
+    with pytest.raises(ValueError, match="checksum") as info:
+        load_model(d)
+    assert path in str(info.value)
+
+
+def test_load_reads_only_listed_files(tmp_path):
+    # a lexicon.txt the manifest does not list is not read
+    model, _, _ = toy_model()
+    d = os.path.join(tmp_path, "m")
+    save_model(model, d)
+    with open(os.path.join(d, "lexicon.txt"), "w", encoding="utf-8") as fh:
+        fh.write("我们\n")
+    assert load_model(d).lexicon is None
+
+
+@pytest.mark.parametrize("bigrams", [False, True])
+def test_load_requires_bigrams_listed_exactly_with_the_bigram_config(
+        tmp_path, bigrams):
+    model, _, _ = toy_model(bigrams=bigrams)
+    d = os.path.join(tmp_path, "m")
+    save_model(model, d)
+
+    def flip(meta):
+        meta["config"]["bigrams"] = not bigrams
+        return meta
+
+    rehashed_edit(d, "model.json", json_edit(flip))
+    with pytest.raises(ValueError, match="bigrams.txt"):
+        load_model(d)
+
+
+def test_save_stores_numpy_scalar_config_as_plain_json(tmp_path):
+    plain, _, _ = toy_model(learning_rate=0.05, hidden=8, dropout=0.25)
+    scalars, _, _ = toy_model(learning_rate=np.float64(0.05),
+                              hidden=np.int64(8), dropout=np.float32(0.25))
+    save_model(plain, tmp_path / "plain")
+    save_model(scalars, tmp_path / "scalars")
+    for name in ("model.json", "manifest.json", "params.bin"):
+        assert (tmp_path / "plain" / name).read_bytes() == \
+            (tmp_path / "scalars" / name).read_bytes(), name
 
 
 def test_save_is_byte_deterministic(tmp_path):
