@@ -196,6 +196,10 @@ def main(argv=None):
     except (OSError, ValueError, FloatingPointError) as exc:
         _log(f"error: {exc}")
         return 1
+    except MemoryError as exc:
+        # numpy's names the array it could not allocate; a bare one is empty
+        _log(f"error: {str(exc) or 'out of memory'}")
+        return 1
 
 
 if __name__ == "__main__":

@@ -163,6 +163,27 @@ def param_shapes(config, vocab_size, bigram_vocab_size=None):
     return shapes
 
 
+def _add_rows(grad, lookups, d_rows):
+    """Add one sentence's embedding gradient to the table `grad` and
+    return the sorted ids of the rows it changed.
+
+    lookups[t, j] is the row that input slot j of position t read, and
+    d_rows[t, j] its gradient.  The sentence's own table covers only its
+    unique rows and starts at +0.0; np.add.at adds slot j = 0, 1, ... and
+    within each slot the positions in order, and then the table is added
+    to those rows of `grad`.  That is the order and rounding of a table
+    the size of the vocabulary (np.add.at straight into `grad` would
+    round differently), whose other rows would add +0.0.
+    """
+    rows, slots = np.unique(lookups.ravel(), return_inverse=True)
+    slots = slots.reshape(lookups.shape)
+    table = np.zeros((len(rows), grad.shape[1]))
+    for j in range(lookups.shape[1]):
+        np.add.at(table, slots[:, j], d_rows[:, j])
+    grad[rows] += table
+    return rows
+
+
 class Segmenter:
     """A trained (or trainable) segmentation model.
 
@@ -240,7 +261,8 @@ class Segmenter:
         )
         return scores, (ids, bigram_ids)
 
-    def loss_and_grads(self, sentences, dropout=0.0, rng=None, into=None):
+    def loss_and_grads(self, sentences, dropout=0.0, rng=None, into=None,
+                       rows=None):
         """NLL of the gold tags and gradients for every parameter, for one
         Sentence or for a batch (a list of them) run in lock-step through
         one encoder forward and one backward call.
@@ -248,10 +270,15 @@ class Segmenter:
         One sentence gives (loss, grads); a batch gives (losses, grads),
         the per-sentence losses in batch order and each gradient summed
         sentence by sentence in batch order, ((0 + g_1) + g_2) + ...
-        The grads dict has exactly the keys of self.params; with `into`
-        (such a dict) the sums are added to its arrays in place and it is
-        returned.  Embedding gradients are dense tables with nonzero rows
-        only where looked up.
+        The grads dict has exactly the keys of self.params.  Embedding
+        gradients are tables with nonzero rows only where looked up: each
+        sentence's gradient is summed over its own rows and added to
+        those rows alone, so the work follows the rows looked up, not the
+        size of the table.  With `into` (such a dict) the sums are added
+        to its arrays in place and it is returned.  With `rows` (a dict)
+        the call sets rows["emb.uni"], and rows["emb.bi"] with bigrams
+        on, to the sorted ids of the rows the batch looked up: the only
+        rows of those tables whose gradient it changed.
         """
         single = not isinstance(sentences, (list, tuple))
         batch = [sentences] if single else sentences
@@ -275,18 +302,21 @@ class Segmenter:
         )
         d = self.config.emb_dim
         window = self.config.window
+        looked_up = {name: [] for name in ("emb.uni", "emb.bi")
+                     if name in self.params}
         for (_, ids, bigram_ids), d_in in zip(features, d_inputs):
-            # one sentence's table, then its sum: np.add.at straight into
-            # the batch sum would round differently
-            table = np.zeros_like(self.params["emb.uni"])
-            wids = window_ids(ids, window)
-            for j in range(window):
-                np.add.at(table, wids[:, j], d_in[:, j * d:(j + 1) * d])
-            grads["emb.uni"] += table
+            looked_up["emb.uni"].append(_add_rows(
+                grads["emb.uni"], window_ids(ids, window),
+                d_in[:, :window * d].reshape(len(ids), window, d),
+            ))
             if bigram_ids is not None:
-                table = np.zeros_like(self.params["emb.bi"])
-                np.add.at(table, bigram_ids, d_in[:, window * d:])
-                grads["emb.bi"] += table
+                looked_up["emb.bi"].append(_add_rows(
+                    grads["emb.bi"], np.asarray(bigram_ids)[:, None],
+                    d_in[:, None, window * d:],
+                ))
+        if rows is not None:
+            for name, ids in looked_up.items():
+                rows[name] = np.unique(np.concatenate(ids))
         return (losses[0] if single else losses), grads
 
     def nll(self, sentence):

@@ -3,11 +3,17 @@
 One epoch shuffles the corpus, walks it in batches (last partial batch
 kept), and for each batch averages per-sentence gradients before a
 single AdaGrad step over every parameter, transition scores included.
-It reports the mean training NLL and decodes nothing.  fit() repeats
-this, scores the dev set after each epoch with masked Viterbi decoding
-(one list decode, in lock-step chunks of batch_size), and keeps the
-parameters of the best dev-F1 epoch; each EpochRecord holds the epoch
-number, the training NLL and the dev P/R/F1.
+On the embedding tables a batch works only on the rows it looked up,
+since every other row's gradient is zero and its step a no-op; only the
+norm of clip_norm still reads each table whole.  The AdaGrad scratch is
+a fixed 2 * ADAGRAD_CHUNK values.  So training holds the parameters,
+their accumulators and batch gradient sums, and fit's copy of the best
+epoch's parameters; a batch's work and temporaries follow its rows, not
+the vocabulary.  An epoch reports the mean training NLL and decodes
+nothing.  fit() repeats this, scores the dev set after each epoch with
+masked Viterbi decoding (one list decode, in lock-step chunks of
+batch_size), and keeps the parameters of the best dev-F1 epoch; each
+EpochRecord holds the epoch number, the training NLL and the dev P/R/F1.
 tag_accuracy() decodes a corpus for its tag accuracy when a caller
 wants that figure.
 
@@ -66,30 +72,47 @@ class AdagradState:
         return cls({name: np.zeros_like(p) for name, p in params.items()})
 
 
+# values per AdaGrad chunk; a scratch of 2 * ADAGRAD_CHUNK floats (512 KB)
+# serves a parameter of any size
+ADAGRAD_CHUNK = 2 ** 15
+
+
 def adagrad_update(param, grad, accum, lr, eps, scratch=None):
     """One AdaGrad step, in place: G += g*g; p -= lr*g/(sqrt(G)+eps).
 
-    The intermediates g*g, sqrt(G)+eps and lr*g go to `scratch`, a flat
-    float64 array of at least 2 * param.size entries (allocated when
-    None), so a training loop can reuse one for every parameter.  The
-    operations and their order are those of the formula.
+    The parameter is walked in flat chunks of len(scratch) // 2 values
+    (the last one may be short), and each chunk's intermediates g*g,
+    sqrt(G)+eps and lr*g go to `scratch`, a flat float64 array of at
+    least 2 entries; with None, one of 2 * min(param.size, ADAGRAD_CHUNK)
+    is allocated.  So the temporaries stay bounded by the scratch
+    whatever the parameter's size, a training loop can reuse one
+    scratch for every parameter, and each element sees the formula's
+    operations in the formula's order.  `grad` is not changed; param,
+    grad and accum must be C-contiguous and of one shape.
     """
     if not (param.shape == grad.shape == accum.shape):
         raise ShapeError(
             f"param {param.shape}, grad {grad.shape} and accumulator "
             f"{accum.shape} must all match"
         )
-    size = param.size
+    if not (param.flags.c_contiguous and grad.flags.c_contiguous
+            and accum.flags.c_contiguous):
+        raise ValueError("param, grad and accumulator must be C-contiguous")
     if scratch is None:
-        scratch = np.empty(2 * size)
-    denom = scratch[:size].reshape(param.shape)
-    step = scratch[size:2 * size].reshape(param.shape)
-    accum += np.multiply(grad, grad, out=denom)
-    np.sqrt(accum, out=denom)
-    denom += eps
-    np.multiply(lr, grad, out=step)
-    step /= denom
-    param -= step
+        scratch = np.empty(2 * max(1, min(param.size, ADAGRAD_CHUNK)))
+    chunk = len(scratch) // 2
+    flat_p, flat_g, flat_a = param.reshape(-1), grad.reshape(-1), accum.reshape(-1)
+    for start in range(0, param.size, chunk):
+        p = flat_p[start:start + chunk]
+        g = flat_g[start:start + chunk]
+        a = flat_a[start:start + chunk]
+        denom, step = scratch[:p.size], scratch[chunk:chunk + p.size]
+        a += np.multiply(g, g, out=denom)
+        np.sqrt(a, out=denom)
+        denom += eps
+        np.multiply(lr, g, out=step)
+        step /= denom
+        p -= step
     return param, accum
 
 
@@ -118,16 +141,31 @@ def tag_accuracy(model, corpus):
     return correct / sum(len(sent.tags) for sent in corpus)
 
 
-def _clip(grads, max_norm):
+def _scale(grads, rows, factor):
+    """grads *= factor, over only the listed rows of each table in `rows`
+    (name -> row ids) and over the whole of every other gradient."""
+    for name, g in grads.items():
+        if name in rows:
+            g[rows[name]] *= factor
+        else:
+            g *= factor
+
+
+def _clip(grads, rows, max_norm):
+    """Scale the gradients to a global norm of at most max_norm.
+
+    The norm sums each whole dense gradient, embedding tables included:
+    skipping their zero rows would change the grouping of np.sum's
+    pairwise summation.  This is the only per-batch work of train_epoch
+    that grows with the vocabulary; the scaling itself touches only the
+    looked-up rows.
+    """
     total = 0.0
     for g in grads.values():
         total += float(np.sum(g * g))
     norm = np.sqrt(total)
     if norm > max_norm:
-        scale = max_norm / norm
-        for g in grads.values():
-            g *= scale
-    return grads
+        _scale(grads, rows, max_norm / norm)
 
 
 def train_epoch(model, corpus, config, rng, state=None):
@@ -138,6 +176,13 @@ def train_epoch(model, corpus, config, rng, state=None):
     through a cached forward pass, the CRF loss and its gradients and the
     backward pass, then one AdaGrad step.  Nothing is decoded; call
     tag_accuracy for the training-set accuracy.
+
+    Per batch the embedding tables see work only on the rows the batch
+    looked up: the 1/B scaling, the AdaGrad step (on those rows, gathered
+    and written back) and the re-zeroing of the sums.  Every other row's
+    gradient is exactly +0.0, for which the AdaGrad step is a bitwise
+    no-op, so skipping it changes no parameter bit.  With clip_norm set,
+    the norm still sums each whole table (see _clip).
 
     The rng drives the shuffle and every dropout mask, so a fixed
     (corpus, config, seed) triple replays bit-identically, and the batch
@@ -152,16 +197,16 @@ def train_epoch(model, corpus, config, rng, state=None):
         state = AdagradState.for_params(model.params)
     order = rng.permutation(n)
     total_nll = 0.0
-    # reused by every batch: the gradient sums and the AdaGrad scratch
+    # reused by every batch: the gradient sums, zero outside the rows
+    # being summed, and the AdaGrad scratch
     sums = {name: np.zeros_like(p) for name, p in model.params.items()}
-    scratch = np.empty(2 * max(p.size for p in model.params.values()))
+    scratch = np.empty(2 * ADAGRAD_CHUNK)
     for start in range(0, n, config.batch_size):
         batch = order[start:start + config.batch_size]
-        for g in sums.values():
-            g.fill(0.0)
+        rows = {}
         losses, grads = model.loss_and_grads(
             [corpus[int(idx)] for idx in batch], dropout=config.dropout,
-            rng=rng, into=sums,
+            rng=rng, into=sums, rows=rows,
         )
         for loss in losses:
             if not np.isfinite(loss):
@@ -170,16 +215,24 @@ def train_epoch(model, corpus, config, rng, state=None):
                     f"shuffled position {start}"
                 )
             total_nll += loss
-        inv = 1.0 / len(batch)
-        for name in grads:
-            grads[name] *= inv
+        _scale(grads, rows, 1.0 / len(batch))
         if config.clip_norm is not None:
-            _clip(grads, config.clip_norm)
-        for name in model.params:
-            adagrad_update(
-                model.params[name], grads[name], state.accum[name],
-                config.learning_rate, config.adagrad_epsilon, scratch,
-            )
+            _clip(grads, rows, config.clip_norm)
+        for name, param in model.params.items():
+            grad, accum = grads[name], state.accum[name]
+            if name in rows:
+                ids = rows[name]
+                param_rows, accum_rows = param[ids], accum[ids]
+                adagrad_update(param_rows, grad[ids], accum_rows,
+                               config.learning_rate, config.adagrad_epsilon,
+                               scratch)
+                param[ids] = param_rows
+                accum[ids] = accum_rows
+                grad[ids] = 0.0
+            else:
+                adagrad_update(param, grad, accum, config.learning_rate,
+                               config.adagrad_epsilon, scratch)
+                grad.fill(0.0)
     return EpochStats(nll=total_nll / n)
 
 
@@ -311,10 +364,18 @@ def load_model(directory):
             f"{meta_path} has bigrams {config.bigrams}, but {manifest_path} "
             f"{'does not list' if config.bigrams else 'lists'} bigrams.txt"
         )
-    vocab = Vocab(decode_lines(*read("vocab.txt")))
-    bigram_vocab = None
-    if config.bigrams:
-        bigram_vocab = Vocab(decode_lines(*read("bigrams.txt")))
+
+    def read_vocab(name):
+        """The Vocab of a listed token file; its errors name the file."""
+        raw, path = read(name)
+        lines = decode_lines(raw, path)
+        try:
+            return Vocab(lines)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
+
+    vocab = read_vocab("vocab.txt")
+    bigram_vocab = read_vocab("bigrams.txt") if config.bigrams else None
     lexicon = None
     if "lexicon.txt" in digests:
         lexicon = lexicon_from_lines(decode_lines(*read("lexicon.txt")))
@@ -337,7 +398,9 @@ def load_model(directory):
         # pages, some 2000 page faults per load at paper dimensions
         values = np.frombuffer(payload[offset:end], dtype="<f4")
         if not np.isfinite(values).all():
-            raise ValueError(f"parameter {name} holds a non-finite value")
+            raise ValueError(
+                f"{params_path}: parameter {name} holds a non-finite value"
+            )
         params[name] = values.astype(np.float64).reshape(shape)
         offset = end
     return Segmenter(config, vocab, params, bigram_vocab, lexicon)

@@ -5,6 +5,7 @@ import re
 
 import pytest
 
+from attnseg import encoder
 from attnseg.cli import _build_parser, main
 from attnseg.corpus import read_lines
 from attnseg.train import load_model
@@ -90,6 +91,27 @@ def test_train_missing_file_fails_with_message(tmp_path, capsys):
                "--out", str(tmp_path / "m")])
     assert rc != 0
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("exc, message", [
+    (MemoryError("Unable to allocate 1.09 TiB for an array with shape "
+                 "(150, 1000000001000) and data type float64"),
+     "error: Unable to allocate 1.09 TiB"),
+    (MemoryError(), "error: out of memory"),
+])
+def test_train_out_of_memory_is_one_error_line(tmp_path, capsys, monkeypatch,
+                                               exc, message):
+    # the allocation is patched to fail, never made: a machine that
+    # overcommits memory could accept a real one and then fill it
+    def init_params(config, rng):
+        raise exc
+
+    monkeypatch.setattr(encoder, "init_params", init_params)
+    rc = main(["train", "--train", TOY, "--dev", TOY,
+               "--out", str(tmp_path / "m"), "--window", "1000000001"] + FAST)
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith(message) and err.count("\n") == 1
 
 
 def test_segment_conserves_characters(tmp_path, capsys):

@@ -7,12 +7,13 @@ import numpy as np
 import pytest
 
 from attnseg import crf, tagging
-from attnseg.corpus import Corpus, Sentence, load_toy_corpus
+from attnseg import train as train_module
+from attnseg.corpus import Corpus, Sentence, load_toy_corpus, sentence_bigrams
 from attnseg.evaluate import evaluate_corpus
 from attnseg.model import Segmenter, TrainConfig, pack_params, unpack_params
 from attnseg.numerics import ShapeError
 from attnseg.train import (
-    AdagradState, adagrad_update, fit, load_model,
+    ADAGRAD_CHUNK, AdagradState, adagrad_update, fit, load_model,
     model_gradient_check, save_model, tag_accuracy, train_epoch,
 )
 from model_files import json_edit, rehashed_edit
@@ -158,18 +159,47 @@ def test_config_from_dict_takes_declared_types():
 
 
 def test_adagrad_scratch_update_matches_formula_bitwise():
+    # one chunk (the scratch's 2 * 2700 + 7 values), then a 1-d and a 2-d
+    # parameter of more than one chunk whose last chunk is not full, with
+    # a scratch of two chunks and with none
     rng = np.random.default_rng(63)
-    p = rng.normal(size=(60, 45))
-    g = rng.normal(size=(60, 45))
-    acc = rng.random((60, 45))
-    want_p, want_acc = p.copy(), acc.copy()
-    want_acc += g * g
-    want_p -= 0.1 * g / (np.sqrt(want_acc) + 1e-6)
-    g_before = g.copy()
-    adagrad_update(p, g, acc, 0.1, 1e-6, np.empty(2 * p.size + 7))
-    assert np.array_equal(p, want_p)
-    assert np.array_equal(acc, want_acc)
-    assert np.array_equal(g, g_before)
+    cases = [((60, 45), np.empty(2 * 60 * 45 + 7)),
+             ((2 * ADAGRAD_CHUNK + 123,), np.empty(2 * ADAGRAD_CHUNK)),
+             ((70, 1000), np.empty(2 * ADAGRAD_CHUNK)),
+             ((70, 1000), None)]
+    for shape, scratch in cases:
+        p = rng.normal(size=shape)
+        g = rng.normal(size=shape)
+        acc = rng.random(shape)
+        want_p, want_acc = p.copy(), acc.copy()
+        want_acc += g * g
+        want_p -= 0.1 * g / (np.sqrt(want_acc) + 1e-6)
+        g_before = g.copy()
+        adagrad_update(p, g, acc, 0.1, 1e-6, scratch)
+        assert np.array_equal(p, want_p), shape
+        assert np.array_equal(acc, want_acc), shape
+        assert np.array_equal(g, g_before), shape
+
+
+def test_adagrad_update_allocates_a_bounded_scratch():
+    # without a scratch it allocates at most two chunks, not two copies
+    # of the parameter
+    rng = np.random.default_rng(64)
+    n = 10 ** 6
+    p, g, acc = rng.normal(size=n), rng.normal(size=n), rng.random(n)
+    tracemalloc.start()
+    try:
+        adagrad_update(p, g, acc, 0.1, 1e-6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2 * ADAGRAD_CHUNK + 2 ** 16
+
+
+def test_adagrad_update_refuses_non_contiguous_arrays():
+    p = np.zeros((4, 6))
+    with pytest.raises(ValueError, match="C-contiguous"):
+        adagrad_update(p[:, ::2], np.ones((4, 3)), np.zeros((4, 3)), 0.1, 1e-6)
 
 
 def test_pack_unpack_roundtrip():
@@ -285,6 +315,7 @@ def test_batched_loss_and_grads_match_single_sentences(overrides):
 @pytest.mark.parametrize("overrides", [
     {}, {"bigrams": True}, {"clip_norm": 0.1},
     {"memory_span": 2, "extra_layers": 1},
+    {"bigrams": True, "clip_norm": 0.1},
 ])
 def test_train_epoch_matches_sequential_reference(overrides):
     # batches of 5 over 32 sentences end in a partial batch
@@ -348,6 +379,57 @@ def test_embedding_gradient_is_sparse():
         if row not in used:
             assert not touched, f"unused row {row} got gradient"
     assert set(grads) == set(model.params)
+
+
+def test_batch_gradient_memory_does_not_grow_with_the_bigram_table():
+    # the same batch over a bigram table of 20k and of 200k rows: each
+    # sentence's gradient covers the rows it looked up, not the table
+    peaks = []
+    for rows in (20_000, 200_000):
+        model, corpus, _ = toy_model(bigrams=True)
+        table = model.params["emb.bi"]
+        model.params["emb.bi"] = np.concatenate(
+            [table, np.zeros((rows - len(table), table.shape[1]))])
+        sums = {k: np.zeros_like(p) for k, p in model.params.items()}
+        batch = [corpus[i] for i in range(8)]
+        model.loss_and_grads(batch, into=sums)
+        tracemalloc.start()
+        try:
+            model.loss_and_grads(batch, into=sums)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < 1.1 * peaks[0]
+
+
+def test_one_batch_updates_only_the_looked_up_embedding_rows(monkeypatch):
+    model, corpus, cfg = toy_model(bigrams=True)
+    batch = Corpus([corpus[i] for i in range(cfg.batch_size)])
+    before = {k: p.copy() for k, p in model.params.items()}
+    shapes = []
+
+    def recording_update(param, grad, accum, *args):
+        shapes.append(param.shape)
+        return adagrad_update(param, grad, accum, *args)
+
+    monkeypatch.setattr(train_module, "adagrad_update", recording_update)
+    state = AdagradState.for_params(model.params)
+    train_epoch(model, batch, cfg, np.random.default_rng(0), state)
+    tokens = [tok for sent in batch for tok in sent.tokens]
+    bigrams = [b for sent in batch for b in sentence_bigrams(sent.tokens)]
+    # every sentence's window reads <PAD> (row 0) past its ends
+    looked_up = {"emb.uni": sorted(set(model.vocab.encode(tokens)) | {0}),
+                 "emb.bi": sorted(set(model.bigram_vocab.encode(bigrams)))}
+    dim = cfg.emb_dim
+    assert shapes == [(len(looked_up["emb.uni"]), dim),
+                      (len(looked_up["emb.bi"]), dim)] + [
+        p.shape for name, p in model.params.items() if name not in looked_up]
+    for name, ids in looked_up.items():
+        assert len(ids) < len(model.params[name])
+        others = np.setdiff1d(np.arange(len(model.params[name])), ids)
+        assert np.array_equal(model.params[name][others], before[name][others])
+        assert not state.accum[name][others].any()
+        assert state.accum[name][ids].any(axis=1).all()
 
 
 def test_model_gradient_check_small():
@@ -450,8 +532,37 @@ def test_load_rejects_tampered_params(tmp_path, edit, named):
     d = os.path.join(tmp_path, "m")
     save_model(model, d)
     rehashed_edit(d, "params.bin", edit)
-    with pytest.raises(ValueError, match=re.escape(named)):
+    with pytest.raises(ValueError, match=re.escape(named)) as info:
         load_model(d)
+    assert os.path.join(d, "params.bin") in str(info.value)
+
+
+def repeated_last_line(raw):
+    return raw + raw.splitlines(keepends=True)[-1]
+
+
+def no_pad_line(raw):
+    return raw.split(b"\n", 1)[1]
+
+
+@pytest.mark.parametrize("name, edit, problem", [
+    pytest.param("vocab.txt", repeated_last_line, "duplicate token",
+                 id="vocab-duplicate"),
+    pytest.param("vocab.txt", no_pad_line, "reserved tokens",
+                 id="vocab-no-reserved"),
+    pytest.param("bigrams.txt", repeated_last_line, "duplicate token",
+                 id="bigrams-duplicate"),
+    pytest.param("bigrams.txt", no_pad_line, "reserved tokens",
+                 id="bigrams-no-reserved"),
+])
+def test_load_rejects_tampered_vocab(tmp_path, name, edit, problem):
+    model, _, _ = toy_model(bigrams=True)
+    d = os.path.join(tmp_path, "m")
+    save_model(model, d)
+    rehashed_edit(d, name, edit)
+    with pytest.raises(ValueError, match=problem) as info:
+        load_model(d)
+    assert str(info.value).startswith(os.path.join(d, name) + ": ")
 
 
 def no_config(meta):
