@@ -77,7 +77,6 @@ def _build_parser():
         help="verify analytic gradients of the full model numerically",
     )
     p_gc.add_argument("--seed", type=int, default=42)
-    p_gc.add_argument("--corrupt", action="store_true", help=argparse.SUPPRESS)
     return parser
 
 
@@ -178,7 +177,7 @@ def gradcheck_fixture(seed):
 
 def _run_gradcheck(args):
     model, sentence = gradcheck_fixture(args.seed)
-    err = model_gradient_check(model, sentence, corrupt=args.corrupt)
+    err = model_gradient_check(model, sentence)
     print(f"max_rel_err={err:.6e}")
     return 0 if err < GRADCHECK_THRESHOLD else 1
 

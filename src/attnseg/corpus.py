@@ -1,12 +1,14 @@
 """Corpus ingestion: preprocessing, vocabularies, embeddings, features.
 
 Corpus files follow the bakeoff convention: UTF-8 text, one sentence per
-line, words separated by whitespace.  Preprocessing collapses runs of
-Latin letters and of digits into the <ENG> / <NUM> flag tokens and can
-replace idioms from a user-supplied lexicon with <IDIOM>; the flag tokens
-then count as single characters everywhere downstream.
+line, words separated by whitespace.  Preprocessing scans text into
+tokens: it collapses runs of Latin letters and of digits into the <ENG>
+/ <NUM> flag tokens and can replace idioms from a user-supplied lexicon
+with <IDIOM>; the flag tokens then count as single characters everywhere
+downstream, and each token can report the text it stands for.
 """
 
+import string
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -17,24 +19,17 @@ from . import tagging
 PAD, UNK, ENG, NUM = "<PAD>", "<UNK>", "<ENG>", "<NUM>"
 IDIOM = "<IDIOM>"
 RESERVED = (PAD, UNK, ENG, NUM)
-SPECIALS = frozenset((PAD, UNK, ENG, NUM, IDIOM))
-
-_FULLWIDTH_UPPER = set(chr(c) for c in range(0xFF21, 0xFF3B))
-_FULLWIDTH_LOWER = set(chr(c) for c in range(0xFF41, 0xFF5B))
-_FULLWIDTH_DIGIT = set(chr(c) for c in range(0xFF10, 0xFF1A))
 
 
-def _is_latin(tok):
-    if len(tok) != 1:
-        return False
-    return ("a" <= tok <= "z") or ("A" <= tok <= "Z") or \
-        tok in _FULLWIDTH_UPPER or tok in _FULLWIDTH_LOWER
+def _with_fullwidth(ascii_chars):
+    """The ASCII characters and their fullwidth forms (U+FF01-FF5E
+    mirror U+0021-007E)."""
+    fullwidth = "".join(chr(ord(c) + 0xFEE0) for c in ascii_chars)
+    return frozenset(ascii_chars + fullwidth)
 
 
-def _is_digit(tok):
-    if len(tok) != 1:
-        return False
-    return ("0" <= tok <= "9") or tok in _FULLWIDTH_DIGIT
+_LATIN = _with_fullwidth(string.ascii_letters)
+_DIGITS = _with_fullwidth(string.digits)
 
 
 def read_lines(path):
@@ -83,49 +78,43 @@ def _idiom_lengths(lexicon):
     return tuple(sorted({len(idiom) for idiom in lexicon if idiom}, reverse=True))
 
 
-def preprocess(sentence, lexicon=None):
-    """Normalize a sentence (a string, or a list of tokens) to a token list.
+def preprocess(text, lexicon=None, sources=None):
+    """Scan a string into its token list.
 
     Maximal runs of Latin letters collapse to one <ENG> token and maximal
     runs of digits to one <NUM> token (fullwidth forms included).  With a
     lexicon, exact idiom matches collapse to <IDIOM>, longest match first;
-    a match covers one-character tokens only, and empty idioms are
-    ignored.  Flag tokens already present pass through untouched, which
-    makes the function idempotent.
+    empty idioms are ignored.  Every other character is its own token.
+    With `sources` (a list), the text each token stands for is appended
+    to it, one string per token, so "".join(sources) == text.
     """
-    toks = list(sentence)
     # frozenset() of a frozenset is the set itself, so the cache hits
     lengths = _idiom_lengths(frozenset(lexicon)) if lexicon else ()
     out = []
     i = 0
-    n = len(toks)
+    n = len(text)
     while i < n:
-        tok = toks[i]
-        if tok in SPECIALS:
-            out.append(tok)
-            i += 1
-            continue
+        start = i
         for k in lengths:
-            chunk = toks[i:i + k]
-            word = "".join(chunk)
-            # k tokens, none empty, k characters: one character each
-            if word in lexicon and len(chunk) == len(word) == k \
-                    and "" not in chunk:
+            if i + k <= n and text[i:i + k] in lexicon:
                 out.append(IDIOM)
                 i += k
                 break
         else:
-            if _is_latin(tok):
-                while i < n and _is_latin(toks[i]):
+            char = text[i]
+            if char in _LATIN:
+                while i < n and text[i] in _LATIN:
                     i += 1
                 out.append(ENG)
-            elif _is_digit(tok):
-                while i < n and _is_digit(toks[i]):
+            elif char in _DIGITS:
+                while i < n and text[i] in _DIGITS:
                     i += 1
                 out.append(NUM)
             else:
-                out.append(tok)
+                out.append(char)
                 i += 1
+        if sources is not None:
+            sources.append(text[start:i])
     return out
 
 

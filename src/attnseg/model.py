@@ -225,11 +225,6 @@ class Segmenter:
             emb = random_embeddings(len(vocab), config.emb_dim, rng)
         else:
             emb = np.array(embeddings, dtype=np.float64)
-            if emb.shape != (len(vocab), config.emb_dim):
-                raise ValueError(
-                    f"embeddings {emb.shape} do not match vocab/config "
-                    f"{(len(vocab), config.emb_dim)}"
-                )
         params = {"emb.uni": emb}
         bigram_vocab = None
         if config.bigrams:
@@ -360,9 +355,16 @@ class Segmenter:
         return paths[0] if single else paths
 
     def segment(self, line):
-        """Raw text line -> list of words (preprocessed token spelling)."""
-        tokens = preprocess(line.strip(), self.lexicon)
-        if not tokens:
-            return []
-        tags = self.decode(tokens)
-        return decode_tags(tokens, tags)
+        """Raw text line -> list of words, spelled as in the line.
+
+        Whitespace is a forced word boundary and belongs to no word, as
+        in a corpus file: each whitespace-separated part of the line is
+        preprocessed and decoded on its own, and its words are read off
+        its own text, so "".join(words) == "".join(line.split()).
+        """
+        words = []
+        for part in line.split():
+            sources = []
+            tokens = preprocess(part, self.lexicon, sources)
+            words += decode_tags(sources, self.decode(tokens))
+        return words

@@ -406,20 +406,13 @@ def load_model(directory):
     return Segmenter(config, vocab, params, bigram_vocab, lexicon)
 
 
-def model_gradient_check(model, sentence, step=1e-4, corrupt=False):
+def model_gradient_check(model, sentence, step=1e-4):
     """Max relative error of the full-model analytic gradient against
-    central differences, on one sentence with dropout off.
-
-    corrupt=True deliberately damages one gradient coordinate; callers
-    use it to prove the harness can fail.
-    """
+    central differences, on one sentence with dropout off."""
     template = model.params
     point = pack_params(template)
     _, grads = model.loss_and_grads(sentence)
     analytic = pack_params({name: grads[name] for name in template})
-    if corrupt:
-        analytic = analytic.copy()
-        analytic[0] += 0.5
 
     def f(vec):
         saved = model.params

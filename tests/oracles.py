@@ -5,8 +5,8 @@ enumeration over all tag sequences, straight-line transcriptions of the
 recurrence arithmetic, per-tag loops for the CRF tables, a textbook
 LSTM step, an idiom scan that tries every lexicon entry.  None of it
 imports the production code paths it checks (shared constants, shapes,
-character classes, the CRF's gold-path score and the encoder's
-attention window, read back from a forward pass, excepted), so
+the CRF's gold-path score and the encoder's attention window, read back
+from a forward pass, excepted), so
 agreement between the two routes is evidence, not tautology.
 
 Score accumulation order matters in a few places: the dynamic programs
@@ -20,7 +20,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from attnseg.corpus import ENG, IDIOM, NUM, SPECIALS, _is_digit, _is_latin
+from attnseg.corpus import ENG, IDIOM, NUM
 from attnseg.crf import _sequence_score, end_index, start_index
 from attnseg.encoder import attend, direction_view
 from attnseg.numerics import ShapeError
@@ -470,49 +470,49 @@ def random_segmentation(rng, max_len=30, pool=CHAR_POOL):
     return words
 
 
-def preprocess_scan(sentence, lexicon=None):
+def _char_class(c):
+    """"latin" for an ASCII or fullwidth Latin letter, "digit" for an
+    ASCII or fullwidth digit, else None."""
+    code = ord(c)
+    for lo, hi, name in ((0x41, 0x5A, "latin"), (0x61, 0x7A, "latin"),
+                         (0xFF21, 0xFF3A, "latin"), (0xFF41, 0xFF5A, "latin"),
+                         (0x30, 0x39, "digit"), (0xFF10, 0xFF19, "digit")):
+        if lo <= code <= hi:
+            return name
+    return None
+
+
+def preprocess_scan(text, lexicon=None):
     """Reference for corpus.preprocess: every call sorts the lexicon and
-    tries each idiom at each position, longest first.  Normalizes a
-    sentence (a string, or a list of tokens) to a token list.
+    tries each idiom at each position, longest first.  Scans a string
+    into a token list.
 
     Maximal runs of Latin letters collapse to one <ENG> token and maximal
     runs of digits to one <NUM> token (fullwidth forms included).  With a
     lexicon, exact idiom matches collapse to <IDIOM>, longest match first.
-    Flag tokens already present pass through untouched, which makes the
-    function idempotent.
     """
-    toks = list(sentence)
     idioms = sorted(lexicon, key=len, reverse=True) if lexicon else ()
     out = []
     i = 0
-    n = len(toks)
+    n = len(text)
     while i < n:
-        tok = toks[i]
-        if tok in SPECIALS:
-            out.append(tok)
-            i += 1
-            continue
         matched = False
         for idiom in idioms:
-            k = len(idiom)
-            if i + k <= n and toks[i:i + k] == list(idiom):
+            if idiom and text.startswith(idiom, i):
                 out.append(IDIOM)
-                i += k
+                i += len(idiom)
                 matched = True
                 break
         if matched:
             continue
-        if _is_latin(tok):
-            while i < n and _is_latin(toks[i]):
-                i += 1
-            out.append(ENG)
-        elif _is_digit(tok):
-            while i < n and _is_digit(toks[i]):
-                i += 1
-            out.append(NUM)
-        else:
-            out.append(tok)
+        kind = _char_class(text[i])
+        if kind is None:
+            out.append(text[i])
             i += 1
+            continue
+        while i < n and _char_class(text[i]) == kind:
+            i += 1
+        out.append(ENG if kind == "latin" else NUM)
     return out
 
 

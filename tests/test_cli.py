@@ -3,11 +3,13 @@ import json
 import os
 import re
 
+import numpy as np
 import pytest
 
 from attnseg import encoder
 from attnseg.cli import _build_parser, main
 from attnseg.corpus import read_lines
+from attnseg.model import Segmenter
 from attnseg.train import load_model
 from model_files import json_edit, rehashed_edit
 
@@ -129,6 +131,64 @@ def test_segment_conserves_characters(tmp_path, capsys):
     assert len(out_lines) == len(gold_lines)
     for got, src in zip(out_lines, gold_lines):
         assert got.replace(" ", "") == src
+
+
+def test_segment_output_scores_with_eval(tmp_path, capsys):
+    # segment spells its words as the input does and splits at its
+    # whitespace, so eval scores its output against gold of the same text
+    lexicon = tmp_path / "lex.txt"
+    lexicon.write_text("一举两得\n", encoding="utf-8")
+    model_dir = train_into(tmp_path, "m", ["--lexicon", str(lexicon)])
+    gold_lines = ["我们 用 iPhone 和 2024 年 的", "ＡＢＣ １２３ 中文", "",
+                  "他们 一举两得 ｘｙ", "我爱 北京"]
+    raw_lines = ["\ufeff我们用iPhone和2024年 的", "ＡＢＣ１２３\u3000中文", "",
+                 "他们一举两得ｘｙ", "我爱\u2028北京"]
+    gold, raw, pred = (tmp_path / name for name in ("gold.txt", "raw.txt",
+                                                    "pred.txt"))
+    gold.write_text("\n".join(gold_lines) + "\n", encoding="utf-8")
+    raw.write_text("\n".join(raw_lines) + "\n", encoding="utf-8")
+    assert main(["segment", "--model", model_dir, "--input", str(raw),
+                 "--output", str(pred)]) == 0
+    out_lines = pred.read_text(encoding="utf-8").split("\n")
+    assert ["".join(line.split()) for line in out_lines] == \
+        ["".join(line.split()) for line in gold_lines] + [""]
+    capsys.readouterr()
+    assert main(["eval", "--gold", str(gold), "--pred", str(pred),
+                 "--lexicon", str(lexicon)]) == 0
+    out, err = capsys.readouterr()
+    assert re.match(r"^p=\d\.\d{4} r=\d\.\d{4} f1=\d\.\d{4}$", out.strip())
+    assert err == ""
+
+
+def write_vectors(path, dim, tokens="我们北京"):
+    """An embeddings file with one row of `dim` values per token."""
+    rows = [f"{tok} " + " ".join(f"{0.01 * (i + j):.2f}" for j in range(dim))
+            for i, tok in enumerate(tokens)]
+    path.write_text("\n".join([f"{len(rows)} {dim}"] + rows) + "\n",
+                    encoding="utf-8")
+
+
+def test_train_from_embeddings_file(tmp_path):
+    vectors = tmp_path / "vectors.txt"
+    write_vectors(vectors, 4)
+    plain = load_model(train_into(tmp_path, "plain"))
+    seeded = load_model(train_into(tmp_path, "seeded",
+                                   ["--embeddings", str(vectors)]))
+    assert seeded.vocab.id_to_token == plain.vocab.id_to_token
+    assert not np.array_equal(seeded.params["emb.uni"], plain.params["emb.uni"])
+
+
+def test_train_embeddings_of_another_dim_is_one_error(tmp_path, capsys):
+    vectors = tmp_path / "vectors.txt"
+    write_vectors(vectors, 3)
+    capsys.readouterr()
+    rc = main(["train", "--train", TOY, "--dev", TOY, "--out",
+               str(tmp_path / "m"), "--embeddings", str(vectors)] + FAST)
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert ", 3)" in err and ", 4)" in err
+    assert not (tmp_path / "m").exists()
 
 
 def test_segment_empty_line_stays_empty(tmp_path):
@@ -359,5 +419,14 @@ def test_gradcheck_deterministic(capsys):
     assert first == second
 
 
-def test_gradcheck_corrupt_hook_fails(capsys):
-    assert main(["gradcheck", "--seed", "1", "--corrupt"]) == 1
+def test_gradcheck_corrupt_hook_fails(monkeypatch):
+    # one output-bias coordinate of the analytic gradient is off by 0.5
+    loss_and_grads = Segmenter.loss_and_grads
+
+    def bent(self, *args, **kwargs):
+        loss, grads = loss_and_grads(self, *args, **kwargs)
+        grads["out.b"][0] += 0.5
+        return loss, grads
+
+    monkeypatch.setattr(Segmenter, "loss_and_grads", bent)
+    assert main(["gradcheck", "--seed", "1"]) == 1

@@ -31,16 +31,6 @@ def test_preprocess_fullwidth_forms():
     assert preprocess("ＷＴＯ２００１年") == [ENG, NUM, "年"]
 
 
-def test_preprocess_idempotent():
-    rng = np.random.default_rng(5)
-    pool = "abcXYZ0189你好中国ＡＢ２３"
-    for _ in range(300):
-        s = "".join(pool[int(rng.integers(len(pool)))]
-                    for _ in range(int(rng.integers(0, 15))))
-        once = preprocess(s)
-        assert preprocess(once) == once
-
-
 def test_preprocess_idiom_lexicon(tmp_path):
     lex_file = tmp_path / "idioms.txt"
     lex_file.write_text("一帆风顺\n风顺\n", encoding="utf-8")
@@ -49,16 +39,6 @@ def test_preprocess_idiom_lexicon(tmp_path):
     assert preprocess("祝你一帆风顺啊", lexicon) == ["祝", "你", IDIOM, "啊"]
     assert preprocess("风顺", lexicon) == [IDIOM]
     assert preprocess("一帆风顺", None) == ["一", "帆", "风", "顺"]
-
-
-def test_preprocess_idioms_match_one_character_tokens_only():
-    lexicon = frozenset({"甲乙丙"})
-    assert preprocess(["甲", "乙", "丙"], lexicon) == [IDIOM]
-    # the joined tokens spell the idiom, but not one character per token
-    for toks in (["甲乙", "丙"], ["甲", "乙丙"], ["", "甲乙", "丙"],
-                 ["甲", "", "乙丙"]):
-        assert preprocess(toks, lexicon) == toks
-    assert preprocess([ENG, "甲", "乙", "丙"], lexicon) == [ENG, IDIOM]
 
 
 def test_preprocess_ignores_empty_idiom():
@@ -89,9 +69,8 @@ def _random_lexicon(rng):
     return frozenset(idioms)
 
 
-def _random_input(rng, lexicon):
-    """A string of idioms and pool characters, or its token list with some
-    tokens swapped for flag tokens, joined characters or empty tokens."""
+def _random_text(rng, lexicon):
+    """A string of idioms and pool characters."""
     idioms = sorted(lexicon)
     parts = []
     for _ in range(int(rng.integers(0, 8))):
@@ -99,15 +78,7 @@ def _random_input(rng, lexicon):
             parts.append(idioms[int(rng.integers(len(idioms)))])
         else:
             parts.append(TEXT_POOL[int(rng.integers(len(TEXT_POOL)))])
-    text = "".join(parts)
-    if rng.random() < 0.5:
-        return text
-    toks = list(text)
-    others = [ENG, NUM, IDIOM, PAD, UNK, "", "甲乙", "乙丙丁"]
-    for _ in range(int(rng.integers(1, 4))):
-        tok = others[int(rng.integers(len(others)))]
-        toks.insert(int(rng.integers(len(toks) + 1)), tok)
-    return toks
+    return "".join(parts)
 
 
 def test_preprocess_matches_scan_oracle():
@@ -115,11 +86,16 @@ def test_preprocess_matches_scan_oracle():
     matched = 0
     for _ in range(3000):
         lexicon = _random_lexicon(rng)
-        sentence = _random_input(rng, lexicon)
-        once = preprocess(sentence, lexicon)
-        assert once == preprocess_scan(sentence, lexicon), (sentence, lexicon)
-        assert preprocess(once, lexicon) == once, (sentence, lexicon)
-        matched += IDIOM in once and IDIOM not in sentence
+        text = _random_text(rng, lexicon)
+        sources = []
+        tokens = preprocess(text, lexicon, sources)
+        assert tokens == preprocess_scan(text, lexicon), (text, lexicon)
+        # each token's source text is a piece of the text that scans
+        # back to that token alone
+        assert "".join(sources) == text, (text, lexicon)
+        assert [preprocess(s, lexicon) for s in sources] == \
+            [[tok] for tok in tokens], (text, lexicon)
+        matched += IDIOM in tokens
     assert matched > 500  # the lexicon path is exercised, not bypassed
 
 
@@ -141,9 +117,9 @@ def test_preprocess_alternating_lexicons_match_scan_oracle():
     for _ in range(2):
         for lexicon in lexicons:
             for _ in range(5):
-                sentence = _random_input(rng, lexicon)
-                assert preprocess(sentence, lexicon) == \
-                    preprocess_scan(sentence, lexicon), (sentence, lexicon)
+                text = _random_text(rng, lexicon)
+                assert preprocess(text, lexicon) == \
+                    preprocess_scan(text, lexicon), (text, lexicon)
 
 
 def test_vocab_reserved_slots():

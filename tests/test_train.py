@@ -8,7 +8,10 @@ import pytest
 
 from attnseg import crf, tagging
 from attnseg import train as train_module
-from attnseg.corpus import Corpus, Sentence, load_toy_corpus, sentence_bigrams
+from attnseg.corpus import (
+    IDIOM, Corpus, Sentence, Vocab, load_embeddings, load_toy_corpus,
+    preprocess, sentence_bigrams,
+)
 from attnseg.evaluate import evaluate_corpus
 from attnseg.model import Segmenter, TrainConfig, pack_params, unpack_params
 from attnseg.numerics import ShapeError
@@ -438,10 +441,20 @@ def test_model_gradient_check_small():
     assert model_gradient_check(model, sent) < 1e-3
 
 
-def test_model_gradient_check_corrupt_hook_fails():
+def test_model_gradient_check_corrupt_hook_fails(monkeypatch):
+    # the harness must be able to fail: one output-bias coordinate of the
+    # analytic gradient is off by 0.5
     from attnseg.cli import gradcheck_fixture
     model, sent = gradcheck_fixture(1)
-    assert model_gradient_check(model, sent, corrupt=True) > 1e-2
+    loss_and_grads = Segmenter.loss_and_grads
+
+    def bent(self, *args, **kwargs):
+        loss, grads = loss_and_grads(self, *args, **kwargs)
+        grads["out.b"][0] += 0.5
+        return loss, grads
+
+    monkeypatch.setattr(Segmenter, "loss_and_grads", bent)
+    assert model_gradient_check(model, sent) > 1e-2
 
 
 def trained_toy_model(tmp_path, epochs=3):
@@ -659,7 +672,8 @@ def test_load_ignores_blank_lexicon_lines(tmp_path):
     rehashed_edit(d, "lexicon.txt", lambda raw: raw + b"\n")
     loaded = load_model(d)
     assert loaded.lexicon == model.lexicon
-    assert loaded.segment("我们") == ["<IDIOM>"]
+    assert preprocess("我们", loaded.lexicon) == [IDIOM]
+    assert loaded.segment("我们") == ["我们"]
 
 
 @pytest.mark.parametrize("name, old, new", [
@@ -761,6 +775,56 @@ def test_list_decode_matches_single_sentences(dims):
     assert paths == [model.decode(tokens) for tokens in sentences]
     assert model.decode([sentences[2], [], sentences[1]]) == [paths[2], [], paths[1]]
     assert model.decode([]) == []
+
+
+SEGMENT_PIECES = (
+    list("我们喜欢学习中文北京他们去学校")      # Han the toy model knows
+    + [chr(c) for c in range(0x4E00, 0x4E10)]  # Han it does not
+    + list("abXYz09ＡＢｃｘ１２９")             # ASCII and fullwidth forms
+    + ["一举两得", "北京大学"]                  # lexicon idioms
+    + [" ", "  ", "\u3000", "\u2028"]         # whitespace
+)
+
+
+def test_segment_spells_the_input_text():
+    # seeded random lines: the words spell the line without its
+    # whitespace, none is empty or holds whitespace, each whitespace-
+    # separated part decodes on its own as its tokens do, and the words
+    # scan back to the line's tokens, so eval can score them against a
+    # gold file of the same text
+    model, _, _ = toy_model()
+    lexicon = model.lexicon = frozenset({"一举两得", "北京大学"})
+    rng = np.random.default_rng(18)
+    for _ in range(300):
+        picks = rng.integers(len(SEGMENT_PIECES), size=int(rng.integers(0, 16)))
+        line = "".join(SEGMENT_PIECES[i] for i in picks)
+        words = model.segment(line)
+        parts = [preprocess(part, lexicon) for part in line.split()]
+        assert "".join(words) == "".join(line.split()), (line, words)
+        assert all(word.split() == [word] for word in words), (line, words)
+        assert [tok for word in words for tok in preprocess(word, lexicon)] \
+            == [tok for tokens in parts for tok in tokens], (line, words)
+        assert [len(preprocess(word, lexicon)) for word in words] == [
+            n for tokens in parts
+            for n in tagging.word_lengths(model.decode(tokens))], (line, words)
+
+
+def test_build_starts_from_given_embeddings(tmp_path):
+    corpus = load_toy_corpus()
+    vectors = tmp_path / "vectors.txt"
+    vectors.write_text("2 8\n我 " + " 0.5" * 8 + "\n北 " + " -0.25" * 8 + "\n",
+                       encoding="utf-8")
+    vocab = Vocab.build(sent.tokens for sent in corpus)
+    table = load_embeddings(vectors, vocab, seed=7)
+    model = Segmenter.build(corpus, TrainConfig(**TOY_CONFIG), embeddings=table)
+    assert model.vocab.id_to_token == vocab.id_to_token
+    assert np.array_equal(model.params["emb.uni"], table)
+    assert model.params["emb.uni"] is not table
+    assert np.array_equal(model.params["emb.uni"][vocab.id("我")], [0.5] * 8)
+    assert np.array_equal(model.params["emb.uni"][vocab.id("北")], [-0.25] * 8)
+    with pytest.raises(ValueError, match=r"\(\d+, 8\) does not match .*\(\d+, 4\)"):
+        Segmenter.build(corpus, TrainConfig(**{**TOY_CONFIG, "emb_dim": 4}),
+                        embeddings=table)
 
 
 def test_decode_keeps_the_grammar_when_forbidden_transitions_score_high(
