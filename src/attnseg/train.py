@@ -28,6 +28,10 @@ Saved models are directories, format attnseg-model/2:
                    model.param_shapes(config, vocabulary sizes)
     manifest.json  file name -> sha256 of each file above that is present
 
+params.bin is written and read in chunks, through one float32 scratch
+of IO_CHUNK values: saving holds no copy of the parameters, and loading
+holds them once, as float64 views into one block.
+
 Weights are stored in 32-bit but all arithmetic runs in 64-bit, so a
 round-trip costs one quantization, not a behavioural change (decodes are
 identical in practice because score gaps dwarf float32 resolution... and
@@ -75,6 +79,10 @@ class AdagradState:
 # values per AdaGrad chunk; a scratch of 2 * ADAGRAD_CHUNK floats (512 KB)
 # serves a parameter of any size
 ADAGRAD_CHUNK = 2 ** 15
+
+# values per params.bin chunk; one float32 scratch of IO_CHUNK values
+# (256 KB) carries every tensor through save_model and load_model
+IO_CHUNK = 2 ** 16
 
 
 def adagrad_update(param, grad, accum, lr, eps, scratch=None):
@@ -268,7 +276,8 @@ def fit(model, train_corpus, dev_corpus, config, on_epoch=None):
 
 
 def _token_lines(tokens):
-    return "".join(tok + "\n" for tok in tokens).encode("utf-8")
+    # one join over the tokens themselves, not a "tok\n" string per token
+    return "\n".join([*tokens, ""]).encode("utf-8")
 
 
 def save_model(model, directory):
@@ -285,15 +294,24 @@ def save_model(model, directory):
         files["bigrams.txt"] = _token_lines(model.bigram_vocab.id_to_token)
     if model.lexicon:
         files["lexicon.txt"] = _token_lines(sorted(model.lexicon))
-    files["params.bin"] = b"".join(
-        np.ascontiguousarray(p, dtype="<f4").tobytes()
-        for p in model.params.values()
-    )
     digests = {}
     for name, raw in files.items():
         with open(os.path.join(directory, name), "wb") as fh:
             fh.write(raw)
         digests[name] = hashlib.sha256(raw).hexdigest()
+    scratch = np.empty(IO_CHUNK, dtype="<f4")
+    digest = hashlib.sha256()
+    with open(os.path.join(directory, "params.bin"), "wb") as fh:
+        for p in model.params.values():
+            # a non-contiguous tensor goes through its flatiter, whose
+            # slices copy one chunk in C order
+            flat = p.reshape(-1) if p.flags.c_contiguous else p.flat
+            for start in range(0, p.size, IO_CHUNK):
+                chunk = scratch[:min(IO_CHUNK, p.size - start)]
+                np.copyto(chunk, flat[start:start + IO_CHUNK])
+                fh.write(chunk)
+                digest.update(chunk)
+    digests["params.bin"] = digest.hexdigest()
     with open(os.path.join(directory, "manifest.json"), "w", encoding="utf-8") as fh:
         fh.write(json.dumps(digests, indent=2) + "\n")
 
@@ -314,6 +332,68 @@ def _parse_json_object(raw, path, keys):
     return data
 
 
+def _check_digest(path, digest, want, manifest_path):
+    if digest != want:
+        raise ValueError(
+            f"{path}: checksum {digest} does not match {want!r} in "
+            f"{manifest_path}"
+        )
+
+
+def _read_params(path, shapes, want, manifest_path):
+    """The tensors of params.bin at `path`, name -> float64 array of
+    shapes[name] (shapes in file order), streamed through one float32
+    scratch of IO_CHUNK values.
+
+    The whole file is hashed whatever its size; then it must match the
+    sha256 `want` that manifest_path gives, hold exactly 4 bytes per
+    value and hold only finite values, checked in that order.  The
+    tensors are filled only when fstat gives that size.  They are views
+    into one float64 block, each starting on a 64-byte boundary: one
+    block lets a repeated load reuse the heap pages the previous model
+    freed, where an array per tensor faulted in fresh pages on every
+    other load.
+    """
+    counts = [math.prod(shape) for shape in shapes.values()]
+    size = 4 * sum(counts)
+    scratch = np.empty(IO_CHUNK, dtype="<f4")
+    raw = scratch.view(np.uint8)
+    digest = hashlib.sha256()
+    got = 0
+    params, nonfinite = None, None
+    with open(path, "rb") as fh:
+        if os.fstat(fh.fileno()).st_size == size:
+            params = {}
+            # tensor lengths rounded up to 8 float64 values, 64 bytes
+            starts = np.cumsum([0] + [-(-n // 8) * 8 for n in counts])
+            block = np.empty(int(starts[-1]) + 7)
+            block = block[(-block.ctypes.data % 64) // 8:]
+            for (name, shape), count, start in zip(shapes.items(), counts,
+                                                   starts):
+                dest = block[start:start + count]
+                for at in range(0, count, IO_CHUNK):
+                    n = min(IO_CHUNK, count - at)
+                    nbytes = fh.readinto(raw[:4 * n])
+                    digest.update(raw[:nbytes])
+                    got += nbytes
+                    if nonfinite is None and not np.isfinite(scratch[:n]).all():
+                        nonfinite = name
+                    np.copyto(dest[at:at + n], scratch[:n])
+                params[name] = dest.reshape(shape)
+        while nbytes := fh.readinto(raw):
+            digest.update(raw[:nbytes])
+            got += nbytes
+    _check_digest(path, digest.hexdigest(), want, manifest_path)
+    if got != size or params is None:
+        raise ValueError(
+            f"{path} holds {got} bytes, the config and vocabularies "
+            f"give {size}"
+        )
+    if nonfinite is not None:
+        raise ValueError(f"{path}: parameter {nonfinite} holds a non-finite value")
+    return params
+
+
 def load_model(directory):
     """Load a saved model directory.
 
@@ -323,6 +403,12 @@ def load_model(directory):
     once and must match its sha256; no other file is read.  model.json
     must name this format and tag table, and params.bin must hold the
     tensors the config and vocabularies imply, every value finite.
+
+    params.bin is streamed through a fixed scratch and hashed to its
+    end before any of its checks fails, so a corrupted file reports its
+    checksum first.  The loaded tensors are float64, C-contiguous,
+    writable views into one block that share no memory with one another
+    (see _read_params).
     """
     manifest_path = os.path.join(directory, "manifest.json")
     with open(manifest_path, "rb") as fh:
@@ -339,12 +425,8 @@ def load_model(directory):
         path = os.path.join(directory, name)
         with open(path, "rb") as fh:
             raw = fh.read()
-        digest = hashlib.sha256(raw).hexdigest()
-        if digest != digests[name]:
-            raise ValueError(
-                f"{path}: checksum {digest} does not match "
-                f"{digests[name]!r} in {manifest_path}"
-            )
+        _check_digest(path, hashlib.sha256(raw).hexdigest(), digests[name],
+                      manifest_path)
         return raw, path
 
     raw, meta_path = read("model.json")
@@ -379,30 +461,11 @@ def load_model(directory):
     lexicon = None
     if "lexicon.txt" in digests:
         lexicon = lexicon_from_lines(decode_lines(*read("lexicon.txt")))
-    payload, params_path = read("params.bin")
     shapes = param_shapes(
         config, len(vocab), None if bigram_vocab is None else len(bigram_vocab)
     )
-    size = 4 * sum(math.prod(shape) for shape in shapes.values())
-    if len(payload) != size:
-        raise ValueError(
-            f"{params_path} holds {len(payload)} bytes, the config and "
-            f"vocabularies give {size}"
-        )
-    params = {}
-    offset = 0
-    for name, shape in shapes.items():
-        end = offset + 4 * math.prod(shape)
-        # a short-lived bytes copy per tensor: reading in place
-        # (frombuffer with offset=) left repeated loads on freshly mapped
-        # pages, some 2000 page faults per load at paper dimensions
-        values = np.frombuffer(payload[offset:end], dtype="<f4")
-        if not np.isfinite(values).all():
-            raise ValueError(
-                f"{params_path}: parameter {name} holds a non-finite value"
-            )
-        params[name] = values.astype(np.float64).reshape(shape)
-        offset = end
+    params = _read_params(os.path.join(directory, "params.bin"), shapes,
+                          digests["params.bin"], manifest_path)
     return Segmenter(config, vocab, params, bigram_vocab, lexicon)
 
 

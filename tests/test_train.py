@@ -9,14 +9,16 @@ import pytest
 from attnseg import crf, tagging
 from attnseg import train as train_module
 from attnseg.corpus import (
-    IDIOM, Corpus, Sentence, Vocab, load_embeddings, load_toy_corpus,
-    preprocess, sentence_bigrams,
+    IDIOM, RESERVED, Corpus, Sentence, Vocab, load_embeddings,
+    load_toy_corpus, preprocess, sentence_bigrams,
 )
 from attnseg.evaluate import evaluate_corpus
-from attnseg.model import Segmenter, TrainConfig, pack_params, unpack_params
+from attnseg.model import (
+    Segmenter, TrainConfig, pack_params, param_shapes, unpack_params,
+)
 from attnseg.numerics import ShapeError
 from attnseg.train import (
-    ADAGRAD_CHUNK, AdagradState, adagrad_update, fit, load_model,
+    ADAGRAD_CHUNK, IO_CHUNK, AdagradState, adagrad_update, fit, load_model,
     model_gradient_check, save_model, tag_accuracy, train_epoch,
 )
 from model_files import json_edit, rehashed_edit
@@ -548,6 +550,139 @@ def test_load_rejects_tampered_params(tmp_path, edit, named):
     with pytest.raises(ValueError, match=re.escape(named)) as info:
         load_model(d)
     assert os.path.join(d, "params.bin") in str(info.value)
+
+
+def wide_model(rows, emb_dim, bigram_rows=None):
+    """An untrained toy-config model with `rows` unigram rows (and
+    `bigram_rows` bigram rows) of emb_dim values, built straight from its
+    Vocab and param_shapes: the tables are large, the vocab files small."""
+
+    def vocab(size):
+        return Vocab(list(RESERVED) + [chr(0x4E00 + i)
+                                       for i in range(size - len(RESERVED))])
+
+    cfg = TrainConfig(**{**TOY_CONFIG, "emb_dim": emb_dim,
+                         "bigrams": bigram_rows is not None})
+    uni = vocab(rows)
+    bi = None if bigram_rows is None else vocab(bigram_rows)
+    rng = np.random.default_rng(19)
+    params = {name: rng.normal(size=shape) for name, shape in param_shapes(
+        cfg, len(uni), None if bi is None else len(bi)).items()}
+    return Segmenter(cfg, uni, params, bi)
+
+
+# a fixed allowance for model I/O's scratch and bookkeeping, whatever
+# the model's size
+MODEL_IO_BOUND = 2 * 2 ** 20
+
+
+def wide_io_model():
+    # 9.8 MiB of parameters, most of them in the unigram table
+    model = wide_model(20000, 64)
+    assert sum(p.nbytes for p in model.params.values()) >= 8 * 2 ** 20
+    return model
+
+
+def test_save_model_memory_is_bounded(tmp_path):
+    # params.bin is streamed through a fixed scratch, not joined in memory
+    model = wide_io_model()
+    tracemalloc.start()
+    try:
+        save_model(model, tmp_path / "m")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < MODEL_IO_BOUND
+
+
+def test_load_model_memory_is_bounded(tmp_path):
+    # loading holds the parameters once, plus a fixed scratch
+    model = wide_io_model()
+    save_model(model, tmp_path / "m")
+    tracemalloc.start()
+    try:
+        loaded = load_model(tmp_path / "m")
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - retained < MODEL_IO_BOUND
+    for name, p in model.params.items():
+        assert np.array_equal(loaded.params[name],
+                              p.astype("<f4").astype(np.float64)), name
+
+
+def test_streamed_params_bin_is_the_one_shot_bytes(tmp_path):
+    # emb.uni and emb.bi span several IO_CHUNKs, each chunk ending inside
+    # a row, and emb.bi is stored column-major
+    model = wide_model(8000, 24, bigram_rows=9000)
+    assert model.params["emb.uni"].size > 2 * IO_CHUNK
+    assert IO_CHUNK % 24 != 0
+    model.params["emb.bi"] = np.asfortranarray(model.params["emb.bi"])
+    assert not model.params["emb.bi"].flags.c_contiguous
+    first, second = tmp_path / "first", tmp_path / "second"
+    save_model(model, first)
+    assert (first / "params.bin").read_bytes() == b"".join(
+        np.ascontiguousarray(p, dtype="<f4").tobytes()
+        for p in model.params.values()
+    )
+    save_model(load_model(first), second)
+    assert sorted(os.listdir(first)) == sorted(os.listdir(second))
+    for name in os.listdir(first):
+        assert (first / name).read_bytes() == (second / name).read_bytes(), name
+
+
+def nan_at(index):
+    """A params.bin edit that writes NaN over value `index`."""
+    nan = np.float32(np.nan).tobytes()
+    return lambda payload: payload[:4 * index] + nan + payload[4 * index + 4:]
+
+
+def test_load_error_order_while_streaming(tmp_path):
+    model = wide_model(8000, 24, bigram_rows=9000)
+    d = str(tmp_path / "m")
+    save_model(model, d)
+    path = os.path.join(d, "params.bin")
+    payload = open(path, "rb").read()
+    uni, bi = model.params["emb.uni"].size, model.params["emb.bi"].size
+    assert bi > 2 * IO_CHUNK
+    # edits checked against the manifest's sha256: the checksum fails
+    # before the non-finite value or the size is seen
+    for edit in (nan_at(0), truncated):
+        with open(path, "wb") as fh:
+            fh.write(edit(payload))
+        with pytest.raises(ValueError, match="checksum"):
+            load_model(d)
+    with open(path, "wb") as fh:
+        fh.write(payload)
+    # re-hashed, a NaN in the last chunk of emb.bi is named
+    rehashed_edit(d, "params.bin", nan_at(uni + bi - 3))
+    with pytest.raises(ValueError, match=re.escape("parameter emb.bi holds")):
+        load_model(d)
+
+
+def test_loaded_views_train_like_copies(tmp_path):
+    # the loaded tensors are views into one block; AdaGrad's in-place row
+    # updates must treat them as it treats arrays of their own
+    model, corpus, cfg = toy_model(bigrams=True)
+    save_model(model, tmp_path / "m")
+    loaded = load_model(tmp_path / "m")
+    tensors = list(loaded.params.values())
+    for i, p in enumerate(tensors):
+        assert p.dtype == np.float64
+        assert p.flags.c_contiguous and p.flags.writeable
+        assert p.ctypes.data % 64 == 0
+        assert not any(np.shares_memory(p, q) for q in tensors[:i])
+    before = {name: np.array(p) for name, p in loaded.params.items()}
+    copied = Segmenter(
+        loaded.config, loaded.vocab,
+        {name: p.copy() for name, p in before.items()},
+        loaded.bigram_vocab, loaded.lexicon,
+    )
+    for m in (loaded, copied):
+        train_epoch(m, corpus, cfg, np.random.default_rng(7))
+    for name, p in copied.params.items():
+        assert not np.array_equal(p, before[name]), name
+        assert loaded.params[name].tobytes() == p.tobytes(), name
 
 
 def repeated_last_line(raw):
