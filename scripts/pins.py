@@ -2,9 +2,10 @@
 
 Trains one model per pin config on the bundled toy corpus (`attnseg
 train --epochs 4 --batch-size 4 --seed 3`) and prints a sha256 line per
-file of each model directory, one for each run's epoch lines and one for
+file of each model directory, one for each run's epoch lines, one for
 what `attnseg segment` prints with that model on the toy corpus's text
-(its lines with their spaces taken out), then the line `attnseg
+(its lines with their spaces taken out) and the line `attnseg eval`
+prints for that output against the toy corpus, then the line `attnseg
 gradcheck --seed 1` prints.  Two checkouts that behave the same print
 the same lines, so a refactor is checked with
 
@@ -65,8 +66,12 @@ def main():
                 with open(os.path.join(out, filename), "rb") as fh:
                     print(f"{sha256(fh.read())}  {name}/{filename}")
             print(f"{sha256(epochs.encode('utf-8'))}  {name} epoch lines")
-            words = attnseg("segment", "--model", out, "--input", text)
-            print(f"{sha256(words.encode('utf-8'))}  {name} segment output")
+            pred = os.path.join(tmp, f"{name}-segmented.txt")
+            attnseg("segment", "--model", out, "--input", text, "--output", pred)
+            with open(pred, "rb") as fh:
+                print(f"{sha256(fh.read())}  {name} segment output")
+            scores = attnseg("eval", "--gold", TOY, "--pred", pred)
+            print(f"{scores.strip()}  {name} eval")
     print(attnseg("gradcheck", "--seed", "1"), end="")
 
 

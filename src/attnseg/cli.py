@@ -15,7 +15,7 @@ import numpy as np
 from . import tagging
 from .corpus import (
     Corpus, Sentence, load_corpus, load_embeddings, load_lexicon, read_lines,
-    split_train_dev, Vocab,
+    read_sentences, split_train_dev, Vocab,
 )
 from .evaluate import score_segmentations
 from .model import Segmenter, TrainConfig
@@ -70,7 +70,6 @@ def _build_parser():
     p_eval = sub.add_parser("eval", help="score a segmentation against gold")
     p_eval.add_argument("--gold", required=True)
     p_eval.add_argument("--pred", required=True)
-    p_eval.add_argument("--lexicon", help="idiom list used at training time")
 
     p_gc = sub.add_parser(
         "gradcheck",
@@ -139,10 +138,8 @@ def _run_segment(args):
 
 
 def _run_eval(args):
-    lexicon = load_lexicon(args.lexicon) if args.lexicon else None
-    gold = load_corpus(args.gold, lexicon)
-    pred = load_corpus(args.pred, lexicon)
-    precision, recall, f1 = score_segmentations(gold, pred)
+    precision, recall, f1 = score_segmentations(read_sentences(args.gold),
+                                                read_sentences(args.pred))
     print(f"p={precision:.4f} r={recall:.4f} f1={f1:.4f}")
     return 0
 

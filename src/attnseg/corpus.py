@@ -208,26 +208,29 @@ class Corpus:
         return self.sentences[i]
 
 
+def read_sentences(path):
+    """The words of each non-blank line of a bakeoff-format file, split
+    on whitespace.  A file yielding zero sentences is an error naming
+    it, and one that is not valid UTF-8 an error naming its line."""
+    sentences = [words for words in map(str.split, read_lines(path)) if words]
+    if not sentences:
+        raise ValueError(f"{path}: no sentences found")
+    return sentences
+
+
 def load_corpus(path, lexicon=None):
     """Parse a bakeoff-format file into a Corpus.
 
-    Each line is split on whitespace into words, each word is
-    preprocessed (so a replacement token counts as one character), and
-    the resulting segmentation is encoded to BMES tags.  Blank lines are
-    skipped; a file yielding zero sentences, or one that is not valid
-    UTF-8, is an error naming the line.
+    Each sentence of read_sentences has each word preprocessed (so a
+    replacement token counts as one character), and the resulting
+    segmentation is encoded to BMES tags.
     """
     sentences = []
-    for line in read_lines(path):
-        words = line.split()
-        if not words:
-            continue
+    for words in read_sentences(path):
         token_words = [preprocess(w, lexicon) for w in words]
         tags = tagging.encode_tags(token_words)
         tokens = [tok for w in token_words for tok in w]
         sentences.append(Sentence(tokens=tokens, tags=tags))
-    if not sentences:
-        raise ValueError(f"{path}: no sentences found")
     return Corpus(sentences)
 
 

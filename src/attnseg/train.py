@@ -59,21 +59,10 @@ _REQUIRED_FILES = {"model.json", "vocab.txt", "params.bin"}
 _MODEL_FILES = _REQUIRED_FILES | {"bigrams.txt", "lexicon.txt"}
 
 __all__ = [
-    "AdagradState", "EpochStats", "EpochRecord", "adagrad_update",
+    "EpochRecord", "adagrad_update",
     "train_epoch", "fit", "tag_accuracy",
     "save_model", "load_model", "model_gradient_check", "TrainConfig",
 ]
-
-
-@dataclass
-class AdagradState:
-    """Per-parameter sums of squared gradients."""
-
-    accum: dict
-
-    @classmethod
-    def for_params(cls, params):
-        return cls({name: np.zeros_like(p) for name, p in params.items()})
 
 
 # values per AdaGrad chunk; a scratch of 2 * ADAGRAD_CHUNK floats (512 KB)
@@ -125,11 +114,6 @@ def adagrad_update(param, grad, accum, lr, eps, scratch=None):
 
 
 @dataclass
-class EpochStats:
-    nll: float
-
-
-@dataclass
 class EpochRecord:
     epoch: int
     nll: float
@@ -176,14 +160,19 @@ def _clip(grads, rows, max_norm):
         _scale(grads, rows, max_norm / norm)
 
 
-def train_epoch(model, corpus, config, rng, state=None):
-    """One pass over the corpus; returns EpochStats(mean NLL).
+def train_epoch(model, corpus, config, rng, accum=None):
+    """One pass over the corpus; returns the mean training NLL.
 
     The epoch computes only what training needs: per batch one
     loss_and_grads call, which runs the batch's sentences in lock-step
     through a cached forward pass, the CRF loss and its gradients and the
     backward pass, then one AdaGrad step.  Nothing is decoded; call
     tag_accuracy for the training-set accuracy.
+
+    `accum` maps each parameter name to its AdaGrad sum of squared
+    gradients, an array of the parameter's shape, and is updated in
+    place: fit passes one dict to every epoch.  With None the epoch
+    starts from zeros.
 
     Per batch the embedding tables see work only on the rows the batch
     looked up: the 1/B scaling, the AdaGrad step (on those rows, gathered
@@ -201,8 +190,8 @@ def train_epoch(model, corpus, config, rng, state=None):
     n = len(corpus)
     if n == 0:
         raise ValueError("cannot train on an empty corpus")
-    if state is None:
-        state = AdagradState.for_params(model.params)
+    if accum is None:
+        accum = {name: np.zeros_like(p) for name, p in model.params.items()}
     order = rng.permutation(n)
     total_nll = 0.0
     # reused by every batch: the gradient sums, zero outside the rows
@@ -227,21 +216,21 @@ def train_epoch(model, corpus, config, rng, state=None):
         if config.clip_norm is not None:
             _clip(grads, rows, config.clip_norm)
         for name, param in model.params.items():
-            grad, accum = grads[name], state.accum[name]
+            grad, acc = grads[name], accum[name]
             if name in rows:
                 ids = rows[name]
-                param_rows, accum_rows = param[ids], accum[ids]
-                adagrad_update(param_rows, grad[ids], accum_rows,
+                param_rows, acc_rows = param[ids], acc[ids]
+                adagrad_update(param_rows, grad[ids], acc_rows,
                                config.learning_rate, config.adagrad_epsilon,
                                scratch)
                 param[ids] = param_rows
-                accum[ids] = accum_rows
+                acc[ids] = acc_rows
                 grad[ids] = 0.0
             else:
-                adagrad_update(param, grad, accum, config.learning_rate,
+                adagrad_update(param, grad, acc, config.learning_rate,
                                config.adagrad_epsilon, scratch)
                 grad.fill(0.0)
-    return EpochStats(nll=total_nll / n)
+    return total_nll / n
 
 
 def fit(model, train_corpus, dev_corpus, config, on_epoch=None):
@@ -254,15 +243,15 @@ def fit(model, train_corpus, dev_corpus, config, on_epoch=None):
     if len(train_corpus) == 0 or len(dev_corpus) == 0:
         raise ValueError("need non-empty train and dev corpora")
     rng = np.random.default_rng(config.seed)
-    state = AdagradState.for_params(model.params)
+    accum = {name: np.zeros_like(p) for name, p in model.params.items()}
     history = []
     best_f1 = -1.0
     best_params = None
     for epoch in range(1, config.epochs + 1):
-        stats = train_epoch(model, train_corpus, config, rng, state)
+        nll = train_epoch(model, train_corpus, config, rng, accum)
         precision, recall, f1 = evaluate_corpus(model, dev_corpus)
         record = EpochRecord(
-            epoch=epoch, nll=stats.nll,
+            epoch=epoch, nll=nll,
             precision=precision, recall=recall, f1=f1,
         )
         history.append(record)

@@ -554,3 +554,42 @@ def train_epoch_sequential(model, corpus, config, rng, accum):
                 np.sqrt(accum[name]) + config.adagrad_epsilon
             )
     return total_nll / n
+
+
+def _word_edges(line):
+    """Two flags per non-space character of a whitespace-separated line:
+    whether it starts a word and whether it ends one."""
+    starts, ends = [], []
+    for i, c in enumerate(line):
+        if not c.isspace():
+            starts.append(i == 0 or line[i - 1].isspace())
+            ends.append(i == len(line) - 1 or line[i + 1].isspace())
+    return starts, ends
+
+
+def bakeoff_scores(gold_lines, pred_lines):
+    """Reference for evaluate.score_segmentations: micro-averaged
+    (P, R, F1) of whitespace-separated lines of the same texts, 0/0
+    read as 0.
+
+    Each line is walked a character at a time, marking the character
+    offsets where words start and end.  A predicted word over offsets
+    a..b is correct when a gold word starts at a, a gold word ends at b,
+    and no gold word starts in between."""
+    correct = n_pred = n_gold = 0
+    for gold, pred in zip(gold_lines, pred_lines):
+        gold_starts, gold_ends = _word_edges(gold)
+        pred_starts, pred_ends = _word_edges(pred)
+        n_gold += sum(gold_starts)
+        n_pred += sum(pred_starts)
+        for a, starts in enumerate(pred_starts):
+            if starts:
+                b = pred_ends.index(True, a)
+                inside = gold_starts[a + 1:b + 1]
+                if gold_starts[a] and gold_ends[b] and not any(inside):
+                    correct += 1
+    precision = correct / n_pred if n_pred else 0.0
+    recall = correct / n_gold if n_gold else 0.0
+    if precision + recall == 0.0:
+        return precision, recall, 0.0
+    return precision, recall, 2 * precision * recall / (precision + recall)

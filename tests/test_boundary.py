@@ -43,7 +43,8 @@ TEXT_PIECES = (
 
 
 def check_run(argv, capsys, case, lines=None):
-    """Run `attnseg argv`; a successful segment run prints `lines` lines."""
+    """Run `attnseg argv` and return its exit status; a successful
+    segment run prints `lines` lines."""
     capsys.readouterr()
     try:
         rc = main(argv)
@@ -57,6 +58,7 @@ def check_run(argv, capsys, case, lines=None):
     else:
         assert rc == 1, case
         assert err.startswith("error: ") and err.count("\n") == 1, (case, err)
+    return rc
 
 
 def corrupt_bytes(rng, raw):
@@ -134,6 +136,17 @@ def resplit(rng, line):
     return "".join(ch + rng.choice(("", " ")) for ch in "".join(line.split()))
 
 
+def changed_character(rng, lines):
+    """`lines` with one character that is not whitespace replaced by
+    another."""
+    at = [(i, j) for i, line in enumerate(lines)
+          for j, ch in enumerate(line) if not ch.isspace()]
+    i, j = rng.choice(at)
+    other = rng.choice([p for p in TEXT_PIECES if len(p) == 1
+                        and not p.isspace() and p != lines[i][j]])
+    return lines[:i] + [lines[i][:j] + other + lines[i][j + 1:]] + lines[i + 1:]
+
+
 def random_text(rng, length):
     return "".join(rng.choice(TEXT_PIECES) for _ in range(length))
 
@@ -154,8 +167,8 @@ def test_segment_and_eval_on_random_text_end_in_output_or_one_error(
     model_dir.mkdir()
     for name, raw in saved_model.items():
         (model_dir / name).write_bytes(raw)
-    text, gold, pred, lexicon = (tmp_path / name for name in
-                                 ("text.txt", "gold.txt", "pred.txt", "lex.txt"))
+    text, gold, pred = (tmp_path / name for name in
+                        ("text.txt", "gold.txt", "pred.txt"))
     for case in range(150):
         lines = [random_text(rng, rng.randrange(12))
                  for _ in range(rng.randrange(1, 4))]
@@ -169,11 +182,14 @@ def test_segment_and_eval_on_random_text_end_in_output_or_one_error(
                   for _ in range(rng.randrange(1, 5))]
                  for _ in range(rng.randrange(1, 4))]
         gold.write_bytes(encoded(rng, [" ".join(line) for line in words]))
-        # the same text split elsewhere, so that scoring is reached
-        pred.write_bytes(encoded(rng, [resplit(rng, " ".join(line))
-                                       for line in words]))
-        argv = ["eval", "--gold", str(gold), "--pred", str(pred)]
-        if rng.random() < 0.3:
-            lexicon.write_bytes(encoded(rng, [random_text(rng, 3) for _ in range(3)]))
-            argv += ["--lexicon", str(lexicon)]
-        check_run(argv, capsys, f"eval case {case}: {words!r}")
+        # the same text split elsewhere, so that scoring is reached, or
+        # now and then with one character changed, so that it is refused
+        pred_lines = [resplit(rng, " ".join(line)) for line in words]
+        changed = rng.random() < 0.3 and any(map(str.split, pred_lines))
+        if changed:
+            pred_lines = changed_character(rng, pred_lines)
+        pred.write_bytes(encoded(rng, pred_lines))
+        rc = check_run(["eval", "--gold", str(gold), "--pred", str(pred)],
+                       capsys, f"eval case {case}: {words!r} {pred_lines!r}")
+        if changed:
+            assert rc == 1, (case, words, pred_lines)

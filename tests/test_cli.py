@@ -153,8 +153,7 @@ def test_segment_output_scores_with_eval(tmp_path, capsys):
     assert ["".join(line.split()) for line in out_lines] == \
         ["".join(line.split()) for line in gold_lines] + [""]
     capsys.readouterr()
-    assert main(["eval", "--gold", str(gold), "--pred", str(pred),
-                 "--lexicon", str(lexicon)]) == 0
+    assert main(["eval", "--gold", str(gold), "--pred", str(pred)]) == 0
     out, err = capsys.readouterr()
     assert re.match(r"^p=\d\.\d{4} r=\d\.\d{4} f1=\d\.\d{4}$", out.strip())
     assert err == ""
@@ -389,7 +388,41 @@ def test_eval_rejects_prediction_of_other_text(tmp_path, capsys):
     assert main(["eval", "--gold", str(gold), "--pred", str(pred)]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "error: sentence 1: texts differ at token 1" in captured.err
+    assert "error: sentence 1: texts differ at character 1" in captured.err
+
+
+@pytest.mark.parametrize("gold_line, pred_line, rc, out, err", [
+    # Latin and digit runs are compared character by character
+    ("我 爱 Apple 2024 年", "我 爱 Banana 1999 年", 1, "",
+     "error: sentence 1: texts differ at character 3: gold 'A', prediction 'B'\n"),
+    ("我 ab cd", "我 abc d", 0, "p=0.3333 r=0.3333 f1=0.3333\n", ""),
+    # a boundary inside a Latin run, as gold has it and segment does not
+    ("我们 去 New York", "我们 去 NewYork", 0,
+     "p=0.6667 r=0.5000 f1=0.5714\n", ""),
+    # an idiom is its four characters
+    ("一举 两得", "一举两得", 0, "p=0.0000 r=0.0000 f1=0.0000\n", ""),
+])
+def test_eval_matches_words_as_character_spans(tmp_path, capsys, gold_line,
+                                               pred_line, rc, out, err):
+    gold = tmp_path / "gold.txt"
+    gold.write_text(gold_line + "\n", encoding="utf-8")
+    pred = tmp_path / "pred.txt"
+    pred.write_text(pred_line + "\n", encoding="utf-8")
+    capsys.readouterr()
+    assert main(["eval", "--gold", str(gold), "--pred", str(pred)]) == rc
+    assert capsys.readouterr() == (out, err)
+
+
+def test_eval_takes_only_gold_and_pred(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["eval", "--lexicon", "x", "--gold", "g", "--pred", "p"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --lexicon x" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        main(["eval", "--help"])
+    assert exc.value.code == 0
+    flags = re.findall(r"--[a-z-]+", capsys.readouterr().out)
+    assert sorted(set(flags)) == ["--gold", "--help", "--pred"]
 
 
 def test_segment_rejects_model_json_without_config(tmp_path, capsys):

@@ -1,3 +1,7 @@
+import random
+import re
+import string
+
 import numpy as np
 import pytest
 
@@ -6,7 +10,7 @@ from attnseg.evaluate import (
     evaluate_corpus, prf1, score_counts, score_segmentations, tags_to_spans,
 )
 from attnseg.tagging import TAG_IDS, encode_tags
-from oracles import random_segmentation
+from oracles import CHAR_POOL, bakeoff_scores, random_segmentation
 
 
 def tags_of(s):
@@ -158,32 +162,68 @@ def test_evaluate_corpus_empty_errors():
 
 
 def test_score_segmentations_perfect():
-    a = Corpus([sentence(["你好", "吗"])])
-    b = Corpus([sentence(["你好", "吗"])])
+    a = [["你好", "吗"]]
+    b = [["你好", "吗"]]
     assert score_segmentations(a, b) == (1.0, 1.0, 1.0)
 
 
 def test_score_segmentations_size_mismatch():
-    a = Corpus([sentence(["你好"])])
-    b = Corpus([sentence(["你好"]), sentence(["吗"])])
+    a = [["你好"]]
+    b = [["你好"], ["吗"]]
     with pytest.raises(ValueError, match="size"):
         score_segmentations(a, b)
 
 
 def test_score_segmentations_rejects_different_text():
     # as many characters, but not the same text
-    a = Corpus([sentence(["你好", "吗"]), sentence(["我们", "是"])])
-    b = Corpus([sentence(["你好", "吗"]), sentence(["你们", "去"])])
-    with pytest.raises(ValueError, match="sentence 2: texts differ at token 1: "
+    a = [["你好", "吗"], ["我们", "是"]]
+    b = [["你好", "吗"], ["你们", "去"]]
+    with pytest.raises(ValueError, match="sentence 2: texts differ at character 1: "
                                          "gold '我', prediction '你'"):
         score_segmentations(a, b)
-    c = Corpus([sentence(["你好", "吗"]), sentence(["我们", "去"])])
-    with pytest.raises(ValueError, match="sentence 2: .* token 3: "):
+    c = [["你好", "吗"], ["我们", "去"]]
+    with pytest.raises(ValueError, match="sentence 2: .* character 3: "):
         score_segmentations(a, c)
 
 
 def test_score_segmentations_char_mismatch_names_sentence():
-    a = Corpus([sentence(["你好", "吗"])])
-    b = Corpus([sentence(["你好"])])
+    a = [["你好", "吗"]]
+    b = [["你好"]]
     with pytest.raises(ValueError, match="sentence 1"):
         score_segmentations(a, b)
+
+
+# Han, ASCII and fullwidth letters and digits: preprocess would collapse
+# the Latin and digit runs, the character score does not
+FUZZ_POOL = CHAR_POOL + string.ascii_letters + string.digits + "".join(
+    chr(ord(c) + 0xFEE0) for c in string.ascii_letters + string.digits)
+
+
+def split_at_random(rng, text):
+    return "".join(ch + rng.choice(("", " ")) for ch in text)
+
+
+def test_score_segmentations_matches_character_span_oracle():
+    rng = random.Random(2005)
+    texts, gold_lines, pred_lines = [], [], []
+    for _ in range(300):
+        length = rng.randrange(1, 16)
+        text = "".join(rng.choice(FUZZ_POOL) for _ in range(length))
+        gold_line, pred_line = (split_at_random(rng, text) for _ in range(2))
+        assert score_segmentations([gold_line.split()], [pred_line.split()]) \
+            == bakeoff_scores([gold_line], [pred_line]), (gold_line, pred_line)
+        texts.append(text)
+        gold_lines.append(gold_line)
+        pred_lines.append(pred_line)
+    gold = [line.split() for line in gold_lines]
+    pred = [line.split() for line in pred_lines]
+    assert score_segmentations(gold, pred) == bakeoff_scores(gold_lines, pred_lines)
+    # one character changed in sentence i is refused, by sentence and position
+    for i, text in enumerate(texts):
+        j = rng.randrange(len(text))
+        other = rng.choice(FUZZ_POOL.replace(text[j], ""))
+        changed = split_at_random(rng, text[:j] + other + text[j + 1:]).split()
+        want = (f"sentence {i + 1}: texts differ at character {j + 1}: "
+                f"gold {text[j]!r}, prediction {other!r}")
+        with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
+            score_segmentations(gold, pred[:i] + [changed] + pred[i + 1:])

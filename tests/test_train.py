@@ -18,7 +18,7 @@ from attnseg.model import (
 )
 from attnseg.numerics import ShapeError
 from attnseg.train import (
-    ADAGRAD_CHUNK, IO_CHUNK, AdagradState, adagrad_update, fit, load_model,
+    ADAGRAD_CHUNK, IO_CHUNK, adagrad_update, fit, load_model,
     model_gradient_check, save_model, tag_accuracy, train_epoch,
 )
 from model_files import json_edit, rehashed_edit
@@ -220,13 +220,13 @@ def test_pack_unpack_roundtrip():
 def test_train_epoch_returns_finite_stats_and_learns():
     model, corpus, cfg = toy_model()
     rng = np.random.default_rng(cfg.seed)
-    state = AdagradState.for_params(model.params)
-    s1 = train_epoch(model, corpus, cfg, rng, state)
+    accum = {k: np.zeros_like(p) for k, p in model.params.items()}
+    nll1 = train_epoch(model, corpus, cfg, rng, accum)
     acc = tag_accuracy(model, corpus)
-    s2 = train_epoch(model, corpus, cfg, rng, state)
-    assert np.isfinite(s1.nll) and np.isfinite(s2.nll)
+    nll2 = train_epoch(model, corpus, cfg, rng, accum)
+    assert np.isfinite(nll1) and np.isfinite(nll2)
     assert 0.0 <= acc <= 1.0
-    assert s2.nll < s1.nll
+    assert nll2 < nll1
 
 
 @pytest.mark.parametrize("overrides", [
@@ -248,8 +248,8 @@ def test_train_epoch_does_not_decode(monkeypatch):
         raise AssertionError("train_epoch decoded a sentence")
 
     monkeypatch.setattr(Segmenter, "decode", no_decode)
-    stats = train_epoch(model, corpus, cfg, np.random.default_rng(cfg.seed))
-    assert np.isfinite(stats.nll)
+    nll = train_epoch(model, corpus, cfg, np.random.default_rng(cfg.seed))
+    assert np.isfinite(nll)
 
 
 def test_train_epoch_empty_corpus_errors():
@@ -263,8 +263,8 @@ def test_train_epoch_is_deterministic():
     for _ in range(2):
         model, corpus, cfg = toy_model()
         rng = np.random.default_rng(cfg.seed)
-        stats = train_epoch(model, corpus, cfg, rng)
-        runs.append((stats, pack_params(model.params)))
+        nll = train_epoch(model, corpus, cfg, rng)
+        runs.append((nll, pack_params(model.params)))
     assert runs[0][0] == runs[1][0]
     assert np.array_equal(runs[0][1], runs[1][1])
 
@@ -289,9 +289,9 @@ def test_gradient_accumulation_is_batch_mean():
         _, grads = twin.loss_and_grads(corpus[int(i)])
         for k in sums:
             sums[k] += grads[k]
-    acc = AdagradState.for_params(twin.params)
+    accum = {k: np.zeros_like(p) for k, p in twin.params.items()}
     for k in twin.params:
-        adagrad_update(twin.params[k], sums[k] / 32.0, acc.accum[k],
+        adagrad_update(twin.params[k], sums[k] / 32.0, accum[k],
                        0.5, cfg.adagrad_epsilon)
     for k in model.params:
         assert np.array_equal(model.params[k], twin.params[k]), k
@@ -327,18 +327,18 @@ def test_train_epoch_matches_sequential_reference(overrides):
     kw = dict(dropout=0.2, batch_size=5, **overrides)
     model, corpus, cfg = toy_model(**kw)
     twin, _, _ = toy_model(**kw)
-    state = AdagradState.for_params(model.params)
-    accum = {k: np.zeros_like(p) for k, p in twin.params.items()}
+    accum = {k: np.zeros_like(p) for k, p in model.params.items()}
+    twin_accum = {k: np.zeros_like(p) for k, p in twin.params.items()}
     rng = np.random.default_rng(cfg.seed)
     twin_rng = np.random.default_rng(cfg.seed)
     for _ in range(2):
-        stats = train_epoch(model, corpus, cfg, rng, state)
-        assert stats.nll == train_epoch_sequential(twin, corpus, cfg,
-                                                   twin_rng, accum)
+        nll = train_epoch(model, corpus, cfg, rng, accum)
+        assert nll == train_epoch_sequential(twin, corpus, cfg,
+                                             twin_rng, twin_accum)
     assert pack_params(model.params).tobytes() == \
         pack_params(twin.params).tobytes()
     for k in accum:
-        assert np.array_equal(state.accum[k], accum[k]), k
+        assert np.array_equal(accum[k], twin_accum[k]), k
 
 
 def test_clip_norm_caps_update():
@@ -418,8 +418,8 @@ def test_one_batch_updates_only_the_looked_up_embedding_rows(monkeypatch):
         return adagrad_update(param, grad, accum, *args)
 
     monkeypatch.setattr(train_module, "adagrad_update", recording_update)
-    state = AdagradState.for_params(model.params)
-    train_epoch(model, batch, cfg, np.random.default_rng(0), state)
+    accum = {k: np.zeros_like(p) for k, p in model.params.items()}
+    train_epoch(model, batch, cfg, np.random.default_rng(0), accum)
     tokens = [tok for sent in batch for tok in sent.tokens]
     bigrams = [b for sent in batch for b in sentence_bigrams(sent.tokens)]
     # every sentence's window reads <PAD> (row 0) past its ends
@@ -433,8 +433,8 @@ def test_one_batch_updates_only_the_looked_up_embedding_rows(monkeypatch):
         assert len(ids) < len(model.params[name])
         others = np.setdiff1d(np.arange(len(model.params[name])), ids)
         assert np.array_equal(model.params[name][others], before[name][others])
-        assert not state.accum[name][others].any()
-        assert state.accum[name][ids].any(axis=1).all()
+        assert not accum[name][others].any()
+        assert accum[name][ids].any(axis=1).all()
 
 
 def test_model_gradient_check_small():
