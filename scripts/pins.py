@@ -1,8 +1,13 @@
 """Print the behaviour pins of this checkout, one line each.
 
-Trains one model per pin config on the bundled toy corpus (`attnseg
-train --epochs 4 --batch-size 4 --seed 3`) and prints a sha256 line per
-file of each model directory, one for each run's epoch lines, one for
+The first line names the BLAS thread count the runs use and the numpy
+and OpenBLAS versions: the bytes a training run writes depend on all
+three, so only outputs under the same first line compare.  Every run
+sets OPENBLAS_NUM_THREADS=1, whatever the calling environment holds.
+
+Then it trains one model per pin config on the bundled toy corpus
+(`attnseg train --epochs 4 --batch-size 4 --seed 3`) and prints a sha256
+line per file of each model directory, one for each run's epoch lines, one for
 what `attnseg segment` prints with that model on the toy corpus's text
 (its lines with their spaces taken out) and the line `attnseg eval`
 prints for that output against the toy corpus, then the line `attnseg
@@ -24,6 +29,8 @@ import subprocess
 import sys
 import tempfile
 
+import numpy as np
+
 SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
 TOY = os.path.join(SRC, "attnseg", "data", "toy.txt")
 COMMON = ["--epochs", "4", "--batch-size", "4", "--seed", "3"]
@@ -34,12 +41,14 @@ CONFIGS = {
                            "--clip-norm", "0.5"],
     "dropout-window5": ["--dropout", "0.3", "--window", "5"],
 }
+THREADS = "1"
 
 
 def attnseg(*argv):
     """Stdout of the checkout's CLI run with `argv`; a failed run stops
     the script with its stderr."""
-    env = dict(os.environ, PYTHONPATH=os.path.abspath(SRC))
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(SRC),
+               OPENBLAS_NUM_THREADS=THREADS)
     done = subprocess.run([sys.executable, "-m", "attnseg.cli", *argv],
                           env=env, capture_output=True, text=True)
     if done.returncode != 0:
@@ -53,6 +62,9 @@ def sha256(data):
 
 
 def main():
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    print(f"OPENBLAS_NUM_THREADS={THREADS}  numpy {np.__version__}  "
+          f"OpenBLAS {blas['version']}")
     with tempfile.TemporaryDirectory() as tmp:
         text = os.path.join(tmp, "toy-text.txt")
         with open(TOY, encoding="utf-8") as src, \

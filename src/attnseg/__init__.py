@@ -2,19 +2,19 @@
 linear-chain CRF decoder, implemented from scratch on numpy."""
 
 from .corpus import (
-    Corpus, Sentence, Vocab, load_corpus, load_embeddings, load_lexicon,
+    Sentence, Vocab, load_corpus, load_embeddings, load_lexicon,
     load_toy_corpus, preprocess, split_train_dev,
 )
-from .evaluate import evaluate_corpus, prf1, tags_to_spans
+from .evaluate import evaluate_corpus, tags_to_spans
 from .model import Segmenter, TrainConfig
 from .train import fit, load_model, save_model, train_epoch
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Corpus", "Sentence", "Vocab", "load_corpus", "load_embeddings",
+    "Sentence", "Vocab", "load_corpus", "load_embeddings",
     "load_lexicon", "load_toy_corpus", "preprocess", "split_train_dev",
-    "evaluate_corpus", "prf1", "tags_to_spans",
+    "evaluate_corpus", "tags_to_spans",
     "Segmenter", "TrainConfig",
     "fit", "load_model", "save_model", "train_epoch",
     "__version__",

@@ -14,7 +14,7 @@ import numpy as np
 
 from . import tagging
 from .corpus import (
-    Corpus, Sentence, load_corpus, load_embeddings, load_lexicon, read_lines,
+    Sentence, load_corpus, load_embeddings, load_lexicon, read_lines,
     read_sentences, split_train_dev, Vocab,
 )
 from .evaluate import score_segmentations
@@ -158,12 +158,11 @@ def gradcheck_fixture(seed):
         words.append("".join(chars[pos:pos + step]))
         pos += step
     sentence = Sentence(tokens=chars, tags=tagging.encode_tags(words))
-    corpus = Corpus([sentence])
     config = TrainConfig(
         hidden=5, emb_dim=6, attn_dim=4, window=1,
         dropout=0.0, batch_size=1, epochs=1, seed=seed,
     )
-    model = Segmenter.build(corpus, config)
+    model = Segmenter.build([sentence], config)
     # redraw every parameter at scale 0.5: training-time init is tiny,
     # which leaves some attention gradients at the finite-difference
     # noise floor and makes the check indecisive either way

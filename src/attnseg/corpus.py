@@ -9,7 +9,7 @@ downstream, and each token can report the text it stands for.
 """
 
 import string
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -190,22 +190,11 @@ class Sentence:
         if not self.tokens:
             raise ValueError("empty sentence")
 
-    def words(self):
-        return tagging.decode_tags(self.tokens, self.tags)
 
-
-@dataclass
-class Corpus:
-    sentences: list = field(default_factory=list)
-
-    def __len__(self):
-        return len(self.sentences)
-
-    def __iter__(self):
-        return iter(self.sentences)
-
-    def __getitem__(self, i):
-        return self.sentences[i]
+# A corpus is a plain list of Sentence.  The name stays only for
+# perfbench/workloads.py:249, its last caller, until that call passes a
+# plain list (ROADMAP item 1).
+Corpus = list
 
 
 def read_sentences(path):
@@ -219,7 +208,7 @@ def read_sentences(path):
 
 
 def load_corpus(path, lexicon=None):
-    """Parse a bakeoff-format file into a Corpus.
+    """Parse a bakeoff-format file into a list of Sentence.
 
     Each sentence of read_sentences has each word preprocessed (so a
     replacement token counts as one character), and the resulting
@@ -231,7 +220,7 @@ def load_corpus(path, lexicon=None):
         tags = tagging.encode_tags(token_words)
         tokens = [tok for w in token_words for tok in w]
         sentences.append(Sentence(tokens=tokens, tags=tags))
-    return Corpus(sentences)
+    return sentences
 
 
 def load_toy_corpus():
@@ -244,7 +233,8 @@ def load_toy_corpus():
 
 
 def split_train_dev(corpus, dev_fraction, seed):
-    """Deterministic shuffled split; dev gets round(dev_fraction * N).
+    """Deterministic shuffled split of a list of Sentence into (train,
+    dev) lists; dev gets round(dev_fraction * N).
 
     Rounding is half-up.  Raises when either side would be empty.
     """
@@ -258,9 +248,7 @@ def split_train_dev(corpus, dev_fraction, seed):
         )
     rng = np.random.default_rng(seed)
     order = rng.permutation(n)
-    dev = Corpus([corpus[i] for i in order[:n_dev]])
-    train = Corpus([corpus[i] for i in order[n_dev:]])
-    return train, dev
+    return [corpus[i] for i in order[n_dev:]], [corpus[i] for i in order[:n_dev]]
 
 
 def random_embeddings(count, dim, rng):

@@ -19,14 +19,6 @@ import numpy as np
 from .numerics import ShapeError
 
 
-def start_index(num_tags):
-    return num_tags
-
-
-def end_index(num_tags):
-    return num_tags + 1
-
-
 def _check(emissions, transitions):
     emissions = np.asarray(emissions, dtype=np.float64)
     transitions = np.asarray(transitions, dtype=np.float64)
@@ -74,9 +66,8 @@ def _forward_table(emissions, trans, k):
     """alpha[t, j]: log-sum score of prefixes ending in tag j at t
     (emissions included through t, start transition included)."""
     n = emissions.shape[0]
-    start = start_index(k)
     alpha = np.empty((n, k))
-    alpha[0] = trans[start, :k] + emissions[0]
+    alpha[0] = trans[k, :k] + emissions[0]
     for t in range(1, n):
         # column j holds alpha[t-1] + trans[:k, j]
         alpha[t] = emissions[t] + _logsumexp_along(
@@ -88,9 +79,8 @@ def _backward_table(emissions, trans, k):
     """beta[t, j]: log-sum score of completing the sequence from tag j at
     position t (emissions after t and the end transition included)."""
     n = emissions.shape[0]
-    end = end_index(k)
     beta = np.empty((n, k))
-    beta[n - 1] = trans[:k, end]
+    beta[n - 1] = trans[:k, k + 1]
     for t in range(n - 2, -1, -1):
         # row j holds (trans[j, :k] + emissions[t+1]) + beta[t+1]
         beta[t] = _logsumexp_along(
@@ -109,7 +99,7 @@ def log_partition(emissions, transitions):
 
 
 def _log_z(alpha, trans, k):
-    log_z = _logsumexp_along(alpha[-1] + trans[:k, end_index(k)], axis=-1)
+    log_z = _logsumexp_along(alpha[-1] + trans[:k, k + 1], axis=-1)
     if log_z == -np.inf:
         raise ValueError("every tag sequence has a forbidden transition")
     return log_z
@@ -151,8 +141,6 @@ def nll_and_grads(emissions, transitions, gold):
     gold_score = _sequence_score(emissions, trans, gold, k)
     if gold_score == -np.inf:
         raise ValueError("the gold tag sequence has a forbidden transition")
-    start, end = start_index(k), end_index(k)
-
     unary, alpha, beta, log_z = _posteriors(emissions, trans, k)
     loss = log_z - gold_score
 
@@ -160,10 +148,10 @@ def nll_and_grads(emissions, transitions, gold):
     d_emissions[np.arange(n), gold] -= 1.0
 
     d_trans = np.zeros_like(trans)
-    d_trans[start, :k] = unary[0]
-    d_trans[start, gold[0]] -= 1.0
-    d_trans[:k, end] = unary[-1]
-    d_trans[gold[-1], end] -= 1.0
+    d_trans[k, :k] = unary[0]
+    d_trans[k, gold[0]] -= 1.0
+    d_trans[:k, k + 1] = unary[-1]
+    d_trans[gold[-1], k + 1] -= 1.0
     # pair[t, i, j] = p(y_t = i, y_{t+1} = j | x), all t at once
     pairs = np.exp(
         alpha[:-1, :, None] + trans[:k, :k] + emissions[1:, None, :]
@@ -177,12 +165,11 @@ def nll_and_grads(emissions, transitions, gold):
 
 def _sequence_score(emissions, trans, tags, k):
     n = emissions.shape[0]
-    start, end = start_index(k), end_index(k)
-    score = trans[start, tags[0]] + emissions[0, tags[0]]
+    score = trans[k, tags[0]] + emissions[0, tags[0]]
     for t in range(1, n):
         score = score + trans[tags[t - 1], tags[t]]
         score = score + emissions[t, tags[t]]
-    return score + trans[tags[n - 1], end]
+    return score + trans[tags[n - 1], k + 1]
 
 
 def viterbi(emissions, transitions):
@@ -195,14 +182,13 @@ def viterbi(emissions, transitions):
     """
     emissions, trans, k = _check(emissions, transitions)
     n = emissions.shape[0]
-    start, end = start_index(k), end_index(k)
-    delta = trans[start, :k] + emissions[0]
+    delta = trans[k, :k] + emissions[0]
     back = np.zeros((n, k), dtype=np.intp)
     for t in range(1, n):
         cand = delta[:, None] + trans[:k, :k]
         back[t] = np.argmax(cand, axis=0)
         delta = emissions[t] + cand[back[t], np.arange(k)]
-    final = delta + trans[:k, end]
+    final = delta + trans[:k, k + 1]
     best_last = int(np.argmax(final))
     best_score = final[best_last]
     if best_score == -np.inf:

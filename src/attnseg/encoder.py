@@ -215,8 +215,6 @@ def dropout_mask(shape, p, rng):
     """
     if not 0.0 <= p < 1.0:
         raise ValueError(f"dropout rate must be in [0, 1), got {p}")
-    if p == 0.0:
-        return np.ones(shape)
     return (rng.random(shape) >= p) / (1.0 - p)
 
 

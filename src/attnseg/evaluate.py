@@ -31,23 +31,6 @@ def tags_to_spans(tags):
     return _spans(word_lengths(tags))
 
 
-def _covered(spans):
-    return max((end for _, end in spans), default=0)
-
-
-def prf1(gold, pred):
-    """Precision, recall and F1 of one sentence's span sets."""
-    gold = set(gold)
-    pred = set(pred)
-    n_gold = _covered(gold)
-    n_pred = _covered(pred)
-    if n_gold != n_pred:
-        raise ValueError(
-            f"span sets cover different lengths: gold {n_gold}, pred {n_pred}"
-        )
-    return _ratios(*score_counts(gold, pred))
-
-
 def score_counts(gold, pred):
     """(correct, predicted, gold) word counts for micro-averaging."""
     gold = set(gold)

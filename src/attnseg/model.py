@@ -116,25 +116,6 @@ class TrainConfig:
         return cls(**d)
 
 
-def pack_params(params):
-    """Flatten all parameters into one float64 vector, canonical order."""
-    return np.concatenate([params[name].ravel() for name in params])
-
-
-def unpack_params(vector, params):
-    """Inverse of pack_params against a template dict (shapes and order)."""
-    vector = np.asarray(vector, dtype=np.float64)
-    total = sum(p.size for p in params.values())
-    if vector.shape != (total,):
-        raise ValueError(f"expected a flat vector of {total} values, got {vector.shape}")
-    out = {}
-    offset = 0
-    for name, p in params.items():
-        out[name] = vector[offset:offset + p.size].reshape(p.shape).copy()
-        offset += p.size
-    return out
-
-
 def make_encoder_config(config):
     """The encoder shape a TrainConfig implies: `window` unigram
     embeddings per position, plus one bigram embedding when on."""

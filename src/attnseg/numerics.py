@@ -18,20 +18,16 @@ class ShapeError(ValueError):
     """Operand shapes are incompatible for the requested operation."""
 
 
-def sigmoid(x, out=None):
-    """Elementwise logistic function 1 / (1 + exp(-x)).
+def sigmoid(x, out):
+    """Elementwise logistic function 1 / (1 + exp(-x)), computed in
+    place in `out` (which may be `x` itself).
 
     Deliberately the plain formula: exp overflow for very negative inputs
     saturates to exactly 0.0, which is the correct limit, so the warning
-    is suppressed rather than the formula rearranged.  With `out` (which
-    may be `x` itself) the result is computed in place there, and the
-    suppression is left to the caller's ``np.errstate(over="ignore")``,
-    so that a loop of many small calls enters that context once.
+    is suppressed rather than the formula rearranged.  The suppression
+    is left to the caller's ``np.errstate(over="ignore")``, so that a
+    loop of many small calls enters that context once.
     """
-    if out is None:
-        x = np.asarray(x, dtype=np.float64)
-        with np.errstate(over="ignore"):
-            return sigmoid(x, out=np.empty(x.shape))
     np.negative(x, out=out)
     np.exp(out, out=out)
     out += 1.0
@@ -39,18 +35,14 @@ def sigmoid(x, out=None):
 
 
 def softmax(v, out=None):
-    """Stable softmax of a vector, or of each row of a matrix, via max
-    subtraction, into `out` when given (which may be `v` itself).  Each
-    row gets exactly the values it would get as a vector on its own.
-
-    An empty vector maps to an empty vector: the attention layer
-    legitimately sees zero previous tokens at the first time step.
+    """Stable softmax of a non-empty vector, or of each row of a matrix,
+    via max subtraction, into `out` when given (which may be `v`
+    itself).  Each row gets exactly the values it would get as a vector
+    on its own.
     """
     v = np.asarray(v, dtype=np.float64)
     if v.ndim not in (1, 2):
         raise ShapeError(f"softmax needs a vector or a matrix, got shape {v.shape}")
-    if v.size == 0:
-        return np.zeros(v.shape)
     # the reductions of v.max() and out.sum(), called directly
     out = np.subtract(v, np.maximum.reduce(v, axis=-1, keepdims=True), out=out)
     np.exp(out, out=out)

@@ -90,25 +90,6 @@ def decode_tags(chars, tags):
     return words
 
 
-def transition_allowed(prev, nxt):
-    """Whether the tag bigram (prev, nxt) occurs in any valid sequence.
-
-    prev may be START, nxt may be END.  B is followed by M or E, never S;
-    M likewise; only E and S can close a sentence or precede B/S.
-    """
-    return (prev, nxt) in _ALLOWED
-
-
-def is_valid(tags):
-    """True when the whole sequence matches (B M* E | S)*."""
-    prev = START
-    for t in tags:
-        if not transition_allowed(prev, t):
-            return False
-        prev = t
-    return transition_allowed(prev, END) if tags else True
-
-
 def transition_mask():
     """(NUM_TAGS+2, NUM_TAGS+2) boolean matrix of allowed transitions.
 

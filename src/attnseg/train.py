@@ -48,9 +48,7 @@ import numpy as np
 
 from .corpus import Vocab, decode_lines, lexicon_from_lines
 from .evaluate import evaluate_corpus
-from .model import (
-    Segmenter, TrainConfig, pack_params, param_shapes, unpack_params,
-)
+from .model import Segmenter, TrainConfig, param_shapes
 from .numerics import ShapeError, grad_check
 from .tagging import TAG_IDS
 
@@ -458,17 +456,30 @@ def load_model(directory):
     return Segmenter(config, vocab, params, bigram_vocab, lexicon)
 
 
+def _pack_params(params):
+    """All parameters as one float64 vector, in canonical order."""
+    return np.concatenate([p.ravel() for p in params.values()])
+
+
+def _unpack_params(vector, template):
+    """The parameter dict of a _pack_params vector, with the shapes and
+    order of `template`; its arrays are views into `vector`."""
+    ends = np.cumsum([p.size for p in template.values()])
+    return {name: part.reshape(p.shape) for (name, p), part
+            in zip(template.items(), np.split(vector, ends[:-1]))}
+
+
 def model_gradient_check(model, sentence, step=1e-4):
     """Max relative error of the full-model analytic gradient against
     central differences, on one sentence with dropout off."""
     template = model.params
-    point = pack_params(template)
+    point = _pack_params(template)
     _, grads = model.loss_and_grads(sentence)
-    analytic = pack_params({name: grads[name] for name in template})
+    analytic = _pack_params({name: grads[name] for name in template})
 
     def f(vec):
         saved = model.params
-        model.params = unpack_params(vec, template)
+        model.params = _unpack_params(vec, template)
         try:
             return model.nll(sentence)
         finally:

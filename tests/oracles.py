@@ -16,14 +16,16 @@ commutative, and identical association gives identical bits).
 """
 
 import itertools
+import re
 from types import SimpleNamespace
 
 import numpy as np
 
 from attnseg.corpus import ENG, IDIOM, NUM
-from attnseg.crf import _sequence_score, end_index, start_index
+from attnseg.crf import _sequence_score
 from attnseg.encoder import attend, direction_view
 from attnseg.numerics import ShapeError
+from attnseg.tagging import TAG_NAMES
 
 START = 4
 END = 5
@@ -115,7 +117,7 @@ def crf_forward_table_loops(emissions, trans, k):
     position.  alpha[t, j]: log-sum score of prefixes ending in tag j at
     t (emissions included through t, start transition included)."""
     n = emissions.shape[0]
-    start = start_index(k)
+    start = k
     alpha = np.empty((n, k))
     alpha[0] = trans[start, :k] + emissions[0]
     for t in range(1, n):
@@ -129,7 +131,7 @@ def crf_backward_table_loops(emissions, trans, k):
     beta[t, j]: log-sum score of completing the sequence from tag j at
     position t (emissions after t and the end transition included)."""
     n = emissions.shape[0]
-    end = end_index(k)
+    end = k + 1
     beta = np.empty((n, k))
     beta[n - 1] = trans[:k, end]
     for t in range(n - 2, -1, -1):
@@ -144,7 +146,7 @@ def crf_nll_and_grads_loops(emissions, trans, gold):
     step.  Returns (loss, d_emissions, d_transitions, alpha,
     beta): the gradients, then the two tables they came from."""
     n, k = emissions.shape
-    start, end = start_index(k), end_index(k)
+    start, end = k, k + 1
 
     alpha = crf_forward_table_loops(emissions, trans, k)
     beta = crf_backward_table_loops(emissions, trans, k)
@@ -468,6 +470,14 @@ def random_segmentation(rng, max_len=30, pool=CHAR_POOL):
         words.append("".join(chars[pos:pos + step]))
         pos += step
     return words
+
+
+def is_valid(tags):
+    """True when the tag ids, spelled as their letters, match
+    (B M* E | S)*: the grammar read as a regular expression, not through
+    the production's table of allowed transitions."""
+    letters = "".join(TAG_NAMES[t] for t in tags)
+    return re.fullmatch("(BM*E|S)*", letters) is not None
 
 
 def _char_class(c):

@@ -22,15 +22,15 @@ from attnseg.encoder import (
     AttentionParams, CellParams, EncoderConfig, forward, init_params,
 )
 from attnseg.evaluate import evaluate_corpus
-from attnseg.model import Segmenter, TrainConfig, pack_params
+from attnseg.model import Segmenter, TrainConfig
 from attnseg.numerics import grad_check
-from attnseg.tagging import decode_tags, encode_tags, is_valid
+from attnseg.tagging import decode_tags, encode_tags
 from attnseg.train import (
     fit, load_model, model_gradient_check, save_model,
     tag_accuracy, train_epoch,
 )
 from oracles import (
-    brute_log_partition, brute_viterbi, lstm_step_reference,
+    brute_log_partition, brute_viterbi, is_valid, lstm_step_reference,
     random_segmentation,
 )
 from test_encoder import step_after
@@ -183,11 +183,12 @@ def test_criterion_5_bmes_roundtrip_and_valid_decoding():
 
 
 def test_criterion_6_scorer_fixtures():
-    from attnseg.evaluate import prf1
+    from attnseg.evaluate import score_segmentations
 
-    p, r, f1 = prf1({(0, 2), (2, 3)}, {(0, 1), (1, 2), (2, 3)})
+    p, r, f1 = score_segmentations([["ab", "c"]], [["a", "b", "c"]])
     exact = (p == 1 / 3 and r == 1 / 2 and f1 == 0.4)
-    identical = prf1({(0, 2), (2, 3)}, {(0, 2), (2, 3)}) == (1.0, 1.0, 1.0)
+    identical = score_segmentations([["ab", "c"]], [["ab", "c"]]) \
+        == (1.0, 1.0, 1.0)
     report(
         "criterion 6: scorer hand fixtures",
         exact and identical,

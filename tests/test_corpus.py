@@ -2,12 +2,12 @@ import numpy as np
 import pytest
 
 from attnseg.corpus import (
-    ENG, IDIOM, NUM, PAD, UNK, Corpus, Sentence, Vocab, bigram_key,
+    ENG, IDIOM, NUM, PAD, UNK, Sentence, Vocab, bigram_key,
     build_bigram_vocab, featurize, load_corpus, load_embeddings, load_lexicon,
     load_toy_corpus, preprocess, random_embeddings, read_lines,
     sentence_bigrams, split_train_dev, window_ids,
 )
-from attnseg.tagging import TAG_IDS
+from attnseg.tagging import TAG_IDS, decode_tags
 from oracles import preprocess_scan, random_segmentation
 
 
@@ -217,7 +217,7 @@ def test_loaded_sentences_roundtrip_their_segmentation(tmp_path):
     corpus = load_corpus(p)
     for sent, line in zip(corpus, lines):
         assert len(sent.tokens) == len(sent.tags)
-        assert sent.words() == line.split()
+        assert decode_tags(sent.tokens, sent.tags) == line.split()
 
 
 def test_sentence_validation():
@@ -229,32 +229,31 @@ def test_sentence_validation():
 
 def test_split_train_dev_sizes():
     sents = [Sentence(tokens=[str(i)], tags=[3]) for i in range(10)]
-    train, dev = split_train_dev(Corpus(sents), 0.1, seed=42)
+    train, dev = split_train_dev(sents, 0.1, seed=42)
     assert (len(train), len(dev)) == (9, 1)
-    train, dev = split_train_dev(Corpus(sents[:2]), 0.5, seed=42)
+    train, dev = split_train_dev(sents[:2], 0.5, seed=42)
     assert (len(train), len(dev)) == (1, 1)
 
 
 def test_split_train_dev_rounds_half_up():
     sents = [Sentence(tokens=[str(i)], tags=[3]) for i in range(5)]
-    train, dev = split_train_dev(Corpus(sents), 0.1, seed=0)
+    train, dev = split_train_dev(sents, 0.1, seed=0)
     # 0.5 rounds up to 1, not banker's-rounded to 0
     assert (len(train), len(dev)) == (4, 1)
 
 
 def test_split_train_dev_partition_and_determinism():
     sents = [Sentence(tokens=[str(i)], tags=[3]) for i in range(23)]
-    corpus = Corpus(sents)
-    t1, d1 = split_train_dev(corpus, 0.3, seed=7)
-    t2, d2 = split_train_dev(corpus, 0.3, seed=7)
+    t1, d1 = split_train_dev(sents, 0.3, seed=7)
+    t2, d2 = split_train_dev(sents, 0.3, seed=7)
     assert [s.tokens for s in t1] == [s.tokens for s in t2]
     assert [s.tokens for s in d1] == [s.tokens for s in d2]
-    seen = sorted(s.tokens[0] for s in list(t1) + list(d1))
+    seen = sorted(s.tokens[0] for s in t1 + d1)
     assert seen == sorted(s.tokens[0] for s in sents)
 
 
 def test_split_train_dev_rejects_degenerate():
-    one = Corpus([Sentence(tokens=["a"], tags=[3])])
+    one = [Sentence(tokens=["a"], tags=[3])]
     with pytest.raises(ValueError):
         split_train_dev(one, 0.5, seed=0)
     with pytest.raises(ValueError):
@@ -360,7 +359,7 @@ def test_sentence_bigrams_last_pairs_with_pad():
 
 def test_bigram_vocab_contains_corpus_bigrams():
     sents = [Sentence(tokens=["你", "好"], tags=[0, 2])]
-    bv = build_bigram_vocab(Corpus(sents))
+    bv = build_bigram_vocab(sents)
     assert bigram_key("你", "好") in bv
     assert bv.id(bigram_key("好", PAD)) > 3
 

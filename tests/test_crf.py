@@ -3,18 +3,18 @@ import pytest
 
 from attnseg import crf, tagging
 from attnseg.crf import (
-    end_index, log_partition, marginals, nll_and_grads, sequence_score,
-    start_index, viterbi,
+    log_partition, marginals, nll_and_grads, sequence_score, viterbi,
 )
 from attnseg.numerics import grad_check
 from oracles import (
     brute_log_partition, brute_marginals, brute_viterbi,
-    crf_nll_and_grads_loops, enumerate_scores, logsumexp, random_segmentation,
+    crf_nll_and_grads_loops, enumerate_scores, is_valid, logsumexp,
+    random_segmentation,
 )
 
 K = 4
-START = start_index(K)
-END = end_index(K)
+START = K
+END = K + 1
 
 
 def random_instance(rng, n=None, scale=1.0):
@@ -313,7 +313,7 @@ def test_viterbi_masked_output_is_always_grammatical():
     for _ in range(200):
         emissions, trans = random_instance(rng)
         path, _ = viterbi(emissions, np.where(mask, trans, -np.inf))
-        assert tagging.is_valid(path)
+        assert is_valid(path)
 
 
 def test_viterbi_all_masked_errors():

@@ -5,9 +5,10 @@ import string
 import numpy as np
 import pytest
 
-from attnseg.corpus import Corpus, Sentence
+from attnseg.corpus import Sentence
 from attnseg.evaluate import (
-    evaluate_corpus, prf1, score_counts, score_segmentations, tags_to_spans,
+    _micro_average, evaluate_corpus, score_counts, score_segmentations,
+    tags_to_spans,
 )
 from attnseg.tagging import TAG_IDS, encode_tags
 from oracles import CHAR_POOL, bakeoff_scores, random_segmentation
@@ -47,41 +48,34 @@ def test_tags_to_spans_matches_encoded_segmentations():
         assert spans == want
 
 
-def test_prf1_hand_case_is_exact():
-    p, r, f1 = prf1({(0, 2), (2, 3)}, {(0, 1), (1, 2), (2, 3)})
+def test_score_segmentations_hand_case_is_exact():
+    p, r, f1 = score_segmentations([["ab", "c"]], [["a", "b", "c"]])
     assert p == 1 / 3
     assert r == 1 / 2
     assert f1 == 0.4
 
 
-def test_prf1_identity():
+def test_micro_average_identity():
     spans = {(0, 2), (2, 3)}
-    assert prf1(spans, spans) == (1.0, 1.0, 1.0)
+    assert _micro_average([(spans, spans)]) == (1.0, 1.0, 1.0)
 
 
-def test_prf1_disjoint():
-    assert prf1({(0, 2)}, {(0, 1), (1, 2)}) == (0.0, 0.0, 0.0)
+def test_micro_average_disjoint():
+    assert _micro_average([({(0, 2)}, {(0, 1), (1, 2)})]) == (0.0, 0.0, 0.0)
 
 
-def test_prf1_length_mismatch_errors():
-    with pytest.raises(ValueError):
-        prf1({(0, 2)}, {(0, 3)})
+def test_micro_average_empty_sets_use_zero_convention():
+    assert _micro_average([(set(), set())]) == (0.0, 0.0, 0.0)
+    assert _micro_average([]) == (0.0, 0.0, 0.0)
 
 
-def test_prf1_empty_sets_use_zero_convention():
-    assert prf1(set(), set()) == (0.0, 0.0, 0.0)
-
-
-def test_prf1_f1_between_p_and_r():
+def test_micro_average_f1_between_p_and_r():
     rng = np.random.default_rng(65)
     for _ in range(300):
         n = int(rng.integers(1, 15))
         gold = tags_to_spans(encode_tags(random_segmentation(rng, max_len=n)))
         pred = tags_to_spans(encode_tags(random_segmentation(rng, max_len=n)))
-        if max((e for _, e in gold), default=0) != \
-                max((e for _, e in pred), default=0):
-            continue
-        p, r, f1 = prf1(gold, pred)
+        p, r, f1 = _micro_average([(gold, pred)])
         assert 0.0 <= p <= 1.0 and 0.0 <= r <= 1.0 and 0.0 <= f1 <= 1.0
         if p > 0 and r > 0:
             assert min(p, r) - 1e-15 <= f1 <= max(p, r) + 1e-15
@@ -103,7 +97,7 @@ def sentence(words):
 
 
 def test_evaluate_corpus_perfect_model():
-    corpus = Corpus([sentence(["你好", "吗"]), sentence(["去", "北京"])])
+    corpus = [sentence(["你好", "吗"]), sentence(["去", "北京"])]
     model = FakeModel({
         "你好吗": encode_tags(["你好", "吗"]),
         "去北京": encode_tags(["去", "北京"]),
@@ -126,7 +120,7 @@ def test_evaluate_corpus_micro_average_end_to_end():
     # sentence A: gold 你|好吗, predicted 你|好|吗 -> counts (1, 3, 2)
     # sentence B: gold 北京, predicted 北京 -> counts (1, 1, 1)
     # pooled: P = 2/4, R = 2/3, F1 = 4/7
-    corpus = Corpus([sentence(["你", "好吗"]), sentence(["北京"])])
+    corpus = [sentence(["你", "好吗"]), sentence(["北京"])]
     model = FakeModel({
         "你好吗": encode_tags(["你", "好", "吗"]),
         "北京": encode_tags(["北京"]),
@@ -137,28 +131,25 @@ def test_evaluate_corpus_micro_average_end_to_end():
     assert abs(f1 - 4 / 7) < 1e-15
 
 
-def test_evaluate_corpus_single_sentence_equals_prf1():
-    gold_words = ["你好", "吗"]
-    pred_tags = encode_tags(["你", "好吗"])
-    corpus = Corpus([sentence(gold_words)])
-    model = FakeModel({"你好吗": pred_tags})
-    direct = prf1(tags_to_spans(encode_tags(gold_words)),
-                  tags_to_spans(pred_tags))
-    assert evaluate_corpus(model, corpus) == direct
+def test_evaluate_corpus_single_sentence_equals_character_score():
+    gold_words, pred_words = ["你好", "吗"], ["你", "好吗"]
+    model = FakeModel({"你好吗": encode_tags(pred_words)})
+    assert evaluate_corpus(model, [sentence(gold_words)]) \
+        == score_segmentations([gold_words], [pred_words])
 
 
 def test_evaluate_corpus_identical_sentences_equal_single():
     gold_words = ["你好", "吗"]
     pred_tags = encode_tags(["你", "好吗"])
     model = FakeModel({"你好吗": pred_tags})
-    one = evaluate_corpus(model, Corpus([sentence(gold_words)]))
-    many = evaluate_corpus(model, Corpus([sentence(gold_words)] * 7))
+    one = evaluate_corpus(model, [sentence(gold_words)])
+    many = evaluate_corpus(model, [sentence(gold_words)] * 7)
     assert one == many
 
 
 def test_evaluate_corpus_empty_errors():
     with pytest.raises(ValueError):
-        evaluate_corpus(FakeModel({}), Corpus([]))
+        evaluate_corpus(FakeModel({}), [])
 
 
 def test_score_segmentations_perfect():

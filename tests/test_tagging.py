@@ -1,11 +1,13 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from attnseg.tagging import (
     B, E, END, M, NUM_TAGS, S, START, TAG_IDS, TAG_NAMES, decode_tags,
-    encode_tags, is_valid, transition_allowed, transition_mask, word_lengths,
+    encode_tags, transition_mask, word_lengths,
 )
-from oracles import random_segmentation
+from oracles import is_valid, random_segmentation
 
 
 def tags_of(s):
@@ -74,16 +76,6 @@ def test_word_lengths_total_always_matches():
         assert sum(word_lengths(tags)) == n
 
 
-def test_transition_allowed_table():
-    allowed = {
-        (START, B), (START, S), (B, M), (B, E), (M, M), (M, E),
-        (E, B), (E, S), (E, END), (S, B), (S, S), (S, END),
-    }
-    for i in (B, M, E, S, START):
-        for j in (B, M, E, S, END):
-            assert transition_allowed(i, j) == ((i, j) in allowed)
-
-
 def test_is_valid():
     assert is_valid([])
     assert is_valid(tags_of("BESBMEBEBE"))
@@ -92,15 +84,26 @@ def test_is_valid():
     assert not is_valid(tags_of("SM"))
     assert not is_valid(tags_of("BSE"))
     assert not is_valid(tags_of("ME"))
+    # the regular expression agrees with the mask's chain of transitions,
+    # START to END, on every sequence of 1 to 6 tags
+    mask = transition_mask()
+    for n in range(1, 7):
+        for seq in itertools.product(range(NUM_TAGS), repeat=n):
+            chain = (START, *seq, END)
+            assert is_valid(seq) == all(mask[a, b] for a, b in zip(chain, chain[1:]))
 
 
 def test_transition_mask_matches_predicate():
+    allowed = {
+        (START, B), (START, S), (B, M), (B, E), (M, M), (M, E),
+        (E, B), (E, S), (E, END), (S, B), (S, S), (S, END),
+    }
     mask = transition_mask()
     assert mask.shape == (NUM_TAGS + 2, NUM_TAGS + 2)
     assert mask.dtype == bool
     for i in range(NUM_TAGS + 2):
         for j in range(NUM_TAGS + 2):
-            assert mask[i, j] == transition_allowed(i, j)
+            assert mask[i, j] == ((i, j) in allowed)
     # virtual tags never receive/emit the impossible directions
     assert not mask[:, START].any()
     assert not mask[END, :].any()

@@ -10,11 +10,15 @@ The attention summaries rely on numpy's einsum adding products in order,
 and the gate product of a stacked step on OpenBLAS forming each row of a
 row block as it forms it in the whole product; a numpy or BLAS release
 that changes either fails here, by name, before the tape bit-equality
-tests fail without saying why."""
+tests fail without saying why.  Training's bytes depend on the BLAS
+thread count, but the forward pass and decoding must not, and two
+processes at 1 and 2 threads check that.  scripts/codelines.py, which
+counts the package's code lines, runs once."""
 
 import importlib.util
 import json
 import os
+import subprocess
 import sys
 
 import numpy as np
@@ -23,8 +27,8 @@ import pytest
 import attnseg
 from attnseg.encoder import GATE_BLOCK_ROWS
 
-PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-                         "perfbench")
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+PERFBENCH = os.path.join(ROOT, "perfbench")
 
 
 def blas_build():
@@ -150,3 +154,61 @@ def test_benchmark_workload_runs_at_toy_sizes(workload, attempted, most_failed,
     assert result["correct"] is True
     assert result["attempted"] == attempted
     assert result["failed"] <= most_failed
+
+
+# a paper-dimension model (hidden = attention = 150, emb 100, window 3)
+# over the toy corpus, every parameter redrawn from normal(0, 0.3); one
+# line per toy sentence: the sha256 of its emission bytes, of its
+# segment output, and of its path in one decode of the whole corpus
+THREADS_PROBE = """
+import hashlib
+import numpy as np
+from attnseg.corpus import load_toy_corpus
+from attnseg.model import Segmenter, TrainConfig
+
+corpus = load_toy_corpus()
+model = Segmenter.build(corpus, TrainConfig(hidden=150, attn_dim=150,
+                                            emb_dim=100, window=3))
+rng = np.random.default_rng(7)
+for p in model.params.values():
+    p[...] = rng.normal(0.0, 0.3, size=p.shape)
+paths = model.decode([sent.tokens for sent in corpus])
+for sent, path in zip(corpus, paths):
+    scores, _ = model.emissions(sent.tokens)
+    words = model.segment("".join(sent.tokens))
+    print(*(hashlib.sha256(data).hexdigest() for data in (
+        scores.tobytes(), " ".join(words).encode(), bytes(path))))
+"""
+
+
+def test_forward_and_segment_do_not_depend_on_blas_threads():
+    # training's gradient products round by the BLAS thread split, so
+    # params.bin does; the forward pass and decoding must not
+    src = os.path.dirname(os.path.abspath(attnseg.__file__))
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.path.dirname(src))
+        done = subprocess.run([sys.executable, "-c", THREADS_PROBE], env=env,
+                              capture_output=True, text=True, check=True)
+        outputs.append(done.stdout.splitlines())
+    assert len(outputs[0]) == 32
+    for line, (one, two) in enumerate(zip(*outputs), start=1):
+        assert one == two, (
+            f"numpy {np.__version__}: toy sentence {line} hashes differently "
+            "at 1 and 2 BLAS threads (emissions, segment output, decoded path)"
+        )
+
+
+def test_codelines_lists_every_module_and_their_total():
+    done = subprocess.run(
+        [sys.executable, os.path.join(ROOT, "scripts", "codelines.py")],
+        capture_output=True, text=True, check=True)
+    rows = [line.split() for line in done.stdout.splitlines()]
+    counts = {name: int(count) for count, name in rows}
+    total = counts.pop("total")
+    package = os.path.join(ROOT, "src", "attnseg")
+    assert sorted(counts) == sorted(f for f in os.listdir(package)
+                                    if f.endswith(".py"))
+    assert all(count > 0 for count in counts.values())
+    assert total == sum(counts.values())

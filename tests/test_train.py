@@ -10,19 +10,18 @@ from attnseg import crf, tagging
 from attnseg import train as train_module
 from attnseg.corpus import (
     IDIOM, RESERVED, Corpus, Sentence, Vocab, load_embeddings,
-    load_toy_corpus, preprocess, sentence_bigrams,
+    load_toy_corpus, preprocess, sentence_bigrams, split_train_dev,
 )
 from attnseg.evaluate import evaluate_corpus
-from attnseg.model import (
-    Segmenter, TrainConfig, pack_params, param_shapes, unpack_params,
-)
+from attnseg.model import Segmenter, TrainConfig, param_shapes
 from attnseg.numerics import ShapeError
 from attnseg.train import (
-    ADAGRAD_CHUNK, IO_CHUNK, adagrad_update, fit, load_model,
-    model_gradient_check, save_model, tag_accuracy, train_epoch,
+    ADAGRAD_CHUNK, IO_CHUNK, _pack_params, _unpack_params, adagrad_update,
+    fit, load_model, model_gradient_check, save_model, tag_accuracy,
+    train_epoch,
 )
 from model_files import json_edit, rehashed_edit
-from oracles import train_epoch_sequential
+from oracles import is_valid, train_epoch_sequential
 
 TOY_CONFIG = dict(hidden=12, emb_dim=8, window=3, dropout=0.0,
                   batch_size=8, epochs=2, seed=42)
@@ -209,12 +208,12 @@ def test_adagrad_update_refuses_non_contiguous_arrays():
 
 def test_pack_unpack_roundtrip():
     model, _, _ = toy_model()
-    vec = pack_params(model.params)
-    back = unpack_params(vec, model.params)
+    vec = _pack_params(model.params)
+    back = _unpack_params(vec, model.params)
     for name, p in model.params.items():
         assert np.array_equal(back[name], p)
     with pytest.raises(ValueError):
-        unpack_params(vec[:-1], model.params)
+        _unpack_params(vec[:-1], model.params)
 
 
 def test_train_epoch_returns_finite_stats_and_learns():
@@ -255,7 +254,7 @@ def test_train_epoch_does_not_decode(monkeypatch):
 def test_train_epoch_empty_corpus_errors():
     model, _, cfg = toy_model()
     with pytest.raises(ValueError):
-        train_epoch(model, Corpus([]), cfg, np.random.default_rng(0))
+        train_epoch(model, [], cfg, np.random.default_rng(0))
 
 
 def test_train_epoch_is_deterministic():
@@ -264,7 +263,7 @@ def test_train_epoch_is_deterministic():
         model, corpus, cfg = toy_model()
         rng = np.random.default_rng(cfg.seed)
         nll = train_epoch(model, corpus, cfg, rng)
-        runs.append((nll, pack_params(model.params)))
+        runs.append((nll, _pack_params(model.params)))
     assert runs[0][0] == runs[1][0]
     assert np.array_equal(runs[0][1], runs[1][1])
 
@@ -335,17 +334,17 @@ def test_train_epoch_matches_sequential_reference(overrides):
         nll = train_epoch(model, corpus, cfg, rng, accum)
         assert nll == train_epoch_sequential(twin, corpus, cfg,
                                              twin_rng, twin_accum)
-    assert pack_params(model.params).tobytes() == \
-        pack_params(twin.params).tobytes()
+    assert _pack_params(model.params).tobytes() == \
+        _pack_params(twin.params).tobytes()
     for k in accum:
         assert np.array_equal(accum[k], twin_accum[k]), k
 
 
 def test_clip_norm_caps_update():
     model, corpus, cfg = toy_model(clip_norm=1e-9)
-    before = pack_params(model.params)
+    before = _pack_params(model.params)
     train_epoch(model, corpus, cfg, np.random.default_rng(0))
-    after = pack_params(model.params)
+    after = _pack_params(model.params)
     # with the gradient clipped to ~0 the AdaGrad step is ~lr per coord at most;
     # the real check is that it ran and moved far less than unclipped training
     assert np.max(np.abs(after - before)) < 1.0
@@ -356,6 +355,18 @@ def test_fit_single_epoch_and_history():
     _, history = fit(model, corpus, corpus, cfg)
     assert len(history) == 1
     assert history[0].epoch == 1
+
+
+def test_corpora_are_plain_lists_of_sentences():
+    corpus = load_toy_corpus()  # load_corpus on the bundled file
+    assert type(corpus) is list
+    train, dev = split_train_dev(corpus, 0.25, seed=3)
+    assert type(train) is list and type(dev) is list
+    cfg = TrainConfig(**{**TOY_CONFIG, "epochs": 1})
+    model, (rec,) = fit(Segmenter.build(train, cfg), train, dev, cfg)
+    assert evaluate_corpus(model, dev) == (rec.precision, rec.recall, rec.f1)
+    # the name perfbench still builds its corpus with
+    assert Corpus(corpus[:1]) == corpus[:1]
 
 
 def test_fit_history_length_and_best_selection():
@@ -409,7 +420,7 @@ def test_batch_gradient_memory_does_not_grow_with_the_bigram_table():
 
 def test_one_batch_updates_only_the_looked_up_embedding_rows(monkeypatch):
     model, corpus, cfg = toy_model(bigrams=True)
-    batch = Corpus([corpus[i] for i in range(cfg.batch_size)])
+    batch = corpus[:cfg.batch_size]
     before = {k: p.copy() for k, p in model.params.items()}
     shapes = []
 
@@ -890,7 +901,7 @@ def test_tag_accuracy_bounds():
 def test_tag_accuracy_empty_corpus_errors():
     model, _, _ = toy_model()
     with pytest.raises(ValueError, match="empty corpus"):
-        tag_accuracy(model, Corpus([]))
+        tag_accuracy(model, [])
 
 
 @pytest.mark.parametrize("dims", [{}, dict(hidden=150, emb_dim=100, batch_size=4)])
@@ -984,7 +995,7 @@ def test_decode_keeps_the_grammar_when_forbidden_transitions_score_high(
     for tokens in sentences:
         model.segment("".join(tokens))
     assert len(paths) == 3 * len(sentences)
-    assert all(tagging.is_valid(path) for path in paths)
+    assert all(is_valid(path) for path in paths)
 
 
 def test_list_decode_holds_one_chunk_at_a_time():
