@@ -97,33 +97,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .numerics import ShapeError, sigmoid, softmax
+from .tagging import NUM_TAGS
 
 # rows of cell.w per gate product of a stacked step: 690 KB at paper
 # dimensions, and a multiple of 64 (module docstring, Cost)
 GATE_BLOCK_ROWS = 192
-
-
-@dataclass
-class EncoderConfig:
-    input_dim: int
-    hidden_dim: int
-    attn_dim: int
-    num_tags: int = 4
-    extra_layers: int = 0
-    memory_span: int = None
-
-    def __post_init__(self):
-        if self.extra_layers not in (0, 1, 2):
-            raise ValueError(f"extra_layers must be 0, 1 or 2, got {self.extra_layers}")
-        if self.memory_span is not None and self.memory_span < 1:
-            raise ValueError(f"memory_span must be >= 1, got {self.memory_span}")
-
-    @property
-    def num_layers(self):
-        return 1 + self.extra_layers
-
-    def layer_input_dim(self, layer):
-        return self.input_dim if layer == 0 else 2 * self.hidden_dim
 
 
 @dataclass
@@ -151,16 +129,20 @@ def _glorot(rng, rows, cols):
 
 
 def param_shapes(config):
-    """Name -> shape of every encoder parameter, in canonical order.
+    """Name -> shape of every encoder parameter of a model with this
+    TrainConfig, in canonical order.
 
-    Keys follow the ``enc{layer}.{fwd|bwd}.`` naming used across
-    training and serialization; init_params draws them in this order and
-    params.bin stores them in it.
+    Layer 0 reads config.input_dim columns and each extra layer the 2 *
+    hidden of the layer below; the attention width is attn_dim, or
+    hidden when that is None.  Keys follow the ``enc{layer}.{fwd|bwd}.``
+    naming used across training and serialization; init_params draws
+    them in this order and params.bin stores them in it.
     """
-    h, a, k = config.hidden_dim, config.attn_dim, config.num_tags
+    h = config.hidden
+    a = h if config.attn_dim is None else config.attn_dim
     shapes = {}
-    for layer in range(config.num_layers):
-        d = config.layer_input_dim(layer)
+    for layer in range(1 + config.extra_layers):
+        d = config.input_dim if layer == 0 else 2 * h
         for direction in ("fwd", "bwd"):
             prefix = f"enc{layer}.{direction}."
             shapes[prefix + "attn.wh"] = (a, h)
@@ -169,9 +151,9 @@ def param_shapes(config):
             shapes[prefix + "attn.v"] = (a,)
             shapes[prefix + "cell.w"] = (4 * h, h + d)
             shapes[prefix + "cell.b"] = (4 * h,)
-    shapes["out.wf"] = (k, h)
-    shapes["out.wb"] = (k, h)
-    shapes["out.b"] = (k,)
+    shapes["out.wf"] = (NUM_TAGS, h)
+    shapes["out.wb"] = (NUM_TAGS, h)
+    shapes["out.b"] = (NUM_TAGS,)
     return shapes
 
 
@@ -181,7 +163,7 @@ def init_params(config, rng):
 
     Forget-gate biases start at 1.0, all other biases at 0.
     """
-    h = config.hidden_dim
+    h = config.hidden
     params = {}
     for name, shape in param_shapes(config).items():
         if name.endswith(".b"):
@@ -522,13 +504,16 @@ def _check_shapes(params, config, batch):
             )
 
 
+# perfbench/spans.py sizes a traced call by len(args[2]): keep `inputs`
+# the third positional argument
 def forward(params, config, inputs, dropout=0.0, rng=None, keep_cache=True):
     """Emission scores for a batch of sentences, plus the cache.
 
-    `inputs` is a list (or tuple) of (n_i, input_dim) arrays, run in
-    lock-step; one sentence is a list of one.  Returns (list of
-    emissions (n_i, num_tags), ForwardCache), in batch order.  A
-    sentence's results are bit-equal whichever batch it runs in.
+    `config` is the model's TrainConfig, and `inputs` a list (or tuple)
+    of (n_i, config.input_dim) arrays, run in lock-step; one sentence is
+    a list of one.  Returns (list of emissions (n_i, num_tags),
+    ForwardCache), in batch order.  A sentence's results are bit-equal
+    whichever batch it runs in.
 
     Tapes start empty: per-sentence state isolation is structural.  With
     dropout > 0, inverted-dropout masks apply to the featurized inputs
@@ -545,7 +530,7 @@ def forward(params, config, inputs, dropout=0.0, rng=None, keep_cache=True):
     _check_shapes(params, config, batch)
     if dropout and rng is None:
         raise ValueError("dropout needs an rng")
-    h = config.hidden_dim
+    h = config.hidden
 
     input_masks = out_masks = None
     current = batch
@@ -564,7 +549,7 @@ def forward(params, config, inputs, dropout=0.0, rng=None, keep_cache=True):
     for p, s in enumerate(by_length):
         positions[s] = p
     layers = []
-    for layer in range(config.num_layers):
+    for layer in range(1 + config.extra_layers):
         states, top_h = [], []
         for direction, order in DIRECTIONS:
             attn, cell = direction_view(params, layer, direction)
@@ -582,7 +567,7 @@ def forward(params, config, inputs, dropout=0.0, rng=None, keep_cache=True):
             state = None
         if keep_cache:
             layers.append(tuple(states))
-        if layer + 1 < config.num_layers:
+        if layer < config.extra_layers:
             current = [np.concatenate(pair, axis=1) for pair in zip(*top_h)]
 
     if dropout:
@@ -605,14 +590,16 @@ def forward(params, config, inputs, dropout=0.0, rng=None, keep_cache=True):
     return emissions, cache
 
 
-def backward(params, config, cache, d_emissions, grads=None):
+def backward(params, cache, d_emissions, grads=None):
     """Gradients of a scalar loss through the cached forward pass.
 
     `cache` is the ForwardCache forward() returned, and d_emissions a
     list of (n_i, num_tags) arrays in its batch order.  Returns (grads,
     d_inputs).  grads maps every encoder parameter name to its gradient
     summed over the batch, sentence by sentence in batch order; when
-    `grads` is given, the sums are added to its arrays in place.
+    `grads` is given, the sums are added to its arrays in place.  The
+    cache and `params` fix the shapes: the layer count is
+    len(cache.layers) and the hidden size the width of out.wf.
     d_inputs lists, in batch order, the gradients with respect to the
     original featurized inputs (for the embedding tables).
     """
@@ -622,9 +609,9 @@ def backward(params, config, cache, d_emissions, grads=None):
         raise ValueError(f"{len(d_emissions)} emission gradients for a batch "
                          f"of {len(cache.inputs)}")
     if grads is None:
-        grads = {name: np.zeros(shape)
-                 for name, shape in param_shapes(config).items()}
-    h = config.hidden_dim
+        grads = {name: np.zeros(p.shape) for name, p in params.items()
+                 if name.startswith(("enc", "out."))}
+    h = params["out.wf"].shape[1]
     lengths = [x.shape[0] for x in cache.inputs]
 
     # d loss / d top_h, per direction and sentence
@@ -639,7 +626,7 @@ def backward(params, config, cache, d_emissions, grads=None):
                 d = d * cache.out_masks[i][s]
             d_top[i].append(d)
 
-    for layer in range(config.num_layers - 1, -1, -1):
+    for layer in range(len(cache.layers) - 1, -1, -1):
         d_in = []
         for (direction, order), state, d_rows in zip(
                 DIRECTIONS, cache.layers[layer], d_top):

@@ -95,7 +95,17 @@ class TrainConfig:
             raise ValueError(
                 f"dev_fraction must be in (0, 1), got {self.dev_fraction}"
             )
-        make_encoder_config(self)  # checks extra_layers and memory_span
+        if self.extra_layers not in (0, 1, 2):
+            raise ValueError(f"extra_layers must be 0, 1 or 2, got {self.extra_layers}")
+        if self.memory_span is not None and self.memory_span < 1:
+            raise ValueError(f"memory_span must be >= 1, got {self.memory_span}")
+
+    @property
+    def input_dim(self):
+        """Width of a featurized row, the encoder's input: `window`
+        unigram embeddings per position, plus one bigram embedding when
+        bigrams are on."""
+        return (self.window + self.bigrams) * self.emb_dim
 
     def to_dict(self):
         return asdict(self)
@@ -116,22 +126,6 @@ class TrainConfig:
         return cls(**d)
 
 
-def make_encoder_config(config):
-    """The encoder shape a TrainConfig implies: `window` unigram
-    embeddings per position, plus one bigram embedding when on."""
-    input_dim = config.window * config.emb_dim
-    if config.bigrams:
-        input_dim += config.emb_dim
-    return encoder.EncoderConfig(
-        input_dim=input_dim,
-        hidden_dim=config.hidden,
-        attn_dim=config.attn_dim if config.attn_dim is not None else config.hidden,
-        num_tags=NUM_TAGS,
-        extra_layers=config.extra_layers,
-        memory_span=config.memory_span,
-    )
-
-
 def param_shapes(config, vocab_size, bigram_vocab_size=None):
     """Name -> shape of every parameter of a model with this config and
     these vocabulary sizes, in canonical order: the order build() makes
@@ -139,7 +133,7 @@ def param_shapes(config, vocab_size, bigram_vocab_size=None):
     shapes = {"emb.uni": (vocab_size, config.emb_dim)}
     if config.bigrams:
         shapes["emb.bi"] = (bigram_vocab_size, config.emb_dim)
-    shapes.update(encoder.param_shapes(make_encoder_config(config)))
+    shapes.update(encoder.param_shapes(config))
     shapes["crf.trans"] = (NUM_TAGS + 2, NUM_TAGS + 2)
     return shapes
 
@@ -188,10 +182,6 @@ class Segmenter:
         self.params = params
         self.lexicon = lexicon
 
-    @property
-    def encoder_config(self):
-        return make_encoder_config(self.config)
-
     @classmethod
     def build(cls, train_corpus, config, embeddings=None, lexicon=None):
         """Fresh model over the training corpus's vocabulary.
@@ -213,7 +203,7 @@ class Segmenter:
             params["emb.bi"] = random_embeddings(
                 len(bigram_vocab), config.emb_dim, rng
             )
-        params.update(encoder.init_params(make_encoder_config(config), rng))
+        params.update(encoder.init_params(config, rng))
         params["crf.trans"] = np.zeros((NUM_TAGS + 2, NUM_TAGS + 2))
         return cls(config, vocab, params, bigram_vocab, lexicon)
 
@@ -232,9 +222,8 @@ class Segmenter:
         pass without a cache or dropout (memory linear in n), plus the
         (unigram ids, bigram ids or None) it looked up."""
         x, ids, bigram_ids = self._features(tokens)
-        (scores,), _ = encoder.forward(
-            self.params, self.encoder_config, [x], keep_cache=False
-        )
+        (scores,), _ = encoder.forward(self.params, self.config, [x],
+                                       keep_cache=False)
         return scores, (ids, bigram_ids)
 
     def loss_and_grads(self, sentences, dropout=0.0, rng=None, into=None,
@@ -263,7 +252,7 @@ class Segmenter:
         }
         features = [self._features(sent.tokens) for sent in batch]
         scores, cache = encoder.forward(
-            self.params, self.encoder_config, [x for x, _, _ in features],
+            self.params, self.config, [x for x, _, _ in features],
             dropout=dropout, rng=rng,
         )
         trans = self.params["crf.trans"]
@@ -273,9 +262,7 @@ class Segmenter:
             losses.append(loss)
             d_scores.append(d_sent)
             grads["crf.trans"] += d_trans
-        _, d_inputs = encoder.backward(
-            self.params, self.encoder_config, cache, d_scores, grads
-        )
+        _, d_inputs = encoder.backward(self.params, cache, d_scores, grads)
         d = self.config.emb_dim
         window = self.config.window
         looked_up = {name: [] for name in ("emb.uni", "emb.bi")
@@ -322,13 +309,13 @@ class Segmenter:
         trans = self.params["crf.trans"]
         if masked:
             trans = np.where(tagging.transition_mask(), trans, -np.inf)
-        config, size = self.encoder_config, self.config.batch_size
+        size = self.config.batch_size
         paths = [[] for _ in sentences]
         nonempty = [s for s in range(len(sentences)) if sentences[s]]
         for start in range(0, len(nonempty), size):
             chunk = nonempty[start:start + size]
             scores, _ = encoder.forward(
-                self.params, config,
+                self.params, self.config,
                 [self._features(sentences[s])[0] for s in chunk], keep_cache=False,
             )
             for s, sent_scores in zip(chunk, scores):

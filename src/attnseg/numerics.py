@@ -1,8 +1,8 @@
 """Small dense-numerics kernel used by every other module.
 
 Conventions: matrices are 2-d float64 arrays in row-major (C) order and
-vectors are 1-d float64 arrays.  The helpers here check the shapes they
-are given and raise :class:`ShapeError` on a mismatch, as do the entry
+vectors are 1-d float64 arrays.  ``grad_check`` checks the shapes it is
+given and raises :class:`ShapeError` on a mismatch, as do the entry
 points of the CRF, the encoder and the AdaGrad update, so that wiring
 bugs surface immediately instead of silently producing garbage
 gradients.  Inside those entry points numpy broadcasting is used where
@@ -34,15 +34,11 @@ def sigmoid(x, out):
     return np.divide(1.0, out, out=out)
 
 
-def softmax(v, out=None):
-    """Stable softmax of a non-empty vector, or of each row of a matrix,
-    via max subtraction, into `out` when given (which may be `v`
-    itself).  Each row gets exactly the values it would get as a vector
-    on its own.
+def softmax(v, out):
+    """Stable softmax of each row of `v` (a vector is one row), via max
+    subtraction, computed in `out` (which may be `v` itself).  Each row
+    gets exactly the values it would get as a vector on its own.
     """
-    v = np.asarray(v, dtype=np.float64)
-    if v.ndim not in (1, 2):
-        raise ShapeError(f"softmax needs a vector or a matrix, got shape {v.shape}")
     # the reductions of v.max() and out.sum(), called directly
     out = np.subtract(v, np.maximum.reduce(v, axis=-1, keepdims=True), out=out)
     np.exp(out, out=out)

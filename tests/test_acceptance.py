@@ -18,9 +18,7 @@ from attnseg import tagging
 from attnseg.cli import gradcheck_fixture
 from attnseg.corpus import load_corpus, load_toy_corpus, split_train_dev
 from attnseg.crf import log_partition, nll_and_grads, viterbi
-from attnseg.encoder import (
-    AttentionParams, CellParams, EncoderConfig, forward, init_params,
-)
+from attnseg.encoder import AttentionParams, CellParams, forward, init_params
 from attnseg.evaluate import evaluate_corpus
 from attnseg.model import Segmenter, TrainConfig
 from attnseg.numerics import grad_check
@@ -145,7 +143,7 @@ def test_criterion_4_lstmn_structural_checks():
         h_ref, c_ref = lstm_step_reference(x, h1, c1, cell.w, cell.b)
         ok_lstm = ok_lstm and np.array_equal(h, h_ref) and np.array_equal(c, c_ref)
 
-    cfg = EncoderConfig(input_dim=dim, hidden_dim=hid, attn_dim=att)
+    cfg = TrainConfig(emb_dim=dim, window=1, hidden=hid, attn_dim=att)
     params = init_params(cfg, rng)
     a = rng.normal(size=(4, dim))
     b = rng.normal(size=(6, dim))

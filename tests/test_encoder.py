@@ -5,11 +5,13 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from attnseg import encoder
+from attnseg import encoder, model
+from attnseg.corpus import load_toy_corpus
 from attnseg.encoder import (
-    AttentionParams, CellParams, DirectionState, EncoderConfig, attend, backward,
+    AttentionParams, CellParams, DirectionState, attend, backward,
     direction_view, dropout_mask, forward, init_params, tape_step,
 )
+from attnseg.model import Segmenter, TrainConfig
 from attnseg.numerics import ShapeError, grad_check
 from oracles import (
     lstm_step_reference, lstmn_backward_unrolled, lstmn_unrolled, sentence_cache,
@@ -17,6 +19,8 @@ from oracles import (
 )
 
 HID, ATT, DIM = 5, 4, 6
+# hidden = attention = 150, emb 100, window 3: 300-wide input rows
+PAPER_DIMS = dict(emb_dim=100, window=3, hidden=150, attn_dim=150)
 
 
 def random_direction_params(rng, hidden=HID, attn=ATT, dim=DIM, scale=0.5):
@@ -34,9 +38,11 @@ def random_direction_params(rng, hidden=HID, attn=ATT, dim=DIM, scale=0.5):
 
 
 def small_config(**kw):
-    args = dict(input_dim=DIM, hidden_dim=HID, attn_dim=ATT)
+    """A TrainConfig whose encoder reads DIM-wide rows: one embedding
+    of DIM per position, no bigrams."""
+    args = dict(emb_dim=DIM, window=1, hidden=HID, attn_dim=ATT)
     args.update(kw)
-    return EncoderConfig(**args)
+    return TrainConfig(**args)
 
 
 def step_after(x, hs, cs, summary, attn, cell):
@@ -239,8 +245,8 @@ def test_forward_tapes_match_unrolling_at_paper_dimensions(n, span, extra_layers
     # at 150 rows OpenBLAS runs its full-width kernels, which the toy
     # dimensions above never reach
     rng = np.random.default_rng(67 + n)
-    cfg = EncoderConfig(input_dim=300, hidden_dim=150, attn_dim=150,
-                        extra_layers=extra_layers, memory_span=span)
+    cfg = small_config(**PAPER_DIMS, extra_layers=extra_layers,
+                       memory_span=span)
     params = init_params(cfg, rng)
     x = rng.normal(size=(n, 300))
     _, cache = forward(params, cfg, [x])
@@ -301,11 +307,46 @@ def test_init_params_shapes_and_biases():
             assert np.array_equal(b[2 * HID:], np.zeros(2 * HID))
 
 
+@pytest.mark.parametrize("attn_dim", [None, 7])
+@pytest.mark.parametrize("extra_layers", [0, 1, 2])
+@pytest.mark.parametrize("bigrams", [False, True])
+@pytest.mark.parametrize("window", [1, 3, 5])
+def test_encoder_shapes_follow_train_config(window, bigrams, extra_layers,
+                                            attn_dim):
+    # the encoder reads the model's TrainConfig: its shapes must be the
+    # model's, and its input width the featurized rows'
+    corpus = load_toy_corpus()
+    cfg = TrainConfig(emb_dim=4, hidden=5, window=window, bigrams=bigrams,
+                      extra_layers=extra_layers, attn_dim=attn_dim)
+    seg = Segmenter.build(corpus, cfg)
+    shapes = encoder.param_shapes(cfg)
+    whole = model.param_shapes(cfg, len(seg.vocab),
+                               len(seg.bigram_vocab) if bigrams else None)
+    assert shapes == {name: shape for name, shape in whole.items()
+                      if name.startswith(("enc", "out."))}
+    assert {name: p.shape for name, p in seg.params.items()} == whole
+    assert shapes["enc0.fwd.attn.v"] == (attn_dim or 5,)
+    assert [name for name in shapes if name.endswith(".fwd.cell.b")] == [
+        f"enc{layer}.fwd.cell.b" for layer in range(1 + extra_layers)]
+    tokens = corpus[0].tokens
+    x = seg._features(tokens)[0]
+    assert cfg.input_dim == x.shape[1] == seg.params["enc0.fwd.attn.wx"].shape[1]
+    (out,), cache = forward(seg.params, cfg, [x])
+    assert out.shape == (len(tokens), 4)
+    grads, (d_x,) = backward(seg.params, cache, [np.ones(out.shape)])
+    assert {name: g.shape for name, g in grads.items()} == shapes
+    assert d_x.shape == x.shape
+
+
 def test_config_validation():
-    with pytest.raises(ValueError):
-        small_config(extra_layers=3)
-    with pytest.raises(ValueError):
-        small_config(memory_span=0)
+    for field, value, message in (
+            ("extra_layers", 3, "extra_layers must be 0, 1 or 2, got 3"),
+            ("memory_span", 0, "memory_span must be >= 1, got 0")):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            small_config(**{field: value})
+        # a model.json's config is read through from_dict
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            TrainConfig.from_dict({**small_config().to_dict(), field: value})
 
 
 def test_forward_output_shape():
@@ -477,7 +518,7 @@ def test_backward_requires_cache():
     cfg = small_config()
     params = init_params(cfg, rng)
     with pytest.raises(ValueError):
-        backward(params, cfg, None, [np.zeros((2, 4))])
+        backward(params, None, [np.zeros((2, 4))])
 
 
 def test_backward_zero_upstream_gives_zero_grads():
@@ -486,7 +527,7 @@ def test_backward_zero_upstream_gives_zero_grads():
     params = init_params(cfg, rng)
     x = rng.normal(size=(3, DIM))
     _, cache = forward(params, cfg, [x])
-    grads, (d_x,) = backward(params, cfg, cache, [np.zeros((3, 4))])
+    grads, (d_x,) = backward(params, cache, [np.zeros((3, 4))])
     for g in grads.values():
         assert np.max(np.abs(g)) == 0.0
     assert np.max(np.abs(d_x)) == 0.0
@@ -524,7 +565,7 @@ def encoder_gradcheck(extra_layers=0, memory_span=None, dropout=0.0, seed=58):
 
     drop_rng = np.random.default_rng(mask_rng_seed) if dropout else None
     _, cache = forward(params, cfg, [x], dropout=dropout, rng=drop_rng)
-    grads, (d_x,) = backward(params, cfg, cache, [weight])
+    grads, (d_x,) = backward(params, cache, [weight])
     point = np.concatenate([params[k].ravel() for k in names] + [x.ravel()])
     analytic = np.concatenate([grads[k].ravel() for k in names] + [d_x.ravel()])
     return grad_check(f, analytic, point)
@@ -545,9 +586,6 @@ def test_backward_matches_finite_differences_memory_span():
 def test_backward_matches_finite_differences_with_dropout():
     # dropout masks replayed from a fixed seed make the loss deterministic
     assert encoder_gradcheck(dropout=0.35, seed=61) < 1e-3
-
-
-PAPER_DIMS = dict(input_dim=300, hidden_dim=150, attn_dim=150)
 
 
 @pytest.mark.parametrize("extra_layers, memory_span, dropout, dims", [
@@ -571,9 +609,9 @@ def test_backward_matches_pairwise_oracle(extra_layers, memory_span, dropout,
         drop_rng = np.random.default_rng(7) if dropout else None
         _, cache = forward(params, cfg, [x], dropout=dropout, rng=drop_rng)
         d_emissions = rng.normal(size=(n, 4))
-        grads, (d_x,) = backward(params, cfg, cache, [d_emissions])
+        grads, (d_x,) = backward(params, cache, [d_emissions])
         want, want_d_x = lstmn_backward_unrolled(
-            params, cfg.num_layers, cache, d_emissions
+            params, 1 + cfg.extra_layers, cache, d_emissions
         )
         assert set(grads) == set(want) == set(params)
         for got, ref in [(grads[k], want[k]) for k in want] + [(d_x, want_d_x)]:
@@ -649,12 +687,12 @@ def test_batched_backward_matches_batch_of_one(dims, memory_span, extra_layers,
     d_emissions = [rng.normal(size=(n, 4)) for n in lengths]
     _, cache = forward(params, cfg, xs, dropout=dropout,
                        rng=np.random.default_rng(4))
-    grads, d_inputs = backward(params, cfg, cache, d_emissions)
+    grads, d_inputs = backward(params, cache, d_emissions)
     one_rng = np.random.default_rng(4)
     sums = {k: np.zeros_like(p) for k, p in params.items()}
     for s, x in enumerate(xs):
         _, one_cache = forward(params, cfg, [x], dropout=dropout, rng=one_rng)
-        one_grads, (one_d_x,) = backward(params, cfg, one_cache, [d_emissions[s]])
+        one_grads, (one_d_x,) = backward(params, one_cache, [d_emissions[s]])
         assert np.array_equal(d_inputs[s], one_d_x)
         for k in sums:
             sums[k] += one_grads[k]
@@ -684,9 +722,9 @@ def test_backward_recomputes_the_forward_attention(monkeypatch, dims, memory_spa
     _, cache = forward(params, cfg, xs, dropout=dropout,
                        rng=np.random.default_rng(5))
     # every step but the first has a window, in each direction and layer
-    assert len(calls) == 2 * cfg.num_layers * (max(lengths) - 1)
+    assert len(calls) == 2 * (1 + cfg.extra_layers) * (max(lengths) - 1)
     assert all(len(pairs) == 1 for pairs in calls.values())
-    backward(params, cfg, cache, d_emissions)
+    backward(params, cache, d_emissions)
     for key, pairs in calls.items():
         assert len(pairs) == 2, key
         (fwd_pre, fwd_weights), (bwd_pre, bwd_weights) = pairs
@@ -699,17 +737,17 @@ def test_training_memory_grows_linearly_with_length():
     # step's window at a time; windows kept from forward to backward
     # would grow with n^2 and make the doubled sentence take about 3.5x
     # the memory
-    cfg = small_config(input_dim=15, hidden_dim=8, attn_dim=8)
+    cfg = small_config(emb_dim=15, hidden=8, attn_dim=8)
     rng = np.random.default_rng(79)
     params = init_params(cfg, rng)
     x = rng.normal(size=(400, cfg.input_dim))
-    d_emissions = rng.normal(size=(400, cfg.num_tags))
+    d_emissions = rng.normal(size=(400, 4))
 
     def peak(n):
         tracemalloc.start()
         try:
             _, cache = forward(params, cfg, [x[:n]])
-            backward(params, cfg, cache, [d_emissions[:n]])
+            backward(params, cache, [d_emissions[:n]])
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -752,7 +790,7 @@ def test_long_window_tapes_match_unrolling(span, extra_layers, lengths):
 
 @pytest.mark.parametrize("lengths", [[60], [41, 60, 7]], ids=["alone", "batch"])
 def test_long_window_tapes_match_unrolling_at_paper_dimensions(lengths):
-    cfg = EncoderConfig(**PAPER_DIMS)
+    cfg = small_config(**PAPER_DIMS)
     rng = np.random.default_rng(75)
     params = init_params(cfg, rng)
     # the same 60-token sentence alone and inside the batch
@@ -765,16 +803,16 @@ def test_backward_adds_into_given_grads():
     cfg, params, xs = batch_case({}, None, 0, [3, 2], 71)
     _, cache = forward(params, cfg, xs)
     d_emissions = [np.ones((3, 4)), np.ones((2, 4))]
-    fresh, _ = backward(params, cfg, cache, d_emissions)
+    fresh, _ = backward(params, cache, d_emissions)
     into = {k: np.zeros_like(p) for k, p in params.items()}
-    got, _ = backward(params, cfg, cache, d_emissions, into)
+    got, _ = backward(params, cache, d_emissions, into)
     assert got is into
     for k in fresh:
         assert np.array_equal(got[k], fresh[k])
     # one sentence's gradient lands on what the dict already holds
     _, one_cache = forward(params, cfg, [xs[0]])
-    one, _ = backward(params, cfg, one_cache, [d_emissions[0]])
-    backward(params, cfg, one_cache, [d_emissions[0]], into)
+    one, _ = backward(params, one_cache, [d_emissions[0]])
+    backward(params, one_cache, [d_emissions[0]], into)
     for k in fresh:
         assert np.array_equal(into[k], fresh[k] + one[k])
 
@@ -783,7 +821,7 @@ def test_backward_needs_one_gradient_per_sentence():
     cfg, params, xs = batch_case({}, None, 0, [3, 2], 72)
     _, cache = forward(params, cfg, xs)
     with pytest.raises(ValueError):
-        backward(params, cfg, cache, [np.zeros((3, 4))])
+        backward(params, cache, [np.zeros((3, 4))])
 
 
 def test_batch_state_rejects_unsorted_lengths():

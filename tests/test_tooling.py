@@ -142,18 +142,30 @@ def test_gate_product_by_row_blocks_matches_each_sentence(shape, k):
     ("segment-short", 20, 0),
 ])
 def test_benchmark_workload_runs_at_toy_sizes(workload, attempted, most_failed,
-                                              capsys):
+                                              capsys, monkeypatch, tmp_path):
+    # --trace 1 wraps the layers and reads encoder.forward's size from
+    # its positional arguments (perfbench/spans.py, PEAK), so a change to
+    # that layout fails here
     run = load_perfbench("run")
-    path = list(sys.path)
-    try:
-        run.main(["--workload", workload, "--seed", "5", "--seconds", "1"],
-                 sizes=run.workloads.TOY)
-    finally:
-        sys.path[:] = path
-    result = json.loads(capsys.readouterr().out.strip().split("\n")[-1])
-    assert result["correct"] is True
-    assert result["attempted"] == attempted
-    assert result["failed"] <= most_failed
+    # the run's work directory and the trace's spans file
+    monkeypatch.setattr(run, "RUNS_DIR", str(tmp_path))
+    for trace in (0, 1):
+        path = list(sys.path)
+        try:
+            run.main(["--workload", workload, "--seed", "5", "--seconds", "1",
+                      "--trace", str(trace)], sizes=run.workloads.TOY)
+        finally:
+            sys.path[:] = path
+        result = json.loads(capsys.readouterr().out.strip().split("\n")[-1])
+        assert result["correct"] is True
+        assert result["attempted"] == attempted
+        assert result["failed"] <= most_failed
+        if trace:
+            metrics = {name: m["value"] for name, m in result["metrics"].items()}
+            assert metrics["encoder.forward.peak_traced_mb"] > 0
+            assert metrics["encoder.forward.calls"] > 0
+            if workload == "train":
+                assert metrics["encoder.backward.calls"] > 0
 
 
 # a paper-dimension model (hidden = attention = 150, emb 100, window 3)
