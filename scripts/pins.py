@@ -18,6 +18,15 @@ the same lines, so a refactor is checked with
     python3 scripts/pins.py > after.txt      # in the changed checkout
     diff before.txt after.txt
 
+tests/pins.txt holds this output, and
+tests/test_tooling.py::test_pins_match_the_committed_pins requires the
+script to print it exactly (it skips when the first line differs).  A
+planned pin change regenerates that file with
+
+    python3 scripts/pins.py > tests/pins.txt
+
+and CHANGES.md says which lines changed and why.
+
 The runs take a few seconds.  Each runs the CLI of the checkout that
 holds this script, in a subprocess, with its model directory in a
 temporary directory.

@@ -32,9 +32,11 @@ over DIRECTIONS, pairs of a direction name and a read order: "fwd"
 reads each sentence as it is, "bwd" reads it reversed, and the same
 order maps the direction's rows back to input order.  Sorted longest
 first, step t advances the sentences still running, the first k of
-them, which all share the window [window_starts[t], t).  Each
-direction writes the batch's arrays by
-sentence and row (DirectionState): the tapes side by side as
+them, which all share the window [window_starts[t], t).  One
+DirectionState is one direction run: it holds the direction's
+weights, the model's own arrays params["enc{layer}.{direction}." +
+name], so attend(), tape_step and backward need only the state, and
+the batch's arrays by sentence and row: the tapes side by side as
 [h_t | c_t], Wh h_t, the gate input [h~_t | x_t] and, when kept for
 backward, the gate activations, tanh c_t and [h~_t | c~_t].  No step
 keeps its window: attend() forms a step's tanh activations (k, w, a)
@@ -104,23 +106,9 @@ from .tagging import NUM_TAGS
 GATE_BLOCK_ROWS = 192
 
 
-@dataclass
-class AttentionParams:
-    """Weights of the attention layer: tape term, input term, previous-
-    summary term, and the scoring vector."""
-
-    wh: np.ndarray
-    wx: np.ndarray
-    wp: np.ndarray
-    v: np.ndarray
-
-
-@dataclass
-class CellParams:
-    """Gate block producing (i, f, o, chat) from [summary, input]."""
-
-    w: np.ndarray
-    b: np.ndarray
+# the weights of one direction run, read as params[prefix + name], in
+# the canonical order of param_shapes
+WEIGHTS = ("attn.wh", "attn.wx", "attn.wp", "attn.v", "cell.w", "cell.b")
 
 
 def _glorot(rng, rows, cols):
@@ -144,13 +132,9 @@ def param_shapes(config):
     for layer in range(1 + config.extra_layers):
         d = config.input_dim if layer == 0 else 2 * h
         for direction in ("fwd", "bwd"):
-            prefix = f"enc{layer}.{direction}."
-            shapes[prefix + "attn.wh"] = (a, h)
-            shapes[prefix + "attn.wx"] = (a, d)
-            shapes[prefix + "attn.wp"] = (a, h)
-            shapes[prefix + "attn.v"] = (a,)
-            shapes[prefix + "cell.w"] = (4 * h, h + d)
-            shapes[prefix + "cell.b"] = (4 * h,)
+            for name, shape in zip(WEIGHTS, ((a, h), (a, d), (a, h), (a,),
+                                             (4 * h, h + d), (4 * h,))):
+                shapes[f"enc{layer}.{direction}.{name}"] = shape
     shapes["out.wf"] = (NUM_TAGS, h)
     shapes["out.wb"] = (NUM_TAGS, h)
     shapes["out.b"] = (NUM_TAGS,)
@@ -176,19 +160,6 @@ def init_params(config, rng):
     return params
 
 
-def direction_view(params, layer, direction):
-    """(AttentionParams, CellParams) views into the parameter dict."""
-    prefix = f"enc{layer}.{direction}."
-    attn = AttentionParams(
-        wh=params[prefix + "attn.wh"],
-        wx=params[prefix + "attn.wx"],
-        wp=params[prefix + "attn.wp"],
-        v=params[prefix + "attn.v"],
-    )
-    cell = CellParams(w=params[prefix + "cell.w"], b=params[prefix + "cell.b"])
-    return attn, cell
-
-
 def dropout_mask(shape, p, rng):
     """Inverted-dropout mask: 0 with probability p, else 1/(1-p).
 
@@ -202,9 +173,14 @@ def dropout_mask(shape, p, rng):
 
 @dataclass
 class DirectionState:
-    """One direction's arrays for a batch of B sentences, longest first
-    and padded to the longest, n tokens; step t writes row t of the
-    first active[t] sentences, those longer than t.
+    """One direction run over a batch of B sentences, longest first and
+    padded to the longest, n tokens: its weights and its arrays.  Step t
+    writes row t of the first active[t] sentences, those longer than t.
+
+    The weights are the model's own arrays params[prefix + name], one
+    field per WEIGHTS name (wh, wx, wp and v of the attention layer, w
+    and b of the gate block), and their gradients go to grads[prefix +
+    name].  The arrays are
 
         tape      (B, n, 2h)    [h_t | c_t]: the hidden and memory tapes
         tape_wh   (B, n, a)     Wh h_t, stored when h_t enters the tape
@@ -224,6 +200,13 @@ class DirectionState:
     sentence p's rows are their [p, :lengths[p]] slices.
     """
 
+    prefix: str
+    wh: np.ndarray
+    wx: np.ndarray
+    wp: np.ndarray
+    v: np.ndarray
+    w: np.ndarray
+    b: np.ndarray
     lengths: list
     active: list
     window_starts: list
@@ -236,18 +219,20 @@ class DirectionState:
     tanh_c: np.ndarray
 
     @classmethod
-    def start(cls, inputs, attn, cell, keep_steps, memory_span=None):
+    def start(cls, params, prefix, inputs, keep_steps, memory_span=None):
         """Empty tapes over `inputs`, a list of (n_i, d) arrays with
-        non-increasing n_i, with the input rows of gate_in and wx_x
+        non-increasing n_i, for the direction whose weights are
+        params[prefix + name], with the input rows of gate_in and wx_x
         filled in, and each step's window start: 0, or the last
         `memory_span` tape entries when that is set."""
         lengths = [x.shape[0] for x in inputs]
         if lengths != sorted(lengths, reverse=True):
             raise ValueError(f"batch lengths {lengths} are not longest first")
+        wh, wx, wp, v, w, b = (params[prefix + name] for name in WEIGHTS)
         batch = len(inputs)
         n, d = inputs[0].shape
-        hidden = cell.b.shape[0] // 4
-        attn_dim = attn.wh.shape[0]
+        hidden = b.shape[0] // 4
+        attn_dim = wh.shape[0]
         rows = n if keep_steps else 1
         # backward reads the kept arrays whole, padding included
         alloc = np.zeros if keep_steps else np.empty
@@ -257,7 +242,7 @@ class DirectionState:
             gate_in[p, :m, hidden:] = x
             # one matrix-vector product per row, bit-equal to Wx @ x_t;
             # one matrix product (X @ Wx^T) rounds differently
-            np.matmul(attn.wx, gate_in[p, :m, hidden:, None],
+            np.matmul(wx, gate_in[p, :m, hidden:, None],
                       out=wx_x[p, :m, :, None])
         # active[t]: the sentences longer than t, a prefix of the batch
         active = []
@@ -268,6 +253,7 @@ class DirectionState:
         else:
             window_starts = [max(0, t - memory_span) for t in range(n)]
         return cls(
+            prefix, wh, wx, wp, v, w, b,
             lengths=lengths,
             active=active,
             window_starts=window_starts,
@@ -281,7 +267,7 @@ class DirectionState:
         )
 
 
-def attend(state, t, attn):
+def attend(state, t):
     """Step t's attention over a non-empty window, for the first k =
     state.active[t] sentences: (pre_tanh, weights), the window's tanh
     activations (k, w, a) and its softmax weights (k, w).
@@ -290,20 +276,20 @@ def attend(state, t, attn):
     backward's recompute get the same bits from the same state.
     """
     k = state.active[t]
-    hidden = attn.wp.shape[1]
+    hidden = state.wp.shape[1]
     # (Wh h_i + Wx x_t) + Wp p in the oracle's order, so tapes stay
     # bit-equal; a stack of row vectors times Wp^T runs one
     # matrix-vector product per sentence, the same one as Wp @ p
     pre_tanh = state.tape_wh[:k, state.window_starts[t]:t] + state.wx_x[:k, t, None]
-    pre_tanh += np.matmul(state.gate_in[:k, t - 1, None, :hidden], attn.wp.T)
+    pre_tanh += np.matmul(state.gate_in[:k, t - 1, None, :hidden], state.wp.T)
     np.tanh(pre_tanh, out=pre_tanh)
     # vecdot takes one dot product per row, like v @ u; pre_tanh @ v
     # (a matrix-vector product) rounds differently
-    scores = np.vecdot(pre_tanh, attn.v)
+    scores = np.vecdot(pre_tanh, state.v)
     return pre_tanh, softmax(scores, out=scores)
 
 
-def tape_step(state, t, attn, cell):
+def tape_step(state, t):
     """One recurrent step of the sentences still running at t, the
     first k = state.active[t], over their tape rows window_starts[t] ..
     t-1.
@@ -318,13 +304,13 @@ def tape_step(state, t, attn, cell):
     around its loop of steps.
     """
     k = state.active[t]
-    hidden = cell.b.shape[0] // 4
+    hidden = state.b.shape[0] // 4
     window_start = state.window_starts[t]
     # kept arrays have a row per step, the others one scratch row
     row = t if state.summary.shape[1] == state.tape.shape[1] else 0
     summary = state.summary[:k, row]
     if t > window_start:
-        _, weights = attend(state, t, attn)
+        _, weights = attend(state, t)
         # [h~ | c~] as one sum of products over the window: einsum's C
         # loop (optimize=False, no BLAS) adds s_i * [h_i | c_i] into the
         # row in tape order, multiply then add, like the oracle's
@@ -338,14 +324,14 @@ def tape_step(state, t, attn, cell):
     z = state.gates[:k, row]
     # W [h~ | x_t], one matrix-vector product per sentence like Wp p
     if k == 1:
-        np.matmul(gate_in, cell.w.T, out=z)
+        np.matmul(gate_in, state.w.T, out=z)
     else:
         # by row blocks of W that stay in L2 across the stack (module
         # docstring, Cost)
         for r in range(0, z.shape[1], GATE_BLOCK_ROWS):
             block = slice(r, r + GATE_BLOCK_ROWS)
-            np.matmul(gate_in[:, None, :], cell.w[block].T, out=z[:, None, block])
-    z += cell.b
+            np.matmul(gate_in[:, None, :], state.w[block].T, out=z[:, None, block])
+    z += state.b
     gates_ifo, candidate = z[:, :3 * hidden], z[:, 3 * hidden:]
     sigmoid(gates_ifo, out=gates_ifo)
     np.tanh(candidate, out=candidate)
@@ -356,19 +342,18 @@ def tape_step(state, t, attn, cell):
     tanh_c = np.tanh(c_t, out=state.tanh_c[:k, row])
     h_t = np.multiply(z[:, 2 * hidden:3 * hidden], tanh_c,
                       out=state.tape[:k, t, :hidden])
-    np.matmul(h_t[:, None, :], attn.wh.T, out=state.tape_wh[:k, t, None, :])
+    np.matmul(h_t[:, None, :], state.wh.T, out=state.tape_wh[:k, t, None, :])
 
 
-def _direction_backward(state, attn, cell, d_hidden_out, positions, grads,
-                        prefix):
+def _direction_backward(state, d_hidden_out, positions, grads):
     """Gradients of one direction over a batch, given d loss / d h_t for
     every sentence and t, (B, n, h) by position like the state.
 
     Runs the steps in lock-step in reverse time.  Each sentence's
-    parameter gradients are then formed and added to grads[prefix +
-    name], sentence by sentence in batch order: positions[s] is the
-    position of batch sentence s.  Returns each position's input
-    gradient.
+    parameter gradients are then formed and added to
+    grads[state.prefix + name], sentence by sentence in batch order:
+    positions[s] is the position of batch sentence s.  Returns each
+    position's input gradient.
 
     The tape term of the attention pre-activation is accumulated per
     tape entry, D[i] = sum over later steps t of d pre[t, i], and is
@@ -378,21 +363,20 @@ def _direction_backward(state, attn, cell, d_hidden_out, positions, grads,
     from per-step rows stacked over the sentence.
     """
     batch, n = state.tape.shape[:2]
-    hidden = cell.b.shape[0] // 4
-    attn_dim = attn.wh.shape[0]
+    hidden = state.b.shape[0] // 4
+    attn_dim = state.wh.shape[0]
     tape_h, tape_c = state.tape[:, :, :hidden], state.tape[:, :, hidden:]
     gates = state.gates
     gate_f = gates[:, :, hidden:2 * hidden]
     gate_o = gates[:, :, 2 * hidden:3 * hidden]
     candidate = gates[:, :, 3 * hidden:]
-    # d z[t] = ((e * M[t]) * G[t]) * K[t] with e = [dc, dc, dh, dc]: per
-    # gate, d i = ((dc * chat) * i) * (1 - i), d f = ((dc * c~) * f) *
-    # (1 - f), d o = ((dh * tanh c) * o) * (1 - o) and d chat =
-    # ((dc * i) * 1) * (1 - chat^2), each in the order of the chain rule
+    # d z[t] = ((e * M[t]) * G[t]) * K[t] with e = [dc, dc, dh, dc] and
+    # G[t] the (i, f, o) gates: per gate, d i = ((dc * chat) * i) * (1 -
+    # i), d f = ((dc * c~) * f) * (1 - f), d o = ((dh * tanh c) * o) *
+    # (1 - o) and d chat = (dc * i) * (1 - chat^2), each in the order of
+    # the chain rule
     m_rows = np.concatenate((candidate, state.summary[:, :, hidden:],
                              state.tanh_c, gates[:, :, :hidden]), axis=2)
-    g_rows = gates.copy()
-    g_rows[:, :, 3 * hidden:] = 1.0
     k_rows = 1.0 - gates
     k_rows[:, :, 3 * hidden:] = 1.0 - candidate ** 2
     d_tanh_c = 1.0 - state.tanh_c ** 2
@@ -404,7 +388,7 @@ def _direction_backward(state, attn, cell, d_hidden_out, positions, grads,
     g_v = np.zeros((batch, attn_dim))
     # stacks of vectors times these run one matrix-vector product per
     # sentence, the same one as a single sentence's W^T @ u
-    wh_t, wp_t, w_summary_t = attn.wh.T, attn.wp.T, cell.w[:, :hidden].T
+    wh_t, wp_t, w_summary_t = state.wh.T, state.wp.T, state.w[:, :hidden].T
     # [d h~ | d c~] of the current step
     d_summaries = np.empty((batch, 2 * hidden))
     d_h_summary = d_summaries[:, :hidden]
@@ -422,14 +406,14 @@ def _direction_backward(state, attn, cell, d_hidden_out, positions, grads,
         e[:, 2] = dh
         e[:, 3] = dc
         dz *= m_rows[:k, t]
-        dz *= g_rows[:k, t]
+        dz[:, :3 * hidden] *= gates[:k, t, :3 * hidden]
         dz *= k_rows[:k, t]
         np.matmul(w_summary_t, dz[:, :, None], out=d_h_summary[:k, :, None])
         d_h_summary[:k] += d_summary[:k]
         np.multiply(dc, gate_f[:k, t], out=d_c_summary[:k])
         if t > state.window_starts[t]:
             # the step's window again, bit-equal to the forward's
-            pre_tanh, weights = attend(state, t, attn)
+            pre_tanh, weights = attend(state, t)
             # summaries -> tape entries and attention weights
             window = slice(state.window_starts[t], t)
             d_weights = np.matmul(tape_h[:k, window], d_h_summary[:k, :, None])
@@ -438,13 +422,13 @@ def _direction_backward(state, attn, cell, d_hidden_out, positions, grads,
             d_tape[:k, window] += weights[:, :, None] * d_summaries[:k, None]
             d_scores = weights * (d_weights - np.vecdot(weights, d_weights)[:, None])
             g_v[:k] += np.matmul(d_scores[:, None], pre_tanh)[:, 0]
-            d_pre = (d_scores[:, :, None] * attn.v) * (1.0 - pre_tanh ** 2)
+            d_pre = (d_scores[:, :, None] * state.v) * (1.0 - pre_tanh ** 2)
             d_tape_wh[:k, window] += d_pre
             d_pre.sum(axis=1, out=d_pre_sums[:k, t])
         # an empty window leaves d_pre_sums[t] zero: both summaries are
         # constant zero vectors
         np.matmul(wp_t, d_pre_sums[:k, t, :, None], out=d_summary[:k, :, None])
-    w_input = cell.w[:, hidden:]
+    w_input = state.w[:, hidden:]
     d_inputs = [None] * batch
     for p in positions:
         m = state.lengths[p]
@@ -452,14 +436,14 @@ def _direction_backward(state, attn, cell, d_hidden_out, positions, grads,
         d_z_p, d_pre_p = d_z[p, :m], d_pre_sums[p, :m]
         prev_summaries = np.zeros((m, hidden))
         prev_summaries[1:] = gate_in[:-1, :hidden]
-        d_inputs[p] = d_z_p @ w_input + d_pre_p @ attn.wx
+        d_inputs[p] = d_z_p @ w_input + d_pre_p @ state.wx
         # added as formed: one sentence's dense gradient at a time
-        grads[prefix + "attn.wh"] += d_tape_wh[p, :m].T @ tape_h[p, :m]
-        grads[prefix + "attn.wx"] += d_pre_p.T @ gate_in[:, hidden:]
-        grads[prefix + "attn.wp"] += d_pre_p.T @ prev_summaries
-        grads[prefix + "attn.v"] += g_v[p]
-        grads[prefix + "cell.w"] += d_z_p.T @ gate_in
-        grads[prefix + "cell.b"] += d_z_p.sum(axis=0)
+        grads[state.prefix + "attn.wh"] += d_tape_wh[p, :m].T @ tape_h[p, :m]
+        grads[state.prefix + "attn.wx"] += d_pre_p.T @ gate_in[:, hidden:]
+        grads[state.prefix + "attn.wp"] += d_pre_p.T @ prev_summaries
+        grads[state.prefix + "attn.v"] += g_v[p]
+        grads[state.prefix + "cell.w"] += d_z_p.T @ gate_in
+        grads[state.prefix + "cell.b"] += d_z_p.sum(axis=0)
     return d_inputs
 
 
@@ -552,12 +536,13 @@ def forward(params, config, inputs, dropout=0.0, rng=None, keep_cache=True):
     for layer in range(1 + config.extra_layers):
         states, top_h = [], []
         for direction, order in DIRECTIONS:
-            attn, cell = direction_view(params, layer, direction)
-            state = DirectionState.start([current[s][order] for s in by_length],
-                                         attn, cell, keep_cache, config.memory_span)
+            state = DirectionState.start(
+                params, f"enc{layer}.{direction}.",
+                [current[s][order] for s in by_length], keep_cache,
+                config.memory_span)
             with np.errstate(over="ignore"):
                 for t in range(state.tape.shape[1]):
-                    tape_step(state, t, attn, cell)
+                    tape_step(state, t)
             top_h.append([state.tape[p, :m, :h][order]
                           for p, m in zip(positions, lengths)])
             if keep_cache:
@@ -597,11 +582,12 @@ def backward(params, cache, d_emissions, grads=None):
     list of (n_i, num_tags) arrays in its batch order.  Returns (grads,
     d_inputs).  grads maps every encoder parameter name to its gradient
     summed over the batch, sentence by sentence in batch order; when
-    `grads` is given, the sums are added to its arrays in place.  The
-    cache and `params` fix the shapes: the layer count is
-    len(cache.layers) and the hidden size the width of out.wf.
-    d_inputs lists, in batch order, the gradients with respect to the
-    original featurized inputs (for the embedding tables).
+    `grads` is given, the sums are added to its arrays in place.  Each
+    direction's weights are the ones its DirectionState in the cache
+    holds; `params` gives only the out.* weights and, for grads=None,
+    the gradients' names and shapes.  d_inputs lists, in batch order,
+    the gradients with respect to the original featurized inputs (for
+    the embedding tables).
     """
     if cache is None:
         raise ValueError("backward called without a cached forward pass")
@@ -626,21 +612,17 @@ def backward(params, cache, d_emissions, grads=None):
                 d = d * cache.out_masks[i][s]
             d_top[i].append(d)
 
-    for layer in range(len(cache.layers) - 1, -1, -1):
+    for states in reversed(cache.layers):
         d_in = []
-        for (direction, order), state, d_rows in zip(
-                DIRECTIONS, cache.layers[layer], d_top):
-            attn, cell = direction_view(params, layer, direction)
+        for (_, order), state, d_rows in zip(DIRECTIONS, states, d_top):
             d_out = np.zeros(state.tape.shape[:2] + (h,))
             for p, m, d in zip(cache.positions, lengths, d_rows):
                 d_out[p, :m] = d[order]
-            prefix = f"enc{layer}.{direction}."
             d_in.append([d[order] for d in _direction_backward(
-                state, attn, cell, d_out, cache.positions, grads, prefix)])
+                state, d_out, cache.positions, grads)])
         d_layer_in = [d_in[0][p] + d_in[1][p] for p in cache.positions]
-        if layer > 0:
-            d_top = ([d[:, :h] for d in d_layer_in],
-                     [d[:, h:] for d in d_layer_in])
+        # the layer below's (forward, backward) halves, as views
+        d_top = ([d[:, :h] for d in d_layer_in], [d[:, h:] for d in d_layer_in])
 
     d_inputs = d_layer_in
     if cache.input_masks is not None:

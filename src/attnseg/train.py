@@ -243,8 +243,9 @@ def fit(model, train_corpus, dev_corpus, config, on_epoch=None):
     rng = np.random.default_rng(config.seed)
     accum = {name: np.zeros_like(p) for name, p in model.params.items()}
     history = []
+    # F1 is at least 0, so epoch 1 always fills `best`
     best_f1 = -1.0
-    best_params = None
+    best = {name: np.empty_like(p) for name, p in model.params.items()}
     for epoch in range(1, config.epochs + 1):
         nll = train_epoch(model, train_corpus, config, rng, accum)
         precision, recall, f1 = evaluate_corpus(model, dev_corpus)
@@ -257,8 +258,9 @@ def fit(model, train_corpus, dev_corpus, config, on_epoch=None):
             on_epoch(record)
         if f1 > best_f1:
             best_f1 = f1
-            best_params = {name: p.copy() for name, p in model.params.items()}
-    model.params = best_params
+            for name, p in model.params.items():
+                np.copyto(best[name], p)
+    model.params = best
     return model, history
 
 

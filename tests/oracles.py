@@ -23,7 +23,7 @@ import numpy as np
 
 from attnseg.corpus import ENG, IDIOM, NUM
 from attnseg.crf import _sequence_score
-from attnseg.encoder import attend, direction_view
+from attnseg.encoder import attend
 from attnseg.numerics import ShapeError
 from attnseg.tagging import TAG_NAMES
 
@@ -241,22 +241,29 @@ def lstmn_unrolled(inputs, wh, wx, wp, v, w, b, memory_span=None):
     return outputs
 
 
-def sentence_rows(state, p, attn=None):
+def direction_weights(params, prefix):
+    """[wh, wx, wp, v, w, b], the weights params[prefix + name] of one
+    encoder direction, in the argument order of lstmn_unrolled and
+    _direction_backward_unrolled."""
+    return [params[prefix + name] for name in (
+        "attn.wh", "attn.wx", "attn.wp", "attn.v", "cell.w", "cell.b")]
+
+
+def sentence_rows(state, p, windows=False):
     """The rows of the sentence at position p of an encoder.DirectionState
     whose steps were kept, as views without the batch axis: every array's
     rows, the tape also split into tape_h and tape_c, and each step's
-    window start.  Given the direction's AttentionParams `attn`, also the
-    window arrays of each step, weights[t] (w,) and pre_tanh[t] (w, a),
-    formed by encoder.attend from the state's rows as forward and
-    backward form them."""
+    window start.  With `windows`, also the window arrays of each step,
+    weights[t] (w,) and pre_tanh[t] (w, a), formed by encoder.attend
+    from the state alone, as forward and backward form them."""
     m = state.lengths[p]
     hidden = state.tanh_c.shape[-1]
     weights = pre_tanh = None
-    if attn is not None:
-        weights, pre_tanh = [np.zeros(0)] * m, [np.zeros((0, attn.v.shape[0]))] * m
+    if windows:
+        weights, pre_tanh = [np.zeros(0)] * m, [np.zeros((0, state.v.shape[0]))] * m
         for t in range(m):
             if t > state.window_starts[t]:
-                u, w = attend(state, t, attn)
+                u, w = attend(state, t)
                 pre_tanh[t], weights[t] = u[p], w[p]
     return SimpleNamespace(
         tape=state.tape[p, :m],
@@ -274,23 +281,16 @@ def sentence_rows(state, p, attn=None):
     )
 
 
-def sentence_cache(cache, s, params=None):
+def sentence_cache(cache, s, windows=False):
     """Batch sentence s of an encoder.ForwardCache, as views: its inputs
     and dropout masks (None without dropout), its (forward, backward)
-    sentence_rows per layer, with the window arrays when the parameter
-    dict `params` is given, and the top hidden rows that fed the output
-    projection."""
+    sentence_rows per layer, with the window arrays when `windows` is
+    set, and the top hidden rows that fed the output projection."""
     p = cache.positions[s]
     masks = (cache.input_masks, *(cache.out_masks or (None, None)))
     input_mask, out_mask_f, out_mask_b = (None if m is None else m[s] for m in masks)
-    layer_caches = []
-    for layer, (state_f, state_b) in enumerate(cache.layers):
-        attn_f = attn_b = None
-        if params is not None:
-            attn_f = direction_view(params, layer, "fwd")[0]
-            attn_b = direction_view(params, layer, "bwd")[0]
-        layer_caches.append((sentence_rows(state_f, p, attn_f),
-                             sentence_rows(state_b, p, attn_b)))
+    layer_caches = [tuple(sentence_rows(state, p, windows) for state in states)
+                    for states in cache.layers]
     return SimpleNamespace(
         inputs=cache.inputs[s], input_mask=input_mask,
         layer_caches=layer_caches,
@@ -406,7 +406,7 @@ def lstmn_backward_unrolled(params, num_layers, cache, d_emissions):
     encoder.attend forms it from the forward's rows, and runs no other
     production arithmetic.
     """
-    cache = sentence_cache(cache, 0, params)
+    cache = sentence_cache(cache, 0, windows=True)
     d_emissions = np.asarray(d_emissions, dtype=np.float64)
     n = d_emissions.shape[0]
     wf, wb = params["out.wf"], params["out.wb"]
@@ -438,10 +438,7 @@ def lstmn_backward_unrolled(params, num_layers, cache, d_emissions):
                 ("bwd", d_h_b[::-1], cache.layer_caches[layer][1])):
             prefix = f"enc{layer}.{direction}."
             g, d_in = _direction_backward_unrolled(
-                dir_cache, *(params[prefix + k] for k in (
-                    "attn.wh", "attn.wx", "attn.wp", "attn.v", "cell.w", "cell.b")),
-                d_out,
-            )
+                dir_cache, *direction_weights(params, prefix), d_out)
             for name, value in g.items():
                 grads[prefix + name] = value
             layer_grads.append(d_in)

@@ -18,7 +18,7 @@ from attnseg import tagging
 from attnseg.cli import gradcheck_fixture
 from attnseg.corpus import load_corpus, load_toy_corpus, split_train_dev
 from attnseg.crf import log_partition, nll_and_grads, viterbi
-from attnseg.encoder import AttentionParams, CellParams, forward, init_params
+from attnseg.encoder import forward, init_params
 from attnseg.evaluate import evaluate_corpus
 from attnseg.model import Segmenter, TrainConfig
 from attnseg.numerics import grad_check
@@ -113,34 +113,34 @@ def test_criterion_4_lstmn_structural_checks():
     hid, att, dim = 6, 5, 7
     ok_sum = True
     # the weights do not depend on the gate block
-    no_cell = CellParams(w=np.zeros((4 * hid, hid + dim)), b=np.zeros(4 * hid))
+    no_cell = {"cell.w": np.zeros((4 * hid, hid + dim)), "cell.b": np.zeros(4 * hid)}
     for _ in range(100):
-        attn = AttentionParams(
-            wh=rng.normal(size=(att, hid)), wx=rng.normal(size=(att, dim)),
-            wp=rng.normal(size=(att, hid)), v=rng.normal(size=att),
-        )
+        weights = {"attn.wh": rng.normal(size=(att, hid)),
+                   "attn.wx": rng.normal(size=(att, dim)),
+                   "attn.wp": rng.normal(size=(att, hid)),
+                   "attn.v": rng.normal(size=att), **no_cell}
         t = int(rng.integers(2, 9))
         tape_h = [rng.normal(size=hid) for _ in range(t)]
         tape_c = [rng.normal(size=hid) for _ in range(t)]
         summary = rng.normal(size=hid)
         _, _, step = step_after(rng.normal(size=dim), tape_h, tape_c,
-                                summary, attn, no_cell)
+                                summary, weights)
         w = step.weights
         ok_sum = ok_sum and abs(w.sum() - 1.0) < 1e-12 and np.all(w >= 0)
 
     ok_lstm = True
     for _ in range(50):
-        attn = AttentionParams(
-            wh=rng.normal(size=(att, hid)), wx=rng.normal(size=(att, dim)),
-            wp=rng.normal(size=(att, hid)), v=rng.normal(size=att),
-        )
-        cell = CellParams(
-            w=rng.normal(size=(4 * hid, hid + dim)), b=rng.normal(size=4 * hid)
-        )
+        weights = {"attn.wh": rng.normal(size=(att, hid)),
+                   "attn.wx": rng.normal(size=(att, dim)),
+                   "attn.wp": rng.normal(size=(att, hid)),
+                   "attn.v": rng.normal(size=att),
+                   "cell.w": rng.normal(size=(4 * hid, hid + dim)),
+                   "cell.b": rng.normal(size=4 * hid)}
         h1, c1 = rng.normal(size=hid), rng.normal(size=hid)
         x = rng.normal(size=dim)
-        h, c, _ = step_after(x, [h1], [c1], rng.normal(size=hid), attn, cell)
-        h_ref, c_ref = lstm_step_reference(x, h1, c1, cell.w, cell.b)
+        h, c, _ = step_after(x, [h1], [c1], rng.normal(size=hid), weights)
+        h_ref, c_ref = lstm_step_reference(x, h1, c1, weights["cell.w"],
+                                           weights["cell.b"])
         ok_lstm = ok_lstm and np.array_equal(h, h_ref) and np.array_equal(c, c_ref)
 
     cfg = TrainConfig(emb_dim=dim, window=1, hidden=hid, attn_dim=att)

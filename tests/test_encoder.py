@@ -8,14 +8,14 @@ import pytest
 from attnseg import encoder, model
 from attnseg.corpus import load_toy_corpus
 from attnseg.encoder import (
-    AttentionParams, CellParams, DirectionState, attend, backward,
-    direction_view, dropout_mask, forward, init_params, tape_step,
+    WEIGHTS, DirectionState, attend, backward, dropout_mask, forward,
+    init_params, tape_step,
 )
 from attnseg.model import Segmenter, TrainConfig
 from attnseg.numerics import ShapeError, grad_check
 from oracles import (
-    lstm_step_reference, lstmn_backward_unrolled, lstmn_unrolled, sentence_cache,
-    sentence_rows,
+    direction_weights, lstm_step_reference, lstmn_backward_unrolled,
+    lstmn_unrolled, sentence_cache, sentence_rows,
 )
 
 HID, ATT, DIM = 5, 4, 6
@@ -24,17 +24,16 @@ PAPER_DIMS = dict(emb_dim=100, window=3, hidden=150, attn_dim=150)
 
 
 def random_direction_params(rng, hidden=HID, attn=ATT, dim=DIM, scale=0.5):
-    a = AttentionParams(
-        wh=rng.normal(scale=scale, size=(attn, hidden)),
-        wx=rng.normal(scale=scale, size=(attn, dim)),
-        wp=rng.normal(scale=scale, size=(attn, hidden)),
-        v=rng.normal(scale=scale, size=attn),
-    )
-    c = CellParams(
-        w=rng.normal(scale=scale, size=(4 * hidden, hidden + dim)),
-        b=rng.normal(scale=scale, size=4 * hidden),
-    )
-    return a, c
+    """One direction's six weights keyed by name: the params of
+    DirectionState.start with the prefix ""."""
+    return {
+        "attn.wh": rng.normal(scale=scale, size=(attn, hidden)),
+        "attn.wx": rng.normal(scale=scale, size=(attn, dim)),
+        "attn.wp": rng.normal(scale=scale, size=(attn, hidden)),
+        "attn.v": rng.normal(scale=scale, size=attn),
+        "cell.w": rng.normal(scale=scale, size=(4 * hidden, hidden + dim)),
+        "cell.b": rng.normal(scale=scale, size=4 * hidden),
+    }
 
 
 def small_config(**kw):
@@ -45,26 +44,27 @@ def small_config(**kw):
     return TrainConfig(**args)
 
 
-def step_after(x, hs, cs, summary, attn, cell):
+def step_after(x, hs, cs, summary, weights):
     """tape_step at t = len(hs) over the tape entries (hs, cs), with
-    `summary` as the previous step's h~ and the step's rows kept.
-    Returns (h_t, c_t, step), step holding the attention weights and
-    both summaries."""
+    `summary` as the previous step's h~ and the step's rows kept, for
+    the direction whose six weights `weights` holds by name.  Returns
+    (h_t, c_t, step), step holding the attention weights and both
+    summaries."""
     t = len(hs)
-    hidden = cell.b.shape[0] // 4
+    hidden = weights["cell.b"].shape[0] // 4
     inputs = np.zeros((t + 1, x.shape[0]))
     inputs[t] = x
     # a batch of one sentence; rows views its arrays
-    batch = DirectionState.start([inputs], attn, cell, keep_steps=True)
+    batch = DirectionState.start(weights, "", [inputs], keep_steps=True)
     rows = sentence_rows(batch, 0)
     for i in range(t):
         rows.tape[i] = np.concatenate((hs[i], cs[i]))
-        rows.tape_wh[i] = attn.wh @ hs[i]
+        rows.tape_wh[i] = weights["attn.wh"] @ hs[i]
     if t:
         rows.gate_in[t - 1, :hidden] = summary
     with np.errstate(over="ignore"):
-        tape_step(batch, t, attn, cell)
-    rows = sentence_rows(batch, 0, attn)
+        tape_step(batch, t)
+    rows = sentence_rows(batch, 0, windows=True)
     step = SimpleNamespace(
         weights=rows.weights[t],
         h_summary=rows.gate_in[t, :hidden],
@@ -82,37 +82,36 @@ def random_tapes(rng, t):
 
 def test_attention_weights_empty_at_first_step():
     rng = np.random.default_rng(30)
-    attn, cell = random_direction_params(rng)
+    weights = random_direction_params(rng)
     x = rng.normal(size=DIM)
-    _, _, cache = step_after(x, [], [], np.zeros(HID), attn, cell)
+    _, _, cache = step_after(x, [], [], np.zeros(HID), weights)
     assert cache.weights.shape == (0,)
 
 
 def test_attention_weights_singleton_is_one():
     rng = np.random.default_rng(31)
-    attn, cell = random_direction_params(rng)
+    weights = random_direction_params(rng)
     hs, cs, summary = random_tapes(rng, 1)
-    _, _, cache = step_after(rng.normal(size=DIM), hs, cs, summary, attn, cell)
+    _, _, cache = step_after(rng.normal(size=DIM), hs, cs, summary, weights)
     assert np.array_equal(cache.weights, [1.0])
 
 
 def test_attention_weights_zero_v_is_uniform():
     rng = np.random.default_rng(32)
-    attn, cell = random_direction_params(rng)
-    attn.v[:] = 0.0
+    weights = random_direction_params(rng)
+    weights["attn.v"][:] = 0.0
     hs, cs, summary = random_tapes(rng, 4)
-    _, _, cache = step_after(rng.normal(size=DIM), hs, cs, summary, attn, cell)
+    _, _, cache = step_after(rng.normal(size=DIM), hs, cs, summary, weights)
     assert np.allclose(cache.weights, 0.25, atol=1e-15)
 
 
 def test_attention_weights_normalized():
     rng = np.random.default_rng(33)
     for _ in range(100):
-        attn, cell = random_direction_params(rng)
+        weights = random_direction_params(rng)
         t = int(rng.integers(2, 8))
         hs, cs, summary = random_tapes(rng, t)
-        _, _, cache = step_after(rng.normal(size=DIM), hs, cs, summary,
-                                attn, cell)
+        _, _, cache = step_after(rng.normal(size=DIM), hs, cs, summary, weights)
         w = cache.weights
         assert np.all(w >= 0)
         assert abs(w.sum() - 1.0) < 1e-12
@@ -135,9 +134,8 @@ def test_attention_weights_shape_error(name):
 
 def test_summarize_empty_gives_zeros():
     rng = np.random.default_rng(65)
-    attn, cell = random_direction_params(rng)
-    _, _, cache = step_after(rng.normal(size=DIM), [], [], np.zeros(HID),
-                            attn, cell)
+    weights = random_direction_params(rng)
+    _, _, cache = step_after(rng.normal(size=DIM), [], [], np.zeros(HID), weights)
     assert np.array_equal(cache.h_summary, np.zeros(HID))
     assert np.array_equal(cache.c_summary, np.zeros(HID))
 
@@ -145,17 +143,17 @@ def test_summarize_empty_gives_zeros():
 def test_summarize_one_hot_selects():
     # a saturated score gap underflows every other weight to exactly 0
     rng = np.random.default_rng(35)
-    attn, cell = random_direction_params(rng)
-    attn.wh[:] = 0.0
-    attn.wh[0, 0] = 1.0
-    attn.wx[:] = 0.0
-    attn.wp[:] = 0.0
-    attn.v[:] = 0.0
-    attn.v[0] = 1e4
+    weights = random_direction_params(rng)
+    weights["attn.wh"][:] = 0.0
+    weights["attn.wh"][0, 0] = 1.0
+    weights["attn.wx"][:] = 0.0
+    weights["attn.wp"][:] = 0.0
+    weights["attn.v"][:] = 0.0
+    weights["attn.v"][0] = 1e4
     hs, cs, summary = random_tapes(rng, 3)
     for i, sign in enumerate((-3.0, 3.0, -3.0)):
         hs[i][0] = sign
-    _, _, cache = step_after(rng.normal(size=DIM), hs, cs, summary, attn, cell)
+    _, _, cache = step_after(rng.normal(size=DIM), hs, cs, summary, weights)
     assert np.array_equal(cache.weights, [0.0, 1.0, 0.0])
     assert np.array_equal(cache.h_summary, hs[1])
     assert np.array_equal(cache.c_summary, cs[1])
@@ -163,21 +161,21 @@ def test_summarize_one_hot_selects():
 
 def test_summarize_uniform_is_mean():
     rng = np.random.default_rng(36)
-    attn, cell = random_direction_params(rng)
-    attn.v[:] = 0.0
+    weights = random_direction_params(rng)
+    weights["attn.v"][:] = 0.0
     hs, cs, summary = random_tapes(rng, 2)
-    _, _, cache = step_after(rng.normal(size=DIM), hs, cs, summary, attn, cell)
+    _, _, cache = step_after(rng.normal(size=DIM), hs, cs, summary, weights)
     assert np.allclose(cache.h_summary, (hs[0] + hs[1]) / 2.0, atol=1e-15)
     assert np.allclose(cache.c_summary, (cs[0] + cs[1]) / 2.0, atol=1e-15)
 
 
 def test_lstmn_step_all_zero_parameters():
-    attn = AttentionParams(wh=np.zeros((ATT, HID)), wx=np.zeros((ATT, DIM)),
-                           wp=np.zeros((ATT, HID)), v=np.zeros(ATT))
-    cell = CellParams(w=np.zeros((4 * HID, HID + DIM)), b=np.zeros(4 * HID))
+    weights = {"attn.wh": np.zeros((ATT, HID)), "attn.wx": np.zeros((ATT, DIM)),
+               "attn.wp": np.zeros((ATT, HID)), "attn.v": np.zeros(ATT),
+               "cell.w": np.zeros((4 * HID, HID + DIM)), "cell.b": np.zeros(4 * HID)}
     rng = np.random.default_rng(37)
     hs, cs, summary = random_tapes(rng, 3)
-    h, c, _ = step_after(rng.normal(size=DIM), hs, cs, summary, attn, cell)
+    h, c, _ = step_after(rng.normal(size=DIM), hs, cs, summary, weights)
     c_summary = (cs[0] + cs[1] + cs[2]) / 3.0
     assert np.allclose(c, 0.5 * c_summary, atol=1e-15)
     assert np.allclose(h, 0.5 * np.tanh(c), atol=1e-15)
@@ -186,13 +184,14 @@ def test_lstmn_step_all_zero_parameters():
 def test_lstmn_step_singleton_reduces_to_plain_lstm():
     rng = np.random.default_rng(38)
     for _ in range(50):
-        attn, cell = random_direction_params(rng)
+        weights = random_direction_params(rng)
         h1 = rng.normal(size=HID)
         c1 = rng.normal(size=HID)
         summary = rng.normal(size=HID)
         x = rng.normal(size=DIM)
-        h, c, _ = step_after(x, [h1], [c1], summary, attn, cell)
-        h_ref, c_ref = lstm_step_reference(x, h1, c1, cell.w, cell.b)
+        h, c, _ = step_after(x, [h1], [c1], summary, weights)
+        h_ref, c_ref = lstm_step_reference(x, h1, c1, weights["cell.w"],
+                                           weights["cell.b"])
         assert np.array_equal(h, h_ref)
         assert np.array_equal(c, c_ref)
 
@@ -200,17 +199,16 @@ def test_lstmn_step_singleton_reduces_to_plain_lstm():
 def test_lstmn_step_matches_straight_line_unrolling():
     rng = np.random.default_rng(39)
     for _ in range(30):
-        attn, cell = random_direction_params(rng)
+        weights = random_direction_params(rng)
         n = int(rng.integers(1, 7))
         inputs = [rng.normal(size=DIM) for _ in range(n)]
         tape_h, tape_c, summary = [], [], np.zeros(HID)
         for x in inputs:
-            h, c, cache = step_after(x, tape_h, tape_c, summary, attn, cell)
+            h, c, cache = step_after(x, tape_h, tape_c, summary, weights)
             tape_h.append(h)
             tape_c.append(c)
             summary = cache.h_summary
-        want = lstmn_unrolled(inputs, attn.wh, attn.wx, attn.wp, attn.v,
-                              cell.w, cell.b)
+        want = lstmn_unrolled(inputs, *direction_weights(weights, ""))
         assert len(tape_h) == len(want)
         for a, b in zip(tape_h, want):
             assert np.array_equal(a, b)
@@ -229,9 +227,9 @@ def test_forward_tapes_match_straight_line_unrolling(span):
         # the backward direction reads the sentence right to left
         for direction, rows, got in (("fwd", x, cache_f.tape_h),
                                      ("bwd", x[::-1], cache_b.tape_h)):
-            attn, cell = direction_view(params, 0, direction)
-            want = lstmn_unrolled(list(rows), attn.wh, attn.wx, attn.wp,
-                                  attn.v, cell.w, cell.b, memory_span=span)
+            want = lstmn_unrolled(
+                list(rows), *direction_weights(params, f"enc0.{direction}."),
+                memory_span=span)
             assert len(got) == len(want)
             for a, b in zip(got, want):
                 assert np.array_equal(a, b)
@@ -254,9 +252,9 @@ def test_forward_tapes_match_unrolling_at_paper_dimensions(n, span, extra_layers
     for layer, (state_f, state_b) in enumerate(sentence_cache(cache, 0).layer_caches):
         for direction, inputs, got in (("fwd", rows, state_f.tape_h),
                                        ("bwd", rows[::-1], state_b.tape_h)):
-            attn, cell = direction_view(params, layer, direction)
-            want = lstmn_unrolled(list(inputs), attn.wh, attn.wx, attn.wp,
-                                  attn.v, cell.w, cell.b, memory_span=span)
+            prefix = f"enc{layer}.{direction}."
+            want = lstmn_unrolled(list(inputs), *direction_weights(params, prefix),
+                                  memory_span=span)
             assert len(got) == len(want)
             for a, b in zip(got, want):
                 assert np.array_equal(a, b)
@@ -278,7 +276,7 @@ def test_lstmn_step_memory_span_caps_tape():
     cfg = small_config(memory_span=2)
     params = init_params(cfg, rng)
     _, cache = forward(params, cfg, [rng.normal(size=(6, DIM))])
-    for direction_cache in sentence_cache(cache, 0, params).layer_caches[0]:
+    for direction_cache in sentence_cache(cache, 0, windows=True).layer_caches[0]:
         window = [len(w) for w in direction_cache.weights]
         assert window == [0, 1, 2, 2, 2, 2]
 
@@ -363,10 +361,10 @@ def test_forward_single_position_structure():
     params = init_params(cfg, rng)
     x = rng.normal(size=(1, DIM))
     (out,), _ = forward(params, cfg, [x])
-    attn_f, cell_f = direction_view(params, 0, "fwd")
-    attn_b, cell_b = direction_view(params, 0, "bwd")
-    hf, _, _ = step_after(x[0], [], [], np.zeros(HID), attn_f, cell_f)
-    hb, _, _ = step_after(x[0], [], [], np.zeros(HID), attn_b, cell_b)
+    # each direction's first step, given its weights keyed by name
+    hf, hb = [step_after(x[0], [], [], np.zeros(HID),
+                         {name: params[prefix + name] for name in WEIGHTS})[0]
+              for prefix in ("enc0.fwd.", "enc0.bwd.")]
     want = params["out.wf"] @ hf + params["out.wb"] @ hb + params["out.b"]
     assert np.array_equal(out[0], want)
 
@@ -446,9 +444,8 @@ def test_memory_span_equivalences():
     # the windowed batch pass agrees with the straight-line recurrence
     cfg2 = small_config(memory_span=2)
     _, cache = forward(params, cfg2, [x])
-    attn_f, cell_f = direction_view(params, 0, "fwd")
-    stepped = lstmn_unrolled([x[t] for t in range(6)], attn_f.wh, attn_f.wx,
-                             attn_f.wp, attn_f.v, cell_f.w, cell_f.b,
+    stepped = lstmn_unrolled([x[t] for t in range(6)],
+                             *direction_weights(params, "enc0.fwd."),
                              memory_span=2)
     for a, b in zip(sentence_cache(cache, 0).layer_caches[0][0].tape_h, stepped):
         assert np.array_equal(a, b)
@@ -652,8 +649,8 @@ def test_batched_forward_matches_batch_of_one(dims, memory_span, extra_layers,
         (want,), want_cache = forward(params, cfg, [x], dropout=dropout,
                                       rng=one_rng)
         assert np.array_equal(out[s], want)
-        got_cache = sentence_cache(cache, s, params)
-        want_layers = sentence_cache(want_cache, 0, params).layer_caches
+        got_cache = sentence_cache(cache, s, windows=True)
+        want_layers = sentence_cache(want_cache, 0, windows=True).layer_caches
         for got_layer, want_layer in zip(got_cache.layer_caches, want_layers):
             for got, ref in zip(got_layer, want_layer):
                 # both tapes, [h | c], and every step's attention weights
@@ -708,8 +705,8 @@ def test_backward_recomputes_the_forward_attention(monkeypatch, dims, memory_spa
     # state, and must get the forward's activations and weights bit for bit
     calls = {}
 
-    def recording_attend(state, t, attn):
-        pre_tanh, weights = attend(state, t, attn)
+    def recording_attend(state, t):
+        pre_tanh, weights = attend(state, t)
         calls.setdefault((id(state), t), []).append((pre_tanh.copy(),
                                                      weights.copy()))
         return pre_tanh, weights
@@ -766,9 +763,8 @@ def assert_tapes_match_unrolling(params, cfg, xs):
         for layer, (got_f, got_b) in enumerate(sentence_cache(cache, s).layer_caches):
             for direction, inputs, got in (("fwd", rows, got_f.tape_h),
                                            ("bwd", rows[::-1], got_b.tape_h)):
-                attn, cell = direction_view(params, layer, direction)
-                want = lstmn_unrolled(list(inputs), attn.wh, attn.wx, attn.wp,
-                                      attn.v, cell.w, cell.b,
+                prefix = f"enc{layer}.{direction}."
+                want = lstmn_unrolled(list(inputs), *direction_weights(params, prefix),
                                       memory_span=cfg.memory_span)
                 assert len(got) == len(want)
                 for t, (a, b) in enumerate(zip(got, want)):
@@ -826,7 +822,34 @@ def test_backward_needs_one_gradient_per_sentence():
 
 def test_batch_state_rejects_unsorted_lengths():
     rng = np.random.default_rng(73)
-    attn, cell = random_direction_params(rng)
+    weights = random_direction_params(rng)
     with pytest.raises(ValueError):
-        DirectionState.start([np.zeros((2, DIM)), np.zeros((3, DIM))],
-                             attn, cell, keep_steps=True)
+        DirectionState.start(weights, "", [np.zeros((2, DIM)), np.zeros((3, DIM))],
+                             keep_steps=True)
+
+
+def test_direction_state_holds_its_weights():
+    # a kept forward's states carry their direction's prefix and the
+    # model's own weight arrays, so attend() needs the cache alone
+    rng = np.random.default_rng(80)
+    cfg = small_config(extra_layers=1)
+    params = init_params(cfg, rng)
+    xs = [rng.normal(size=(n, DIM)) for n in (5, 3, 6)]
+    _, cache = forward(params, cfg, xs)
+    assert len(cache.layers) == 2
+    for layer, states in enumerate(cache.layers):
+        for direction, state in zip(("fwd", "bwd"), states, strict=True):
+            assert state.prefix == f"enc{layer}.{direction}."
+            for name in WEIGHTS:
+                assert getattr(state, name.split(".")[1]) is params[state.prefix + name]
+            wh, wx, wp, v, _, _ = direction_weights(params, state.prefix)
+            for p in range(len(xs)):
+                rows = sentence_rows(state, p, windows=True)
+                for t in range(1, len(rows.tape)):
+                    # the straight-line scores over the kept rows
+                    x, prev = rows.gate_in[t, HID:], rows.gate_in[t - 1, :HID]
+                    scores = np.array([v @ np.tanh(wh @ h + wx @ x + wp @ prev)
+                                       for h in rows.tape_h[:t]])
+                    e = np.exp(scores - np.max(scores))
+                    assert np.array_equal(rows.weights[t], e / np.sum(e))
+                    assert np.array_equal(attend(state, t)[1][p], rows.weights[t])

@@ -13,7 +13,9 @@ that changes either fails here, by name, before the tape bit-equality
 tests fail without saying why.  Training's bytes depend on the BLAS
 thread count, but the forward pass and decoding must not, and two
 processes at 1 and 2 threads check that.  scripts/codelines.py, which
-counts the package's code lines, runs once."""
+counts the package's code lines, runs once, and scripts/pins.py must
+print the committed tests/pins.txt under the builds named in its first
+line."""
 
 import importlib.util
 import json
@@ -224,3 +226,19 @@ def test_codelines_lists_every_module_and_their_total():
                                     if f.endswith(".py"))
     assert all(count > 0 for count in counts.values())
     assert total == sum(counts.values())
+
+
+def test_pins_match_the_committed_pins():
+    # tests/pins.txt is scripts/pins.py's output, regenerated only by a
+    # planned pin change; its first line names the numpy and OpenBLAS
+    # builds the other lines hold for
+    with open(os.path.join(ROOT, "tests", "pins.txt"), encoding="utf-8") as fh:
+        want = fh.read().splitlines()
+    done = subprocess.run(
+        [sys.executable, os.path.join(ROOT, "scripts", "pins.py")],
+        capture_output=True, text=True, check=True)
+    got = done.stdout.splitlines()
+    if got[0] != want[0]:
+        pytest.skip(f"pins were taken under {want[0]!r}, this run is "
+                    f"under {got[0]!r}")
+    assert got == want

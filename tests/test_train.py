@@ -378,6 +378,25 @@ def test_fit_history_length_and_best_selection():
     assert f1_now == best
 
 
+def test_fit_restores_a_copy_of_the_first_best_epoch(monkeypatch):
+    # dev F1 0.5, 0.7, 0.6, 0.7: the tie at epoch 4 keeps epoch 2
+    scores = iter([0.5, 0.7, 0.6, 0.7])
+    monkeypatch.setattr(train_module, "evaluate_corpus",
+                        lambda model, corpus: (0.0, 0.0, next(scores)))
+    model, corpus, cfg = toy_model(epochs=4)
+    trained = dict(model.params)
+    snapshots = []
+    fit(model, corpus, corpus, cfg, on_epoch=lambda rec: snapshots.append(
+        {name: p.copy() for name, p in model.params.items()}))
+    assert len(snapshots) == 4
+    assert list(model.params) == list(trained)
+    for name, p in model.params.items():
+        assert p is not trained[name], name
+        assert p.shape == snapshots[1][name].shape, name
+        assert p.tobytes() == snapshots[1][name].tobytes(), name
+        assert not np.array_equal(trained[name], snapshots[1][name]), name
+
+
 def test_fit_on_epoch_callback():
     model, corpus, cfg = toy_model(epochs=2)
     seen = []
