@@ -172,29 +172,40 @@ def _sequence_score(emissions, trans, tags, k):
     return score + trans[tags[n - 1], k + 1]
 
 
+def _argmax(values):
+    """Index of the first maximum of a list of floats, the first NaN
+    counting as the maximum, as np.argmax picks it."""
+    best = 0
+    for i, value in enumerate(values):
+        if value > values[best] or value != value and values[best] == values[best]:
+            best = i
+    return best
+
+
 def viterbi(emissions, transitions):
     """Highest-scoring tag sequence and its score.
 
     Ties break toward the lowest tag id at each backtracking step.  The
     path takes no -inf transition, so with the grammar's forbidden
     transitions at -inf it is always grammar-valid; if every path takes
-    one, raises.
+    one, raises.  The recursion runs on Python floats, whose + rounds as
+    float64 addition does, in the order delta[i] + A[i, j], then the
+    emission plus that sum.
     """
     emissions, trans, k = _check(emissions, transitions)
-    n = emissions.shape[0]
-    delta = trans[k, :k] + emissions[0]
-    back = np.zeros((n, k), dtype=np.intp)
-    for t in range(1, n):
-        cand = delta[:, None] + trans[:k, :k]
-        back[t] = np.argmax(cand, axis=0)
-        delta = emissions[t] + cand[back[t], np.arange(k)]
-    final = delta + trans[:k, k + 1]
-    best_last = int(np.argmax(final))
-    best_score = final[best_last]
-    if best_score == -np.inf:
+    trans = trans.tolist()
+    # columns[j][i] = A[i, j], the transitions into tag j
+    columns = list(zip(*trans[:k]))[:k]
+    delta = [a + e for a, e in zip(trans[k], emissions[0].tolist())]
+    back = []
+    for row in emissions[1:].tolist():
+        cands = [[d + a for d, a in zip(delta, column)] for column in columns]
+        back.append([_argmax(cand) for cand in cands])
+        delta = [e + cand[i] for e, cand, i in zip(row, cands, back[-1])]
+    final = [d + row[k + 1] for d, row in zip(delta, trans)]
+    path = [_argmax(final)]
+    if final[path[0]] == -np.inf:
         raise ValueError("every tag sequence has a forbidden transition")
-    path = [best_last]
-    for t in range(n - 1, 0, -1):
-        path.append(int(back[t, path[-1]]))
-    path.reverse()
-    return path, float(best_score)
+    for steps in reversed(back):
+        path.append(steps[path[-1]])
+    return path[::-1], final[path[0]]

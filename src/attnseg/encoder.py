@@ -64,7 +64,7 @@ product array.  The backward pass sums the tape term of every later
 step's attention gradient per entry before multiplying by Wh^T, for the
 same bound.  A batch of B sentences takes one set of numpy calls per
 step for all of them, where one sentence at a time takes B sets.  A
-step of k > 1 sentences forms the gate block by row blocks of W,
+step of any k sentences forms the gate block by row blocks of W,
 GATE_BLOCK_ROWS (192) at a time, one stacked product per block: at
 paper dimensions W is 600 x 450 float64, 2.16 MB, more than a 2 MB
 per-core L2, so k products over all of W would each stream it from L3,
@@ -79,8 +79,11 @@ row group up to 64 starts at the same row in a block as in W.
 Blocks of one gate (150 rows) or of 37 rows rounded differently (24 of
 48 random cases each), so W is not split by gate.  Another BLAS build
 or core count may group rows otherwise; tests/test_tooling.py checks
-the blocks on the installed one.  One sentence reads W once and takes
-it whole.
+the blocks on the installed one.  The blocks run first to last on
+even steps and last to first on odd ones, so each step starts on the
+block the previous step ended on, still in L2.  In one fixed order a
+lone sentence read every block from L3 on every step and took about 6%
+longer than one product over all of W; alternating, it takes as long.
 Training keeps each step's gate rows for backward, and no window
 arrays: backward recomputes a step's window with attend(), one window
 add, one matrix-vector product per sentence, one tanh and one softmax,
@@ -101,7 +104,7 @@ import numpy as np
 from .numerics import ShapeError, sigmoid, softmax
 from .tagging import NUM_TAGS
 
-# rows of cell.w per gate product of a stacked step: 690 KB at paper
+# rows of cell.w per gate product of a step: 690 KB at paper
 # dimensions, and a multiple of 64 (module docstring, Cost)
 GATE_BLOCK_ROWS = 192
 
@@ -298,10 +301,10 @@ def tape_step(state, t):
     summary from gate_in row t-1 (with an empty window both summaries
     are zero), and writes h_t, c_t and Wh h_t into row t, and the gate
     rows into row t of kept arrays or the one scratch row.  Every array
-    keeps its batch axis, one sentence's too; only the gate product
-    takes a different call for k = 1.  The gate sigmoid saturates
-    through exp overflow, so the caller holds np.errstate(over="ignore")
-    around its loop of steps.
+    keeps its batch axis, one sentence's too, and every k takes the
+    same calls.  The gate sigmoid saturates through exp overflow, so
+    the caller holds np.errstate(over="ignore") around its loop of
+    steps.
     """
     k = state.active[t]
     hidden = state.b.shape[0] // 4
@@ -322,15 +325,14 @@ def tape_step(state, t):
     gate_in = state.gate_in[:k, t]
     gate_in[:, :hidden] = summary[:, :hidden]
     z = state.gates[:k, row]
-    # W [h~ | x_t], one matrix-vector product per sentence like Wp p
-    if k == 1:
-        np.matmul(gate_in, state.w.T, out=z)
-    else:
-        # by row blocks of W that stay in L2 across the stack (module
-        # docstring, Cost)
-        for r in range(0, z.shape[1], GATE_BLOCK_ROWS):
-            block = slice(r, r + GATE_BLOCK_ROWS)
-            np.matmul(gate_in[:, None, :], state.w[block].T, out=z[:, None, block])
+    # W [h~ | x_t], one matrix-vector product per sentence like Wp p,
+    # by row blocks of W that stay in L2 across the stack, last to first
+    # on odd steps so that each step starts on the block the previous
+    # one ended on (module docstring, Cost)
+    blocks = range(0, z.shape[1], GATE_BLOCK_ROWS)
+    for r in reversed(blocks) if t % 2 else blocks:
+        block = slice(r, r + GATE_BLOCK_ROWS)
+        np.matmul(gate_in[:, None, :], state.w[block].T, out=z[:, None, block])
     z += state.b
     gates_ifo, candidate = z[:, :3 * hidden], z[:, 3 * hidden:]
     sigmoid(gates_ifo, out=gates_ifo)

@@ -98,9 +98,6 @@ def transition_mask():
     turns a CRF transition matrix A into one that only decodes
     grammatical paths.
     """
-    size = NUM_TAGS + 2
-    mask = np.zeros((size, size), dtype=bool)
-    for i in range(size):
-        for j in range(size):
-            mask[i, j] = (i, j) in _ALLOWED
+    mask = np.zeros((NUM_TAGS + 2, NUM_TAGS + 2), dtype=bool)
+    mask[tuple(zip(*_ALLOWED))] = True
     return mask

@@ -177,6 +177,28 @@ def crf_nll_and_grads_loops(emissions, trans, gold):
     return float(loss), d_emissions, d_trans, alpha, beta
 
 
+def viterbi_numpy(emissions, trans):
+    """Reference for crf.viterbi at any length: the recursion on numpy
+    arrays, one np.argmax (first maximum, a NaN counting as the maximum)
+    per position, candidate scores delta[i] + trans[i, j], then the
+    emission plus the best of them.  Returns (path, score), the score
+    -inf when every path takes a -inf transition."""
+    n, k = emissions.shape
+    delta = trans[START, :k] + emissions[0]
+    back = np.zeros((n, k), dtype=np.intp)
+    for t in range(1, n):
+        cand = delta[:, None] + trans[:k, :k]
+        back[t] = np.argmax(cand, axis=0)
+        delta = emissions[t] + cand[back[t], np.arange(k)]
+    final = delta + trans[:k, END]
+    best_last = int(np.argmax(final))
+    path = [best_last]
+    for t in range(n - 1, 0, -1):
+        path.append(int(back[t, path[-1]]))
+    path.reverse()
+    return path, float(final[best_last])
+
+
 def lstm_step_reference(x, h_prev, c_prev, w, b):
     """Plain LSTM update, gate order (i, f, o, candidate)."""
     hidden = h_prev.shape[0]

@@ -9,7 +9,7 @@ from attnseg.numerics import grad_check
 from oracles import (
     brute_log_partition, brute_marginals, brute_viterbi,
     crf_nll_and_grads_loops, enumerate_scores, is_valid, logsumexp,
-    random_segmentation,
+    random_segmentation, viterbi_numpy,
 )
 
 K = 4
@@ -305,6 +305,30 @@ def test_viterbi_tie_breaking_on_quantized_scores():
         bpath, bscore = brute_viterbi(emissions, trans)
         assert score == bscore
         assert path == bpath
+
+
+@pytest.mark.parametrize("n", [40, 250])
+def test_viterbi_matches_numpy_recursion_past_brute_force(n):
+    # integer-quantized scores force many exact ties, and every fourth
+    # case adds real noise to check the order of additions; half the
+    # cases forbid the grammar's transitions with -inf, and a third hold
+    # a NaN emission, which np.argmax counts as the maximum
+    rng = np.random.default_rng(30 + n)
+    mask = tagging.transition_mask()
+    for case in range(60):
+        emissions = rng.integers(-2, 3, size=(n, K)).astype(np.float64)
+        trans = rng.integers(-2, 3, size=(K + 2, K + 2)).astype(np.float64)
+        if case % 4 == 3:
+            emissions += rng.normal(size=(n, K))
+        if case % 2:
+            trans = np.where(mask, trans, -np.inf)
+        if case % 3 == 0:
+            emissions[rng.integers(n), rng.integers(K)] = np.nan
+        path, score = viterbi(emissions, trans)
+        want_path, want_score = viterbi_numpy(emissions, trans)
+        assert path == want_path
+        assert np.array_equal(score, want_score, equal_nan=True)
+        assert {type(tag) for tag in path} == {int} and type(score) is float
 
 
 def test_viterbi_masked_output_is_always_grammatical():

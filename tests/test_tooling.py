@@ -7,15 +7,15 @@ workload also runs once at toy sizes (perfbench/run.py), so a change to
 a library call the benchmark makes fails here too.
 
 The attention summaries rely on numpy's einsum adding products in order,
-and the gate product of a stacked step on OpenBLAS forming each row of a
-row block as it forms it in the whole product; a numpy or BLAS release
-that changes either fails here, by name, before the tape bit-equality
-tests fail without saying why.  Training's bytes depend on the BLAS
-thread count, but the forward pass and decoding must not, and two
-processes at 1 and 2 threads check that.  scripts/codelines.py, which
-counts the package's code lines, runs once, and scripts/pins.py must
-print the committed tests/pins.txt under the builds named in its first
-line."""
+and the gate product of every step, one sentence's too, on OpenBLAS
+forming each row of a row block, in either block order, as it forms it
+in the whole product; a numpy or BLAS release that changes either fails
+here, by name, before the tape bit-equality tests fail without saying
+why.  Training's bytes depend on the BLAS thread count, but the forward
+pass and decoding must not, and two processes at 1 and 2 threads check
+that.  scripts/codelines.py, which counts the package's code lines, runs
+once, and scripts/pins.py must print the committed tests/pins.txt under
+the builds named in its first line."""
 
 import importlib.util
 import json
@@ -113,29 +113,27 @@ def test_einsum_sums_window_rows_in_tape_order(k):
 @pytest.mark.parametrize("k", [1, 2, 3, 8, 26])
 def test_gate_product_by_row_blocks_matches_each_sentence(shape, k):
     # the layout of encoder.tape_step: k strided gate inputs times cell.w
-    # into strided gate rows, all of W at once for one sentence and
-    # GATE_BLOCK_ROWS rows at a time for more; paper, bigram and toy
-    # dimensions of cell.w
+    # into strided gate rows, GATE_BLOCK_ROWS rows at a time, the blocks
+    # first to last and last to first; paper, bigram and toy dimensions
+    # of cell.w
     rng = np.random.default_rng(shape[1] + k)
     rows, cols = shape
     w = rng.uniform(-0.1, 0.1, size=shape)
     gate_in = rng.normal(size=(k, 3, cols))[:, 1]
-    z = np.zeros((k, 3, rows))[:, 1]
-    if k == 1:
-        np.matmul(gate_in, w.T, out=z)
-        product = "of one sentence"
-    else:
-        product = f"by blocks of {GATE_BLOCK_ROWS} rows"
-        for r in range(0, rows, GATE_BLOCK_ROWS):
+    blocks = range(0, rows, GATE_BLOCK_ROWS)
+    for order in (blocks, reversed(blocks)):
+        z = np.zeros((k, 3, rows))[:, 1]
+        for r in order:
             block = slice(r, r + GATE_BLOCK_ROWS)
             np.matmul(gate_in[:, None, :], w[block].T, out=z[:, None, block])
-    for s in range(k):
-        assert np.array_equal(z[s], w @ gate_in[s]), (
-            f"{blas_build()}: the gate product {product} no longer equals "
-            f"W @ x for each sentence (W {shape}, k={k}, "
-            f"sentence {s}); encoder.tape_step's steps would break the "
-            "bit-equality pin of the tapes to tests/oracles.py::lstmn_unrolled"
-        )
+        for s in range(k):
+            assert np.array_equal(z[s], w @ gate_in[s]), (
+                f"{blas_build()}: the gate product by blocks of "
+                f"{GATE_BLOCK_ROWS} rows no longer equals W @ x for each "
+                f"sentence (W {shape}, k={k}, sentence {s}); "
+                "encoder.tape_step's steps would break the bit-equality pin "
+                "of the tapes to tests/oracles.py::lstmn_unrolled"
+            )
 
 
 @pytest.mark.parametrize("workload, attempted, most_failed", [
