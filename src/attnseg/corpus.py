@@ -306,34 +306,23 @@ def load_embeddings(path, vocab, seed):
     return table
 
 
-def featurize(ids, table, window, bigram_ids=None, bigram_table=None):
-    """Per-character input vectors: a window of embeddings, centered.
-
-    Row t is the concatenation of the embeddings of the `window`
-    characters centered at t (the <PAD> row beyond sentence edges),
-    optionally followed by the bigram embedding of (c_t, c_{t+1}).
-    Returns an (n, window*dim [+ bigram_dim]) array.
+def featurize(lookups):
+    """Per-character input rows from (table, ids) pairs, ids an
+    (n, slots) array of rows of table: row t is the concatenation, in
+    list order, of the `slots` embeddings table[ids[t]] of each pair.
+    Returns an (n, sum of slots * table width) array.
     """
-    if window < 1 or window % 2 == 0:
-        raise ValueError(f"window must be odd and >= 1, got {window}")
-    if (bigram_ids is None) != (bigram_table is None):
-        raise ValueError("bigram_ids and bigram_table go together")
-    wids = window_ids(ids, window)
-    n = wids.shape[0]
-    x = table[wids].reshape(n, window * table.shape[1])
-    if bigram_ids is not None:
-        bigram_ids = np.asarray(bigram_ids, dtype=np.intp)
-        if bigram_ids.shape[0] != n:
-            raise ValueError(
-                f"{bigram_ids.shape[0]} bigram ids for {n} characters"
-            )
-        x = np.concatenate([x, bigram_table[bigram_ids]], axis=1)
-    return x
+    return np.concatenate(
+        [table[ids].reshape(len(ids), ids.shape[1] * table.shape[1])
+         for table, ids in lookups], axis=1)
 
 
 def window_ids(ids, window):
-    """(n, window) matrix of the padded character ids each row of
-    featurize() reads, used to scatter gradients back into the table."""
-    ids = np.asarray(ids, dtype=np.intp)
-    padded = np.pad(ids, window // 2)
-    return np.stack([padded[j:j + len(ids)] for j in range(window)], axis=1)
+    """(n, window) matrix of character ids: row t holds the ids of the
+    `window` characters centered at t, the <PAD> id 0 beyond
+    sentence edges."""
+    if window < 1 or window % 2 == 0:
+        raise ValueError(f"window must be odd and >= 1, got {window}")
+    padded = np.zeros(len(ids) + window - 1, dtype=np.intp)
+    padded[window // 2:window // 2 + len(ids)] = ids
+    return padded[np.arange(len(ids))[:, None] + np.arange(window)]

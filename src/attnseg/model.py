@@ -138,11 +138,11 @@ def param_shapes(config, vocab_size, bigram_vocab_size=None):
     return shapes
 
 
-def _add_rows(grad, lookups, d_rows):
+def _add_rows(grad, ids, d_rows):
     """Add one sentence's embedding gradient to the table `grad` and
     return the sorted ids of the rows it changed.
 
-    lookups[t, j] is the row that input slot j of position t read, and
+    ids[t, j] is the row that input slot j of position t read, and
     d_rows[t, j] its gradient.  The sentence's own table covers only its
     unique rows and starts at +0.0; np.add.at adds slot j = 0, 1, ... and
     within each slot the positions in order, and then the table is added
@@ -150,10 +150,10 @@ def _add_rows(grad, lookups, d_rows):
     the size of the vocabulary (np.add.at straight into `grad` would
     round differently), whose other rows would add +0.0.
     """
-    rows, slots = np.unique(lookups.ravel(), return_inverse=True)
-    slots = slots.reshape(lookups.shape)
+    rows, slots = np.unique(ids.ravel(), return_inverse=True)
+    slots = slots.reshape(ids.shape)
     table = np.zeros((len(rows), grad.shape[1]))
-    for j in range(lookups.shape[1]):
+    for j in range(ids.shape[1]):
         np.add.at(table, slots[:, j], d_rows[:, j])
     grad[rows] += table
     return rows
@@ -208,23 +208,27 @@ class Segmenter:
         return cls(config, vocab, params, bigram_vocab, lexicon)
 
     def _features(self, tokens):
-        """(featurized inputs, unigram ids, bigram ids or None)."""
+        """(featurized inputs, lookups) for one token sequence.  The
+        lookups lay out an input row: (table name, (n, slots) ids)
+        pairs in row order, a window of unigram ids and then, with
+        bigrams on, one bigram id per position."""
         ids = self.vocab.encode(tokens)
-        bigram_ids = None
+        lookups = [("emb.uni", window_ids(ids, self.config.window))]
         if self.bigram_vocab is not None:
-            bigram_ids = self.bigram_vocab.encode(sentence_bigrams(tokens))
-        x = featurize(ids, self.params["emb.uni"], self.config.window,
-                      bigram_ids, self.params.get("emb.bi"))
-        return x, ids, bigram_ids
+            bigram_ids = np.array(
+                self.bigram_vocab.encode(sentence_bigrams(tokens)), dtype=np.intp)
+            lookups.append(("emb.bi", bigram_ids[:, None]))
+        x = featurize([(self.params[name], ids) for name, ids in lookups])
+        return x, lookups
 
     def emissions(self, tokens):
         """Per-tag scores (n, 4) for one token sequence, from an encoder
         pass without a cache or dropout (memory linear in n), plus the
-        (unigram ids, bigram ids or None) it looked up."""
-        x, ids, bigram_ids = self._features(tokens)
+        lookups it read, as _features gives them."""
+        x, lookups = self._features(tokens)
         (scores,), _ = encoder.forward(self.params, self.config, [x],
                                        keep_cache=False)
-        return scores, (ids, bigram_ids)
+        return scores, lookups
 
     def loss_and_grads(self, sentences, dropout=0.0, rng=None, into=None,
                        rows=None):
@@ -252,7 +256,7 @@ class Segmenter:
         }
         features = [self._features(sent.tokens) for sent in batch]
         scores, cache = encoder.forward(
-            self.params, self.config, [x for x, _, _ in features],
+            self.params, self.config, [x for x, _ in features],
             dropout=dropout, rng=rng,
         )
         trans = self.params["crf.trans"]
@@ -263,20 +267,17 @@ class Segmenter:
             d_scores.append(d_sent)
             grads["crf.trans"] += d_trans
         _, d_inputs = encoder.backward(self.params, cache, d_scores, grads)
-        d = self.config.emb_dim
-        window = self.config.window
-        looked_up = {name: [] for name in ("emb.uni", "emb.bi")
-                     if name in self.params}
-        for (_, ids, bigram_ids), d_in in zip(features, d_inputs):
-            looked_up["emb.uni"].append(_add_rows(
-                grads["emb.uni"], window_ids(ids, window),
-                d_in[:, :window * d].reshape(len(ids), window, d),
-            ))
-            if bigram_ids is not None:
-                looked_up["emb.bi"].append(_add_rows(
-                    grads["emb.bi"], np.asarray(bigram_ids)[:, None],
-                    d_in[:, None, window * d:],
+        looked_up = {}
+        for (_, lookups), d_in in zip(features, d_inputs):
+            at = 0
+            for name, ids in lookups:
+                d = grads[name].shape[1]
+                width = ids.shape[1] * d
+                looked_up.setdefault(name, []).append(_add_rows(
+                    grads[name], ids,
+                    d_in[:, at:at + width].reshape(ids.shape + (d,)),
                 ))
+                at += width
         if rows is not None:
             for name, ids in looked_up.items():
                 rows[name] = np.unique(np.concatenate(ids))

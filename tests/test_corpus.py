@@ -314,14 +314,14 @@ def test_load_embeddings_bad_header(tmp_path):
 def test_featurize_window1_is_plain_lookup():
     rng = np.random.default_rng(8)
     table = random_embeddings(6, 4, rng)
-    x = featurize([4, 5], table, window=1)
+    x = featurize([(table, window_ids([4, 5], window=1))])
     assert np.array_equal(x, table[[4, 5]])
 
 
 def test_featurize_window3_pads_edges():
     rng = np.random.default_rng(9)
     table = random_embeddings(6, 4, rng)
-    x = featurize([5], table, window=3)
+    x = featurize([(table, window_ids([5], window=3))])
     assert x.shape == (1, 12)
     assert np.array_equal(x[0], np.concatenate([table[0], table[5], table[0]]))
 
@@ -330,26 +330,32 @@ def test_featurize_bigram_channel_shape():
     rng = np.random.default_rng(10)
     table = random_embeddings(6, 4, rng)
     btable = random_embeddings(9, 5, rng)
-    x = featurize([4, 5], table, window=3, bigram_ids=[7, 8], bigram_table=btable)
+    x = featurize([(table, window_ids([4, 5], window=3)),
+                   (btable, np.array([[7], [8]]))])
     assert x.shape == (2, 3 * 4 + 5)
     assert np.array_equal(x[0, 12:], btable[7])
 
 
 def test_featurize_rejects_even_window():
-    table = np.zeros((5, 2))
     with pytest.raises(ValueError):
-        featurize([4], table, window=2)
+        window_ids([4], window=2)
 
 
 def test_window_ids_matches_featurize_reads():
+    # every window of every length, the empty sentence included
     rng = np.random.default_rng(11)
     table = random_embeddings(8, 3, rng)
-    ids = [4, 6, 7]
-    x = featurize(ids, table, window=3)
-    w = window_ids(ids, window=3)
-    for t in range(3):
-        manual = np.concatenate([table[w[t, j]] for j in range(3)])
-        assert np.array_equal(x[t], manual)
+    for window in (1, 3, 5):
+        for n in range(21):
+            ids = list(rng.integers(4, 8, size=n))
+            w = window_ids(ids, window=window)
+            x = featurize([(table, w)])
+            assert w.shape == (n, window) and x.shape == (n, window * 3)
+            padded = [0] * (window // 2) + ids + [0] * (window // 2)
+            for t in range(n):
+                assert list(w[t]) == padded[t:t + window]
+                manual = np.concatenate([table[w[t, j]] for j in range(window)])
+                assert np.array_equal(x[t], manual)
 
 
 def test_sentence_bigrams_last_pairs_with_pad():

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import re
@@ -470,6 +471,19 @@ def test_one_batch_updates_only_the_looked_up_embedding_rows(monkeypatch):
 def test_model_gradient_check_small():
     from attnseg.cli import gradcheck_fixture
     model, sent = gradcheck_fixture(1)
+    assert model_gradient_check(model, sent) < 1e-3
+
+
+def test_model_gradient_check_window3_bigrams():
+    # the fixture runs window 1 without bigrams; here d_inputs splits
+    # into three window slots of emb.uni and one slot of emb.bi
+    from attnseg.cli import gradcheck_fixture
+    model, sent = gradcheck_fixture(1)
+    cfg = dataclasses.replace(model.config, window=3, bigrams=True)
+    model = Segmenter.build([sent], cfg)
+    rng = np.random.default_rng(1)
+    for name, p in model.params.items():
+        model.params[name] = rng.normal(0.0, 0.5, size=p.shape)
     assert model_gradient_check(model, sent) < 1e-3
 
 
