@@ -14,8 +14,8 @@ import numpy as np
 
 from . import tagging
 from .corpus import (
-    Sentence, load_corpus, load_embeddings, load_lexicon, read_lines,
-    read_sentences, split_train_dev, Vocab,
+    Sentence, load_corpus, load_lexicon, read_lines, read_sentences,
+    split_train_dev,
 )
 from .evaluate import score_segmentations
 from .model import Segmenter, TrainConfig
@@ -96,12 +96,8 @@ def _run_train(args):
             f"{len(train_corpus) + len(dev_corpus)} sentences "
             f"({100.0 - held:.0f}/{held:.0f} split)"
         )
-    embeddings = None
-    if args.embeddings:
-        vocab = Vocab.build(sent.tokens for sent in train_corpus)
-        embeddings = load_embeddings(args.embeddings, vocab, config.seed)
     model = Segmenter.build(
-        train_corpus, config, embeddings=embeddings, lexicon=lexicon
+        train_corpus, config, embeddings=args.embeddings, lexicon=lexicon
     )
     _log(
         f"training: {len(train_corpus)} sentences, vocab {len(model.vocab)}, "

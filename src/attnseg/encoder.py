@@ -38,7 +38,10 @@ weights, the model's own arrays params["enc{layer}.{direction}." +
 name], so attend(), tape_step and backward need only the state, and
 the batch's arrays by sentence and row: the tapes side by side as
 [h_t | c_t], Wh h_t, the gate input [h~_t | x_t] and, when kept for
-backward, the gate activations, tanh c_t and [h~_t | c~_t].  No step
+backward, the gate activations, tanh c_t and [h~_t | c~_t].  The
+ForwardCache of a kept forward holds the states and, likewise, the
+model's own out.wf and out.wb arrays, so backward() reads the cache
+alone and adds into the gradient dict its caller passes.  No step
 keeps its window: attend() forms a step's tanh activations (k, w, a)
 and attention weights (k, w) from Wh h_i, Wx x_t and the previous
 summary, and backward calls it again on the same slices, with the same
@@ -347,15 +350,16 @@ def tape_step(state, t):
     np.matmul(h_t[:, None, :], state.wh.T, out=state.tape_wh[:k, t, None, :])
 
 
-def _direction_backward(state, d_hidden_out, positions, grads):
-    """Gradients of one direction over a batch, given d loss / d h_t for
-    every sentence and t, (B, n, h) by position like the state.
+def _direction_backward(state, d_rows, order, positions, grads):
+    """Gradients of one direction over a batch, given d loss / d h_t of
+    every sentence: d_rows lists, in batch order, (n_i, h) arrays in
+    input order, and `order` is the direction's read order.
 
     Runs the steps in lock-step in reverse time.  Each sentence's
     parameter gradients are then formed and added to
     grads[state.prefix + name], sentence by sentence in batch order:
-    positions[s] is the position of batch sentence s.  Returns each
-    position's input gradient.
+    positions[s] is the position of batch sentence s.  Returns the input
+    gradients in batch order, each in input order.
 
     The tape term of the attention pre-activation is accumulated per
     tape entry, D[i] = sum over later steps t of d pre[t, i], and is
@@ -383,7 +387,8 @@ def _direction_backward(state, d_hidden_out, positions, grads):
     k_rows[:, :, 3 * hidden:] = 1.0 - candidate ** 2
     d_tanh_c = 1.0 - state.tanh_c ** 2
     d_tape = np.zeros((batch, n, 2 * hidden))
-    d_tape[:, :, :hidden] = d_hidden_out
+    for p, d in zip(positions, d_rows):
+        d_tape[p, :state.lengths[p], :hidden] = d[order]
     d_tape_wh = np.zeros((batch, n, attn_dim))
     d_z = np.zeros((batch, n, 4 * hidden))
     d_pre_sums = np.zeros((batch, n, attn_dim))
@@ -431,14 +436,14 @@ def _direction_backward(state, d_hidden_out, positions, grads):
         # constant zero vectors
         np.matmul(wp_t, d_pre_sums[:k, t, :, None], out=d_summary[:k, :, None])
     w_input = state.w[:, hidden:]
-    d_inputs = [None] * batch
+    d_inputs = []
     for p in positions:
         m = state.lengths[p]
         gate_in = state.gate_in[p, :m]
         d_z_p, d_pre_p = d_z[p, :m], d_pre_sums[p, :m]
         prev_summaries = np.zeros((m, hidden))
         prev_summaries[1:] = gate_in[:-1, :hidden]
-        d_inputs[p] = d_z_p @ w_input + d_pre_p @ state.wx
+        d_inputs.append((d_z_p @ w_input + d_pre_p @ state.wx)[order])
         # added as formed: one sentence's dense gradient at a time
         grads[state.prefix + "attn.wh"] += d_tape_wh[p, :m].T @ tape_h[p, :m]
         grads[state.prefix + "attn.wx"] += d_pre_p.T @ gate_in[:, hidden:]
@@ -455,15 +460,19 @@ DIRECTIONS = (("fwd", slice(None)), ("bwd", slice(None, None, -1)))
 
 @dataclass
 class ForwardCache:
-    """Everything backward() needs from a forward pass over a batch.
+    """A forward pass over a batch, all that backward() reads: the
+    weights it ran with and the rows it kept.
 
     Lists run in batch order, and pairs in DIRECTIONS order (forward,
-    backward).  `layers` holds a pair of DirectionStates per layer, and
-    positions[s] is the position of batch sentence s in their length
-    order.  `top_h` is the pair of lists of the top layer's hidden rows
-    (n_i, h) in input order, dropout applied, that fed the output
-    projection.  input_masks is None without dropout, and so is
-    out_masks, otherwise a pair of lists of the masks on top_h.
+    backward).  `layers` holds a pair of DirectionStates per layer, each
+    with its own weights, and positions[s] is the position of batch
+    sentence s in their length order.  `top_h` is the pair of lists of
+    the top layer's hidden rows (n_i, h) in input order, dropout
+    applied, that fed the output projection, and `out_w` the pair of
+    its weights, the model's own params["out.wf"] and params["out.wb"].
+    `inputs` are the featurized inputs.  input_masks is None without
+    dropout, and so is out_masks, otherwise a pair of lists of the
+    masks on top_h.
     """
 
     inputs: list
@@ -472,6 +481,7 @@ class ForwardCache:
     positions: list
     out_masks: tuple
     top_h: tuple
+    out_w: tuple
 
 
 def _check_shapes(params, config, batch):
@@ -573,34 +583,28 @@ def forward(params, config, inputs, dropout=0.0, rng=None, keep_cache=True):
         cache = ForwardCache(
             inputs=batch, input_masks=input_masks, layers=layers,
             positions=positions, out_masks=out_masks, top_h=tuple(top_h),
+            out_w=(wf, wb),
         )
     return emissions, cache
 
 
-def backward(params, cache, d_emissions, grads=None):
+def backward(cache, d_emissions, grads):
     """Gradients of a scalar loss through the cached forward pass.
 
     `cache` is the ForwardCache forward() returned, and d_emissions a
-    list of (n_i, num_tags) arrays in its batch order.  Returns (grads,
-    d_inputs).  grads maps every encoder parameter name to its gradient
-    summed over the batch, sentence by sentence in batch order; when
-    `grads` is given, the sums are added to its arrays in place.  Each
-    direction's weights are the ones its DirectionState in the cache
-    holds; `params` gives only the out.* weights and, for grads=None,
-    the gradients' names and shapes.  d_inputs lists, in batch order,
-    the gradients with respect to the original featurized inputs (for
-    the embedding tables).
+    list of (n_i, num_tags) arrays in its batch order.  The gradient of
+    every encoder parameter, summed over the batch sentence by sentence
+    in batch order, is added in place to its array in `grads`, a dict
+    keyed by parameter name.  All weights come from the cache.  Returns
+    d_inputs, the gradients with respect to the original featurized
+    inputs (for the embedding tables), in batch order.
     """
     if cache is None:
         raise ValueError("backward called without a cached forward pass")
     if len(d_emissions) != len(cache.inputs):
         raise ValueError(f"{len(d_emissions)} emission gradients for a batch "
                          f"of {len(cache.inputs)}")
-    if grads is None:
-        grads = {name: np.zeros(p.shape) for name, p in params.items()
-                 if name.startswith(("enc", "out."))}
-    h = params["out.wf"].shape[1]
-    lengths = [x.shape[0] for x in cache.inputs]
+    h = cache.out_w[0].shape[1]
 
     # d loss / d top_h, per direction and sentence
     d_top = ([], [])
@@ -609,24 +613,19 @@ def backward(params, cache, d_emissions, grads=None):
         grads["out.b"] += d_e.sum(axis=0)
         for i, name in enumerate(("out.wf", "out.wb")):
             grads[name] += d_e.T @ cache.top_h[i][s]
-            d = d_e @ params[name]
+            d = d_e @ cache.out_w[i]
             if cache.out_masks is not None:
                 d = d * cache.out_masks[i][s]
             d_top[i].append(d)
 
     for states in reversed(cache.layers):
-        d_in = []
-        for (_, order), state, d_rows in zip(DIRECTIONS, states, d_top):
-            d_out = np.zeros(state.tape.shape[:2] + (h,))
-            for p, m, d in zip(cache.positions, lengths, d_rows):
-                d_out[p, :m] = d[order]
-            d_in.append([d[order] for d in _direction_backward(
-                state, d_out, cache.positions, grads)])
-        d_layer_in = [d_in[0][p] + d_in[1][p] for p in cache.positions]
+        d_fwd, d_bwd = (
+            _direction_backward(state, d_rows, order, cache.positions, grads)
+            for (_, order), state, d_rows in zip(DIRECTIONS, states, d_top))
+        d_layer_in = [f + b for f, b in zip(d_fwd, d_bwd)]
         # the layer below's (forward, backward) halves, as views
         d_top = ([d[:, :h] for d in d_layer_in], [d[:, h:] for d in d_layer_in])
 
-    d_inputs = d_layer_in
     if cache.input_masks is not None:
-        d_inputs = [d * m for d, m in zip(d_inputs, cache.input_masks)]
-    return grads, d_inputs
+        return [d * m for d, m in zip(d_layer_in, cache.input_masks)]
+    return d_layer_in

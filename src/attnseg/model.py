@@ -21,8 +21,8 @@ import numpy as np
 
 from . import crf, encoder, tagging
 from .corpus import (
-    Vocab, build_bigram_vocab, featurize, preprocess, random_embeddings,
-    sentence_bigrams, window_ids,
+    Vocab, build_bigram_vocab, featurize, load_embeddings, preprocess,
+    random_embeddings, sentence_bigrams, window_ids,
 )
 from .tagging import NUM_TAGS, decode_tags
 
@@ -189,13 +189,17 @@ class Segmenter:
         All random draws come from one generator seeded with config.seed,
         in a fixed order (embeddings, bigram embeddings, encoder), so a
         (corpus, config) pair always yields identical initial parameters.
+        `embeddings`, the path of a pretrained vector file, gives the
+        character table in place of the first draw: load_embeddings
+        reads it over this vocabulary, under config.seed for the tokens
+        it lacks, and its width must be config.emb_dim.
         """
         vocab = Vocab.build(sent.tokens for sent in train_corpus)
         rng = np.random.default_rng(config.seed)
         if embeddings is None:
             emb = random_embeddings(len(vocab), config.emb_dim, rng)
         else:
-            emb = np.array(embeddings, dtype=np.float64)
+            emb = load_embeddings(embeddings, vocab, config.seed)
         params = {"emb.uni": emb}
         bigram_vocab = None
         if config.bigrams:
@@ -266,7 +270,7 @@ class Segmenter:
             losses.append(loss)
             d_scores.append(d_sent)
             grads["crf.trans"] += d_trans
-        _, d_inputs = encoder.backward(self.params, cache, d_scores, grads)
+        d_inputs = encoder.backward(cache, d_scores, grads)
         looked_up = {}
         for (_, lookups), d_in in zip(features, d_inputs):
             at = 0

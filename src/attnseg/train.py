@@ -72,18 +72,18 @@ ADAGRAD_CHUNK = 2 ** 15
 IO_CHUNK = 2 ** 16
 
 
-def adagrad_update(param, grad, accum, lr, eps, scratch=None):
+def adagrad_update(param, grad, accum, lr, eps, scratch):
     """One AdaGrad step, in place: G += g*g; p -= lr*g/(sqrt(G)+eps).
 
     The parameter is walked in flat chunks of len(scratch) // 2 values
     (the last one may be short), and each chunk's intermediates g*g,
     sqrt(G)+eps and lr*g go to `scratch`, a flat float64 array of at
-    least 2 entries; with None, one of 2 * min(param.size, ADAGRAD_CHUNK)
-    is allocated.  So the temporaries stay bounded by the scratch
-    whatever the parameter's size, a training loop can reuse one
-    scratch for every parameter, and each element sees the formula's
-    operations in the formula's order.  `grad` is not changed; param,
-    grad and accum must be C-contiguous and of one shape.
+    least 2 entries; train_epoch passes one of 2 * ADAGRAD_CHUNK.  So
+    the step allocates nothing that grows with the parameter, a
+    training loop reuses one scratch for every parameter, and each
+    element sees the formula's operations in the formula's order.
+    `grad` is not changed; param, grad and accum must be C-contiguous
+    and of one shape.
     """
     if not (param.shape == grad.shape == accum.shape):
         raise ShapeError(
@@ -93,8 +93,6 @@ def adagrad_update(param, grad, accum, lr, eps, scratch=None):
     if not (param.flags.c_contiguous and grad.flags.c_contiguous
             and accum.flags.c_contiguous):
         raise ValueError("param, grad and accumulator must be C-contiguous")
-    if scratch is None:
-        scratch = np.empty(2 * max(1, min(param.size, ADAGRAD_CHUNK)))
     chunk = len(scratch) // 2
     flat_p, flat_g, flat_a = param.reshape(-1), grad.reshape(-1), accum.reshape(-1)
     for start in range(0, param.size, chunk):
@@ -158,7 +156,7 @@ def _clip(grads, rows, max_norm):
         _scale(grads, rows, max_norm / norm)
 
 
-def train_epoch(model, corpus, config, rng, accum=None):
+def train_epoch(model, corpus, config, rng, accum):
     """One pass over the corpus; returns the mean training NLL.
 
     The epoch computes only what training needs: per batch one
@@ -168,9 +166,9 @@ def train_epoch(model, corpus, config, rng, accum=None):
     tag_accuracy for the training-set accuracy.
 
     `accum` maps each parameter name to its AdaGrad sum of squared
-    gradients, an array of the parameter's shape, and is updated in
-    place: fit passes one dict to every epoch.  With None the epoch
-    starts from zeros.
+    gradients, an array of the parameter's shape (zeros before the first
+    epoch), and is updated in place: fit passes one dict to every
+    epoch.
 
     Per batch the embedding tables see work only on the rows the batch
     looked up: the 1/B scaling, the AdaGrad step (on those rows, gathered
@@ -188,8 +186,6 @@ def train_epoch(model, corpus, config, rng, accum=None):
     n = len(corpus)
     if n == 0:
         raise ValueError("cannot train on an empty corpus")
-    if accum is None:
-        accum = {name: np.zeros_like(p) for name, p in model.params.items()}
     order = rng.permutation(n)
     total_nll = 0.0
     # reused by every batch: the gradient sums, zero outside the rows

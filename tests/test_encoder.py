@@ -44,6 +44,14 @@ def small_config(**kw):
     return TrainConfig(**args)
 
 
+def backward_grads(params, cache, d_emissions):
+    """(grads, d_inputs) of encoder.backward, its gradients added into
+    fresh zeros for every encoder parameter of `params`."""
+    grads = {name: np.zeros_like(p) for name, p in params.items()
+             if name.startswith(("enc", "out."))}
+    return grads, backward(cache, d_emissions, grads)
+
+
 def step_after(x, hs, cs, summary, weights):
     """tape_step at t = len(hs) over the tape entries (hs, cs), with
     `summary` as the previous step's h~ and the step's rows kept, for
@@ -331,7 +339,7 @@ def test_encoder_shapes_follow_train_config(window, bigrams, extra_layers,
     assert cfg.input_dim == x.shape[1] == seg.params["enc0.fwd.attn.wx"].shape[1]
     (out,), cache = forward(seg.params, cfg, [x])
     assert out.shape == (len(tokens), 4)
-    grads, (d_x,) = backward(seg.params, cache, [np.ones(out.shape)])
+    grads, (d_x,) = backward_grads(seg.params, cache, [np.ones(out.shape)])
     assert {name: g.shape for name, g in grads.items()} == shapes
     assert d_x.shape == x.shape
 
@@ -515,7 +523,7 @@ def test_backward_requires_cache():
     cfg = small_config()
     params = init_params(cfg, rng)
     with pytest.raises(ValueError):
-        backward(params, None, [np.zeros((2, 4))])
+        backward(None, [np.zeros((2, 4))], {})
 
 
 def test_backward_zero_upstream_gives_zero_grads():
@@ -524,7 +532,7 @@ def test_backward_zero_upstream_gives_zero_grads():
     params = init_params(cfg, rng)
     x = rng.normal(size=(3, DIM))
     _, cache = forward(params, cfg, [x])
-    grads, (d_x,) = backward(params, cache, [np.zeros((3, 4))])
+    grads, (d_x,) = backward_grads(params, cache, [np.zeros((3, 4))])
     for g in grads.values():
         assert np.max(np.abs(g)) == 0.0
     assert np.max(np.abs(d_x)) == 0.0
@@ -562,7 +570,7 @@ def encoder_gradcheck(extra_layers=0, memory_span=None, dropout=0.0, seed=58):
 
     drop_rng = np.random.default_rng(mask_rng_seed) if dropout else None
     _, cache = forward(params, cfg, [x], dropout=dropout, rng=drop_rng)
-    grads, (d_x,) = backward(params, cache, [weight])
+    grads, (d_x,) = backward_grads(params, cache, [weight])
     point = np.concatenate([params[k].ravel() for k in names] + [x.ravel()])
     analytic = np.concatenate([grads[k].ravel() for k in names] + [d_x.ravel()])
     return grad_check(f, analytic, point)
@@ -574,6 +582,7 @@ def test_backward_matches_finite_differences():
 
 def test_backward_matches_finite_differences_stacked():
     assert encoder_gradcheck(extra_layers=1, seed=59) < 1e-3
+    assert encoder_gradcheck(extra_layers=2, seed=81) < 1e-3
 
 
 def test_backward_matches_finite_differences_memory_span():
@@ -606,7 +615,7 @@ def test_backward_matches_pairwise_oracle(extra_layers, memory_span, dropout,
         drop_rng = np.random.default_rng(7) if dropout else None
         _, cache = forward(params, cfg, [x], dropout=dropout, rng=drop_rng)
         d_emissions = rng.normal(size=(n, 4))
-        grads, (d_x,) = backward(params, cache, [d_emissions])
+        grads, (d_x,) = backward_grads(params, cache, [d_emissions])
         want, want_d_x = lstmn_backward_unrolled(
             params, 1 + cfg.extra_layers, cache, d_emissions
         )
@@ -630,6 +639,8 @@ BATCH_CASES = [
     pytest.param({}, span, layers, dropout, id=f"toy-{span}-{layers}-{dropout}")
     for span in (None, 1, 2) for layers in (0, 1) for dropout in (0.0, 0.3)
 ] + [
+    pytest.param({}, 2, 2, 0.3, id="toy-2-2-0.3"),
+
     pytest.param(PAPER_DIMS, None, 0, 0.0, id="paper-None-0-0.0"),
     pytest.param(PAPER_DIMS, 2, 1, 0.3, id="paper-2-1-0.3"),
 ]
@@ -684,12 +695,12 @@ def test_batched_backward_matches_batch_of_one(dims, memory_span, extra_layers,
     d_emissions = [rng.normal(size=(n, 4)) for n in lengths]
     _, cache = forward(params, cfg, xs, dropout=dropout,
                        rng=np.random.default_rng(4))
-    grads, d_inputs = backward(params, cache, d_emissions)
+    grads, d_inputs = backward_grads(params, cache, d_emissions)
     one_rng = np.random.default_rng(4)
     sums = {k: np.zeros_like(p) for k, p in params.items()}
     for s, x in enumerate(xs):
         _, one_cache = forward(params, cfg, [x], dropout=dropout, rng=one_rng)
-        one_grads, (one_d_x,) = backward(params, one_cache, [d_emissions[s]])
+        one_grads, (one_d_x,) = backward_grads(params, one_cache, [d_emissions[s]])
         assert np.array_equal(d_inputs[s], one_d_x)
         for k in sums:
             sums[k] += one_grads[k]
@@ -721,7 +732,7 @@ def test_backward_recomputes_the_forward_attention(monkeypatch, dims, memory_spa
     # every step but the first has a window, in each direction and layer
     assert len(calls) == 2 * (1 + cfg.extra_layers) * (max(lengths) - 1)
     assert all(len(pairs) == 1 for pairs in calls.values())
-    backward(params, cache, d_emissions)
+    backward_grads(params, cache, d_emissions)
     for key, pairs in calls.items():
         assert len(pairs) == 2, key
         (fwd_pre, fwd_weights), (bwd_pre, bwd_weights) = pairs
@@ -744,7 +755,7 @@ def test_training_memory_grows_linearly_with_length():
         tracemalloc.start()
         try:
             _, cache = forward(params, cfg, [x[:n]])
-            backward(params, cache, [d_emissions[:n]])
+            backward_grads(params, cache, [d_emissions[:n]])
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -799,16 +810,15 @@ def test_backward_adds_into_given_grads():
     cfg, params, xs = batch_case({}, None, 0, [3, 2], 71)
     _, cache = forward(params, cfg, xs)
     d_emissions = [np.ones((3, 4)), np.ones((2, 4))]
-    fresh, _ = backward(params, cache, d_emissions)
+    fresh, _ = backward_grads(params, cache, d_emissions)
     into = {k: np.zeros_like(p) for k, p in params.items()}
-    got, _ = backward(params, cache, d_emissions, into)
-    assert got is into
+    backward(cache, d_emissions, into)
     for k in fresh:
-        assert np.array_equal(got[k], fresh[k])
+        assert np.array_equal(into[k], fresh[k])
     # one sentence's gradient lands on what the dict already holds
     _, one_cache = forward(params, cfg, [xs[0]])
-    one, _ = backward(params, one_cache, [d_emissions[0]])
-    backward(params, one_cache, [d_emissions[0]], into)
+    one, _ = backward_grads(params, one_cache, [d_emissions[0]])
+    backward(one_cache, [d_emissions[0]], into)
     for k in fresh:
         assert np.array_equal(into[k], fresh[k] + one[k])
 
@@ -817,7 +827,7 @@ def test_backward_needs_one_gradient_per_sentence():
     cfg, params, xs = batch_case({}, None, 0, [3, 2], 72)
     _, cache = forward(params, cfg, xs)
     with pytest.raises(ValueError):
-        backward(params, cache, [np.zeros((3, 4))])
+        backward(cache, [np.zeros((3, 4))], {})
 
 
 def test_batch_state_rejects_unsorted_lengths():
@@ -837,6 +847,9 @@ def test_direction_state_holds_its_weights():
     xs = [rng.normal(size=(n, DIM)) for n in (5, 3, 6)]
     _, cache = forward(params, cfg, xs)
     assert len(cache.layers) == 2
+    # the cache holds the output layer's too, so backward() needs it alone
+    for got, name in zip(cache.out_w, ("out.wf", "out.wb"), strict=True):
+        assert got is params[name]
     for layer, states in enumerate(cache.layers):
         for direction, state in zip(("fwd", "bwd"), states, strict=True):
             assert state.prefix == f"enc{layer}.{direction}."
