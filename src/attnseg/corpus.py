@@ -310,11 +310,13 @@ def featurize(lookups):
     """Per-character input rows from (table, ids) pairs, ids an
     (n, slots) array of rows of table: row t is the concatenation, in
     list order, of the `slots` embeddings table[ids[t]] of each pair.
-    Returns an (n, sum of slots * table width) array.
+    Returns an (n, sum of slots * table width) float64 array, whatever
+    the tables' float type (a loaded model's are float32; widening is
+    exact).
     """
     return np.concatenate(
         [table[ids].reshape(len(ids), ids.shape[1] * table.shape[1])
-         for table, ids in lookups], axis=1)
+         for table, ids in lookups], axis=1, dtype=np.float64)
 
 
 def window_ids(ids, window):

@@ -1,7 +1,11 @@
 """Model assembly: hyperparameters, the parameter dict, and a segmenter
 facade tying embeddings, encoder and CRF together.
 
-Parameters live in one ordered dict mapping name -> float64 ndarray:
+Parameters live in one ordered dict mapping name -> ndarray, all
+float64, except that a loaded model (train.load_model) keeps its
+embedding tables in float32, the type params.bin stores; featurize
+widens the rows it looks up, exactly, so the encoder always reads
+float64:
 
     emb.uni                      character embedding table
     emb.bi                       bigram table (only with bigrams on)
@@ -251,12 +255,14 @@ class Segmenter:
         to its arrays in place and it is returned.  With `rows` (a dict)
         the call sets rows["emb.uni"], and rows["emb.bi"] with bigrams
         on, to the sorted ids of the rows the batch looked up: the only
-        rows of those tables whose gradient it changed.
+        rows of those tables whose gradient it changed.  Without `into`
+        every gradient is float64, a loaded model's float32 tables
+        included.
         """
         single = not isinstance(sentences, (list, tuple))
         batch = [sentences] if single else sentences
         grads = into if into is not None else {
-            name: np.zeros_like(p) for name, p in self.params.items()
+            name: np.zeros(p.shape) for name, p in self.params.items()
         }
         features = [self._features(sent.tokens) for sent in batch]
         scores, cache = encoder.forward(

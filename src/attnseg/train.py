@@ -30,12 +30,18 @@ Saved models are directories, format attnseg-model/2:
 
 params.bin is written and read in chunks, through one float32 scratch
 of IO_CHUNK values: saving holds no copy of the parameters, and loading
-holds them once, as float64 views into one block.
+holds them once, as views into one block.
 
 Weights are stored in 32-bit but all arithmetic runs in 64-bit, so a
 round-trip costs one quantization, not a behavioural change (decodes are
 identical in practice because score gaps dwarf float32 resolution... and
-the round-trip test enforces it).
+the round-trip test enforces it).  A loaded model keeps its embedding
+tables (emb.*) in float32, as stored, and every other tensor in float64;
+featurize widens the rows it looks up, exactly, so a loaded model's
+outputs are those of the same model with its tables widened.  Training
+needs float64 throughout: widen a loaded model's tables first with
+`params[name] = params[name].astype(np.float64)` (exact), or
+train_epoch refuses it.
 """
 
 import hashlib
@@ -182,7 +188,17 @@ def train_epoch(model, corpus, config, rng, accum):
     sums and losses add up sentence by sentence in shuffled order, as a
     loop over single sentences would.  Training NLL is unmasked;
     decoding stays masked.
+
+    Every parameter must be float64: a ValueError names the first that
+    is not (a loaded model's float32 tables, until widened) before any
+    work is done.
     """
+    for name, p in model.params.items():
+        if p.dtype != np.float64:
+            raise ValueError(
+                f"parameter {name} is {p.dtype}, not float64: widen a loaded "
+                f"model's tables with astype(np.float64) before training"
+            )
     n = len(corpus)
     if n == 0:
         raise ValueError("cannot train on an empty corpus")
@@ -326,22 +342,26 @@ def _check_digest(path, digest, want, manifest_path):
 
 
 def _read_params(path, shapes, want, manifest_path):
-    """The tensors of params.bin at `path`, name -> float64 array of
-    shapes[name] (shapes in file order), streamed through one float32
-    scratch of IO_CHUNK values.
+    """The tensors of params.bin at `path`, name -> array of shapes[name]
+    (shapes in file order): every embedding table (emb.*) as float32, the
+    type the file stores, and every other tensor as float64.
 
     The whole file is hashed whatever its size; then it must match the
     sha256 `want` that manifest_path gives, hold exactly 4 bytes per
     value and hold only finite values, checked in that order.  The
     tensors are filled only when fstat gives that size.  They are views
-    into one float64 block, each starting on a 64-byte boundary: one
-    block lets a repeated load reuse the heap pages the previous model
-    freed, where an array per tensor faulted in fresh pages on every
-    other load.
+    into one block, each starting on a 64-byte boundary: one block lets
+    a repeated load reuse the heap pages the previous model freed, where
+    an array per tensor faulted in fresh pages on every other load.  A
+    table's chunks are read straight into its own bytes; every other
+    tensor is widened chunk by chunk from one float32 scratch of
+    IO_CHUNK values.
     """
     counts = [math.prod(shape) for shape in shapes.values()]
     size = 4 * sum(counts)
     scratch = np.empty(IO_CHUNK, dtype="<f4")
+    types = [scratch.dtype if name.startswith("emb.") else np.dtype(np.float64)
+             for name in shapes]
     raw = scratch.view(np.uint8)
     digest = hashlib.sha256()
     got = 0
@@ -349,21 +369,26 @@ def _read_params(path, shapes, want, manifest_path):
     with open(path, "rb") as fh:
         if os.fstat(fh.fileno()).st_size == size:
             params = {}
-            # tensor lengths rounded up to 8 float64 values, 64 bytes
-            starts = np.cumsum([0] + [-(-n // 8) * 8 for n in counts])
-            block = np.empty(int(starts[-1]) + 7)
-            block = block[(-block.ctypes.data % 64) // 8:]
-            for (name, shape), count, start in zip(shapes.items(), counts,
-                                                   starts):
-                dest = block[start:start + count]
+            # tensor sizes in bytes, rounded up to 64
+            starts = np.cumsum([0] + [-(-count * t.itemsize // 64) * 64
+                                      for count, t in zip(counts, types)])
+            block = np.empty(int(starts[-1]) + 63, dtype=np.uint8)
+            block = block[-block.ctypes.data % 64:]
+            for (name, shape), count, t, start in zip(shapes.items(), counts,
+                                                      types, starts):
+                dest = block[start:start + count * t.itemsize].view(t)
+                direct = t == scratch.dtype
                 for at in range(0, count, IO_CHUNK):
                     n = min(IO_CHUNK, count - at)
-                    nbytes = fh.readinto(raw[:4 * n])
-                    digest.update(raw[:nbytes])
+                    values = dest[at:at + n] if direct else scratch[:n]
+                    into = values.view(np.uint8)
+                    nbytes = fh.readinto(into)
+                    digest.update(into[:nbytes])
                     got += nbytes
-                    if nonfinite is None and not np.isfinite(scratch[:n]).all():
+                    if nonfinite is None and not np.isfinite(values).all():
                         nonfinite = name
-                    np.copyto(dest[at:at + n], scratch[:n])
+                    if not direct:
+                        np.copyto(dest[at:at + n], values)
                 params[name] = dest.reshape(shape)
         while nbytes := fh.readinto(raw):
             digest.update(raw[:nbytes])
@@ -391,9 +416,13 @@ def load_model(directory):
 
     params.bin is streamed through a fixed scratch and hashed to its
     end before any of its checks fails, so a corrupted file reports its
-    checksum first.  The loaded tensors are float64, C-contiguous,
-    writable views into one block that share no memory with one another
-    (see _read_params).
+    checksum first.  The loaded tensors are C-contiguous, writable views
+    into one block that share no memory with one another (see
+    _read_params): the embedding tables (emb.*) are float32, as stored,
+    and every other tensor is float64.  Outputs are those of the model
+    with its tables widened, since featurize widens the rows it reads
+    and float32 to float64 is exact; to train the model, widen its
+    tables first with astype(np.float64), or train_epoch refuses it.
     """
     manifest_path = os.path.join(directory, "manifest.json")
     with open(manifest_path, "rb") as fh:

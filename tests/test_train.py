@@ -653,16 +653,24 @@ def test_save_model_memory_is_bounded(tmp_path):
 
 
 def test_load_model_memory_is_bounded(tmp_path):
-    # loading holds the parameters once, plus a fixed scratch
+    # loading holds the parameters once, plus a fixed scratch; the arrays
+    # it keeps hold 4 bytes per table value and 8 per other value, plus a
+    # small slack for each tensor's 64-byte alignment (the vocabularies'
+    # Python objects are not arrays and are not counted)
     model = wide_io_model()
     save_model(model, tmp_path / "m")
     tracemalloc.start()
     try:
         loaded = load_model(tmp_path / "m")
         retained, peak = tracemalloc.get_traced_memory()
+        arrays = tracemalloc.take_snapshot().filter_traces(
+            [tracemalloc.DomainFilter(True, np.lib.tracemalloc_domain)])
     finally:
         tracemalloc.stop()
     assert peak - retained < MODEL_IO_BOUND
+    values = sum((4 if name.startswith("emb.") else 8) * p.size
+                 for name, p in model.params.items())
+    assert sum(t.size for t in arrays.traces) <= values + 4096
     for name, p in model.params.items():
         assert np.array_equal(loaded.params[name],
                               p.astype("<f4").astype(np.float64)), name
@@ -724,11 +732,18 @@ def test_loaded_views_train_like_copies(tmp_path):
     save_model(model, tmp_path / "m")
     loaded = load_model(tmp_path / "m")
     tensors = list(loaded.params.values())
-    for i, p in enumerate(tensors):
-        assert p.dtype == np.float64
+    for i, (name, p) in enumerate(loaded.params.items()):
+        assert p.dtype == (np.float32 if name.startswith("emb.") else np.float64)
         assert p.flags.c_contiguous and p.flags.writeable
         assert p.ctypes.data % 64 == 0
         assert not any(np.shares_memory(p, q) for q in tensors[:i])
+    # the float32 tables are refused for training, before any work
+    rng = np.random.default_rng(7)
+    with pytest.raises(ValueError, match="parameter emb.uni is float32"):
+        train_epoch(loaded, corpus, cfg, rng, zero_accum(loaded))
+    assert rng.integers(2 ** 62) == np.random.default_rng(7).integers(2 ** 62)
+    for name in ("emb.uni", "emb.bi"):
+        loaded.params[name] = loaded.params[name].astype(np.float64)
     before = {name: np.array(p) for name, p in loaded.params.items()}
     copied = Segmenter(
         loaded.config, loaded.vocab,
@@ -740,6 +755,38 @@ def test_loaded_views_train_like_copies(tmp_path):
     for name, p in copied.params.items():
         assert not np.array_equal(p, before[name]), name
         assert loaded.params[name].tobytes() == p.tobytes(), name
+
+
+def test_loaded_tables_give_the_widened_models_outputs(tmp_path):
+    # a loaded model keeps its tables in float32; featurize widens the
+    # rows it reads, exactly, so emissions, decodes, segment output and
+    # float64 gradients are those of the model with widened tables
+    model, corpus, _ = toy_model(bigrams=True, window=5)
+    model.lexicon = frozenset({"一举两得", "北京大学"})
+    save_model(model, tmp_path / "m")
+    loaded = load_model(tmp_path / "m")
+    assert loaded.params["emb.bi"].dtype == np.float32
+    widened = Segmenter(
+        loaded.config, loaded.vocab,
+        {name: p.astype(np.float64) for name, p in loaded.params.items()},
+        loaded.bigram_vocab, loaded.lexicon,
+    )
+    tokens = [sent.tokens for sent in corpus]
+    for toks in tokens:
+        assert loaded.emissions(toks)[0].tobytes() \
+            == widened.emissions(toks)[0].tobytes()
+    assert loaded.decode(tokens) == widened.decode(tokens)
+    rng = np.random.default_rng(27)
+    for _ in range(30):
+        picks = rng.integers(len(SEGMENT_PIECES), size=int(rng.integers(1, 16)))
+        line = "".join(SEGMENT_PIECES[i] for i in picks)
+        assert loaded.segment(line) == widened.segment(line), line
+    got, grads = loaded.loss_and_grads(corpus[:5])
+    want, want_grads = widened.loss_and_grads(corpus[:5])
+    assert got == want
+    for name, g in grads.items():
+        assert g.dtype == np.float64, name
+        assert g.tobytes() == want_grads[name].tobytes(), name
 
 
 def repeated_last_line(raw):
