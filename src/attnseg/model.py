@@ -30,6 +30,10 @@ from .corpus import (
 )
 from .tagging import NUM_TAGS, decode_tags
 
+# The embedding tables, the only parameters read by row lookup: emb.uni,
+# and emb.bi with bigrams on.  load_model keeps these in float32.
+TABLES = ("emb.uni", "emb.bi")
+
 
 @dataclass
 class TrainConfig:
@@ -134,9 +138,10 @@ def param_shapes(config, vocab_size, bigram_vocab_size=None):
     """Name -> shape of every parameter of a model with this config and
     these vocabulary sizes, in canonical order: the order build() makes
     them in and save_model writes them in."""
-    shapes = {"emb.uni": (vocab_size, config.emb_dim)}
+    uni, bi = TABLES
+    shapes = {uni: (vocab_size, config.emb_dim)}
     if config.bigrams:
-        shapes["emb.bi"] = (bigram_vocab_size, config.emb_dim)
+        shapes[bi] = (bigram_vocab_size, config.emb_dim)
     shapes.update(encoder.param_shapes(config))
     shapes["crf.trans"] = (NUM_TAGS + 2, NUM_TAGS + 2)
     return shapes
@@ -220,12 +225,13 @@ class Segmenter:
         lookups lay out an input row: (table name, (n, slots) ids)
         pairs in row order, a window of unigram ids and then, with
         bigrams on, one bigram id per position."""
+        uni, bi = TABLES
         ids = self.vocab.encode(tokens)
-        lookups = [("emb.uni", window_ids(ids, self.config.window))]
+        lookups = [(uni, window_ids(ids, self.config.window))]
         if self.bigram_vocab is not None:
             bigram_ids = np.array(
                 self.bigram_vocab.encode(sentence_bigrams(tokens)), dtype=np.intp)
-            lookups.append(("emb.bi", bigram_ids[:, None]))
+            lookups.append((bi, bigram_ids[:, None]))
         x = featurize([(self.params[name], ids) for name, ids in lookups])
         return x, lookups
 

@@ -36,11 +36,11 @@ Weights are stored in 32-bit but all arithmetic runs in 64-bit, so a
 round-trip costs one quantization, not a behavioural change (decodes are
 identical in practice because score gaps dwarf float32 resolution... and
 the round-trip test enforces it).  A loaded model keeps its embedding
-tables (emb.*) in float32, as stored, and every other tensor in float64;
-featurize widens the rows it looks up, exactly, so a loaded model's
-outputs are those of the same model with its tables widened.  Training
-needs float64 throughout: widen a loaded model's tables first with
-`params[name] = params[name].astype(np.float64)` (exact), or
+tables (model.TABLES) in float32, as stored, and every other tensor in
+float64; featurize widens the rows it looks up, exactly, so a loaded
+model's outputs are those of the same model with its tables widened.
+Training needs float64 throughout: widen a loaded model's tables first
+with `params[name] = params[name].astype(np.float64)` (exact), or
 train_epoch refuses it.
 """
 
@@ -54,7 +54,7 @@ import numpy as np
 
 from .corpus import Vocab, decode_lines, lexicon_from_lines
 from .evaluate import evaluate_corpus
-from .model import Segmenter, TrainConfig, param_shapes
+from .model import TABLES, Segmenter, TrainConfig, param_shapes
 from .numerics import ShapeError, grad_check
 from .tagging import TAG_IDS
 
@@ -343,7 +343,8 @@ def _check_digest(path, digest, want, manifest_path):
 
 def _read_params(path, shapes, want, manifest_path):
     """The tensors of params.bin at `path`, name -> array of shapes[name]
-    (shapes in file order): every embedding table (emb.*) as float32, the
+    (shapes in file order), streamed through one float32 scratch of
+    IO_CHUNK values: the embedding tables (model.TABLES) as float32, the
     type the file stores, and every other tensor as float64.
 
     The whole file is hashed whatever its size; then it must match the
@@ -352,15 +353,12 @@ def _read_params(path, shapes, want, manifest_path):
     tensors are filled only when fstat gives that size.  They are views
     into one block, each starting on a 64-byte boundary: one block lets
     a repeated load reuse the heap pages the previous model freed, where
-    an array per tensor faulted in fresh pages on every other load.  A
-    table's chunks are read straight into its own bytes; every other
-    tensor is widened chunk by chunk from one float32 scratch of
-    IO_CHUNK values.
+    an array per tensor faulted in fresh pages on every other load.
     """
     counts = [math.prod(shape) for shape in shapes.values()]
     size = 4 * sum(counts)
     scratch = np.empty(IO_CHUNK, dtype="<f4")
-    types = [scratch.dtype if name.startswith("emb.") else np.dtype(np.float64)
+    types = [scratch.dtype if name in TABLES else np.dtype(np.float64)
              for name in shapes]
     raw = scratch.view(np.uint8)
     digest = hashlib.sha256()
@@ -377,18 +375,14 @@ def _read_params(path, shapes, want, manifest_path):
             for (name, shape), count, t, start in zip(shapes.items(), counts,
                                                       types, starts):
                 dest = block[start:start + count * t.itemsize].view(t)
-                direct = t == scratch.dtype
                 for at in range(0, count, IO_CHUNK):
                     n = min(IO_CHUNK, count - at)
-                    values = dest[at:at + n] if direct else scratch[:n]
-                    into = values.view(np.uint8)
-                    nbytes = fh.readinto(into)
-                    digest.update(into[:nbytes])
+                    nbytes = fh.readinto(raw[:4 * n])
+                    digest.update(raw[:nbytes])
                     got += nbytes
-                    if nonfinite is None and not np.isfinite(values).all():
+                    if nonfinite is None and not np.isfinite(scratch[:n]).all():
                         nonfinite = name
-                    if not direct:
-                        np.copyto(dest[at:at + n], values)
+                    np.copyto(dest[at:at + n], scratch[:n])
                 params[name] = dest.reshape(shape)
         while nbytes := fh.readinto(raw):
             digest.update(raw[:nbytes])
@@ -418,8 +412,8 @@ def load_model(directory):
     end before any of its checks fails, so a corrupted file reports its
     checksum first.  The loaded tensors are C-contiguous, writable views
     into one block that share no memory with one another (see
-    _read_params): the embedding tables (emb.*) are float32, as stored,
-    and every other tensor is float64.  Outputs are those of the model
+    _read_params): the embedding tables (model.TABLES) are float32, as
+    stored, and every other tensor is float64.  Outputs are those of the model
     with its tables widened, since featurize widens the rows it reads
     and float32 to float64 is exact; to train the model, widen its
     tables first with astype(np.float64), or train_epoch refuses it.

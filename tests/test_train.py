@@ -14,7 +14,7 @@ from attnseg.corpus import (
     load_toy_corpus, preprocess, sentence_bigrams, split_train_dev,
 )
 from attnseg.evaluate import evaluate_corpus
-from attnseg.model import Segmenter, TrainConfig, param_shapes
+from attnseg.model import TABLES, Segmenter, TrainConfig, param_shapes
 from attnseg.numerics import ShapeError
 from attnseg.train import (
     ADAGRAD_CHUNK, IO_CHUNK, _pack_params, _unpack_params, adagrad_update,
@@ -668,7 +668,7 @@ def test_load_model_memory_is_bounded(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak - retained < MODEL_IO_BOUND
-    values = sum((4 if name.startswith("emb.") else 8) * p.size
+    values = sum((4 if name in TABLES else 8) * p.size
                  for name, p in model.params.items())
     assert sum(t.size for t in arrays.traces) <= values + 4096
     for name, p in model.params.items():
@@ -726,14 +726,15 @@ def test_load_error_order_while_streaming(tmp_path):
 
 
 def test_loaded_views_train_like_copies(tmp_path):
-    # the loaded tensors are views into one block; AdaGrad's in-place row
-    # updates must treat them as it treats arrays of their own
+    # the loaded tensors are views into one block, the tables float32 and
+    # the rest float64; the tables are refused for training until widened,
+    # and then the loaded float64 tensors (views) train like copies
     model, corpus, cfg = toy_model(bigrams=True)
     save_model(model, tmp_path / "m")
     loaded = load_model(tmp_path / "m")
     tensors = list(loaded.params.values())
     for i, (name, p) in enumerate(loaded.params.items()):
-        assert p.dtype == (np.float32 if name.startswith("emb.") else np.float64)
+        assert p.dtype == (np.float32 if name in TABLES else np.float64)
         assert p.flags.c_contiguous and p.flags.writeable
         assert p.ctypes.data % 64 == 0
         assert not any(np.shares_memory(p, q) for q in tensors[:i])
@@ -742,7 +743,7 @@ def test_loaded_views_train_like_copies(tmp_path):
     with pytest.raises(ValueError, match="parameter emb.uni is float32"):
         train_epoch(loaded, corpus, cfg, rng, zero_accum(loaded))
     assert rng.integers(2 ** 62) == np.random.default_rng(7).integers(2 ** 62)
-    for name in ("emb.uni", "emb.bi"):
+    for name in TABLES:
         loaded.params[name] = loaded.params[name].astype(np.float64)
     before = {name: np.array(p) for name, p in loaded.params.items()}
     copied = Segmenter(
