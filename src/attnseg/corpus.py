@@ -256,13 +256,15 @@ def random_embeddings(count, dim, rng):
     return rng.uniform(-0.05, 0.05, size=(count, dim))
 
 
-def load_embeddings(path, vocab, seed):
+def load_embeddings(path, vocab, rng):
     """Load pretrained vectors in the textual "count dim" header format.
 
     Rows align to vocab ids.  Vocab tokens absent from the file keep a
-    uniform random row in [-0.05, 0.05] drawn under `seed`; file tokens
-    absent from the vocab are ignored.  Malformed lines, non-finite
-    values included, are errors naming the line number.
+    uniform random row in [-0.05, 0.05]: the table is first drawn whole
+    from the generator `rng`, as random_embeddings draws it, and the
+    file's rows then overwrite theirs.  File tokens absent from the vocab
+    are ignored.  Malformed lines, non-finite values included, are errors
+    naming the line number.
     """
     lines = iter(read_lines(path))
     header = next(lines, "")
@@ -275,7 +277,6 @@ def load_embeddings(path, vocab, seed):
         raise ValueError(f"{path}: line 1: malformed header {header!r}") from exc
     if count < 0 or dim <= 0:
         raise ValueError(f"{path}: line 1: malformed header {header!r}")
-    rng = np.random.default_rng(seed)
     table = random_embeddings(len(vocab), dim, rng)
     seen = 0
     for lineno, line in enumerate(lines, start=2):

@@ -97,9 +97,35 @@ runs the same loop with keep_cache=False: it overwrites one scratch row
 of gates, tanh c_t and summaries per step, and releases each
 direction's gate input and attention terms once its tape has been
 read, before the next direction runs, so it holds the same O(n·(h + a
-+ d)) with one row in place of n.
++ d)) with one row in place of n.  The two directions of a layer share
+nothing until the layer above reads them, so a pass without a cache
+whose longest sentence has FORK_MIN_TOKENS tokens or more runs them at
+once, when os.fork exists, os.sched_getaffinity gives the process 2
+CPUs or more (Linux) and no other Python thread runs, since one could
+hold a lock at the fork that the child then waits on: each layer forks
+one child, which runs the backward direction and writes its top hidden
+rows (B, n, h) into an anonymous shared mapping, while the parent runs
+the forward direction, then reaps the child and copies the rows.  The
+child sees the weights copy-on-write, so nothing is pickled, and runs
+the same numpy calls on the same operands, so its rows are the bits the
+parent would compute.  A worker thread for the backward direction made
+decoding slower, since the directions' Python step code takes turns at
+the interpreter lock, and a child process has a lock of its own.  A fork
+and wait cost a few ms, so shorter lines stay in one process.  When the
+mapping or the fork fails, or the child does not exit cleanly, the
+parent runs the direction itself, with the same results and the same
+errors; it kills and reaps the child on every way out.  The parent then
+holds one direction's state rows and the other direction's top rows,
+and the child the backward direction's state.  Training's kept forward
+never forks, since backward reads both directions' states.
 """
 
+import math
+import mmap
+import os
+import signal
+import threading
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -110,6 +136,11 @@ from .tagging import NUM_TAGS
 # rows of cell.w per gate product of a step: 690 KB at paper
 # dimensions, and a multiple of 64 (module docstring, Cost)
 GATE_BLOCK_ROWS = 192
+
+# a forward pass without a cache whose longest sentence has at least
+# this many tokens runs each layer's backward direction in a forked
+# child (module docstring, Cost)
+FORK_MIN_TOKENS = 64
 
 
 # the weights of one direction run, read as params[prefix + name], in
@@ -500,6 +531,114 @@ def _check_shapes(params, config, batch):
             )
 
 
+def _run_direction(params, prefix, inputs, keep_steps, memory_span):
+    """The DirectionState of one direction run over `inputs`, after all
+    its steps."""
+    state = DirectionState.start(params, prefix, inputs, keep_steps, memory_span)
+    with np.errstate(over="ignore"):
+        for t in range(state.tape.shape[1]):
+            tape_step(state, t)
+    return state
+
+
+def _forks(lengths):
+    """Whether a forward pass without a cache over sentences of these
+    lengths runs each layer's backward direction in a forked child: the
+    longest has FORK_MIN_TOKENS tokens or more, this process can fork
+    and run on at least 2 CPUs, and no other Python thread runs, which
+    could hold a lock at the fork that the child would then wait on."""
+    return (max(lengths) >= FORK_MIN_TOKENS and hasattr(os, "fork")
+            and hasattr(os, "sched_getaffinity")
+            and len(os.sched_getaffinity(0)) >= 2
+            and threading.active_count() == 1)
+
+
+class _Child:
+    """run(), a function that returns a float64 array of `shape`, in a
+    forked child, which writes the array into an anonymous shared mapping.
+
+    result() waits for the child and returns a copy of what it wrote.
+    When the mapping or the fork raised OSError, or the child failed,
+    result() calls run() here instead, so its value and its errors are
+    those of a plain call.  Leaving its `with` block kills and reaps a
+    child that result() has not reaped, and unmaps the buffer.
+
+    The child sees this process's memory copy-on-write, so nothing is
+    pickled.  It runs only numpy code and leaves through os._exit, so it
+    runs no atexit handler and flushes no stdio buffer it inherited.
+    """
+
+    def __init__(self, run, shape):
+        self.run = run
+        self.shape = shape
+        self.shared = self.pid = None
+        try:
+            self.shared = mmap.mmap(-1, 8 * math.prod(shape))
+            with warnings.catch_warnings():
+                # Python 3.12 and later warn when a process with other
+                # threads forks, and OpenBLAS's worker threads count.
+                # They are the only others (_forks), OpenBLAS stops them
+                # before a fork and starts them again when next needed,
+                # and the child runs only numpy code and leaves by
+                # os._exit
+                warnings.filterwarnings(
+                    "ignore", r"This process \(pid=\d+\) is multi-threaded, "
+                    r"use of fork\(\) may lead to deadlocks in the child\.",
+                    DeprecationWarning)
+                pid = os.fork()
+        except OSError:
+            return
+        if pid == 0:
+            status = 1
+            try:
+                self._rows()[...] = run()
+                status = 0
+            finally:
+                os._exit(status)
+        self.pid = pid
+
+    def _rows(self):
+        return np.frombuffer(self.shared, dtype=np.float64).reshape(self.shape)
+
+    def result(self):
+        if self.pid is not None:
+            _, status = os.waitpid(self.pid, 0)
+            self.pid = None
+            if status == 0:
+                return self._rows().copy()
+        return self.run()
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        if self.pid is not None:
+            os.kill(self.pid, signal.SIGKILL)
+            os.waitpid(self.pid, 0)
+            self.pid = None
+        if self.shared is not None:
+            self.shared.close()
+
+
+def _rows_without_cache(params, runs, hidden, memory_span, fork):
+    """The top hidden rows (B, n, h) of each direction run in `runs`,
+    (prefix, inputs) pairs in DIRECTIONS order, keeping no steps.  Each
+    direction's state goes as soon as its tape is read.  With `fork` the
+    backward run takes place in a forked child while this process runs
+    the forward one."""
+    (fwd_prefix, fwd_inputs), (bwd_prefix, bwd_inputs) = runs
+
+    def rows(prefix, inputs):
+        return _run_direction(params, prefix, inputs, False,
+                              memory_span).tape[:, :, :hidden]
+
+    if not fork:
+        return rows(fwd_prefix, fwd_inputs), rows(bwd_prefix, bwd_inputs)
+    shape = (len(bwd_inputs), bwd_inputs[0].shape[0], hidden)
+    with _Child(lambda: rows(bwd_prefix, bwd_inputs), shape) as child:
+        return rows(fwd_prefix, fwd_inputs), child.result()
+
+
 # perfbench/spans.py sizes a traced call by len(args[2]): keep `inputs`
 # the third positional argument
 def forward(params, config, inputs, dropout=0.0, rng=None, keep_cache=True):
@@ -517,7 +656,10 @@ def forward(params, config, inputs, dropout=0.0, rng=None, keep_cache=True):
     projection, drawn per sentence in batch order (input, forward,
     backward), the stream one sentence at a time would draw; evaluation
     passes use dropout=0.  With keep_cache=False no step rows are kept
-    and the returned cache is None: decoding needs no gradients.  Memory
+    and the returned cache is None: decoding needs no gradients.  Such a
+    pass over a longest sentence of FORK_MIN_TOKENS tokens or more runs
+    each layer's backward direction in a forked child where the platform
+    allows (module docstring, Cost), with bit-equal results.  Memory
     grows linearly in n either way.
     """
     batch = [np.asarray(x, dtype=np.float64) for x in inputs]
@@ -544,26 +686,21 @@ def forward(params, config, inputs, dropout=0.0, rng=None, keep_cache=True):
     positions = [0] * len(batch)
     for p, s in enumerate(by_length):
         positions[s] = p
+    fork = not keep_cache and _forks(lengths)
     layers = []
     for layer in range(1 + config.extra_layers):
-        states, top_h = [], []
-        for direction, order in DIRECTIONS:
-            state = DirectionState.start(
-                params, f"enc{layer}.{direction}.",
-                [current[s][order] for s in by_length], keep_cache,
-                config.memory_span)
-            with np.errstate(over="ignore"):
-                for t in range(state.tape.shape[1]):
-                    tape_step(state, t)
-            top_h.append([state.tape[p, :m, :h][order]
-                          for p, m in zip(positions, lengths)])
-            if keep_cache:
-                states.append(state)
-            # top_h keeps the tape; without a cache the rest of the state
-            # goes before the next direction runs
-            state = None
+        runs = [(f"enc{layer}.{direction}.", [current[s][order] for s in by_length])
+                for direction, order in DIRECTIONS]
         if keep_cache:
-            layers.append(tuple(states))
+            states = tuple(_run_direction(params, prefix, inputs, True,
+                                          config.memory_span)
+                           for prefix, inputs in runs)
+            layers.append(states)
+            rows = [state.tape[:, :, :h] for state in states]
+        else:
+            rows = _rows_without_cache(params, runs, h, config.memory_span, fork)
+        top_h = [[r[p, :m][order] for p, m in zip(positions, lengths)]
+                 for r, (_, order) in zip(rows, DIRECTIONS)]
         if layer < config.extra_layers:
             current = [np.concatenate(pair, axis=1) for pair in zip(*top_h)]
 

@@ -199,16 +199,18 @@ class Segmenter:
         in a fixed order (embeddings, bigram embeddings, encoder), so a
         (corpus, config) pair always yields identical initial parameters.
         `embeddings`, the path of a pretrained vector file, gives the
-        character table in place of the first draw: load_embeddings
-        reads it over this vocabulary, under config.seed for the tokens
-        it lacks, and its width must be config.emb_dim.
+        character table: load_embeddings reads it over this vocabulary
+        and takes the first draw from the same generator, so the rows of
+        tokens the file lacks, emb.bi and the encoder get the draws of
+        the same build without the file.  Its width must be
+        config.emb_dim.
         """
         vocab = Vocab.build(sent.tokens for sent in train_corpus)
         rng = np.random.default_rng(config.seed)
         if embeddings is None:
             emb = random_embeddings(len(vocab), config.emb_dim, rng)
         else:
-            emb = load_embeddings(embeddings, vocab, config.seed)
+            emb = load_embeddings(embeddings, vocab, rng)
         params = {"emb.uni": emb}
         bigram_vocab = None
         if config.bigrams:

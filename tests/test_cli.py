@@ -2,6 +2,8 @@ import hashlib
 import json
 import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -256,6 +258,35 @@ def test_segment_to_stdout(tmp_path, capsys):
     out = capsys.readouterr().out
     assert out.endswith("\n")
     assert out.strip().replace(" ", "") == "我爱北京"
+
+
+def test_segment_writes_each_line_once_around_a_forked_decode(tmp_path):
+    # a long line's decode forks while earlier lines wait in the output
+    # buffer; the child must leave without flushing its copy of it, to a
+    # pipe or to a file
+    model_dir = train_into(tmp_path, "m")
+    with open(TOY, encoding="utf-8") as fh:
+        text = "".join(fh.read().split())
+    long_line = text[:encoder.FORK_MIN_TOKENS + 10]
+    lines = ["我们", long_line, "北京", long_line[:5], long_line]
+    raw = tmp_path / "raw.txt"
+    raw.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    model = load_model(model_dir)
+    want = "".join(" ".join(model.segment(line)) + "\n" for line in lines)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(encoder.__file__)))
+    command = [sys.executable, "-c",
+               "import sys; from attnseg.cli import main; sys.exit(main())",
+               "segment", "--model", model_dir, "--input", str(raw)]
+    # with PYTHONUNBUFFERED set, nothing would wait in stdout's buffer
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = src
+    piped = subprocess.run(command, env=env, stdout=subprocess.PIPE, check=True)
+    assert piped.stdout.decode("utf-8") == want
+    out = tmp_path / "seg.txt"
+    written = subprocess.run(command + ["--output", str(out)], env=env,
+                             stdout=subprocess.PIPE, check=True)
+    assert written.stdout == b""
+    assert out.read_text(encoding="utf-8") == want
 
 
 def test_segment_rejects_unknown_model_version(tmp_path, capsys):

@@ -205,7 +205,7 @@ def test_load_embeddings_drops_leading_byte_order_mark(tmp_path):
     p = tmp_path / "emb.txt"
     p.write_text("\ufeff2 3\n你 0.1 0.2 0.3\n好 0.4 0.5 0.6\n", encoding="utf-8")
     vocab = Vocab.build([["你", "好"]])
-    table = load_embeddings(p, vocab, seed=42)
+    table = load_embeddings(p, vocab, np.random.default_rng(42))
     assert np.array_equal(table[vocab.id("你")], [0.1, 0.2, 0.3])
 
 
@@ -264,7 +264,7 @@ def test_load_embeddings_reads_rows(tmp_path):
     p = tmp_path / "emb.txt"
     p.write_text("2 3\n你 0.1 0.2 0.3\n好 0.4 0.5 0.6\n", encoding="utf-8")
     vocab = Vocab.build([["你", "好"]])
-    table = load_embeddings(p, vocab, seed=42)
+    table = load_embeddings(p, vocab, np.random.default_rng(42))
     assert table.shape == (6, 3)
     assert np.allclose(table[vocab.id("你")], [0.1, 0.2, 0.3])
     assert np.allclose(table[vocab.id("好")], [0.4, 0.5, 0.6])
@@ -274,8 +274,8 @@ def test_load_embeddings_missing_token_gets_small_random_row(tmp_path):
     p = tmp_path / "emb.txt"
     p.write_text("1 2\n你 0.5 0.5\n", encoding="utf-8")
     vocab = Vocab.build([["你", "未"]])
-    t1 = load_embeddings(p, vocab, seed=1)
-    t2 = load_embeddings(p, vocab, seed=1)
+    t1 = load_embeddings(p, vocab, np.random.default_rng(1))
+    t2 = load_embeddings(p, vocab, np.random.default_rng(1))
     row = t1[vocab.id("未")]
     assert np.all(np.abs(row) <= 0.05)
     assert np.array_equal(t1, t2)
@@ -285,7 +285,7 @@ def test_load_embeddings_ignores_tokens_outside_vocab(tmp_path):
     p = tmp_path / "emb.txt"
     p.write_text("2 2\n你 0.5 0.5\n卡 0.9 0.9\n", encoding="utf-8")
     vocab = Vocab.build([["你"]])
-    table = load_embeddings(p, vocab, seed=1)
+    table = load_embeddings(p, vocab, np.random.default_rng(1))
     assert not (np.abs(table) > 0.5).any()
 
 
@@ -293,7 +293,7 @@ def test_load_embeddings_wrong_field_count_names_line(tmp_path):
     p = tmp_path / "emb.txt"
     p.write_text("1 3\n你 0.1 0.2 0.3 0.4\n", encoding="utf-8")
     with pytest.raises(ValueError, match="line 2"):
-        load_embeddings(p, Vocab.build([["你"]]), seed=0)
+        load_embeddings(p, Vocab.build([["你"]]), np.random.default_rng(0))
 
 
 @pytest.mark.parametrize("value", ["oops", "nan", "inf", "-inf"])
@@ -301,14 +301,14 @@ def test_load_embeddings_non_numeric_names_line(tmp_path, value):
     p = tmp_path / "emb.txt"
     p.write_text(f"1 2\n你 0.1 {value}\n", encoding="utf-8")
     with pytest.raises(ValueError, match="line 2"):
-        load_embeddings(p, Vocab.build([["你"]]), seed=0)
+        load_embeddings(p, Vocab.build([["你"]]), np.random.default_rng(0))
 
 
 def test_load_embeddings_bad_header(tmp_path):
     p = tmp_path / "emb.txt"
     p.write_text("3\n", encoding="utf-8")
     with pytest.raises(ValueError, match="header"):
-        load_embeddings(p, Vocab.build([["你"]]), seed=0)
+        load_embeddings(p, Vocab.build([["你"]]), np.random.default_rng(0))
 
 
 def test_featurize_window1_is_plain_lookup():

@@ -1,4 +1,6 @@
+import os
 import re
+import threading
 import tracemalloc
 from types import SimpleNamespace
 
@@ -866,3 +868,125 @@ def test_direction_state_holds_its_weights():
                     e = np.exp(scores - np.max(scores))
                     assert np.array_equal(rows.weights[t], e / np.sum(e))
                     assert np.array_equal(attend(state, t)[1][p], rows.weights[t])
+
+
+def paper_model(**overrides):
+    """A paper-dimension model over the toy corpus, every parameter
+    redrawn from normal(0, 0.3), and the corpus's characters."""
+    corpus = load_toy_corpus()
+    cfg = TrainConfig(**{**PAPER_DIMS, **overrides})
+    built = Segmenter.build(corpus, cfg)
+    rng = np.random.default_rng(7)
+    for p in built.params.values():
+        p[...] = rng.normal(0.0, 0.3, size=p.shape)
+    return built, [tok for sent in corpus for tok in sent.tokens]
+
+
+def decode_outputs(built, lines):
+    """The bytes of each line's emissions, of one decode of all lines
+    and of each line's segment() output."""
+    return ([built.emissions(list(line))[0].tobytes() for line in lines],
+            [bytes(path) for path in built.decode([list(line) for line in lines])],
+            [" ".join(built.segment(line)).encode() for line in lines])
+
+
+@pytest.mark.parametrize("extra_layers, span", [(0, None), (0, 2), (1, None), (1, 2)])
+def test_forked_decode_is_bit_equal_to_in_process(forking, monkeypatch,
+                                                  extra_layers, span):
+    # decode chunks of 4 lines: the first mixes lines below and above
+    # the threshold and forks, the second is all short and does not
+    built, chars = paper_model(extra_layers=extra_layers, memory_span=span,
+                               batch_size=4)
+    m = encoder.FORK_MIN_TOKENS
+    text = "".join(chars * 3)
+    lines = [text[i:i + n] for i, n in enumerate((m + 6, 12, m, 3, 20, m - 1))]
+    with monkeypatch.context() as mp:
+        mp.setattr(encoder, "FORK_MIN_TOKENS", np.inf)
+        want = decode_outputs(built, lines)
+    assert not forking
+    # a forked child per layer for each long emissions() and segment()
+    # call and for the first decode chunk
+    assert decode_outputs(built, lines) == want
+    assert len(forking) == 5 * (1 + extra_layers)
+
+    def no_fork():
+        raise OSError(11, "Resource temporarily unavailable")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    assert decode_outputs(built, lines) == want
+
+
+def test_failed_child_makes_the_parent_run_the_direction(forking, monkeypatch):
+    rng = np.random.default_rng(81)
+    cfg = small_config(extra_layers=1)
+    params = init_params(cfg, rng)
+    xs = [rng.normal(size=(n, DIM)) for n in (encoder.FORK_MIN_TOKENS + 5, 9)]
+    with monkeypatch.context() as mp:
+        mp.setattr(encoder, "FORK_MIN_TOKENS", np.inf)
+        want, _ = forward(params, cfg, xs, keep_cache=False)
+    parent = os.getpid()
+    step = encoder.tape_step
+
+    def fails_in_child(state, t):
+        if os.getpid() != parent:
+            raise RuntimeError("child failed")
+        step(state, t)
+
+    monkeypatch.setattr(encoder, "tape_step", fails_in_child)
+    got, _ = forward(params, cfg, xs, keep_cache=False)
+    assert len(forking) == 2
+    assert all(np.array_equal(g, w) for g, w in zip(got, want, strict=True))
+
+    def backward_fails(state, t):
+        if state.prefix.endswith("bwd."):
+            raise RuntimeError("backward direction failed")
+        step(state, t)
+
+    # the child fails, the parent runs the direction and meets the error
+    monkeypatch.setattr(encoder, "tape_step", backward_fails)
+    with pytest.raises(RuntimeError, match="backward direction failed"):
+        forward(params, cfg, xs, keep_cache=False)
+    assert len(forking) == 3
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_error_in_the_parent_direction_leaves_no_child(forking, monkeypatch):
+    rng = np.random.default_rng(82)
+    cfg = small_config()
+    params = init_params(cfg, rng)
+    xs = [rng.normal(size=(4 * encoder.FORK_MIN_TOKENS, DIM))]
+    step = encoder.tape_step
+
+    def forward_fails(state, t):
+        if state.prefix.endswith("fwd.") and t == 1:
+            raise RuntimeError("forward direction failed")
+        step(state, t)
+
+    monkeypatch.setattr(encoder, "tape_step", forward_fails)
+    with pytest.raises(RuntimeError, match="forward direction failed"):
+        forward(params, cfg, xs, keep_cache=False)
+    assert len(forking) == 1
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_no_fork_while_another_thread_runs(forking):
+    # a thread could hold a lock at the fork that the child would wait on
+    rng = np.random.default_rng(83)
+    cfg = small_config()
+    params = init_params(cfg, rng)
+    xs = [rng.normal(size=(encoder.FORK_MIN_TOKENS + 5, DIM))]
+    want, _ = forward(params, cfg, xs, keep_cache=False)
+    assert len(forking) == 1
+    stop = threading.Event()
+    other = threading.Thread(target=stop.wait)
+    other.start()
+    try:
+        got, _ = forward(params, cfg, xs, keep_cache=False)
+    finally:
+        stop.set()
+        other.join(timeout=10)
+    assert not other.is_alive()
+    assert len(forking) == 1
+    assert np.array_equal(got[0], want[0])

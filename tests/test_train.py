@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from attnseg import crf, tagging
+from attnseg import crf, encoder, tagging
 from attnseg import train as train_module
 from attnseg.corpus import (
     IDIOM, RESERVED, Corpus, Sentence, Vocab, load_embeddings,
@@ -1056,7 +1056,7 @@ def test_build_starts_from_given_embeddings(tmp_path):
                        encoding="utf-8")
     vocab = Vocab.build(sent.tokens for sent in corpus)
     cfg = TrainConfig(**TOY_CONFIG)
-    table = load_embeddings(vectors, vocab, cfg.seed)
+    table = load_embeddings(vectors, vocab, np.random.default_rng(cfg.seed))
     model = Segmenter.build(corpus, cfg, embeddings=vectors)
     assert model.vocab.id_to_token == vocab.id_to_token
     assert np.array_equal(model.params["emb.uni"], table)
@@ -1065,6 +1065,30 @@ def test_build_starts_from_given_embeddings(tmp_path):
     with pytest.raises(ValueError, match=r"\(\d+, 8\) does not match .*\(\d+, 4\)"):
         Segmenter.build(corpus, TrainConfig(**{**TOY_CONFIG, "emb_dim": 4}),
                         embeddings=vectors)
+
+
+def test_build_from_embeddings_draws_the_rest_as_without_them(tmp_path):
+    # the vector file replaces its tokens' rows and nothing else: the rows
+    # it lacks, emb.bi and every encoder weight come from the one
+    # generator in the order of a build without it, so emb.bi does not
+    # repeat the random rows of emb.uni
+    corpus = load_toy_corpus()
+    vectors = tmp_path / "vectors.txt"
+    vectors.write_text("1 8\n我 " + " 0.5" * 8 + "\n", encoding="utf-8")
+    cfg = TrainConfig(**{**TOY_CONFIG, "bigrams": True})
+    plain = Segmenter.build(corpus, cfg)
+    model = Segmenter.build(corpus, cfg, embeddings=vectors)
+    assert model.params.keys() == plain.params.keys()
+    for name, p in model.params.items():
+        if name != "emb.uni":
+            assert np.array_equal(p, plain.params[name]), name
+    uni, bi = model.params["emb.uni"], model.params["emb.bi"]
+    mine = model.vocab.id("我")
+    others = np.arange(len(uni)) != mine
+    assert np.array_equal(uni[mine], [0.5] * 8)
+    assert np.array_equal(uni[others], plain.params["emb.uni"][others])
+    rows = min(len(uni), len(bi))
+    assert not (uni[:rows] == bi[:rows]).all(axis=1).any()
 
 
 def test_decode_keeps_the_grammar_when_forbidden_transitions_score_high(
@@ -1113,9 +1137,11 @@ def test_list_decode_holds_one_chunk_at_a_time():
     assert peak(4 * cfg.batch_size) < 1.5 * peak(cfg.batch_size)
 
 
-def test_decode_memory_grows_linearly_with_length():
+def test_decode_memory_grows_linearly_with_length(monkeypatch):
     # the tapes grow with n; step caches kept for a backward pass would
-    # grow with n^2 and make the doubled line take about 4x the memory
+    # grow with n^2 and make the doubled line take about 4x the memory.
+    # Both directions run in this process, where tracemalloc sees them
+    monkeypatch.setattr(encoder, "FORK_MIN_TOKENS", np.inf)
     model, corpus, _ = toy_model()
     chars = [tok for sent in corpus for tok in sent.tokens]
     model.decode(chars[:8])
@@ -1132,12 +1158,14 @@ def test_decode_memory_grows_linearly_with_length():
     assert peak(400) < 3 * peak(200)
 
 
-def test_decode_releases_each_direction_before_the_next():
+def test_decode_releases_each_direction_before_the_next(monkeypatch):
     # per token, decoding holds the input row, one direction's whole
     # state row ([h | c], Wh h, Wx x, [h~ | x]), the other direction's
     # tape row and the window temporaries of a step; holding the first
     # direction's whole state while the second runs adds (2a + h + d) * 8
-    # bytes per token and breaks the bound
+    # bytes per token and breaks the bound.  Both directions run in this
+    # process, where tracemalloc sees them
+    monkeypatch.setattr(encoder, "FORK_MIN_TOKENS", np.inf)
     model, corpus, cfg = toy_model()
     h = a = cfg.hidden
     d = cfg.window * cfg.emb_dim
@@ -1156,3 +1184,36 @@ def test_decode_releases_each_direction_before_the_next():
     state_row = (2 * h + a + a + h + d) * 8
     per_token = (peak(800) - peak(400)) / 400
     assert per_token < d * 8 + 2 * state_row
+
+
+def test_forked_decode_holds_one_direction_in_the_parent(forking, monkeypatch):
+    # with the backward direction in a forked child, the parent holds per
+    # token the input row and its ids, the forward direction's whole
+    # state row, a step's window temporaries and the emissions, but not
+    # the forward tape row [h | c] while the backward direction runs:
+    # the bound lies between the two paths
+    model, corpus, cfg = toy_model()
+    h = a = cfg.hidden
+    d = cfg.window * cfg.emb_dim
+    chars = [tok for sent in corpus for tok in sent.tokens]
+    model.decode(chars[:8])
+
+    def per_token():
+        peaks = []
+        for n in (400, 800):
+            tokens = (chars * (n // len(chars) + 1))[:n]
+            tracemalloc.start()
+            try:
+                model.decode(tokens)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        return (peaks[1] - peaks[0]) / 400
+
+    forked = per_token()
+    assert len(forking) == 2
+    monkeypatch.setattr(encoder, "FORK_MIN_TOKENS", np.inf)
+    in_process = per_token()
+    state_row = (2 * h + a + a + h + d) * 8
+    bound = d * 8 + state_row + (a + 2 * h) * 8
+    assert forked < bound <= in_process
