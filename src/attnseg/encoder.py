@@ -99,27 +99,42 @@ direction's gate input and attention terms once its tape has been
 read, before the next direction runs, so it holds the same O(n·(h + a
 + d)) with one row in place of n.  The two directions of a layer share
 nothing until the layer above reads them, so a pass without a cache
-whose longest sentence has FORK_MIN_TOKENS tokens or more runs them at
-once, when os.fork exists, os.sched_getaffinity gives the process 2
-CPUs or more (Linux) and no other Python thread runs, since one could
-hold a lock at the fork that the child then waits on: each layer forks
-one child, which runs the backward direction and writes its top hidden
-rows (B, n, h) into an anonymous shared mapping, while the parent runs
-the forward direction, then reaps the child and copies the rows.  The
-child sees the weights copy-on-write, so nothing is pickled, and runs
-the same numpy calls on the same operands, so its rows are the bits the
-parent would compute.  A worker thread for the backward direction made
-decoding slower, since the directions' Python step code takes turns at
-the interpreter lock, and a child process has a lock of its own.  A fork
-and wait cost a few ms, so shorter lines stay in one process.  When the
-mapping or the fork fails, or the child does not exit cleanly, the
-parent runs the direction itself, with the same results and the same
-errors; it kills and reaps the child on every way out.  The parent then
-holds one direction's state rows and the other direction's top rows,
-and the child the backward direction's state.  Training's kept forward
-never forks, since backward reads both directions' states.
+whose longest sentence has FORK_MIN_TOKENS (6) tokens or more runs them
+at once, when os.memfd_create and os.sched_getaffinity exist (Linux),
+the process may run on 2 CPUs or more and no other Python thread runs,
+since one could hold a lock at the fork or send a request of its own.
+Each process has one decode worker, a child forked by the first such
+pass, which then serves every layer of every such pass: the parent
+writes the backward direction's six weights into a memfd file, which
+the worker maps and the parent never does, sends the sentences' input
+rows down one pipe and runs the forward direction, while the worker
+runs the backward one and sends its top hidden rows (B, n, h) back up
+another.  The weights are written again for every request, about 0.4
+ms for the 2.9 MB of a direction at paper dimensions, since training
+and gradient checks change the parameters in place between decodes;
+nothing is pickled.  The worker runs the same
+numpy calls on the same operands, so its rows are the bits the parent
+would compute.  A worker thread made decoding slower, since the
+directions' Python step code takes turns at the interpreter lock, and a
+process has a lock of its own.  A one-token pass takes about 1.0 ms
+through the worker against 0.4 ms in one process, and the worker wins
+from about 6 tokens on (CHANGES.md has the curve).  When a file, the
+fork or a send fails, or the worker dies or fails before it replies,
+the parent reaps it and runs the direction itself, with the same
+results and the same errors, and the next pass forks a fresh worker;
+when the parent's own direction raises, it kills the worker, whose
+reply no call would read.
+The worker keeps the code it was forked with, ignores SIGINT, leaves
+only through os._exit, so it runs no atexit handler and flushes no
+stdio buffer it inherited, and exits when its requests pipe closes, as
+when the parent dies.  close_worker() stops it, as an atexit handler
+does, and a child forked from the parent forgets it, closing its copies
+of the worker's files without killing it.  Training's kept forward
+never uses the worker, since backward reads both directions' states.
 """
 
+import atexit
+import contextlib
 import math
 import mmap
 import os
@@ -138,14 +153,20 @@ from .tagging import NUM_TAGS
 GATE_BLOCK_ROWS = 192
 
 # a forward pass without a cache whose longest sentence has at least
-# this many tokens runs each layer's backward direction in a forked
-# child (module docstring, Cost)
-FORK_MIN_TOKENS = 64
+# this many tokens sends each layer's backward direction to the decode
+# worker (module docstring, Cost)
+FORK_MIN_TOKENS = 6
 
 
 # the weights of one direction run, read as params[prefix + name], in
 # the canonical order of param_shapes
 WEIGHTS = ("attn.wh", "attn.wx", "attn.wp", "attn.v", "cell.w", "cell.b")
+
+
+def _direction_shapes(a, h, d):
+    """The shapes of a direction's WEIGHTS, in order, for attention
+    width a, hidden size h and input width d."""
+    return (a, h), (a, d), (a, h), (a,), (4 * h, h + d), (4 * h,)
 
 
 def _glorot(rng, rows, cols):
@@ -169,8 +190,7 @@ def param_shapes(config):
     for layer in range(1 + config.extra_layers):
         d = config.input_dim if layer == 0 else 2 * h
         for direction in ("fwd", "bwd"):
-            for name, shape in zip(WEIGHTS, ((a, h), (a, d), (a, h), (a,),
-                                             (4 * h, h + d), (4 * h,))):
+            for name, shape in zip(WEIGHTS, _direction_shapes(a, h, d)):
                 shapes[f"enc{layer}.{direction}.{name}"] = shape
     shapes["out.wf"] = (NUM_TAGS, h)
     shapes["out.wb"] = (NUM_TAGS, h)
@@ -541,102 +561,256 @@ def _run_direction(params, prefix, inputs, keep_steps, memory_span):
     return state
 
 
-def _forks(lengths):
+def _dispatches(lengths):
     """Whether a forward pass without a cache over sentences of these
-    lengths runs each layer's backward direction in a forked child: the
-    longest has FORK_MIN_TOKENS tokens or more, this process can fork
-    and run on at least 2 CPUs, and no other Python thread runs, which
-    could hold a lock at the fork that the child would then wait on."""
-    return (max(lengths) >= FORK_MIN_TOKENS and hasattr(os, "fork")
+    lengths sends each layer's backward direction to the decode worker:
+    the longest has FORK_MIN_TOKENS tokens or more, this process can
+    share a memfd file with a forked worker and run on at least 2 CPUs
+    (Linux), and no other Python thread runs, which could hold a lock at
+    the worker's fork or send the worker a request of its own."""
+    return (max(lengths) >= FORK_MIN_TOKENS and hasattr(os, "memfd_create")
             and hasattr(os, "sched_getaffinity")
             and len(os.sched_getaffinity(0)) >= 2
             and threading.active_count() == 1)
 
 
-class _Child:
-    """run(), a function that returns a float64 array of `shape`, in a
-    forked child, which writes the array into an anonymous shared mapping.
+def _weight_layout(a, h, d):
+    """(shape, byte offset) of each of a direction's WEIGHTS in the
+    worker's weight file, float64 at multiples of 64 bytes, and the
+    byte where the last one ends."""
+    layout, end = [], 0
+    for shape in _direction_shapes(a, h, d):
+        start = -(-end // 64) * 64
+        layout.append((shape, start))
+        end = start + 8 * math.prod(shape)
+    return layout, end
 
-    result() waits for the child and returns a copy of what it wrote.
-    When the mapping or the fork raised OSError, or the child failed,
-    result() calls run() here instead, so its value and its errors are
-    those of a plain call.  Leaving its `with` block kills and reaps a
-    child that result() has not reaped, and unmaps the buffer.
 
-    The child sees this process's memory copy-on-write, so nothing is
-    pickled.  It runs only numpy code and leaves through os._exit, so it
-    runs no atexit handler and flushes no stdio buffer it inherited.
+def _read(fd, array):
+    """Fill a C-contiguous array from the pipe `fd` and return it;
+    EOFError if the pipe closes first."""
+    view = memoryview(array).cast("B")
+    while view:
+        got = os.readv(fd, [view])
+        if not got:
+            raise EOFError("the decode worker's pipe closed")
+        view = view[got:]
+    return array
+
+
+def _write(fd, *arrays):
+    """Write the bytes of each array, in order, into the pipe `fd`."""
+    for array in arrays:
+        view = memoryview(np.ascontiguousarray(array)).cast("B")
+        while view:
+            view = view[os.write(fd, view):]
+
+
+def _serve(requests, replies, weights):
+    """The decode worker's loop: read a request from the `requests`
+    pipe, run the direction it asks for with the weights the memfd file
+    `weights` holds, and write the sentences' top hidden rows into the
+    `replies` pipe, until the requests pipe closes.
+
+    A request is int64 (a, h, d, memory span or -1, B, P), then the B
+    sentences' lengths, the P bytes of the direction's prefix and the
+    sentences' (n_i, d) float64 input rows."""
+    mapping = None
+    while True:
+        try:
+            head = _read(requests, np.empty(6, dtype=np.int64))
+        except EOFError:
+            return
+        a, h, d, span, batch, prefix = (int(v) for v in head)
+        lengths = _read(requests, np.empty(batch, dtype=np.int64))
+        prefix = _read(requests, np.empty(prefix, dtype=np.uint8)).tobytes().decode()
+        inputs = [_read(requests, np.empty((m, d))) for m in lengths]
+        layout, end = _weight_layout(a, h, d)
+        if mapping is None or len(mapping) < end:
+            mapping = mmap.mmap(weights, end, prot=mmap.PROT_READ)
+        params = {prefix + name: np.frombuffer(mapping, np.float64,
+                                               math.prod(shape), offset).reshape(shape)
+                  for name, (shape, offset) in zip(WEIGHTS, layout)}
+        state = _run_direction(params, prefix, inputs, False,
+                               None if span < 0 else span)
+        _write(replies, *(state.tape[p, :m, :h] for p, m in enumerate(lengths)))
+
+
+class _Worker:
+    """The decode worker of this process, a forked child that runs the
+    backward direction of forward passes without a cache (module
+    docstring, Cost).
+
+    send() writes a direction's weights into the memfd file `weights`,
+    at the offsets of _weight_layout, and its request into the
+    `requests` pipe; rows() reads the reply from the `replies` pipe.
+    The child leaves only through os._exit, so it runs no atexit handler
+    and flushes no stdio buffer it inherited, and it ignores SIGINT, so
+    a Ctrl-C reaches only the parent.  It exits by itself when the
+    requests pipe closes, as when this process dies.
     """
 
-    def __init__(self, run, shape):
-        self.run = run
-        self.shape = shape
-        self.shared = self.pid = None
+    def __init__(self):
+        self.pid = None
+        self.fds = []
         try:
-            self.shared = mmap.mmap(-1, 8 * math.prod(shape))
+            self.fds += os.pipe() + os.pipe()
+            self.fds.append(os.memfd_create("attnseg-weights"))
             with warnings.catch_warnings():
                 # Python 3.12 and later warn when a process with other
                 # threads forks, and OpenBLAS's worker threads count.
-                # They are the only others (_forks), OpenBLAS stops them
-                # before a fork and starts them again when next needed,
-                # and the child runs only numpy code and leaves by
-                # os._exit
+                # They are the only others (_dispatches), OpenBLAS stops
+                # them before a fork and starts them again when next
+                # needed, and the child runs only numpy code and leaves
+                # by os._exit
                 warnings.filterwarnings(
                     "ignore", r"This process \(pid=\d+\) is multi-threaded, "
                     r"use of fork\(\) may lead to deadlocks in the child\.",
                     DeprecationWarning)
                 pid = os.fork()
         except OSError:
-            return
+            self.close()
+            raise
+        requests_in, self.requests, self.replies, replies_out, self.weights = self.fds
         if pid == 0:
             status = 1
             try:
-                self._rows()[...] = run()
+                signal.signal(signal.SIGINT, signal.SIG_IGN)
+                os.close(self.requests)
+                os.close(self.replies)
+                _serve(requests_in, replies_out, self.weights)
                 status = 0
             finally:
                 os._exit(status)
         self.pid = pid
+        os.close(requests_in)
+        os.close(replies_out)
+        self.fds = [self.requests, self.replies, self.weights]
 
-    def _rows(self):
-        return np.frombuffer(self.shared, dtype=np.float64).reshape(self.shape)
+    def exited(self):
+        """Whether the worker has exited, reaping it if so."""
+        with contextlib.suppress(ChildProcessError):
+            if not os.waitpid(self.pid, os.WNOHANG)[0]:
+                return False
+        self.pid = None
+        return True
 
-    def result(self):
+    def send(self, params, prefix, inputs, memory_span):
+        """Ask the worker to run the direction whose weights are
+        params[prefix + name] over `inputs`, as _run_direction would."""
+        weights = [params[prefix + name] for name in WEIGHTS]
+        (a, h), d = weights[0].shape, weights[1].shape[1]
+        layout, _ = _weight_layout(a, h, d)
+        for w, (_, offset) in zip(weights, layout):
+            w = np.ascontiguousarray(w, dtype=np.float64)
+            if os.pwrite(self.weights, w, offset) != w.nbytes:
+                raise OSError("short write to the decode worker's weights")
+        name = np.frombuffer(prefix.encode(), dtype=np.uint8)
+        head = [a, h, d, -1 if memory_span is None else memory_span,
+                len(inputs), len(name)]
+        _write(self.requests, np.array(head + [len(x) for x in inputs],
+                                       dtype=np.int64), name, *inputs)
+
+    def rows(self, lengths, hidden):
+        """The top hidden rows (B, n, h) of the direction run sent last,
+        over sentences of these lengths, longest first; None if the
+        worker failed or died before it replied."""
+        rows = np.empty((len(lengths), lengths[0], hidden))
+        try:
+            for p, m in enumerate(lengths):
+                _read(self.replies, rows[p, :m])
+        except (EOFError, OSError):
+            return None
+        return rows
+
+    def close(self):
+        """Kill and reap the worker, and close this process's ends of
+        its files."""
+        for fd in self.fds:
+            os.close(fd)
+        self.fds = []
         if self.pid is not None:
-            _, status = os.waitpid(self.pid, 0)
+            with contextlib.suppress(ProcessLookupError, ChildProcessError):
+                os.kill(self.pid, signal.SIGKILL)
+                os.waitpid(self.pid, 0)
             self.pid = None
-            if status == 0:
-                return self._rows().copy()
-        return self.run()
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        if self.pid is not None:
-            os.kill(self.pid, signal.SIGKILL)
-            os.waitpid(self.pid, 0)
-            self.pid = None
-        if self.shared is not None:
-            self.shared.close()
 
 
-def _rows_without_cache(params, runs, hidden, memory_span, fork):
+# this process's decode worker, forked by the first forward pass that
+# dispatches to it
+_worker = None
+
+
+def close_worker():
+    """Stop this process's decode worker, if it has one.  The next
+    forward pass that dispatches forks a fresh one, with the code and
+    module state of that moment."""
+    global _worker
+    worker, _worker = _worker, None
+    if worker is not None:
+        worker.close()
+
+
+def _forget_worker():
+    # in a forked child: the worker is the parent's, to neither use nor
+    # kill; only close the child's copies of its files
+    global _worker
+    worker, _worker = _worker, None
+    if worker is not None:
+        worker.pid = None
+        worker.close()
+
+
+atexit.register(close_worker)
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_worker)
+
+
+def _dispatch(params, prefix, inputs, memory_span):
+    """This process's decode worker, once it has been sent the direction
+    whose weights are params[prefix + name] over `inputs`: forked if
+    there is none, or if the last one has exited, which is reaped.  None,
+    with no worker left, if a file, the fork or the send failed."""
+    global _worker
+    if _worker is not None and _worker.exited():
+        close_worker()
+    try:
+        if _worker is None:
+            _worker = _Worker()
+        _worker.send(params, prefix, inputs, memory_span)
+    except OSError:
+        close_worker()
+        return None
+    return _worker
+
+
+def _rows_without_cache(params, runs, hidden, memory_span, dispatch):
     """The top hidden rows (B, n, h) of each direction run in `runs`,
     (prefix, inputs) pairs in DIRECTIONS order, keeping no steps.  Each
-    direction's state goes as soon as its tape is read.  With `fork` the
-    backward run takes place in a forked child while this process runs
-    the forward one."""
+    direction's state goes as soon as its tape is read.  With `dispatch`
+    the decode worker runs the backward direction while this process
+    runs the forward one; when the worker cannot take it, fails or dies,
+    this process runs it too, so the results and errors are the same."""
     (fwd_prefix, fwd_inputs), (bwd_prefix, bwd_inputs) = runs
 
     def rows(prefix, inputs):
         return _run_direction(params, prefix, inputs, False,
                               memory_span).tape[:, :, :hidden]
 
-    if not fork:
+    worker = dispatch and _dispatch(params, bwd_prefix, bwd_inputs, memory_span)
+    if not worker:
         return rows(fwd_prefix, fwd_inputs), rows(bwd_prefix, bwd_inputs)
-    shape = (len(bwd_inputs), bwd_inputs[0].shape[0], hidden)
-    with _Child(lambda: rows(bwd_prefix, bwd_inputs), shape) as child:
-        return rows(fwd_prefix, fwd_inputs), child.result()
+    try:
+        fwd_rows = rows(fwd_prefix, fwd_inputs)
+        bwd_rows = worker.rows([len(x) for x in bwd_inputs], hidden)
+    except BaseException:
+        # its reply would answer the next request
+        close_worker()
+        raise
+    if bwd_rows is None:
+        close_worker()
+        bwd_rows = rows(bwd_prefix, bwd_inputs)
+    return fwd_rows, bwd_rows
 
 
 # perfbench/spans.py sizes a traced call by len(args[2]): keep `inputs`
@@ -657,10 +831,12 @@ def forward(params, config, inputs, dropout=0.0, rng=None, keep_cache=True):
     backward), the stream one sentence at a time would draw; evaluation
     passes use dropout=0.  With keep_cache=False no step rows are kept
     and the returned cache is None: decoding needs no gradients.  Such a
-    pass over a longest sentence of FORK_MIN_TOKENS tokens or more runs
-    each layer's backward direction in a forked child where the platform
-    allows (module docstring, Cost), with bit-equal results.  Memory
-    grows linearly in n either way.
+    pass over a longest sentence of FORK_MIN_TOKENS tokens or more sends
+    each layer's backward direction to this process's decode worker,
+    forked on first use where the platform allows, while it runs the
+    forward one (module docstring, Cost), with bit-equal results and
+    weights read afresh for every call.  Memory grows linearly in n
+    either way.
     """
     batch = [np.asarray(x, dtype=np.float64) for x in inputs]
     if not batch:
@@ -686,7 +862,7 @@ def forward(params, config, inputs, dropout=0.0, rng=None, keep_cache=True):
     positions = [0] * len(batch)
     for p, s in enumerate(by_length):
         positions[s] = p
-    fork = not keep_cache and _forks(lengths)
+    dispatch = not keep_cache and _dispatches(lengths)
     layers = []
     for layer in range(1 + config.extra_layers):
         runs = [(f"enc{layer}.{direction}.", [current[s][order] for s in by_length])
@@ -698,7 +874,8 @@ def forward(params, config, inputs, dropout=0.0, rng=None, keep_cache=True):
             layers.append(states)
             rows = [state.tape[:, :, :h] for state in states]
         else:
-            rows = _rows_without_cache(params, runs, h, config.memory_span, fork)
+            rows = _rows_without_cache(params, runs, h, config.memory_span,
+                                      dispatch)
         top_h = [[r[p, :m][order] for p, m in zip(positions, lengths)]
                  for r, (_, order) in zip(rows, DIRECTIONS)]
         if layer < config.extra_layers:

@@ -346,12 +346,16 @@ class Segmenter:
 
         Whitespace is a forced word boundary and belongs to no word, as
         in a corpus file: each whitespace-separated part of the line is
-        preprocessed and decoded on its own, and its words are read off
-        its own text, so "".join(words) == "".join(line.split()).
+        preprocessed and decoded as a sentence of its own, all of them
+        in one list decode, and its words are read off its own text, so
+        "".join(words) == "".join(line.split()).
         """
-        words = []
+        parts = []
         for part in line.split():
             sources = []
-            tokens = preprocess(part, self.lexicon, sources)
-            words += decode_tags(sources, self.decode(tokens))
+            parts.append((preprocess(part, self.lexicon, sources), sources))
+        paths = self.decode([tokens for tokens, _ in parts])
+        words = []
+        for (_, sources), path in zip(parts, paths):
+            words += decode_tags(sources, path)
         return words

@@ -261,9 +261,9 @@ def test_segment_to_stdout(tmp_path, capsys):
 
 
 def test_segment_writes_each_line_once_around_a_forked_decode(tmp_path):
-    # a long line's decode forks while earlier lines wait in the output
-    # buffer; the child must leave without flushing its copy of it, to a
-    # pipe or to a file
+    # the first long line's decode forks the decode worker while earlier
+    # lines wait in the output buffer; the worker must never flush its
+    # copy of it, to a pipe or to a file, nor when it is stopped at exit
     model_dir = train_into(tmp_path, "m")
     with open(TOY, encoding="utf-8") as fh:
         text = "".join(fh.read().split())

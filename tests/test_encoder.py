@@ -1,5 +1,6 @@
 import os
 import re
+import signal
 import threading
 import tracemalloc
 from types import SimpleNamespace
@@ -890,40 +891,95 @@ def decode_outputs(built, lines):
             [" ".join(built.segment(line)).encode() for line in lines])
 
 
+def in_process(monkeypatch, run):
+    """run() with every direction in this process."""
+    with monkeypatch.context() as mp:
+        mp.setattr(encoder, "FORK_MIN_TOKENS", np.inf)
+        return run()
+
+
+def same_arrays(got, want):
+    return all(np.array_equal(g, w) for g, w in zip(got, want, strict=True))
+
+
 @pytest.mark.parametrize("extra_layers, span", [(0, None), (0, 2), (1, None), (1, 2)])
-def test_forked_decode_is_bit_equal_to_in_process(forking, monkeypatch,
+def test_forked_decode_is_bit_equal_to_in_process(dispatches, monkeypatch,
                                                   extra_layers, span):
     # decode chunks of 4 lines: the first mixes lines below and above
-    # the threshold and forks, the second is all short and does not
+    # the threshold and goes to the worker, the second is all short and
+    # does not
     built, chars = paper_model(extra_layers=extra_layers, memory_span=span,
                                batch_size=4)
     m = encoder.FORK_MIN_TOKENS
     text = "".join(chars * 3)
-    lines = [text[i:i + n] for i, n in enumerate((m + 6, 12, m, 3, 20, m - 1))]
-    with monkeypatch.context() as mp:
-        mp.setattr(encoder, "FORK_MIN_TOKENS", np.inf)
-        want = decode_outputs(built, lines)
-    assert not forking
-    # a forked child per layer for each long emissions() and segment()
-    # call and for the first decode chunk
+    lines = [text[i:i + n] for i, n in enumerate((m + 6, m // 2, m, 1, m - 1, m - 1))]
+    want = in_process(monkeypatch, lambda: decode_outputs(built, lines))
+    assert not dispatches
+    # the worker runs each layer's backward direction for each long
+    # emissions() and segment() call and for the first decode chunk
     assert decode_outputs(built, lines) == want
-    assert len(forking) == 5 * (1 + extra_layers)
+    assert len(dispatches) == 5 * (1 + extra_layers)
+    assert set(dispatches) == {encoder._worker.pid}
 
     def no_fork():
         raise OSError(11, "Resource temporarily unavailable")
 
+    encoder.close_worker()
     monkeypatch.setattr(os, "fork", no_fork)
     assert decode_outputs(built, lines) == want
+    assert encoder._worker is None
 
 
-def test_failed_child_makes_the_parent_run_the_direction(forking, monkeypatch):
+def test_worker_sees_weights_edited_in_place(dispatches, monkeypatch):
+    # training and gradient checks write model.params in place between
+    # decodes; the worker must run with the weights of each call
+    built, chars = paper_model(extra_layers=1)
+    line = "".join(chars)[:encoder.FORK_MIN_TOKENS + 3]
+    before = built.emissions(list(line))[0]
+    pid = encoder._worker.pid
+    for name in ("enc0.bwd.cell.w", "enc1.bwd.attn.wh"):
+        built.params[name][...] *= 1.01
+        got = built.emissions(list(line))[0]
+        want = in_process(monkeypatch, lambda: built.emissions(list(line))[0])
+        assert np.array_equal(got, want)
+        assert not np.array_equal(got, before)
+        before = got
+    assert len(dispatches) == 6
+    assert encoder._worker.pid == pid
+
+
+def test_killed_worker_falls_back_and_a_fresh_one_follows(dispatches,
+                                                          monkeypatch):
+    rng = np.random.default_rng(84)
+    cfg = small_config(extra_layers=1)
+    params = init_params(cfg, rng)
+    xs = [rng.normal(size=(n, DIM)) for n in (encoder.FORK_MIN_TOKENS + 5, 2)]
+    want, _ = in_process(monkeypatch,
+                         lambda: forward(params, cfg, xs, keep_cache=False))
+    got, _ = forward(params, cfg, xs, keep_cache=False)
+    assert same_arrays(got, want)
+    killed = encoder._worker.pid
+    os.kill(killed, signal.SIGKILL)
+    # the send finds the worker gone or its reply never comes: this
+    # process runs the direction, and the next layer forks a new worker
+    got, _ = forward(params, cfg, xs, keep_cache=False)
+    assert same_arrays(got, want)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(killed, os.WNOHANG)
+    fresh = encoder._worker.pid
+    assert fresh != killed
+    got, _ = forward(params, cfg, xs, keep_cache=False)
+    assert same_arrays(got, want)
+    assert encoder._worker.pid == fresh
+
+
+def test_failed_child_makes_the_parent_run_the_direction(dispatches, monkeypatch):
     rng = np.random.default_rng(81)
     cfg = small_config(extra_layers=1)
     params = init_params(cfg, rng)
     xs = [rng.normal(size=(n, DIM)) for n in (encoder.FORK_MIN_TOKENS + 5, 9)]
-    with monkeypatch.context() as mp:
-        mp.setattr(encoder, "FORK_MIN_TOKENS", np.inf)
-        want, _ = forward(params, cfg, xs, keep_cache=False)
+    want, _ = in_process(monkeypatch,
+                         lambda: forward(params, cfg, xs, keep_cache=False))
     parent = os.getpid()
     step = encoder.tape_step
 
@@ -932,26 +988,37 @@ def test_failed_child_makes_the_parent_run_the_direction(forking, monkeypatch):
             raise RuntimeError("child failed")
         step(state, t)
 
-    monkeypatch.setattr(encoder, "tape_step", fails_in_child)
-    got, _ = forward(params, cfg, xs, keep_cache=False)
-    assert len(forking) == 2
-    assert all(np.array_equal(g, w) for g, w in zip(got, want, strict=True))
+    # a worker keeps the code it was forked with: each layer's worker,
+    # forked under the patch, fails mid-call
+    with monkeypatch.context() as mp:
+        mp.setattr(encoder, "tape_step", fails_in_child)
+        got, _ = forward(params, cfg, xs, keep_cache=False)
+        assert len(dispatches) == 2
+        assert same_arrays(got, want)
+        assert encoder._worker is None
 
     def backward_fails(state, t):
         if state.prefix.endswith("bwd."):
             raise RuntimeError("backward direction failed")
         step(state, t)
 
-    # the child fails, the parent runs the direction and meets the error
-    monkeypatch.setattr(encoder, "tape_step", backward_fails)
-    with pytest.raises(RuntimeError, match="backward direction failed"):
-        forward(params, cfg, xs, keep_cache=False)
-    assert len(forking) == 3
+    # the worker fails, the parent runs the direction and meets the error
+    with monkeypatch.context() as mp:
+        mp.setattr(encoder, "tape_step", backward_fails)
+        with pytest.raises(RuntimeError, match="backward direction failed"):
+            forward(params, cfg, xs, keep_cache=False)
+        assert len(dispatches) == 3
+        assert encoder._worker is None
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+    # a fresh worker, forked with the plain code, runs both layers
+    got, _ = forward(params, cfg, xs, keep_cache=False)
+    assert same_arrays(got, want)
+    assert len(dispatches) == 5
+    assert set(dispatches[3:]) == {encoder._worker.pid}
 
 
-def test_error_in_the_parent_direction_leaves_no_child(forking, monkeypatch):
+def test_error_in_the_parent_direction_leaves_no_child(dispatches, monkeypatch):
     rng = np.random.default_rng(82)
     cfg = small_config()
     params = init_params(cfg, rng)
@@ -966,19 +1033,53 @@ def test_error_in_the_parent_direction_leaves_no_child(forking, monkeypatch):
     monkeypatch.setattr(encoder, "tape_step", forward_fails)
     with pytest.raises(RuntimeError, match="forward direction failed"):
         forward(params, cfg, xs, keep_cache=False)
-    assert len(forking) == 1
+    assert len(dispatches) == 1
+    # the worker, busy with a reply no call will read, is gone
+    assert encoder._worker is None
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 
 
-def test_no_fork_while_another_thread_runs(forking):
-    # a thread could hold a lock at the fork that the child would wait on
+def test_forked_child_neither_uses_nor_kills_the_parent_worker(dispatches,
+                                                               monkeypatch):
+    rng = np.random.default_rng(85)
+    cfg = small_config()
+    params = init_params(cfg, rng)
+    xs = [rng.normal(size=(encoder.FORK_MIN_TOKENS + 5, DIM))]
+    want, _ = in_process(monkeypatch,
+                         lambda: forward(params, cfg, xs, keep_cache=False))
+    forward(params, cfg, xs, keep_cache=False)
+    worker = encoder._worker.pid
+    child = os.fork()
+    if child == 0:
+        status = 1
+        try:
+            # the child forgot the parent's worker, forks one of its
+            # own and stops it, as a process's exit would
+            forgot = encoder._worker is None
+            got, _ = forward(params, cfg, xs, keep_cache=False)
+            own = encoder._worker.pid
+            encoder.close_worker()
+            if forgot and own != worker and same_arrays(got, want):
+                status = 0
+        finally:
+            os._exit(status)
+    assert os.waitpid(child, 0)[1] == 0
+    assert os.waitpid(worker, os.WNOHANG) == (0, 0)
+    got, _ = forward(params, cfg, xs, keep_cache=False)
+    assert same_arrays(got, want)
+    assert dispatches[-1] == encoder._worker.pid == worker
+
+
+def test_no_fork_while_another_thread_runs(dispatches):
+    # a thread could hold a lock at the worker's fork, or send the
+    # worker a request of its own
     rng = np.random.default_rng(83)
     cfg = small_config()
     params = init_params(cfg, rng)
     xs = [rng.normal(size=(encoder.FORK_MIN_TOKENS + 5, DIM))]
     want, _ = forward(params, cfg, xs, keep_cache=False)
-    assert len(forking) == 1
+    assert len(dispatches) == 1
     stop = threading.Event()
     other = threading.Thread(target=stop.wait)
     other.start()
@@ -988,5 +1089,14 @@ def test_no_fork_while_another_thread_runs(forking):
         stop.set()
         other.join(timeout=10)
     assert not other.is_alive()
-    assert len(forking) == 1
+    assert len(dispatches) == 1
     assert np.array_equal(got[0], want[0])
+    # nor does a second thread's own call while this one waits
+    results = []
+    second = threading.Thread(
+        target=lambda: results.append(forward(params, cfg, xs, keep_cache=False)))
+    second.start()
+    second.join(timeout=60)
+    assert not second.is_alive()
+    assert len(dispatches) == 1
+    assert np.array_equal(results[0][0][0], want[0])

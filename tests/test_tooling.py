@@ -13,15 +13,17 @@ in the whole product; a numpy or BLAS release that changes either fails
 here, by name, before the tape bit-equality tests fail without saying
 why.  Training's bytes depend on the BLAS thread count, but the forward
 pass and decoding must not, and two processes at 1 and 2 threads check
-that.  scripts/codelines.py, which counts the package's code lines, runs
-once, and scripts/pins.py must print the committed tests/pins.txt under
-the builds named in its first line."""
+that.  A program that decoded leaves no decode worker running, when it
+exits or when it is killed.  scripts/codelines.py, which counts the
+package's code lines, runs once, and scripts/pins.py must print the
+committed tests/pins.txt under the builds named in its first line."""
 
 import importlib.util
 import json
 import os
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -210,6 +212,75 @@ def test_forward_and_segment_do_not_depend_on_blas_threads():
             f"numpy {np.__version__}: toy sentence {line} hashes differently "
             "at 1 and 2 BLAS threads (emissions, segment output, decoded path)"
         )
+
+
+# decodes one line through the decode worker, as on a machine with 2
+# CPUs, and prints the worker's pid; then exits and, after attnseg's own
+# exit handlers (atexit runs the last registered first), says whether
+# they reaped the worker, or with "wait" waits for its stdin to close
+WORKER_PROBE = """
+import atexit, os, sys
+
+def reaped():
+    try:
+        os.waitpid(pid, os.WNOHANG)
+        print("worker not reaped", flush=True)
+    except ChildProcessError:
+        print("worker reaped", flush=True)
+
+atexit.register(reaped)
+import numpy as np
+from attnseg import encoder
+from attnseg.model import TrainConfig
+
+os.sched_getaffinity = lambda pid: {0, 1}
+cfg = TrainConfig(hidden=8, emb_dim=4, window=1)
+params = encoder.init_params(cfg, np.random.default_rng(0))
+x = np.zeros((encoder.FORK_MIN_TOKENS, cfg.input_dim))
+encoder.forward(params, cfg, [x], keep_cache=False)
+pid = encoder._worker.pid
+print(pid, flush=True)
+if sys.argv[1:] == ["wait"]:
+    sys.stdin.read()
+"""
+
+
+def gone_or_zombie(pid):
+    try:
+        with open(f"/proc/{pid}/stat", encoding="ascii") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] == "Z"
+    except FileNotFoundError:
+        return True
+
+
+@pytest.mark.skipif(not hasattr(os, "memfd_create") or not os.path.isdir("/proc"),
+                    reason="the decode worker and /proc are Linux's")
+def test_decode_worker_leaves_with_its_parent():
+    # no process is left running after a program that decoded exits,
+    # nor after it is killed
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(
+        os.path.abspath(attnseg.__file__))))
+    done = subprocess.run([sys.executable, "-c", WORKER_PROBE], env=env,
+                          capture_output=True, text=True, check=True)
+    pid, said = done.stdout.splitlines()
+    assert said == "worker reaped"
+    assert gone_or_zombie(int(pid))
+    probe = subprocess.Popen([sys.executable, "-c", WORKER_PROBE, "wait"],
+                             env=env, stdin=subprocess.PIPE,
+                             stdout=subprocess.PIPE, text=True)
+    try:
+        worker = int(probe.stdout.readline())
+        assert not gone_or_zombie(worker)
+    finally:
+        probe.kill()
+        # not communicate(): the worker shares the probe's stdout
+        probe.wait(timeout=10)
+        probe.stdin.close()
+        probe.stdout.close()
+    deadline = time.monotonic() + 5.0
+    while not gone_or_zombie(worker) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    assert gone_or_zombie(worker)
 
 
 def test_codelines_lists_every_module_and_their_total():

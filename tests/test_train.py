@@ -1049,6 +1049,32 @@ def test_segment_spells_the_input_text():
             for n in tagging.word_lengths(model.decode(tokens))], (line, words)
 
 
+@pytest.mark.parametrize("batch_size", [2, 50])
+def test_segment_decodes_a_line_in_one_call_as_part_by_part(dispatches,
+                                                            batch_size):
+    # one list decode of all the line's parts, in chunks of batch_size,
+    # writes the bytes that one decode per part writes
+    model, _, _ = toy_model(batch_size=batch_size)
+    lexicon = model.lexicon = frozenset({"一举两得", "北京大学"})
+    calls = []
+    decode = model.decode
+    model.decode = lambda tokens: calls.append(tokens) or decode(tokens)
+    rng = np.random.default_rng(29)
+    for _ in range(200):
+        picks = rng.integers(len(SEGMENT_PIECES), size=int(rng.integers(0, 24)))
+        line = "".join(SEGMENT_PIECES[i] for i in picks)
+        want = []
+        for part in line.split():
+            sources = []
+            tokens = preprocess(part, lexicon, sources)
+            want += tagging.decode_tags(sources, decode(tokens))
+        calls.clear()
+        got = model.segment(line)
+        assert " ".join(got).encode() == " ".join(want).encode(), line
+        assert len(calls) == 1
+    assert dispatches
+
+
 def test_build_starts_from_given_embeddings(tmp_path):
     corpus = load_toy_corpus()
     vectors = tmp_path / "vectors.txt"
@@ -1186,8 +1212,8 @@ def test_decode_releases_each_direction_before_the_next(monkeypatch):
     assert per_token < d * 8 + 2 * state_row
 
 
-def test_forked_decode_holds_one_direction_in_the_parent(forking, monkeypatch):
-    # with the backward direction in a forked child, the parent holds per
+def test_forked_decode_holds_one_direction_in_the_parent(dispatches, monkeypatch):
+    # with the backward direction in the decode worker, the parent holds per
     # token the input row and its ids, the forward direction's whole
     # state row, a step's window temporaries and the emissions, but not
     # the forward tape row [h | c] while the backward direction runs:
@@ -1197,6 +1223,7 @@ def test_forked_decode_holds_one_direction_in_the_parent(forking, monkeypatch):
     d = cfg.window * cfg.emb_dim
     chars = [tok for sent in corpus for tok in sent.tokens]
     model.decode(chars[:8])
+    warm = len(dispatches)
 
     def per_token():
         peaks = []
@@ -1211,7 +1238,7 @@ def test_forked_decode_holds_one_direction_in_the_parent(forking, monkeypatch):
         return (peaks[1] - peaks[0]) / 400
 
     forked = per_token()
-    assert len(forking) == 2
+    assert len(dispatches) == warm + 2
     monkeypatch.setattr(encoder, "FORK_MIN_TOKENS", np.inf)
     in_process = per_token()
     state_row = (2 * h + a + a + h + d) * 8
