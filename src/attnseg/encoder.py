@@ -105,42 +105,59 @@ the process may run on 2 CPUs or more and no other Python thread runs,
 since one could hold a lock at the fork or send a request of its own.
 Each process has one decode worker, a child forked by the first such
 pass, which then serves every layer of every such pass: the parent
-writes the backward direction's six weights into a memfd file, which
-the worker maps and the parent never does, sends the sentences' input
-rows down one pipe and runs the forward direction, while the worker
-runs the backward one and sends its top hidden rows (B, n, h) back up
-another.  The weights are written again for every request, about 0.4
-ms for the 2.9 MB of a direction at paper dimensions, since training
-and gradient checks change the parameters in place between decodes;
-nothing is pickled.  The worker runs the same
-numpy calls on the same operands, so its rows are the bits the parent
-would compute.  A worker thread made decoding slower, since the
-directions' Python step code takes turns at the interpreter lock, and a
-process has a lock of its own.  A one-token pass takes about 1.0 ms
-through the worker against 0.4 ms in one process, and the worker wins
-from about 6 tokens on (CHANGES.md has the curve).  When a file, the
-fork or a send fails, or the worker dies or fails before it replies,
-the parent reaps it and runs the direction itself, with the same
-results and the same errors, and the next pass forks a fresh worker;
-when the parent's own direction raises, it kills the worker, whose
-reply no call would read.
-The worker keeps the code it was forked with, ignores SIGINT, leaves
-only through os._exit, so it runs no atexit handler and flushes no
-stdio buffer it inherited, and exits when its requests pipe closes, as
-when the parent dies.  close_worker() stops it, as an atexit handler
-does, and a child forked from the parent forgets it, closing its copies
-of the worker's files without killing it.  Training's kept forward
-never uses the worker, since backward reads both directions' states.
+sends the sentences' input rows down one pipe and runs the forward
+direction, while the worker runs the backward one and sends its top
+hidden rows (B, n, h) back up another; nothing is pickled.  The shared
+region is a memfd file of SHARED_BYTES (256 MiB) of address space,
+mapped shared before the worker forks, and load_model takes each
+model's one parameter block from it (shared_block).  When the backward
+direction's six weights lie there, a request carries their offsets and
+writes no weight, and the worker reads the parent's live pages, so
+weights edited in place, as training and gradient checks do between
+decodes, are read as they are.  Any other weights (built, trained or
+hand-made, or fit's best copy) the parent writes into a second memfd
+file, which only the worker maps, for every request: about 0.4 ms for
+the 2.9 MB of a direction at paper dimensions.  A freed block's pages
+serve the next block of the same size, so a repeated load faults in
+no page; a load that finds the region full takes a private block.  A child forked from the parent
+other than the worker gets a private copy of the region's used bytes
+at the same address (_Region.detach), so its arrays are a snapshot of
+the fork, as with any other memory: the fork costs that copy.  The
+worker runs the same numpy calls on the same operands, so its rows
+are the bits the parent would compute.  A worker thread made decoding
+slower, since the directions' Python step code takes turns at the
+interpreter lock, and a process has a lock of its own.  A one-token
+pass of a loaded model takes about 0.4 ms through the worker against
+0.3 ms in one process, and the worker wins from about 3 tokens on; a
+built model's takes about 1.0 ms, breaks even at 6 to 8 tokens and
+wins from about 10 (CHANGES.md has the curves).  When a file, the fork
+or a send fails, or the worker dies or fails before it replies, the
+parent reaps it and runs the direction itself, with the same results
+and the same errors, and the next pass forks a fresh worker; when the
+parent's own direction raises, it kills the worker, whose reply no
+call would read.
+The worker keeps the code it was forked with, points fds 0-2 at
+/dev/null and closes every other fd it inherited but its own pipes and
+weight file, so no reader of the parent's stdout waits for it, ignores
+SIGINT, leaves only through os._exit, so it runs no atexit handler and
+flushes no stdio buffer it inherited, and exits when its requests pipe
+closes, as when the parent dies.  close_worker() stops it, as an
+atexit handler does, and a child forked from the parent forgets it,
+closing its copies of the worker's files without killing it.
+Training's kept forward never uses the worker, since backward reads
+both directions' states.
 """
 
 import atexit
 import contextlib
+import ctypes
 import math
 import mmap
 import os
 import signal
 import threading
 import warnings
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -586,6 +603,132 @@ def _weight_layout(a, h, d):
     return layout, end
 
 
+# bytes of address space in the shared region; a memfd file is charged
+# only for the pages it holds, so the unused space costs no memory
+SHARED_BYTES = 2 ** 28
+
+_MAP_FAILED = ctypes.c_void_p(-1).value
+_MREMAP_MAYMOVE, _MREMAP_FIXED = 1, 2
+
+
+def _libc():
+    """The C library's mmap and mremap, through ctypes."""
+    libc = ctypes.CDLL(None, use_errno=True)
+    libc.mmap.restype = libc.mremap.restype = ctypes.c_void_p
+    libc.mmap.argtypes = (ctypes.c_void_p, ctypes.c_size_t, ctypes.c_int,
+                          ctypes.c_int, ctypes.c_int, ctypes.c_long)
+    libc.mremap.argtypes = (ctypes.c_void_p, ctypes.c_size_t, ctypes.c_size_t,
+                            ctypes.c_int, ctypes.c_void_p)
+    return libc
+
+
+def _mapped(address):
+    """`address` as an mmap or mremap call returned it; OSError if the
+    call failed."""
+    if address in (None, _MAP_FAILED):
+        errno = ctypes.get_errno()
+        raise OSError(errno, os.strerror(errno))
+    return address
+
+
+class _Region:
+    """The shared region: `capacity` bytes of one memfd file, mapped
+    shared at one address that a forked decode worker inherits, so that
+    it reads the parent's live pages (module docstring, Cost).
+
+    block() carves page-rounded blocks from the start.  A block whose
+    last view is gone goes on a free list by size and serves the next
+    block of that size, whose pages are then already in place; the file
+    gives no page back.  When neither a freed block nor the rest of the
+    region fits, block() returns None.  In a forked child other than the
+    worker, detach() puts a private copy of the used bytes at the same
+    address, and the child takes no more blocks from it.
+    """
+
+    def __init__(self, capacity):
+        self.libc = _libc()
+        fd = os.memfd_create("attnseg-params")
+        try:
+            os.ftruncate(fd, capacity)
+            self.address = _mapped(self.libc.mmap(
+                None, capacity, mmap.PROT_READ | mmap.PROT_WRITE,
+                mmap.MAP_SHARED, fd, 0))
+        finally:
+            os.close(fd)
+        self.buffer = (ctypes.c_char * capacity).from_address(self.address)
+        self.capacity = capacity
+        self.used = 0
+        self.free = {}
+        self.lock = threading.Lock()
+
+    def block(self, nbytes):
+        """A writable, page-aligned uint8 array of nbytes in the region,
+        or None if it has no room."""
+        size = -(-nbytes // mmap.PAGESIZE) * mmap.PAGESIZE
+        with self.lock:
+            freed = self.free.setdefault(size, [])
+            if freed:
+                offset = freed.pop()
+            elif self.used + size <= self.capacity:
+                offset, self.used = self.used, self.used + size
+            else:
+                return None
+        block = np.frombuffer(self.buffer, np.uint8, nbytes, offset)
+        # on the array: numpy makes it the base of every view of the
+        # block, since its own base is no array, so it outlives them all.
+        # A list append takes no lock, so this may run inside block()
+        weakref.finalize(block, freed.append, offset)
+        return block
+
+    def offset(self, array):
+        """The byte offset in the region of a C-contiguous float64 array
+        that lies in its blocks, or None."""
+        start = array.__array_interface__["data"][0] - self.address
+        if (array.dtype == np.float64 and array.flags.c_contiguous
+                and 0 <= start and start + array.nbytes <= self.used):
+            return start
+        return None
+
+    def detach(self):
+        """In a forked child other than the decode worker: replace the
+        used bytes by a private copy at the same address, so the child's
+        arrays hold what they held at the fork and the parent's later
+        writes do not reach them, nor theirs the parent's."""
+        size = self.used
+        if size:
+            copy = _mapped(self.libc.mmap(
+                None, size, mmap.PROT_READ | mmap.PROT_WRITE,
+                mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS, -1, 0))
+            ctypes.memmove(copy, self.address, size)
+            _mapped(self.libc.mremap(copy, size, size,
+                                     _MREMAP_MAYMOVE | _MREMAP_FIXED, self.address))
+
+
+# this process's shared region, made by the first call that needs one
+_region = None
+_region_lock = threading.Lock()
+
+
+def _shared_region():
+    """This process's shared region, made if there is none; None where
+    os.memfd_create is missing or the region cannot be made."""
+    global _region
+    with _region_lock:
+        if _region is None and hasattr(os, "memfd_create"):
+            with contextlib.suppress(OSError):
+                _region = _Region(SHARED_BYTES)
+        return _region
+
+
+def shared_block(nbytes):
+    """A writable, page-aligned uint8 array of nbytes in this process's
+    shared region, where a decode worker reads it without a copy, or
+    None when the region is full or there is none.  Its pages serve the
+    next block of the same size once no view of it is left."""
+    region = _shared_region()
+    return None if region is None else region.block(nbytes)
+
+
 def _read(fd, array):
     """Fill a C-contiguous array from the pipe `fd` and return it;
     EOFError if the pipe closes first."""
@@ -606,34 +749,66 @@ def _write(fd, *arrays):
             view = view[os.write(fd, view):]
 
 
-def _serve(requests, replies, weights):
-    """The decode worker's loop: read a request from the `requests`
-    pipe, run the direction it asks for with the weights the memfd file
-    `weights` holds, and write the sentences' top hidden rows into the
-    `replies` pipe, until the requests pipe closes.
+def _keep_only(fds):
+    """In the decode worker: point fds 0-2 at /dev/null and close every
+    other fd but `fds`, so that no reader of an inherited pipe waits for
+    the worker.  Returns `fds`, each moved above 2 if it was not."""
+    kept = []
+    for fd in fds:
+        while fd < 3:
+            fd = os.dup(fd)
+        kept.append(fd)
+    null = os.open(os.devnull, os.O_RDWR)
+    for fd in range(3):
+        os.dup2(null, fd)
+    start = 3
+    for fd in sorted(kept):
+        os.closerange(start, fd)
+        start = fd + 1
+    os.closerange(start, os.sysconf("SC_OPEN_MAX"))
+    return kept
 
-    A request is int64 (a, h, d, memory span or -1, B, P), then the B
-    sentences' lengths, the P bytes of the direction's prefix and the
-    sentences' (n_i, d) float64 input rows."""
+
+def _serve(requests, replies, weights, region):
+    """The decode worker's loop: read a request from the `requests`
+    pipe, run the direction it asks for, and write the sentences' top
+    hidden rows into the `replies` pipe, until the requests pipe closes.
+
+    A request is int64 (a, h, d, memory span or -1, B, P, S), the byte
+    offsets of the direction's six WEIGHTS, the B sentences' lengths,
+    the P bytes of the direction's prefix and the sentences' (n_i, d)
+    float64 input rows.  The offsets are into `region`, the shared
+    region inherited at the fork, when S is 1, and into the memfd file
+    `weights` when S is 0."""
     mapping = None
     while True:
         try:
-            head = _read(requests, np.empty(6, dtype=np.int64))
+            head = _read(requests, np.empty(7 + len(WEIGHTS), dtype=np.int64))
         except EOFError:
             return
-        a, h, d, span, batch, prefix = (int(v) for v in head)
+        a, h, d, span, batch, prefix, shared, *offsets = (int(v) for v in head)
         lengths = _read(requests, np.empty(batch, dtype=np.int64))
         prefix = _read(requests, np.empty(prefix, dtype=np.uint8)).tobytes().decode()
         inputs = [_read(requests, np.empty((m, d))) for m in lengths]
-        layout, end = _weight_layout(a, h, d)
-        if mapping is None or len(mapping) < end:
-            mapping = mmap.mmap(weights, end, prot=mmap.PROT_READ)
-        params = {prefix + name: np.frombuffer(mapping, np.float64,
-                                               math.prod(shape), offset).reshape(shape)
-                  for name, (shape, offset) in zip(WEIGHTS, layout)}
+        if shared:
+            source = region.buffer
+        else:
+            end = _weight_layout(a, h, d)[1]
+            if mapping is None or len(mapping) < end:
+                mapping = mmap.mmap(weights, end, prot=mmap.PROT_READ)
+            source = mapping
+        params = {prefix + name: np.frombuffer(source, np.float64, math.prod(shape),
+                                               offset).reshape(shape)
+                  for name, shape, offset in zip(WEIGHTS, _direction_shapes(a, h, d),
+                                                 offsets)}
         state = _run_direction(params, prefix, inputs, False,
                                None if span < 0 else span)
         _write(replies, *(state.tape[p, :m, :h] for p, m in enumerate(lengths)))
+
+
+# set in this process while it forks the decode worker, and so in the
+# worker, where the fork handler must leave the shared region shared
+_forking_worker = False
 
 
 class _Worker:
@@ -641,18 +816,24 @@ class _Worker:
     backward direction of forward passes without a cache (module
     docstring, Cost).
 
-    send() writes a direction's weights into the memfd file `weights`,
-    at the offsets of _weight_layout, and its request into the
-    `requests` pipe; rows() reads the reply from the `replies` pipe.
-    The child leaves only through os._exit, so it runs no atexit handler
-    and flushes no stdio buffer it inherited, and it ignores SIGINT, so
-    a Ctrl-C reaches only the parent.  It exits by itself when the
-    requests pipe closes, as when this process dies.
+    send() passes a direction's weights as their offsets in `region`,
+    the shared region the worker inherited, when all six lie there, and
+    otherwise writes them into the memfd file `weights`, at the offsets
+    of _weight_layout; then it writes the request into the `requests`
+    pipe, and rows() reads the reply from the `replies` pipe.  The child
+    points fds 0-2 at /dev/null and closes every other fd it inherited
+    but its own three, leaves only through os._exit, so it runs no
+    atexit handler and flushes no stdio buffer it inherited, and ignores
+    SIGINT, so a Ctrl-C reaches only the parent.  It exits by itself
+    when the requests pipe closes, as when this process dies.
     """
 
     def __init__(self):
+        global _forking_worker
         self.pid = None
         self.fds = []
+        # made before the fork, so that the worker inherits it
+        self.region = _shared_region()
         try:
             self.fds += os.pipe() + os.pipe()
             self.fds.append(os.memfd_create("attnseg-weights"))
@@ -667,7 +848,11 @@ class _Worker:
                     "ignore", r"This process \(pid=\d+\) is multi-threaded, "
                     r"use of fork\(\) may lead to deadlocks in the child\.",
                     DeprecationWarning)
-                pid = os.fork()
+                _forking_worker = True
+                try:
+                    pid = os.fork()
+                finally:
+                    _forking_worker = False
         except OSError:
             self.close()
             raise
@@ -676,9 +861,8 @@ class _Worker:
             status = 1
             try:
                 signal.signal(signal.SIGINT, signal.SIG_IGN)
-                os.close(self.requests)
-                os.close(self.replies)
-                _serve(requests_in, replies_out, self.weights)
+                _serve(*_keep_only((requests_in, replies_out, self.weights)),
+                       self.region)
                 status = 0
             finally:
                 os._exit(status)
@@ -700,15 +884,19 @@ class _Worker:
         params[prefix + name] over `inputs`, as _run_direction would."""
         weights = [params[prefix + name] for name in WEIGHTS]
         (a, h), d = weights[0].shape, weights[1].shape[1]
-        layout, _ = _weight_layout(a, h, d)
-        for w, (_, offset) in zip(weights, layout):
-            w = np.ascontiguousarray(w, dtype=np.float64)
-            if os.pwrite(self.weights, w, offset) != w.nbytes:
-                raise OSError("short write to the decode worker's weights")
+        offsets = [None if self.region is None else self.region.offset(w)
+                   for w in weights]
+        shared = None not in offsets
+        if not shared:
+            offsets = [offset for _, offset in _weight_layout(a, h, d)[0]]
+            for w, offset in zip(weights, offsets):
+                w = np.ascontiguousarray(w, dtype=np.float64)
+                if os.pwrite(self.weights, w, offset) != w.nbytes:
+                    raise OSError("short write to the decode worker's weights")
         name = np.frombuffer(prefix.encode(), dtype=np.uint8)
         head = [a, h, d, -1 if memory_span is None else memory_span,
-                len(inputs), len(name)]
-        _write(self.requests, np.array(head + [len(x) for x in inputs],
+                len(inputs), len(name), int(shared)]
+        _write(self.requests, np.array(head + offsets + [len(x) for x in inputs],
                                        dtype=np.int64), name, *inputs)
 
     def rows(self, lengths, hidden):
@@ -751,19 +939,28 @@ def close_worker():
         worker.close()
 
 
-def _forget_worker():
-    # in a forked child: the worker is the parent's, to neither use nor
-    # kill; only close the child's copies of its files
-    global _worker
+def _after_fork_in_child():
+    # in a forked child other than the decode worker: the worker is the
+    # parent's, to neither use nor kill, so only close the child's copies
+    # of its files; the shared region becomes a private snapshot, and the
+    # child's next load makes a region of its own.  Should the copy fail
+    # (an mmap with no memory left), Python reports the OSError and the
+    # child's loaded tensors stay shared with the parent
+    global _worker, _region, _region_lock
+    if _forking_worker:
+        return
     worker, _worker = _worker, None
     if worker is not None:
         worker.pid = None
         worker.close()
+    region, _region, _region_lock = _region, None, threading.Lock()
+    if region is not None:
+        region.detach()
 
 
 atexit.register(close_worker)
 if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_worker)
+    os.register_at_fork(after_in_child=_after_fork_in_child)
 
 
 def _dispatch(params, prefix, inputs, memory_span):
@@ -834,9 +1031,11 @@ def forward(params, config, inputs, dropout=0.0, rng=None, keep_cache=True):
     pass over a longest sentence of FORK_MIN_TOKENS tokens or more sends
     each layer's backward direction to this process's decode worker,
     forked on first use where the platform allows, while it runs the
-    forward one (module docstring, Cost), with bit-equal results and
-    weights read afresh for every call.  Memory grows linearly in n
-    either way.
+    forward one (module docstring, Cost), with bit-equal results: the
+    worker reads a loaded model's weights in the parent's own pages, and
+    any other weights as written for that call, so it runs with the
+    weights of the call either way.  Memory grows linearly in n either
+    way.
     """
     batch = [np.asarray(x, dtype=np.float64) for x in inputs]
     if not batch:

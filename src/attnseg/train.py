@@ -30,7 +30,8 @@ Saved models are directories, format attnseg-model/2:
 
 params.bin is written and read in chunks, through one float32 scratch
 of IO_CHUNK values: saving holds no copy of the parameters, and loading
-holds them once, as views into one block.
+holds them once, as views into one block of the encoder's shared
+region, where the decode worker reads them without a copy.
 
 Weights are stored in 32-bit but all arithmetic runs in 64-bit, so a
 round-trip costs one quantization, not a behavioural change (decodes are
@@ -53,6 +54,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corpus import Vocab, decode_lines, lexicon_from_lines
+from .encoder import shared_block
 from .evaluate import evaluate_corpus
 from .model import TABLES, Segmenter, TrainConfig, param_shapes
 from .numerics import ShapeError, grad_check
@@ -351,9 +353,14 @@ def _read_params(path, shapes, want, manifest_path):
     sha256 `want` that manifest_path gives, hold exactly 4 bytes per
     value and hold only finite values, checked in that order.  The
     tensors are filled only when fstat gives that size.  They are views
-    into one block, each starting on a 64-byte boundary: one block lets
-    a repeated load reuse the heap pages the previous model freed, where
-    an array per tensor faulted in fresh pages on every other load.
+    into one block, each starting on a 64-byte boundary, taken from the
+    shared region (encoder.shared_block), which the decode worker reads
+    in place, so a decode sends it no weight.  Once no view of a block
+    is left, its pages serve the next block of the same size, so a
+    repeated load faults in no fresh page.  When the region is full or
+    missing, the block is a private one on the heap.  A process forked
+    from this one, other than the decode worker, copies the region's
+    used bytes at the fork, so that its tensors are its own.
     """
     counts = [math.prod(shape) for shape in shapes.values()]
     size = 4 * sum(counts)
@@ -370,8 +377,10 @@ def _read_params(path, shapes, want, manifest_path):
             # tensor sizes in bytes, rounded up to 64
             starts = np.cumsum([0] + [-(-count * t.itemsize // 64) * 64
                                       for count, t in zip(counts, types)])
-            block = np.empty(int(starts[-1]) + 63, dtype=np.uint8)
-            block = block[-block.ctypes.data % 64:]
+            block = shared_block(int(starts[-1]))
+            if block is None:
+                block = np.empty(int(starts[-1]) + 63, dtype=np.uint8)
+                block = block[-block.ctypes.data % 64:]
             for (name, shape), count, t, start in zip(shapes.items(), counts,
                                                       types, starts):
                 dest = block[start:start + count * t.itemsize].view(t)
@@ -411,12 +420,16 @@ def load_model(directory):
     params.bin is streamed through a fixed scratch and hashed to its
     end before any of its checks fails, so a corrupted file reports its
     checksum first.  The loaded tensors are C-contiguous, writable views
-    into one block that share no memory with one another (see
-    _read_params): the embedding tables (model.TABLES) are float32, as
-    stored, and every other tensor is float64.  Outputs are those of the model
-    with its tables widened, since featurize widens the rows it reads
-    and float32 to float64 is exact; to train the model, widen its
-    tables first with astype(np.float64), or train_epoch refuses it.
+    into one block that share no memory with one another: the embedding
+    tables (model.TABLES) are float32, as stored, and every other tensor
+    is float64.  The block lies in the encoder's shared region, where
+    the decode worker reads the weights without a copy; its pages serve
+    the next load of the same size once the model is gone, and a fork
+    other than the worker's copies them (see _read_params).  Outputs are
+    those of the model with its tables widened, since featurize widens
+    the rows it reads and float32 to float64 is exact; to train the
+    model, widen its tables first with astype(np.float64), or
+    train_epoch refuses it.
     """
     manifest_path = os.path.join(directory, "manifest.json")
     with open(manifest_path, "rb") as fh:

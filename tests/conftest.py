@@ -1,3 +1,5 @@
+import ctypes
+import mmap
 import os
 
 import pytest
@@ -32,3 +34,20 @@ def dispatches(monkeypatch):
 
     monkeypatch.setattr(encoder._Worker, "send", counted)
     return sent
+
+
+@pytest.fixture
+def region(monkeypatch):
+    """A fresh shared region of 32 MiB in place of this process's own,
+    so that the test's loads take their blocks from an empty region,
+    whatever earlier tests loaded."""
+    if not hasattr(os, "memfd_create"):
+        pytest.skip("the shared region needs os.memfd_create")
+    fresh = encoder._Region(2 ** 25)
+    monkeypatch.setattr(encoder, "_region", fresh)
+    yield fresh
+    # the test's pages go back to the system; the addresses stay mapped,
+    # so an array that a failed test's traceback holds reads zeros
+    madvise = ctypes.CDLL(None).madvise
+    madvise.argtypes = (ctypes.c_void_p, ctypes.c_size_t, ctypes.c_int)
+    madvise(fresh.address, fresh.capacity, mmap.MADV_REMOVE)

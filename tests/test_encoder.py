@@ -1,7 +1,11 @@
+import contextlib
 import os
 import re
 import signal
+import subprocess
+import sys
 import threading
+import time
 import tracemalloc
 from types import SimpleNamespace
 
@@ -16,6 +20,7 @@ from attnseg.encoder import (
 )
 from attnseg.model import Segmenter, TrainConfig
 from attnseg.numerics import ShapeError, grad_check
+from attnseg.train import load_model, save_model
 from oracles import (
     direction_weights, lstm_step_reference, lstmn_backward_unrolled,
     lstmn_unrolled, sentence_cache, sentence_rows,
@@ -883,6 +888,13 @@ def paper_model(**overrides):
     return built, [tok for sent in corpus for tok in sent.tokens]
 
 
+def saved_and_loaded(built, directory):
+    """`built` through save_model and load_model: every parameter in one
+    block of the shared region, the tables float32."""
+    save_model(built, directory)
+    return load_model(directory)
+
+
 def decode_outputs(built, lines):
     """The bytes of each line's emissions, of one decode of all lines
     and of each line's segment() output."""
@@ -902,14 +914,22 @@ def same_arrays(got, want):
     return all(np.array_equal(g, w) for g, w in zip(got, want, strict=True))
 
 
-@pytest.mark.parametrize("extra_layers, span", [(0, None), (0, 2), (1, None), (1, 2)])
-def test_forked_decode_is_bit_equal_to_in_process(dispatches, monkeypatch,
-                                                  extra_layers, span):
+@pytest.mark.parametrize("extra_layers, span, loaded", [
+    pytest.param(extra_layers, span, loaded,
+                 id=f"{extra_layers}-{span}" + ("-loaded" if loaded else ""))
+    for loaded in (False, True) for extra_layers, span in ((0, None), (0, 2),
+                                                            (1, None), (1, 2))])
+def test_forked_decode_is_bit_equal_to_in_process(dispatches, region, monkeypatch,
+                                                  tmp_path, extra_layers, span,
+                                                  loaded):
     # decode chunks of 4 lines: the first mixes lines below and above
     # the threshold and goes to the worker, the second is all short and
-    # does not
+    # does not.  A loaded model's worker reads its weights in the shared
+    # region, a built one's from the weight file
     built, chars = paper_model(extra_layers=extra_layers, memory_span=span,
                                batch_size=4)
+    if loaded:
+        built = saved_and_loaded(built, tmp_path / "m")
     m = encoder.FORK_MIN_TOKENS
     text = "".join(chars * 3)
     lines = [text[i:i + n] for i, n in enumerate((m + 6, m // 2, m, 1, m - 1, m - 1))]
@@ -930,22 +950,164 @@ def test_forked_decode_is_bit_equal_to_in_process(dispatches, monkeypatch,
     assert encoder._worker is None
 
 
-def test_worker_sees_weights_edited_in_place(dispatches, monkeypatch):
+def test_worker_sees_weights_edited_in_place(dispatches, region, monkeypatch,
+                                             tmp_path):
     # training and gradient checks write model.params in place between
-    # decodes; the worker must run with the weights of each call
+    # decodes; the worker must run with the weights of each call, read
+    # from the parent's own pages for a loaded model
     built, chars = paper_model(extra_layers=1)
     line = "".join(chars)[:encoder.FORK_MIN_TOKENS + 3]
-    before = built.emissions(list(line))[0]
-    pid = encoder._worker.pid
-    for name in ("enc0.bwd.cell.w", "enc1.bwd.attn.wh"):
-        built.params[name][...] *= 1.01
-        got = built.emissions(list(line))[0]
-        want = in_process(monkeypatch, lambda: built.emissions(list(line))[0])
+    for model in (built, saved_and_loaded(built, tmp_path / "m")):
+        before = model.emissions(list(line))[0]
+        pid = encoder._worker.pid
+        for name in ("enc0.bwd.cell.w", "enc1.bwd.attn.wh"):
+            model.params[name][...] *= 1.01
+            got = model.emissions(list(line))[0]
+            want = in_process(monkeypatch, lambda: model.emissions(list(line))[0])
+            assert np.array_equal(got, want)
+            assert not np.array_equal(got, before)
+            before = got
+        assert encoder._worker.pid == pid
+    assert len(dispatches) == 12
+
+
+def test_only_weights_outside_the_shared_region_are_written(dispatches, region,
+                                                           monkeypatch, tmp_path):
+    # a request whose six weights are C-contiguous float64 arrays in the
+    # shared region carries their offsets; any other direction's weights
+    # go through the worker's weight file, six writes per request
+    built, chars = paper_model(extra_layers=1)
+    loaded = saved_and_loaded(built, tmp_path / "m")
+    line = list("".join(chars)[:encoder.FORK_MIN_TOKENS + 3])
+    writes = []
+    pwrite = os.pwrite
+    monkeypatch.setattr(os, "pwrite",
+                        lambda fd, data, offset: writes.append(offset)
+                        or pwrite(fd, data, offset))
+
+    def sent(model):
+        """(emissions through the worker, requests, weight writes)."""
+        requests, written = len(dispatches), len(writes)
+        got = model.emissions(line)[0]
+        want = in_process(monkeypatch, lambda: model.emissions(line)[0])
         assert np.array_equal(got, want)
-        assert not np.array_equal(got, before)
-        before = got
-    assert len(dispatches) == 6
-    assert encoder._worker.pid == pid
+        return got, len(dispatches) - requests, len(writes) - written
+
+    assert sent(loaded)[1:] == (2, 0)
+    assert sent(built)[1:] == (2, 12)
+    # one weight outside the region: that layer's six weights are
+    # written, the other layer's are not
+    name = "enc0.bwd.attn.wh"
+    loaded.params[name] = loaded.params[name].copy()
+    assert sent(loaded)[1:] == (2, 6)
+
+
+def test_region_offsets_only_of_contiguous_float64_arrays_in_it(region, tmp_path):
+    # the worker reads an offset as a C-contiguous float64 array of the
+    # weight's shape, so no other array in the region has one
+    built, _ = paper_model()
+    loaded = saved_and_loaded(built, tmp_path / "m")
+    w = loaded.params["enc0.bwd.attn.wh"]
+    offset = region.offset(w)
+    assert offset is not None
+    assert w.ctypes.data == region.address + offset
+    for other in (w.T, w[:, ::2], w[1:, :2], w.copy(), loaded.params["emb.uni"]):
+        assert region.offset(other) is None
+
+
+def test_forked_child_holds_a_snapshot_of_a_loaded_model(dispatches, region,
+                                                         monkeypatch, tmp_path):
+    # the decode worker reads the parent's pages, but any other forked
+    # child gets the model as it was at the fork: neither side's later
+    # writes reach the other
+    built, chars = paper_model()
+    loaded = saved_and_loaded(built, tmp_path / "m")
+    line = list("".join(chars)[:encoder.FORK_MIN_TOKENS + 3])
+    loaded.emissions(line)
+    name = "enc0.bwd.cell.w"
+    before = loaded.params[name].copy()
+    to_child, from_parent = os.pipe()
+    to_parent, from_child = os.pipe()
+    child = os.fork()
+    if child == 0:
+        status = 1
+        try:
+            os.close(from_parent)
+            os.close(to_parent)
+            loaded.params[name][...] *= 2.0
+            os.write(from_child, b"w")
+            os.read(to_child, 1)
+            snapshot = np.array_equal(loaded.params[name], 2.0 * before)
+            # the child's own worker reads the weights from its file
+            got = loaded.emissions(line)[0]
+            encoder.close_worker()
+            encoder.FORK_MIN_TOKENS = np.inf
+            if snapshot and np.array_equal(got, loaded.emissions(line)[0]):
+                status = 0
+        finally:
+            os._exit(status)
+    os.close(to_child)
+    os.close(from_child)
+    try:
+        assert os.read(to_parent, 1) == b"w"
+        assert np.array_equal(loaded.params[name], before)
+        loaded.params[name][...] *= 3.0
+        os.write(from_parent, b"p")
+    finally:
+        os.close(from_parent)
+        os.close(to_parent)
+        # a child still waiting after a failed check sees EOF and exits
+        status = os.waitpid(child, 0)[1]
+    assert status == 0
+    got = loaded.emissions(line)[0]
+    assert np.array_equal(got, in_process(monkeypatch,
+                                          lambda: loaded.emissions(line)[0]))
+    assert len(set(dispatches)) == 1
+
+
+# a process that decodes a 6000-token line through the worker, each
+# direction some 10 s at paper dimensions, after printing the worker's
+# pid
+LONG_DECODE = """
+import os
+import numpy as np
+from attnseg import encoder
+from attnseg.model import TrainConfig
+os.sched_getaffinity = lambda pid: {0, 1}
+cfg = TrainConfig(emb_dim=4, window=1, hidden=150, attn_dim=150)
+rng = np.random.default_rng(86)
+params = encoder.init_params(cfg, rng)
+for n in (encoder.FORK_MIN_TOKENS, 6000):
+    encoder.forward(params, cfg, [rng.normal(size=(n, 4))], keep_cache=False)
+    if n == encoder.FORK_MIN_TOKENS:
+        print(encoder._worker.pid, flush=True)
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "memfd_create"),
+                    reason="the decode worker needs os.memfd_create")
+def test_killed_parent_leaves_its_stdout_to_no_worker():
+    # the worker points fds 0-2 at /dev/null and closes every other fd
+    # it inherited, so a reader of the parent's stdout sees EOF when the
+    # parent dies, not when the worker ends its request
+    src = os.path.dirname(os.path.dirname(os.path.abspath(encoder.__file__)))
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.Popen([sys.executable, "-c", LONG_DECODE],
+                            stdout=subprocess.PIPE, env=env)
+    worker = None
+    try:
+        worker = int(proc.stdout.readline())
+        # well into the long request
+        time.sleep(0.5)
+        proc.kill()
+        proc.communicate(timeout=5)
+    finally:
+        proc.kill()
+        proc.wait()
+        if worker is not None:
+            # the orphaned worker would finish its request first
+            with contextlib.suppress(ProcessLookupError):
+                os.kill(worker, signal.SIGKILL)
 
 
 def test_killed_worker_falls_back_and_a_fresh_one_follows(dispatches,

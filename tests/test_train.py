@@ -1,7 +1,9 @@
 import dataclasses
 import json
+import mmap
 import os
 import re
+import resource
 import tracemalloc
 
 import numpy as np
@@ -652,10 +654,12 @@ def test_save_model_memory_is_bounded(tmp_path):
     assert peak < MODEL_IO_BOUND
 
 
-def test_load_model_memory_is_bounded(tmp_path):
-    # loading holds the parameters once, plus a fixed scratch; the arrays
-    # it keeps hold 4 bytes per table value and 8 per other value, plus a
-    # small slack for each tensor's 64-byte alignment (the vocabularies'
+def test_load_model_memory_is_bounded(tmp_path, region):
+    # loading holds the parameters once, plus a fixed scratch: one block
+    # of the shared region, which tracemalloc does not see, of 4 bytes
+    # per table value and 8 per other value, plus a small slack for each
+    # tensor's 64-byte alignment, rounded up to whole pages; the arrays
+    # it keeps on the heap are within that bound too (the vocabularies'
     # Python objects are not arrays and are not counted)
     model = wide_io_model()
     save_model(model, tmp_path / "m")
@@ -671,9 +675,76 @@ def test_load_model_memory_is_bounded(tmp_path):
     values = sum((4 if name in TABLES else 8) * p.size
                  for name, p in model.params.items())
     assert sum(t.size for t in arrays.traces) <= values + 4096
+    block = loaded.params["out.b"].base
+    assert block.base is region.buffer
+    assert all(p.base is block for p in loaded.params.values())
+    assert region.used == -(-block.nbytes // mmap.PAGESIZE) * mmap.PAGESIZE
+    assert block.nbytes <= values + 4096
     for name, p in model.params.items():
         assert np.array_equal(loaded.params[name],
                               p.astype("<f4").astype(np.float64)), name
+
+
+def block_address(model):
+    """The address of the block that holds a loaded model's tensors."""
+    return model.params["out.b"].base.ctypes.data
+
+
+def test_repeated_loads_fault_in_no_fresh_pages(tmp_path, region):
+    # each load takes the block that the load before the last freed, as
+    # a program that reloads a model keeps the old one until the new one
+    # is in place: after the first two, no load faults in a fresh page
+    # for its 5 MB of parameters (a table of few, wide rows, so that the
+    # vocabulary's Python objects fault in few pages of their own)
+    save_model(wide_model(2000, 640), tmp_path / "m")
+    faults, addresses = [], []
+    model = None
+    for _ in range(10):
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        model = load_model(tmp_path / "m")
+        faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+        addresses.append(block_address(model))
+    pages = model.params["out.b"].base.nbytes // mmap.PAGESIZE
+    assert pages > 1000
+    assert max(faults[2:]) < pages // 10, faults
+    assert len(set(addresses)) == 2
+    assert region.used == 2 * -(-model.params["out.b"].base.nbytes
+                                // mmap.PAGESIZE) * mmap.PAGESIZE
+
+
+def test_a_freed_block_serves_the_next_load_once_no_view_is_left(tmp_path, region):
+    # numpy keeps a block alive while any view of it is, through its own
+    # export of the region's buffer: the block is freed after the last
+    # view, not before
+    model, _, _ = toy_model()
+    save_model(model, tmp_path / "m")
+    first = load_model(tmp_path / "m")
+    address = block_address(first)
+    view = memoryview(first.params["enc0.bwd.cell.w"][1:])
+    del first
+    second = load_model(tmp_path / "m")
+    assert block_address(second) != address
+    del view
+    assert block_address(load_model(tmp_path / "m")) == address
+
+
+@pytest.mark.skipif(not hasattr(os, "memfd_create"),
+                    reason="the shared region needs os.memfd_create")
+def test_a_full_region_loads_into_a_private_block(tmp_path, monkeypatch):
+    # a region with no room for the block: the load takes a private one,
+    # aligned as before, and the model gives the same outputs
+    model, corpus, _ = toy_model(bigrams=True)
+    save_model(model, tmp_path / "m")
+    shared = load_model(tmp_path / "m")
+    small = encoder._Region(mmap.PAGESIZE)
+    monkeypatch.setattr(encoder, "_region", small)
+    private = load_model(tmp_path / "m")
+    assert small.used == 0
+    for name, p in private.params.items():
+        assert p.flags.c_contiguous and p.ctypes.data % 64 == 0
+        assert p.tobytes() == shared.params[name].tobytes(), name
+    sentences = [sent.tokens for sent in corpus[:5]]
+    assert private.decode(sentences) == shared.decode(sentences)
 
 
 def test_streamed_params_bin_is_the_one_shot_bytes(tmp_path):
