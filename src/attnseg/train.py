@@ -30,8 +30,11 @@ Saved models are directories, format attnseg-model/2:
 
 params.bin is written and read in chunks, through one float32 scratch
 of IO_CHUNK values: saving holds no copy of the parameters, and loading
-holds them once, as views into one block of the encoder's shared
-region, where the decode worker reads them without a copy.
+holds them once, the encoder's tensors as views into one block of the
+decode worker's shared region, where the worker reads them without a
+copy, and the rest in one private block.  A build's encoder tensors and
+fit's copy of the best epoch's take the same shared block, of one size
+per config, so each reuses the pages of a freed one.
 
 Weights are stored in 32-bit but all arithmetic runs in 64-bit, so a
 round-trip costs one quantization, not a behavioural change (decodes are
@@ -53,12 +56,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import encoder
 from .corpus import Vocab, decode_lines, lexicon_from_lines
-from .encoder import shared_block
 from .evaluate import evaluate_corpus
 from .model import TABLES, Segmenter, TrainConfig, param_shapes
 from .numerics import ShapeError, grad_check
 from .tagging import TAG_IDS
+from .worker import aligned_views
 
 FORMAT_VERSION = "attnseg-model/2"
 _REQUIRED_FILES = {"model.json", "vocab.txt", "params.bin"}
@@ -259,7 +263,11 @@ def fit(model, train_corpus, dev_corpus, config, on_epoch=None):
     history = []
     # F1 is at least 0, so epoch 1 always fills `best`
     best_f1 = -1.0
-    best = {name: np.empty_like(p) for name, p in model.params.items()}
+    # the encoder's tensors in a shared block of the size a build or a
+    # load of this config takes, so that a freed one serves it
+    shared = aligned_views(encoder.param_shapes(model.config))
+    best = {name: shared[name] if name in shared else np.empty_like(p)
+            for name, p in model.params.items()}
     for epoch in range(1, config.epochs + 1):
         nll = train_epoch(model, train_corpus, config, rng, accum)
         precision, recall, f1 = evaluate_corpus(model, dev_corpus)
@@ -343,7 +351,7 @@ def _check_digest(path, digest, want, manifest_path):
         )
 
 
-def _read_params(path, shapes, want, manifest_path):
+def _read_params(path, shapes, shared, want, manifest_path):
     """The tensors of params.bin at `path`, name -> array of shapes[name]
     (shapes in file order), streamed through one float32 scratch of
     IO_CHUNK values: the embedding tables (model.TABLES) as float32, the
@@ -352,38 +360,33 @@ def _read_params(path, shapes, want, manifest_path):
     The whole file is hashed whatever its size; then it must match the
     sha256 `want` that manifest_path gives, hold exactly 4 bytes per
     value and hold only finite values, checked in that order.  The
-    tensors are filled only when fstat gives that size.  They are views
-    into one block, each starting on a 64-byte boundary, taken from the
-    shared region (encoder.shared_block), which the decode worker reads
-    in place, so a decode sends it no weight.  Once no view of a block
-    is left, its pages serve the next block of the same size, so a
-    repeated load faults in no fresh page.  When the region is full or
-    missing, the block is a private one on the heap.  A process forked
-    from this one, other than the decode worker, copies the region's
-    used bytes at the fork, so that its tensors are its own.
+    tensors are filled only when fstat gives that size.  Each starts on
+    a 64-byte boundary (worker.aligned_views): the tensors named in
+    `shared`, the encoder's, in one block of the shared region, which
+    the decode worker reads in place, so a decode sends it no weight,
+    and the rest in one private block.  Once no view of a shared block
+    is left, its pages serve the next block of the same size, a build's
+    or a load's, so a repeated load faults in no fresh page there.
     """
     counts = [math.prod(shape) for shape in shapes.values()]
     size = 4 * sum(counts)
     scratch = np.empty(IO_CHUNK, dtype="<f4")
-    types = [scratch.dtype if name in TABLES else np.dtype(np.float64)
-             for name in shapes]
     raw = scratch.view(np.uint8)
     digest = hashlib.sha256()
     got = 0
     params, nonfinite = None, None
     with open(path, "rb") as fh:
         if os.fstat(fh.fileno()).st_size == size:
-            params = {}
-            # tensor sizes in bytes, rounded up to 64
-            starts = np.cumsum([0] + [-(-count * t.itemsize // 64) * 64
-                                      for count, t in zip(counts, types)])
-            block = shared_block(int(starts[-1]))
-            if block is None:
-                block = np.empty(int(starts[-1]) + 63, dtype=np.uint8)
-                block = block[-block.ctypes.data % 64:]
-            for (name, shape), count, t, start in zip(shapes.items(), counts,
-                                                      types, starts):
-                dest = block[start:start + count * t.itemsize].view(t)
+            views = {
+                **aligned_views({name: shapes[name] for name in shared}),
+                **aligned_views({name: shape for name, shape in shapes.items()
+                                 if name not in shared},
+                                dtypes={name: scratch.dtype for name in TABLES},
+                                shared=False),
+            }
+            params = {name: views[name] for name in shapes}
+            for (name, p), count in zip(params.items(), counts):
+                dest = p.reshape(-1)
                 for at in range(0, count, IO_CHUNK):
                     n = min(IO_CHUNK, count - at)
                     nbytes = fh.readinto(raw[:4 * n])
@@ -392,7 +395,6 @@ def _read_params(path, shapes, want, manifest_path):
                     if nonfinite is None and not np.isfinite(scratch[:n]).all():
                         nonfinite = name
                     np.copyto(dest[at:at + n], scratch[:n])
-                params[name] = dest.reshape(shape)
         while nbytes := fh.readinto(raw):
             digest.update(raw[:nbytes])
             got += nbytes
@@ -420,16 +422,17 @@ def load_model(directory):
     params.bin is streamed through a fixed scratch and hashed to its
     end before any of its checks fails, so a corrupted file reports its
     checksum first.  The loaded tensors are C-contiguous, writable views
-    into one block that share no memory with one another: the embedding
-    tables (model.TABLES) are float32, as stored, and every other tensor
-    is float64.  The block lies in the encoder's shared region, where
-    the decode worker reads the weights without a copy; its pages serve
-    the next load of the same size once the model is gone, and a fork
-    other than the worker's copies them (see _read_params).  Outputs are
-    those of the model with its tables widened, since featurize widens
-    the rows it reads and float32 to float64 is exact; to train the
-    model, widen its tables first with astype(np.float64), or
-    train_epoch refuses it.
+    that share no memory with one another: the embedding tables
+    (model.TABLES) are float32, as stored, and every other tensor is
+    float64.  The encoder's tensors lie in one block of the decode
+    worker's shared region, where the worker reads them without a copy;
+    its pages serve the next build or load of the same config once the
+    model is gone, and a fork other than the worker's copies them.  The
+    tables and crf.trans lie in one private block (see _read_params).
+    Outputs are those of the model with its tables widened, since
+    featurize widens the rows it reads and float32 to float64 is exact;
+    to train the model, widen its tables first with astype(np.float64),
+    or train_epoch refuses it.
     """
     manifest_path = os.path.join(directory, "manifest.json")
     with open(manifest_path, "rb") as fh:
@@ -486,7 +489,8 @@ def load_model(directory):
         config, len(vocab), None if bigram_vocab is None else len(bigram_vocab)
     )
     params = _read_params(os.path.join(directory, "params.bin"), shapes,
-                          digests["params.bin"], manifest_path)
+                          encoder.param_shapes(config), digests["params.bin"],
+                          manifest_path)
     return Segmenter(config, vocab, params, bigram_vocab, lexicon)
 
 

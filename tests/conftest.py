@@ -4,7 +4,7 @@ import os
 
 import pytest
 
-from attnseg import encoder
+from attnseg import worker
 
 
 @pytest.fixture(autouse=True)
@@ -13,7 +13,7 @@ def no_worker_across_tests():
     code it was forked with, so one forked under a test's monkeypatch
     would run that patched code in later tests."""
     yield
-    encoder.close_worker()
+    worker.close_worker()
 
 
 @pytest.fixture
@@ -26,13 +26,13 @@ def dispatches(monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
                         raising=False)
     sent = []
-    send = encoder._Worker.send
+    send = worker._Worker.send
 
     def counted(self, *args):
         sent.append(self.pid)
         return send(self, *args)
 
-    monkeypatch.setattr(encoder._Worker, "send", counted)
+    monkeypatch.setattr(worker._Worker, "send", counted)
     return sent
 
 
@@ -43,8 +43,8 @@ def region(monkeypatch):
     whatever earlier tests loaded."""
     if not hasattr(os, "memfd_create"):
         pytest.skip("the shared region needs os.memfd_create")
-    fresh = encoder._Region(2 ** 25)
-    monkeypatch.setattr(encoder, "_region", fresh)
+    fresh = worker._Region(2 ** 25)
+    monkeypatch.setattr(worker, "_region", fresh)
     yield fresh
     # the test's pages go back to the system; the addresses stay mapped,
     # so an array that a failed test's traceback holds reads zeros

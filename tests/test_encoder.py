@@ -12,7 +12,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from attnseg import encoder, model
+from attnseg import encoder, model, worker
 from attnseg.corpus import load_toy_corpus
 from attnseg.encoder import (
     WEIGHTS, DirectionState, attend, backward, dropout_mask, forward,
@@ -25,6 +25,7 @@ from oracles import (
     direction_weights, lstm_step_reference, lstmn_backward_unrolled,
     lstmn_unrolled, sentence_cache, sentence_rows,
 )
+from test_tooling import gone_or_zombie
 
 HID, ATT, DIM = 5, 4, 6
 # hidden = attention = 150, emb 100, window 3: 300-wide input rows
@@ -889,8 +890,8 @@ def paper_model(**overrides):
 
 
 def saved_and_loaded(built, directory):
-    """`built` through save_model and load_model: every parameter in one
-    block of the shared region, the tables float32."""
+    """`built` through save_model and load_model: the encoder's tensors
+    in one block of the shared region, the tables float32 and private."""
     save_model(built, directory)
     return load_model(directory)
 
@@ -924,8 +925,8 @@ def test_forked_decode_is_bit_equal_to_in_process(dispatches, region, monkeypatc
                                                   loaded):
     # decode chunks of 4 lines: the first mixes lines below and above
     # the threshold and goes to the worker, the second is all short and
-    # does not.  A loaded model's worker reads its weights in the shared
-    # region, a built one's from the weight file
+    # does not.  A built and a loaded model's worker reads the weights in
+    # the shared region
     built, chars = paper_model(extra_layers=extra_layers, memory_span=span,
                                batch_size=4)
     if loaded:
@@ -939,15 +940,15 @@ def test_forked_decode_is_bit_equal_to_in_process(dispatches, region, monkeypatc
     # emissions() and segment() call and for the first decode chunk
     assert decode_outputs(built, lines) == want
     assert len(dispatches) == 5 * (1 + extra_layers)
-    assert set(dispatches) == {encoder._worker.pid}
+    assert set(dispatches) == {worker._worker.pid}
 
     def no_fork():
         raise OSError(11, "Resource temporarily unavailable")
 
-    encoder.close_worker()
+    worker.close_worker()
     monkeypatch.setattr(os, "fork", no_fork)
     assert decode_outputs(built, lines) == want
-    assert encoder._worker is None
+    assert worker._worker is None
 
 
 def test_worker_sees_weights_edited_in_place(dispatches, region, monkeypatch,
@@ -959,7 +960,7 @@ def test_worker_sees_weights_edited_in_place(dispatches, region, monkeypatch,
     line = "".join(chars)[:encoder.FORK_MIN_TOKENS + 3]
     for model in (built, saved_and_loaded(built, tmp_path / "m")):
         before = model.emissions(list(line))[0]
-        pid = encoder._worker.pid
+        pid = worker._worker.pid
         for name in ("enc0.bwd.cell.w", "enc1.bwd.attn.wh"):
             model.params[name][...] *= 1.01
             got = model.emissions(list(line))[0]
@@ -967,15 +968,15 @@ def test_worker_sees_weights_edited_in_place(dispatches, region, monkeypatch,
             assert np.array_equal(got, want)
             assert not np.array_equal(got, before)
             before = got
-        assert encoder._worker.pid == pid
+        assert worker._worker.pid == pid
     assert len(dispatches) == 12
 
 
 def test_only_weights_outside_the_shared_region_are_written(dispatches, region,
                                                            monkeypatch, tmp_path):
     # a request whose six weights are C-contiguous float64 arrays in the
-    # shared region carries their offsets; any other direction's weights
-    # go through the worker's weight file, six writes per request
+    # shared region carries their offsets; no weight is ever written, and
+    # a direction with a weight outside the region runs in this process
     built, chars = paper_model(extra_layers=1)
     loaded = saved_and_loaded(built, tmp_path / "m")
     line = list("".join(chars)[:encoder.FORK_MIN_TOKENS + 3])
@@ -994,12 +995,26 @@ def test_only_weights_outside_the_shared_region_are_written(dispatches, region,
         return got, len(dispatches) - requests, len(writes) - written
 
     assert sent(loaded)[1:] == (2, 0)
-    assert sent(built)[1:] == (2, 12)
-    # one weight outside the region: that layer's six weights are
-    # written, the other layer's are not
+    assert sent(built)[1:] == (2, 0)
+    # one weight outside the region: that layer's backward direction
+    # runs in this process, the other layer's in the worker
     name = "enc0.bwd.attn.wh"
     loaded.params[name] = loaded.params[name].copy()
-    assert sent(loaded)[1:] == (2, 6)
+    assert sent(loaded)[1:] == (1, 0)
+
+
+def test_a_non_contiguous_weight_decodes_bit_equal(dispatches, region,
+                                                   monkeypatch):
+    # a product with a column-major weight rounds otherwise than with a
+    # row-major copy of it, so the worker must not run with such a copy
+    built, chars = paper_model()
+    line = list("".join(chars)[:encoder.FORK_MIN_TOKENS + 3])
+    name = "enc0.bwd.attn.wh"
+    built.params[name] = np.asfortranarray(built.params[name])
+    got = built.emissions(line)[0]
+    want = in_process(monkeypatch, lambda: built.emissions(line)[0])
+    assert np.array_equal(got, want)
+    assert not dispatches
 
 
 def test_region_offsets_only_of_contiguous_float64_arrays_in_it(region, tmp_path):
@@ -1038,9 +1053,9 @@ def test_forked_child_holds_a_snapshot_of_a_loaded_model(dispatches, region,
             os.write(from_child, b"w")
             os.read(to_child, 1)
             snapshot = np.array_equal(loaded.params[name], 2.0 * before)
-            # the child's own worker reads the weights from its file
+            # outside the child's own region, the weights run in the child
             got = loaded.emissions(line)[0]
-            encoder.close_worker()
+            worker.close_worker()
             encoder.FORK_MIN_TOKENS = np.inf
             if snapshot and np.array_equal(got, loaded.emissions(line)[0]):
                 status = 0
@@ -1071,7 +1086,7 @@ def test_forked_child_holds_a_snapshot_of_a_loaded_model(dispatches, region,
 LONG_DECODE = """
 import os
 import numpy as np
-from attnseg import encoder
+from attnseg import encoder, worker
 from attnseg.model import TrainConfig
 os.sched_getaffinity = lambda pid: {0, 1}
 cfg = TrainConfig(emb_dim=4, window=1, hidden=150, attn_dim=150)
@@ -1080,7 +1095,7 @@ params = encoder.init_params(cfg, rng)
 for n in (encoder.FORK_MIN_TOKENS, 6000):
     encoder.forward(params, cfg, [rng.normal(size=(n, 4))], keep_cache=False)
     if n == encoder.FORK_MIN_TOKENS:
-        print(encoder._worker.pid, flush=True)
+        print(worker._worker.pid, flush=True)
 """
 
 
@@ -1094,9 +1109,9 @@ def test_killed_parent_leaves_its_stdout_to_no_worker():
     env = {**os.environ, "PYTHONPATH": src}
     proc = subprocess.Popen([sys.executable, "-c", LONG_DECODE],
                             stdout=subprocess.PIPE, env=env)
-    worker = None
+    pid = None
     try:
-        worker = int(proc.stdout.readline())
+        pid = int(proc.stdout.readline())
         # well into the long request
         time.sleep(0.5)
         proc.kill()
@@ -1104,10 +1119,37 @@ def test_killed_parent_leaves_its_stdout_to_no_worker():
     finally:
         proc.kill()
         proc.wait()
-        if worker is not None:
-            # the orphaned worker would finish its request first
+        if pid is not None:
             with contextlib.suppress(ProcessLookupError):
-                os.kill(worker, signal.SIGKILL)
+                os.kill(pid, signal.SIGKILL)
+
+
+@pytest.mark.skipif(not hasattr(os, "memfd_create") or not os.path.isdir("/proc"),
+                    reason="the decode worker and /proc are Linux's")
+def test_worker_dies_with_its_parent_mid_request():
+    # the kernel kills the worker when its parent dies, so a worker whose
+    # parent is killed does not run its request, some 10 s more, to the end
+    src = os.path.dirname(os.path.dirname(os.path.abspath(encoder.__file__)))
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.Popen([sys.executable, "-c", LONG_DECODE],
+                            stdout=subprocess.PIPE, env=env)
+    pid = None
+    try:
+        pid = int(proc.stdout.readline())
+        time.sleep(0.5)
+        assert not gone_or_zombie(pid)
+        proc.kill()
+        proc.communicate(timeout=5)
+        deadline = time.monotonic() + 3.0
+        while not gone_or_zombie(pid) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert gone_or_zombie(pid)
+    finally:
+        proc.kill()
+        proc.wait()
+        if pid is not None:
+            with contextlib.suppress(ProcessLookupError):
+                os.kill(pid, signal.SIGKILL)
 
 
 def test_killed_worker_falls_back_and_a_fresh_one_follows(dispatches,
@@ -1120,7 +1162,7 @@ def test_killed_worker_falls_back_and_a_fresh_one_follows(dispatches,
                          lambda: forward(params, cfg, xs, keep_cache=False))
     got, _ = forward(params, cfg, xs, keep_cache=False)
     assert same_arrays(got, want)
-    killed = encoder._worker.pid
+    killed = worker._worker.pid
     os.kill(killed, signal.SIGKILL)
     # the send finds the worker gone or its reply never comes: this
     # process runs the direction, and the next layer forks a new worker
@@ -1128,11 +1170,11 @@ def test_killed_worker_falls_back_and_a_fresh_one_follows(dispatches,
     assert same_arrays(got, want)
     with pytest.raises(ChildProcessError):
         os.waitpid(killed, os.WNOHANG)
-    fresh = encoder._worker.pid
+    fresh = worker._worker.pid
     assert fresh != killed
     got, _ = forward(params, cfg, xs, keep_cache=False)
     assert same_arrays(got, want)
-    assert encoder._worker.pid == fresh
+    assert worker._worker.pid == fresh
 
 
 def test_failed_child_makes_the_parent_run_the_direction(dispatches, monkeypatch):
@@ -1157,7 +1199,7 @@ def test_failed_child_makes_the_parent_run_the_direction(dispatches, monkeypatch
         got, _ = forward(params, cfg, xs, keep_cache=False)
         assert len(dispatches) == 2
         assert same_arrays(got, want)
-        assert encoder._worker is None
+        assert worker._worker is None
 
     def backward_fails(state, t):
         if state.prefix.endswith("bwd."):
@@ -1170,14 +1212,14 @@ def test_failed_child_makes_the_parent_run_the_direction(dispatches, monkeypatch
         with pytest.raises(RuntimeError, match="backward direction failed"):
             forward(params, cfg, xs, keep_cache=False)
         assert len(dispatches) == 3
-        assert encoder._worker is None
+        assert worker._worker is None
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
     # a fresh worker, forked with the plain code, runs both layers
     got, _ = forward(params, cfg, xs, keep_cache=False)
     assert same_arrays(got, want)
     assert len(dispatches) == 5
-    assert set(dispatches[3:]) == {encoder._worker.pid}
+    assert set(dispatches[3:]) == {worker._worker.pid}
 
 
 def test_error_in_the_parent_direction_leaves_no_child(dispatches, monkeypatch):
@@ -1197,7 +1239,7 @@ def test_error_in_the_parent_direction_leaves_no_child(dispatches, monkeypatch):
         forward(params, cfg, xs, keep_cache=False)
     assert len(dispatches) == 1
     # the worker, busy with a reply no call will read, is gone
-    assert encoder._worker is None
+    assert worker._worker is None
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 
@@ -1211,26 +1253,28 @@ def test_forked_child_neither_uses_nor_kills_the_parent_worker(dispatches,
     want, _ = in_process(monkeypatch,
                          lambda: forward(params, cfg, xs, keep_cache=False))
     forward(params, cfg, xs, keep_cache=False)
-    worker = encoder._worker.pid
+    parents = worker._worker.pid
     child = os.fork()
     if child == 0:
         status = 1
         try:
             # the child forgot the parent's worker, forks one of its
-            # own and stops it, as a process's exit would
-            forgot = encoder._worker is None
-            got, _ = forward(params, cfg, xs, keep_cache=False)
-            own = encoder._worker.pid
-            encoder.close_worker()
-            if forgot and own != worker and same_arrays(got, want):
+            # own for the same weights drawn into its own region, and
+            # stops it, as a process's exit would
+            forgot = worker._worker is None
+            drawn = init_params(cfg, np.random.default_rng(85))
+            got, _ = forward(drawn, cfg, xs, keep_cache=False)
+            own = worker._worker.pid
+            worker.close_worker()
+            if forgot and own != parents and same_arrays(got, want):
                 status = 0
         finally:
             os._exit(status)
     assert os.waitpid(child, 0)[1] == 0
-    assert os.waitpid(worker, os.WNOHANG) == (0, 0)
+    assert os.waitpid(parents, os.WNOHANG) == (0, 0)
     got, _ = forward(params, cfg, xs, keep_cache=False)
     assert same_arrays(got, want)
-    assert dispatches[-1] == encoder._worker.pid == worker
+    assert dispatches[-1] == worker._worker.pid == parents
 
 
 def test_no_fork_while_another_thread_runs(dispatches):

@@ -230,7 +230,7 @@ def reaped():
 
 atexit.register(reaped)
 import numpy as np
-from attnseg import encoder
+from attnseg import encoder, worker
 from attnseg.model import TrainConfig
 
 os.sched_getaffinity = lambda pid: {0, 1}
@@ -238,7 +238,7 @@ cfg = TrainConfig(hidden=8, emb_dim=4, window=1)
 params = encoder.init_params(cfg, np.random.default_rng(0))
 x = np.zeros((encoder.FORK_MIN_TOKENS, cfg.input_dim))
 encoder.forward(params, cfg, [x], keep_cache=False)
-pid = encoder._worker.pid
+pid = worker._worker.pid
 print(pid, flush=True)
 if sys.argv[1:] == ["wait"]:
     sys.stdin.read()

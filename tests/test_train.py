@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 import mmap
 import os
 import re
@@ -9,7 +10,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from attnseg import crf, encoder, tagging
+from attnseg import crf, encoder, tagging, worker
 from attnseg import train as train_module
 from attnseg.corpus import (
     IDIOM, RESERVED, Corpus, Sentence, Vocab, load_embeddings,
@@ -655,11 +656,12 @@ def test_save_model_memory_is_bounded(tmp_path):
 
 
 def test_load_model_memory_is_bounded(tmp_path, region):
-    # loading holds the parameters once, plus a fixed scratch: one block
-    # of the shared region, which tracemalloc does not see, of 4 bytes
-    # per table value and 8 per other value, plus a small slack for each
-    # tensor's 64-byte alignment, rounded up to whole pages; the arrays
-    # it keeps on the heap are within that bound too (the vocabularies'
+    # loading holds the parameters once, plus a fixed scratch: two
+    # blocks, the encoder's in the shared region, which tracemalloc does
+    # not see, and the rest on the heap, of 4 bytes per table value and 8
+    # per other value, plus a small slack for each tensor's 64-byte
+    # alignment, the shared one rounded up to whole pages; the arrays it
+    # keeps on the heap are within that bound too (the vocabularies'
     # Python objects are not arrays and are not counted)
     model = wide_io_model()
     save_model(model, tmp_path / "m")
@@ -675,41 +677,126 @@ def test_load_model_memory_is_bounded(tmp_path, region):
     values = sum((4 if name in TABLES else 8) * p.size
                  for name, p in model.params.items())
     assert sum(t.size for t in arrays.traces) <= values + 4096
-    block = loaded.params["out.b"].base
-    assert block.base is region.buffer
-    assert all(p.base is block for p in loaded.params.values())
-    assert region.used == -(-block.nbytes // mmap.PAGESIZE) * mmap.PAGESIZE
-    assert block.nbytes <= values + 4096
+    shared, private = blocks(loaded)
+    assert shared.base is region.buffer
+    assert private.base is None
+    encoder_names = encoder.param_shapes(loaded.config)
+    for name, p in loaded.params.items():
+        assert p.base is (shared if name in encoder_names else private), name
+    assert region.used == pages(shared) * mmap.PAGESIZE
+    assert shared.nbytes + private.nbytes <= values + 4096
     for name, p in model.params.items():
         assert np.array_equal(loaded.params[name],
                               p.astype("<f4").astype(np.float64)), name
 
 
+def blocks(model):
+    """The (shared, private) blocks that hold a loaded model's tensors:
+    the encoder's and the rest."""
+    return model.params["out.b"].base, model.params["emb.uni"].base
+
+
 def block_address(model):
-    """The address of the block that holds a loaded model's tensors."""
+    """The address of the shared block that holds a model's encoder
+    tensors."""
     return model.params["out.b"].base.ctypes.data
 
 
+def pages(block):
+    """The whole pages `block` spans, its last one rounded up."""
+    return -(-block.nbytes // mmap.PAGESIZE)
+
+
+def minor_faults(run, times):
+    """(the minor page faults of each of `times` calls of run(), the
+    last call's result)."""
+    faults, result = [], None
+    for _ in range(times):
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        result = run()
+        faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+    return faults, result
+
+
 def test_repeated_loads_fault_in_no_fresh_pages(tmp_path, region):
-    # each load takes the block that the load before the last freed, as
+    # each load takes the blocks that the load before the last freed, as
     # a program that reloads a model keeps the old one until the new one
     # is in place: after the first two, no load faults in a fresh page
-    # for its 5 MB of parameters (a table of few, wide rows, so that the
-    # vocabulary's Python objects fault in few pages of their own)
+    # for its 7 MB of parameters in two blocks (a table of few, wide
+    # rows, so that the vocabulary's Python objects fault in few pages of
+    # their own)
     save_model(wide_model(2000, 640), tmp_path / "m")
-    faults, addresses = [], []
-    model = None
-    for _ in range(10):
-        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    addresses = []
+
+    def load():
         model = load_model(tmp_path / "m")
-        faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
         addresses.append(block_address(model))
-    pages = model.params["out.b"].base.nbytes // mmap.PAGESIZE
-    assert pages > 1000
-    assert max(faults[2:]) < pages // 10, faults
+        return model
+
+    faults, model = minor_faults(load, 10)
+    shared, private = blocks(model)
+    assert pages(shared) + pages(private) > 1000
+    assert max(faults[2:]) < (pages(shared) + pages(private)) // 10, faults
     assert len(set(addresses)) == 2
-    assert region.used == 2 * -(-model.params["out.b"].base.nbytes
-                                // mmap.PAGESIZE) * mmap.PAGESIZE
+    assert region.used == 2 * pages(shared) * mmap.PAGESIZE
+
+
+def test_repeated_builds_fault_in_no_fresh_pages(region):
+    # as with loads: each build draws its encoder tensors into the shared
+    # block that the build before the last freed, a paper-dimension
+    # encoder's 5.8 MB, so after the first two no build faults in a
+    # fresh page for them (the toy corpus's tables are small)
+    corpus = load_toy_corpus()
+    cfg = TrainConfig(hidden=150, emb_dim=100, window=3)
+    addresses = []
+
+    def build():
+        model = Segmenter.build(corpus, cfg)
+        addresses.append(block_address(model))
+        return model
+
+    faults, model = minor_faults(build, 10)
+    shared = model.params["out.b"].base
+    assert shared.base is region.buffer
+    assert pages(shared) > 1000
+    assert max(faults[2:]) < pages(shared) // 10, faults
+    assert len(set(addresses)) == 2
+    assert region.used == 2 * pages(shared) * mmap.PAGESIZE
+
+
+def test_a_load_takes_region_bytes_of_its_encoder_tensors_only(tmp_path, region):
+    # the tables and crf.trans, which the decode worker never reads, stay
+    # out of the region, however large
+    model = wide_model(20000, 64, bigram_rows=30000)
+    save_model(model, tmp_path / "m")
+    loaded = load_model(tmp_path / "m")
+    encoder_bytes = sum(-(-8 * math.prod(shape) // 64) * 64
+                        for shape in encoder.param_shapes(loaded.config).values())
+    assert region.used == -(-encoder_bytes // mmap.PAGESIZE) * mmap.PAGESIZE
+    assert region.used < loaded.params["emb.uni"].nbytes // 10
+
+
+def test_a_load_after_a_freed_build_takes_its_block(tmp_path, region):
+    # a build and a load of one config take shared blocks of one size
+    model, _, _ = toy_model(bigrams=True)
+    save_model(model, tmp_path / "m")
+    address, used = block_address(model), region.used
+    del model
+    loaded = load_model(tmp_path / "m")
+    assert block_address(loaded) == address
+    assert region.used == used
+
+
+def test_fit_best_takes_a_freed_block_of_its_size(region):
+    # fit's copy of the best epoch takes the shared block of a build of
+    # the same config, here the one a freed model left
+    model, corpus, cfg = toy_model(epochs=1)
+    freed, _, _ = toy_model(epochs=1)
+    address, used = block_address(freed), region.used
+    del freed
+    fit(model, corpus, corpus, cfg)
+    assert block_address(model) == address
+    assert region.used == used
 
 
 def test_a_freed_block_serves_the_next_load_once_no_view_is_left(tmp_path, region):
@@ -736,8 +823,8 @@ def test_a_full_region_loads_into_a_private_block(tmp_path, monkeypatch):
     model, corpus, _ = toy_model(bigrams=True)
     save_model(model, tmp_path / "m")
     shared = load_model(tmp_path / "m")
-    small = encoder._Region(mmap.PAGESIZE)
-    monkeypatch.setattr(encoder, "_region", small)
+    small = worker._Region(mmap.PAGESIZE)
+    monkeypatch.setattr(worker, "_region", small)
     private = load_model(tmp_path / "m")
     assert small.used == 0
     for name, p in private.params.items():
