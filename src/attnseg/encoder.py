@@ -99,17 +99,15 @@ direction's gate input and attention terms once its tape has been
 read, before the next direction runs, so it holds the same O(n·(h + a
 + d)) with one row in place of n.  The two directions of a layer share
 nothing until the layer above reads them, so a pass without a cache
-whose longest sentence has FORK_MIN_TOKENS (6) tokens or more hands
-each layer's backward direction to this process's decode worker, a
-forked child that runs it while this process runs the forward one
-(worker.py has the process, its pipes and the shared region it reads
-the weights from).  Every parameter dict the program makes keeps its
-encoder weights in that region, so a request carries six offsets and
-no weight; a direction whose weights lie elsewhere runs in this
-process.  At paper dimensions a one-token pass takes as long through
-the worker as in one process, about 0.3 ms, and the worker wins from 2
-tokens on (CHANGES.md has the curves).  Training's kept forward never
-uses the worker, since backward reads both directions' states.
+offers each layer's backward direction to this process's decode
+worker, a forked child that runs it while this process runs the
+forward one.  worker.py decides when it takes one (its Dispatch), and
+has the process, its pipes and the shared region it reads the weights
+from.  Every parameter dict the program makes keeps its encoder
+weights in that region, so a request carries six offsets and no
+weight; a direction whose weights lie elsewhere runs in this process.
+Training's kept forward never uses the worker, since backward reads
+both directions' states.
 """
 
 from dataclasses import dataclass
@@ -123,11 +121,6 @@ from .tagging import NUM_TAGS
 # rows of cell.w per gate product of a step: 690 KB at paper
 # dimensions, and a multiple of 64 (module docstring, Cost)
 GATE_BLOCK_ROWS = 192
-
-# a forward pass without a cache whose longest sentence has at least
-# this many tokens sends each layer's backward direction to the decode
-# worker (module docstring, Cost)
-FORK_MIN_TOKENS = 6
 
 
 # the weights of one direction run, read as params[prefix + name], in
@@ -552,14 +545,13 @@ def forward(params, config, inputs, dropout=0.0, rng=None, keep_cache=True):
     backward), the stream one sentence at a time would draw; evaluation
     passes use dropout=0.  With keep_cache=False no step rows are kept
     and the returned cache is None: decoding needs no gradients.  Such a
-    pass over a longest sentence of FORK_MIN_TOKENS tokens or more sends
-    each layer's backward direction to this process's decode worker,
-    forked on first use where the platform allows, while it runs the
-    forward one (module docstring, Cost), with bit-equal results: the
-    worker reads the weights in the parent's own pages of the shared
-    region, as they are at the call, and a direction whose weights lie
-    outside it runs in this process.  Memory grows linearly in n either
-    way.
+    pass offers each layer's backward direction to this process's decode
+    worker (worker.run_both), which runs it, where worker.py's rules let
+    it, while this process runs the forward one (module docstring,
+    Cost), with bit-equal results: the worker reads the weights in the
+    parent's own pages of the shared region, as they are at the call,
+    and a direction whose weights lie outside it runs in this process.
+    Memory grows linearly in n either way.
     """
     batch = [np.asarray(x, dtype=np.float64) for x in inputs]
     if not batch:
@@ -585,7 +577,6 @@ def forward(params, config, inputs, dropout=0.0, rng=None, keep_cache=True):
     positions = [0] * len(batch)
     for p, s in enumerate(by_length):
         positions[s] = p
-    dispatch = not keep_cache and max(lengths) >= FORK_MIN_TOKENS
 
     def rows_without_cache(prefix, inputs):
         # the direction's state goes as soon as its tape is read
@@ -606,7 +597,7 @@ def forward(params, config, inputs, dropout=0.0, rng=None, keep_cache=True):
             # the decode worker may run the backward direction meanwhile
             bwd_weights = [params[runs[1][0] + name] for name in WEIGHTS]
             rows = worker.run_both(rows_without_cache, runs, bwd_weights,
-                                   config.memory_span, dispatch)
+                                   config.memory_span)
         top_h = [[r[p, :m][order] for p, m in zip(positions, lengths)]
                  for r, (_, order) in zip(rows, DIRECTIONS)]
         if layer < config.extra_layers:

@@ -309,11 +309,11 @@ class Segmenter:
         return crf.log_partition(scores, trans) \
             - crf.sequence_score(scores, trans, sentence.tags)
 
-    def decode(self, tokens, masked=True):
+    def decode(self, tokens):
         """Most likely tag sequence for a token sequence, or the list of
-        them for a list of token sequences, in input order.  With
-        `masked` (the default) every transition the BMES grammar forbids
-        scores -inf, so each path is a valid BMES string.
+        them for a list of token sequences, in input order.  Every
+        transition the BMES grammar forbids scores -inf, so each path is
+        a valid BMES string.
 
         A list is decoded in lock-step chunks of config.batch_size
         sentences, in list order: one encoder pass without a cache per
@@ -325,9 +325,7 @@ class Segmenter:
             return []
         single = isinstance(tokens[0], str)
         sentences = [tokens] if single else tokens
-        trans = self.params["crf.trans"]
-        if masked:
-            trans = np.where(tagging.transition_mask(), trans, -np.inf)
+        trans = np.where(tagging.transition_mask(), self.params["crf.trans"], -np.inf)
         size = self.config.batch_size
         paths = [[] for _ in sentences]
         nonempty = [s for s in range(len(sentences)) if sentences[s]]

@@ -30,16 +30,19 @@ private copy of the region's used bytes at the same address
 (_Region.detach), so its arrays are a snapshot of the fork, as with
 any other memory: the fork costs that copy.
 
-Dispatch.  A pass is sent when the process may run on 2 CPUs or more,
+Dispatch.  This module alone decides where a pass without a cache runs
+its backward directions.  A pass is sent when its longest sentence has
+FORK_MIN_TOKENS tokens or more, the process may run on 2 CPUs or more,
 os.memfd_create exists (Linux) and no other Python thread runs, since
 one could hold a lock at the fork or send a request of its own.  The
-parent sends the sentences' input rows down one pipe, and the worker
-sends its top hidden rows (B, n, h) back up another; nothing is
-pickled.  When the fork or a send fails, or the worker dies or fails
-before it replies, the parent reaps it and runs the direction itself,
-with the same results and the same errors, and the next pass forks a
-fresh worker; when the parent's own direction raises, it kills the
-worker, whose reply no call would read.
+parent sends the weights' offsets and the sentences' input rows down
+one pipe, and the worker sends its top hidden rows (B, n, h) back up
+another; nothing is pickled, and no request names its direction.  When
+the fork or a send fails, or the worker dies or fails before it
+replies, the parent reaps it and runs the direction itself, with the
+same results and the same errors, and the next pass forks a fresh
+worker; when the parent's own direction raises, it kills the worker,
+whose reply no call would read.
 
 Lifetime.  The worker keeps the code it was forked with, points fds
 0-2 at /dev/null and closes every other fd it inherited but its own
@@ -73,6 +76,12 @@ SHARED_BYTES = 2 ** 28
 _MAP_FAILED = ctypes.c_void_p(-1).value
 _MREMAP_MAYMOVE, _MREMAP_FIXED = 1, 2
 _PR_SET_PDEATHSIG = 1
+
+# a pass whose longest sentence has fewer tokens runs both directions in
+# this process: at paper dimensions a 1-token pass gains nothing from the
+# worker, and a 2-token pass runs 1.1-1.5x faster (CHANGES.md has the
+# curves)
+FORK_MIN_TOKENS = 2
 
 
 def _libc():
@@ -257,27 +266,25 @@ def _serve(requests, replies, region):
     pipe, run the direction it asks for, and write the sentences' top
     hidden rows into the `replies` pipe, until the requests pipe closes.
 
-    A request is int64 (a, h, d, memory span or -1, B, P), the byte
-    offsets in `region`, the shared region inherited at the fork, of the
-    direction's six encoder.WEIGHTS, the B sentences' lengths, the P
-    bytes of the direction's prefix and the sentences' (n_i, d) float64
-    input rows."""
+    A request is int64 (a, h, d, memory span or -1, B), the byte offsets
+    in `region`, the shared region inherited at the fork, of the
+    direction's six encoder.WEIGHTS and the B sentences' lengths, then
+    the sentences' (n_i, d) float64 input rows."""
     # the encoder imports this module; in the worker both are loaded
     from .encoder import WEIGHTS, _direction_shapes, _run_direction
     while True:
         try:
-            head = _read(requests, np.empty(6 + len(WEIGHTS), dtype=np.int64))
+            head = _read(requests, np.empty(5 + len(WEIGHTS), dtype=np.int64))
         except EOFError:
             return
-        a, h, d, span, batch, prefix, *offsets = (int(v) for v in head)
+        a, h, d, span, batch, *offsets = (int(v) for v in head)
         lengths = _read(requests, np.empty(batch, dtype=np.int64))
-        prefix = _read(requests, np.empty(prefix, dtype=np.uint8)).tobytes().decode()
         inputs = [_read(requests, np.empty((m, d))) for m in lengths]
-        params = {prefix + name: np.frombuffer(region.buffer, np.float64,
-                                               math.prod(shape), offset).reshape(shape)
+        params = {name: np.frombuffer(region.buffer, np.float64,
+                                      math.prod(shape), offset).reshape(shape)
                   for name, shape, offset in zip(WEIGHTS, _direction_shapes(a, h, d),
                                                  offsets)}
-        state = _run_direction(params, prefix, inputs, False,
+        state = _run_direction(params, "", inputs, False,
                                None if span < 0 else span)
         _write(replies, *(state.tape[p, :m, :h] for p, m in enumerate(lengths)))
 
@@ -294,7 +301,7 @@ class _Worker:
 
     send() writes a request into the `requests` pipe: the offsets of the
     direction's weights in `region`, the shared region the worker
-    inherited, and its inputs; rows() reads the reply from the `replies`
+    inherits, and its inputs; rows() reads the reply from the `replies`
     pipe.  The child points fds 0-2 at /dev/null and closes every other
     fd it inherited but its own two, leaves only through os._exit, so it
     runs no atexit handler and flushes no stdio buffer it inherited,
@@ -306,7 +313,6 @@ class _Worker:
         global _forking_worker
         self.pid = None
         self.fds = []
-        self.region = region
         parent = os.getpid()
         try:
             self.fds += os.pipe() + os.pipe()
@@ -355,15 +361,13 @@ class _Worker:
         self.pid = None
         return True
 
-    def send(self, offsets, shape, prefix, inputs, memory_span):
-        """Ask the worker to run the direction of this prefix over
-        `inputs`, its six weights at these offsets in the region and of
-        the shapes that shape, (a, h, d), gives."""
-        name = np.frombuffer(prefix.encode(), dtype=np.uint8)
-        head = [*shape, -1 if memory_span is None else memory_span,
-                len(inputs), len(name)]
+    def send(self, offsets, shape, inputs, memory_span):
+        """Ask the worker to run a direction over `inputs`, its six
+        weights at these offsets in the region and of the shapes that
+        shape, (a, h, d), gives."""
+        head = [*shape, -1 if memory_span is None else memory_span, len(inputs)]
         _write(self.requests, np.array(head + offsets + [len(x) for x in inputs],
-                                       dtype=np.int64), name, *inputs)
+                                       dtype=np.int64), *inputs)
 
     def rows(self, lengths, hidden):
         """The top hidden rows (B, n, h) of the direction run sent last,
@@ -429,43 +433,43 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_after_fork_in_child)
 
 
-def _dispatch(weights, prefix, inputs, memory_span):
+def _dispatch(weights, inputs, memory_span):
     """This process's decode worker, once it has been sent the direction
-    of this prefix, with these six weights, over `inputs`: forked if
-    there is none, or if the last one has exited, which is reaped.  None
-    if the process may not run on 2 CPUs, another thread runs, a weight
-    lies outside the region, or the fork or the send failed, which
-    leaves no worker."""
+    with these six weights over `inputs`, longest first: forked if there
+    is none, or if the last one has exited, which is reaped.  None if
+    the longest input has fewer than FORK_MIN_TOKENS rows, the process
+    may not run on 2 CPUs, another thread runs, a weight lies outside
+    the region (a process has one region while it has a worker), or the
+    fork or the send failed, which leaves no worker."""
     global _worker
-    if not (hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) >= 2
-            and threading.active_count() == 1):
+    if not (len(inputs[0]) >= FORK_MIN_TOKENS and hasattr(os, "sched_getaffinity")
+            and len(os.sched_getaffinity(0)) >= 2 and threading.active_count() == 1):
         return None
     if _worker is not None and _worker.exited():
         close_worker()
-    region = _region if _worker is None else _worker.region
-    offsets = [None if region is None else region.offset(w) for w in weights]
+    offsets = [None if _region is None else _region.offset(w) for w in weights]
     if None in offsets:
         return None
     (a, h), d = weights[0].shape, weights[1].shape[1]
     try:
         if _worker is None:
-            _worker = _Worker(region)
-        _worker.send(offsets, (a, h, d), prefix, inputs, memory_span)
+            _worker = _Worker(_region)
+        _worker.send(offsets, (a, h, d), inputs, memory_span)
     except OSError:
         close_worker()
         return None
     return _worker
 
 
-def run_both(run, runs, weights, memory_span, dispatch):
+def run_both(run, runs, weights, memory_span):
     """(run(*runs[0]), run(*runs[1])), the rows of two direction runs
     given as (prefix, inputs) pairs, where run(*runs[1]) is the
-    direction of that prefix over those inputs, with these six weights
-    and this memory span.  With `dispatch` the decode worker runs the
-    second while this process runs the first, where it can take it;
-    where it cannot, or fails or dies, this process runs it too, so the
-    results and errors are the same either way."""
-    worker = dispatch and _dispatch(weights, *runs[1], memory_span)
+    direction over those inputs, longest first, with these six weights
+    and this memory span.  The decode worker runs the second while this
+    process runs the first, where it can take it (_dispatch); where it
+    cannot, or fails or dies, this process runs it too, so the results
+    and errors are the same either way."""
+    worker = _dispatch(weights, runs[1][1], memory_span)
     if not worker:
         return run(*runs[0]), run(*runs[1])
     try:

@@ -907,7 +907,7 @@ def decode_outputs(built, lines):
 def in_process(monkeypatch, run):
     """run() with every direction in this process."""
     with monkeypatch.context() as mp:
-        mp.setattr(encoder, "FORK_MIN_TOKENS", np.inf)
+        mp.setattr(worker, "FORK_MIN_TOKENS", np.inf)
         return run()
 
 
@@ -931,7 +931,7 @@ def test_forked_decode_is_bit_equal_to_in_process(dispatches, region, monkeypatc
                                batch_size=4)
     if loaded:
         built = saved_and_loaded(built, tmp_path / "m")
-    m = encoder.FORK_MIN_TOKENS
+    m = worker.FORK_MIN_TOKENS
     text = "".join(chars * 3)
     lines = [text[i:i + n] for i, n in enumerate((m + 6, m // 2, m, 1, m - 1, m - 1))]
     want = in_process(monkeypatch, lambda: decode_outputs(built, lines))
@@ -957,7 +957,7 @@ def test_worker_sees_weights_edited_in_place(dispatches, region, monkeypatch,
     # decodes; the worker must run with the weights of each call, read
     # from the parent's own pages for a loaded model
     built, chars = paper_model(extra_layers=1)
-    line = "".join(chars)[:encoder.FORK_MIN_TOKENS + 3]
+    line = "".join(chars)[:worker.FORK_MIN_TOKENS + 3]
     for model in (built, saved_and_loaded(built, tmp_path / "m")):
         before = model.emissions(list(line))[0]
         pid = worker._worker.pid
@@ -979,7 +979,7 @@ def test_only_weights_outside_the_shared_region_are_written(dispatches, region,
     # a direction with a weight outside the region runs in this process
     built, chars = paper_model(extra_layers=1)
     loaded = saved_and_loaded(built, tmp_path / "m")
-    line = list("".join(chars)[:encoder.FORK_MIN_TOKENS + 3])
+    line = list("".join(chars)[:worker.FORK_MIN_TOKENS + 3])
     writes = []
     pwrite = os.pwrite
     monkeypatch.setattr(os, "pwrite",
@@ -1008,7 +1008,7 @@ def test_a_non_contiguous_weight_decodes_bit_equal(dispatches, region,
     # a product with a column-major weight rounds otherwise than with a
     # row-major copy of it, so the worker must not run with such a copy
     built, chars = paper_model()
-    line = list("".join(chars)[:encoder.FORK_MIN_TOKENS + 3])
+    line = list("".join(chars)[:worker.FORK_MIN_TOKENS + 3])
     name = "enc0.bwd.attn.wh"
     built.params[name] = np.asfortranarray(built.params[name])
     got = built.emissions(line)[0]
@@ -1037,7 +1037,7 @@ def test_forked_child_holds_a_snapshot_of_a_loaded_model(dispatches, region,
     # writes reach the other
     built, chars = paper_model()
     loaded = saved_and_loaded(built, tmp_path / "m")
-    line = list("".join(chars)[:encoder.FORK_MIN_TOKENS + 3])
+    line = list("".join(chars)[:worker.FORK_MIN_TOKENS + 3])
     loaded.emissions(line)
     name = "enc0.bwd.cell.w"
     before = loaded.params[name].copy()
@@ -1056,7 +1056,7 @@ def test_forked_child_holds_a_snapshot_of_a_loaded_model(dispatches, region,
             # outside the child's own region, the weights run in the child
             got = loaded.emissions(line)[0]
             worker.close_worker()
-            encoder.FORK_MIN_TOKENS = np.inf
+            worker.FORK_MIN_TOKENS = np.inf
             if snapshot and np.array_equal(got, loaded.emissions(line)[0]):
                 status = 0
         finally:
@@ -1092,9 +1092,9 @@ os.sched_getaffinity = lambda pid: {0, 1}
 cfg = TrainConfig(emb_dim=4, window=1, hidden=150, attn_dim=150)
 rng = np.random.default_rng(86)
 params = encoder.init_params(cfg, rng)
-for n in (encoder.FORK_MIN_TOKENS, 6000):
+for n in (worker.FORK_MIN_TOKENS, 6000):
     encoder.forward(params, cfg, [rng.normal(size=(n, 4))], keep_cache=False)
-    if n == encoder.FORK_MIN_TOKENS:
+    if n == worker.FORK_MIN_TOKENS:
         print(worker._worker.pid, flush=True)
 """
 
@@ -1157,7 +1157,7 @@ def test_killed_worker_falls_back_and_a_fresh_one_follows(dispatches,
     rng = np.random.default_rng(84)
     cfg = small_config(extra_layers=1)
     params = init_params(cfg, rng)
-    xs = [rng.normal(size=(n, DIM)) for n in (encoder.FORK_MIN_TOKENS + 5, 2)]
+    xs = [rng.normal(size=(n, DIM)) for n in (worker.FORK_MIN_TOKENS + 5, 2)]
     want, _ = in_process(monkeypatch,
                          lambda: forward(params, cfg, xs, keep_cache=False))
     got, _ = forward(params, cfg, xs, keep_cache=False)
@@ -1181,7 +1181,7 @@ def test_failed_child_makes_the_parent_run_the_direction(dispatches, monkeypatch
     rng = np.random.default_rng(81)
     cfg = small_config(extra_layers=1)
     params = init_params(cfg, rng)
-    xs = [rng.normal(size=(n, DIM)) for n in (encoder.FORK_MIN_TOKENS + 5, 9)]
+    xs = [rng.normal(size=(n, DIM)) for n in (worker.FORK_MIN_TOKENS + 5, 9)]
     want, _ = in_process(monkeypatch,
                          lambda: forward(params, cfg, xs, keep_cache=False))
     parent = os.getpid()
@@ -1202,7 +1202,8 @@ def test_failed_child_makes_the_parent_run_the_direction(dispatches, monkeypatch
         assert worker._worker is None
 
     def backward_fails(state, t):
-        if state.prefix.endswith("bwd."):
+        # the worker runs its direction under the prefix ""
+        if not state.prefix.endswith("fwd."):
             raise RuntimeError("backward direction failed")
         step(state, t)
 
@@ -1226,7 +1227,7 @@ def test_error_in_the_parent_direction_leaves_no_child(dispatches, monkeypatch):
     rng = np.random.default_rng(82)
     cfg = small_config()
     params = init_params(cfg, rng)
-    xs = [rng.normal(size=(4 * encoder.FORK_MIN_TOKENS, DIM))]
+    xs = [rng.normal(size=(4 * worker.FORK_MIN_TOKENS, DIM))]
     step = encoder.tape_step
 
     def forward_fails(state, t):
@@ -1249,7 +1250,7 @@ def test_forked_child_neither_uses_nor_kills_the_parent_worker(dispatches,
     rng = np.random.default_rng(85)
     cfg = small_config()
     params = init_params(cfg, rng)
-    xs = [rng.normal(size=(encoder.FORK_MIN_TOKENS + 5, DIM))]
+    xs = [rng.normal(size=(worker.FORK_MIN_TOKENS + 5, DIM))]
     want, _ = in_process(monkeypatch,
                          lambda: forward(params, cfg, xs, keep_cache=False))
     forward(params, cfg, xs, keep_cache=False)
@@ -1283,7 +1284,7 @@ def test_no_fork_while_another_thread_runs(dispatches):
     rng = np.random.default_rng(83)
     cfg = small_config()
     params = init_params(cfg, rng)
-    xs = [rng.normal(size=(encoder.FORK_MIN_TOKENS + 5, DIM))]
+    xs = [rng.normal(size=(worker.FORK_MIN_TOKENS + 5, DIM))]
     want, _ = forward(params, cfg, xs, keep_cache=False)
     assert len(dispatches) == 1
     stop = threading.Event()
@@ -1306,3 +1307,28 @@ def test_no_fork_while_another_thread_runs(dispatches):
     assert not second.is_alive()
     assert len(dispatches) == 1
     assert np.array_equal(results[0][0][0], want[0])
+
+
+def test_a_request_carries_no_name(dispatches, monkeypatch):
+    # a request is int64 (a, h, d, memory span, B), the six weights'
+    # offsets and the B lengths, then the input rows: it does not name
+    # the direction it asks for
+    rng = np.random.default_rng(87)
+    cfg = small_config()
+    params = init_params(cfg, rng)
+    xs = [rng.normal(size=(n, DIM)) for n in (worker.FORK_MIN_TOKENS + 5, 3, 1)]
+    want, _ = in_process(monkeypatch,
+                         lambda: forward(params, cfg, xs, keep_cache=False))
+    writes = []
+    write = worker._write
+
+    def counted(fd, *arrays):
+        writes.append((fd, sum(np.asarray(a).nbytes for a in arrays)))
+        return write(fd, *arrays)
+
+    monkeypatch.setattr(worker, "_write", counted)
+    got, _ = forward(params, cfg, xs, keep_cache=False)
+    assert same_arrays(got, want)
+    assert len(dispatches) == 1
+    assert writes == [(worker._worker.requests,
+                       8 * (5 + 6 + len(xs)) + 8 * sum(x.size for x in xs))]

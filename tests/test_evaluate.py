@@ -88,7 +88,7 @@ class FakeModel:
     def __init__(self, answers):
         self.answers = answers
 
-    def decode(self, sentences, masked=True):
+    def decode(self, sentences):
         return [self.answers["".join(tokens)] for tokens in sentences]
 
 

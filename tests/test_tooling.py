@@ -236,7 +236,7 @@ from attnseg.model import TrainConfig
 os.sched_getaffinity = lambda pid: {0, 1}
 cfg = TrainConfig(hidden=8, emb_dim=4, window=1)
 params = encoder.init_params(cfg, np.random.default_rng(0))
-x = np.zeros((encoder.FORK_MIN_TOKENS, cfg.input_dim))
+x = np.zeros((worker.FORK_MIN_TOKENS, cfg.input_dim))
 encoder.forward(params, cfg, [x], keep_cache=False)
 pid = worker._worker.pid
 print(pid, flush=True)

@@ -256,7 +256,7 @@ def test_train_epoch_does_not_decode(monkeypatch):
     # an epoch trains; decoding the training set is tag_accuracy's job
     model, corpus, cfg = toy_model()
 
-    def no_decode(self, tokens, masked=True):
+    def no_decode(self, tokens):
         raise AssertionError("train_epoch decoded a sentence")
 
     monkeypatch.setattr(Segmenter, "decode", no_decode)
@@ -1325,7 +1325,7 @@ def test_decode_memory_grows_linearly_with_length(monkeypatch):
     # the tapes grow with n; step caches kept for a backward pass would
     # grow with n^2 and make the doubled line take about 4x the memory.
     # Both directions run in this process, where tracemalloc sees them
-    monkeypatch.setattr(encoder, "FORK_MIN_TOKENS", np.inf)
+    monkeypatch.setattr(worker, "FORK_MIN_TOKENS", np.inf)
     model, corpus, _ = toy_model()
     chars = [tok for sent in corpus for tok in sent.tokens]
     model.decode(chars[:8])
@@ -1349,7 +1349,7 @@ def test_decode_releases_each_direction_before_the_next(monkeypatch):
     # direction's whole state while the second runs adds (2a + h + d) * 8
     # bytes per token and breaks the bound.  Both directions run in this
     # process, where tracemalloc sees them
-    monkeypatch.setattr(encoder, "FORK_MIN_TOKENS", np.inf)
+    monkeypatch.setattr(worker, "FORK_MIN_TOKENS", np.inf)
     model, corpus, cfg = toy_model()
     h = a = cfg.hidden
     d = cfg.window * cfg.emb_dim
@@ -1397,7 +1397,7 @@ def test_forked_decode_holds_one_direction_in_the_parent(dispatches, monkeypatch
 
     forked = per_token()
     assert len(dispatches) == warm + 2
-    monkeypatch.setattr(encoder, "FORK_MIN_TOKENS", np.inf)
+    monkeypatch.setattr(worker, "FORK_MIN_TOKENS", np.inf)
     in_process = per_token()
     state_row = (2 * h + a + a + h + d) * 8
     bound = d * 8 + state_row + (a + 2 * h) * 8
