@@ -34,8 +34,11 @@ Dispatch.  This module alone decides where a pass without a cache runs
 its backward directions.  A pass is sent when its longest sentence has
 FORK_MIN_TOKENS tokens or more, the process may run on 2 CPUs or more,
 os.memfd_create exists (Linux) and no other Python thread runs, since
-one could hold a lock at the fork or send a request of its own.  The
-parent sends the weights' offsets and the sentences' input rows down
+one could hold a lock at the fork or send a request of its own.  At
+paper dimensions a worker already forked wins from 2 tokens on
+(CHANGES.md has the curves), but FORK_MIN_TOKENS stays 6 until a
+benchmark workload with shorter passes can measure a lower one, its
+first fork included.  The parent sends the weights' offsets and the sentences' input rows down
 one pipe, and the worker sends its top hidden rows (B, n, h) back up
 another; nothing is pickled, and no request names its direction.  When
 the fork or a send fails, or the worker dies or fails before it
@@ -78,10 +81,8 @@ _MREMAP_MAYMOVE, _MREMAP_FIXED = 1, 2
 _PR_SET_PDEATHSIG = 1
 
 # a pass whose longest sentence has fewer tokens runs both directions in
-# this process: at paper dimensions a 1-token pass gains nothing from the
-# worker, and a 2-token pass runs 1.1-1.5x faster (CHANGES.md has the
-# curves)
-FORK_MIN_TOKENS = 2
+# this process (module docstring, Dispatch)
+FORK_MIN_TOKENS = 6
 
 
 def _libc():

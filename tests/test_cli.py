@@ -267,9 +267,8 @@ def test_segment_writes_each_line_once_around_a_forked_decode(tmp_path):
     model_dir = train_into(tmp_path, "m")
     with open(TOY, encoding="utf-8") as fh:
         text = "".join(fh.read().split())
-    m = worker.FORK_MIN_TOKENS
-    long_line = text[:m + 10]
-    lines = [text[:m - 1], long_line, text[m:2 * m - 1], long_line[:5], long_line]
+    long_line = text[:worker.FORK_MIN_TOKENS + 10]
+    lines = ["我们", long_line, "北京", long_line[:5], long_line]
     raw = tmp_path / "raw.txt"
     raw.write_text("\n".join(lines) + "\n", encoding="utf-8")
     model = load_model(model_dir)
