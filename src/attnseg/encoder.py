@@ -33,26 +33,27 @@ reads each sentence as it is, "bwd" reads it reversed, and the same
 order maps the direction's rows back to input order.  Sorted longest
 first, step t advances the sentences still running, the first k of
 them, which all share the window [window_starts[t], t).  One
-DirectionState is one direction run: it holds the direction's
-weights, the model's own arrays params["enc{layer}.{direction}." +
-name], so attend(), tape_step and backward need only the state, and
-the batch's arrays by sentence and row: the tapes side by side as
-[h_t | c_t], Wh h_t, the gate input [h~_t | x_t] and, when kept for
-backward, the gate activations, tanh c_t and [h~_t | c~_t].  The
-ForwardCache of a kept forward holds the states and, likewise, the
-model's own out.wf and out.wb arrays, so backward() reads the cache
-alone and adds into the gradient dict its caller passes.  No step
-keeps its window: attend() forms a step's tanh activations (k, w, a)
-and attention weights (k, w) from Wh h_i, Wx x_t and the previous
-summary, and backward calls it again on the same slices, with the same
-numpy calls on the same operands, so it sees bit-identical values.
-tape_step slices the first k sentences of each array and keeps the
-batch axis for every k: one sentence is a batch of one, and one layout
-serves training and decoding alike.  Every product is a stack of
-matrix-vector products, one per sentence (np.matmul over a stack of
-vectors), and every reduction runs along each sentence's own axis in
-its own order, so a sentence's values do not depend on the batch it
-runs in, and stay bit-equal to the straight-line recurrence.
+DirectionState is one direction run: it holds the direction's six
+weights, the arrays it was started with in WEIGHTS order (the model's
+own, named by direction_names(layer, direction), in forward()), so
+attend(), tape_step and backward need only the state, and the batch's
+arrays by sentence and row: the tapes side by side as [h_t | c_t], Wh
+h_t, the gate input [h~_t | x_t] and, when kept for backward, the gate
+activations, tanh c_t and [h~_t | c~_t].  The ForwardCache of a kept
+forward holds the states and, likewise, the model's own out.wf and
+out.wb arrays, so backward() reads the cache alone and adds into the
+gradient dict its caller passes.  No step keeps its window: attend()
+forms a step's tanh activations (k, w, a) and attention weights (k, w)
+from Wh h_i, Wx x_t and the previous summary, and backward calls it
+again on the same slices, with the same numpy calls on the same
+operands, so it sees bit-identical values.  tape_step slices the first
+k sentences of each array and keeps the batch axis for every k: one
+sentence is a batch of one, and one layout serves training and
+decoding alike.  Every product is a stack of matrix-vector products,
+one per sentence (np.matmul over a stack of vectors), and every
+reduction runs along each sentence's own axis in its own order, so a
+sentence's values do not depend on the batch it runs in, and stay
+bit-equal to the straight-line recurrence.
 
 Cost.  Wh h_i does not depend on t, so it is computed once, when h_i
 enters the tape; Wx x_t is computed for every t before the first step,
@@ -123,9 +124,15 @@ from .tagging import NUM_TAGS
 GATE_BLOCK_ROWS = 192
 
 
-# the weights of one direction run, read as params[prefix + name], in
-# the canonical order of param_shapes
+# the weights of one direction run, in the order a run takes them and
+# param_shapes names them
 WEIGHTS = ("attn.wh", "attn.wx", "attn.wp", "attn.v", "cell.w", "cell.b")
+
+
+def direction_names(layer, direction):
+    """The parameter names of the WEIGHTS of one direction ("fwd" or
+    "bwd") of encoder layer `layer`, in order."""
+    return [f"enc{layer}.{direction}.{name}" for name in WEIGHTS]
 
 
 def _direction_shapes(a, h, d):
@@ -150,8 +157,8 @@ def param_shapes(config):
     for layer in range(1 + config.extra_layers):
         d = config.input_dim if layer == 0 else 2 * h
         for direction in ("fwd", "bwd"):
-            for name, shape in zip(WEIGHTS, _direction_shapes(a, h, d)):
-                shapes[f"enc{layer}.{direction}.{name}"] = shape
+            shapes.update(zip(direction_names(layer, direction),
+                              _direction_shapes(a, h, d)))
     shapes["out.wf"] = (NUM_TAGS, h)
     shapes["out.wb"] = (NUM_TAGS, h)
     shapes["out.b"] = (NUM_TAGS,)
@@ -200,10 +207,10 @@ class DirectionState:
     padded to the longest, n tokens: its weights and its arrays.  Step t
     writes row t of the first active[t] sentences, those longer than t.
 
-    The weights are the model's own arrays params[prefix + name], one
-    field per WEIGHTS name (wh, wx, wp and v of the attention layer, w
-    and b of the gate block), and their gradients go to grads[prefix +
-    name].  The arrays are
+    The weights are the six arrays the run was given, one field per
+    WEIGHTS name (wh, wx, wp and v of the attention layer, w and b of
+    the gate block); in forward() they are the model's own arrays.  The
+    arrays are
 
         tape      (B, n, 2h)    [h_t | c_t]: the hidden and memory tapes
         tape_wh   (B, n, a)     Wh h_t, stored when h_t enters the tape
@@ -223,7 +230,6 @@ class DirectionState:
     sentence p's rows are their [p, :lengths[p]] slices.
     """
 
-    prefix: str
     wh: np.ndarray
     wx: np.ndarray
     wp: np.ndarray
@@ -242,16 +248,16 @@ class DirectionState:
     tanh_c: np.ndarray
 
     @classmethod
-    def start(cls, params, prefix, inputs, keep_steps, memory_span=None):
+    def start(cls, weights, inputs, keep_steps, memory_span=None):
         """Empty tapes over `inputs`, a list of (n_i, d) arrays with
-        non-increasing n_i, for the direction whose weights are
-        params[prefix + name], with the input rows of gate_in and wx_x
-        filled in, and each step's window start: 0, or the last
-        `memory_span` tape entries when that is set."""
+        non-increasing n_i, for the direction with these six weights, in
+        WEIGHTS order, with the input rows of gate_in and wx_x filled
+        in, and each step's window start: 0, or the last `memory_span`
+        tape entries when that is set."""
         lengths = [x.shape[0] for x in inputs]
         if lengths != sorted(lengths, reverse=True):
             raise ValueError(f"batch lengths {lengths} are not longest first")
-        wh, wx, wp, v, w, b = (params[prefix + name] for name in WEIGHTS)
+        wh, wx, wp, v, w, b = weights
         batch = len(inputs)
         n, d = inputs[0].shape
         hidden = b.shape[0] // 4
@@ -276,7 +282,7 @@ class DirectionState:
         else:
             window_starts = [max(0, t - memory_span) for t in range(n)]
         return cls(
-            prefix, wh, wx, wp, v, w, b,
+            wh, wx, wp, v, w, b,
             lengths=lengths,
             active=active,
             window_starts=window_starts,
@@ -373,9 +379,10 @@ def _direction_backward(state, d_rows, order, positions, grads):
     input order, and `order` is the direction's read order.
 
     Runs the steps in lock-step in reverse time.  Each sentence's
-    parameter gradients are then formed and added to
-    grads[state.prefix + name], sentence by sentence in batch order:
-    positions[s] is the position of batch sentence s.  Returns the input
+    parameter gradients are then formed and added in place to `grads`,
+    the six gradient arrays of the state's weights in WEIGHTS order,
+    sentence by sentence in batch order: positions[s] is the position
+    of batch sentence s.  Returns the input
     gradients in batch order, each in input order.
 
     The tape term of the attention pre-activation is accumulated per
@@ -453,6 +460,7 @@ def _direction_backward(state, d_rows, order, positions, grads):
         # constant zero vectors
         np.matmul(wp_t, d_pre_sums[:k, t, :, None], out=d_summary[:k, :, None])
     w_input = state.w[:, hidden:]
+    g_wh, g_wx, g_wp, g_v_sum, g_w, g_b = grads
     d_inputs = []
     for p in positions:
         m = state.lengths[p]
@@ -462,12 +470,12 @@ def _direction_backward(state, d_rows, order, positions, grads):
         prev_summaries[1:] = gate_in[:-1, :hidden]
         d_inputs.append((d_z_p @ w_input + d_pre_p @ state.wx)[order])
         # added as formed: one sentence's dense gradient at a time
-        grads[state.prefix + "attn.wh"] += d_tape_wh[p, :m].T @ tape_h[p, :m]
-        grads[state.prefix + "attn.wx"] += d_pre_p.T @ gate_in[:, hidden:]
-        grads[state.prefix + "attn.wp"] += d_pre_p.T @ prev_summaries
-        grads[state.prefix + "attn.v"] += g_v[p]
-        grads[state.prefix + "cell.w"] += d_z_p.T @ gate_in
-        grads[state.prefix + "cell.b"] += d_z_p.sum(axis=0)
+        g_wh += d_tape_wh[p, :m].T @ tape_h[p, :m]
+        g_wx += d_pre_p.T @ gate_in[:, hidden:]
+        g_wp += d_pre_p.T @ prev_summaries
+        g_v_sum += g_v[p]
+        g_w += d_z_p.T @ gate_in
+        g_b += d_z_p.sum(axis=0)
     return d_inputs
 
 
@@ -517,10 +525,10 @@ def _check_shapes(params, config, batch):
             )
 
 
-def _run_direction(params, prefix, inputs, keep_steps, memory_span):
-    """The DirectionState of one direction run over `inputs`, after all
-    its steps."""
-    state = DirectionState.start(params, prefix, inputs, keep_steps, memory_span)
+def _run_direction(weights, inputs, keep_steps, memory_span):
+    """The DirectionState of one direction run with these six weights
+    over `inputs`, after all its steps."""
+    state = DirectionState.start(weights, inputs, keep_steps, memory_span)
     with np.errstate(over="ignore"):
         for t in range(state.tape.shape[1]):
             tape_step(state, t)
@@ -578,26 +586,24 @@ def forward(params, config, inputs, dropout=0.0, rng=None, keep_cache=True):
     for p, s in enumerate(by_length):
         positions[s] = p
 
-    def rows_without_cache(prefix, inputs):
+    def rows_without_cache(weights, inputs):
         # the direction's state goes as soon as its tape is read
-        return _run_direction(params, prefix, inputs, False,
+        return _run_direction(weights, inputs, False,
                               config.memory_span).tape[:, :, :h]
 
     layers = []
     for layer in range(1 + config.extra_layers):
-        runs = [(f"enc{layer}.{direction}.", [current[s][order] for s in by_length])
+        runs = [([params[name] for name in direction_names(layer, direction)],
+                 [current[s][order] for s in by_length])
                 for direction, order in DIRECTIONS]
         if keep_cache:
-            states = tuple(_run_direction(params, prefix, inputs, True,
-                                          config.memory_span)
-                           for prefix, inputs in runs)
+            states = tuple(_run_direction(weights, inputs, True, config.memory_span)
+                           for weights, inputs in runs)
             layers.append(states)
             rows = [state.tape[:, :, :h] for state in states]
         else:
             # the decode worker may run the backward direction meanwhile
-            bwd_weights = [params[runs[1][0] + name] for name in WEIGHTS]
-            rows = worker.run_both(rows_without_cache, runs, bwd_weights,
-                                   config.memory_span)
+            rows = worker.run_both(rows_without_cache, runs, config.memory_span)
         top_h = [[r[p, :m][order] for p, m in zip(positions, lengths)]
                  for r, (_, order) in zip(rows, DIRECTIONS)]
         if layer < config.extra_layers:
@@ -654,10 +660,12 @@ def backward(cache, d_emissions, grads):
                 d = d * cache.out_masks[i][s]
             d_top[i].append(d)
 
-    for states in reversed(cache.layers):
+    for layer, states in reversed(list(enumerate(cache.layers))):
         d_fwd, d_bwd = (
-            _direction_backward(state, d_rows, order, cache.positions, grads)
-            for (_, order), state, d_rows in zip(DIRECTIONS, states, d_top))
+            _direction_backward(
+                state, d_rows, order, cache.positions,
+                [grads[name] for name in direction_names(layer, direction)])
+            for (direction, order), state, d_rows in zip(DIRECTIONS, states, d_top))
         d_layer_in = [f + b for f, b in zip(d_fwd, d_bwd)]
         # the layer below's (forward, backward) halves, as views
         d_top = ([d[:, :h] for d in d_layer_in], [d[:, h:] for d in d_layer_in])

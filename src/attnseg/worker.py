@@ -38,14 +38,17 @@ one could hold a lock at the fork or send a request of its own.  At
 paper dimensions a worker already forked wins from 2 tokens on
 (CHANGES.md has the curves), but FORK_MIN_TOKENS stays 6 until a
 benchmark workload with shorter passes can measure a lower one, its
-first fork included.  The parent sends the weights' offsets and the sentences' input rows down
-one pipe, and the worker sends its top hidden rows (B, n, h) back up
-another; nothing is pickled, and no request names its direction.  When
-the fork or a send fails, or the worker dies or fails before it
-replies, the parent reaps it and runs the direction itself, with the
-same results and the same errors, and the next pass forks a fresh
-worker; when the parent's own direction raises, it kills the worker,
-whose reply no call would read.
+first fork included.  The parent sends the offsets of the direction's
+six weight arrays and the sentences' input rows down one pipe, and the
+worker sends its top hidden rows (B, n, h) back up another; nothing is
+pickled, and no request names its direction.  A dead worker is found
+where it fails a request: the send fails (EPIPE, since no reader of the
+requests pipe is left) or the reply ends early.  When the fork or a
+send fails, or the worker dies or fails before it replies, the parent
+reaps it and runs the direction itself, with the same results and the
+same errors, and the next pass forks a fresh worker; when the parent's
+own direction raises, it kills the worker, whose reply no call would
+read.
 
 Lifetime.  The worker keeps the code it was forked with, points fds
 0-2 at /dev/null and closes every other fd it inherited but its own
@@ -112,13 +115,14 @@ class _Region:
     shared at one address that a forked decode worker inherits, so that
     it reads the parent's live pages (module docstring, Weights).
 
-    block() carves page-rounded blocks from the start.  A block whose
-    last view is gone goes on a free list by size and serves the next
-    block of that size, whose pages are then already in place; the file
-    gives no page back.  When neither a freed block nor the rest of the
-    region fits, block() returns None.  In a forked child other than the
-    worker, detach() puts a private copy of the used bytes at the same
-    address, and the child takes no more blocks from it.
+    block() carves page-rounded blocks from the start, under the
+    module's _region_lock (aligned_views).  A block whose last view is
+    gone goes on a free list by size and serves the next block of that
+    size, whose pages are then already in place; the file gives no page
+    back.  When neither a freed block nor the rest of the region fits,
+    block() returns None.  In a forked child other than the worker,
+    detach() puts a private copy of the used bytes at the same address,
+    and the child takes no more blocks from it.
     """
 
     def __init__(self, capacity):
@@ -135,20 +139,18 @@ class _Region:
         self.capacity = capacity
         self.used = 0
         self.free = {}
-        self.lock = threading.Lock()
 
     def block(self, nbytes):
         """A writable, page-aligned uint8 array of nbytes in the region,
         or None if it has no room."""
         size = -(-nbytes // mmap.PAGESIZE) * mmap.PAGESIZE
-        with self.lock:
-            freed = self.free.setdefault(size, [])
-            if freed:
-                offset = freed.pop()
-            elif self.used + size <= self.capacity:
-                offset, self.used = self.used, self.used + size
-            else:
-                return None
+        freed = self.free.setdefault(size, [])
+        if freed:
+            offset = freed.pop()
+        elif self.used + size <= self.capacity:
+            offset, self.used = self.used, self.used + size
+        else:
+            return None
         block = np.frombuffer(self.buffer, np.uint8, nbytes, offset)
         # on the array: numpy makes it the base of every view of the
         # block, since its own base is no array, so it outlives them all.
@@ -180,20 +182,10 @@ class _Region:
                                      _MREMAP_MAYMOVE | _MREMAP_FIXED, self.address))
 
 
-# this process's shared region, made by the first call that needs one
+# this process's shared region, made by the first block that needs one;
+# the lock guards making it and carving its blocks
 _region = None
 _region_lock = threading.Lock()
-
-
-def _shared_region():
-    """This process's shared region, made if there is none; None where
-    os.memfd_create is missing or the region cannot be made."""
-    global _region
-    with _region_lock:
-        if _region is None and hasattr(os, "memfd_create"):
-            with contextlib.suppress(OSError):
-                _region = _Region(SHARED_BYTES)
-        return _region
 
 
 def aligned_views(shapes, dtypes=None, shared=True):
@@ -201,19 +193,27 @@ def aligned_views(shapes, dtypes=None, shared=True):
     dtypes[name] where given and float64 otherwise, each starting on a
     64-byte boundary, all views into one block.
 
-    With `shared` the block lies in this process's shared region, where
-    the decode worker reads it in place, and once no view of it is left
-    its pages serve the next block of the same size.  Without, or when
-    the region is full or missing, the block is a private one on the
+    With `shared` the block lies in this process's shared region, made
+    if there is none, where the decode worker reads it in place, and
+    once no view of it is left its pages serve the next block of the
+    same size.  Without, or when the region is full or cannot be made
+    (os.memfd_create is missing), the block is a private one on the
     heap.
     """
+    global _region
     types = [np.dtype((dtypes or {}).get(name, np.float64)) for name in shapes]
     starts, end = [], 0
     for shape, t in zip(shapes.values(), types):
         starts.append(end)
         end += -(-math.prod(shape) * t.itemsize // 64) * 64
-    region = _shared_region() if shared else None
-    block = None if region is None else region.block(end)
+    block = None
+    if shared:
+        with _region_lock:
+            if _region is None and hasattr(os, "memfd_create"):
+                with contextlib.suppress(OSError):
+                    _region = _Region(SHARED_BYTES)
+            if _region is not None:
+                block = _region.block(end)
     if block is None:
         block = np.empty(end + 63, dtype=np.uint8)
         block = block[-block.ctypes.data % 64:]
@@ -262,31 +262,30 @@ def _keep_only(fds):
     return kept
 
 
-def _serve(requests, replies, region):
+def _serve(requests, replies):
     """The decode worker's loop: read a request from the `requests`
     pipe, run the direction it asks for, and write the sentences' top
     hidden rows into the `replies` pipe, until the requests pipe closes.
 
     A request is int64 (a, h, d, memory span or -1, B), the byte offsets
-    in `region`, the shared region inherited at the fork, of the
-    direction's six encoder.WEIGHTS and the B sentences' lengths, then
-    the sentences' (n_i, d) float64 input rows."""
+    in the shared region, inherited at the fork, of the direction's six
+    weight arrays and the B sentences' lengths, then the sentences'
+    (n_i, d) float64 input rows."""
     # the encoder imports this module; in the worker both are loaded
-    from .encoder import WEIGHTS, _direction_shapes, _run_direction
+    from .encoder import _direction_shapes, _run_direction
     while True:
         try:
-            head = _read(requests, np.empty(5 + len(WEIGHTS), dtype=np.int64))
+            a, h, d, span, batch = map(int, _read(requests, np.empty(5, np.int64)))
         except EOFError:
             return
-        a, h, d, span, batch, *offsets = (int(v) for v in head)
-        lengths = _read(requests, np.empty(batch, dtype=np.int64))
+        shapes = _direction_shapes(a, h, d)
+        rest = _read(requests, np.empty(len(shapes) + batch, dtype=np.int64))
+        offsets, lengths = rest[:len(shapes)], rest[len(shapes):]
         inputs = [_read(requests, np.empty((m, d))) for m in lengths]
-        params = {name: np.frombuffer(region.buffer, np.float64,
-                                      math.prod(shape), offset).reshape(shape)
-                  for name, shape, offset in zip(WEIGHTS, _direction_shapes(a, h, d),
-                                                 offsets)}
-        state = _run_direction(params, "", inputs, False,
-                               None if span < 0 else span)
+        weights = [np.frombuffer(_region.buffer, np.float64, math.prod(shape),
+                                 offset).reshape(shape)
+                   for shape, offset in zip(shapes, offsets)]
+        state = _run_direction(weights, inputs, False, None if span < 0 else span)
         _write(replies, *(state.tape[p, :m, :h] for p, m in enumerate(lengths)))
 
 
@@ -301,22 +300,25 @@ class _Worker:
     docstring).
 
     send() writes a request into the `requests` pipe: the offsets of the
-    direction's weights in `region`, the shared region the worker
-    inherits, and its inputs; rows() reads the reply from the `replies`
-    pipe.  The child points fds 0-2 at /dev/null and closes every other
-    fd it inherited but its own two, leaves only through os._exit, so it
-    runs no atexit handler and flushes no stdio buffer it inherited,
-    ignores SIGINT, so a Ctrl-C reaches only the parent, and dies with
-    this process, whose death the kernel signals to it with SIGKILL.
+    direction's weights in the shared region, which the worker inherits,
+    and its inputs; rows() reads the reply from the `replies` pipe.  The
+    child points fds 0-2 at /dev/null and closes every other fd it
+    inherited but its own two, leaves only through os._exit, so it runs
+    no atexit handler and flushes no stdio buffer it inherited, ignores
+    SIGINT, so a Ctrl-C reaches only the parent, and dies with this
+    process, whose death the kernel signals to it with SIGKILL.
     """
 
-    def __init__(self, region):
+    def __init__(self):
         global _forking_worker
         self.pid = None
         self.fds = []
         parent = os.getpid()
         try:
-            self.fds += os.pipe() + os.pipe()
+            # one at a time, so that close() closes the first pipe when
+            # the second fails
+            self.fds += os.pipe()
+            self.fds += os.pipe()
             with warnings.catch_warnings():
                 # Python 3.12 and later warn when a process with other
                 # threads forks, and OpenBLAS's worker threads count.
@@ -342,10 +344,10 @@ class _Worker:
             try:
                 # a parent that died before the call has left no one to
                 # signal the worker
-                region.libc.prctl(_PR_SET_PDEATHSIG, signal.SIGKILL, 0, 0, 0)
+                _region.libc.prctl(_PR_SET_PDEATHSIG, signal.SIGKILL, 0, 0, 0)
                 if os.getppid() == parent:
                     signal.signal(signal.SIGINT, signal.SIG_IGN)
-                    _serve(*_keep_only((requests_in, replies_out)), region)
+                    _serve(*_keep_only((requests_in, replies_out)))
                     status = 0
             finally:
                 os._exit(status)
@@ -353,14 +355,6 @@ class _Worker:
         os.close(requests_in)
         os.close(replies_out)
         self.fds = [self.requests, self.replies]
-
-    def exited(self):
-        """Whether the worker has exited, reaping it if so."""
-        with contextlib.suppress(ChildProcessError):
-            if not os.waitpid(self.pid, os.WNOHANG)[0]:
-                return False
-        self.pid = None
-        return True
 
     def send(self, offsets, shape, inputs, memory_span):
         """Ask the worker to run a direction over `inputs`, its six
@@ -437,24 +431,22 @@ if hasattr(os, "register_at_fork"):
 def _dispatch(weights, inputs, memory_span):
     """This process's decode worker, once it has been sent the direction
     with these six weights over `inputs`, longest first: forked if there
-    is none, or if the last one has exited, which is reaped.  None if
-    the longest input has fewer than FORK_MIN_TOKENS rows, the process
-    may not run on 2 CPUs, another thread runs, a weight lies outside
-    the region (a process has one region while it has a worker), or the
-    fork or the send failed, which leaves no worker."""
+    is none.  None if the longest input has fewer than FORK_MIN_TOKENS
+    rows, the process may not run on 2 CPUs, another thread runs, a
+    weight lies outside the region (a process has one region while it
+    has a worker), or the fork or the send failed, as it does when the
+    worker has died, which closes and reaps the worker."""
     global _worker
     if not (len(inputs[0]) >= FORK_MIN_TOKENS and hasattr(os, "sched_getaffinity")
             and len(os.sched_getaffinity(0)) >= 2 and threading.active_count() == 1):
         return None
-    if _worker is not None and _worker.exited():
-        close_worker()
     offsets = [None if _region is None else _region.offset(w) for w in weights]
     if None in offsets:
         return None
     (a, h), d = weights[0].shape, weights[1].shape[1]
     try:
         if _worker is None:
-            _worker = _Worker(_region)
+            _worker = _Worker()
         _worker.send(offsets, (a, h, d), inputs, memory_span)
     except OSError:
         close_worker()
@@ -462,15 +454,15 @@ def _dispatch(weights, inputs, memory_span):
     return _worker
 
 
-def run_both(run, runs, weights, memory_span):
+def run_both(run, runs, memory_span):
     """(run(*runs[0]), run(*runs[1])), the rows of two direction runs
-    given as (prefix, inputs) pairs, where run(*runs[1]) is the
-    direction over those inputs, longest first, with these six weights
-    and this memory span.  The decode worker runs the second while this
-    process runs the first, where it can take it (_dispatch); where it
-    cannot, or fails or dies, this process runs it too, so the results
-    and errors are the same either way."""
-    worker = _dispatch(weights, runs[1][1], memory_span)
+    given as (weights, inputs) pairs, where run(weights, inputs) runs
+    the direction with those six weights over those inputs, longest
+    first, with this memory span.  The decode worker runs the second
+    while this process runs the first, where it can take it
+    (_dispatch); where it cannot, or fails or dies, this process runs it
+    too, so the results and errors are the same either way."""
+    worker = _dispatch(*runs[1], memory_span)
     if not worker:
         return run(*runs[0]), run(*runs[1])
     try:

@@ -113,12 +113,11 @@ def test_criterion_4_lstmn_structural_checks():
     hid, att, dim = 6, 5, 7
     ok_sum = True
     # the weights do not depend on the gate block
-    no_cell = {"cell.w": np.zeros((4 * hid, hid + dim)), "cell.b": np.zeros(4 * hid)}
+    no_cell = [np.zeros((4 * hid, hid + dim)), np.zeros(4 * hid)]
     for _ in range(100):
-        weights = {"attn.wh": rng.normal(size=(att, hid)),
-                   "attn.wx": rng.normal(size=(att, dim)),
-                   "attn.wp": rng.normal(size=(att, hid)),
-                   "attn.v": rng.normal(size=att), **no_cell}
+        # wh, wx, wp and v of the attention layer, then the gate block's
+        weights = [rng.normal(size=(att, hid)), rng.normal(size=(att, dim)),
+                   rng.normal(size=(att, hid)), rng.normal(size=att), *no_cell]
         t = int(rng.integers(2, 9))
         tape_h = [rng.normal(size=hid) for _ in range(t)]
         tape_c = [rng.normal(size=hid) for _ in range(t)]
@@ -130,17 +129,13 @@ def test_criterion_4_lstmn_structural_checks():
 
     ok_lstm = True
     for _ in range(50):
-        weights = {"attn.wh": rng.normal(size=(att, hid)),
-                   "attn.wx": rng.normal(size=(att, dim)),
-                   "attn.wp": rng.normal(size=(att, hid)),
-                   "attn.v": rng.normal(size=att),
-                   "cell.w": rng.normal(size=(4 * hid, hid + dim)),
-                   "cell.b": rng.normal(size=4 * hid)}
+        weights = [rng.normal(size=(att, hid)), rng.normal(size=(att, dim)),
+                   rng.normal(size=(att, hid)), rng.normal(size=att),
+                   rng.normal(size=(4 * hid, hid + dim)), rng.normal(size=4 * hid)]
         h1, c1 = rng.normal(size=hid), rng.normal(size=hid)
         x = rng.normal(size=dim)
         h, c, _ = step_after(x, [h1], [c1], rng.normal(size=hid), weights)
-        h_ref, c_ref = lstm_step_reference(x, h1, c1, weights["cell.w"],
-                                           weights["cell.b"])
+        h_ref, c_ref = lstm_step_reference(x, h1, c1, *weights[4:])
         ok_lstm = ok_lstm and np.array_equal(h, h_ref) and np.array_equal(c, c_ref)
 
     cfg = TrainConfig(emb_dim=dim, window=1, hidden=hid, attn_dim=att)

@@ -1,4 +1,5 @@
 import contextlib
+import errno
 import os
 import re
 import signal
@@ -33,16 +34,16 @@ PAPER_DIMS = dict(emb_dim=100, window=3, hidden=150, attn_dim=150)
 
 
 def random_direction_params(rng, hidden=HID, attn=ATT, dim=DIM, scale=0.5):
-    """One direction's six weights keyed by name: the params of
-    DirectionState.start with the prefix ""."""
-    return {
-        "attn.wh": rng.normal(scale=scale, size=(attn, hidden)),
-        "attn.wx": rng.normal(scale=scale, size=(attn, dim)),
-        "attn.wp": rng.normal(scale=scale, size=(attn, hidden)),
-        "attn.v": rng.normal(scale=scale, size=attn),
-        "cell.w": rng.normal(scale=scale, size=(4 * hidden, hidden + dim)),
-        "cell.b": rng.normal(scale=scale, size=4 * hidden),
-    }
+    """One direction's six weights in WEIGHTS order, as
+    DirectionState.start takes them."""
+    return [
+        rng.normal(scale=scale, size=(attn, hidden)),
+        rng.normal(scale=scale, size=(attn, dim)),
+        rng.normal(scale=scale, size=(attn, hidden)),
+        rng.normal(scale=scale, size=attn),
+        rng.normal(scale=scale, size=(4 * hidden, hidden + dim)),
+        rng.normal(scale=scale, size=4 * hidden),
+    ]
 
 
 def small_config(**kw):
@@ -64,19 +65,19 @@ def backward_grads(params, cache, d_emissions):
 def step_after(x, hs, cs, summary, weights):
     """tape_step at t = len(hs) over the tape entries (hs, cs), with
     `summary` as the previous step's h~ and the step's rows kept, for
-    the direction whose six weights `weights` holds by name.  Returns
+    the direction with these six weights, in WEIGHTS order.  Returns
     (h_t, c_t, step), step holding the attention weights and both
     summaries."""
     t = len(hs)
-    hidden = weights["cell.b"].shape[0] // 4
+    hidden = weights[-1].shape[0] // 4
     inputs = np.zeros((t + 1, x.shape[0]))
     inputs[t] = x
     # a batch of one sentence; rows views its arrays
-    batch = DirectionState.start(weights, "", [inputs], keep_steps=True)
+    batch = DirectionState.start(weights, [inputs], keep_steps=True)
     rows = sentence_rows(batch, 0)
     for i in range(t):
         rows.tape[i] = np.concatenate((hs[i], cs[i]))
-        rows.tape_wh[i] = weights["attn.wh"] @ hs[i]
+        rows.tape_wh[i] = weights[0] @ hs[i]
     if t:
         rows.gate_in[t - 1, :hidden] = summary
     with np.errstate(over="ignore"):
@@ -116,7 +117,7 @@ def test_attention_weights_singleton_is_one():
 def test_attention_weights_zero_v_is_uniform():
     rng = np.random.default_rng(32)
     weights = random_direction_params(rng)
-    weights["attn.v"][:] = 0.0
+    weights[3][:] = 0.0  # v
     hs, cs, summary = random_tapes(rng, 4)
     _, _, cache = step_after(rng.normal(size=DIM), hs, cs, summary, weights)
     assert np.allclose(cache.weights, 0.25, atol=1e-15)
@@ -161,12 +162,13 @@ def test_summarize_one_hot_selects():
     # a saturated score gap underflows every other weight to exactly 0
     rng = np.random.default_rng(35)
     weights = random_direction_params(rng)
-    weights["attn.wh"][:] = 0.0
-    weights["attn.wh"][0, 0] = 1.0
-    weights["attn.wx"][:] = 0.0
-    weights["attn.wp"][:] = 0.0
-    weights["attn.v"][:] = 0.0
-    weights["attn.v"][0] = 1e4
+    wh, wx, wp, v, _, _ = weights
+    wh[:] = 0.0
+    wh[0, 0] = 1.0
+    wx[:] = 0.0
+    wp[:] = 0.0
+    v[:] = 0.0
+    v[0] = 1e4
     hs, cs, summary = random_tapes(rng, 3)
     for i, sign in enumerate((-3.0, 3.0, -3.0)):
         hs[i][0] = sign
@@ -179,7 +181,7 @@ def test_summarize_one_hot_selects():
 def test_summarize_uniform_is_mean():
     rng = np.random.default_rng(36)
     weights = random_direction_params(rng)
-    weights["attn.v"][:] = 0.0
+    weights[3][:] = 0.0  # v
     hs, cs, summary = random_tapes(rng, 2)
     _, _, cache = step_after(rng.normal(size=DIM), hs, cs, summary, weights)
     assert np.allclose(cache.h_summary, (hs[0] + hs[1]) / 2.0, atol=1e-15)
@@ -187,9 +189,8 @@ def test_summarize_uniform_is_mean():
 
 
 def test_lstmn_step_all_zero_parameters():
-    weights = {"attn.wh": np.zeros((ATT, HID)), "attn.wx": np.zeros((ATT, DIM)),
-               "attn.wp": np.zeros((ATT, HID)), "attn.v": np.zeros(ATT),
-               "cell.w": np.zeros((4 * HID, HID + DIM)), "cell.b": np.zeros(4 * HID)}
+    weights = [np.zeros((ATT, HID)), np.zeros((ATT, DIM)), np.zeros((ATT, HID)),
+               np.zeros(ATT), np.zeros((4 * HID, HID + DIM)), np.zeros(4 * HID)]
     rng = np.random.default_rng(37)
     hs, cs, summary = random_tapes(rng, 3)
     h, c, _ = step_after(rng.normal(size=DIM), hs, cs, summary, weights)
@@ -207,8 +208,7 @@ def test_lstmn_step_singleton_reduces_to_plain_lstm():
         summary = rng.normal(size=HID)
         x = rng.normal(size=DIM)
         h, c, _ = step_after(x, [h1], [c1], summary, weights)
-        h_ref, c_ref = lstm_step_reference(x, h1, c1, weights["cell.w"],
-                                           weights["cell.b"])
+        h_ref, c_ref = lstm_step_reference(x, h1, c1, *weights[4:])
         assert np.array_equal(h, h_ref)
         assert np.array_equal(c, c_ref)
 
@@ -225,7 +225,7 @@ def test_lstmn_step_matches_straight_line_unrolling():
             tape_h.append(h)
             tape_c.append(c)
             summary = cache.h_summary
-        want = lstmn_unrolled(inputs, *direction_weights(weights, ""))
+        want = lstmn_unrolled(inputs, *weights)
         assert len(tape_h) == len(want)
         for a, b in zip(tape_h, want):
             assert np.array_equal(a, b)
@@ -378,9 +378,9 @@ def test_forward_single_position_structure():
     params = init_params(cfg, rng)
     x = rng.normal(size=(1, DIM))
     (out,), _ = forward(params, cfg, [x])
-    # each direction's first step, given its weights keyed by name
+    # each direction's first step, given its six weights
     hf, hb = [step_after(x[0], [], [], np.zeros(HID),
-                         {name: params[prefix + name] for name in WEIGHTS})[0]
+                         direction_weights(params, prefix))[0]
               for prefix in ("enc0.fwd.", "enc0.bwd.")]
     want = params["out.wf"] @ hf + params["out.wb"] @ hb + params["out.b"]
     assert np.array_equal(out[0], want)
@@ -843,13 +843,13 @@ def test_batch_state_rejects_unsorted_lengths():
     rng = np.random.default_rng(73)
     weights = random_direction_params(rng)
     with pytest.raises(ValueError):
-        DirectionState.start(weights, "", [np.zeros((2, DIM)), np.zeros((3, DIM))],
+        DirectionState.start(weights, [np.zeros((2, DIM)), np.zeros((3, DIM))],
                              keep_steps=True)
 
 
 def test_direction_state_holds_its_weights():
-    # a kept forward's states carry their direction's prefix and the
-    # model's own weight arrays, so attend() needs the cache alone
+    # a kept forward's states carry the model's own weight arrays of
+    # their direction, so attend() needs the cache alone
     rng = np.random.default_rng(80)
     cfg = small_config(extra_layers=1)
     params = init_params(cfg, rng)
@@ -861,10 +861,10 @@ def test_direction_state_holds_its_weights():
         assert got is params[name]
     for layer, states in enumerate(cache.layers):
         for direction, state in zip(("fwd", "bwd"), states, strict=True):
-            assert state.prefix == f"enc{layer}.{direction}."
+            prefix = f"enc{layer}.{direction}."
             for name in WEIGHTS:
-                assert getattr(state, name.split(".")[1]) is params[state.prefix + name]
-            wh, wx, wp, v, _, _ = direction_weights(params, state.prefix)
+                assert getattr(state, name.split(".")[1]) is params[prefix + name]
+            wh, wx, wp, v, _, _ = direction_weights(params, prefix)
             for p in range(len(xs)):
                 rows = sentence_rows(state, p, windows=True)
                 for t in range(1, len(rows.tape)):
@@ -1177,6 +1177,62 @@ def test_killed_worker_falls_back_and_a_fresh_one_follows(dispatches,
     assert worker._worker.pid == fresh
 
 
+def test_a_dead_worker_is_found_by_the_next_request(dispatches, monkeypatch):
+    # nothing polls the worker: the send to a dead one fails (no reader
+    # is left) or its reply ends early, this process runs the direction
+    # and reaps the worker, and only the pass after forks a new one
+    rng = np.random.default_rng(86)
+    cfg = small_config()
+    params = init_params(cfg, rng)
+    xs = [rng.normal(size=(worker.FORK_MIN_TOKENS + 5, DIM))]
+    want, _ = in_process(monkeypatch,
+                         lambda: forward(params, cfg, xs, keep_cache=False))
+    forward(params, cfg, xs, keep_cache=False)
+    dead = worker._worker.pid
+    os.kill(dead, signal.SIGKILL)
+    deadline = time.monotonic() + 10.0
+    while not gone_or_zombie(dead):
+        assert time.monotonic() < deadline
+        time.sleep(0.01)
+    got, _ = forward(params, cfg, xs, keep_cache=False)
+    assert same_arrays(got, want)
+    assert worker._worker is None
+    with pytest.raises(ChildProcessError):
+        os.waitpid(dead, os.WNOHANG)
+    got, _ = forward(params, cfg, xs, keep_cache=False)
+    assert same_arrays(got, want)
+    assert worker._worker.pid != dead
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"),
+                    reason="counts this process's fds in /proc")
+def test_a_failed_pipe_leaves_no_fd_open(dispatches, monkeypatch):
+    rng = np.random.default_rng(87)
+    cfg = small_config()
+    params = init_params(cfg, rng)
+    xs = [rng.normal(size=(worker.FORK_MIN_TOKENS + 5, DIM))]
+    want, _ = in_process(monkeypatch,
+                         lambda: forward(params, cfg, xs, keep_cache=False))
+    pipe, calls = os.pipe, []
+
+    def second_fails():
+        calls.append(None)
+        if len(calls) == 2:
+            raise OSError(errno.EMFILE, os.strerror(errno.EMFILE))
+        return pipe()
+
+    monkeypatch.setattr(os, "pipe", second_fails)
+    before = len(os.listdir("/proc/self/fd"))
+    # the worker's second pipe fails: no fork, and this process runs the
+    # direction
+    got, _ = forward(params, cfg, xs, keep_cache=False)
+    assert len(os.listdir("/proc/self/fd")) == before
+    assert len(calls) == 2
+    assert not dispatches
+    assert worker._worker is None
+    assert same_arrays(got, want)
+
+
 def test_failed_child_makes_the_parent_run_the_direction(dispatches, monkeypatch):
     rng = np.random.default_rng(81)
     cfg = small_config(extra_layers=1)
@@ -1202,8 +1258,10 @@ def test_failed_child_makes_the_parent_run_the_direction(dispatches, monkeypatch
         assert worker._worker is None
 
     def backward_fails(state, t):
-        # the worker runs its direction under the prefix ""
-        if not state.prefix.endswith("fwd."):
+        # the worker's weights are views it makes of the region, not the
+        # model's own arrays: every direction but layer 0's forward one
+        # fails, and the pass stops in layer 0
+        if state.wh is not params["enc0.fwd.attn.wh"]:
             raise RuntimeError("backward direction failed")
         step(state, t)
 
@@ -1231,7 +1289,7 @@ def test_error_in_the_parent_direction_leaves_no_child(dispatches, monkeypatch):
     step = encoder.tape_step
 
     def forward_fails(state, t):
-        if state.prefix.endswith("fwd.") and t == 1:
+        if state.wh is params["enc0.fwd.attn.wh"] and t == 1:
             raise RuntimeError("forward direction failed")
         step(state, t)
 
