@@ -100,11 +100,12 @@ direction's gate input and attention terms once its tape has been
 read, before the next direction runs, so it holds the same O(n·(h + a
 + d)) with one row in place of n.  The two directions of a layer share
 nothing until the layer above reads them, so a pass without a cache
-offers each layer's backward direction to this process's decode
-worker, a forked child that runs it while this process runs the
-forward one.  worker.py decides when it takes one (its Dispatch), and
-has the process, its pipes and the shared region it reads the weights
-from.  Every parameter dict the program makes keeps its encoder
+hands each layer's two (weights, inputs) pairs to worker.run_both,
+which runs the forward one in this process and offers the backward one
+to this process's decode worker, a forked child that runs it
+meanwhile.  worker.py decides when the worker takes one (its
+Dispatch), and has the process, its pipes and the shared region it
+reads the weights from.  Every parameter dict the program makes keeps its encoder
 weights in that region, so a request carries six offsets and no
 weight; a direction whose weights lie elsewhere runs in this process.
 Training's kept forward never uses the worker, since backward reads
@@ -553,12 +554,13 @@ def forward(params, config, inputs, dropout=0.0, rng=None, keep_cache=True):
     backward), the stream one sentence at a time would draw; evaluation
     passes use dropout=0.  With keep_cache=False no step rows are kept
     and the returned cache is None: decoding needs no gradients.  Such a
-    pass offers each layer's backward direction to this process's decode
-    worker (worker.run_both), which runs it, where worker.py's rules let
-    it, while this process runs the forward one (module docstring,
-    Cost), with bit-equal results: the worker reads the weights in the
-    parent's own pages of the shared region, as they are at the call,
-    and a direction whose weights lie outside it runs in this process.
+    pass hands each layer's two directions, as (weights, inputs) pairs,
+    to worker.run_both, which runs both: the backward one in this
+    process's decode worker, where worker.py's rules let it, while this
+    process runs the forward one (module docstring, Cost), with
+    bit-equal results.  The worker reads the weights in the parent's
+    own pages of the shared region, as they are at the call, and a
+    direction whose weights lie outside it runs in this process.
     Memory grows linearly in n either way.
     """
     batch = [np.asarray(x, dtype=np.float64) for x in inputs]
@@ -586,11 +588,6 @@ def forward(params, config, inputs, dropout=0.0, rng=None, keep_cache=True):
     for p, s in enumerate(by_length):
         positions[s] = p
 
-    def rows_without_cache(weights, inputs):
-        # the direction's state goes as soon as its tape is read
-        return _run_direction(weights, inputs, False,
-                              config.memory_span).tape[:, :, :h]
-
     layers = []
     for layer in range(1 + config.extra_layers):
         runs = [([params[name] for name in direction_names(layer, direction)],
@@ -603,7 +600,7 @@ def forward(params, config, inputs, dropout=0.0, rng=None, keep_cache=True):
             rows = [state.tape[:, :, :h] for state in states]
         else:
             # the decode worker may run the backward direction meanwhile
-            rows = worker.run_both(rows_without_cache, runs, config.memory_span)
+            rows = worker.run_both(runs, config.memory_span)
         top_h = [[r[p, :m][order] for p, m in zip(positions, lengths)]
                  for r, (_, order) in zip(rows, DIRECTIONS)]
         if layer < config.extra_layers:

@@ -31,24 +31,26 @@ private copy of the region's used bytes at the same address
 any other memory: the fork costs that copy.
 
 Dispatch.  This module alone decides where a pass without a cache runs
-its backward directions.  A pass is sent when its longest sentence has
-FORK_MIN_TOKENS tokens or more, the process may run on 2 CPUs or more,
-os.memfd_create exists (Linux) and no other Python thread runs, since
-one could hold a lock at the fork or send a request of its own.  At
-paper dimensions a worker already forked wins from 2 tokens on
-(CHANGES.md has the curves), but FORK_MIN_TOKENS stays 6 until a
-benchmark workload with shorter passes can measure a lower one, its
-first fork included.  The parent sends the offsets of the direction's
-six weight arrays and the sentences' input rows down one pipe, and the
-worker sends its top hidden rows (B, n, h) back up another; nothing is
-pickled, and no request names its direction.  A dead worker is found
-where it fails a request: the send fails (EPIPE, since no reader of the
-requests pipe is left) or the reply ends early.  When the fork or a
-send fails, or the worker dies or fails before it replies, the parent
-reaps it and runs the direction itself, with the same results and the
-same errors, and the next pass forks a fresh worker; when the parent's
-own direction raises, it kills the worker, whose reply no call would
-read.
+its backward directions, in run_both, the one function that runs both
+directions of a pass, in this process and in the worker alike through
+_rows.  A pass is sent when its longest sentence has FORK_MIN_TOKENS
+tokens or more, the process may run on 2 CPUs or more, no other Python
+thread runs, since one could hold a lock at the fork or send a request
+of its own, and the six weights lie in the shared region, which needs
+os.memfd_create (Linux).  At paper dimensions a worker already forked
+wins from 2 tokens on (CHANGES.md has the curves), but FORK_MIN_TOKENS
+stays 6 until a benchmark workload with shorter passes can measure a
+lower one, its first fork included.  The parent sends the offsets of
+the direction's six weight arrays and the sentences' input rows down
+one pipe, and the worker sends its top hidden rows (B, n, h) back up
+another; nothing is pickled, and no request names its direction.  A
+dead worker is found where it fails a request: the send fails (EPIPE,
+since no reader of the requests pipe is left) or the reply ends early.
+When the fork or a send fails, or the worker dies or fails before it
+replies, the parent reaps it and runs the direction itself, with the
+same results and the same errors, and the next pass forks a fresh
+worker; when the parent's own direction raises, it kills the worker,
+whose reply no call would read.
 
 Lifetime.  The worker keeps the code it was forked with, points fds
 0-2 at /dev/null and closes every other fd it inherited but its own
@@ -74,6 +76,8 @@ import warnings
 import weakref
 
 import numpy as np
+
+from . import encoder
 
 # bytes of address space in the shared region; a memfd file is charged
 # only for the pages it holds, so the unused space costs no memory
@@ -264,29 +268,28 @@ def _keep_only(fds):
 
 def _serve(requests, replies):
     """The decode worker's loop: read a request from the `requests`
-    pipe, run the direction it asks for, and write the sentences' top
-    hidden rows into the `replies` pipe, until the requests pipe closes.
+    pipe, run the direction it asks for through _rows, as run_both runs
+    its own, and write the sentences' top hidden rows into the `replies`
+    pipe, until the requests pipe closes.
 
     A request is int64 (a, h, d, memory span or -1, B), the byte offsets
     in the shared region, inherited at the fork, of the direction's six
     weight arrays and the B sentences' lengths, then the sentences'
     (n_i, d) float64 input rows."""
-    # the encoder imports this module; in the worker both are loaded
-    from .encoder import _direction_shapes, _run_direction
     while True:
         try:
             a, h, d, span, batch = map(int, _read(requests, np.empty(5, np.int64)))
         except EOFError:
             return
-        shapes = _direction_shapes(a, h, d)
+        shapes = encoder._direction_shapes(a, h, d)
         rest = _read(requests, np.empty(len(shapes) + batch, dtype=np.int64))
         offsets, lengths = rest[:len(shapes)], rest[len(shapes):]
         inputs = [_read(requests, np.empty((m, d))) for m in lengths]
         weights = [np.frombuffer(_region.buffer, np.float64, math.prod(shape),
                                  offset).reshape(shape)
                    for shape, offset in zip(shapes, offsets)]
-        state = _run_direction(weights, inputs, False, None if span < 0 else span)
-        _write(replies, *(state.tape[p, :m, :h] for p, m in enumerate(lengths)))
+        rows = _rows(weights, inputs, None if span < 0 else span)
+        _write(replies, *(rows[p, :m] for p, m in enumerate(lengths)))
 
 
 # set in this process while it forks the decode worker, and so in the
@@ -322,7 +325,7 @@ class _Worker:
             with warnings.catch_warnings():
                 # Python 3.12 and later warn when a process with other
                 # threads forks, and OpenBLAS's worker threads count.
-                # They are the only others (_dispatch), OpenBLAS stops
+                # They are the only others (run_both), OpenBLAS stops
                 # them before a fork and starts them again when next
                 # needed, and the child runs only numpy code and leaves
                 # by os._exit
@@ -428,51 +431,54 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_after_fork_in_child)
 
 
-def _dispatch(weights, inputs, memory_span):
-    """This process's decode worker, once it has been sent the direction
-    with these six weights over `inputs`, longest first: forked if there
-    is none.  None if the longest input has fewer than FORK_MIN_TOKENS
-    rows, the process may not run on 2 CPUs, another thread runs, a
-    weight lies outside the region (a process has one region while it
-    has a worker), or the fork or the send failed, as it does when the
-    worker has died, which closes and reaps the worker."""
+def _rows(weights, inputs, memory_span):
+    """The top hidden rows (B, n, h) of the direction run with these six
+    weights over `inputs`, longest first; the run's other state goes as
+    soon as its tape is read."""
+    state = encoder._run_direction(weights, inputs, False, memory_span)
+    return state.tape[:, :, :weights[0].shape[1]]
+
+
+def run_both(runs, memory_span):
+    """The top hidden rows (B, n, h) of two direction runs, given as
+    (weights, inputs) pairs, each over its inputs, longest first, with
+    this memory span.  The decode worker runs the second while this
+    process runs the first, where the rules of the module docstring's
+    Dispatch let it take it: forked if there is none, and sent the
+    offsets of the second run's six weights and its inputs.  Where they
+    do not, or the fork or the send fails, this process runs both.
+    When the worker fails or dies before it replies, this process
+    closes and reaps it and runs the second too, so the results and
+    errors are the same either way; when this process's own run raises,
+    it kills the worker, whose reply no call would read."""
     global _worker
-    if not (len(inputs[0]) >= FORK_MIN_TOKENS and hasattr(os, "sched_getaffinity")
-            and len(os.sched_getaffinity(0)) >= 2 and threading.active_count() == 1):
-        return None
-    offsets = [None if _region is None else _region.offset(w) for w in weights]
-    if None in offsets:
-        return None
-    (a, h), d = weights[0].shape, weights[1].shape[1]
+    weights, inputs = runs[1]
+    worker = None
+    # a process has one region while it has a worker
+    if (len(inputs[0]) >= FORK_MIN_TOKENS and hasattr(os, "sched_getaffinity")
+            and len(os.sched_getaffinity(0)) >= 2 and threading.active_count() == 1
+            and _region is not None):
+        offsets = [_region.offset(w) for w in weights]
+        if None not in offsets:
+            (a, h), d = weights[0].shape, weights[1].shape[1]
+            try:
+                if _worker is None:
+                    _worker = _Worker()
+                _worker.send(offsets, (a, h, d), inputs, memory_span)
+                worker = _worker
+            except OSError:
+                # as when the worker has died: no reader is left
+                close_worker()
+    if worker is None:
+        return _rows(*runs[0], memory_span), _rows(*runs[1], memory_span)
     try:
-        if _worker is None:
-            _worker = _Worker()
-        _worker.send(offsets, (a, h, d), inputs, memory_span)
-    except OSError:
-        close_worker()
-        return None
-    return _worker
-
-
-def run_both(run, runs, memory_span):
-    """(run(*runs[0]), run(*runs[1])), the rows of two direction runs
-    given as (weights, inputs) pairs, where run(weights, inputs) runs
-    the direction with those six weights over those inputs, longest
-    first, with this memory span.  The decode worker runs the second
-    while this process runs the first, where it can take it
-    (_dispatch); where it cannot, or fails or dies, this process runs it
-    too, so the results and errors are the same either way."""
-    worker = _dispatch(*runs[1], memory_span)
-    if not worker:
-        return run(*runs[0]), run(*runs[1])
-    try:
-        first = run(*runs[0])
-        second = worker.rows([len(x) for x in runs[1][1]], first.shape[2])
+        first = _rows(*runs[0], memory_span)
+        second = worker.rows([len(x) for x in inputs], first.shape[2])
     except BaseException:
         # its reply would answer the next request
         close_worker()
         raise
     if second is None:
         close_worker()
-        second = run(*runs[1])
+        second = _rows(weights, inputs, memory_span)
     return first, second

@@ -972,35 +972,52 @@ def test_worker_sees_weights_edited_in_place(dispatches, region, monkeypatch,
     assert len(dispatches) == 12
 
 
-def test_only_weights_outside_the_shared_region_are_written(dispatches, region,
-                                                           monkeypatch, tmp_path):
+def counted_writes(monkeypatch):
+    """A list that gets (fd, bytes written) for each later worker._write
+    call, as a request to the decode worker makes one."""
+    writes = []
+    write = worker._write
+
+    def counted(fd, *arrays):
+        writes.append((fd, sum(np.asarray(a).nbytes for a in arrays)))
+        return write(fd, *arrays)
+
+    monkeypatch.setattr(worker, "_write", counted)
+    return writes
+
+
+def test_a_request_carries_no_weight(dispatches, region, monkeypatch, tmp_path):
     # a request whose six weights are C-contiguous float64 arrays in the
-    # shared region carries their offsets; no weight is ever written, and
-    # a direction with a weight outside the region runs in this process
+    # shared region carries their offsets and no weight: the header, six
+    # offsets, one length and the line's input rows.  A direction with a
+    # weight outside the region runs in this process and sends nothing
     built, chars = paper_model(extra_layers=1)
     loaded = saved_and_loaded(built, tmp_path / "m")
     line = list("".join(chars)[:worker.FORK_MIN_TOKENS + 3])
-    writes = []
-    pwrite = os.pwrite
-    monkeypatch.setattr(os, "pwrite",
-                        lambda fd, data, offset: writes.append(offset)
-                        or pwrite(fd, data, offset))
+    writes = counted_writes(monkeypatch)
+    head = 8 * (5 + 6 + 1)
+    layer0 = head + 8 * len(line) * built.config.input_dim
+    layer1 = head + 8 * len(line) * 2 * built.config.hidden
 
     def sent(model):
-        """(emissions through the worker, requests, weight writes)."""
-        requests, written = len(dispatches), len(writes)
+        """The bytes of each request of one pass, after checking its
+        emissions against an in-process pass."""
+        written = len(writes)
         got = model.emissions(line)[0]
+        requests = worker._worker.requests
         want = in_process(monkeypatch, lambda: model.emissions(line)[0])
         assert np.array_equal(got, want)
-        return got, len(dispatches) - requests, len(writes) - written
+        assert {fd for fd, _ in writes[written:]} <= {requests}
+        return [nbytes for _, nbytes in writes[written:]]
 
-    assert sent(loaded)[1:] == (2, 0)
-    assert sent(built)[1:] == (2, 0)
+    assert sent(loaded) == [layer0, layer1]
+    assert sent(built) == [layer0, layer1]
     # one weight outside the region: that layer's backward direction
     # runs in this process, the other layer's in the worker
     name = "enc0.bwd.attn.wh"
     loaded.params[name] = loaded.params[name].copy()
-    assert sent(loaded)[1:] == (1, 0)
+    assert sent(loaded) == [layer1]
+    assert len(dispatches) == 5
 
 
 def test_a_non_contiguous_weight_decodes_bit_equal(dispatches, region,
@@ -1015,6 +1032,25 @@ def test_a_non_contiguous_weight_decodes_bit_equal(dispatches, region,
     want = in_process(monkeypatch, lambda: built.emissions(line)[0])
     assert np.array_equal(got, want)
     assert not dispatches
+
+
+def test_heap_weights_without_a_region_fork_no_worker(dispatches, monkeypatch):
+    # a process with no shared region, where every weight is a plain
+    # heap array, runs both directions itself: no fork and no request
+    rng = np.random.default_rng(88)
+    cfg = small_config(extra_layers=1)
+    params = {name: p.copy() for name, p in init_params(cfg, rng).items()}
+    xs = [rng.normal(size=(n, DIM)) for n in (worker.FORK_MIN_TOKENS + 5, 2)]
+    want, _ = in_process(monkeypatch,
+                         lambda: forward(params, cfg, xs, keep_cache=False))
+    monkeypatch.setattr(worker, "_region", None)
+    writes = counted_writes(monkeypatch)
+    monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked a worker"))
+    got, _ = forward(params, cfg, xs, keep_cache=False)
+    assert same_arrays(got, want)
+    assert not dispatches
+    assert not writes
+    assert worker._worker is None
 
 
 def test_region_offsets_only_of_contiguous_float64_arrays_in_it(region, tmp_path):
@@ -1377,14 +1413,7 @@ def test_a_request_carries_no_name(dispatches, monkeypatch):
     xs = [rng.normal(size=(n, DIM)) for n in (worker.FORK_MIN_TOKENS + 5, 3, 1)]
     want, _ = in_process(monkeypatch,
                          lambda: forward(params, cfg, xs, keep_cache=False))
-    writes = []
-    write = worker._write
-
-    def counted(fd, *arrays):
-        writes.append((fd, sum(np.asarray(a).nbytes for a in arrays)))
-        return write(fd, *arrays)
-
-    monkeypatch.setattr(worker, "_write", counted)
+    writes = counted_writes(monkeypatch)
     got, _ = forward(params, cfg, xs, keep_cache=False)
     assert same_arrays(got, want)
     assert len(dispatches) == 1

@@ -15,8 +15,9 @@ why.  Training's bytes depend on the BLAS thread count, but the forward
 pass and decoding must not, and two processes at 1 and 2 threads check
 that.  A program that decoded leaves no decode worker running, when it
 exits or when it is killed.  scripts/codelines.py, which counts the
-package's code lines, runs once, and scripts/pins.py must print the
-committed tests/pins.txt under the builds named in its first line."""
+package's code lines, runs once, scripts/pins.py must print the
+committed tests/pins.txt under the builds named in its first line, and
+scripts/pairs.py summarizes canned perfbench runs."""
 
 import importlib.util
 import json
@@ -311,3 +312,61 @@ def test_pins_match_the_committed_pins():
         pytest.skip(f"pins were taken under {want[0]!r}, this run is "
                     f"under {got[0]!r}")
     assert got == want
+
+
+def perfbench_result(failed=0, **values):
+    """A perfbench/run.py result with these end-to-end metric values."""
+    return {"correct": True, "attempted": 10, "failed": failed,
+            "metrics": {name: {"value": value, "unit": ""}
+                        for name, value in values.items()}}
+
+
+def test_pairs_summarizes_medians_wins_and_bounds(tmp_path, capsys):
+    spec = importlib.util.spec_from_file_location(
+        "pairs", os.path.join(ROOT, "scripts", "pairs.py"))
+    pairs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(pairs)
+    end_to_end = [{"name": "chars_per_s", "better": "higher", "bound": 0.25},
+                  {"name": "latency_p50_ms", "better": "lower", "bound": 0.25}]
+    # the change is 10% faster in 3 of 4 pairs and 30% slower per line
+    base = [(100.0, 10.0), (110.0, 12.0), (90.0, 8.0), (120.0, 10.0)]
+    change = [(110.0, 13.0), (121.0, 15.6), (99.0, 10.4), (100.0, 13.0)]
+    runs = [{"workload": "w", "seed": seed, "first": ("base", "change")[seed % 2],
+             "base": perfbench_result(chars_per_s=b[0], latency_p50_ms=b[1]),
+             "change": perfbench_result(failed=seed == 3, chars_per_s=c[0],
+                                        latency_p50_ms=c[1])}
+            for seed, (b, c) in enumerate(zip(base, change))]
+    rows, failures = pairs.summary(runs, end_to_end)
+    chars, latency = rows
+    assert chars["base"] == (97.5, 105.0, 112.5)
+    assert chars["change"] == (99.75, 105.0, 112.75)
+    assert (chars["won"], chars["pairs"], chars["gain"], chars["worse"]) == (
+        3, 4, 0.0, False)
+    assert latency["base"] == (9.5, 10.0, 10.5)
+    assert latency["change"] == pytest.approx((12.35, 13.0, 13.65))
+    assert latency["won"] == 0
+    assert latency["gain"] == pytest.approx(-0.3)
+    assert latency["worse"]
+    assert failures == {"w": {"base": (0, 40), "change": (1, 40)}}
+    lines = pairs.report(rows, failures)
+    assert lines[1].split()[-3:] == ["3/4", "+0.0%", "ok"]
+    assert lines[2].split()[-3:] == ["0/4", "-30.0%", "WORSE"]
+    assert lines[-1] == "w: failed operations base 0 of 40, change 1 of 40"
+    # a run of saved results, every metric in BENCHMARK.json's list
+    path = tmp_path / "runs.json"
+    for record in runs:
+        for side in pairs.SIDES:
+            record[side]["failed"] = 0
+            record[side]["metrics"].update(
+                {name: {"value": 1.0, "unit": ""}
+                 for name in ("setup_s", "peak_rss_mb")})
+    path.write_text(json.dumps(runs))
+    assert pairs.main(["--load", str(path)]) == 1
+    printed = capsys.readouterr().out.splitlines()
+    assert [line.split()[:2] for line in printed[1:5]] == [
+        ["w", name] for name in ("setup_s", "chars_per_s", "latency_p50_ms",
+                                 "peak_rss_mb")]
+    for record in runs:
+        record["change"]["metrics"]["latency_p50_ms"]["value"] /= 1.3
+    path.write_text(json.dumps(runs))
+    assert pairs.main(["--load", str(path)]) == 0
