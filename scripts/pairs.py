@@ -2,30 +2,29 @@
 pairs of runs.
 
     python3 scripts/pairs.py BASE CHANGE --workloads train segment-short \
-        --seeds 1 2 3 4 5 6 7 8 9 10 [--save runs.json]
-    python3 scripts/pairs.py --load runs.json
+        --seeds 1 2 3 4 5 6 7 8 9 10
 
 BASE and CHANGE are git revisions of this repository.  Each is taken
 with `git archive` into a fresh temporary directory, so only committed
 files run, as they would from a clean checkout.  For each workload and
-seed the script runs `perfbench/run.py --trace 0` once in each tree:
-one pair.  The side that runs first alternates from pair to pair, so
-a machine that drifts in speed does not favour one side.
+seed the script runs each tree's own `perfbench/run.py --trace 0` once,
+through that tree's `perfbench/spread.py`: one pair.  The side that
+runs first alternates from pair to pair, so a machine that drifts in
+speed does not favour one side.
 
 For each workload and end-to-end metric of BENCHMARK.json, it prints
-each side's median and quartiles and how many pairs the change won.
-The last column reads "ok", or "WORSE" when the change's median is
-worse than the base's by more than the metric's bound, as a fraction
-of the base's median.  A last line per workload counts each side's
-failed operations.  The exit status is 1 if any metric is WORSE or any
-operation failed, else 0.  --save writes the raw runs as JSON, and
---load prints the summary of saved runs without running anything.
+each side's median and quartiles, taken as spread.py takes them, and
+how many pairs the change won.  The last column reads "ok", or "WORSE"
+when the change's median is worse than the base's by more than the
+metric's bound, as a fraction of the base's median.  A last line per
+workload counts each side's failed operations.  The exit status is 1
+if any metric is WORSE or any operation failed, else 0.
 """
 
 import argparse
+import importlib.util
 import json
 import os
-import statistics
 import subprocess
 import sys
 import tempfile
@@ -43,13 +42,18 @@ def extract(revision, into):
     subprocess.run(["tar", "-x", "-C", into], input=archive, check=True)
 
 
-def run(tree, workload, seed):
-    """The JSON object that perfbench/run.py prints last, run in `tree`."""
-    done = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", workload,
-         "--seed", str(seed), "--seconds", "20", "--trace", "0"],
-        cwd=tree, capture_output=True, text=True, check=True)
-    return json.loads(done.stdout.splitlines()[-1])
+def load_spread(tree):
+    """The module perfbench/spread.py of `tree`, whose run_once runs
+    that tree's perfbench/run.py."""
+    spec = importlib.util.spec_from_file_location(
+        "spread", os.path.join(tree, "perfbench", "spread.py"))
+    spread = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spread)
+    return spread
+
+
+# this tree's spread.py, whose quartiles the summary takes
+SPREAD = load_spread(ROOT)
 
 
 def run_pairs(revisions, workloads, seeds):
@@ -57,16 +61,17 @@ def run_pairs(revisions, workloads, seeds):
     and each side's perfbench result."""
     runs = []
     with tempfile.TemporaryDirectory(prefix="pairs-") as scratch:
-        trees = {}
+        spreads = {}
         for side, revision in zip(SIDES, revisions):
-            trees[side] = os.path.join(scratch, side)
-            extract(revision, trees[side])
+            extract(revision, os.path.join(scratch, side))
+            spreads[side] = load_spread(os.path.join(scratch, side))
         for workload in workloads:
             for i, seed in enumerate(seeds):
                 order = SIDES if i % 2 == 0 else SIDES[::-1]
                 record = {"workload": workload, "seed": seed, "first": order[0]}
                 for side in order:
-                    record[side] = run(trees[side], workload, seed)
+                    record[side] = spreads[side].run_once(
+                        workload, seed, 20, 0)[0]
                 runs.append(record)
                 print(f"{workload} seed {seed}: " + "; ".join(
                     side + " " + " ".join(f"{name} {metric['value']:.4g}" for
@@ -77,10 +82,10 @@ def run_pairs(revisions, workloads, seeds):
 
 
 def quartiles(values):
-    """(first quartile, median, third quartile) of `values`."""
-    if len(values) == 1:
-        return (values[0],) * 3
-    return tuple(statistics.quantiles(values, n=4, method="inclusive"))
+    """(first quartile, median, third quartile) of `values`, as
+    perfbench/spread.py takes them."""
+    spread = SPREAD.spread(values)
+    return spread["q1"], spread["median"], spread["q3"]
 
 
 def summary(runs, end_to_end):
@@ -131,31 +136,29 @@ def report(rows, failures):
     return lines
 
 
+def verdict(rows, failures):
+    """The exit status: 1 if any row of the summary is worse than its
+    bound or any operation failed on either side, else 0."""
+    failed = any(failed for sides in failures.values()
+                 for failed, _ in sides.values())
+    return 1 if failed or any(row["worse"] for row in rows) else 0
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("revisions", nargs="*", metavar="BASE CHANGE")
-    parser.add_argument("--workloads", nargs="+", default=[])
-    parser.add_argument("--seeds", nargs="+", type=int, default=[])
-    parser.add_argument("--save", help="write the raw runs to this JSON file")
-    parser.add_argument("--load", help="summarize the runs of this JSON file")
+    parser.add_argument("revisions", nargs=2, metavar="REVISION",
+                        help="BASE, then CHANGE")
+    parser.add_argument("--workloads", nargs="+", required=True)
+    parser.add_argument("--seeds", nargs="+", type=int, required=True)
     args = parser.parse_args(argv)
-    if args.load:
-        with open(args.load, encoding="utf-8") as fh:
-            runs = json.load(fh)
-    elif len(args.revisions) == 2 and args.workloads and args.seeds:
-        runs = run_pairs(args.revisions, args.workloads, args.seeds)
-    else:
-        parser.error("give BASE CHANGE --workloads ... --seeds ..., or --load")
-    if args.save:
-        with open(args.save, "w", encoding="utf-8") as fh:
-            json.dump(runs, fh, indent=1)
+    if len(args.seeds) < 2:
+        parser.error("quartiles need at least two seeds")
+    runs = run_pairs(args.revisions, args.workloads, args.seeds)
     with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
         end_to_end = json.load(fh)["end_to_end"]
     rows, failures = summary(runs, end_to_end)
     print("\n".join(report(rows, failures)))
-    failed = any(failed for sides in failures.values()
-                 for failed, _ in sides.values())
-    return 1 if failed or any(row["worse"] for row in rows) else 0
+    return verdict(rows, failures)
 
 
 if __name__ == "__main__":

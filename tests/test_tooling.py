@@ -321,7 +321,7 @@ def perfbench_result(failed=0, **values):
                         for name, value in values.items()}}
 
 
-def test_pairs_summarizes_medians_wins_and_bounds(tmp_path, capsys):
+def test_pairs_summarizes_medians_wins_and_bounds():
     spec = importlib.util.spec_from_file_location(
         "pairs", os.path.join(ROOT, "scripts", "pairs.py"))
     pairs = importlib.util.module_from_spec(spec)
@@ -338,12 +338,13 @@ def test_pairs_summarizes_medians_wins_and_bounds(tmp_path, capsys):
             for seed, (b, c) in enumerate(zip(base, change))]
     rows, failures = pairs.summary(runs, end_to_end)
     chars, latency = rows
-    assert chars["base"] == (97.5, 105.0, 112.5)
-    assert chars["change"] == (99.75, 105.0, 112.75)
+    # quartiles as perfbench/spread.py takes them
+    assert chars["base"] == (92.5, 105.0, 117.5)
+    assert chars["change"] == (99.25, 105.0, 118.25)
     assert (chars["won"], chars["pairs"], chars["gain"], chars["worse"]) == (
         3, 4, 0.0, False)
-    assert latency["base"] == (9.5, 10.0, 10.5)
-    assert latency["change"] == pytest.approx((12.35, 13.0, 13.65))
+    assert latency["base"] == (8.5, 10.0, 11.5)
+    assert latency["change"] == pytest.approx((11.05, 13.0, 14.95))
     assert latency["won"] == 0
     assert latency["gain"] == pytest.approx(-0.3)
     assert latency["worse"]
@@ -352,21 +353,12 @@ def test_pairs_summarizes_medians_wins_and_bounds(tmp_path, capsys):
     assert lines[1].split()[-3:] == ["3/4", "+0.0%", "ok"]
     assert lines[2].split()[-3:] == ["0/4", "-30.0%", "WORSE"]
     assert lines[-1] == "w: failed operations base 0 of 40, change 1 of 40"
-    # a run of saved results, every metric in BENCHMARK.json's list
-    path = tmp_path / "runs.json"
-    for record in runs:
-        for side in pairs.SIDES:
-            record[side]["failed"] = 0
-            record[side]["metrics"].update(
-                {name: {"value": 1.0, "unit": ""}
-                 for name in ("setup_s", "peak_rss_mb")})
-    path.write_text(json.dumps(runs))
-    assert pairs.main(["--load", str(path)]) == 1
-    printed = capsys.readouterr().out.splitlines()
-    assert [line.split()[:2] for line in printed[1:5]] == [
-        ["w", name] for name in ("setup_s", "chars_per_s", "latency_p50_ms",
-                                 "peak_rss_mb")]
+    # the exit status: 1 for a worse metric or a failed operation
+    assert pairs.verdict(rows, failures) == 1
+    runs[3]["change"]["failed"] = 0
+    assert pairs.verdict(*pairs.summary(runs, end_to_end)) == 1
     for record in runs:
         record["change"]["metrics"]["latency_p50_ms"]["value"] /= 1.3
-    path.write_text(json.dumps(runs))
-    assert pairs.main(["--load", str(path)]) == 0
+    assert pairs.verdict(*pairs.summary(runs, end_to_end)) == 0
+    runs[0]["base"]["failed"] = 2
+    assert pairs.verdict(*pairs.summary(runs, end_to_end)) == 1
