@@ -4,11 +4,14 @@ pairs of runs.
     python3 scripts/pairs.py BASE CHANGE --workloads train segment-short \
         --seeds 1 2 3 4 5 6 7 8 9 10
 
-BASE and CHANGE are git revisions of this repository.  Each is taken
-with `git archive` into a fresh temporary directory, so only committed
-files run, as they would from a clean checkout.  For each workload and
-seed the script runs each tree's own `perfbench/run.py --trace 0` once,
-through that tree's `perfbench/spread.py`: one pair.  The side that
+BASE and CHANGE are git revisions of this repository.  The workloads
+must be ones that this tree's BENCHMARK.json lists; that file is read
+first, and gives each run's length (`run_seconds`) and the end-to-end
+metrics.  Each revision is taken with `git archive` into a fresh
+temporary directory, so only committed files run, as they would from a
+clean checkout.  For each workload and seed the script runs each tree's
+own `perfbench/run.py --trace 0` once, through that tree's
+`perfbench/spread.py`: one pair.  The side that
 runs first alternates from pair to pair, so a machine that drifts in
 speed does not favour one side.
 
@@ -56,9 +59,9 @@ def load_spread(tree):
 SPREAD = load_spread(ROOT)
 
 
-def run_pairs(revisions, workloads, seeds):
-    """One record per (workload, seed) pair: the side that ran first
-    and each side's perfbench result."""
+def run_pairs(revisions, workloads, seeds, seconds):
+    """One record per (workload, seed) pair of runs of `seconds` each:
+    the side that ran first and each side's perfbench result."""
     runs = []
     with tempfile.TemporaryDirectory(prefix="pairs-") as scratch:
         spreads = {}
@@ -71,7 +74,7 @@ def run_pairs(revisions, workloads, seeds):
                 record = {"workload": workload, "seed": seed, "first": order[0]}
                 for side in order:
                     record[side] = spreads[side].run_once(
-                        workload, seed, 20, 0)[0]
+                        workload, seed, seconds, 0)[0]
                 runs.append(record)
                 print(f"{workload} seed {seed}: " + "; ".join(
                     side + " " + " ".join(f"{name} {metric['value']:.4g}" for
@@ -153,10 +156,15 @@ def main(argv=None):
     args = parser.parse_args(argv)
     if len(args.seeds) < 2:
         parser.error("quartiles need at least two seeds")
-    runs = run_pairs(args.revisions, args.workloads, args.seeds)
     with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
-        end_to_end = json.load(fh)["end_to_end"]
-    rows, failures = summary(runs, end_to_end)
+        benchmark = json.load(fh)
+    listed = {workload["name"] for workload in benchmark["workloads"]}
+    unknown = [name for name in args.workloads if name not in listed]
+    if unknown:
+        parser.error(f"BENCHMARK.json lists no workload {', '.join(unknown)}")
+    runs = run_pairs(args.revisions, args.workloads, args.seeds,
+                     benchmark["run_seconds"])
+    rows, failures = summary(runs, benchmark["end_to_end"])
     print("\n".join(report(rows, failures)))
     return verdict(rows, failures)
 

@@ -249,7 +249,7 @@ class DirectionState:
     tanh_c: np.ndarray
 
     @classmethod
-    def start(cls, weights, inputs, keep_steps, memory_span=None):
+    def start(cls, weights, inputs, keep_steps, memory_span):
         """Empty tapes over `inputs`, a list of (n_i, d) arrays with
         non-increasing n_i, for the direction with these six weights, in
         WEIGHTS order, with the input rows of gate_in and wx_x filled

@@ -3,9 +3,11 @@
 One epoch shuffles the corpus, walks it in batches (last partial batch
 kept), and for each batch averages per-sentence gradients before a
 single AdaGrad step over every parameter, transition scores included.
-On the embedding tables a batch works only on the rows it looked up,
-since every other row's gradient is zero and its step a no-op; only the
-norm of clip_norm still reads each table whole.  The AdaGrad scratch is
+Every parameter takes that step on one path, through one selection: an
+embedding table's rows that the batch looked up, since every other
+row's gradient is zero and its step a no-op, and any other parameter
+whole, through Ellipsis, as a view that costs no copy.  Only the norm
+of clip_norm still reads each table whole.  The AdaGrad scratch is
 a fixed 2 * ADAGRAD_CHUNK values.  So training holds the parameters,
 their accumulators and batch gradient sums, and fit's copy of the best
 epoch's parameters; a batch's work and temporaries follow its rows, not
@@ -142,13 +144,11 @@ def tag_accuracy(model, corpus):
 
 
 def _scale(grads, rows, factor):
-    """grads *= factor, over only the listed rows of each table in `rows`
-    (name -> row ids) and over the whole of every other gradient."""
+    """grads *= factor, over the selection of train_epoch's update: the
+    listed rows of each table in `rows` (name -> row ids), and the whole
+    of every other gradient through Ellipsis."""
     for name, g in grads.items():
-        if name in rows:
-            g[rows[name]] *= factor
-        else:
-            g *= factor
+        g[rows.get(name, ...)] *= factor
 
 
 def _clip(grads, rows, max_norm):
@@ -182,12 +182,17 @@ def train_epoch(model, corpus, config, rng, accum):
     epoch), and is updated in place: fit passes one dict to every
     epoch.
 
-    Per batch the embedding tables see work only on the rows the batch
-    looked up: the 1/B scaling, the AdaGrad step (on those rows, gathered
-    and written back) and the re-zeroing of the sums.  Every other row's
-    gradient is exactly +0.0, for which the AdaGrad step is a bitwise
-    no-op, so skipping it changes no parameter bit.  With clip_norm set,
-    the norm still sums each whole table (see _clip).
+    Per batch every parameter runs one sequence over one selection,
+    `rows.get(name, ...)`: the 1/B scaling, the AdaGrad step on the
+    selection, gathered and written back, and the re-zeroing of the
+    sums.  An embedding table's selection is the rows the batch looked
+    up; every other row's gradient is exactly +0.0, for which the
+    AdaGrad step is a bitwise no-op, so skipping it changes no parameter
+    bit.  Any other parameter's selection is Ellipsis, the whole array:
+    `param[...]` is a view, so the step runs in place, and numpy skips
+    the write-back of an array onto its own memory, so a whole
+    parameter costs no copy.  With clip_norm set, the norm still sums
+    each whole table (see _clip).
 
     The rng drives the shuffle and every dropout mask, so a fixed
     (corpus, config, seed) triple replays bit-identically, and the batch
@@ -233,19 +238,14 @@ def train_epoch(model, corpus, config, rng, accum):
             _clip(grads, rows, config.clip_norm)
         for name, param in model.params.items():
             grad, acc = grads[name], accum[name]
-            if name in rows:
-                ids = rows[name]
-                param_rows, acc_rows = param[ids], acc[ids]
-                adagrad_update(param_rows, grad[ids], acc_rows,
-                               config.learning_rate, config.adagrad_epsilon,
-                               scratch)
-                param[ids] = param_rows
-                acc[ids] = acc_rows
-                grad[ids] = 0.0
-            else:
-                adagrad_update(param, grad, acc, config.learning_rate,
-                               config.adagrad_epsilon, scratch)
-                grad.fill(0.0)
+            # a table's looked-up rows, gathered; any other parameter
+            # whole, as views that the write-back assigns onto themselves
+            ids = rows.get(name, ...)
+            p, a = param[ids], acc[ids]
+            adagrad_update(p, grad[ids], a, config.learning_rate,
+                           config.adagrad_epsilon, scratch)
+            param[ids], acc[ids] = p, a
+            grad[ids] = 0.0
     return total_nll / n
 
 
@@ -507,7 +507,7 @@ def _unpack_params(vector, template):
             in zip(template.items(), np.split(vector, ends[:-1]))}
 
 
-def model_gradient_check(model, sentence, step=1e-4):
+def model_gradient_check(model, sentence):
     """Max relative error of the full-model analytic gradient against
     central differences, on one sentence with dropout off."""
     template = model.params
@@ -523,4 +523,4 @@ def model_gradient_check(model, sentence, step=1e-4):
         finally:
             model.params = saved
 
-    return grad_check(f, analytic, point, step=step)
+    return grad_check(f, analytic, point)

@@ -49,8 +49,11 @@ since no reader of the requests pipe is left) or the reply ends early.
 When the fork or a send fails, or the worker dies or fails before it
 replies, the parent reaps it and runs the direction itself, with the
 same results and the same errors, and the next pass forks a fresh
-worker; when the parent's own direction raises, it kills the worker,
-whose reply no call would read.
+worker.  When the fork or a send is interrupted (a KeyboardInterrupt,
+a MemoryError), the parent reaps the worker and lets the exception
+through, so no half-sent request is left on its pipe; when the
+parent's own direction raises, it kills the worker, whose reply no
+call would read.
 
 Lifetime.  The worker keeps the code it was forked with, points fds
 0-2 at /dev/null and closes every other fd it inherited but its own
@@ -446,7 +449,9 @@ def run_both(runs, memory_span):
     process runs the first, where the rules of the module docstring's
     Dispatch let it take it: forked if there is none, and sent the
     offsets of the second run's six weights and its inputs.  Where they
-    do not, or the fork or the send fails, this process runs both.
+    do not, or the fork or the send fails, this process runs both;
+    where the fork or the send is interrupted by any other exception,
+    it closes the worker and re-raises.
     When the worker fails or dies before it replies, this process
     closes and reaps it and runs the second too, so the results and
     errors are the same either way; when this process's own run raises,
@@ -466,9 +471,13 @@ def run_both(runs, memory_span):
                     _worker = _Worker()
                 _worker.send(offsets, (a, h, d), inputs, memory_span)
                 worker = _worker
-            except OSError:
-                # as when the worker has died: no reader is left
+            except BaseException as exc:
+                # the worker has died (no reader is left), or the send
+                # stopped partway and the worker would read the next
+                # request as the rest of this one
                 close_worker()
+                if not isinstance(exc, OSError):
+                    raise
     if worker is None:
         return _rows(*runs[0], memory_span), _rows(*runs[1], memory_span)
     try:

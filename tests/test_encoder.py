@@ -73,7 +73,8 @@ def step_after(x, hs, cs, summary, weights):
     inputs = np.zeros((t + 1, x.shape[0]))
     inputs[t] = x
     # a batch of one sentence; rows views its arrays
-    batch = DirectionState.start(weights, [inputs], keep_steps=True)
+    batch = DirectionState.start(weights, [inputs], keep_steps=True,
+                                 memory_span=None)
     rows = sentence_rows(batch, 0)
     for i in range(t):
         rows.tape[i] = np.concatenate((hs[i], cs[i]))
@@ -844,7 +845,7 @@ def test_batch_state_rejects_unsorted_lengths():
     weights = random_direction_params(rng)
     with pytest.raises(ValueError):
         DirectionState.start(weights, [np.zeros((2, DIM)), np.zeros((3, DIM))],
-                             keep_steps=True)
+                             keep_steps=True, memory_span=None)
 
 
 def test_direction_state_holds_its_weights():
@@ -1032,6 +1033,28 @@ def test_a_non_contiguous_weight_decodes_bit_equal(dispatches, region,
     want = in_process(monkeypatch, lambda: built.emissions(line)[0])
     assert np.array_equal(got, want)
     assert not dispatches
+
+
+def test_an_interrupted_request_closes_the_worker(dispatches, region, monkeypatch):
+    # a send interrupted after its header leaves half a request on the
+    # pipe: the worker goes with it, so that the next decode's request is
+    # not read as the rest of that one, and the interrupt goes through
+    built, chars = paper_model()
+    line = chars[:20]
+    want = in_process(monkeypatch, lambda: built.decode([line]))
+    write = worker._write
+
+    def interrupted(fd, *arrays):
+        monkeypatch.setattr(worker, "_write", write)
+        write(fd, arrays[0])
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(worker, "_write", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        built.decode([line])
+    assert worker._worker is None
+    assert built.decode([line]) == want
+    assert len(dispatches) == 2
 
 
 def test_heap_weights_without_a_region_fork_no_worker(dispatches, monkeypatch):

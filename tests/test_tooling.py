@@ -17,7 +17,8 @@ that.  A program that decoded leaves no decode worker running, when it
 exits or when it is killed.  scripts/codelines.py, which counts the
 package's code lines, runs once, scripts/pins.py must print the
 committed tests/pins.txt under the builds named in its first line, and
-scripts/pairs.py summarizes canned perfbench runs."""
+scripts/pairs.py summarizes canned perfbench runs and takes its
+workloads and run length from BENCHMARK.json before it runs anything."""
 
 import importlib.util
 import json
@@ -362,3 +363,44 @@ def test_pairs_summarizes_medians_wins_and_bounds():
     assert pairs.verdict(*pairs.summary(runs, end_to_end)) == 0
     runs[0]["base"]["failed"] = 2
     assert pairs.verdict(*pairs.summary(runs, end_to_end)) == 1
+
+
+def test_pairs_checks_workloads_and_runs_for_run_seconds(monkeypatch, capsys):
+    # BENCHMARK.json is read before anything runs: a workload it does not
+    # list stops the script before any tree is extracted, and each run
+    # lasts its run_seconds
+    spec = importlib.util.spec_from_file_location(
+        "pairs", os.path.join(ROOT, "scripts", "pairs.py"))
+    pairs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(pairs)
+    with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
+        benchmark = json.load(fh)
+    extracted, calls = [], []
+
+    class FakeSpread:
+        def __init__(self, tree):
+            self.side = os.path.basename(tree)
+
+        def run_once(self, *args):
+            calls.append((self.side, *args))
+            return perfbench_result(**{metric["name"]: 1.0 for metric
+                                       in benchmark["end_to_end"]}), {}, 0.0
+
+    monkeypatch.setattr(pairs, "extract",
+                        lambda revision, into: extracted.append(revision))
+    monkeypatch.setattr(pairs, "load_spread", FakeSpread)
+    workload = benchmark["workloads"][0]["name"]
+    with pytest.raises(SystemExit) as stopped:
+        pairs.main(["A", "B", "--workloads", workload, "no-such-workload",
+                    "--seeds", "1", "2"])
+    assert stopped.value.code == 2
+    assert "no-such-workload" in capsys.readouterr().err
+    assert not extracted and not calls
+    assert pairs.main(["A", "B", "--workloads", workload,
+                       "--seeds", "1", "2"]) == 0
+    assert extracted == ["A", "B"]
+    seconds = benchmark["run_seconds"]
+    assert calls == [("base", workload, 1, seconds, 0),
+                     ("change", workload, 1, seconds, 0),
+                     ("change", workload, 2, seconds, 0),
+                     ("base", workload, 2, seconds, 0)]

@@ -458,14 +458,17 @@ def test_one_batch_updates_only_the_looked_up_embedding_rows(monkeypatch):
     model, corpus, cfg = toy_model(bigrams=True)
     batch = corpus[:cfg.batch_size]
     before = {k: p.copy() for k, p in model.params.items()}
-    shapes = []
+    accum = {k: np.zeros_like(p) for k, p in model.params.items()}
+    shapes, shared = [], []
 
-    def recording_update(param, grad, accum, *args):
+    def recording_update(param, grad, acc, *args):
+        # the parameters and accumulators that the updated arrays view
         shapes.append(param.shape)
-        return adagrad_update(param, grad, accum, *args)
+        shared.append(([k for k, p in model.params.items() if np.shares_memory(param, p)],
+                       [k for k, a in accum.items() if np.shares_memory(acc, a)]))
+        return adagrad_update(param, grad, acc, *args)
 
     monkeypatch.setattr(train_module, "adagrad_update", recording_update)
-    accum = {k: np.zeros_like(p) for k, p in model.params.items()}
     train_epoch(model, batch, cfg, np.random.default_rng(0), accum)
     tokens = [tok for sent in batch for tok in sent.tokens]
     bigrams = [b for sent in batch for b in sentence_bigrams(sent.tokens)]
@@ -473,9 +476,13 @@ def test_one_batch_updates_only_the_looked_up_embedding_rows(monkeypatch):
     looked_up = {"emb.uni": sorted(set(model.vocab.encode(tokens)) | {0}),
                  "emb.bi": sorted(set(model.bigram_vocab.encode(bigrams)))}
     dim = cfg.emb_dim
+    others = [name for name in model.params if name not in looked_up]
     assert shapes == [(len(looked_up["emb.uni"]), dim),
                       (len(looked_up["emb.bi"]), dim)] + [
-        p.shape for name, p in model.params.items() if name not in looked_up]
+        model.params[name].shape for name in others]
+    # a table's rows are gathered copies; every other parameter and its
+    # accumulator are updated in place, with no copy
+    assert shared == [([], [])] * len(looked_up) + [([name], [name]) for name in others]
     for name, ids in looked_up.items():
         assert len(ids) < len(model.params[name])
         others = np.setdiff1d(np.arange(len(model.params[name])), ids)
