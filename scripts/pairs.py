@@ -11,9 +11,9 @@ metrics.  Each revision is taken with `git archive` into a fresh
 temporary directory, so only committed files run, as they would from a
 clean checkout.  For each workload and seed the script runs each tree's
 own `perfbench/run.py --trace 0` once, through that tree's
-`perfbench/spread.py`: one pair.  The side that
-runs first alternates from pair to pair, so a machine that drifts in
-speed does not favour one side.
+`perfbench/spread.py`: one pair.  The side that runs first alternates
+from pair to pair, so a machine that drifts in speed does not favour
+one side.
 
 For each workload and end-to-end metric of BENCHMARK.json, it prints
 each side's median and quartiles, taken as spread.py takes them, and
