@@ -17,9 +17,14 @@ one side.
 
 For each workload and end-to-end metric of BENCHMARK.json, it prints
 each side's median and quartiles, taken as spread.py takes them, and
-how many pairs the change won.  The last column reads "ok", or "WORSE"
-when the change's median is worse than the base's by more than the
-metric's bound, as a fraction of the base's median.  A last line per
+how many pairs the change won; a metric that the runs also print
+unscaled, as raw_<name>, gets a second row for that.  The next column
+reads "ok", or "WORSE" when the change's median is worse than the
+base's by more than the metric's bound, as a fraction of the base's
+median ("-" on a raw row, which has no bound).  The last reads "MEETS"
+when the figures would carry a claimed gain: the change won at least
+nine tenths of the pairs, and its median is better than the base's by
+more than the distance between the base's quartiles.  A last line per
 workload counts each side's failed operations.  The exit status is 1
 if any metric is WORSE or any operation failed, else 0.
 """
@@ -61,7 +66,8 @@ SPREAD = load_spread(ROOT)
 
 def run_pairs(revisions, workloads, seeds, seconds):
     """One record per (workload, seed) pair of runs of `seconds` each:
-    the side that ran first and each side's perfbench result."""
+    the side that ran first and each side's perfbench result, with the
+    metrics the run printed, name -> (value, unit), as "printed"."""
     runs = []
     with tempfile.TemporaryDirectory(prefix="pairs-") as scratch:
         spreads = {}
@@ -73,8 +79,9 @@ def run_pairs(revisions, workloads, seeds, seconds):
                 order = SIDES if i % 2 == 0 else SIDES[::-1]
                 record = {"workload": workload, "seed": seed, "first": order[0]}
                 for side in order:
-                    record[side] = spreads[side].run_once(
-                        workload, seed, seconds, 0)[0]
+                    result, printed, _ = spreads[side].run_once(
+                        workload, seed, seconds, 0)
+                    record[side] = dict(result, printed=printed)
                 runs.append(record)
                 print(f"{workload} seed {seed}: " + "; ".join(
                     side + " " + " ".join(f"{name} {metric['value']:.4g}" for
@@ -91,12 +98,29 @@ def quartiles(values):
     return spread["q1"], spread["median"], spread["q3"]
 
 
+def compare(workload, name, values, better, bound):
+    """The summary row of one metric, from each side's values by pair;
+    a bound of None judges no WORSE."""
+    sign = 1 if better == "higher" else -1
+    base, change = (quartiles(values[side]) for side in SIDES)
+    pairs = len(values["base"])
+    won = sum(sign * (c - b) > 0 for b, c in zip(values["base"], values["change"]))
+    gain = sign * (change[1] - base[1]) / base[1]
+    return {"workload": workload, "metric": name, "base": base, "change": change,
+            "won": won, "pairs": pairs, "gain": gain,
+            "worse": None if bound is None else gain < -bound,
+            "meets": (10 * won >= 9 * pairs
+                      and sign * (change[1] - base[1]) > base[2] - base[0])}
+
+
 def summary(runs, end_to_end):
     """One row per workload and metric of `end_to_end` (BENCHMARK.json's
-    list): the metric, each side's quartiles, the pairs the change won,
+    list), and one more for its raw_ counterpart where every run printed
+    one: the metric, each side's quartiles, the pairs the change won,
     the change's median against the base's as a signed fraction, where
-    positive is better, and whether that is worse than the bound.  Then
-    the failed and attempted operations of each side, by workload."""
+    positive is better, whether that is worse than the bound, and
+    whether the figures meet the gain rule.  Then the failed and
+    attempted operations of each side, by workload."""
     rows, failures = [], {}
     for workload in dict.fromkeys(r["workload"] for r in runs):
         pairs = [r for r in runs if r["workload"] == workload]
@@ -105,33 +129,31 @@ def summary(runs, end_to_end):
                    sum(r[side]["attempted"] for r in pairs))
             for side in SIDES}
         for metric in end_to_end:
-            name, sign = metric["name"], 1 if metric["better"] == "higher" else -1
-            values = {side: [r[side]["metrics"][name]["value"] for r in pairs]
-                      for side in SIDES}
-            base, change = (quartiles(values[side]) for side in SIDES)
-            gain = sign * (change[1] - base[1]) / base[1]
-            rows.append({
-                "workload": workload, "metric": name,
-                "base": base, "change": change,
-                "won": sum(sign * (c - b) > 0
-                           for b, c in zip(values["base"], values["change"])),
-                "pairs": len(pairs), "gain": gain,
-                "worse": gain < -metric["bound"],
-            })
+            name, better = metric["name"], metric["better"]
+            rows.append(compare(workload, name, {
+                side: [r[side]["metrics"][name]["value"] for r in pairs]
+                for side in SIDES}, better, metric["bound"]))
+            raw = "raw_" + name
+            if all(raw in r[side]["printed"] for r in pairs for side in SIDES):
+                rows.append(compare(workload, raw, {
+                    side: [r[side]["printed"][raw][0] for r in pairs]
+                    for side in SIDES}, better, None))
     return rows, failures
 
 
 def report(rows, failures):
     """The summary as printable lines."""
-    lines = [f"{'workload':14} {'metric':15} {'base median [q1, q3]':>30} "
+    verdicts = {None: "-", False: "ok", True: "WORSE"}
+    lines = [f"{'workload':14} {'metric':18} {'base median [q1, q3]':>30} "
              f"{'change median [q1, q3]':>30} {'won':>6} {'change':>7}"]
     for row in rows:
         spread = {side: "{1:.4g} [{0:.4g}, {2:.4g}]".format(*row[side])
                   for side in SIDES}
         lines.append(
-            f"{row['workload']:14} {row['metric']:15} {spread['base']:>30} "
+            f"{row['workload']:14} {row['metric']:18} {spread['base']:>30} "
             f"{spread['change']:>30} {row['won']:>3}/{row['pairs']:<2} "
-            f"{row['gain']:+7.1%} {'WORSE' if row['worse'] else 'ok'}")
+            f"{row['gain']:+7.1%} {verdicts[row['worse']]:5} "
+            f"{'MEETS' if row['meets'] else '-'}")
     for workload, sides in failures.items():
         lines.append(f"{workload}: failed operations " + ", ".join(
             f"{side} {failed} of {attempted}"

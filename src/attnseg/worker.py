@@ -40,31 +40,33 @@ of its own, and the six weights lie in the shared region, which needs
 os.memfd_create (Linux).  At paper dimensions a worker already forked
 wins from 2 tokens on (CHANGES.md has the curves), but FORK_MIN_TOKENS
 stays 6 until a benchmark workload with shorter passes can measure a
-lower one, its first fork included.  The parent sends the offsets of
-the direction's six weight arrays and the sentences' input rows down
-one pipe, and the worker sends its top hidden rows (B, n, h) back up
-another; nothing is pickled, and no request names its direction.  A
-dead worker is found where it fails a request: the send fails (EPIPE,
-since no reader of the requests pipe is left) or the reply ends early.
+lower one, its first fork included.  Parent and worker hold one end
+each of one socket pair, their channel.  The parent writes the offsets
+of the direction's six weight arrays and the sentences' input rows
+into it, and the worker writes back its top hidden rows as one (B, n,
+h) block; nothing is pickled, and no request names its direction.  A
+dead worker is found where it fails a request: the send fails (EPIPE
+or ECONNRESET, since the worker's end is closed) or the reply ends
+early.
 When the fork or a send fails, or the worker dies or fails before it
 replies, the parent reaps it and runs the direction itself, with the
 same results and the same errors, and the next pass forks a fresh
 worker.  When the fork or a send is interrupted (a KeyboardInterrupt,
 a MemoryError), the parent reaps the worker and lets the exception
-through, so no half-sent request is left on its pipe; when the
+through, so no half-sent request is left in the channel; when the
 parent's own direction raises, it kills the worker, whose reply no
 call would read.
 
 Lifetime.  The worker keeps the code it was forked with, points fds
-0-2 at /dev/null and closes every other fd it inherited but its own
-pipes, so no reader of the parent's stdout waits for it, ignores
-SIGINT, leaves only through os._exit, so it runs no atexit handler and
-flushes no stdio buffer it inherited, and dies with its parent: the
-kernel kills it when the parent does (PR_SET_PDEATHSIG), also in the
-middle of a request, and it exits when its requests pipe closes.
-close_worker() stops it, as an atexit handler does, and a child forked
-from the parent forgets it, closing its copies of the worker's pipes
-without killing it.
+0-2 at /dev/null and closes every other fd it inherited but its end
+of the channel, so no reader of the parent's stdout waits for it,
+ignores SIGINT, leaves only through os._exit, so it runs no atexit
+handler and flushes no stdio buffer it inherited, and dies with its
+parent: the kernel kills it when the parent does (PR_SET_PDEATHSIG),
+also in the middle of a request, and it exits when the parent's end of
+the channel closes.  close_worker() stops it, as an atexit handler
+does, and a child forked from the parent forgets it, closing its copy
+of the parent's end without killing it.
 """
 
 import atexit
@@ -74,6 +76,7 @@ import math
 import mmap
 import os
 import signal
+import socket
 import threading
 import warnings
 import weakref
@@ -230,50 +233,44 @@ def aligned_views(shapes, dtypes=None, shared=True):
 
 
 def _read(fd, array):
-    """Fill a C-contiguous array from the pipe `fd` and return it;
-    EOFError if the pipe closes first."""
+    """Fill a C-contiguous array from the channel `fd` and return it;
+    EOFError if the channel closes first."""
     view = memoryview(array).cast("B")
     while view:
         got = os.readv(fd, [view])
         if not got:
-            raise EOFError("the decode worker's pipe closed")
+            raise EOFError("the decode worker's channel closed")
         view = view[got:]
     return array
 
 
 def _write(fd, *arrays):
-    """Write the bytes of each array, in order, into the pipe `fd`."""
+    """Write the bytes of each array, in order, into the channel `fd`."""
     for array in arrays:
         view = memoryview(np.ascontiguousarray(array)).cast("B")
         while view:
             view = view[os.write(fd, view):]
 
 
-def _keep_only(fds):
+def _keep_only(fd):
     """In the decode worker: point fds 0-2 at /dev/null and close every
-    other fd but `fds`, so that no reader of an inherited pipe waits for
-    the worker.  Returns `fds`, each moved above 2 if it was not."""
-    kept = []
-    for fd in fds:
-        while fd < 3:
-            fd = os.dup(fd)
-        kept.append(fd)
+    other fd but `fd`, so that no reader of an inherited pipe waits for
+    the worker.  Returns `fd`, moved above 2 if it was not."""
+    while fd < 3:
+        fd = os.dup(fd)
     null = os.open(os.devnull, os.O_RDWR)
-    for fd in range(3):
-        os.dup2(null, fd)
-    start = 3
-    for fd in sorted(kept):
-        os.closerange(start, fd)
-        start = fd + 1
-    os.closerange(start, os.sysconf("SC_OPEN_MAX"))
-    return kept
+    for std in range(3):
+        os.dup2(null, std)
+    os.closerange(3, fd)
+    os.closerange(fd + 1, os.sysconf("SC_OPEN_MAX"))
+    return fd
 
 
-def _serve(requests, replies):
-    """The decode worker's loop: read a request from the `requests`
-    pipe, run the direction it asks for through _rows, as run_both runs
-    its own, and write the sentences' top hidden rows into the `replies`
-    pipe, until the requests pipe closes.
+def _serve(channel):
+    """The decode worker's loop: read a request from the `channel`, run
+    the direction it asks for through _rows, as run_both runs its own,
+    and write its top hidden rows (B, n, h) back as one block, until the
+    parent's end of the channel closes.
 
     A request is int64 (a, h, d, memory span or -1, B), the byte offsets
     in the shared region, inherited at the fork, of the direction's six
@@ -281,18 +278,17 @@ def _serve(requests, replies):
     (n_i, d) float64 input rows."""
     while True:
         try:
-            a, h, d, span, batch = map(int, _read(requests, np.empty(5, np.int64)))
+            a, h, d, span, batch = map(int, _read(channel, np.empty(5, np.int64)))
         except EOFError:
             return
         shapes = encoder._direction_shapes(a, h, d)
-        rest = _read(requests, np.empty(len(shapes) + batch, dtype=np.int64))
+        rest = _read(channel, np.empty(len(shapes) + batch, dtype=np.int64))
         offsets, lengths = rest[:len(shapes)], rest[len(shapes):]
-        inputs = [_read(requests, np.empty((m, d))) for m in lengths]
+        inputs = [_read(channel, np.empty((m, d))) for m in lengths]
         weights = [np.frombuffer(_region.buffer, np.float64, math.prod(shape),
                                  offset).reshape(shape)
                    for shape, offset in zip(shapes, offsets)]
-        rows = _rows(weights, inputs, None if span < 0 else span)
-        _write(replies, *(rows[p, :m] for p, m in enumerate(lengths)))
+        _write(channel, _rows(weights, inputs, None if span < 0 else span))
 
 
 # set in this process while it forks the decode worker, and so in the
@@ -305,26 +301,23 @@ class _Worker:
     backward direction of forward passes without a cache (module
     docstring).
 
-    send() writes a request into the `requests` pipe: the offsets of the
-    direction's weights in the shared region, which the worker inherits,
-    and its inputs; rows() reads the reply from the `replies` pipe.  The
-    child points fds 0-2 at /dev/null and closes every other fd it
-    inherited but its own two, leaves only through os._exit, so it runs
-    no atexit handler and flushes no stdio buffer it inherited, ignores
-    SIGINT, so a Ctrl-C reaches only the parent, and dies with this
-    process, whose death the kernel signals to it with SIGKILL.
+    send() writes a request into the `channel`, this process's end of a
+    socket pair: the offsets of the direction's weights in the shared
+    region, which the worker inherits, and its inputs; rows() reads the
+    reply from it.  The child points fds 0-2 at /dev/null and closes
+    every other fd it inherited but its own end, leaves only through
+    os._exit, so it runs no atexit handler and flushes no stdio buffer
+    it inherited, ignores SIGINT, so a Ctrl-C reaches only the parent,
+    and dies with this process, whose death the kernel signals to it
+    with SIGKILL.
     """
 
     def __init__(self):
         global _forking_worker
         self.pid = None
-        self.fds = []
         parent = os.getpid()
+        self.channel, theirs = (end.detach() for end in socket.socketpair())
         try:
-            # one at a time, so that close() closes the first pipe when
-            # the second fails
-            self.fds += os.pipe()
-            self.fds += os.pipe()
             with warnings.catch_warnings():
                 # Python 3.12 and later warn when a process with other
                 # threads forks, and OpenBLAS's worker threads count.
@@ -341,10 +334,10 @@ class _Worker:
                     pid = os.fork()
                 finally:
                     _forking_worker = False
-        except OSError:
+        except BaseException:
+            os.close(theirs)
             self.close()
             raise
-        requests_in, self.requests, self.replies, replies_out = self.fds
         if pid == 0:
             status = 1
             try:
@@ -353,41 +346,36 @@ class _Worker:
                 _region.libc.prctl(_PR_SET_PDEATHSIG, signal.SIGKILL, 0, 0, 0)
                 if os.getppid() == parent:
                     signal.signal(signal.SIGINT, signal.SIG_IGN)
-                    _serve(*_keep_only((requests_in, replies_out)))
+                    _serve(_keep_only(theirs))
                     status = 0
             finally:
                 os._exit(status)
         self.pid = pid
-        os.close(requests_in)
-        os.close(replies_out)
-        self.fds = [self.requests, self.replies]
+        os.close(theirs)
 
     def send(self, offsets, shape, inputs, memory_span):
         """Ask the worker to run a direction over `inputs`, its six
         weights at these offsets in the region and of the shapes that
         shape, (a, h, d), gives."""
         head = [*shape, -1 if memory_span is None else memory_span, len(inputs)]
-        _write(self.requests, np.array(head + offsets + [len(x) for x in inputs],
-                                       dtype=np.int64), *inputs)
+        _write(self.channel, np.array(head + offsets + [len(x) for x in inputs],
+                                      dtype=np.int64), *inputs)
 
-    def rows(self, lengths, hidden):
-        """The top hidden rows (B, n, h) of the direction run sent last,
-        over sentences of these lengths, longest first; None if the
-        worker failed or died before it replied."""
-        rows = np.empty((len(lengths), lengths[0], hidden))
+    def rows(self, shape):
+        """The top hidden rows, of this (B, n, h) shape, of the direction
+        run sent last; None if the worker failed or died before it
+        replied."""
         try:
-            for p, m in enumerate(lengths):
-                _read(self.replies, rows[p, :m])
+            return _read(self.channel, np.empty(shape))
         except (EOFError, OSError):
             return None
-        return rows
 
     def close(self):
-        """Kill and reap the worker, and close this process's ends of
-        its pipes."""
-        for fd in self.fds:
-            os.close(fd)
-        self.fds = []
+        """Kill and reap the worker, and close this process's end of the
+        channel."""
+        if self.channel is not None:
+            os.close(self.channel)
+            self.channel = None
         if self.pid is not None:
             with contextlib.suppress(ProcessLookupError, ChildProcessError):
                 os.kill(self.pid, signal.SIGKILL)
@@ -412,8 +400,8 @@ def close_worker():
 
 def _after_fork_in_child():
     # in a forked child other than the decode worker: the worker is the
-    # parent's, to neither use nor kill, so only close the child's copies
-    # of its pipes; the shared region becomes a private snapshot, and the
+    # parent's, to neither use nor kill, so only close the child's copy
+    # of the parent's end of its channel; the shared region becomes a private snapshot, and the
     # child's next block makes a region of its own.  Should the copy fail
     # (an mmap with no memory left), Python reports the OSError and the
     # child's tensors stay shared with the parent
@@ -482,7 +470,7 @@ def run_both(runs, memory_span):
         return _rows(*runs[0], memory_span), _rows(*runs[1], memory_span)
     try:
         first = _rows(*runs[0], memory_span)
-        second = worker.rows([len(x) for x in inputs], first.shape[2])
+        second = worker.rows(first.shape)
     except BaseException:
         # its reply would answer the next request
         close_worker()

@@ -3,6 +3,7 @@ import errno
 import os
 import re
 import signal
+import socket
 import subprocess
 import sys
 import threading
@@ -1005,10 +1006,10 @@ def test_a_request_carries_no_weight(dispatches, region, monkeypatch, tmp_path):
         emissions against an in-process pass."""
         written = len(writes)
         got = model.emissions(line)[0]
-        requests = worker._worker.requests
+        channel = worker._worker.channel
         want = in_process(monkeypatch, lambda: model.emissions(line)[0])
         assert np.array_equal(got, want)
-        assert {fd for fd, _ in writes[written:]} <= {requests}
+        assert {fd for fd, _ in writes[written:]} <= {channel}
         return [nbytes for _, nbytes in writes[written:]]
 
     assert sent(loaded) == [layer0, layer1]
@@ -1265,31 +1266,53 @@ def test_a_dead_worker_is_found_by_the_next_request(dispatches, monkeypatch):
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"),
                     reason="counts this process's fds in /proc")
-def test_a_failed_pipe_leaves_no_fd_open(dispatches, monkeypatch):
+def test_a_failed_channel_leaves_no_fd_open(dispatches, monkeypatch):
     rng = np.random.default_rng(87)
     cfg = small_config()
     params = init_params(cfg, rng)
     xs = [rng.normal(size=(worker.FORK_MIN_TOKENS + 5, DIM))]
     want, _ = in_process(monkeypatch,
                          lambda: forward(params, cfg, xs, keep_cache=False))
-    pipe, calls = os.pipe, []
+    calls = []
 
-    def second_fails():
+    def fails(*args):
         calls.append(None)
-        if len(calls) == 2:
-            raise OSError(errno.EMFILE, os.strerror(errno.EMFILE))
-        return pipe()
+        raise OSError(errno.EMFILE, os.strerror(errno.EMFILE))
 
-    monkeypatch.setattr(os, "pipe", second_fails)
     before = len(os.listdir("/proc/self/fd"))
-    # the worker's second pipe fails: no fork, and this process runs the
+    # the worker's socket pair fails: no fork, and this process runs the
     # direction
+    with monkeypatch.context() as mp:
+        mp.setattr(socket, "socketpair", fails)
+        mp.setattr(os, "fork", lambda: pytest.fail("forked a worker"))
+        got, _ = forward(params, cfg, xs, keep_cache=False)
+    assert len(os.listdir("/proc/self/fd")) == before
+    assert len(calls) == 1
+    assert not dispatches
+    assert worker._worker is None
+    assert same_arrays(got, want)
+    # the socket pair is made and the fork fails: both ends are closed
+    monkeypatch.setattr(os, "fork", fails)
     got, _ = forward(params, cfg, xs, keep_cache=False)
     assert len(os.listdir("/proc/self/fd")) == before
     assert len(calls) == 2
     assert not dispatches
     assert worker._worker is None
     assert same_arrays(got, want)
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"),
+                    reason="reads the worker's fds in /proc")
+def test_the_worker_holds_one_fd_besides_0_to_2(dispatches):
+    # requests and replies share the worker's one end of a socket pair
+    rng = np.random.default_rng(89)
+    cfg = small_config()
+    params = init_params(cfg, rng)
+    xs = [rng.normal(size=(worker.FORK_MIN_TOKENS + 5, DIM))]
+    forward(params, cfg, xs, keep_cache=False)
+    assert len(dispatches) == 1
+    fds = set(os.listdir(f"/proc/{worker._worker.pid}/fd")) - {"0", "1", "2"}
+    assert len(fds) == 1
 
 
 def test_failed_child_makes_the_parent_run_the_direction(dispatches, monkeypatch):
@@ -1440,5 +1463,5 @@ def test_a_request_carries_no_name(dispatches, monkeypatch):
     got, _ = forward(params, cfg, xs, keep_cache=False)
     assert same_arrays(got, want)
     assert len(dispatches) == 1
-    assert writes == [(worker._worker.requests,
+    assert writes == [(worker._worker.channel,
                        8 * (5 + 6 + len(xs)) + 8 * sum(x.size for x in xs))]

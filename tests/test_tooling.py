@@ -329,31 +329,60 @@ def test_pairs_summarizes_medians_wins_and_bounds():
     spec.loader.exec_module(pairs)
     end_to_end = [{"name": "chars_per_s", "better": "higher", "bound": 0.25},
                   {"name": "latency_p50_ms", "better": "lower", "bound": 0.25}]
-    # the change is 10% faster in 3 of 4 pairs and 30% slower per line
+    # the change is 10% faster in 3 of 4 pairs and 30% slower per line;
+    # unscaled, it is some 20% faster in every pair
     base = [(100.0, 10.0), (110.0, 12.0), (90.0, 8.0), (120.0, 10.0)]
     change = [(110.0, 13.0), (121.0, 15.6), (99.0, 10.4), (100.0, 13.0)]
+    raw = {"base": [100.0, 102.0, 98.0, 101.0], "change": [120.0, 121.0, 119.0, 122.0]}
+
+    def printed(side, seed):
+        # raw_latency_p50_ms is missing from one run, so it gets no row
+        figures = {"raw_chars_per_s": (raw[side][seed], "chars/s"),
+                   "dev_f1": (0.5, "")}
+        if seed:
+            figures["raw_latency_p50_ms"] = (1.0, "ms")
+        return figures
+
     runs = [{"workload": "w", "seed": seed, "first": ("base", "change")[seed % 2],
-             "base": perfbench_result(chars_per_s=b[0], latency_p50_ms=b[1]),
-             "change": perfbench_result(failed=seed == 3, chars_per_s=c[0],
-                                        latency_p50_ms=c[1])}
+             "base": dict(perfbench_result(chars_per_s=b[0], latency_p50_ms=b[1]),
+                          printed=printed("base", seed)),
+             "change": dict(perfbench_result(failed=seed == 3, chars_per_s=c[0],
+                                             latency_p50_ms=c[1]),
+                            printed=printed("change", seed))}
             for seed, (b, c) in enumerate(zip(base, change))]
     rows, failures = pairs.summary(runs, end_to_end)
-    chars, latency = rows
+    chars, raw_chars, latency = rows
     # quartiles as perfbench/spread.py takes them
     assert chars["base"] == (92.5, 105.0, 117.5)
     assert chars["change"] == (99.25, 105.0, 118.25)
     assert (chars["won"], chars["pairs"], chars["gain"], chars["worse"]) == (
         3, 4, 0.0, False)
+    assert not chars["meets"]
+    # the raw row: no bound, and it meets the gain rule, since the change
+    # won 4 of 4 pairs and the medians lie 20 apart against a base
+    # quartile spread of 3.25
+    assert raw_chars["metric"] == "raw_chars_per_s"
+    assert raw_chars["base"] == (98.5, 100.5, 101.75)
+    assert raw_chars["change"] == (119.25, 120.5, 121.75)
+    assert (raw_chars["won"], raw_chars["worse"], raw_chars["meets"]) == (
+        4, None, True)
     assert latency["base"] == (8.5, 10.0, 11.5)
     assert latency["change"] == pytest.approx((11.05, 13.0, 14.95))
     assert latency["won"] == 0
     assert latency["gain"] == pytest.approx(-0.3)
     assert latency["worse"]
+    assert not latency["meets"]
     assert failures == {"w": {"base": (0, 40), "change": (1, 40)}}
     lines = pairs.report(rows, failures)
-    assert lines[1].split()[-3:] == ["3/4", "+0.0%", "ok"]
-    assert lines[2].split()[-3:] == ["0/4", "-30.0%", "WORSE"]
+    assert lines[1].split()[-4:] == ["3/4", "+0.0%", "ok", "-"]
+    assert lines[2].split()[-4:] == ["4/4", "+19.9%", "-", "MEETS"]
+    assert lines[3].split()[-4:] == ["0/4", "-30.0%", "WORSE", "-"]
     assert lines[-1] == "w: failed operations base 0 of 40, change 1 of 40"
+    # every pair won, but the medians lie 1 apart: no MEETS
+    raw["change"] = [101.0, 103.0, 99.0, 102.0]
+    for seed, record in enumerate(runs):
+        record["change"]["printed"] = printed("change", seed)
+    assert not pairs.summary(runs, end_to_end)[0][1]["meets"]
     # the exit status: 1 for a worse metric or a failed operation
     assert pairs.verdict(rows, failures) == 1
     runs[3]["change"]["failed"] = 0
@@ -361,6 +390,12 @@ def test_pairs_summarizes_medians_wins_and_bounds():
     for record in runs:
         record["change"]["metrics"]["latency_p50_ms"]["value"] /= 1.3
     assert pairs.verdict(*pairs.summary(runs, end_to_end)) == 0
+    # a raw row, however much worse, leaves it as it is
+    for record in runs:
+        record["change"]["printed"]["raw_chars_per_s"] = (1.0, "chars/s")
+    rows, failures = pairs.summary(runs, end_to_end)
+    assert rows[1]["gain"] < -0.25 and rows[1]["worse"] is None
+    assert pairs.verdict(rows, failures) == 0
     runs[0]["base"]["failed"] = 2
     assert pairs.verdict(*pairs.summary(runs, end_to_end)) == 1
 
@@ -384,7 +419,13 @@ def test_pairs_checks_workloads_and_runs_for_run_seconds(monkeypatch, capsys):
         def run_once(self, *args):
             calls.append((self.side, *args))
             return perfbench_result(**{metric["name"]: 1.0 for metric
-                                       in benchmark["end_to_end"]}), {}, 0.0
+                                       in benchmark["end_to_end"]}), printed, 0.0
+
+    # as perfbench/run.py prints them: the raw_ counterparts of three of
+    # the end-to-end metrics, and figures that have none
+    printed = {"raw_setup_s": (0.01, "s"), "raw_chars_per_s": (900.0, "chars/s"),
+               "raw_latency_p50_ms": (5.0, "ms"), "machine_speed": (1.1, ""),
+               "latency_p90_ms": (9.0, "ms")}
 
     monkeypatch.setattr(pairs, "extract",
                         lambda revision, into: extracted.append(revision))
@@ -404,3 +445,15 @@ def test_pairs_checks_workloads_and_runs_for_run_seconds(monkeypatch, capsys):
                      ("change", workload, 1, seconds, 0),
                      ("change", workload, 2, seconds, 0),
                      ("base", workload, 2, seconds, 0)]
+    # one row per end-to-end metric, each followed by its raw_ row where
+    # the runs printed one
+    table = capsys.readouterr().out.splitlines()
+    names = [metric["name"] for metric in benchmark["end_to_end"]]
+    want = [row for name in names
+            for row in (name, "raw_" + name) if row in names or row in printed]
+    assert [line.split()[1] for line in table[1:-1]] == want
+    assert len(want) == len(names) + 3
+    # each run's record keeps what it printed
+    runs = pairs.run_pairs(["A", "B"], [workload], [1, 2], seconds)
+    assert all(record[side]["printed"] == printed
+               for record in runs for side in pairs.SIDES)
