@@ -145,7 +145,8 @@ def report(rows, failures):
     """The summary as printable lines."""
     verdicts = {None: "-", False: "ok", True: "WORSE"}
     lines = [f"{'workload':14} {'metric':18} {'base median [q1, q3]':>30} "
-             f"{'change median [q1, q3]':>30} {'won':>6} {'change':>7}"]
+             f"{'change median [q1, q3]':>30} {'won':>6} {'change':>7} "
+             f"{'bound':5} gain"]
     for row in rows:
         spread = {side: "{1:.4g} [{0:.4g}, {2:.4g}]".format(*row[side])
                   for side in SIDES}

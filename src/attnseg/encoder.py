@@ -106,11 +106,11 @@ to this process's decode worker, a forked child that runs it
 meanwhile.  worker.py decides when the worker takes one (its
 Dispatch), and has the process, the one socket pair that carries its
 requests and replies, and the shared region it reads the weights
-from.  Every parameter dict the program makes keeps
-its encoder weights in that region, so a request carries six offsets
-and no weight; a direction whose weights lie elsewhere runs in this
-process.  Training's kept forward never uses the worker, since
-backward reads both directions' states.
+from.  Every parameter dict the program makes keeps its encoder
+weights in that region, so a request carries six offsets and no
+weight; a direction whose weights lie elsewhere runs in this process.
+Training's kept forward never uses the worker, since backward reads
+both directions' states.
 """
 
 from dataclasses import dataclass
