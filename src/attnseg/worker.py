@@ -43,11 +43,11 @@ stays 6 until a benchmark workload with shorter passes can measure a
 lower one, its first fork included.  Parent and worker hold one end
 each of one socket pair, their channel.  The parent writes the offsets
 of the direction's six weight arrays and the sentences' input rows
-into it, and the worker writes back its top hidden rows as one (B, n,
-h) block; nothing is pickled, and no request names its direction.  A
-dead worker is found where it fails a request: the send fails (EPIPE
-or ECONNRESET, since the worker's end is closed) or the reply ends
-early.
+into it, and the worker writes back its top hidden rows as one
+(B, n, h) block; nothing is pickled, and no request names its
+direction.  A dead worker is found where it fails a request: the send
+fails (EPIPE, since the worker's end is closed) or the reply ends
+early (end of file, or ECONNRESET where the worker left bytes unread).
 When the fork or a send fails, or the worker dies or fails before it
 replies, the parent reaps it and runs the direction itself, with the
 same results and the same errors, and the next pass forks a fresh
