@@ -172,27 +172,24 @@ def _sequence_score(emissions, trans, tags, k):
     return score + trans[tags[n - 1], k + 1]
 
 
-def _argmax(values):
-    """Index of the first maximum of a list of floats, the first NaN
-    counting as the maximum, as np.argmax picks it."""
-    best = 0
-    for i, value in enumerate(values):
-        if value > values[best] or value != value and values[best] == values[best]:
-            best = i
-    return best
-
-
 def viterbi(emissions, transitions):
     """Highest-scoring tag sequence and its score.
 
-    Ties break toward the lowest tag id at each backtracking step.  The
-    path takes no -inf transition, so with the grammar's forbidden
-    transitions at -inf it is always grammar-valid; if every path takes
-    one, raises.  The recursion runs on Python floats, whose + rounds as
-    float64 addition does, in the order delta[i] + A[i, j], then the
-    emission plus that sum.
+    A -inf score is legal in either array: in A it forbids a
+    transition, in the emissions it rules a tag out at one position.
+    The path takes no -inf score, so with the grammar's forbidden
+    transitions at -inf it is always grammar-valid.  Raises ValueError
+    on any NaN or +inf score, and when the best path's score is not
+    finite: every path takes a -inf score, or a sum overflowed.  Each
+    maximum is the first one, so ties break toward the lowest tag id at
+    each backtracking step.  The recursion runs on Python floats, whose
+    + rounds as float64 addition does, in the order delta[i] + A[i, j],
+    then the emission plus that sum.
     """
     emissions, trans, k = _check(emissions, transitions)
+    # np.max propagates NaN, and NaN < inf is False
+    if not (emissions.max() < np.inf and trans.max() < np.inf):
+        raise ValueError("viterbi scores must be finite or -inf")
     trans = trans.tolist()
     # columns[j][i] = A[i, j], the transitions into tag j
     columns = list(zip(*trans[:k]))[:k]
@@ -200,12 +197,14 @@ def viterbi(emissions, transitions):
     back = []
     for row in emissions[1:].tolist():
         cands = [[d + a for d, a in zip(delta, column)] for column in columns]
-        back.append([_argmax(cand) for cand in cands])
+        back.append([cand.index(max(cand)) for cand in cands])
         delta = [e + cand[i] for e, cand, i in zip(row, cands, back[-1])]
     final = [d + row[k + 1] for d, row in zip(delta, trans)]
-    path = [_argmax(final)]
-    if final[path[0]] == -np.inf:
-        raise ValueError("every tag sequence has a forbidden transition")
+    path = [final.index(max(final))]
+    # -inf when every path takes a -inf score, +inf or NaN when a sum of
+    # finite scores overflowed
+    if not -np.inf < final[path[0]] < np.inf:
+        raise ValueError("the best tag sequence has no finite score")
     for steps in reversed(back):
         path.append(steps[path[-1]])
     return path[::-1], final[path[0]]

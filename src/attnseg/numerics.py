@@ -46,12 +46,12 @@ def softmax(v, out):
     return out
 
 
-def grad_check(f, analytic_grad, point, step=1e-4):
+def grad_check(f, analytic_grad, point):
     """Compare an analytic gradient against central finite differences.
 
     f is a scalar function of a flat 1-d parameter vector; the numeric
-    gradient per coordinate is (f(x + h e_i) - f(x - h e_i)) / (2 h).
-    Returns the maximum over coordinates of
+    gradient per coordinate is (f(x + h e_i) - f(x - h e_i)) / (2 h),
+    h = 1e-4.  Returns the maximum over coordinates of
 
         |analytic - numeric| / max(1e-8, |analytic| + |numeric|)
 
@@ -66,20 +66,18 @@ def grad_check(f, analytic_grad, point, step=1e-4):
             f"grad_check needs matching flat vectors, got point {point.shape} "
             f"and gradient {analytic.shape}"
         )
-    if step <= 0:
-        raise ValueError(f"step must be positive, got {step}")
     x = point.copy()
     worst = 0.0
     for i in range(x.size):
         orig = x[i]
-        x[i] = orig + step
+        x[i] = orig + 1e-4
         f_plus = float(f(x))
-        x[i] = orig - step
+        x[i] = orig - 1e-4
         f_minus = float(f(x))
         x[i] = orig
         if not (np.isfinite(f_plus) and np.isfinite(f_minus)):
             raise ValueError(f"non-finite function value while probing coordinate {i}")
-        numeric = (f_plus - f_minus) / (2.0 * step)
+        numeric = (f_plus - f_minus) / 2e-4
         denom = max(1e-8, abs(analytic[i]) + abs(numeric))
         worst = max(worst, abs(analytic[i] - numeric) / denom)
     return worst

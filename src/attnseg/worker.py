@@ -41,7 +41,9 @@ os.memfd_create (Linux).  At paper dimensions a worker already forked
 wins from 2 tokens on (CHANGES.md has the curves), but FORK_MIN_TOKENS
 stays 6 until a benchmark workload with shorter passes can measure a
 lower one, its first fork included.  Parent and worker hold one end
-each of one socket pair, their channel.  The parent writes the offsets
+each of one socket pair, their channel; the socket module is imported
+where a worker is made, so a process that never forks one never loads
+it.  The parent writes the offsets
 of the direction's six weight arrays and the sentences' input rows
 into it, and the worker writes back its top hidden rows as one
 (B, n, h) block; nothing is pickled, and no request names its
@@ -76,7 +78,6 @@ import math
 import mmap
 import os
 import signal
-import socket
 import threading
 import warnings
 import weakref
@@ -314,6 +315,11 @@ class _Worker:
 
     def __init__(self):
         global _forking_worker
+        # imported here, not at the module head, so that a process
+        # which never forks a worker never loads socket and the
+        # modules it pulls in
+        import socket
+
         self.pid = None
         parent = os.getpid()
         self.channel, theirs = (end.detach() for end in socket.socketpair())
@@ -401,10 +407,11 @@ def close_worker():
 def _after_fork_in_child():
     # in a forked child other than the decode worker: the worker is the
     # parent's, to neither use nor kill, so only close the child's copy
-    # of the parent's end of its channel; the shared region becomes a private snapshot, and the
-    # child's next block makes a region of its own.  Should the copy fail
-    # (an mmap with no memory left), Python reports the OSError and the
-    # child's tensors stay shared with the parent
+    # of the parent's end of its channel; the shared region becomes a
+    # private snapshot, and the child's next block makes a region of its
+    # own.  Should the copy fail (an mmap with no memory left), Python
+    # reports the OSError and the child's tensors stay shared with the
+    # parent
     global _worker, _region, _region_lock
     if _forking_worker:
         return

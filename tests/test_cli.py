@@ -289,6 +289,18 @@ def test_segment_writes_each_line_once_around_a_forked_decode(tmp_path):
     assert out.read_text(encoding="utf-8") == want
 
 
+def test_importing_the_cli_does_not_load_socket():
+    # only a decode worker needs a socket pair, so eval, gradcheck and
+    # any process that never forks one leave socket unloaded
+    src = os.path.dirname(os.path.dirname(os.path.abspath(encoder.__file__)))
+    done = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, attnseg.cli; print('socket' in sys.modules)"],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+        check=True)
+    assert done.stdout == "False\n"
+
+
 def test_segment_rejects_unknown_model_version(tmp_path, capsys):
     model_dir = train_into(tmp_path, "m")
     rehashed_edit(model_dir, "model.json", lambda raw: raw.replace(

@@ -311,8 +311,8 @@ def test_viterbi_tie_breaking_on_quantized_scores():
 def test_viterbi_matches_numpy_recursion_past_brute_force(n):
     # integer-quantized scores force many exact ties, and every fourth
     # case adds real noise to check the order of additions; half the
-    # cases forbid the grammar's transitions with -inf, and a third hold
-    # a NaN emission, which np.argmax counts as the maximum
+    # cases forbid the grammar's transitions with -inf, and a third rule
+    # a tag out at one position with a -inf emission
     rng = np.random.default_rng(30 + n)
     mask = tagging.transition_mask()
     for case in range(60):
@@ -323,21 +323,54 @@ def test_viterbi_matches_numpy_recursion_past_brute_force(n):
         if case % 2:
             trans = np.where(mask, trans, -np.inf)
         if case % 3 == 0:
-            emissions[rng.integers(n), rng.integers(K)] = np.nan
+            emissions[rng.integers(n), rng.integers(K)] = -np.inf
         path, score = viterbi(emissions, trans)
         want_path, want_score = viterbi_numpy(emissions, trans)
         assert path == want_path
-        assert np.array_equal(score, want_score, equal_nan=True)
+        assert score == want_score
         assert {type(tag) for tag in path} == {int} and type(score) is float
 
 
 def test_viterbi_masked_output_is_always_grammatical():
+    # also when -inf emissions rule tags out, as long as a path is left
     rng = np.random.default_rng(29)
     mask = tagging.transition_mask()
-    for _ in range(200):
+    for case in range(400):
         emissions, trans = random_instance(rng)
-        path, _ = viterbi(emissions, np.where(mask, trans, -np.inf))
+        trans = np.where(mask, trans, -np.inf)
+        if case % 2:
+            emissions[rng.random(emissions.shape) < 0.2] = -np.inf
+        if np.max(enumerate_scores(emissions, trans)[1]) == -np.inf:
+            with pytest.raises(ValueError, match="no finite score"):
+                viterbi(emissions, trans)
+            continue
+        path, _ = viterbi(emissions, trans)
         assert is_valid(path)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("where", ["emissions", "transitions"])
+def test_viterbi_rejects_nan_and_plus_inf_scores(bad, where):
+    # either would decode an ungrammatical path: the first NaN or +inf
+    # wins every maximum it enters, forbidden transitions or not
+    emissions = np.zeros((4, K))
+    trans = np.where(tagging.transition_mask(), 0.0, -np.inf)
+    if where == "emissions":
+        emissions[1, tagging.B] = bad
+    else:
+        trans[tagging.B, tagging.E] = bad
+    with pytest.raises(ValueError, match="finite or -inf"):
+        viterbi(emissions, trans)
+
+
+def test_viterbi_refuses_a_best_score_that_overflows():
+    # finite emissions whose sum overflows to +inf, and then to NaN
+    # through a -inf transition, would decode B M M E B
+    emissions = np.zeros((5, K))
+    emissions[1:4, tagging.M] = 1.5e308
+    trans = np.where(tagging.transition_mask(), 0.0, -np.inf)
+    with pytest.raises(ValueError, match="no finite score"):
+        viterbi(emissions, trans)
 
 
 def test_viterbi_all_masked_errors():

@@ -126,11 +126,6 @@ def test_grad_check_non_finite_names_coordinate():
         grad_check(f, np.zeros(2), np.zeros(2))
 
 
-def test_grad_check_rejects_bad_step():
-    with pytest.raises(ValueError):
-        grad_check(lambda x: 0.0, np.zeros(1), np.zeros(1), step=0.0)
-
-
 def test_grad_check_shape_mismatch():
     with pytest.raises(ShapeError):
         grad_check(lambda x: 0.0, np.zeros(2), np.zeros(3))

@@ -1307,6 +1307,16 @@ def test_decode_keeps_the_grammar_when_forbidden_transitions_score_high(
     assert all(is_valid(path) for path in paths)
 
 
+def test_decode_refuses_a_plus_inf_score():
+    # +inf on one output bias makes every emission of that tag +inf,
+    # which would win every maximum and decode M first; no path is
+    # returned in place of an ungrammatical one
+    model, corpus, _ = toy_model()
+    model.params["out.b"][tagging.M] = np.inf
+    with pytest.raises(ValueError, match="finite or -inf"):
+        model.decode(corpus[0].tokens)
+
+
 def test_list_decode_holds_one_chunk_at_a_time():
     # each chunk's arrays go before the next chunk runs: four chunks'
     # worth of sentences peak near one chunk's memory, where one forward
