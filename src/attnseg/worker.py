@@ -43,21 +43,20 @@ stays 6 until a benchmark workload with shorter passes can measure a
 lower one, its first fork included.  Parent and worker hold one end
 each of one socket pair, their channel; the socket module is imported
 where a worker is made, so a process that never forks one never loads
-it.  The parent writes the offsets
-of the direction's six weight arrays and the sentences' input rows
-into it, and the worker writes back its top hidden rows as one
-(B, n, h) block; nothing is pickled, and no request names its
-direction.  A dead worker is found where it fails a request: the send
-fails (EPIPE, since the worker's end is closed) or the reply ends
-early (end of file, or ECONNRESET where the worker left bytes unread).
-When the fork or a send fails, or the worker dies or fails before it
-replies, the parent reaps it and runs the direction itself, with the
-same results and the same errors, and the next pass forks a fresh
-worker.  When the fork or a send is interrupted (a KeyboardInterrupt,
-a MemoryError), the parent reaps the worker and lets the exception
-through, so no half-sent request is left in the channel; when the
-parent's own direction raises, it kills the worker, whose reply no
-call would read.
+it.  The parent writes the offsets of the direction's six weight
+arrays and the sentences' input rows into it, and the worker writes
+back its top hidden rows as one (B, n, h) block; nothing is pickled,
+and no request names its direction.  A dead worker is found where it
+fails a request: the send fails (EPIPE, since the worker's end is
+closed) or the reply ends early (end of file, or ECONNRESET where the
+worker left bytes unread).  When the fork or a send fails, or the
+worker dies or fails before it replies, the parent reaps it and runs
+the direction itself, with the same results and the same errors, and
+the next pass forks a fresh worker.  When the fork or a send is
+interrupted (a KeyboardInterrupt, a MemoryError), the parent reaps the
+worker and lets the exception through, so no half-sent request is left
+in the channel; when the parent's own direction raises, it kills the
+worker, whose reply no call would read.
 
 Lifetime.  The worker keeps the code it was forked with, points fds
 0-2 at /dev/null and closes every other fd it inherited but its end
