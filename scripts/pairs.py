@@ -13,7 +13,11 @@ clean checkout.  For each workload and seed the script runs each tree's
 own `perfbench/run.py --trace 0` once, through that tree's
 `perfbench/spread.py`: one pair.  The side that runs first alternates
 from pair to pair, so a machine that drifts in speed does not favour
-one side.
+one side.  Every run of either side runs from one path: the side's
+tree is renamed to it for the run and back after, its __pycache__
+with it.  Run from two paths, identical trees read apart by a few
+tenths of a MB of peak RSS, which followed the path and not the run
+order.
 
 For each workload and end-to-end metric of BENCHMARK.json, it prints
 each side's median and quartiles, taken as spread.py takes them, and
@@ -70,17 +74,22 @@ def run_pairs(revisions, workloads, seeds, seconds):
     metrics the run printed, name -> (value, unit), as "printed"."""
     runs = []
     with tempfile.TemporaryDirectory(prefix="pairs-") as scratch:
-        spreads = {}
         for side, revision in zip(SIDES, revisions):
             extract(revision, os.path.join(scratch, side))
-            spreads[side] = load_spread(os.path.join(scratch, side))
+        # spread.py fixes the run.py it runs when it is loaded, so it is
+        # loaded from the shared path for every run
+        tree = os.path.join(scratch, "tree")
         for workload in workloads:
             for i, seed in enumerate(seeds):
                 order = SIDES if i % 2 == 0 else SIDES[::-1]
                 record = {"workload": workload, "seed": seed, "first": order[0]}
                 for side in order:
-                    result, printed, _ = spreads[side].run_once(
-                        workload, seed, seconds, 0)
+                    os.rename(os.path.join(scratch, side), tree)
+                    try:
+                        result, printed, _ = load_spread(tree).run_once(
+                            workload, seed, seconds, 0)
+                    finally:
+                        os.rename(tree, os.path.join(scratch, side))
                     record[side] = dict(result, printed=printed)
                 runs.append(record)
                 print(f"{workload} seed {seed}: " + "; ".join(

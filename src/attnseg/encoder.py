@@ -34,7 +34,7 @@ order maps the direction's rows back to input order.  Sorted longest
 first, step t advances the sentences still running, the first k of
 them, which all share the window [window_starts[t], t).  One
 DirectionState is one direction run: it holds the direction's six
-weights, the arrays it was started with in WEIGHTS order (the model's
+weights, the arrays it was made with in WEIGHTS order (the model's
 own, named by direction_names(layer, direction), in forward()), so
 attend(), tape_step and backward need only the state, and the batch's
 arrays by sentence and row: the tapes side by side as [h_t | c_t], Wh
@@ -203,16 +203,21 @@ def dropout_mask(shape, p, rng):
     return (rng.random(shape) >= p) / (1.0 - p)
 
 
-@dataclass
 class DirectionState:
     """One direction run over a batch of B sentences, longest first and
     padded to the longest, n tokens: its weights and its arrays.  Step t
     writes row t of the first active[t] sentences, those longer than t.
 
-    The weights are the six arrays the run was given, one field per
-    WEIGHTS name (wh, wx, wp and v of the attention layer, w and b of
-    the gate block); in forward() they are the model's own arrays.  The
-    arrays are
+    DirectionState(weights, inputs, keep_steps, memory_span) makes the
+    run's empty tapes over `inputs`, a list of (n_i, d) arrays with
+    non-increasing n_i, for the direction with these six weights, in
+    WEIGHTS order, with the input rows of gate_in and wx_x filled in.
+    The weights stay as given, one attribute per WEIGHTS name (wh, wx,
+    wp and v of the attention layer, w and b of the gate block); in
+    forward() they are the model's own arrays.  lengths holds the n_i,
+    active[t] the number of sentences longer than t, and
+    window_starts[t] step t's window start: 0, or the start of the last
+    `memory_span` tape entries when that is set.  The arrays are
 
         tape      (B, n, 2h)    [h_t | c_t]: the hidden and memory tapes
         tape_wh   (B, n, a)     Wh h_t, stored when h_t enters the tape
@@ -223,79 +228,49 @@ class DirectionState:
         gates     (B, r, 4h)    i, f, o and chat after their activations
         tanh_c    (B, r, h)     tanh(c_t)
 
-    r is n when the steps are kept for backward, and 1 otherwise: a pass
-    without gradients overwrites one scratch row per step.  Kept arrays
-    have zero padding rows.  No array holds a step's attention window:
-    attend() recomputes it from tape_wh, wx_x and gate_in.  Step t reads
-    and writes the arrays' [:active[t]] slices, batch axis included for
-    one sentence too, attends to tape rows window_starts[t] .. t-1, and
-    sentence p's rows are their [p, :lengths[p]] slices.
+    r is n when keep_steps is set, the steps kept for backward, and 1
+    otherwise: a pass without gradients overwrites one scratch row per
+    step.  Kept arrays have zero padding rows.  No array holds a step's
+    attention window: attend() recomputes it from tape_wh, wx_x and
+    gate_in.  Step t reads and writes the arrays' [:active[t]] slices,
+    batch axis included for one sentence too, attends to tape rows
+    window_starts[t] .. t-1, and sentence p's rows are their [p,
+    :lengths[p]] slices.
     """
 
-    wh: np.ndarray
-    wx: np.ndarray
-    wp: np.ndarray
-    v: np.ndarray
-    w: np.ndarray
-    b: np.ndarray
-    lengths: list
-    active: list
-    window_starts: list
-    tape: np.ndarray
-    tape_wh: np.ndarray
-    wx_x: np.ndarray
-    gate_in: np.ndarray
-    summary: np.ndarray
-    gates: np.ndarray
-    tanh_c: np.ndarray
-
-    @classmethod
-    def start(cls, weights, inputs, keep_steps, memory_span):
-        """Empty tapes over `inputs`, a list of (n_i, d) arrays with
-        non-increasing n_i, for the direction with these six weights, in
-        WEIGHTS order, with the input rows of gate_in and wx_x filled
-        in, and each step's window start: 0, or the last `memory_span`
-        tape entries when that is set."""
-        lengths = [x.shape[0] for x in inputs]
+    def __init__(self, weights, inputs, keep_steps, memory_span):
+        self.lengths = lengths = [x.shape[0] for x in inputs]
         if lengths != sorted(lengths, reverse=True):
             raise ValueError(f"batch lengths {lengths} are not longest first")
-        wh, wx, wp, v, w, b = weights
+        self.wh, self.wx, self.wp, self.v, self.w, self.b = weights
         batch = len(inputs)
         n, d = inputs[0].shape
-        hidden = b.shape[0] // 4
-        attn_dim = wh.shape[0]
+        hidden = self.b.shape[0] // 4
+        attn_dim = self.wh.shape[0]
         rows = n if keep_steps else 1
         # backward reads the kept arrays whole, padding included
         alloc = np.zeros if keep_steps else np.empty
-        gate_in = alloc((batch, n, hidden + d))
-        wx_x = alloc((batch, n, attn_dim))
+        self.gate_in = alloc((batch, n, hidden + d))
+        self.wx_x = alloc((batch, n, attn_dim))
         for p, (m, x) in enumerate(zip(lengths, inputs)):
-            gate_in[p, :m, hidden:] = x
+            self.gate_in[p, :m, hidden:] = x
             # one matrix-vector product per row, bit-equal to Wx @ x_t;
             # one matrix product (X @ Wx^T) rounds differently
-            np.matmul(wx, gate_in[p, :m, hidden:, None],
-                      out=wx_x[p, :m, :, None])
+            np.matmul(self.wx, self.gate_in[p, :m, hidden:, None],
+                      out=self.wx_x[p, :m, :, None])
         # active[t]: the sentences longer than t, a prefix of the batch
-        active = []
+        self.active = []
         for p in range(batch, 0, -1):
-            active += [p] * (lengths[p - 1] - len(active))
+            self.active += [p] * (lengths[p - 1] - len(self.active))
         if memory_span is None:
-            window_starts = [0] * n
+            self.window_starts = [0] * n
         else:
-            window_starts = [max(0, t - memory_span) for t in range(n)]
-        return cls(
-            wh, wx, wp, v, w, b,
-            lengths=lengths,
-            active=active,
-            window_starts=window_starts,
-            tape=alloc((batch, n, 2 * hidden)),
-            tape_wh=alloc((batch, n, attn_dim)),
-            wx_x=wx_x,
-            gate_in=gate_in,
-            summary=alloc((batch, rows, 2 * hidden)),
-            gates=alloc((batch, rows, 4 * hidden)),
-            tanh_c=alloc((batch, rows, hidden)),
-        )
+            self.window_starts = [max(0, t - memory_span) for t in range(n)]
+        self.tape = alloc((batch, n, 2 * hidden))
+        self.tape_wh = alloc((batch, n, attn_dim))
+        self.summary = alloc((batch, rows, 2 * hidden))
+        self.gates = alloc((batch, rows, 4 * hidden))
+        self.tanh_c = alloc((batch, rows, hidden))
 
 
 def attend(state, t):
@@ -530,7 +505,7 @@ def _check_shapes(params, config, batch):
 def _run_direction(weights, inputs, keep_steps, memory_span):
     """The DirectionState of one direction run with these six weights
     over `inputs`, after all its steps."""
-    state = DirectionState.start(weights, inputs, keep_steps, memory_span)
+    state = DirectionState(weights, inputs, keep_steps, memory_span)
     with np.errstate(over="ignore"):
         for t in range(state.tape.shape[1]):
             tape_step(state, t)

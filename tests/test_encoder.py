@@ -36,7 +36,7 @@ PAPER_DIMS = dict(emb_dim=100, window=3, hidden=150, attn_dim=150)
 
 def random_direction_params(rng, hidden=HID, attn=ATT, dim=DIM, scale=0.5):
     """One direction's six weights in WEIGHTS order, as
-    DirectionState.start takes them."""
+    DirectionState takes them."""
     return [
         rng.normal(scale=scale, size=(attn, hidden)),
         rng.normal(scale=scale, size=(attn, dim)),
@@ -74,8 +74,8 @@ def step_after(x, hs, cs, summary, weights):
     inputs = np.zeros((t + 1, x.shape[0]))
     inputs[t] = x
     # a batch of one sentence; rows views its arrays
-    batch = DirectionState.start(weights, [inputs], keep_steps=True,
-                                 memory_span=None)
+    batch = DirectionState(weights, [inputs], keep_steps=True,
+                           memory_span=None)
     rows = sentence_rows(batch, 0)
     for i in range(t):
         rows.tape[i] = np.concatenate((hs[i], cs[i]))
@@ -844,9 +844,29 @@ def test_backward_needs_one_gradient_per_sentence():
 def test_batch_state_rejects_unsorted_lengths():
     rng = np.random.default_rng(73)
     weights = random_direction_params(rng)
-    with pytest.raises(ValueError):
-        DirectionState.start(weights, [np.zeros((2, DIM)), np.zeros((3, DIM))],
-                             keep_steps=True, memory_span=None)
+    with pytest.raises(ValueError, match="not longest first"):
+        DirectionState(weights, [np.zeros((2, DIM)), np.zeros((3, DIM))],
+                       keep_steps=True, memory_span=None)
+
+
+def test_kept_state_pads_with_zero_rows_and_decode_keeps_one():
+    # backward reads a kept state's arrays whole, so every row of the
+    # short sentence past its length stays exactly zero; a run without
+    # keeping overwrites one scratch row of summary, gates and tanh_c
+    rng = np.random.default_rng(74)
+    weights = random_direction_params(rng)
+    inputs = [rng.normal(size=(n, DIM)) for n in (5, 2)]
+    kept = encoder._run_direction(weights, inputs, True, None)
+    arrays = ("tape", "tape_wh", "wx_x", "gate_in", "summary", "gates", "tanh_c")
+    for name in arrays:
+        array = getattr(kept, name)
+        assert array.shape[:2] == (2, 5), name
+        assert np.any(array[0] != 0.0), name
+        assert np.all(array[1, 2:] == 0.0), name
+    scratch = encoder._run_direction(weights, inputs, False, None)
+    for name in arrays:
+        rows = 1 if name in ("summary", "gates", "tanh_c") else 5
+        assert getattr(scratch, name).shape[:2] == (2, rows), name
 
 
 def test_direction_state_holds_its_weights():

@@ -17,8 +17,9 @@ that.  A program that decoded leaves no decode worker running, when it
 exits or when it is killed.  scripts/codelines.py, which counts the
 package's code lines, runs once, scripts/pins.py must print the
 committed tests/pins.txt under the builds named in its first line, and
-scripts/pairs.py summarizes canned perfbench runs and takes its
-workloads and run length from BENCHMARK.json before it runs anything."""
+scripts/pairs.py summarizes canned perfbench runs, runs both sides of
+a pair from one path, and takes its workloads and run length from
+BENCHMARK.json before it runs anything."""
 
 import importlib.util
 import json
@@ -400,6 +401,18 @@ def test_pairs_summarizes_medians_wins_and_bounds():
     assert pairs.verdict(*pairs.summary(runs, end_to_end)) == 1
 
 
+def fake_extract(extracted):
+    """A stand-in for scripts/pairs.py's extract: it appends each
+    revision to `extracted` and writes it into the tree's one file,
+    REVISION."""
+    def extract(revision, into):
+        extracted.append(revision)
+        os.makedirs(into)
+        with open(os.path.join(into, "REVISION"), "w", encoding="utf-8") as fh:
+            fh.write(revision)
+    return extract
+
+
 def test_pairs_checks_workloads_and_runs_for_run_seconds(monkeypatch, capsys):
     # BENCHMARK.json is read before anything runs: a workload it does not
     # list stops the script before any tree is extracted, and each run
@@ -414,10 +427,12 @@ def test_pairs_checks_workloads_and_runs_for_run_seconds(monkeypatch, capsys):
 
     class FakeSpread:
         def __init__(self, tree):
-            self.side = os.path.basename(tree)
+            self.tree = tree
 
         def run_once(self, *args):
-            calls.append((self.side, *args))
+            with open(os.path.join(self.tree, "REVISION"), encoding="utf-8") as fh:
+                side = {"A": "base", "B": "change"}[fh.read()]
+            calls.append((side, *args))
             return perfbench_result(**{metric["name"]: 1.0 for metric
                                        in benchmark["end_to_end"]}), printed, 0.0
 
@@ -427,8 +442,7 @@ def test_pairs_checks_workloads_and_runs_for_run_seconds(monkeypatch, capsys):
                "raw_latency_p50_ms": (5.0, "ms"), "machine_speed": (1.1, ""),
                "latency_p90_ms": (9.0, "ms")}
 
-    monkeypatch.setattr(pairs, "extract",
-                        lambda revision, into: extracted.append(revision))
+    monkeypatch.setattr(pairs, "extract", fake_extract(extracted))
     monkeypatch.setattr(pairs, "load_spread", FakeSpread)
     workload = benchmark["workloads"][0]["name"]
     with pytest.raises(SystemExit) as stopped:
@@ -457,3 +471,31 @@ def test_pairs_checks_workloads_and_runs_for_run_seconds(monkeypatch, capsys):
     runs = pairs.run_pairs(["A", "B"], [workload], [1, 2], seconds)
     assert all(record[side]["printed"] == printed
                for record in runs for side in pairs.SIDES)
+
+
+def test_pairs_runs_both_sides_from_one_path(monkeypatch):
+    # identical trees run from two paths read apart in peak RSS, so every
+    # run of either side loads its spread.py from one path and finds its
+    # own tree there while it runs
+    spec = importlib.util.spec_from_file_location(
+        "pairs", os.path.join(ROOT, "scripts", "pairs.py"))
+    pairs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(pairs)
+    extracted, runs = [], []
+
+    class FakeSpread:
+        def __init__(self, tree):
+            self.tree = tree
+
+        def run_once(self, workload, seed, seconds, trace):
+            with open(os.path.join(self.tree, "REVISION"), encoding="utf-8") as fh:
+                runs.append((self.tree, fh.read(), seed))
+            return perfbench_result(), {}, 0.0
+
+    monkeypatch.setattr(pairs, "extract", fake_extract(extracted))
+    monkeypatch.setattr(pairs, "load_spread", FakeSpread)
+    pairs.run_pairs(["A", "B"], ["w"], [1, 2, 3], 1)
+    assert extracted == ["A", "B"]
+    assert len({tree for tree, _, _ in runs}) == 1
+    assert [(revision, seed) for _, revision, seed in runs] == [
+        ("A", 1), ("B", 1), ("B", 2), ("A", 2), ("A", 3), ("B", 3)]
