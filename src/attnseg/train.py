@@ -7,11 +7,13 @@ Every parameter takes that step on one path, through one selection: an
 embedding table's rows that the batch looked up, since every other
 row's gradient is zero and its step a no-op, and any other parameter
 whole, through Ellipsis, as a view that costs no copy.  Only the norm
-of clip_norm still reads each table whole.  The AdaGrad scratch is
-a fixed 2 * ADAGRAD_CHUNK values.  So training holds the parameters,
-their accumulators and batch gradient sums, and fit's copy of the best
-epoch's parameters; a batch's work and temporaries follow its rows, not
-the vocabulary.  An epoch reports the mean training NLL and decodes
+of clip_norm still reads each table whole.  AdaGrad's temporaries are
+the size of the array it gets: a table's looked-up rows, or one other
+parameter, the largest of which is cell.w (2.16 MB at paper
+dimensions).  So training holds the parameters, their accumulators and
+batch gradient sums, and fit's copy of the best epoch's parameters; a
+batch's work and temporaries follow its rows, not the vocabulary.  An
+epoch reports the mean training NLL and decodes
 nothing.  fit() repeats this, scores the dev set after each epoch with
 masked Viterbi decoding (one list decode, in lock-step chunks of
 batch_size), and keeps the parameters of the best dev-F1 epoch; each
@@ -77,49 +79,26 @@ __all__ = [
 ]
 
 
-# values per AdaGrad chunk; a scratch of 2 * ADAGRAD_CHUNK floats (512 KB)
-# serves a parameter of any size
-ADAGRAD_CHUNK = 2 ** 15
-
 # values per params.bin chunk; one float32 scratch of IO_CHUNK values
 # (256 KB) carries every tensor through save_model and load_model
 IO_CHUNK = 2 ** 16
 
 
-def adagrad_update(param, grad, accum, lr, eps, scratch):
+def adagrad_update(param, grad, accum, lr, eps):
     """One AdaGrad step, in place: G += g*g; p -= lr*g/(sqrt(G)+eps).
 
-    The parameter is walked in flat chunks of len(scratch) // 2 values
-    (the last one may be short), and each chunk's intermediates g*g,
-    sqrt(G)+eps and lr*g go to `scratch`, a flat float64 array of at
-    least 2 entries; train_epoch passes one of 2 * ADAGRAD_CHUNK.  So
-    the step allocates nothing that grows with the parameter, a
-    training loop reuses one scratch for every parameter, and each
-    element sees the formula's operations in the formula's order.
-    `grad` is not changed; param, grad and accum must be C-contiguous
-    and of one shape.
+    param, grad and accum must be of one shape; any of them may be a
+    strided view, whose parent the step writes through.  `grad` is not
+    changed.  The temporaries are the size of `param`: train_epoch
+    passes a table's looked-up rows or one other parameter.
     """
     if not (param.shape == grad.shape == accum.shape):
         raise ShapeError(
             f"param {param.shape}, grad {grad.shape} and accumulator "
             f"{accum.shape} must all match"
         )
-    if not (param.flags.c_contiguous and grad.flags.c_contiguous
-            and accum.flags.c_contiguous):
-        raise ValueError("param, grad and accumulator must be C-contiguous")
-    chunk = len(scratch) // 2
-    flat_p, flat_g, flat_a = param.reshape(-1), grad.reshape(-1), accum.reshape(-1)
-    for start in range(0, param.size, chunk):
-        p = flat_p[start:start + chunk]
-        g = flat_g[start:start + chunk]
-        a = flat_a[start:start + chunk]
-        denom, step = scratch[:p.size], scratch[chunk:chunk + p.size]
-        a += np.multiply(g, g, out=denom)
-        np.sqrt(a, out=denom)
-        denom += eps
-        np.multiply(lr, g, out=step)
-        step /= denom
-        p -= step
+    accum += grad * grad
+    param -= lr * grad / (np.sqrt(accum) + eps)
     return param, accum
 
 
@@ -191,8 +170,10 @@ def train_epoch(model, corpus, config, rng, accum):
     bit.  Any other parameter's selection is Ellipsis, the whole array:
     `param[...]` is a view, so the step runs in place, and numpy skips
     the write-back of an array onto its own memory, so a whole
-    parameter costs no copy.  With clip_norm set, the norm still sums
-    each whole table (see _clip).
+    parameter costs no copy.  So AdaGrad's temporaries are the size of
+    a table's looked-up rows or of one other parameter, the largest of
+    which is cell.w.  With clip_norm set, the norm still sums each whole
+    table (see _clip).
 
     The rng drives the shuffle and every dropout mask, so a fixed
     (corpus, config, seed) triple replays bit-identically, and the batch
@@ -216,9 +197,8 @@ def train_epoch(model, corpus, config, rng, accum):
     order = rng.permutation(n)
     total_nll = 0.0
     # reused by every batch: the gradient sums, zero outside the rows
-    # being summed, and the AdaGrad scratch
+    # being summed
     sums = {name: np.zeros_like(p) for name, p in model.params.items()}
-    scratch = np.empty(2 * ADAGRAD_CHUNK)
     for start in range(0, n, config.batch_size):
         batch = order[start:start + config.batch_size]
         rows = {}
@@ -243,7 +223,7 @@ def train_epoch(model, corpus, config, rng, accum):
             ids = rows.get(name, ...)
             p, a = param[ids], acc[ids]
             adagrad_update(p, grad[ids], a, config.learning_rate,
-                           config.adagrad_epsilon, scratch)
+                           config.adagrad_epsilon)
             param[ids], acc[ids] = p, a
             grad[ids] = 0.0
     return total_nll / n

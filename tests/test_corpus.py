@@ -268,6 +268,10 @@ def test_load_embeddings_reads_rows(tmp_path):
     assert table.shape == (6, 3)
     assert np.allclose(table[vocab.id("你")], [0.1, 0.2, 0.3])
     assert np.allclose(table[vocab.id("好")], [0.4, 0.5, 0.6])
+    # a blank line between rows is skipped, not counted as a row
+    p.write_text("2 3\n你 0.1 0.2 0.3\n\n好 0.4 0.5 0.6\n", encoding="utf-8")
+    assert np.array_equal(load_embeddings(p, vocab, np.random.default_rng(42)),
+                          table)
 
 
 def test_load_embeddings_missing_token_gets_small_random_row(tmp_path):
@@ -306,9 +310,16 @@ def test_load_embeddings_non_numeric_names_line(tmp_path, value):
 
 def test_load_embeddings_bad_header(tmp_path):
     p = tmp_path / "emb.txt"
-    p.write_text("3\n", encoding="utf-8")
-    with pytest.raises(ValueError, match="header"):
-        load_embeddings(p, Vocab.build([["你"]]), np.random.default_rng(0))
+    vocab = Vocab.build([["你"]])
+    # one field, a non-number, a negative count and a zero dimension
+    for header in ("3", "x 3", "-1 3", "2 0"):
+        p.write_text(header + "\n", encoding="utf-8")
+        with pytest.raises(ValueError, match="header"):
+            load_embeddings(p, vocab, np.random.default_rng(0))
+    # a count that the rows do not match
+    p.write_text("2 2\n你 0.5 0.5\n", encoding="utf-8")
+    with pytest.raises(ValueError, match="promised 2 vectors, file has 1"):
+        load_embeddings(p, vocab, np.random.default_rng(0))
 
 
 def test_featurize_window1_is_plain_lookup():

@@ -260,6 +260,12 @@ def test_nll_masked_gold_errors():
         nll_and_grads(emissions, trans, [tagging.B, tagging.S])
 
 
+def test_nll_gold_length_mismatch_errors():
+    emissions, trans = random_instance(np.random.default_rng(26), n=3)
+    with pytest.raises(ValueError, match="2 gold tags for 3 positions"):
+        nll_and_grads(emissions, trans, [tagging.B, tagging.E])
+
+
 def test_nll_decreases_after_one_small_transition_step():
     rng = np.random.default_rng(25)
     emissions, trans = random_instance(rng, n=5)

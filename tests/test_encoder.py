@@ -414,6 +414,10 @@ def test_forward_rejects_empty_input():
     params = init_params(cfg, rng)
     with pytest.raises(ValueError):
         forward(params, cfg, [np.zeros((0, DIM))])
+    with pytest.raises(ValueError, match="at least one sentence"):
+        forward(params, cfg, [])
+    with pytest.raises(ShapeError, match="input dim"):
+        forward(params, cfg, [np.zeros((3, cfg.input_dim + 1))])
 
 
 def test_forward_takes_a_list_of_sentences():

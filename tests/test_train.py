@@ -20,9 +20,8 @@ from attnseg.evaluate import evaluate_corpus
 from attnseg.model import TABLES, Segmenter, TrainConfig, param_shapes
 from attnseg.numerics import ShapeError
 from attnseg.train import (
-    ADAGRAD_CHUNK, IO_CHUNK, _pack_params, _unpack_params, adagrad_update,
-    fit, load_model, model_gradient_check, save_model, tag_accuracy,
-    train_epoch,
+    IO_CHUNK, _pack_params, _unpack_params, adagrad_update, fit, load_model,
+    model_gradient_check, save_model, tag_accuracy, train_epoch,
 )
 from model_files import json_edit, rehashed_edit
 from oracles import is_valid, train_epoch_sequential
@@ -46,22 +45,20 @@ def test_adagrad_zero_gradient_is_identity():
     p = np.array([1.0, -2.0])
     g = np.zeros(2)
     acc = np.array([0.5, 0.5])
-    p2, acc2 = adagrad_update(p, g, acc, lr=0.1, eps=1e-6, scratch=np.empty(2))
+    p2, acc2 = adagrad_update(p, g, acc, lr=0.1, eps=1e-6)
     assert np.array_equal(p2, [1.0, -2.0])
     assert np.array_equal(acc2, [0.5, 0.5])
 
 
 def test_adagrad_zero_learning_rate_is_identity():
     p = np.array([1.0])
-    adagrad_update(p, np.array([0.3]), np.zeros(1), lr=0.0, eps=1e-6,
-                   scratch=np.empty(2))
+    adagrad_update(p, np.array([0.3]), np.zeros(1), lr=0.0, eps=1e-6)
     assert p[0] == 1.0
 
 
 def test_adagrad_first_step_magnitude():
     p = np.zeros(1)
-    adagrad_update(p, np.array([0.3]), np.zeros(1), lr=0.1, eps=1e-6,
-                   scratch=np.empty(2))
+    adagrad_update(p, np.array([0.3]), np.zeros(1), lr=0.1, eps=1e-6)
     want = 0.1 * 0.3 / (0.3 + 1e-6)
     assert abs(-p[0] - want) < 1e-15
 
@@ -70,18 +67,17 @@ def test_adagrad_steps_shrink_for_repeated_gradient():
     p = np.zeros(1)
     acc = np.zeros(1)
     g = np.array([0.7])
-    adagrad_update(p, g, acc, lr=0.1, eps=1e-6, scratch=np.empty(2))
+    adagrad_update(p, g, acc, lr=0.1, eps=1e-6)
     first = abs(p[0])
     before = p[0]
-    adagrad_update(p, g, acc, lr=0.1, eps=1e-6, scratch=np.empty(2))
+    adagrad_update(p, g, acc, lr=0.1, eps=1e-6)
     second = abs(p[0] - before)
     assert second < first
 
 
 def test_adagrad_shape_mismatch():
     with pytest.raises(ShapeError):
-        adagrad_update(np.zeros(2), np.zeros(3), np.zeros(2), 0.1, 1e-6,
-                       np.empty(2))
+        adagrad_update(np.zeros(2), np.zeros(3), np.zeros(2), 0.1, 1e-6)
 
 
 def test_adagrad_accumulator_never_decreases():
@@ -90,7 +86,7 @@ def test_adagrad_accumulator_never_decreases():
     acc = np.zeros(5)
     prev = acc.copy()
     for _ in range(30):
-        adagrad_update(p, rng.normal(size=5), acc, 0.05, 1e-6, np.empty(2))
+        adagrad_update(p, rng.normal(size=5), acc, 0.05, 1e-6)
         assert np.all(acc >= prev)
         prev = acc.copy()
 
@@ -124,6 +120,16 @@ def test_config_validation():
         with pytest.raises(ValueError, match=name):
             TrainConfig(**fields)
         # the path load_model takes for model.json
+        with pytest.raises(ValueError, match=name):
+            TrainConfig.from_dict(fields)
+    # counts and sizes below their least value, and a dev fraction at
+    # either end of (0, 1)
+    for fields in ({"epochs": 0}, {"hidden": 0}, {"emb_dim": 0},
+                   {"attn_dim": 0}, {"dev_fraction": 0.0},
+                   {"dev_fraction": 1.0}):
+        name = next(iter(fields))
+        with pytest.raises(ValueError, match=name):
+            TrainConfig(**fields)
         with pytest.raises(ValueError, match=name):
             TrainConfig.from_dict(fields)
     # numpy scalars are numbers like any other, stored as plain ints and
@@ -175,14 +181,10 @@ def test_config_from_dict_takes_declared_types():
 
 
 def test_adagrad_scratch_update_matches_formula_bitwise():
-    # one chunk (the scratch's 2 * 2700 + 7 values), then a 1-d and a 2-d
-    # parameter of more than one chunk whose last chunk is not full, with
-    # a scratch of two chunks
+    # 1-d and 2-d parameters, small and large, each element stepped by
+    # the formula's operations in the formula's order
     rng = np.random.default_rng(63)
-    cases = [((60, 45), np.empty(2 * 60 * 45 + 7)),
-             ((2 * ADAGRAD_CHUNK + 123,), np.empty(2 * ADAGRAD_CHUNK)),
-             ((70, 1000), np.empty(2 * ADAGRAD_CHUNK))]
-    for shape, scratch in cases:
+    for shape in [(60, 45), (2 * 2 ** 15 + 123,), (70, 1000)]:
         p = rng.normal(size=shape)
         g = rng.normal(size=shape)
         acc = rng.random(shape)
@@ -190,33 +192,21 @@ def test_adagrad_scratch_update_matches_formula_bitwise():
         want_acc += g * g
         want_p -= 0.1 * g / (np.sqrt(want_acc) + 1e-6)
         g_before = g.copy()
-        adagrad_update(p, g, acc, 0.1, 1e-6, scratch)
+        adagrad_update(p, g, acc, 0.1, 1e-6)
         assert np.array_equal(p, want_p), shape
         assert np.array_equal(acc, want_acc), shape
         assert np.array_equal(g, g_before), shape
-
-
-def test_adagrad_update_allocates_a_bounded_scratch():
-    # with the two-chunk scratch train_epoch passes, a step over a million
-    # values allocates no array: only views, far below one chunk
-    rng = np.random.default_rng(64)
-    n = 10 ** 6
-    p, g, acc = rng.normal(size=n), rng.normal(size=n), rng.random(n)
-    scratch = np.empty(2 * ADAGRAD_CHUNK)
-    tracemalloc.start()
-    try:
-        adagrad_update(p, g, acc, 0.1, 1e-6, scratch)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 2 ** 16
-
-
-def test_adagrad_update_refuses_non_contiguous_arrays():
-    p = np.zeros((4, 6))
-    with pytest.raises(ValueError, match="C-contiguous"):
-        adagrad_update(p[:, ::2], np.ones((4, 3)), np.zeros((4, 3)), 0.1, 1e-6,
-                       np.empty(2))
+    # strided views step their parents' even columns in place and leave
+    # the odd columns and the gradient as they were
+    p, g = rng.normal(size=(40, 60)), rng.normal(size=(40, 60))
+    acc = rng.random((40, 60))
+    want_p, want_acc, g_before = p.copy(), acc.copy(), g.copy()
+    want_acc[:, ::2] += g[:, ::2] * g[:, ::2]
+    want_p[:, ::2] -= 0.1 * g[:, ::2] / (np.sqrt(want_acc[:, ::2]) + 1e-6)
+    adagrad_update(p[:, ::2], g[:, ::2], acc[:, ::2], 0.1, 1e-6)
+    assert np.array_equal(p, want_p)
+    assert np.array_equal(acc, want_acc)
+    assert np.array_equal(g, g_before)
 
 
 def test_pack_unpack_roundtrip():
@@ -307,7 +297,7 @@ def test_gradient_accumulation_is_batch_mean():
     accum = {k: np.zeros_like(p) for k, p in twin.params.items()}
     for k in twin.params:
         adagrad_update(twin.params[k], sums[k] / 32.0, accum[k],
-                       0.5, cfg.adagrad_epsilon, np.empty(2 * ADAGRAD_CHUNK))
+                       0.5, cfg.adagrad_epsilon)
     for k in model.params:
         assert np.array_equal(model.params[k], twin.params[k]), k
 
@@ -372,6 +362,20 @@ def test_fit_single_epoch_and_history():
     _, history = fit(model, corpus, corpus, cfg)
     assert len(history) == 1
     assert history[0].epoch == 1
+
+
+def test_fit_rejects_empty_corpora():
+    model, corpus, cfg = toy_model(epochs=1)
+    for train, dev in (([], corpus), (corpus, [])):
+        with pytest.raises(ValueError, match="non-empty"):
+            fit(model, train, dev, cfg)
+
+
+def test_segmenter_needs_bigram_vocab_iff_bigrams():
+    model, _, _ = toy_model()
+    cfg = dataclasses.replace(model.config, bigrams=True)
+    with pytest.raises(ValueError, match="bigram vocab"):
+        Segmenter(cfg, model.vocab, model.params)
 
 
 def test_corpora_are_plain_lists_of_sentences():
