@@ -92,8 +92,13 @@ Training keeps each step's gate rows for backward, and no window
 arrays: backward recomputes a step's window with attend(), one window
 add, one matrix-vector product per sentence, one tanh and one softmax,
 the attention half of the forward step.  So a kept forward holds O(n·(h
-+ a + d)) memory per sentence and direction, and backward adds O(n·(h +
-a)) gradient rows and one step's (k, w, a) window at a time.  Decoding
++ a + d)) memory per sentence and direction, 2100 values per padded row
+at paper dimensions.  Backward runs one direction at a time and adds
+its four gradient arrays, 6h + 2a values per padded row (1200 at paper
+dimensions), one step's gate factors, formed from that step's kept
+rows, and one step's (k, w, a) window at a time.  It releases each
+direction's kept state once that direction is done, so the cache of a
+kept forward serves one backward call.  Decoding
 runs the same loop with keep_cache=False: it overwrites one scratch row
 of gates, tanh c_t and summaries per step, and releases each
 direction's gate input and attention terms once its tape has been
@@ -367,7 +372,12 @@ def _direction_backward(state, d_rows, order, positions, grads):
     complete when reverse time reaches step i: then Wh^T D[i] joins
     d h_i, and after the loop g_wh = D^T H is one matrix product.
     Likewise the gate and attention input weights take their gradients
-    from per-step rows stacked over the sentence.
+    from per-step rows stacked over the sentence.  Each step forms its
+    gate factors from the state's kept rows of that step alone, and the
+    loop's arrays are d_tape ([d h_t | d c_t]), d_tape_wh, d_z and
+    d_pre_sums, 1200 values per padded row at paper dimensions; d_tape
+    goes before the per-sentence products.  The caller drops the state
+    once this returns.
     """
     batch, n = state.tape.shape[:2]
     hidden = state.b.shape[0] // 4
@@ -377,16 +387,9 @@ def _direction_backward(state, d_rows, order, positions, grads):
     gate_f = gates[:, :, hidden:2 * hidden]
     gate_o = gates[:, :, 2 * hidden:3 * hidden]
     candidate = gates[:, :, 3 * hidden:]
-    # d z[t] = ((e * M[t]) * G[t]) * K[t] with e = [dc, dc, dh, dc] and
-    # G[t] the (i, f, o) gates: per gate, d i = ((dc * chat) * i) * (1 -
-    # i), d f = ((dc * c~) * f) * (1 - f), d o = ((dh * tanh c) * o) *
-    # (1 - o) and d chat = (dc * i) * (1 - chat^2), each in the order of
-    # the chain rule
-    m_rows = np.concatenate((candidate, state.summary[:, :, hidden:],
-                             state.tanh_c, gates[:, :, :hidden]), axis=2)
-    k_rows = 1.0 - gates
-    k_rows[:, :, 3 * hidden:] = 1.0 - candidate ** 2
-    d_tanh_c = 1.0 - state.tanh_c ** 2
+    # the factors of d z[t] by gate: chat, c~, tanh c and i (below)
+    factors = (candidate, state.summary[:, :, hidden:], state.tanh_c,
+               gates[:, :, :hidden])
     d_tape = np.zeros((batch, n, 2 * hidden))
     for p, d in zip(positions, d_rows):
         d_tape[p, :state.lengths[p], :hidden] = d[order]
@@ -407,15 +410,24 @@ def _direction_backward(state, d_rows, order, positions, grads):
         k = state.active[t]
         dh = np.matmul(wh_t, d_tape_wh[:k, t, :, None])[:, :, 0]
         dh += d_tape[:k, t, :hidden]
-        dc = d_tape[:k, t, hidden:] + dh * gate_o[:k, t] * d_tanh_c[:k, t]
+        dc = d_tape[:k, t, hidden:] + dh * gate_o[:k, t] * (
+            1.0 - state.tanh_c[:k, t] ** 2)
+        # d z[t] = ((e * M[t]) * G[t]) * K[t], formed from step t's kept
+        # rows, with e = [dc, dc, dh, dc], M[t] the factors and G[t] the
+        # (i, f, o) gates: per gate, d i = ((dc * chat) * i) * (1 - i), d
+        # f = ((dc * c~) * f) * (1 - f), d o = ((dh * tanh c) * o) * (1 -
+        # o) and d chat = (dc * i) * (1 - chat^2), each in the order of
+        # the chain rule
         dz = d_z[:k, t]
         e = dz.reshape(k, 4, hidden)
         e[:, :2] = dc[:, None]
         e[:, 2] = dh
         e[:, 3] = dc
-        dz *= m_rows[:k, t]
+        for g, factor in enumerate(factors):
+            e[:, g] *= factor[:k, t]
         dz[:, :3 * hidden] *= gates[:k, t, :3 * hidden]
-        dz *= k_rows[:k, t]
+        dz[:, :3 * hidden] *= 1.0 - gates[:k, t, :3 * hidden]
+        dz[:, 3 * hidden:] *= 1.0 - candidate[:k, t] ** 2
         np.matmul(w_summary_t, dz[:, :, None], out=d_h_summary[:k, :, None])
         d_h_summary[:k] += d_summary[:k]
         np.multiply(dc, gate_f[:k, t], out=d_c_summary[:k])
@@ -436,6 +448,8 @@ def _direction_backward(state, d_rows, order, positions, grads):
         # an empty window leaves d_pre_sums[t] zero: both summaries are
         # constant zero vectors
         np.matmul(wp_t, d_pre_sums[:k, t, :, None], out=d_summary[:k, :, None])
+    # the products below never read it
+    del d_tape
     w_input = state.w[:, hidden:]
     g_wh, g_wx, g_wp, g_v_sum, g_w, g_b = grads
     d_inputs = []
@@ -475,6 +489,11 @@ class ForwardCache:
     `inputs` are the featurized inputs.  input_masks is None without
     dropout, and so is out_masks, otherwise a pair of lists of the
     masks on top_h.
+
+    A cache serves one backward() call, which takes each layer's pair
+    out of `layers` as it reaches it and releases each state when its
+    direction is done; read attention weights or any other kept row from
+    the states before calling backward().
     """
 
     inputs: list
@@ -613,9 +632,17 @@ def backward(cache, d_emissions, grads):
     keyed by parameter name.  All weights come from the cache.  Returns
     d_inputs, the gradients with respect to the original featurized
     inputs (for the embedding tables), in batch order.
+
+    It takes each layer's pair of states out of cache.layers, top layer
+    first, and drops each direction's state once its gradients are
+    formed, so the cache serves this one call: a second call raises
+    ValueError rather than add the gradients again.  Read attention
+    weights from a kept state before calling it.
     """
     if cache is None:
         raise ValueError("backward called without a cached forward pass")
+    if not cache.layers:
+        raise ValueError("backward called on a spent cache")
     if len(d_emissions) != len(cache.inputs):
         raise ValueError(f"{len(d_emissions)} emission gradients for a batch "
                          f"of {len(cache.inputs)}")
@@ -633,12 +660,13 @@ def backward(cache, d_emissions, grads):
                 d = d * cache.out_masks[i][s]
             d_top[i].append(d)
 
-    for layer, states in reversed(list(enumerate(cache.layers))):
-        d_fwd, d_bwd = (
+    for layer in reversed(range(len(cache.layers))):
+        states = list(cache.layers.pop())
+        d_fwd, d_bwd = [
             _direction_backward(
-                state, d_rows, order, cache.positions,
+                states.pop(0), d_rows, order, cache.positions,
                 [grads[name] for name in direction_names(layer, direction)])
-            for (direction, order), state, d_rows in zip(DIRECTIONS, states, d_top))
+            for (direction, order), d_rows in zip(DIRECTIONS, d_top)]
         d_layer_in = [f + b for f, b in zip(d_fwd, d_bwd)]
         # the layer below's (forward, backward) halves, as views
         d_top = ([d[:, :h] for d in d_layer_in], [d[:, h:] for d in d_layer_in])

@@ -630,10 +630,11 @@ def test_backward_matches_pairwise_oracle(extra_layers, memory_span, dropout,
         drop_rng = np.random.default_rng(7) if dropout else None
         _, cache = forward(params, cfg, [x], dropout=dropout, rng=drop_rng)
         d_emissions = rng.normal(size=(n, 4))
-        grads, (d_x,) = backward_grads(params, cache, [d_emissions])
+        # the oracle reads the kept states, which backward releases
         want, want_d_x = lstmn_backward_unrolled(
             params, 1 + cfg.extra_layers, cache, d_emissions
         )
+        grads, (d_x,) = backward_grads(params, cache, [d_emissions])
         assert set(grads) == set(want) == set(params)
         for got, ref in [(grads[k], want[k]) for k in want] + [(d_x, want_d_x)]:
             assert got.shape == ref.shape
@@ -827,15 +828,68 @@ def test_backward_adds_into_given_grads():
     d_emissions = [np.ones((3, 4)), np.ones((2, 4))]
     fresh, _ = backward_grads(params, cache, d_emissions)
     into = {k: np.zeros_like(p) for k, p in params.items()}
+    # a cache serves one backward call: each call gets a fresh forward
+    _, cache = forward(params, cfg, xs)
     backward(cache, d_emissions, into)
     for k in fresh:
         assert np.array_equal(into[k], fresh[k])
     # one sentence's gradient lands on what the dict already holds
     _, one_cache = forward(params, cfg, [xs[0]])
     one, _ = backward_grads(params, one_cache, [d_emissions[0]])
+    _, one_cache = forward(params, cfg, [xs[0]])
     backward(one_cache, [d_emissions[0]], into)
     for k in fresh:
         assert np.array_equal(into[k], fresh[k] + one[k])
+
+
+def test_second_backward_on_one_cache_raises():
+    # backward releases each direction's kept state as it goes, so a
+    # second call must not add the gradients again
+    cfg, params, xs = batch_case({}, None, 1, [3, 2], 71)
+    _, cache = forward(params, cfg, xs)
+    d_emissions = [np.ones((3, 4)), np.ones((2, 4))]
+    grads, _ = backward_grads(params, cache, d_emissions)
+    sums = {k: g.copy() for k, g in grads.items()}
+    with pytest.raises(ValueError, match="spent"):
+        backward(cache, d_emissions, grads)
+    for k in sums:
+        assert np.array_equal(grads[k], sums[k]), k
+    assert cache.layers == []
+
+
+# one direction's loop arrays of _direction_backward (d_tape, d_tape_wh,
+# d_z and d_pre_sums: 2h + a + 4h + a values per padded row) and one
+# cell.w-shaped product, in float64, with 15% slack for the small
+# per-step and per-sentence arrays
+BACKWARD_SLACK = 1.15
+
+
+@pytest.mark.parametrize("extra_layers", [0, 2])
+def test_backward_holds_one_directions_loop_arrays(extra_layers):
+    # measured above what the forward left allocated, so kept states
+    # released as backward goes count against its own arrays; whole-batch
+    # gate factors (1350 more values per padded row) exceed the bound
+    cfg = small_config(extra_layers=extra_layers, **PAPER_DIMS)
+    rng = np.random.default_rng(82)
+    params = init_params(cfg, rng)
+    lengths = [18, 16, 14, 12, 10, 8, 7, 6]
+    xs = [rng.normal(size=(n, cfg.input_dim)) for n in lengths]
+    d_emissions = [rng.normal(size=(n, 4)) for n in lengths]
+    h, a = cfg.hidden, cfg.attn_dim
+    loop_values = len(lengths) * max(lengths) * (6 * h + 2 * a)
+    # every layer's cell.w is 600 x 450 at paper dimensions
+    bound = BACKWARD_SLACK * 8 * (loop_values + params["enc0.fwd.cell.w"].size)
+    grads = {name: np.zeros_like(p) for name, p in params.items()}
+    tracemalloc.start()
+    try:
+        _, cache = forward(params, cfg, xs)
+        tracemalloc.reset_peak()
+        held = tracemalloc.get_traced_memory()[0]
+        backward(cache, d_emissions, grads)
+        peak = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound, (peak / 2 ** 20, bound / 2 ** 20)
 
 
 def test_backward_needs_one_gradient_per_sentence():

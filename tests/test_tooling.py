@@ -16,10 +16,11 @@ pass and decoding must not, and two processes at 1 and 2 threads check
 that.  A program that decoded leaves no decode worker running, when it
 exits or when it is killed.  scripts/codelines.py, which counts the
 package's code lines, runs once, scripts/pins.py must print the
-committed tests/pins.txt under the builds named in its first line, and
-scripts/pairs.py summarizes canned perfbench runs, runs both sides of
-a pair from one path, and takes its workloads and run length from
-BENCHMARK.json before it runs anything."""
+committed tests/pins.txt under the builds named in its first line,
+scripts/batchmem.py measures one small batch, and scripts/pairs.py
+summarizes canned perfbench runs, runs both sides of a pair from one
+path, and takes its workloads and run length from BENCHMARK.json
+before it runs anything."""
 
 import importlib.util
 import json
@@ -314,6 +315,16 @@ def test_pins_match_the_committed_pins():
         pytest.skip(f"pins were taken under {want[0]!r}, this run is "
                     f"under {got[0]!r}")
     assert got == want
+
+
+def test_batchmem_prints_its_three_figures():
+    # toy sizes: two sentences of 3 to 5 characters
+    done = subprocess.run(
+        [sys.executable, os.path.join(ROOT, "scripts", "batchmem.py"),
+         "--batch", "2", "--lengths", "3", "5"],
+        capture_output=True, text=True, check=True)
+    keys = [line.split()[0] for line in done.stdout.splitlines()]
+    assert keys == ["peak_growth_mb", "seconds", "grads_sha256"]
 
 
 def perfbench_result(failed=0, **values):
