@@ -448,7 +448,7 @@ def _direction_backward(state, d_rows, order, positions, grads):
         # an empty window leaves d_pre_sums[t] zero: both summaries are
         # constant zero vectors
         np.matmul(wp_t, d_pre_sums[:k, t, :, None], out=d_summary[:k, :, None])
-    # the products below never read it
+    # freed before the products below, which never read it
     del d_tape
     w_input = state.w[:, hidden:]
     g_wh, g_wx, g_wp, g_v_sum, g_w, g_b = grads
