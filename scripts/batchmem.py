@@ -13,6 +13,8 @@ zeroed in place.  The script prints
 
     peak_growth_mb   growth of the process's peak RSS (ru_maxrss / 1024)
                      over that one call
+    minor_faults     growth of the process's minor page faults
+                     (ru_minflt) over that one call
     seconds          the call's wall-clock time
     grads_sha256     sha256 of every gradient sum's bytes, in the
                      model's parameter order
@@ -58,7 +60,7 @@ def sentences(rng, count, low, high):
 
 
 def measure(args):
-    """Print the three figures of one batch, in this process."""
+    """Print the four figures of one batch, in this process."""
     import numpy as np
 
     from attnseg.model import Segmenter, TrainConfig
@@ -74,15 +76,16 @@ def measure(args):
     model.loss_and_grads(warm_up, config.dropout, rng, into=sums)
     for grad in sums.values():
         grad[...] = 0.0
-    before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    before = resource.getrusage(resource.RUSAGE_SELF)
     start = time.perf_counter()
     model.loss_and_grads(batch, config.dropout, rng, into=sums)
     seconds = time.perf_counter() - start
-    after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    after = resource.getrusage(resource.RUSAGE_SELF)
     digest = hashlib.sha256()
     for grad in sums.values():
         digest.update(grad.tobytes())
-    print(f"peak_growth_mb {(after - before) / 1024.0:.1f}")
+    print(f"peak_growth_mb {(after.ru_maxrss - before.ru_maxrss) / 1024.0:.1f}")
+    print(f"minor_faults {after.ru_minflt - before.ru_minflt}")
     print(f"seconds {seconds:.3f}")
     print(f"grads_sha256 {digest.hexdigest()}")
 

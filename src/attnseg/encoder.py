@@ -39,7 +39,7 @@ own, named by direction_names(layer, direction), in forward()), so
 attend(), tape_step and backward need only the state, and the batch's
 arrays by sentence and row: the tapes side by side as [h_t | c_t], Wh
 h_t, the gate input [h~_t | x_t] and, when kept for backward, the gate
-activations, tanh c_t and [h~_t | c~_t].  The ForwardCache of a kept
+activations and c~_t.  The ForwardCache of a kept
 forward holds the states and, likewise, the model's own out.wf and
 out.wb arrays, so backward() reads the cache alone and adds into the
 gradient dict its caller passes.  No step keeps its window: attend()
@@ -88,19 +88,23 @@ even steps and last to first on odd ones, so each step starts on the
 block the previous step ended on, still in L2.  In one fixed order a
 lone sentence read every block from L3 on every step and took about 6%
 longer than one product over all of W; alternating, it takes as long.
-Training keeps each step's gate rows for backward, and no window
-arrays: backward recomputes a step's window with attend(), one window
-add, one matrix-vector product per sentence, one tanh and one softmax,
-the attention half of the forward step.  So a kept forward holds O(n·(h
-+ a + d)) memory per sentence and direction, 2100 values per padded row
-at paper dimensions.  Backward runs one direction at a time and adds
-its four gradient arrays, 6h + 2a values per padded row (1200 at paper
-dimensions), one step's gate factors, formed from that step's kept
-rows, and one step's (k, w, a) window at a time.  It releases each
+Training keeps each step's gate rows and c~_t for backward, and no
+window arrays: backward recomputes a step's window with attend(), one
+window add, one matrix-vector product per sentence, one tanh and one
+softmax, the attention half of the forward step, and tanh c_t with one
+tanh of the tape row; h~_t is kept in the gate input.  So a kept
+forward holds O(n·(h + a + d)) memory per sentence and direction, 1800
+values per padded row at paper dimensions.  Backward runs one direction
+at a time and adds two gradient arrays, 2h + a values per padded row
+(450 at paper dimensions), one step's gate factors, formed from that
+step's kept rows, and one step's (k, w, a) window at a time; it writes
+its other two over kept rows it has read for the last time, d z over
+the gates and the window sums of d pre over Wx x_t.  It releases each
 direction's kept state once that direction is done, so the cache of a
 kept forward serves one backward call.  Decoding
 runs the same loop with keep_cache=False: it overwrites one scratch row
-of gates, tanh c_t and summaries per step, and releases each
+of gates per step, as training does of tanh c_t and the summaries, keeps
+no c~_t, and releases each
 direction's gate input and attention terms once its tape has been
 read, before the next direction runs, so it holds the same O(n·(h + a
 + d)) with one row in place of n.  The two directions of a layer share
@@ -229,18 +233,23 @@ class DirectionState:
         wx_x      (B, n, a)     Wx x_t, for every t before the first step
         gate_in   (B, n, h + d) [h~_t | x_t], the gate block's input; h~_t
                                 is also step t + 1's previous summary
-        summary   (B, r, 2h)    [h~_t | c~_t]
         gates     (B, r, 4h)    i, f, o and chat after their activations
-        tanh_c    (B, r, h)     tanh(c_t)
+        c_summary (B, n, h)     c~_t, or None when the steps are not kept
+        summary   (B, 1, 2h)    [h~_t | c~_t], one scratch row
+        tanh_c    (B, 1, h)     tanh(c_t), one scratch row
 
     r is n when keep_steps is set, the steps kept for backward, and 1
     otherwise: a pass without gradients overwrites one scratch row per
     step.  Kept arrays have zero padding rows.  No array holds a step's
     attention window: attend() recomputes it from tape_wh, wx_x and
-    gate_in.  Step t reads and writes the arrays' [:active[t]] slices,
-    batch axis included for one sentence too, attends to tape rows
-    window_starts[t] .. t-1, and sentence p's rows are their [p,
-    :lengths[p]] slices.
+    gate_in, and backward recomputes tanh(c_t) from the tape.  Step t
+    reads and writes the arrays' [:active[t]] slices, batch axis
+    included for one sentence too, attends to tape rows window_starts[t]
+    .. t-1, and sentence p's rows are their [p, :lengths[p]] slices.
+    Once backward has run on a kept state, its gates rows hold d z, the
+    gradient of the gate pre-activations, and its wx_x rows the
+    gradient of the attention pre-activations summed over each step's
+    window.
     """
 
     def __init__(self, weights, inputs, keep_steps, memory_span):
@@ -273,9 +282,10 @@ class DirectionState:
             self.window_starts = [max(0, t - memory_span) for t in range(n)]
         self.tape = alloc((batch, n, 2 * hidden))
         self.tape_wh = alloc((batch, n, attn_dim))
-        self.summary = alloc((batch, rows, 2 * hidden))
         self.gates = alloc((batch, rows, 4 * hidden))
-        self.tanh_c = alloc((batch, rows, hidden))
+        self.c_summary = alloc((batch, n, hidden)) if keep_steps else None
+        self.summary = np.empty((batch, 1, 2 * hidden))
+        self.tanh_c = np.empty((batch, 1, hidden))
 
 
 def attend(state, t):
@@ -307,8 +317,9 @@ def tape_step(state, t):
 
     Reads x_t and Wx x_t from row t of the state and the previous
     summary from gate_in row t-1 (with an empty window both summaries
-    are zero), and writes h_t, c_t and Wh h_t into row t, and the gate
-    rows into row t of kept arrays or the one scratch row.  Every array
+    are zero), and writes h_t, c_t, Wh h_t and h~_t into row t, the
+    gates into row t of kept gates or their one scratch row, and c~_t
+    into row t of c_summary when the steps are kept.  Every array
     keeps its batch axis, one sentence's too, and every k takes the
     same calls.  The gate sigmoid saturates through exp overflow, so
     the caller holds np.errstate(over="ignore") around its loop of
@@ -317,9 +328,10 @@ def tape_step(state, t):
     k = state.active[t]
     hidden = state.b.shape[0] // 4
     window_start = state.window_starts[t]
-    # kept arrays have a row per step, the others one scratch row
-    row = t if state.summary.shape[1] == state.tape.shape[1] else 0
-    summary = state.summary[:k, row]
+    kept = state.c_summary is not None
+    # kept gates have a row per step, the others one scratch row
+    row = t if kept else 0
+    summary = state.summary[:k, 0]
     if t > window_start:
         _, weights = attend(state, t)
         # [h~ | c~] as one sum of products over the window: einsum's C
@@ -332,6 +344,8 @@ def tape_step(state, t):
         summary[...] = 0.0
     gate_in = state.gate_in[:k, t]
     gate_in[:, :hidden] = summary[:, :hidden]
+    if kept:
+        state.c_summary[:k, t] = summary[:, hidden:]
     z = state.gates[:k, row]
     # W [h~ | x_t], one matrix-vector product per sentence like Wp p,
     # by row blocks of W that stay in L2 across the stack, last to first
@@ -349,7 +363,7 @@ def tape_step(state, t):
     c_t = np.multiply(z[:, hidden:2 * hidden], summary[:, hidden:],
                       out=state.tape[:k, t, hidden:])
     c_t += z[:, :hidden] * candidate
-    tanh_c = np.tanh(c_t, out=state.tanh_c[:k, row])
+    tanh_c = np.tanh(c_t, out=state.tanh_c[:k, 0])
     h_t = np.multiply(z[:, 2 * hidden:3 * hidden], tanh_c,
                       out=state.tape[:k, t, :hidden])
     np.matmul(h_t[:, None, :], state.wh.T, out=state.tape_wh[:k, t, None, :])
@@ -373,29 +387,34 @@ def _direction_backward(state, d_rows, order, positions, grads):
     d h_i, and after the loop g_wh = D^T H is one matrix product.
     Likewise the gate and attention input weights take their gradients
     from per-step rows stacked over the sentence.  Each step forms its
-    gate factors from the state's kept rows of that step alone, and the
-    loop's arrays are d_tape ([d h_t | d c_t]), d_tape_wh, d_z and
-    d_pre_sums, 1200 values per padded row at paper dimensions; d_tape
-    goes before the per-sentence products.  The caller drops the state
-    once this returns.
+    gate factors from the state's kept rows of that step alone, with
+    tanh c_t recomputed from the tape by the forward's own call on the
+    same rows, into the state's tanh_c scratch row.  The loop adds two
+    arrays, d_tape ([d h_t | d c_t]) and d_tape_wh, 450 values per
+    padded row at paper dimensions, and writes its other two over kept
+    rows it has read for the last time: d z[t] over gates row t, once
+    that row is copied into a one-row scratch that the step reads in its
+    place, and the window's summed d pre[t] over wx_x row t, once the
+    step's attend() has run.  So a spent state's gates and wx_x hold
+    gradients.  d_tape goes before the per-sentence products.  The
+    caller drops the state once this returns.
     """
     batch, n = state.tape.shape[:2]
     hidden = state.b.shape[0] // 4
     attn_dim = state.wh.shape[0]
     tape_h, tape_c = state.tape[:, :, :hidden], state.tape[:, :, hidden:]
-    gates = state.gates
-    gate_f = gates[:, :, hidden:2 * hidden]
-    gate_o = gates[:, :, 2 * hidden:3 * hidden]
-    candidate = gates[:, :, 3 * hidden:]
-    # the factors of d z[t] by gate: chat, c~, tanh c and i (below)
-    factors = (candidate, state.summary[:, :, hidden:], state.tanh_c,
-               gates[:, :, :hidden])
+    # d z over the gates and the window sums of d pre over Wx x_t, row t
+    # of each written once step t has read it (above)
+    d_z, d_pre_sums = state.gates, state.wx_x
+    # one step's gates, read in place of the row d z[t] overwrites
+    gate_row = np.empty((batch, 4 * hidden))
+    gate_f = gate_row[:, hidden:2 * hidden]
+    gate_o = gate_row[:, 2 * hidden:3 * hidden]
+    candidate = gate_row[:, 3 * hidden:]
     d_tape = np.zeros((batch, n, 2 * hidden))
     for p, d in zip(positions, d_rows):
         d_tape[p, :state.lengths[p], :hidden] = d[order]
     d_tape_wh = np.zeros((batch, n, attn_dim))
-    d_z = np.zeros((batch, n, 4 * hidden))
-    d_pre_sums = np.zeros((batch, n, attn_dim))
     g_v = np.zeros((batch, attn_dim))
     # stacks of vectors times these run one matrix-vector product per
     # sentence, the same one as a single sentence's W^T @ u
@@ -408,10 +427,13 @@ def _direction_backward(state, d_rows, order, positions, grads):
     d_summary = np.zeros((batch, hidden))
     for t in range(n - 1, -1, -1):
         k = state.active[t]
+        gates = gate_row[:k]
+        gates[...] = state.gates[:k, t]
+        # the forward's tanh call on the same rows, so the same bits
+        tanh_c = np.tanh(tape_c[:k, t], out=state.tanh_c[:k, 0])
         dh = np.matmul(wh_t, d_tape_wh[:k, t, :, None])[:, :, 0]
         dh += d_tape[:k, t, :hidden]
-        dc = d_tape[:k, t, hidden:] + dh * gate_o[:k, t] * (
-            1.0 - state.tanh_c[:k, t] ** 2)
+        dc = d_tape[:k, t, hidden:] + dh * gate_o[:k] * (1.0 - tanh_c ** 2)
         # d z[t] = ((e * M[t]) * G[t]) * K[t], formed from step t's kept
         # rows, with e = [dc, dc, dh, dc], M[t] the factors and G[t] the
         # (i, f, o) gates: per gate, d i = ((dc * chat) * i) * (1 - i), d
@@ -423,14 +445,15 @@ def _direction_backward(state, d_rows, order, positions, grads):
         e[:, :2] = dc[:, None]
         e[:, 2] = dh
         e[:, 3] = dc
-        for g, factor in enumerate(factors):
-            e[:, g] *= factor[:k, t]
-        dz[:, :3 * hidden] *= gates[:k, t, :3 * hidden]
-        dz[:, :3 * hidden] *= 1.0 - gates[:k, t, :3 * hidden]
-        dz[:, 3 * hidden:] *= 1.0 - candidate[:k, t] ** 2
+        for g, factor in enumerate((candidate[:k], state.c_summary[:k, t],
+                                    tanh_c, gates[:, :hidden])):
+            e[:, g] *= factor
+        dz[:, :3 * hidden] *= gates[:, :3 * hidden]
+        dz[:, :3 * hidden] *= 1.0 - gates[:, :3 * hidden]
+        dz[:, 3 * hidden:] *= 1.0 - candidate[:k] ** 2
         np.matmul(w_summary_t, dz[:, :, None], out=d_h_summary[:k, :, None])
         d_h_summary[:k] += d_summary[:k]
-        np.multiply(dc, gate_f[:k, t], out=d_c_summary[:k])
+        np.multiply(dc, gate_f[:k], out=d_c_summary[:k])
         if t > state.window_starts[t]:
             # the step's window again, bit-equal to the forward's
             pre_tanh, weights = attend(state, t)
@@ -445,8 +468,10 @@ def _direction_backward(state, d_rows, order, positions, grads):
             d_pre = (d_scores[:, :, None] * state.v) * (1.0 - pre_tanh ** 2)
             d_tape_wh[:k, window] += d_pre
             d_pre.sum(axis=1, out=d_pre_sums[:k, t])
-        # an empty window leaves d_pre_sums[t] zero: both summaries are
-        # constant zero vectors
+        else:
+            # an empty window (t = 0): both summaries are constant zero
+            # vectors
+            d_pre_sums[:k, t] = 0.0
         np.matmul(wp_t, d_pre_sums[:k, t, :, None], out=d_summary[:k, :, None])
     # freed before the products below, which never read it
     del d_tape
@@ -493,7 +518,8 @@ class ForwardCache:
     A cache serves one backward() call, which takes each layer's pair
     out of `layers` as it reaches it and releases each state when its
     direction is done; read attention weights or any other kept row from
-    the states before calling backward().
+    the states before calling backward(), since a state held past it
+    has gradients in its gates and wx_x rows.
     """
 
     inputs: list

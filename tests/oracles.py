@@ -273,13 +273,13 @@ def direction_weights(params, prefix):
 
 def sentence_rows(state, p, windows=False):
     """The rows of the sentence at position p of an encoder.DirectionState
-    whose steps were kept, as views without the batch axis: every array's
-    rows, the tape also split into tape_h and tape_c, and each step's
-    window start.  With `windows`, also the window arrays of each step,
+    whose steps were kept, as views without the batch axis: every kept
+    array's rows, the tape also split into tape_h and tape_c, tanh_c
+    recomputed from tape_c, and each step's window start.  With `windows`, also the window arrays of each step,
     weights[t] (w,) and pre_tanh[t] (w, a), formed by encoder.attend
     from the state alone, as forward and backward form them."""
     m = state.lengths[p]
-    hidden = state.tanh_c.shape[-1]
+    hidden = state.b.shape[0] // 4
     weights = pre_tanh = None
     if windows:
         weights, pre_tanh = [np.zeros(0)] * m, [np.zeros((0, state.v.shape[0]))] * m
@@ -294,9 +294,10 @@ def sentence_rows(state, p, windows=False):
         tape_wh=state.tape_wh[p, :m],
         wx_x=state.wx_x[p, :m],
         gate_in=state.gate_in[p, :m],
-        summary=state.summary[p, :m],
+        c_summary=state.c_summary[p, :m],
         gates=state.gates[p, :m],
-        tanh_c=state.tanh_c[p, :m],
+        # recomputed from the tape, as encoder backward does
+        tanh_c=np.tanh(state.tape[p, :m, hidden:]),
         window_starts=state.window_starts[:m],
         weights=weights,
         pre_tanh=pre_tanh,
@@ -333,7 +334,7 @@ def _step_fields(state, t):
         pre_tanh=state.pre_tanh[t],
         prev_summary=state.gate_in[t - 1, :hidden] if t else np.zeros(hidden),
         h_summary=state.gate_in[t, :hidden],
-        c_summary=state.summary[t, hidden:],
+        c_summary=state.c_summary[t],
         gate_i=gates[:hidden],
         gate_f=gates[hidden:2 * hidden],
         gate_o=gates[2 * hidden:3 * hidden],

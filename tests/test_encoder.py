@@ -88,7 +88,7 @@ def step_after(x, hs, cs, summary, weights):
     step = SimpleNamespace(
         weights=rows.weights[t],
         h_summary=rows.gate_in[t, :hidden],
-        c_summary=rows.summary[t, hidden:],
+        c_summary=rows.c_summary[t],
     )
     return rows.tape[t, :hidden], rows.tape[t, hidden:], step
 
@@ -861,20 +861,20 @@ def test_second_backward_on_one_cache_raises():
 def test_backward_holds_one_directions_loop_arrays(extra_layers):
     # measured above what the forward left allocated, so kept states
     # released as backward goes count against its own arrays; whole-batch
-    # gate factors (1350 more values per padded row) exceed the bound
+    # gate factors (1350 more values per padded row), or d z and the
+    # d pre sums in arrays of their own (750 more), exceed the bound
     cfg = small_config(extra_layers=extra_layers, **PAPER_DIMS)
     rng = np.random.default_rng(82)
     params = init_params(cfg, rng)
     lengths = [18, 16, 14, 12, 10, 8, 7, 6]
     xs = [rng.normal(size=(n, cfg.input_dim)) for n in lengths]
     d_emissions = [rng.normal(size=(n, 4)) for n in lengths]
-    # one direction's loop arrays of _direction_backward (d_tape,
-    # d_tape_wh, d_z and d_pre_sums: 2h + a + 4h + a values per padded
-    # row) and one cell.w-shaped product (600 x 450 in every layer), in
-    # float64, with 15% slack for the small per-step and per-sentence
-    # arrays: about 3.9 MiB
+    # one direction's loop arrays of _direction_backward (d_tape and
+    # d_tape_wh: 2h + a values per padded row) and one cell.w-shaped
+    # product (600 x 450 in every layer), in float64, with 15% slack for
+    # the small per-step and per-sentence arrays: about 2.9 MiB
     h, a = cfg.hidden, cfg.attn_dim
-    loop_values = len(lengths) * max(lengths) * (6 * h + 2 * a)
+    loop_values = len(lengths) * max(lengths) * (2 * h + a)
     bound = 1.15 * 8 * (loop_values + params["enc0.fwd.cell.w"].size)
     grads = {name: np.zeros_like(p) for name, p in params.items()}
     tracemalloc.start()
@@ -906,22 +906,27 @@ def test_batch_state_rejects_unsorted_lengths():
 
 def test_kept_state_pads_with_zero_rows_and_decode_keeps_one():
     # backward reads a kept state's arrays whole, so every row of the
-    # short sentence past its length stays exactly zero; a run without
-    # keeping overwrites one scratch row of summary, gates and tanh_c
+    # short sentence past its length stays exactly zero; summary and
+    # tanh_c are one scratch row in both modes, a run without keeping
+    # overwrites one scratch row of gates too and keeps no c_summary
     rng = np.random.default_rng(74)
     weights = random_direction_params(rng)
     inputs = [rng.normal(size=(n, DIM)) for n in (5, 2)]
     kept = encoder._run_direction(weights, inputs, True, None)
-    arrays = ("tape", "tape_wh", "wx_x", "gate_in", "summary", "gates", "tanh_c")
+    arrays = ("tape", "tape_wh", "wx_x", "gate_in", "gates", "c_summary")
     for name in arrays:
         array = getattr(kept, name)
         assert array.shape[:2] == (2, 5), name
         assert np.any(array[0] != 0.0), name
         assert np.all(array[1, 2:] == 0.0), name
     scratch = encoder._run_direction(weights, inputs, False, None)
-    for name in arrays:
-        rows = 1 if name in ("summary", "gates", "tanh_c") else 5
+    assert scratch.c_summary is None
+    for name in arrays[:-1]:
+        rows = 1 if name == "gates" else 5
         assert getattr(scratch, name).shape[:2] == (2, rows), name
+    for state in (kept, scratch):
+        for name in ("summary", "tanh_c"):
+            assert getattr(state, name).shape[:2] == (2, 1), name
 
 
 def test_direction_state_holds_its_weights():

@@ -7,12 +7,14 @@ workload also runs once at toy sizes (perfbench/run.py), so a change to
 a library call the benchmark makes fails here too.
 
 The attention summaries rely on numpy's einsum adding products in order,
-and the gate product of every step, one sentence's too, on OpenBLAS
-forming each row of a row block, in either block order, as it forms it
-in the whole product; a numpy or BLAS release that changes either fails
-here, by name, before the tape bit-equality tests fail without saying
-why.  Training's bytes depend on the BLAS thread count, but the forward
-pass and decoding must not, and two processes at 1 and 2 threads check
+backward's recomputed tanh c_t on numpy's tanh giving the same bits
+into a scratch row as into a fresh array, and the gate product of every
+step, one sentence's too, on OpenBLAS forming each row of a row block,
+in either block order, as it forms it in the whole product; a numpy or
+BLAS release that changes any of these fails here, by name, before the
+tape bit-equality tests fail without saying why.  Training's bytes
+depend on the BLAS thread count, but the forward pass and decoding must
+not, and two processes at 1 and 2 threads check
 that.  A program that decoded leaves no decode worker running, when it
 exits or when it is killed.  scripts/codelines.py, which counts the
 package's code lines, runs once, scripts/pins.py must print the
@@ -113,6 +115,28 @@ def test_einsum_sums_window_rows_in_tape_order(k):
             "would break the bit-equality pin of the tapes to "
             "tests/oracles.py::lstmn_unrolled"
         )
+
+
+@pytest.mark.parametrize("hidden", [5, 150])
+def test_tanh_of_a_tape_slice_ignores_its_output_layout(hidden):
+    # the layout of encoder.tape_step and _direction_backward: tanh c_t
+    # of k sentences, a strided (k, h) slice of a (k, n, 2h) tape, into a
+    # one-row scratch in the forward step and recomputed by backward; a
+    # fresh array must get the same bits, for toy and paper hidden sizes
+    rng = np.random.default_rng(95 + hidden)
+    n = 12
+    for k in range(1, 9):
+        tape = rng.normal(scale=2.0, size=(k, n, 2 * hidden))
+        scratch = np.empty((k, 1, hidden))
+        for t in range(n):
+            rows = tape[:k, t, hidden:]
+            out = np.tanh(rows, out=scratch[:k, 0])
+            assert np.array_equal(out, np.tanh(rows)), (
+                f"numpy {np.__version__}: tanh of a (k, h) tape slice "
+                f"depends on its output's layout (k={k}, h={hidden}); "
+                "encoder._direction_backward's recomputed tanh c_t would "
+                "break the bit-equality of training to its parent"
+            )
 
 
 @pytest.mark.parametrize("shape", [(600, 450), (600, 550), (20, 25)])
@@ -317,14 +341,14 @@ def test_pins_match_the_committed_pins():
     assert got == want
 
 
-def test_batchmem_prints_its_three_figures():
+def test_batchmem_prints_its_four_figures():
     # toy sizes: two sentences of 3 to 5 characters
     done = subprocess.run(
         [sys.executable, os.path.join(ROOT, "scripts", "batchmem.py"),
          "--batch", "2", "--lengths", "3", "5"],
         capture_output=True, text=True, check=True)
     keys = [line.split()[0] for line in done.stdout.splitlines()]
-    assert keys == ["peak_growth_mb", "seconds", "grads_sha256"]
+    assert keys == ["peak_growth_mb", "minor_faults", "seconds", "grads_sha256"]
 
 
 def perfbench_result(failed=0, **values):
