@@ -39,10 +39,10 @@ own, named by direction_names(layer, direction), in forward()), so
 attend(), tape_step and backward need only the state, and the batch's
 arrays by sentence and row: the tapes side by side as [h_t | c_t], Wh
 h_t, the gate input [h~_t | x_t] and, when kept for backward, the gate
-activations and c~_t.  The ForwardCache of a kept
-forward holds the states and, likewise, the model's own out.wf and
-out.wb arrays, so backward() reads the cache alone and adds into the
-gradient dict its caller passes.  No step keeps its window: attend()
+activations and c~_t.  The ForwardCache of a kept forward holds the
+states and, likewise, the model's own out.wf and out.wb arrays, so
+backward() reads the cache alone and adds into the gradient dict its
+caller passes.  No step keeps its window: attend()
 forms a step's tanh activations (k, w, a) and attention weights (k, w)
 from Wh h_i, Wx x_t and the previous summary, and backward calls it
 again on the same slices, with the same numpy calls on the same
@@ -101,13 +101,12 @@ step's kept rows, and one step's (k, w, a) window at a time; it writes
 its other two over kept rows it has read for the last time, d z over
 the gates and the window sums of d pre over Wx x_t.  It releases each
 direction's kept state once that direction is done, so the cache of a
-kept forward serves one backward call.  Decoding
-runs the same loop with keep_cache=False: it overwrites one scratch row
-of gates per step, as training does of tanh c_t and the summaries, keeps
-no c~_t, and releases each
-direction's gate input and attention terms once its tape has been
-read, before the next direction runs, so it holds the same O(n·(h + a
-+ d)) with one row in place of n.  The two directions of a layer share
+kept forward serves one backward call.  Decoding runs the same loop
+with keep_cache=False: it overwrites one scratch row of gates per step,
+as both modes do of tanh c_t and the summaries, keeps no c~_t, and
+releases each direction's gate input and attention terms once its tape
+has been read, before the next direction runs, so it holds the same
+O(n·(h + a + d)) with one row in place of n.  The two directions of a layer share
 nothing until the layer above reads them, so a pass without a cache
 hands each layer's two (weights, inputs) pairs to worker.run_both,
 which runs the forward one in this process and offers the backward one
@@ -233,10 +232,10 @@ class DirectionState:
         wx_x      (B, n, a)     Wx x_t, for every t before the first step
         gate_in   (B, n, h + d) [h~_t | x_t], the gate block's input; h~_t
                                 is also step t + 1's previous summary
-        gates     (B, r, 4h)    i, f, o and chat after their activations
-        c_summary (B, n, h)     c~_t, or None when the steps are not kept
         summary   (B, 1, 2h)    [h~_t | c~_t], one scratch row
+        gates     (B, r, 4h)    i, f, o and chat after their activations
         tanh_c    (B, 1, h)     tanh(c_t), one scratch row
+        c_summary (B, n, h)     c~_t, or None when the steps are not kept
 
     r is n when keep_steps is set, the steps kept for backward, and 1
     otherwise: a pass without gradients overwrites one scratch row per
@@ -282,10 +281,10 @@ class DirectionState:
             self.window_starts = [max(0, t - memory_span) for t in range(n)]
         self.tape = alloc((batch, n, 2 * hidden))
         self.tape_wh = alloc((batch, n, attn_dim))
-        self.gates = alloc((batch, rows, 4 * hidden))
-        self.c_summary = alloc((batch, n, hidden)) if keep_steps else None
         self.summary = np.empty((batch, 1, 2 * hidden))
+        self.gates = alloc((batch, rows, 4 * hidden))
         self.tanh_c = np.empty((batch, 1, hidden))
+        self.c_summary = alloc((batch, n, hidden)) if keep_steps else None
 
 
 def attend(state, t):

@@ -19,10 +19,11 @@ that.  A program that decoded leaves no decode worker running, when it
 exits or when it is killed.  scripts/codelines.py, which counts the
 package's code lines, runs once, scripts/pins.py must print the
 committed tests/pins.txt under the builds named in its first line,
-scripts/batchmem.py measures one small batch, and scripts/pairs.py
-summarizes canned perfbench runs, runs both sides of a pair from one
-path, and takes its workloads and run length from BENCHMARK.json
-before it runs anything."""
+scripts/batchmem.py measures one small batch, scripts/benchtable.py
+tabulates the committed BENCH files, and scripts/pairs.py summarizes
+canned perfbench runs, runs both sides of a pair from one path, and
+takes its workloads and run length from BENCHMARK.json before it runs
+anything."""
 
 import importlib.util
 import json
@@ -349,6 +350,26 @@ def test_batchmem_prints_its_four_figures():
         capture_output=True, text=True, check=True)
     keys = [line.split()[0] for line in done.stdout.splitlines()]
     assert keys == ["peak_growth_mb", "minor_faults", "seconds", "grads_sha256"]
+
+
+def test_benchtable_prints_one_table_per_workload_and_metric():
+    # on the committed BENCH files: one table per workload and end-to-end
+    # metric of BENCHMARK.json, one row per file, the baseline first
+    with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
+        benchmark = json.load(fh)
+    labels = sorted(name[len("BENCH_"):-len(".json")] for name in os.listdir(ROOT)
+                    if name.startswith("BENCH_") and name.endswith(".json"))
+    done = subprocess.run(
+        [sys.executable, os.path.join(ROOT, "scripts", "benchtable.py")],
+        capture_output=True, text=True, check=True)
+    tables = done.stdout.split("\n\n")
+    titles = [table.split(" (")[0] for table in tables[::2]]
+    assert titles == [f"{w['name']} {m['name']}" for w in benchmark["workloads"]
+                      for m in benchmark["end_to_end"]]
+    for rows in tables[1::2]:
+        rows = [row.split(" | ")[0].lstrip("| ") for row in rows.splitlines()[2:]]
+        assert rows[0] == "baseline"
+        assert sorted(rows) == labels
 
 
 def perfbench_result(failed=0, **values):
