@@ -275,9 +275,10 @@ def sentence_rows(state, p, windows=False):
     """The rows of the sentence at position p of an encoder.DirectionState
     whose steps were kept, as views without the batch axis: every kept
     array's rows, the tape also split into tape_h and tape_c, tanh_c
-    recomputed from tape_c, and each step's window start.  With `windows`, also the window arrays of each step,
-    weights[t] (w,) and pre_tanh[t] (w, a), formed by encoder.attend
-    from the state alone, as forward and backward form them."""
+    recomputed from tape_c, and each step's window start.  With
+    `windows`, also the window arrays of each step, weights[t] (w,) and
+    pre_tanh[t] (w, a), formed by encoder.attend from the state alone,
+    as forward and backward form them."""
     m = state.lengths[p]
     hidden = state.b.shape[0] // 4
     weights = pre_tanh = None

@@ -14,16 +14,15 @@ in either block order, as it forms it in the whole product; a numpy or
 BLAS release that changes any of these fails here, by name, before the
 tape bit-equality tests fail without saying why.  Training's bytes
 depend on the BLAS thread count, but the forward pass and decoding must
-not, and two processes at 1 and 2 threads check
-that.  A program that decoded leaves no decode worker running, when it
-exits or when it is killed.  scripts/codelines.py, which counts the
-package's code lines, runs once, scripts/pins.py must print the
-committed tests/pins.txt under the builds named in its first line,
-scripts/batchmem.py measures one small batch, scripts/benchtable.py
-tabulates the committed BENCH files, and scripts/pairs.py summarizes
-canned perfbench runs, runs both sides of a pair from one path, and
-takes its workloads and run length from BENCHMARK.json before it runs
-anything."""
+not, and two processes at 1 and 2 threads check that.  A program that
+decoded leaves no decode worker running, when it exits or when it is
+killed.  scripts/codelines.py, which counts the package's code lines,
+runs once, scripts/pins.py must print the committed tests/pins.txt
+under the builds named in its first line, scripts/batchmem.py measures
+one small batch, scripts/benchtable.py tabulates the committed BENCH
+files, and scripts/pairs.py summarizes canned perfbench runs, runs both
+sides of a pair from one path, and takes its workloads and run length
+from BENCHMARK.json before it runs anything."""
 
 import importlib.util
 import json
@@ -135,8 +134,8 @@ def test_tanh_of_a_tape_slice_ignores_its_output_layout(hidden):
             assert np.array_equal(out, np.tanh(rows)), (
                 f"numpy {np.__version__}: tanh of a (k, h) tape slice "
                 f"depends on its output's layout (k={k}, h={hidden}); "
-                "encoder._direction_backward's recomputed tanh c_t would "
-                "break the bit-equality of training to its parent"
+                "encoder._direction_backward's recomputed tanh c_t may "
+                "then differ from the forward's, and training's bytes with it"
             )
 
 
