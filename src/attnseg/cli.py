@@ -7,6 +7,7 @@ subcommand is deterministic given identical arguments and inputs.
 """
 
 import argparse
+import contextlib
 import sys
 from dataclasses import fields
 
@@ -120,16 +121,12 @@ def _run_train(args):
 
 def _run_segment(args):
     model = load_model(args.model)
+    # read whole before the output opens, so --output may name the input
     lines = read_lines(args.input)
-    out = sys.stdout if args.output is None else open(
-        args.output, "w", encoding="utf-8"
-    )
-    try:
+    with (contextlib.nullcontext(sys.stdout) if args.output is None
+          else open(args.output, "w", encoding="utf-8")) as out:
         for line in lines:
             out.write(" ".join(model.segment(line)) + "\n")
-    finally:
-        if out is not sys.stdout:
-            out.close()
     return 0
 
 

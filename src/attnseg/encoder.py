@@ -38,8 +38,10 @@ weights, the arrays it was made with in WEIGHTS order (the model's
 own, named by direction_names(layer, direction), in forward()), so
 attend(), tape_step and backward need only the state, and the batch's
 arrays by sentence and row: the tapes side by side as [h_t | c_t], Wh
-h_t, the gate input [h~_t | x_t] and, when kept for backward, the gate
-activations and c~_t.  The ForwardCache of a kept forward holds the
+h_t, Wx x_t, the gate input [h~_t | x_t] and, when kept for backward,
+the gate activations and c~_t.  It holds only rows that outlive a
+step: the summaries, tanh c_t and a decode step's gates are arrays the
+step makes for itself.  The ForwardCache of a kept forward holds the
 states and, likewise, the model's own out.wf and out.wb arrays, so
 backward() reads the cache alone and adds into the gradient dict its
 caller passes.  No step keeps its window: attend()
@@ -102,21 +104,20 @@ its other two over kept rows it has read for the last time, d z over
 the gates and the window sums of d pre over Wx x_t.  It releases each
 direction's kept state once that direction is done, so the cache of a
 kept forward serves one backward call.  Decoding runs the same loop
-with keep_cache=False: it overwrites one scratch row of gates per step,
-as both modes do of tanh c_t and the summaries, keeps no c~_t, and
-releases each direction's gate input and attention terms once its tape
-has been read, before the next direction runs, so it holds the same
-O(n·(h + a + d)) with one row in place of n.  The two directions of a layer share
-nothing until the layer above reads them, so a pass without a cache
-hands each layer's two (weights, inputs) pairs to worker.run_both,
-which runs the forward one in this process and offers the backward one
-to this process's decode worker, a forked child that runs it
-meanwhile.  worker.py decides when the worker takes one (its
-Dispatch), and has the process, the one socket pair that carries its
-requests and replies, and the shared region it reads the weights
-from.  Every parameter dict the program makes keeps its encoder
-weights in that region, so a request carries six offsets and no
-weight; a direction whose weights lie elsewhere runs in this process.
+with keep_cache=False: it keeps no gates and no c~_t, and releases
+each direction's gate input and attention terms once its tape has been
+read, before the next direction runs, so it holds O(n·(h + a + d)) as
+well, 3h + 2a + d values per padded row (1050 at paper dimensions),
+plus one step's arrays.  The two directions of a layer share nothing
+until the layer above reads them, so a pass without a cache hands each
+layer's two (weights, inputs) pairs to worker.run_both, which runs the
+forward one in this process and offers the backward one to this
+process's decode worker, a forked child that runs it meanwhile.
+worker.py decides when the worker takes one (its Dispatch), and has
+the process, the one socket pair that carries its requests and
+replies, and the shared region it reads the weights from.  Every
+parameter dict the program makes keeps its encoder weights in that
+region, so a request carries six offsets and no weight; a direction whose weights lie elsewhere runs in this process.
 Training's kept forward never uses the worker, since backward reads
 both directions' states.
 """
@@ -232,16 +233,15 @@ class DirectionState:
         wx_x      (B, n, a)     Wx x_t, for every t before the first step
         gate_in   (B, n, h + d) [h~_t | x_t], the gate block's input; h~_t
                                 is also step t + 1's previous summary
-        summary   (B, 1, 2h)    [h~_t | c~_t], one scratch row
-        gates     (B, r, 4h)    i, f, o and chat after their activations
-        tanh_c    (B, 1, h)     tanh(c_t), one scratch row
-        c_summary (B, n, h)     c~_t, or None when the steps are not kept
+        gates     (B, n, 4h)    i, f, o and chat after their activations
+        c_summary (B, n, h)     c~_t
 
-    r is n when keep_steps is set, the steps kept for backward, and 1
-    otherwise: a pass without gradients overwrites one scratch row per
-    step.  Kept arrays have zero padding rows.  No array holds a step's
-    attention window: attend() recomputes it from tape_wh, wx_x and
-    gate_in, and backward recomputes tanh(c_t) from the tape.  Step t
+    gates and c_summary hold the steps kept for backward, and are None
+    unless keep_steps is set: the state of a pass without gradients is
+    its tapes and inputs alone.  Kept arrays have zero padding rows.  No
+    array holds a value that lives for one step: attend() recomputes a
+    step's attention window from tape_wh, wx_x and gate_in, and
+    backward recomputes tanh(c_t) from the tape.  Step t
     reads and writes the arrays' [:active[t]] slices, batch axis
     included for one sentence too, attends to tape rows window_starts[t]
     .. t-1, and sentence p's rows are their [p, :lengths[p]] slices.
@@ -260,8 +260,8 @@ class DirectionState:
         n, d = inputs[0].shape
         hidden = self.b.shape[0] // 4
         attn_dim = self.wh.shape[0]
-        rows = n if keep_steps else 1
-        # backward reads the kept arrays whole, padding included
+        # no step and no backward reads a padding row; a kept state, which
+        # callers read too, zeroes them rather than hold stale memory
         alloc = np.zeros if keep_steps else np.empty
         self.gate_in = alloc((batch, n, hidden + d))
         self.wx_x = alloc((batch, n, attn_dim))
@@ -281,10 +281,10 @@ class DirectionState:
             self.window_starts = [max(0, t - memory_span) for t in range(n)]
         self.tape = alloc((batch, n, 2 * hidden))
         self.tape_wh = alloc((batch, n, attn_dim))
-        self.summary = np.empty((batch, 1, 2 * hidden))
-        self.gates = alloc((batch, rows, 4 * hidden))
-        self.tanh_c = np.empty((batch, 1, hidden))
-        self.c_summary = alloc((batch, n, hidden)) if keep_steps else None
+        self.gates = self.c_summary = None
+        if keep_steps:
+            self.gates = np.zeros((batch, n, 4 * hidden))
+            self.c_summary = np.zeros((batch, n, hidden))
 
 
 def attend(state, t):
@@ -316,36 +316,34 @@ def tape_step(state, t):
 
     Reads x_t and Wx x_t from row t of the state and the previous
     summary from gate_in row t-1 (with an empty window both summaries
-    are zero), and writes h_t, c_t, Wh h_t and h~_t into row t, the
-    gates into row t of kept gates or their one scratch row, and c~_t
-    into row t of c_summary when the steps are kept.  Every array
-    keeps its batch axis, one sentence's too, and every k takes the
-    same calls.  The gate sigmoid saturates through exp overflow, so
-    the caller holds np.errstate(over="ignore") around its loop of
-    steps.
+    are zero), and writes h_t, c_t, Wh h_t and h~_t into row t, and,
+    when the steps are kept, the gates and c~_t into row t of gates and
+    c_summary.  The summaries, tanh c_t and a decode step's gates are
+    arrays of the step's own.  Every array keeps its batch axis, one
+    sentence's too, and every k takes the same calls.  The gate
+    sigmoid saturates through exp overflow, so the caller holds
+    np.errstate(over="ignore") around its loop of steps.
     """
     k = state.active[t]
     hidden = state.b.shape[0] // 4
     window_start = state.window_starts[t]
-    kept = state.c_summary is not None
-    # kept gates have a row per step, the others one scratch row
-    row = t if kept else 0
-    summary = state.summary[:k, 0]
     if t > window_start:
         _, weights = attend(state, t)
         # [h~ | c~] as one sum of products over the window: einsum's C
         # loop (optimize=False, no BLAS) adds s_i * [h_i | c_i] into the
         # row in tape order, multiply then add, like the oracle's
         # h_sum += s_i * h_i, and forms no (w, 2h) product array
-        np.einsum("...i,...ij->...j", weights, state.tape[:k, window_start:t],
-                  out=summary)
+        summary = np.einsum("...i,...ij->...j", weights,
+                            state.tape[:k, window_start:t])
     else:
-        summary[...] = 0.0
+        summary = np.zeros((k, 2 * hidden))
     gate_in = state.gate_in[:k, t]
     gate_in[:, :hidden] = summary[:, :hidden]
-    if kept:
+    if state.gates is not None:
         state.c_summary[:k, t] = summary[:, hidden:]
-    z = state.gates[:k, row]
+        z = state.gates[:k, t]
+    else:
+        z = np.empty((k, 4 * hidden))
     # W [h~ | x_t], one matrix-vector product per sentence like Wp p,
     # by row blocks of W that stay in L2 across the stack, last to first
     # on odd steps so that each step starts on the block the previous
@@ -362,8 +360,7 @@ def tape_step(state, t):
     c_t = np.multiply(z[:, hidden:2 * hidden], summary[:, hidden:],
                       out=state.tape[:k, t, hidden:])
     c_t += z[:, :hidden] * candidate
-    tanh_c = np.tanh(c_t, out=state.tanh_c[:k, 0])
-    h_t = np.multiply(z[:, 2 * hidden:3 * hidden], tanh_c,
+    h_t = np.multiply(z[:, 2 * hidden:3 * hidden], np.tanh(c_t),
                       out=state.tape[:k, t, :hidden])
     np.matmul(h_t[:, None, :], state.wh.T, out=state.tape_wh[:k, t, None, :])
 
@@ -388,13 +385,13 @@ def _direction_backward(state, d_rows, order, positions, grads):
     from per-step rows stacked over the sentence.  Each step forms its
     gate factors from the state's kept rows of that step alone, with
     tanh c_t recomputed from the tape by the forward's own call on the
-    same rows, into the state's tanh_c scratch row.  The loop adds two
-    arrays, d_tape ([d h_t | d c_t]) and d_tape_wh, 450 values per
-    padded row at paper dimensions, and writes its other two over kept
-    rows it has read for the last time: d z[t] over gates row t, once
-    that row is copied into a one-row scratch that the step reads in its
-    place, and the window's summed d pre[t] over wx_x row t, once the
-    step's attend() has run.  So a spent state's gates and wx_x hold
+    same rows; these and [d h~ | d c~] are arrays of the step's own.
+    The loop adds two arrays, d_tape ([d h_t | d c_t]) and d_tape_wh,
+    450 values per padded row at paper dimensions, and writes its other
+    two over kept rows it has read for the last time: d z[t] over gates
+    row t, once the step has copied that row to read in its place, and
+    the window's summed d pre[t] over wx_x row t, once the step's
+    attend() has run.  So a spent state's gates and wx_x hold
     gradients.  d_tape goes before the per-sentence products.  The
     caller drops the state once this returns.
     """
@@ -405,11 +402,6 @@ def _direction_backward(state, d_rows, order, positions, grads):
     # d z over the gates and the window sums of d pre over Wx x_t, row t
     # of each written once step t has read it (above)
     d_z, d_pre_sums = state.gates, state.wx_x
-    # one step's gates, read in place of the row d z[t] overwrites
-    gate_row = np.empty((batch, 4 * hidden))
-    gate_f = gate_row[:, hidden:2 * hidden]
-    gate_o = gate_row[:, 2 * hidden:3 * hidden]
-    candidate = gate_row[:, 3 * hidden:]
     d_tape = np.zeros((batch, n, 2 * hidden))
     for p, d in zip(positions, d_rows):
         d_tape[p, :state.lengths[p], :hidden] = d[order]
@@ -418,21 +410,18 @@ def _direction_backward(state, d_rows, order, positions, grads):
     # stacks of vectors times these run one matrix-vector product per
     # sentence, the same one as a single sentence's W^T @ u
     wh_t, wp_t, w_summary_t = state.wh.T, state.wp.T, state.w[:, :hidden].T
-    # [d h~ | d c~] of the current step
-    d_summaries = np.empty((batch, 2 * hidden))
-    d_h_summary = d_summaries[:, :hidden]
-    d_c_summary = d_summaries[:, hidden:]
     # d loss / d h_summary[t] through step t + 1's Wp p term
     d_summary = np.zeros((batch, hidden))
     for t in range(n - 1, -1, -1):
         k = state.active[t]
-        gates = gate_row[:k]
-        gates[...] = state.gates[:k, t]
+        # step t's gates, copied before d z[t] overwrites their row
+        gates = state.gates[:k, t].copy()
+        gate_i, gate_f, gate_o, candidate = np.split(gates, 4, axis=1)
         # the forward's tanh call on the same rows, so the same bits
-        tanh_c = np.tanh(tape_c[:k, t], out=state.tanh_c[:k, 0])
+        tanh_c = np.tanh(tape_c[:k, t])
         dh = np.matmul(wh_t, d_tape_wh[:k, t, :, None])[:, :, 0]
         dh += d_tape[:k, t, :hidden]
-        dc = d_tape[:k, t, hidden:] + dh * gate_o[:k] * (1.0 - tanh_c ** 2)
+        dc = d_tape[:k, t, hidden:] + dh * gate_o * (1.0 - tanh_c ** 2)
         # d z[t] = ((e * M[t]) * G[t]) * K[t], formed from step t's kept
         # rows, with e = [dc, dc, dh, dc], M[t] the factors and G[t] the
         # (i, f, o) gates: per gate, d i = ((dc * chat) * i) * (1 - i), d
@@ -444,24 +433,27 @@ def _direction_backward(state, d_rows, order, positions, grads):
         e[:, :2] = dc[:, None]
         e[:, 2] = dh
         e[:, 3] = dc
-        for g, factor in enumerate((candidate[:k], state.c_summary[:k, t],
-                                    tanh_c, gates[:, :hidden])):
+        for g, factor in enumerate((candidate, state.c_summary[:k, t],
+                                    tanh_c, gate_i)):
             e[:, g] *= factor
         dz[:, :3 * hidden] *= gates[:, :3 * hidden]
         dz[:, :3 * hidden] *= 1.0 - gates[:, :3 * hidden]
-        dz[:, 3 * hidden:] *= 1.0 - candidate[:k] ** 2
-        np.matmul(w_summary_t, dz[:, :, None], out=d_h_summary[:k, :, None])
-        d_h_summary[:k] += d_summary[:k]
-        np.multiply(dc, gate_f[:k], out=d_c_summary[:k])
+        dz[:, 3 * hidden:] *= 1.0 - candidate ** 2
+        # [d h~ | d c~] of step t
+        d_summaries = np.empty((k, 2 * hidden))
+        d_h_summary, d_c_summary = d_summaries[:, :hidden], d_summaries[:, hidden:]
+        np.matmul(w_summary_t, dz[:, :, None], out=d_h_summary[:, :, None])
+        d_h_summary += d_summary[:k]
+        np.multiply(dc, gate_f, out=d_c_summary)
         if t > state.window_starts[t]:
             # the step's window again, bit-equal to the forward's
             pre_tanh, weights = attend(state, t)
             # summaries -> tape entries and attention weights
             window = slice(state.window_starts[t], t)
-            d_weights = np.matmul(tape_h[:k, window], d_h_summary[:k, :, None])
-            d_weights += np.matmul(tape_c[:k, window], d_c_summary[:k, :, None])
+            d_weights = np.matmul(tape_h[:k, window], d_h_summary[:, :, None])
+            d_weights += np.matmul(tape_c[:k, window], d_c_summary[:, :, None])
             d_weights = d_weights[:, :, 0]
-            d_tape[:k, window] += weights[:, :, None] * d_summaries[:k, None]
+            d_tape[:k, window] += weights[:, :, None] * d_summaries[:, None]
             d_scores = weights * (d_weights - np.vecdot(weights, d_weights)[:, None])
             g_v[:k] += np.matmul(d_scores[:, None], pre_tanh)[:, 0]
             d_pre = (d_scores[:, :, None] * state.v) * (1.0 - pre_tanh ** 2)

@@ -167,11 +167,12 @@ def train_epoch(model, corpus, config, rng, accum):
     selection's size, and the re-zeroing of the sums.  An embedding
     table's selection is the rows the batch looked up; every other
     row's gradient is exactly +0.0, for which the AdaGrad step is a
-    bitwise no-op, so skipping it changes no parameter bit.  Any other parameter's selection is Ellipsis, the whole array:
-    `param[...]` is a view, so the step runs in place, and numpy skips
-    the write-back of an array onto its own memory, so a whole
-    parameter costs no copy.  With clip_norm set, the norm still sums
-    each whole table (see _clip).
+    bitwise no-op, so skipping it changes no parameter bit.  Any other
+    parameter's selection is Ellipsis, the whole array: `param[...]` is
+    a view, so the step runs in place, and numpy skips the write-back
+    of an array onto its own memory, so a whole parameter costs no
+    copy.  With clip_norm set, the norm still sums each whole table
+    (see _clip).
 
     The rng drives the shuffle and every dropout mask, so a fixed
     (corpus, config, seed) triple replays bit-identically, and the batch

@@ -205,6 +205,17 @@ def test_segment_empty_line_stays_empty(tmp_path):
     assert lines[0] == lines[2]
 
 
+def test_segment_output_may_overwrite_its_input(tmp_path):
+    # the input is read whole before the output opens
+    model_dir = train_into(tmp_path, "m")
+    raw = tmp_path / "raw.txt"
+    raw.write_text("我爱北京\n北京\n", encoding="utf-8")
+    assert main(["segment", "--model", model_dir, "--input", str(raw),
+                 "--output", str(raw)]) == 0
+    lines = raw.read_text(encoding="utf-8").splitlines()
+    assert [line.replace(" ", "") for line in lines] == ["我爱北京", "北京"]
+
+
 def test_segment_splits_lines_on_newline_only(tmp_path):
     # U+2028 and U+0085 are line breaks to str.splitlines, not to a file
     model_dir = train_into(tmp_path, "m")

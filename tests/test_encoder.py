@@ -904,11 +904,11 @@ def test_batch_state_rejects_unsorted_lengths():
                        keep_steps=True, memory_span=None)
 
 
-def test_kept_state_pads_with_zero_rows_and_decode_keeps_one():
-    # backward reads a kept state's arrays whole, so every row of the
-    # short sentence past its length stays exactly zero; summary and
-    # tanh_c are one scratch row in both modes, a run without keeping
-    # overwrites one scratch row of gates too and keeps no c_summary
+def test_kept_state_pads_with_zero_rows_and_decode_keeps_no_steps():
+    # every row of a kept state's arrays past the short sentence's length
+    # stays exactly zero; a run without keeping has the same four tapes
+    # and input arrays but no gates or c_summary, and neither mode holds
+    # a step's scratch (summary, tanh_c), which each step makes itself
     rng = np.random.default_rng(74)
     weights = random_direction_params(rng)
     inputs = [rng.normal(size=(n, DIM)) for n in (5, 2)]
@@ -919,14 +919,13 @@ def test_kept_state_pads_with_zero_rows_and_decode_keeps_one():
         assert array.shape[:2] == (2, 5), name
         assert np.any(array[0] != 0.0), name
         assert np.all(array[1, 2:] == 0.0), name
-    scratch = encoder._run_direction(weights, inputs, False, None)
-    assert scratch.c_summary is None
-    for name in arrays[:-1]:
-        rows = 1 if name == "gates" else 5
-        assert getattr(scratch, name).shape[:2] == (2, rows), name
-    for state in (kept, scratch):
+    decode = encoder._run_direction(weights, inputs, False, None)
+    assert decode.gates is None and decode.c_summary is None
+    for name in arrays[:-2]:
+        assert getattr(decode, name).shape[:2] == (2, 5), name
+    for state in (kept, decode):
         for name in ("summary", "tanh_c"):
-            assert getattr(state, name).shape[:2] == (2, 1), name
+            assert not hasattr(state, name), name
 
 
 def test_direction_state_holds_its_weights():
