@@ -117,9 +117,10 @@ worker.py decides when the worker takes one (its Dispatch), and has
 the process, the one socket pair that carries its requests and
 replies, and the shared region it reads the weights from.  Every
 parameter dict the program makes keeps its encoder weights in that
-region, so a request carries six offsets and no weight; a direction whose weights lie elsewhere runs in this process.
-Training's kept forward never uses the worker, since backward reads
-both directions' states.
+region, so a request carries six offsets and no weight; a direction
+whose weights lie elsewhere runs in this process.  Training's kept
+forward never uses the worker, since backward reads both directions'
+states.
 """
 
 from dataclasses import dataclass
@@ -330,8 +331,8 @@ def tape_step(state, t):
     if t > window_start:
         _, weights = attend(state, t)
         # [h~ | c~] as one sum of products over the window: einsum's C
-        # loop (optimize=False, no BLAS) adds s_i * [h_i | c_i] into the
-        # row in tape order, multiply then add, like the oracle's
+        # loop (optimize=False, no BLAS) adds s_i * [h_i | c_i] into its
+        # result in tape order, multiply then add, like the oracle's
         # h_sum += s_i * h_i, and forms no (w, 2h) product array
         summary = np.einsum("...i,...ij->...j", weights,
                             state.tape[:k, window_start:t])

@@ -780,6 +780,37 @@ def test_training_memory_grows_linearly_with_length():
     assert peak(400) < 2.5 * peak(200)
 
 
+@pytest.mark.parametrize("hidden, attn, dim", [(8, 8, 45), (150, 150, 300)])
+def test_decode_memory_is_the_state_rows_and_one_step(hidden, attn, dim):
+    # a direction run without a cache holds its tapes and inputs, 3h + 2a
+    # + d values per token, and one step's arrays: the window's tanh
+    # activations and weights, n (a + 1) values, the step's own rows,
+    # 16h values, and numpy's iterator buffer, np.getbufsize() values;
+    # the active and window_starts lists take 8 pointers per token, a
+    # temporary list and over-allocation included.  Kept gate rows (4h
+    # values per token) or kept windows exceed it
+    rng = np.random.default_rng(83)
+    weights = random_direction_params(rng, hidden, attn, dim)
+    x = rng.normal(size=(400, dim))
+
+    def peak(n):
+        tracemalloc.start()
+        try:
+            encoder._run_direction(weights, [x[:n]], False, None)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(8)
+    peaks = {}
+    for n in (200, 400):
+        peaks[n] = peak(n)
+        values = (n * (3 * hidden + 2 * attn + dim) + n * (attn + 1)
+                  + 16 * hidden + np.getbufsize() + 8 * n)
+        assert peaks[n] <= 8 * values, (n, peaks[n], 8 * values)
+    assert peaks[400] < 2.1 * peaks[200]
+
+
 def assert_tapes_match_unrolling(params, cfg, xs):
     """Run the batch `xs` and check every sentence's hidden tapes, per
     layer and direction, bit for bit against lstmn_unrolled over that

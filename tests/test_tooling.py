@@ -94,7 +94,8 @@ def test_tracer_wraps_and_restores_every_layer():
 @pytest.mark.parametrize("k", [None, 1, 2, 3, 5, 8])
 def test_einsum_sums_window_rows_in_tape_order(k):
     # the layout of encoder.tape_step: a (k, w) weight block and a window
-    # of rows of a (k, n, 2h) tape, into a strided summary row, w > 2h
+    # of rows of a (k, n, 2h) tape, w > 2h, summed into a fresh array as
+    # tape_step does and into a strided row; both must match the loop
     rng = np.random.default_rng(90 + (k or 0))
     batch = () if k is None else (k,)
     two_h, n, start = 6, 40, 3
@@ -104,25 +105,27 @@ def test_einsum_sums_window_rows_in_tape_order(k):
         window = tape[..., start:t, :]
         weights = rng.random(batch + (t - start,))
         weights /= weights.sum(axis=-1, keepdims=True)
+        fresh = np.einsum("...i,...ij->...j", weights, window)
         out = summary[..., t, :]
         np.einsum("...i,...ij->...j", weights, window, out=out)
         want = np.zeros(batch + (two_h,))
         for i in range(t - start):
             want += weights[..., i, None] * window[..., i, :]
-        assert np.array_equal(out, want), (
-            f"numpy {np.__version__}: einsum no longer sums window rows in "
-            f"order (k={k}, w={t - start}); encoder.tape_step's summaries "
-            "would break the bit-equality pin of the tapes to "
-            "tests/oracles.py::lstmn_unrolled"
-        )
+        for form, got in (("fresh", fresh), ("out=", out)):
+            assert np.array_equal(got, want), (
+                f"numpy {np.__version__}: einsum ({form}) no longer sums "
+                f"window rows in order (k={k}, w={t - start}); "
+                "encoder.tape_step's summaries would break the bit-equality "
+                "pin of the tapes to tests/oracles.py::lstmn_unrolled"
+            )
 
 
 @pytest.mark.parametrize("hidden", [5, 150])
 def test_tanh_of_a_tape_slice_ignores_its_output_layout(hidden):
     # the layout of encoder.tape_step and _direction_backward: tanh c_t
-    # of k sentences, a strided (k, h) slice of a (k, n, 2h) tape, into a
-    # one-row scratch in the forward step and recomputed by backward; a
-    # fresh array must get the same bits, for toy and paper hidden sizes
+    # of k sentences, a strided (k, h) slice of a (k, n, 2h) tape; both
+    # form it as a fresh array, and its bits must not depend on where
+    # the output lies, for toy and paper hidden sizes
     rng = np.random.default_rng(95 + hidden)
     n = 12
     for k in range(1, 9):
