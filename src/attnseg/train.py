@@ -36,9 +36,10 @@ params.bin is written and read in chunks, through one float32 scratch
 of IO_CHUNK values: saving holds no copy of the parameters, and loading
 holds them once, the encoder's tensors as views into one block of the
 decode worker's shared region, where the worker reads them without a
-copy, and the rest in one private block.  A build's encoder tensors and
-fit's copy of the best epoch's take the same shared block, of one size
-per config, so each reuses the pages of a freed one.
+copy, and every other tensor as a plain array that owns its memory, the
+rule of every parameter dict (worker.py, Weights).  A build's encoder
+tensors and fit's copy of the best epoch's take the same shared block,
+of one size per config, so each reuses the pages of a freed one.
 
 Weights are stored in 32-bit but all arithmetic runs in 64-bit, so a
 round-trip costs one quantization, not a behavioural change (decodes are
@@ -339,13 +340,14 @@ def _read_params(path, shapes, shared, want, manifest_path):
     The whole file is hashed whatever its size; then it must match the
     sha256 `want` that manifest_path gives, hold exactly 4 bytes per
     value and hold only finite values, checked in that order.  The
-    tensors are filled only when fstat gives that size.  Each starts on
-    a 64-byte boundary (worker.aligned_views): the tensors named in
-    `shared`, the encoder's, in one block of the shared region, which
-    the decode worker reads in place, so a decode sends it no weight,
-    and the rest in one private block.  Once no view of a shared block
-    is left, its pages serve the next block of the same size, a build's
-    or a load's, so a repeated load faults in no fresh page there.
+    tensors are filled only when fstat gives that size.  The tensors
+    named in `shared`, the encoder's, are 64-byte-aligned views into one
+    block of the shared region (worker.aligned_views), which the decode
+    worker reads in place, so a decode sends it no weight; every other
+    tensor is a plain array that owns its memory.  Once no view of a
+    shared block is left, its pages serve the next block of the same
+    size, a build's or a load's, so a repeated load faults in no fresh
+    page there.
     """
     counts = [math.prod(shape) for shape in shapes.values()]
     size = 4 * sum(counts)
@@ -356,14 +358,10 @@ def _read_params(path, shapes, shared, want, manifest_path):
     params, nonfinite = None, None
     with open(path, "rb") as fh:
         if os.fstat(fh.fileno()).st_size == size:
-            views = {
-                **aligned_views({name: shapes[name] for name in shared}),
-                **aligned_views({name: shape for name, shape in shapes.items()
-                                 if name not in shared},
-                                dtypes={name: scratch.dtype for name in TABLES},
-                                shared=False),
-            }
-            params = {name: views[name] for name in shapes}
+            views = aligned_views({name: shapes[name] for name in shared})
+            params = {name: views[name] if name in views else np.empty(
+                shape, scratch.dtype if name in TABLES else np.float64)
+                for name, shape in shapes.items()}
             for (name, p), count in zip(params.items(), counts):
                 dest = p.reshape(-1)
                 for at in range(0, count, IO_CHUNK):
@@ -400,15 +398,15 @@ def load_model(directory):
 
     params.bin is streamed through a fixed scratch and hashed to its
     end before any of its checks fails, so a corrupted file reports its
-    checksum first.  The loaded tensors are C-contiguous, writable views
-    that share no memory with one another: the embedding tables
+    checksum first.  The loaded tensors are C-contiguous, writable
+    arrays that share no memory with one another: the embedding tables
     (model.TABLES) are float32, as stored, and every other tensor is
     float64.  The encoder's tensors lie in one block of the decode
     worker's shared region, where the worker reads them without a copy;
     its pages serve the next build or load of the same config once the
     model is gone, and a fork other than the worker's copies them.  The
-    tables and crf.trans lie in one private block (see _read_params).
-    Outputs are those of the model with its tables widened, since
+    tables and crf.trans are plain arrays that own their memory (see
+    _read_params).  Outputs are those of the model with its tables widened, since
     featurize widens the rows it reads and float32 to float64 is exact;
     to train the model, widen its tables first with astype(np.float64),
     or train_epoch refuses it.

@@ -13,22 +13,23 @@ its own.
 Weights.  The shared region is a memfd file of SHARED_BYTES (256 MiB)
 of address space, mapped shared before the worker forks, so the worker
 reads the parent's live pages.  Every parameter dict the program makes
-places the encoder's tensors (encoder.param_shapes) in one block of it
-through aligned_views: init_params draws into one, load_model reads
-into one, and fit's best copy takes one, each the same size for a given
-config; the embedding tables and crf.trans stay in private memory,
-since the worker never reads them.  A request carries the byte offsets
-of its direction's six weights and no weight, and weights edited in
-place, as training and gradient checks do between decodes, are read as
-they are.  A direction whose six weights are not all C-contiguous
-float64 arrays in the region (hand-made weights, or a full region)
-runs in this process.  A block whose last view is gone serves the next
-block of the same size, whose pages are then already in place, so a
-repeated build or load faults in no fresh page; the file gives no page
-back.  A child forked from the parent other than the worker gets a
-private copy of the region's used bytes at the same address
-(_Region.detach), so its arrays are a snapshot of the fork, as with
-any other memory: the fork costs that copy.
+follows one rule: the encoder's tensors (encoder.param_shapes) lie in
+one block of the region, of one size for a given config, through
+aligned_views (init_params draws into one, load_model reads into one,
+and fit's best copy takes one), and every other tensor, the embedding
+tables and crf.trans, which the worker never reads, is a plain array
+that owns its memory.  A request carries the byte offsets of its
+direction's six weights and no weight, and weights edited in place, as
+training and gradient checks do between decodes, are read as they are.
+A direction whose six weights are not all C-contiguous float64 arrays
+in the region (hand-made weights, or a full region) runs in this
+process.  A block whose last view is gone serves the next block of the
+same size, whose pages are then already in place, so a repeated build
+or load faults in no fresh page; the file gives no page back.  A child
+forked from the parent other than the worker gets a private copy of
+the region's used bytes at the same address (_Region.detach), so its
+arrays are a snapshot of the fork, as with any other memory: the fork
+costs that copy.
 
 Dispatch.  This module alone decides where a pass without a cache runs
 its backward directions, in run_both, the one function that runs both
@@ -198,38 +199,33 @@ _region = None
 _region_lock = threading.Lock()
 
 
-def aligned_views(shapes, dtypes=None, shared=True):
-    """Name -> an uninitialised, C-contiguous array of shapes[name], of
-    dtypes[name] where given and float64 otherwise, each starting on a
-    64-byte boundary, all views into one block.
+def aligned_views(shapes):
+    """Name -> an uninitialised, C-contiguous float64 array of
+    shapes[name], each starting on a 64-byte boundary, all views into one
+    block.
 
-    With `shared` the block lies in this process's shared region, made
-    if there is none, where the decode worker reads it in place, and
-    once no view of it is left its pages serve the next block of the
-    same size.  Without, or when the region is full or cannot be made
-    (os.memfd_create is missing), the block is a private one on the
-    heap.
+    The block lies in this process's shared region, made if there is
+    none, where the decode worker reads it in place, and once no view of
+    it is left its pages serve the next block of the same size.  When the
+    region is full or cannot be made (os.memfd_create is missing), the
+    block is a private one on the heap.
     """
     global _region
-    types = [np.dtype((dtypes or {}).get(name, np.float64)) for name in shapes]
     starts, end = [], 0
-    for shape, t in zip(shapes.values(), types):
+    for shape in shapes.values():
         starts.append(end)
-        end += -(-math.prod(shape) * t.itemsize // 64) * 64
-    block = None
-    if shared:
-        with _region_lock:
-            if _region is None and hasattr(os, "memfd_create"):
-                with contextlib.suppress(OSError):
-                    _region = _Region(SHARED_BYTES)
-            if _region is not None:
-                block = _region.block(end)
+        end += -(-math.prod(shape) * 8 // 64) * 64
+    with _region_lock:
+        if _region is None and hasattr(os, "memfd_create"):
+            with contextlib.suppress(OSError):
+                _region = _Region(SHARED_BYTES)
+        block = None if _region is None else _region.block(end)
     if block is None:
         block = np.empty(end + 63, dtype=np.uint8)
         block = block[-block.ctypes.data % 64:]
-    return {name: block[start:start + math.prod(shape) * t.itemsize].view(t)
+    return {name: block[start:start + math.prod(shape) * 8].view(np.float64)
             .reshape(shape)
-            for (name, shape), t, start in zip(shapes.items(), types, starts)}
+            for (name, shape), start in zip(shapes.items(), starts)}
 
 
 def _read(fd, array):

@@ -667,13 +667,14 @@ def test_save_model_memory_is_bounded(tmp_path):
 
 
 def test_load_model_memory_is_bounded(tmp_path, region):
-    # loading holds the parameters once, plus a fixed scratch: two
-    # blocks, the encoder's in the shared region, which tracemalloc does
-    # not see, and the rest on the heap, of 4 bytes per table value and 8
-    # per other value, plus a small slack for each tensor's 64-byte
-    # alignment, the shared one rounded up to whole pages; the arrays it
-    # keeps on the heap are within that bound too (the vocabularies'
-    # Python objects are not arrays and are not counted)
+    # loading holds the parameters once, plus a fixed scratch: the
+    # encoder's in one block of the shared region, which tracemalloc does
+    # not see, and every other tensor in memory of its own on the heap,
+    # of 4 bytes per table value and 8 per other value, plus a small
+    # slack for each encoder tensor's 64-byte alignment, the shared block
+    # rounded up to whole pages; the arrays it keeps on the heap are
+    # within that bound too (the vocabularies' Python objects are not
+    # arrays and are not counted)
     model = wide_io_model()
     save_model(model, tmp_path / "m")
     tracemalloc.start()
@@ -688,34 +689,34 @@ def test_load_model_memory_is_bounded(tmp_path, region):
     values = sum((4 if name in TABLES else 8) * p.size
                  for name, p in model.params.items())
     assert sum(t.size for t in arrays.traces) <= values + 4096
-    shared, private = blocks(loaded)
+    shared = shared_block(loaded)
     assert shared.base is region.buffer
-    assert private.base is None
     encoder_names = encoder.param_shapes(loaded.config)
     for name, p in loaded.params.items():
-        assert p.base is (shared if name in encoder_names else private), name
+        assert p.base is (shared if name in encoder_names else None), name
     assert region.used == pages(shared) * mmap.PAGESIZE
-    assert shared.nbytes + private.nbytes <= values + 4096
+    own = sum(p.nbytes for name, p in loaded.params.items()
+              if name not in encoder_names)
+    assert shared.nbytes + own <= values + 4096
     for name, p in model.params.items():
         assert np.array_equal(loaded.params[name],
                               p.astype("<f4").astype(np.float64)), name
 
 
-def blocks(model):
-    """The (shared, private) blocks that hold a loaded model's tensors:
-    the encoder's and the rest."""
-    return model.params["out.b"].base, model.params["emb.uni"].base
+def shared_block(model):
+    """The shared block that holds a model's encoder tensors."""
+    return model.params["out.b"].base
 
 
 def block_address(model):
     """The address of the shared block that holds a model's encoder
     tensors."""
-    return model.params["out.b"].base.ctypes.data
+    return shared_block(model).ctypes.data
 
 
-def pages(block):
-    """The whole pages `block` spans, its last one rounded up."""
-    return -(-block.nbytes // mmap.PAGESIZE)
+def pages(array):
+    """The whole pages `array` spans, its last one rounded up."""
+    return -(-array.nbytes // mmap.PAGESIZE)
 
 
 def minor_faults(run, times):
@@ -730,12 +731,12 @@ def minor_faults(run, times):
 
 
 def test_repeated_loads_fault_in_no_fresh_pages(tmp_path, region):
-    # each load takes the blocks that the load before the last freed, as
+    # each load takes the memory that the load before the last freed, as
     # a program that reloads a model keeps the old one until the new one
     # is in place: after the first two, no load faults in a fresh page
-    # for its 7 MB of parameters in two blocks (a table of few, wide
-    # rows, so that the vocabulary's Python objects fault in few pages of
-    # their own)
+    # for its 7 MB of parameters, the encoder's in a shared block and a
+    # table of few, wide rows in memory of its own (few rows, so that the
+    # vocabulary's Python objects fault in few pages of their own)
     save_model(wide_model(2000, 640), tmp_path / "m")
     addresses = []
 
@@ -745,9 +746,10 @@ def test_repeated_loads_fault_in_no_fresh_pages(tmp_path, region):
         return model
 
     faults, model = minor_faults(load, 10)
-    shared, private = blocks(model)
-    assert pages(shared) + pages(private) > 1000
-    assert max(faults[2:]) < (pages(shared) + pages(private)) // 10, faults
+    shared, table = shared_block(model), model.params["emb.uni"]
+    assert table.base is None
+    assert pages(shared) + pages(table) > 1000
+    assert max(faults[2:]) < (pages(shared) + pages(table)) // 10, faults
     assert len(set(addresses)) == 2
     assert region.used == 2 * pages(shared) * mmap.PAGESIZE
 
@@ -785,6 +787,41 @@ def test_a_load_takes_region_bytes_of_its_encoder_tensors_only(tmp_path, region)
                         for shape in encoder.param_shapes(loaded.config).values())
     assert region.used == -(-encoder_bytes // mmap.PAGESIZE) * mmap.PAGESIZE
     assert region.used < loaded.params["emb.uni"].nbytes // 10
+
+
+def by_build(tmp_path):
+    return toy_model(bigrams=True)[0]
+
+
+def by_fit(tmp_path):
+    model, corpus, cfg = toy_model(bigrams=True, epochs=1)
+    return fit(model, corpus, corpus, cfg)[0]
+
+
+def by_load(tmp_path):
+    save_model(by_build(tmp_path), tmp_path / "m")
+    return load_model(tmp_path / "m")
+
+
+@pytest.mark.parametrize("make", [by_build, by_fit, by_load],
+                         ids=["build", "fit", "load"])
+def test_every_parameter_dict_places_its_tensors_by_one_rule(
+        tmp_path, region, make):
+    # the encoder's tensors are views of one block of the shared region,
+    # and every other tensor is a C-contiguous array that owns its
+    # memory, whichever of build, fit and load made the dict; only a
+    # load keeps its tables in float32
+    model = make(tmp_path)
+    encoder_names = encoder.param_shapes(model.config)
+    shared = shared_block(model)
+    assert shared.base is region.buffer
+    for name, p in model.params.items():
+        if name in encoder_names:
+            assert p.base is shared, name
+        else:
+            assert p.base is None and p.flags.c_contiguous, name
+            narrow = make is by_load and name in TABLES
+            assert p.dtype == (np.float32 if narrow else np.float64), name
 
 
 def test_a_load_after_a_freed_build_takes_its_block(tmp_path, region):
@@ -829,8 +866,10 @@ def test_a_freed_block_serves_the_next_load_once_no_view_is_left(tmp_path, regio
 @pytest.mark.skipif(not hasattr(os, "memfd_create"),
                     reason="the shared region needs os.memfd_create")
 def test_a_full_region_loads_into_a_private_block(tmp_path, monkeypatch):
-    # a region with no room for the block: the load takes a private one,
-    # aligned as before, and the model gives the same outputs
+    # a region with no room for the block: the load takes a private one
+    # for the encoder's tensors, aligned as before, and the model gives
+    # the same outputs; the tables and crf.trans are arrays of their own
+    # either way
     model, corpus, _ = toy_model(bigrams=True)
     save_model(model, tmp_path / "m")
     shared = load_model(tmp_path / "m")
@@ -838,8 +877,11 @@ def test_a_full_region_loads_into_a_private_block(tmp_path, monkeypatch):
     monkeypatch.setattr(worker, "_region", small)
     private = load_model(tmp_path / "m")
     assert small.used == 0
+    encoder_names = encoder.param_shapes(private.config)
     for name, p in private.params.items():
-        assert p.flags.c_contiguous and p.ctypes.data % 64 == 0
+        assert p.flags.c_contiguous, name
+        if name in encoder_names:
+            assert p.ctypes.data % 64 == 0, name
         assert p.tobytes() == shared.params[name].tobytes(), name
     sentences = [sent.tokens for sent in corpus[:5]]
     assert private.decode(sentences) == shared.decode(sentences)
@@ -895,17 +937,20 @@ def test_load_error_order_while_streaming(tmp_path):
 
 
 def test_loaded_views_train_like_copies(tmp_path):
-    # the loaded tensors are views into one block, the tables float32 and
-    # the rest float64; the tables are refused for training until widened,
-    # and then the loaded float64 tensors (views) train like copies
+    # the loaded encoder tensors are views into one block, and the tables
+    # and crf.trans arrays of their own, the tables float32 and the rest
+    # float64; the tables are refused for training until widened, and
+    # then the loaded float64 tensors (views) train like copies
     model, corpus, cfg = toy_model(bigrams=True)
     save_model(model, tmp_path / "m")
     loaded = load_model(tmp_path / "m")
     tensors = list(loaded.params.values())
+    encoder_names = encoder.param_shapes(loaded.config)
     for i, (name, p) in enumerate(loaded.params.items()):
         assert p.dtype == (np.float32 if name in TABLES else np.float64)
         assert p.flags.c_contiguous and p.flags.writeable
-        assert p.ctypes.data % 64 == 0
+        if name in encoder_names:
+            assert p.ctypes.data % 64 == 0, name
         assert not any(np.shares_memory(p, q) for q in tensors[:i])
     # the float32 tables are refused for training, before any work
     rng = np.random.default_rng(7)
