@@ -406,10 +406,10 @@ def load_model(directory):
     its pages serve the next build or load of the same config once the
     model is gone, and a fork other than the worker's copies them.  The
     tables and crf.trans are plain arrays that own their memory (see
-    _read_params).  Outputs are those of the model with its tables widened, since
-    featurize widens the rows it reads and float32 to float64 is exact;
-    to train the model, widen its tables first with astype(np.float64),
-    or train_epoch refuses it.
+    _read_params).  Outputs are those of the model with its tables
+    widened, since featurize widens the rows it reads and float32 to
+    float64 is exact; to train the model, widen its tables first with
+    astype(np.float64), or train_epoch refuses it.
     """
     manifest_path = os.path.join(directory, "manifest.json")
     with open(manifest_path, "rb") as fh:
