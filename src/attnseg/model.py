@@ -14,8 +14,8 @@ float64:
     out.wf, out.wb, out.b        per-tag output projection
     crf.trans                    (K+2, K+2) transition scores
 
-Insertion order is the canonical order for flattening and for the
-serialized binary layout.
+param_shapes gives the canonical order, the order build() makes the
+tensors in and save_model writes them in, whatever a dict's own order.
 """
 
 import sys
@@ -28,6 +28,7 @@ from .corpus import (
     Vocab, build_bigram_vocab, featurize, load_embeddings, preprocess,
     random_embeddings, sentence_bigrams, window_ids,
 )
+from .numerics import ShapeError
 from .tagging import NUM_TAGS, decode_tags
 
 # The embedding tables, the only parameters read by row lookup: emb.uni,
@@ -134,14 +135,14 @@ class TrainConfig:
         return cls(**d)
 
 
-def param_shapes(config, vocab_size, bigram_vocab_size=None):
+def param_shapes(config, vocab, bigram_vocab=None):
     """Name -> shape of every parameter of a model with this config and
-    these vocabulary sizes, in canonical order: the order build() makes
+    these vocabularies, in canonical order: the order build() makes
     them in and save_model writes them in."""
     uni, bi = TABLES
-    shapes = {uni: (vocab_size, config.emb_dim)}
+    shapes = {uni: (len(vocab), config.emb_dim)}
     if config.bigrams:
-        shapes[bi] = (bigram_vocab_size, config.emb_dim)
+        shapes[bi] = (len(bigram_vocab), config.emb_dim)
     shapes.update(encoder.param_shapes(config))
     shapes["crf.trans"] = (NUM_TAGS + 2, NUM_TAGS + 2)
     return shapes
@@ -179,17 +180,27 @@ class Segmenter:
     def __init__(self, config, vocab, params, bigram_vocab=None, lexicon=None):
         if config.bigrams != (bigram_vocab is not None):
             raise ValueError("bigram vocab must be present iff config.bigrams")
-        expected = (len(vocab), config.emb_dim)
-        if params["emb.uni"].shape != expected:
-            raise ValueError(
-                f"embedding table {params['emb.uni'].shape} does not match "
-                f"vocab/config {expected}"
-            )
         self.config = config
         self.vocab = vocab
         self.bigram_vocab = bigram_vocab
         self.params = params
         self.lexicon = lexicon
+        self.check_params()
+
+    def check_params(self):
+        """The param_shapes of the model's config and vocabularies, once
+        self.params holds a tensor of each of those shapes and no other:
+        a ValueError names the tensors it lacks or has beyond them, and a
+        ShapeError those of another shape."""
+        shapes = param_shapes(self.config, self.vocab, self.bigram_vocab)
+        got = {name: p.shape for name, p in self.params.items()}
+        if odd := sorted(got.keys() ^ shapes.keys()):
+            raise ValueError(f"parameters {odd} are missing or extra for the config")
+        if wrong := [f"{name} {got[name]} does not match {shape}"
+                     for name, shape in shapes.items() if got[name] != shape]:
+            raise ShapeError("parameters of other shapes than the config and "
+                             f"vocabularies give: {', '.join(wrong)}")
+        return shapes
 
     @classmethod
     def build(cls, train_corpus, config, embeddings=None, lexicon=None):

@@ -29,7 +29,7 @@ Saved models are directories, format attnseg-model/2:
     lexicon.txt    idiom list, only when one was used
     params.bin     all tensors as binary32 little-endian, row-major,
                    concatenated in the canonical order and shapes of
-                   model.param_shapes(config, vocabulary sizes)
+                   model.param_shapes(config, vocabularies)
     manifest.json  file name -> sha256 of each file above that is present
 
 params.bin is written and read in chunks, through one float32 scratch
@@ -272,7 +272,14 @@ def _token_lines(tokens):
 
 
 def save_model(model, directory):
-    """Write the model directory format described in the module docstring."""
+    """Write the model directory format described in the module docstring.
+
+    params.bin takes the tensors in the order of model.param_shapes,
+    whatever the order of model.params, which must hold them all in
+    their shapes and no other (Segmenter.check_params) before any file
+    is written.
+    """
+    shapes = model.check_params()
     os.makedirs(directory, exist_ok=True)
     meta = {"format": FORMAT_VERSION, "config": model.config.to_dict(),
             "tags": TAG_IDS}
@@ -293,7 +300,7 @@ def save_model(model, directory):
     scratch = np.empty(IO_CHUNK, dtype="<f4")
     digest = hashlib.sha256()
     with open(os.path.join(directory, "params.bin"), "wb") as fh:
-        for p in model.params.values():
+        for p in map(model.params.get, shapes):
             # a non-contiguous tensor goes through its flatiter, whose
             # slices copy one chunk in C order
             flat = p.reshape(-1) if p.flags.c_contiguous else p.flat
@@ -462,9 +469,7 @@ def load_model(directory):
     lexicon = None
     if "lexicon.txt" in digests:
         lexicon = lexicon_from_lines(decode_lines(*read("lexicon.txt")))
-    shapes = param_shapes(
-        config, len(vocab), None if bigram_vocab is None else len(bigram_vocab)
-    )
+    shapes = param_shapes(config, vocab, bigram_vocab)
     params = _read_params(os.path.join(directory, "params.bin"), shapes,
                           encoder.param_shapes(config), digests["params.bin"],
                           manifest_path)

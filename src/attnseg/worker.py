@@ -25,11 +25,16 @@ A direction whose six weights are not all C-contiguous float64 arrays
 in the region (hand-made weights, or a full region) runs in this
 process.  A block whose last view is gone serves the next block of the
 same size, whose pages are then already in place, so a repeated build
-or load faults in no fresh page; the file gives no page back.  A child
-forked from the parent other than the worker gets a private copy of
-the region's used bytes at the same address (_Region.detach), so its
-arrays are a snapshot of the fork, as with any other memory: the fork
-costs that copy.
+or load faults in no fresh page; the file gives no page back.  The
+region is mapped by one Python mmap object, which every block views,
+so the mapping lives as long as the region or any view of its blocks
+does, and the process holds one more fd, the mmap's copy of the memfd,
+for as long.  A child forked from the parent other than the worker
+gets a private copy of the region's used bytes at the same address
+(_Region.detach), so its arrays are a snapshot of the fork, as with
+any other memory: the fork costs that copy.  The child drops the
+region itself at the fork, so its snapshot is unmapped, and its fd
+closed, with its last view.
 
 Dispatch.  This module alone decides where a pass without a cache runs
 its backward directions, in run_both, the one function that runs both
@@ -39,21 +44,23 @@ tokens or more, the process may run on 2 CPUs or more, no other Python
 thread runs, since one could hold a lock at the fork or send a request
 of its own, and the six weights lie in the shared region, which needs
 os.memfd_create (Linux).  At paper dimensions a worker already forked
-wins from 2 tokens on (CHANGES.md has the curves), but FORK_MIN_TOKENS
-stays 6 until a benchmark workload with shorter passes can measure a
-lower one, its first fork included.  Parent and worker hold one end
-each of one socket pair, their channel; the socket module is imported
-where a worker is made, so a process that never forks one never loads
-it.  The parent writes the offsets of the direction's six weight
-arrays and the sentences' input rows into it, and the worker writes
-back its top hidden rows as one (B, n, h) block; nothing is pickled,
-and no request names its direction.  A dead worker is found where it
-fails a request: the send fails (EPIPE, since the worker's end is
-closed) or the reply ends early (end of file, or ECONNRESET where the
-worker left bytes unread).  When the fork or a send fails, or the
-worker dies or fails before it replies, the parent reaps it and runs
-the direction itself, with the same results and the same errors, and
-the next pass forks a fresh worker.  When the fork or a send is
+wins from 2 tokens on (CHANGES.md has the curves) when passes of many
+lengths alternate, but back-to-back passes of 1-8 tokens ran faster in
+this process at every length, so the traffic decides, and
+FORK_MIN_TOKENS stays 6 until a benchmark workload with shorter passes
+can measure a lower one, its first fork included.  Parent and worker
+hold one end each of one socket pair, their channel; the socket module
+is imported where a worker is made, so a process that never forks one
+never loads it.  The parent writes the offsets of the direction's six
+weight arrays and the sentences' input rows into it, and the worker
+writes back its top hidden rows as one (B, n, h) block; nothing is
+pickled, and no request names its direction.  A dead worker is found
+where it fails a request: the send fails (EPIPE, since the worker's
+end is closed) or the reply ends early (end of file, or ECONNRESET
+where the worker left bytes unread).  When the fork or a send fails,
+or the worker dies or fails before it replies, the parent reaps it and
+runs the direction itself, with the same results and the same errors,
+and the next pass forks a fresh worker.  When the fork or a send is
 interrupted (a KeyboardInterrupt, a MemoryError), the parent reaps the
 worker and lets the exception through, so no half-sent request is left
 in the channel; when the parent's own direction raises, it kills the
@@ -126,28 +133,27 @@ class _Region:
     shared at one address that a forked decode worker inherits, so that
     it reads the parent's live pages (module docstring, Weights).
 
-    block() carves page-rounded blocks from the start, under the
-    module's _region_lock (aligned_views).  A block whose last view is
-    gone goes on a free list by size and serves the next block of that
-    size, whose pages are then already in place; the file gives no page
-    back.  When neither a freed block nor the rest of the region fits,
-    block() returns None.  In a forked child other than the worker,
-    detach() puts a private copy of the used bytes at the same address,
-    and the child takes no more blocks from it.
+    `buffer` is the mmap object of the mapping, and every block is a
+    numpy view of it, so the kernel unmaps the region once neither the
+    region nor any view of its blocks is left; until then the mmap
+    holds a copy of the memfd's fd.  block() carves page-rounded blocks
+    from the start, under the module's _region_lock (aligned_views).  A
+    block whose last view is gone goes on a free list by size and
+    serves the next block of that size, whose pages are then already in
+    place; the file gives no page back.  When neither a freed block nor
+    the rest of the region fits, block() returns None.  In a forked
+    child other than the worker, detach() puts a private copy of the
+    used bytes at the same address, and the child takes no more blocks
+    from it.
     """
 
     def __init__(self, capacity):
         self.libc = _libc()
-        fd = os.memfd_create("attnseg-params")
-        try:
-            os.ftruncate(fd, capacity)
-            self.address = _mapped(self.libc.mmap(
-                None, capacity, mmap.PROT_READ | mmap.PROT_WRITE,
-                mmap.MAP_SHARED, fd, 0))
-        finally:
-            os.close(fd)
-        self.buffer = (ctypes.c_char * capacity).from_address(self.address)
-        self.capacity = capacity
+        # the mmap keeps a copy of the memfd's fd, and this one closes
+        with open(os.memfd_create("attnseg-params"), "r+b") as file:
+            file.truncate(capacity)
+            self.buffer = mmap.mmap(file.fileno(), capacity)
+        self.address = ctypes.addressof(ctypes.c_char.from_buffer(self.buffer))
         self.used = 0
         self.free = {}
 
@@ -158,7 +164,7 @@ class _Region:
         freed = self.free.setdefault(size, [])
         if freed:
             offset = freed.pop()
-        elif self.used + size <= self.capacity:
+        elif self.used + size <= len(self.buffer):
             offset, self.used = self.used, self.used + size
         else:
             return None
@@ -251,7 +257,9 @@ def _write(fd, *arrays):
 def _keep_only(fd):
     """In the decode worker: point fds 0-2 at /dev/null and close every
     other fd but `fd`, so that no reader of an inherited pipe waits for
-    the worker.  Returns `fd`, moved above 2 if it was not."""
+    the worker.  The shared region's mmap loses its copy of the memfd's
+    fd but keeps its mapping, and the worker, which leaves by os._exit,
+    never frees it.  Returns `fd`, moved above 2 if it was not."""
     while fd < 3:
         fd = os.dup(fd)
     null = os.open(os.devnull, os.O_RDWR)
@@ -403,10 +411,11 @@ def _after_fork_in_child():
     # in a forked child other than the decode worker: the worker is the
     # parent's, to neither use nor kill, so only close the child's copy
     # of the parent's end of its channel; the shared region becomes a
-    # private snapshot, and the child's next block makes a region of its
-    # own.  Should the copy fail (an mmap with no memory left), Python
-    # reports the OSError and the child's tensors stay shared with the
-    # parent
+    # private snapshot, which the child's arrays alone keep mapped, so
+    # it is unmapped with their last view, and the child's next block
+    # makes a region of its own.  Should the copy fail (an mmap with no
+    # memory left), Python reports the OSError and the child's tensors
+    # stay shared with the parent
     global _worker, _region, _region_lock
     if _forking_worker:
         return

@@ -1,7 +1,6 @@
-import ctypes
-import mmap
 import os
 
+import numpy as np
 import pytest
 
 from attnseg import worker
@@ -37,17 +36,26 @@ def dispatches(monkeypatch):
 
 
 @pytest.fixture
+def in_process(monkeypatch):
+    """in_process(run) returns run() with every direction of its forward
+    passes in this process, whatever the decode worker's dispatch rule,
+    which holds again once run() returns."""
+    def call(run):
+        with monkeypatch.context() as mp:
+            mp.setattr(worker, "FORK_MIN_TOKENS", np.inf)
+            return run()
+    return call
+
+
+@pytest.fixture
 def region(monkeypatch):
     """A fresh shared region of 32 MiB in place of this process's own,
     so that the test's loads take their blocks from an empty region,
-    whatever earlier tests loaded."""
+    whatever earlier tests loaded.  Its mapping goes once neither the
+    test nor any array that views its blocks holds it, so an array that
+    a failed test's traceback holds still reads its values."""
     if not hasattr(os, "memfd_create"):
         pytest.skip("the shared region needs os.memfd_create")
     fresh = worker._Region(2 ** 25)
     monkeypatch.setattr(worker, "_region", fresh)
-    yield fresh
-    # the test's pages go back to the system; the addresses stay mapped,
-    # so an array that a failed test's traceback holds reads zeros
-    madvise = ctypes.CDLL(None).madvise
-    madvise.argtypes = (ctypes.c_void_p, ctypes.c_size_t, ctypes.c_int)
-    madvise(fresh.address, fresh.capacity, mmap.MADV_REMOVE)
+    return fresh

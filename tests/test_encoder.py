@@ -1,5 +1,7 @@
 import contextlib
 import errno
+import gc
+import mmap
 import os
 import re
 import signal
@@ -337,8 +339,7 @@ def test_encoder_shapes_follow_train_config(window, bigrams, extra_layers,
                       extra_layers=extra_layers, attn_dim=attn_dim)
     seg = Segmenter.build(corpus, cfg)
     shapes = encoder.param_shapes(cfg)
-    whole = model.param_shapes(cfg, len(seg.vocab),
-                               len(seg.bigram_vocab) if bigrams else None)
+    whole = model.param_shapes(cfg, seg.vocab, seg.bigram_vocab)
     assert shapes == {name: shape for name, shape in whole.items()
                       if name.startswith(("enc", "out."))}
     assert {name: p.shape for name, p in seg.params.items()} == whole
@@ -1016,13 +1017,6 @@ def decode_outputs(built, lines):
             [" ".join(built.segment(line)).encode() for line in lines])
 
 
-def in_process(monkeypatch, run):
-    """run() with every direction in this process."""
-    with monkeypatch.context() as mp:
-        mp.setattr(worker, "FORK_MIN_TOKENS", np.inf)
-        return run()
-
-
 def same_arrays(got, want):
     return all(np.array_equal(g, w) for g, w in zip(got, want, strict=True))
 
@@ -1032,7 +1026,8 @@ def same_arrays(got, want):
                  id=f"{extra_layers}-{span}" + ("-loaded" if loaded else ""))
     for loaded in (False, True) for extra_layers, span in ((0, None), (0, 2),
                                                             (1, None), (1, 2))])
-def test_forked_decode_is_bit_equal_to_in_process(dispatches, region, monkeypatch,
+def test_forked_decode_is_bit_equal_to_in_process(dispatches, region,
+                                                  monkeypatch, in_process,
                                                   tmp_path, extra_layers, span,
                                                   loaded):
     # decode chunks of 4 lines: the first mixes lines below and above
@@ -1046,7 +1041,7 @@ def test_forked_decode_is_bit_equal_to_in_process(dispatches, region, monkeypatc
     m = worker.FORK_MIN_TOKENS
     text = "".join(chars * 3)
     lines = [text[i:i + n] for i, n in enumerate((m + 6, m // 2, m, 1, m - 1, m - 1))]
-    want = in_process(monkeypatch, lambda: decode_outputs(built, lines))
+    want = in_process(lambda: decode_outputs(built, lines))
     assert not dispatches
     # the worker runs each layer's backward direction for each long
     # emissions() and segment() call and for the first decode chunk
@@ -1063,7 +1058,7 @@ def test_forked_decode_is_bit_equal_to_in_process(dispatches, region, monkeypatc
     assert worker._worker is None
 
 
-def test_worker_sees_weights_edited_in_place(dispatches, region, monkeypatch,
+def test_worker_sees_weights_edited_in_place(dispatches, region, in_process,
                                              tmp_path):
     # training and gradient checks write model.params in place between
     # decodes; the worker must run with the weights of each call, read
@@ -1076,7 +1071,7 @@ def test_worker_sees_weights_edited_in_place(dispatches, region, monkeypatch,
         for name in ("enc0.bwd.cell.w", "enc1.bwd.attn.wh"):
             model.params[name][...] *= 1.01
             got = model.emissions(list(line))[0]
-            want = in_process(monkeypatch, lambda: model.emissions(list(line))[0])
+            want = in_process(lambda: model.emissions(list(line))[0])
             assert np.array_equal(got, want)
             assert not np.array_equal(got, before)
             before = got
@@ -1098,7 +1093,8 @@ def counted_writes(monkeypatch):
     return writes
 
 
-def test_a_request_carries_no_weight(dispatches, region, monkeypatch, tmp_path):
+def test_a_request_carries_no_weight(dispatches, region, monkeypatch,
+                                     in_process, tmp_path):
     # a request whose six weights are C-contiguous float64 arrays in the
     # shared region carries their offsets and no weight: the header, six
     # offsets, one length and the line's input rows.  A direction with a
@@ -1117,7 +1113,7 @@ def test_a_request_carries_no_weight(dispatches, region, monkeypatch, tmp_path):
         written = len(writes)
         got = model.emissions(line)[0]
         channel = worker._worker.channel
-        want = in_process(monkeypatch, lambda: model.emissions(line)[0])
+        want = in_process(lambda: model.emissions(line)[0])
         assert np.array_equal(got, want)
         assert {fd for fd, _ in writes[written:]} <= {channel}
         return [nbytes for _, nbytes in writes[written:]]
@@ -1133,7 +1129,7 @@ def test_a_request_carries_no_weight(dispatches, region, monkeypatch, tmp_path):
 
 
 def test_a_non_contiguous_weight_decodes_bit_equal(dispatches, region,
-                                                   monkeypatch):
+                                                   in_process):
     # a product with a column-major weight rounds otherwise than with a
     # row-major copy of it, so the worker must not run with such a copy
     built, chars = paper_model()
@@ -1141,18 +1137,19 @@ def test_a_non_contiguous_weight_decodes_bit_equal(dispatches, region,
     name = "enc0.bwd.attn.wh"
     built.params[name] = np.asfortranarray(built.params[name])
     got = built.emissions(line)[0]
-    want = in_process(monkeypatch, lambda: built.emissions(line)[0])
+    want = in_process(lambda: built.emissions(line)[0])
     assert np.array_equal(got, want)
     assert not dispatches
 
 
-def test_an_interrupted_request_closes_the_worker(dispatches, region, monkeypatch):
+def test_an_interrupted_request_closes_the_worker(dispatches, region,
+                                                  monkeypatch, in_process):
     # a send interrupted after its header leaves half a request on the
     # pipe: the worker goes with it, so that the next decode's request is
     # not read as the rest of that one, and the interrupt goes through
     built, chars = paper_model()
     line = chars[:20]
-    want = in_process(monkeypatch, lambda: built.decode([line]))
+    want = in_process(lambda: built.decode([line]))
     write = worker._write
 
     def interrupted(fd, *arrays):
@@ -1168,15 +1165,15 @@ def test_an_interrupted_request_closes_the_worker(dispatches, region, monkeypatc
     assert len(dispatches) == 2
 
 
-def test_heap_weights_without_a_region_fork_no_worker(dispatches, monkeypatch):
+def test_heap_weights_without_a_region_fork_no_worker(dispatches, monkeypatch,
+                                                      in_process):
     # a process with no shared region, where every weight is a plain
     # heap array, runs both directions itself: no fork and no request
     rng = np.random.default_rng(88)
     cfg = small_config(extra_layers=1)
     params = {name: p.copy() for name, p in init_params(cfg, rng).items()}
     xs = [rng.normal(size=(n, DIM)) for n in (worker.FORK_MIN_TOKENS + 5, 2)]
-    want, _ = in_process(monkeypatch,
-                         lambda: forward(params, cfg, xs, keep_cache=False))
+    want, _ = in_process(lambda: forward(params, cfg, xs, keep_cache=False))
     monkeypatch.setattr(worker, "_region", None)
     writes = counted_writes(monkeypatch)
     monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked a worker"))
@@ -1201,7 +1198,7 @@ def test_region_offsets_only_of_contiguous_float64_arrays_in_it(region, tmp_path
 
 
 def test_forked_child_holds_a_snapshot_of_a_loaded_model(dispatches, region,
-                                                         monkeypatch, tmp_path):
+                                                         in_process, tmp_path):
     # the decode worker reads the parent's pages, but any other forked
     # child gets the model as it was at the fork: neither side's later
     # writes reach the other
@@ -1245,9 +1242,72 @@ def test_forked_child_holds_a_snapshot_of_a_loaded_model(dispatches, region,
         status = os.waitpid(child, 0)[1]
     assert status == 0
     got = loaded.emissions(line)[0]
-    assert np.array_equal(got, in_process(monkeypatch,
-                                          lambda: loaded.emissions(line)[0]))
+    assert np.array_equal(got, in_process(lambda: loaded.emissions(line)[0]))
     assert len(set(dispatches)) == 1
+
+
+def mapped_over(start, end):
+    """The lines of /proc/self/maps whose ranges overlap the addresses
+    [start, end), read a page at a time, so that the read maps nothing
+    there itself."""
+    fd = os.open("/proc/self/maps", os.O_RDONLY)
+    found, rest = [], b""
+    try:
+        while chunk := os.read(fd, mmap.PAGESIZE):
+            *lines, rest = (rest + chunk).split(b"\n")
+            for line in lines:
+                low, high = (int(x, 16) for x in line.split()[0].split(b"-"))
+                if low < end and start < high:
+                    found.append(line)
+    finally:
+        os.close(fd)
+    return found
+
+
+needs_maps = pytest.mark.skipif(
+    not (hasattr(os, "memfd_create") and os.path.exists("/proc/self/maps")),
+    reason="the shared region needs os.memfd_create, the check /proc/self/maps")
+
+
+@needs_maps
+def test_a_region_is_unmapped_once_nothing_views_it():
+    # the region's mmap lives while the region or any view of its blocks
+    # does, and the view reads what was written through it until then
+    region = worker._Region(2 ** 20)
+    start, end = region.address, region.address + len(region.buffer)
+    view = region.block(3 * mmap.PAGESIZE)[mmap.PAGESIZE:].view(np.float64)
+    view[...] = 1.5
+    del region
+    gc.collect()
+    assert mapped_over(start, end)
+    assert (view == 1.5).all()
+    del view
+    gc.collect()
+    assert mapped_over(start, end) == []
+
+
+@needs_maps
+def test_a_forked_child_unmaps_its_snapshot_once_it_drops_the_model(monkeypatch):
+    # a child forked, not as the decode worker, from a process that built
+    # a model holds the model's private snapshot only through the model's
+    # arrays: once it drops the model, the region's addresses are free
+    monkeypatch.setattr(worker, "_region", worker._Region(2 ** 25))
+    start = worker._region.address
+    end = start + len(worker._region.buffer)
+    built, _ = paper_model()
+    child = os.fork()
+    if child == 0:
+        status = 1
+        try:
+            held = bool(mapped_over(start, end))
+            del built
+            gc.collect()
+            if held and not mapped_over(start, end):
+                status = 0
+        finally:
+            os._exit(status)
+    assert os.waitpid(child, 0)[1] == 0
+    assert mapped_over(start, end)
 
 
 # a process that decodes a 6000-token line through the worker, each
@@ -1323,13 +1383,12 @@ def test_worker_dies_with_its_parent_mid_request():
 
 
 def test_killed_worker_falls_back_and_a_fresh_one_follows(dispatches,
-                                                          monkeypatch):
+                                                          in_process):
     rng = np.random.default_rng(84)
     cfg = small_config(extra_layers=1)
     params = init_params(cfg, rng)
     xs = [rng.normal(size=(n, DIM)) for n in (worker.FORK_MIN_TOKENS + 5, 2)]
-    want, _ = in_process(monkeypatch,
-                         lambda: forward(params, cfg, xs, keep_cache=False))
+    want, _ = in_process(lambda: forward(params, cfg, xs, keep_cache=False))
     got, _ = forward(params, cfg, xs, keep_cache=False)
     assert same_arrays(got, want)
     killed = worker._worker.pid
@@ -1347,7 +1406,7 @@ def test_killed_worker_falls_back_and_a_fresh_one_follows(dispatches,
     assert worker._worker.pid == fresh
 
 
-def test_a_dead_worker_is_found_by_the_next_request(dispatches, monkeypatch):
+def test_a_dead_worker_is_found_by_the_next_request(dispatches, in_process):
     # nothing polls the worker: the send to a dead one fails (no reader
     # is left) or its reply ends early, this process runs the direction
     # and reaps the worker, and only the pass after forks a new one
@@ -1355,8 +1414,7 @@ def test_a_dead_worker_is_found_by_the_next_request(dispatches, monkeypatch):
     cfg = small_config()
     params = init_params(cfg, rng)
     xs = [rng.normal(size=(worker.FORK_MIN_TOKENS + 5, DIM))]
-    want, _ = in_process(monkeypatch,
-                         lambda: forward(params, cfg, xs, keep_cache=False))
+    want, _ = in_process(lambda: forward(params, cfg, xs, keep_cache=False))
     forward(params, cfg, xs, keep_cache=False)
     dead = worker._worker.pid
     os.kill(dead, signal.SIGKILL)
@@ -1376,13 +1434,13 @@ def test_a_dead_worker_is_found_by_the_next_request(dispatches, monkeypatch):
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"),
                     reason="counts this process's fds in /proc")
-def test_a_failed_channel_leaves_no_fd_open(dispatches, monkeypatch):
+def test_a_failed_channel_leaves_no_fd_open(dispatches, monkeypatch,
+                                            in_process):
     rng = np.random.default_rng(87)
     cfg = small_config()
     params = init_params(cfg, rng)
     xs = [rng.normal(size=(worker.FORK_MIN_TOKENS + 5, DIM))]
-    want, _ = in_process(monkeypatch,
-                         lambda: forward(params, cfg, xs, keep_cache=False))
+    want, _ = in_process(lambda: forward(params, cfg, xs, keep_cache=False))
     calls = []
 
     def fails(*args):
@@ -1425,13 +1483,14 @@ def test_the_worker_holds_one_fd_besides_0_to_2(dispatches):
     assert len(fds) == 1
 
 
-def test_failed_child_makes_the_parent_run_the_direction(dispatches, monkeypatch):
+def test_failed_child_makes_the_parent_run_the_direction(dispatches,
+                                                         monkeypatch,
+                                                         in_process):
     rng = np.random.default_rng(81)
     cfg = small_config(extra_layers=1)
     params = init_params(cfg, rng)
     xs = [rng.normal(size=(n, DIM)) for n in (worker.FORK_MIN_TOKENS + 5, 9)]
-    want, _ = in_process(monkeypatch,
-                         lambda: forward(params, cfg, xs, keep_cache=False))
+    want, _ = in_process(lambda: forward(params, cfg, xs, keep_cache=False))
     parent = os.getpid()
     step = encoder.tape_step
 
@@ -1496,13 +1555,12 @@ def test_error_in_the_parent_direction_leaves_no_child(dispatches, monkeypatch):
 
 
 def test_forked_child_neither_uses_nor_kills_the_parent_worker(dispatches,
-                                                               monkeypatch):
+                                                               in_process):
     rng = np.random.default_rng(85)
     cfg = small_config()
     params = init_params(cfg, rng)
     xs = [rng.normal(size=(worker.FORK_MIN_TOKENS + 5, DIM))]
-    want, _ = in_process(monkeypatch,
-                         lambda: forward(params, cfg, xs, keep_cache=False))
+    want, _ = in_process(lambda: forward(params, cfg, xs, keep_cache=False))
     forward(params, cfg, xs, keep_cache=False)
     parents = worker._worker.pid
     child = os.fork()
@@ -1559,7 +1617,7 @@ def test_no_fork_while_another_thread_runs(dispatches):
     assert np.array_equal(results[0][0][0], want[0])
 
 
-def test_a_request_carries_no_name(dispatches, monkeypatch):
+def test_a_request_carries_no_name(dispatches, monkeypatch, in_process):
     # a request is int64 (a, h, d, memory span, B), the six weights'
     # offsets and the B lengths, then the input rows: it does not name
     # the direction it asks for
@@ -1567,8 +1625,7 @@ def test_a_request_carries_no_name(dispatches, monkeypatch):
     cfg = small_config()
     params = init_params(cfg, rng)
     xs = [rng.normal(size=(n, DIM)) for n in (worker.FORK_MIN_TOKENS + 5, 3, 1)]
-    want, _ = in_process(monkeypatch,
-                         lambda: forward(params, cfg, xs, keep_cache=False))
+    want, _ = in_process(lambda: forward(params, cfg, xs, keep_cache=False))
     writes = counted_writes(monkeypatch)
     got, _ = forward(params, cfg, xs, keep_cache=False)
     assert same_arrays(got, want)

@@ -637,8 +637,8 @@ def wide_model(rows, emb_dim, bigram_rows=None):
     uni = vocab(rows)
     bi = None if bigram_rows is None else vocab(bigram_rows)
     rng = np.random.default_rng(19)
-    params = {name: rng.normal(size=shape) for name, shape in param_shapes(
-        cfg, len(uni), None if bi is None else len(bi)).items()}
+    params = {name: rng.normal(size=shape)
+              for name, shape in param_shapes(cfg, uni, bi).items()}
     return Segmenter(cfg, uni, params, bi)
 
 
@@ -690,7 +690,7 @@ def test_load_model_memory_is_bounded(tmp_path, region):
                  for name, p in model.params.items())
     assert sum(t.size for t in arrays.traces) <= values + 4096
     shared = shared_block(loaded)
-    assert shared.base is region.buffer
+    assert shared.base.obj is region.buffer
     encoder_names = encoder.param_shapes(loaded.config)
     for name, p in loaded.params.items():
         assert p.base is (shared if name in encoder_names else None), name
@@ -770,7 +770,7 @@ def test_repeated_builds_fault_in_no_fresh_pages(region):
 
     faults, model = minor_faults(build, 10)
     shared = model.params["out.b"].base
-    assert shared.base is region.buffer
+    assert shared.base.obj is region.buffer
     assert pages(shared) > 1000
     assert max(faults[2:]) < pages(shared) // 10, faults
     assert len(set(addresses)) == 2
@@ -814,7 +814,7 @@ def test_every_parameter_dict_places_its_tensors_by_one_rule(
     model = make(tmp_path)
     encoder_names = encoder.param_shapes(model.config)
     shared = shared_block(model)
-    assert shared.base is region.buffer
+    assert shared.base.obj is region.buffer
     for name, p in model.params.items():
         if name in encoder_names:
             assert p.base is shared, name
@@ -885,6 +885,47 @@ def test_a_full_region_loads_into_a_private_block(tmp_path, monkeypatch):
         assert p.tobytes() == shared.params[name].tobytes(), name
     sentences = [sent.tokens for sent in corpus[:5]]
     assert private.decode(sentences) == shared.decode(sentences)
+
+
+def test_save_model_writes_the_canonical_order_whatever_the_dict_order(tmp_path):
+    # params.bin follows model.param_shapes, the order load_model reads
+    # it in: a dict in reverse order saves the same bytes and loads the
+    # same tensors and decodes
+    model, corpus, _ = toy_model()
+    save_model(model, tmp_path / "canonical")
+    model.params = dict(reversed(model.params.items()))
+    save_model(model, tmp_path / "reversed")
+    assert (tmp_path / "reversed" / "params.bin").read_bytes() \
+        == (tmp_path / "canonical" / "params.bin").read_bytes()
+    want, got = (load_model(tmp_path / name) for name in ("canonical", "reversed"))
+    assert list(got.params) == list(want.params)
+    for name, p in want.params.items():
+        assert got.params[name].tobytes() == p.tobytes(), name
+    sentences = [sent.tokens for sent in corpus]
+    assert got.decode(sentences) == want.decode(sentences)
+
+
+def test_save_model_refuses_params_the_config_does_not_give(tmp_path):
+    # checked before any file is written: a tensor of another shape, and
+    # a dict with one tensor missing or one extra; Segmenter's
+    # constructor checks the same
+    model, _, cfg = toy_model()
+    params, h = model.params, cfg.hidden
+    for edited, error, message in [
+        ({**params, "out.wf": np.ascontiguousarray(params["out.wf"].T)},
+         ShapeError, rf"out\.wf \({h}, 4\) does not match \(4, {h}\)"),
+        ({name: p for name, p in params.items() if name != "out.b"},
+         ValueError, r"\['out\.b'\] are missing or extra"),
+        ({**params, "out.c": np.zeros(4)},
+         ValueError, r"\['out\.c'\] are missing or extra"),
+    ]:
+        model.params = edited
+        with pytest.raises(ValueError, match=message) as raised:
+            save_model(model, tmp_path / "m")
+        assert raised.type is error
+        assert not (tmp_path / "m").exists()
+        with pytest.raises(error, match=message):
+            Segmenter(cfg, model.vocab, edited)
 
 
 def test_streamed_params_bin_is_the_one_shot_bytes(tmp_path):
@@ -1387,14 +1428,13 @@ def test_list_decode_holds_one_chunk_at_a_time():
     assert peak(4 * cfg.batch_size) < 1.5 * peak(cfg.batch_size)
 
 
-def test_decode_memory_grows_linearly_with_length(monkeypatch):
+def test_decode_memory_grows_linearly_with_length(in_process):
     # the tapes grow with n; step caches kept for a backward pass would
     # grow with n^2 and make the doubled line take about 4x the memory.
     # Both directions run in this process, where tracemalloc sees them
-    monkeypatch.setattr(worker, "FORK_MIN_TOKENS", np.inf)
     model, corpus, _ = toy_model()
     chars = [tok for sent in corpus for tok in sent.tokens]
-    model.decode(chars[:8])
+    in_process(lambda: model.decode(chars[:8]))
 
     def peak(n):
         tokens = (chars * (n // len(chars) + 1))[:n]
@@ -1405,22 +1445,21 @@ def test_decode_memory_grows_linearly_with_length(monkeypatch):
         finally:
             tracemalloc.stop()
 
-    assert peak(400) < 3 * peak(200)
+    assert in_process(lambda: peak(400) < 3 * peak(200))
 
 
-def test_decode_releases_each_direction_before_the_next(monkeypatch):
+def test_decode_releases_each_direction_before_the_next(in_process):
     # per token, decoding holds the input row, one direction's whole
     # state row ([h | c], Wh h, Wx x, [h~ | x]), the other direction's
     # tape row and the window temporaries of a step; holding the first
     # direction's whole state while the second runs adds (2a + h + d) * 8
     # bytes per token and breaks the bound.  Both directions run in this
     # process, where tracemalloc sees them
-    monkeypatch.setattr(worker, "FORK_MIN_TOKENS", np.inf)
     model, corpus, cfg = toy_model()
     h = a = cfg.hidden
     d = cfg.window * cfg.emb_dim
     chars = [tok for sent in corpus for tok in sent.tokens]
-    model.decode(chars[:8])
+    in_process(lambda: model.decode(chars[:8]))
 
     def peak(n):
         tokens = (chars * (n // len(chars) + 1))[:n]
@@ -1432,11 +1471,11 @@ def test_decode_releases_each_direction_before_the_next(monkeypatch):
             tracemalloc.stop()
 
     state_row = (2 * h + a + a + h + d) * 8
-    per_token = (peak(800) - peak(400)) / 400
+    per_token = in_process(lambda: (peak(800) - peak(400)) / 400)
     assert per_token < d * 8 + 2 * state_row
 
 
-def test_forked_decode_holds_one_direction_in_the_parent(dispatches, monkeypatch):
+def test_forked_decode_holds_one_direction_in_the_parent(dispatches, in_process):
     # with the backward direction in the decode worker, the parent holds per
     # token the input row and its ids, the forward direction's whole
     # state row, a step's window temporaries and the emissions, but not
@@ -1463,8 +1502,7 @@ def test_forked_decode_holds_one_direction_in_the_parent(dispatches, monkeypatch
 
     forked = per_token()
     assert len(dispatches) == warm + 2
-    monkeypatch.setattr(worker, "FORK_MIN_TOKENS", np.inf)
-    in_process = per_token()
+    here = in_process(per_token)
     state_row = (2 * h + a + a + h + d) * 8
     bound = d * 8 + state_row + (a + 2 * h) * 8
-    assert forked < bound <= in_process
+    assert forked < bound <= here
