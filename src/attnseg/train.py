@@ -477,7 +477,7 @@ def load_model(directory):
 
 
 def _pack_params(params):
-    """All parameters as one float64 vector, in canonical order."""
+    """All parameters as one float64 vector, in the dict's order."""
     return np.concatenate([p.ravel() for p in params.values()])
 
 
