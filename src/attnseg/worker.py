@@ -149,7 +149,8 @@ class _Region:
 
     def __init__(self, capacity):
         self.libc = _libc()
-        # the mmap keeps a copy of the memfd's fd, and this one closes
+        # the mmap holds a copy of the memfd's fd of its own; the file
+        # closes this one
         with open(os.memfd_create("attnseg-params"), "r+b") as file:
             file.truncate(capacity)
             self.buffer = mmap.mmap(file.fileno(), capacity)
