@@ -158,9 +158,10 @@ def gradcheck_fixture(seed):
     model = Segmenter.build([sentence], config)
     # redraw every parameter at scale 0.5: training-time init is tiny,
     # which leaves some attention gradients at the finite-difference
-    # noise floor and makes the check indecisive either way
-    for name, p in model.params.items():
-        model.params[name] = rng.normal(0.0, 0.5, size=p.shape)
+    # noise floor and makes the check indecisive either way; in place, so
+    # the encoder's tensors stay in their region block (worker.py, Weights)
+    for p in model.params.values():
+        p[...] = rng.normal(0.0, 0.5, size=p.shape)
     return model, sentence
 
 

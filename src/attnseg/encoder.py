@@ -415,9 +415,11 @@ def _direction_backward(state, d_rows, order, positions, grads):
     d_summary = np.zeros((batch, hidden))
     for t in range(n - 1, -1, -1):
         k = state.active[t]
-        # step t's gates, copied before d z[t] overwrites their row
+        # step t's gates, copied before d z[t] overwrites their row, as
+        # four (k, h) views
         gates = state.gates[:k, t].copy()
-        gate_i, gate_f, gate_o, candidate = np.split(gates, 4, axis=1)
+        gate_i, gate_f, gate_o, candidate = gates.reshape(
+            k, 4, hidden).swapaxes(0, 1)
         # the forward's tanh call on the same rows, so the same bits
         tanh_c = np.tanh(tape_c[:k, t])
         dh = np.matmul(wh_t, d_tape_wh[:k, t, :, None])[:, :, 0]

@@ -49,9 +49,12 @@ def softmax(v, out):
 def grad_check(f, analytic_grad, point):
     """Compare an analytic gradient against central finite differences.
 
-    f is a scalar function of a flat 1-d parameter vector; the numeric
-    gradient per coordinate is (f(x + h e_i) - f(x - h e_i)) / (2 h),
-    h = 1e-4.  Returns the maximum over coordinates of
+    f is a scalar function of the float64 array `point`, of any shape,
+    and analytic_grad has that shape; the numeric gradient per
+    coordinate is (f(x + h e_i) - f(x - h e_i)) / (2 h), h = 1e-4.  The
+    point is probed in place: f gets `point` itself with one coordinate
+    moved, which is restored, also when f raises.  Returns the maximum
+    over coordinates of
 
         |analytic - numeric| / max(1e-8, |analytic| + |numeric|)
 
@@ -61,22 +64,22 @@ def grad_check(f, analytic_grad, point):
     """
     point = np.asarray(point, dtype=np.float64)
     analytic = np.asarray(analytic_grad, dtype=np.float64)
-    if point.ndim != 1 or analytic.shape != point.shape:
-        raise ShapeError(
-            f"grad_check needs matching flat vectors, got point {point.shape} "
-            f"and gradient {analytic.shape}"
-        )
-    x = point.copy()
+    if analytic.shape != point.shape:
+        raise ShapeError(f"grad_check needs a gradient of the point's "
+                         f"shape, got {analytic.shape} for {point.shape}")
     worst = 0.0
-    for i in range(x.size):
-        orig = x[i]
-        x[i] = orig + 1e-4
-        f_plus = float(f(x))
-        x[i] = orig - 1e-4
-        f_minus = float(f(x))
-        x[i] = orig
+    for i in np.ndindex(point.shape):
+        orig = point[i]
+        try:
+            point[i] = orig + 1e-4
+            f_plus = float(f(point))
+            point[i] = orig - 1e-4
+            f_minus = float(f(point))
+        finally:
+            point[i] = orig
         if not (np.isfinite(f_plus) and np.isfinite(f_minus)):
-            raise ValueError(f"non-finite function value while probing coordinate {i}")
+            raise ValueError("non-finite function value while probing "
+                             f"coordinate {', '.join(map(str, i))}")
         numeric = (f_plus - f_minus) / 2e-4
         denom = max(1e-8, abs(analytic[i]) + abs(numeric))
         worst = max(worst, abs(analytic[i] - numeric) / denom)

@@ -126,6 +126,25 @@ def test_grad_check_non_finite_names_coordinate():
         grad_check(f, np.zeros(2), np.zeros(2))
 
 
+def test_grad_check_probes_the_point_in_place_and_restores_it():
+    # f gets the caller's array itself, of any shape, with one coordinate
+    # moved, and that coordinate is restored, also when f raises
+    point = np.arange(6.0).reshape(2, 3)
+    seen = []
+
+    def f(x):
+        seen.append(x is point)
+        if x[1, 2] != 5.0:
+            raise RuntimeError("probe failed")
+        return float(np.sum(x))
+
+    with pytest.raises(RuntimeError, match="probe failed"):
+        grad_check(f, np.ones((2, 3)), point)
+    assert seen == [True] * 11
+    assert np.array_equal(point, np.arange(6.0).reshape(2, 3))
+    assert grad_check(lambda x: float(np.sum(x)), np.ones((2, 3)), point) < 1e-10
+
+
 def test_grad_check_shape_mismatch():
     with pytest.raises(ShapeError):
         grad_check(lambda x: 0.0, np.zeros(2), np.zeros(3))

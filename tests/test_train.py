@@ -20,8 +20,8 @@ from attnseg.evaluate import evaluate_corpus
 from attnseg.model import TABLES, Segmenter, TrainConfig, param_shapes
 from attnseg.numerics import ShapeError
 from attnseg.train import (
-    IO_CHUNK, _pack_params, _unpack_params, adagrad_update, fit, load_model,
-    model_gradient_check, save_model, tag_accuracy, train_epoch,
+    IO_CHUNK, adagrad_update, fit, load_model, model_gradient_check,
+    save_model, tag_accuracy, train_epoch,
 )
 from model_files import json_edit, rehashed_edit
 from oracles import is_valid, train_epoch_sequential
@@ -34,6 +34,15 @@ def toy_model(**overrides):
     corpus = load_toy_corpus()
     cfg = TrainConfig(**{**TOY_CONFIG, **overrides})
     return Segmenter.build(corpus, cfg), corpus, cfg
+
+
+def same_bits(params, other):
+    """Whether two parameter dicts hold the same names in the same order
+    and arrays of the same dtypes, shapes and bytes."""
+    return list(params) == list(other) and all(
+        p.dtype == other[name].dtype and p.shape == other[name].shape
+        and p.tobytes() == other[name].tobytes()
+        for name, p in params.items())
 
 
 def zero_accum(model):
@@ -209,16 +218,6 @@ def test_adagrad_scratch_update_matches_formula_bitwise():
     assert np.array_equal(g, g_before)
 
 
-def test_pack_unpack_roundtrip():
-    model, _, _ = toy_model()
-    vec = _pack_params(model.params)
-    back = _unpack_params(vec, model.params)
-    for name, p in model.params.items():
-        assert np.array_equal(back[name], p)
-    with pytest.raises(ValueError):
-        _unpack_params(vec[:-1], model.params)
-
-
 def test_train_epoch_returns_finite_stats_and_learns():
     model, corpus, cfg = toy_model()
     rng = np.random.default_rng(cfg.seed)
@@ -268,9 +267,9 @@ def test_train_epoch_is_deterministic():
         model, corpus, cfg = toy_model()
         rng = np.random.default_rng(cfg.seed)
         nll = train_epoch(model, corpus, cfg, rng, zero_accum(model))
-        runs.append((nll, _pack_params(model.params)))
+        runs.append((nll, model.params))
     assert runs[0][0] == runs[1][0]
-    assert np.array_equal(runs[0][1], runs[1][1])
+    assert same_bits(runs[0][1], runs[1][1])
 
 
 def test_train_epoch_aborts_on_non_finite_loss():
@@ -340,21 +339,20 @@ def test_train_epoch_matches_sequential_reference(overrides):
         nll = train_epoch(model, corpus, cfg, rng, accum)
         assert nll == train_epoch_sequential(twin, corpus, cfg,
                                              twin_rng, twin_accum)
-    assert _pack_params(model.params).tobytes() == \
-        _pack_params(twin.params).tobytes()
+    assert same_bits(model.params, twin.params)
     for k in accum:
         assert np.array_equal(accum[k], twin_accum[k]), k
 
 
 def test_clip_norm_caps_update():
     model, corpus, cfg = toy_model(clip_norm=1e-9)
-    before = _pack_params(model.params)
+    before = {name: p.copy() for name, p in model.params.items()}
     train_epoch(model, corpus, cfg, np.random.default_rng(0),
                 zero_accum(model))
-    after = _pack_params(model.params)
     # with the gradient clipped to ~0 the AdaGrad step is ~lr per coord at most;
     # the real check is that it ran and moved far less than unclipped training
-    assert np.max(np.abs(after - before)) < 1.0
+    assert max(np.max(np.abs(p - before[name]))
+               for name, p in model.params.items()) < 1.0
 
 
 def test_fit_single_epoch_and_history():
@@ -528,6 +526,61 @@ def test_model_gradient_check_corrupt_hook_fails(monkeypatch):
 
     monkeypatch.setattr(Segmenter, "loss_and_grads", bent)
     assert model_gradient_check(model, sent) > 1e-2
+
+
+def nll_bent_at(monkeypatch, model, name, index, outcome):
+    """Make Segmenter.nll call `outcome` while the check's probe has moved
+    model.params[name][index], and keep the dicts and arrays it saw."""
+    held = model.params[name][index]
+    nll = Segmenter.nll
+    seen = []
+
+    def bent(self, sentence):
+        seen.append(self.params)
+        if self.params[name][index] != held:
+            return outcome()
+        return nll(self, sentence)
+
+    monkeypatch.setattr(Segmenter, "nll", bent)
+    return seen
+
+
+def test_model_gradient_check_names_a_non_finite_probe(monkeypatch):
+    # nll is NaN while one coordinate of one parameter is probed: the
+    # error names that parameter and the coordinate within it
+    from attnseg.cli import gradcheck_fixture
+    model, sent = gradcheck_fixture(1)
+    nll_bent_at(monkeypatch, model, "enc0.bwd.cell.w", (7, 3),
+                lambda: float("nan"))
+    with pytest.raises(ValueError, match=r"^enc0\.bwd\.cell\.w: .*"
+                       r"probing coordinate 7, 3$"):
+        model_gradient_check(model, sent)
+
+
+@pytest.mark.parametrize("fails", [False, True], ids=["done", "raised"])
+def test_model_gradient_check_gives_back_the_callers_params(monkeypatch, fails):
+    # the probes move the model's own arrays, and model.params is the
+    # caller's dict again afterwards, with the same arrays bitwise as
+    # they were, also when nll raises with a coordinate moved
+    from attnseg.cli import gradcheck_fixture
+    model, sent = gradcheck_fixture(1)
+    params, arrays = model.params, list(model.params.values())
+    before = {name: p.copy() for name, p in params.items()}
+
+    def fail():
+        raise RuntimeError("nll failed")
+
+    seen = nll_bent_at(monkeypatch, model, "enc0.fwd.cell.w", (2, 5),
+                       fail if fails else lambda: 0.0)
+    if fails:
+        with pytest.raises(RuntimeError, match="nll failed"):
+            model_gradient_check(model, sent)
+    else:
+        assert model_gradient_check(model, sent) > 1e-2
+    assert seen[-1]["enc0.fwd.cell.w"] is params["enc0.fwd.cell.w"]
+    assert model.params is params
+    assert all(p is q for p, q in zip(params.values(), arrays))
+    assert same_bits(params, before)
 
 
 def trained_toy_model(tmp_path, epochs=3):
@@ -803,14 +856,19 @@ def by_load(tmp_path):
     return load_model(tmp_path / "m")
 
 
-@pytest.mark.parametrize("make", [by_build, by_fit, by_load],
-                         ids=["build", "fit", "load"])
+def by_gradcheck(tmp_path):
+    from attnseg.cli import gradcheck_fixture
+    return gradcheck_fixture(1)[0]
+
+
+@pytest.mark.parametrize("make", [by_build, by_fit, by_load, by_gradcheck],
+                         ids=["build", "fit", "load", "gradcheck"])
 def test_every_parameter_dict_places_its_tensors_by_one_rule(
         tmp_path, region, make):
     # the encoder's tensors are views of one block of the shared region,
     # and every other tensor is a C-contiguous array that owns its
-    # memory, whichever of build, fit and load made the dict; only a
-    # load keeps its tables in float32
+    # memory, whichever of build, fit, load and the gradient check's
+    # fixture made the dict; only a load keeps its tables in float32
     model = make(tmp_path)
     encoder_names = encoder.param_shapes(model.config)
     shared = shared_block(model)
