@@ -142,7 +142,7 @@ def test_grad_check_probes_the_point_in_place_and_restores_it():
         grad_check(f, np.ones((2, 3)), point)
     assert seen == [True] * 11
     assert np.array_equal(point, np.arange(6.0).reshape(2, 3))
-    assert grad_check(lambda x: float(np.sum(x)), np.ones((2, 3)), point) < 1e-10
+    assert grad_check(lambda x: float(x.sum()), np.ones((2, 3)), point) < 1e-10
 
 
 def test_grad_check_shape_mismatch():

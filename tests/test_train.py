@@ -530,7 +530,8 @@ def test_model_gradient_check_corrupt_hook_fails(monkeypatch):
 
 def nll_bent_at(monkeypatch, model, name, index, outcome):
     """Make Segmenter.nll call `outcome` while the check's probe has moved
-    model.params[name][index], and keep the dicts and arrays it saw."""
+    model.params[name][index]; the list returned gets each params dict
+    that nll read."""
     held = model.params[name][index]
     nll = Segmenter.nll
     seen = []
@@ -557,13 +558,19 @@ def test_model_gradient_check_names_a_non_finite_probe(monkeypatch):
         model_gradient_check(model, sent)
 
 
+@pytest.mark.parametrize("loaded", [False, True], ids=["built", "loaded"])
 @pytest.mark.parametrize("fails", [False, True], ids=["done", "raised"])
-def test_model_gradient_check_gives_back_the_callers_params(monkeypatch, fails):
-    # the probes move the model's own arrays, and model.params is the
+def test_model_gradient_check_gives_back_the_callers_params(
+        tmp_path, monkeypatch, loaded, fails):
+    # the probes move the model's own encoder arrays (and float64 copies
+    # of a loaded model's float32 tables), and model.params is the
     # caller's dict again afterwards, with the same arrays bitwise as
     # they were, also when nll raises with a coordinate moved
     from attnseg.cli import gradcheck_fixture
     model, sent = gradcheck_fixture(1)
+    if loaded:
+        save_model(model, tmp_path / "m")
+        model = load_model(tmp_path / "m")
     params, arrays = model.params, list(model.params.values())
     before = {name: p.copy() for name, p in params.items()}
 
