@@ -3,9 +3,9 @@ facade tying embeddings, encoder and CRF together.
 
 Parameters live in one ordered dict mapping name -> ndarray, all
 float64, except that a loaded model (train.load_model) keeps its
-embedding tables in float32, the type params.bin stores; featurize
-widens the rows it looks up, exactly, so the encoder always reads
-float64:
+embedding tables in float32, the type params.bin stores (empty_params);
+featurize widens the rows it looks up, exactly, so the encoder always
+reads float64:
 
     emb.uni                      character embedding table
     emb.bi                       bigram table (only with bigrams on)
@@ -16,6 +16,7 @@ float64:
 
 param_shapes gives the canonical order, the order build() makes the
 tensors in and save_model writes them in, whatever a dict's own order.
+empty_params states where every parameter dict keeps its tensors.
 """
 
 import sys
@@ -30,6 +31,7 @@ from .corpus import (
 )
 from .numerics import ShapeError
 from .tagging import NUM_TAGS, decode_tags
+from .worker import aligned_views
 
 # The embedding tables, the only parameters read by row lookup: emb.uni,
 # and emb.bi with bigrams on.  load_model keeps these in float32.
@@ -108,6 +110,8 @@ class TrainConfig:
             raise ValueError(f"extra_layers must be 0, 1 or 2, got {self.extra_layers}")
         if self.memory_span is not None and self.memory_span < 1:
             raise ValueError(f"memory_span must be >= 1, got {self.memory_span}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
     @property
     def input_dim(self):
@@ -123,15 +127,16 @@ class TrainConfig:
     def from_dict(cls, d):
         """The config a dict (say, a parsed model.json) describes.
 
-        Every value must have its field's declared type, as the
-        constructor checks.  A ValueError names the first field that
-        breaks a rule.
+        The dict must name every field and no other, since a missing
+        field would take its default, and every value must have its
+        field's declared type, as the constructor checks.  A ValueError
+        names the missing and unknown fields, or else the first field
+        that breaks a rule.
         """
         if not isinstance(d, dict):
             raise ValueError(f"config must be a mapping, got {type(d).__name__}")
-        extra = set(d) - {f.name for f in fields(cls)}
-        if extra:
-            raise ValueError(f"unknown config fields: {sorted(extra)}")
+        if odd := sorted(d.keys() ^ {f.name for f in fields(cls)}):
+            raise ValueError(f"config fields {odd} are missing or unknown")
         return cls(**d)
 
 
@@ -146,6 +151,27 @@ def param_shapes(config, vocab, bigram_vocab=None):
     shapes.update(encoder.param_shapes(config))
     shapes["crf.trans"] = (NUM_TAGS + 2, NUM_TAGS + 2)
     return shapes
+
+
+def empty_params(config, shapes, tables=np.float64):
+    """Name -> an uninitialised, C-contiguous array of shapes[name], in
+    the order of `shapes`, the param_shapes of a model with this config.
+
+    This is the placement rule of every parameter dict the program makes.
+    The encoder's tensors (encoder.param_shapes) are views into one block
+    of the decode worker's shared region (worker.aligned_views), of one
+    size for a given config, where the worker reads them in place and
+    whose pages serve the next block of that size once no view of it is
+    left.  The embedding tables (TABLES), of dtype `tables` (float32 for
+    load_model, as params.bin stores them), and crf.trans, float64, are
+    plain arrays that own their memory, since the worker never reads
+    them.  encoder.init_params draws a build's encoder tensors into a
+    block of the same size.
+    """
+    shared = aligned_views(encoder.param_shapes(config))
+    return {name: shared[name] if name in shared else
+            np.empty(shape, tables if name in TABLES else np.float64)
+            for name, shape in shapes.items()}
 
 
 def _add_rows(grad, ids, d_rows):

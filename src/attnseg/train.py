@@ -34,20 +34,16 @@ Saved models are directories, format attnseg-model/2:
 
 params.bin is written and read in chunks, through one float32 scratch
 of IO_CHUNK values: saving holds no copy of the parameters, and loading
-holds them once, the encoder's tensors as views into one block of the
-decode worker's shared region, where the worker reads them without a
-copy, and every other tensor as a plain array that owns its memory, the
-rule of every parameter dict (worker.py, Weights).  A build's encoder
-tensors and fit's copy of the best epoch's take the same shared block,
-of one size per config, so each reuses the pages of a freed one.
+holds them once, in a dict that model.empty_params allocates, as it
+does fit's copy of the best epoch's parameters.
 
 Weights are stored in 32-bit but all arithmetic runs in 64-bit, so a
 round-trip costs one quantization, not a behavioural change (decodes are
 identical in practice because score gaps dwarf float32 resolution... and
 the round-trip test enforces it).  A loaded model keeps its embedding
-tables (model.TABLES) in float32, as stored, and every other tensor in
-float64; featurize widens the rows it looks up, exactly, so a loaded
-model's outputs are those of the same model with its tables widened.
+tables in float32, as stored (model.empty_params); featurize widens the
+rows it looks up, exactly, so a loaded model's outputs are those of the
+same model with its tables widened.
 Training needs float64 throughout: widen a loaded model's tables first
 with `params[name] = params[name].astype(np.float64)` (exact), or
 train_epoch refuses it.
@@ -61,13 +57,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import encoder
 from .corpus import Vocab, decode_lines, lexicon_from_lines
 from .evaluate import evaluate_corpus
-from .model import TABLES, Segmenter, TrainConfig, param_shapes
+from .model import Segmenter, TrainConfig, empty_params, param_shapes
 from .numerics import ShapeError, grad_check
 from .tagging import TAG_IDS
-from .worker import aligned_views
 
 FORMAT_VERSION = "attnseg-model/2"
 _REQUIRED_FILES = {"model.json", "vocab.txt", "params.bin"}
@@ -243,11 +237,7 @@ def fit(model, train_corpus, dev_corpus, config, on_epoch=None):
     history = []
     # F1 is at least 0, so epoch 1 always fills `best`
     best_f1 = -1.0
-    # the encoder's tensors in a shared block of the size a build or a
-    # load of this config takes, so that a freed one serves it
-    shared = aligned_views(encoder.param_shapes(model.config))
-    best = {name: shared[name] if name in shared else np.empty_like(p)
-            for name, p in model.params.items()}
+    best = empty_params(model.config, model.check_params())
     for epoch in range(1, config.epochs + 1):
         nll = train_epoch(model, train_corpus, config, rng, accum)
         precision, recall, f1 = evaluate_corpus(model, dev_corpus)
@@ -338,23 +328,16 @@ def _check_digest(path, digest, want, manifest_path):
         )
 
 
-def _read_params(path, shapes, shared, want, manifest_path):
+def _read_params(path, config, shapes, want, manifest_path):
     """The tensors of params.bin at `path`, name -> array of shapes[name]
-    (shapes in file order), streamed through one float32 scratch of
-    IO_CHUNK values: the embedding tables (model.TABLES) as float32, the
-    type the file stores, and every other tensor as float64.
+    (shapes in file order, the param_shapes of `config`), streamed
+    through one float32 scratch of IO_CHUNK values into the arrays of
+    model.empty_params, with float32 tables, the type the file stores.
 
     The whole file is hashed whatever its size; then it must match the
     sha256 `want` that manifest_path gives, hold exactly 4 bytes per
     value and hold only finite values, checked in that order.  The
-    tensors are filled only when fstat gives that size.  The tensors
-    named in `shared`, the encoder's, are 64-byte-aligned views into one
-    block of the shared region (worker.aligned_views), which the decode
-    worker reads in place, so a decode sends it no weight; every other
-    tensor is a plain array that owns its memory.  Once no view of a
-    shared block is left, its pages serve the next block of the same
-    size, a build's or a load's, so a repeated load faults in no fresh
-    page there.
+    tensors are allocated and filled only when fstat gives that size.
     """
     counts = [math.prod(shape) for shape in shapes.values()]
     size = 4 * sum(counts)
@@ -365,10 +348,7 @@ def _read_params(path, shapes, shared, want, manifest_path):
     params, nonfinite = None, None
     with open(path, "rb") as fh:
         if os.fstat(fh.fileno()).st_size == size:
-            views = aligned_views({name: shapes[name] for name in shared})
-            params = {name: views[name] if name in views else np.empty(
-                shape, scratch.dtype if name in TABLES else np.float64)
-                for name, shape in shapes.items()}
+            params = empty_params(config, shapes, tables=np.float32)
             for (name, p), count in zip(params.items(), counts):
                 dest = p.reshape(-1)
                 for at in range(0, count, IO_CHUNK):
@@ -406,14 +386,10 @@ def load_model(directory):
     params.bin is streamed through a fixed scratch and hashed to its
     end before any of its checks fails, so a corrupted file reports its
     checksum first.  The loaded tensors are C-contiguous, writable
-    arrays that share no memory with one another: the embedding tables
-    (model.TABLES) are float32, as stored, and every other tensor is
-    float64.  The encoder's tensors lie in one block of the decode
-    worker's shared region, where the worker reads them without a copy;
-    its pages serve the next build or load of the same config once the
-    model is gone, and a fork other than the worker's copies them.  The
-    tables and crf.trans are plain arrays that own their memory (see
-    _read_params).  Outputs are those of the model with its tables
+    arrays that share no memory with one another, placed as
+    model.empty_params places them, with the embedding tables in
+    float32, as stored; a fork other than the decode worker's copies
+    the encoder's.  Outputs are those of the model with its tables
     widened, since featurize widens the rows it reads and float32 to
     float64 is exact; to train the model, widen its tables first with
     astype(np.float64), or train_epoch refuses it.
@@ -470,9 +446,8 @@ def load_model(directory):
     if "lexicon.txt" in digests:
         lexicon = lexicon_from_lines(decode_lines(*read("lexicon.txt")))
     shapes = param_shapes(config, vocab, bigram_vocab)
-    params = _read_params(os.path.join(directory, "params.bin"), shapes,
-                          encoder.param_shapes(config), digests["params.bin"],
-                          manifest_path)
+    params = _read_params(os.path.join(directory, "params.bin"), config,
+                          shapes, digests["params.bin"], manifest_path)
     return Segmenter(config, vocab, params, bigram_vocab, lexicon)
 
 

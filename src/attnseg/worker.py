@@ -13,14 +13,16 @@ its own.
 Weights.  The shared region is a memfd file of SHARED_BYTES (256 MiB)
 of address space, mapped shared before the worker forks, so the worker
 reads the parent's live pages.  Every parameter dict the program makes
-follows one rule: the encoder's tensors (encoder.param_shapes) lie in
-one block of the region, of one size for a given config, through
-aligned_views (init_params draws into one, load_model reads into one,
-and fit's best copy takes one), and every other tensor, the embedding
-tables and crf.trans, which the worker never reads, is a plain array
-that owns its memory.  A request carries the byte offsets of its
-direction's six weights and no weight, and weights edited in place, as
-training and gradient checks do between decodes, are read as they are.
+follows one rule, which model.empty_params states: the encoder's
+tensors (encoder.param_shapes) lie in one block of the region, of one
+size for a given config, through aligned_views, whose only callers are
+model.empty_params (load_model reads into its arrays, and fit's best
+copy is one) and encoder.init_params (a build draws into one), and
+every other tensor, the embedding tables and crf.trans, which the
+worker never reads, is a plain array that owns its memory.  A request
+carries the byte offsets of its direction's six weights and no weight,
+and weights edited in place, as training and gradient checks do
+between decodes, are read as they are.
 A direction whose six weights are not all C-contiguous float64 arrays
 in the region (hand-made weights, or a full region) runs in this
 process.  A block whose last view is gone serves the next block of the

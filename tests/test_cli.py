@@ -192,6 +192,14 @@ def test_train_embeddings_of_another_dim_is_one_error(tmp_path, capsys):
     assert not (tmp_path / "m").exists()
 
 
+def test_train_negative_seed_is_one_error_naming_it(tmp_path, capsys):
+    rc = main(["train", "--train", TOY, "--out", str(tmp_path / "m"),
+               "--seed", "-1"])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
+    assert not (tmp_path / "m").exists()
+
+
 def test_segment_empty_line_stays_empty(tmp_path):
     model_dir = train_into(tmp_path, "m")
     raw = tmp_path / "raw.txt"

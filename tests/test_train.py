@@ -130,17 +130,17 @@ def test_config_validation():
             TrainConfig(**fields)
         # the path load_model takes for model.json
         with pytest.raises(ValueError, match=name):
-            TrainConfig.from_dict(fields)
-    # counts and sizes below their least value, and a dev fraction at
-    # either end of (0, 1)
+            TrainConfig.from_dict({**TrainConfig().to_dict(), **fields})
+    # counts, sizes and the seed below their least value, and a dev
+    # fraction at either end of (0, 1)
     for fields in ({"epochs": 0}, {"hidden": 0}, {"emb_dim": 0},
-                   {"attn_dim": 0}, {"dev_fraction": 0.0},
+                   {"attn_dim": 0}, {"seed": -1}, {"dev_fraction": 0.0},
                    {"dev_fraction": 1.0}):
         name = next(iter(fields))
         with pytest.raises(ValueError, match=name):
             TrainConfig(**fields)
         with pytest.raises(ValueError, match=name):
-            TrainConfig.from_dict(fields)
+            TrainConfig.from_dict({**TrainConfig().to_dict(), **fields})
     # numpy scalars are numbers like any other, stored as plain ints and
     # floats; numpy bools are bools
     cfg = TrainConfig(learning_rate=np.float64(0.05), hidden=np.int64(8),
@@ -161,8 +161,15 @@ def test_config_validation():
 def test_config_roundtrip():
     cfg = TrainConfig(hidden=20, bigrams=True, memory_span=4)
     assert TrainConfig.from_dict(cfg.to_dict()) == cfg
-    with pytest.raises(ValueError):
-        TrainConfig.from_dict({"no_such_field": 1})
+    # a missing field would take its default, so the dict must name
+    # every field, and no other
+    odd = cfg.to_dict()
+    del odd["memory_span"], odd["seed"]
+    odd["no_such_field"] = 1
+    with pytest.raises(ValueError, match=re.escape("config fields ['memory_span', "
+                                                   "'no_such_field', 'seed'] are "
+                                                   "missing or unknown")):
+        TrainConfig.from_dict(odd)
 
 
 @pytest.mark.parametrize("fields, name", [
@@ -177,11 +184,12 @@ def test_config_roundtrip():
 ])
 def test_config_from_dict_checks_field_types(fields, name):
     with pytest.raises(ValueError, match=name):
-        TrainConfig.from_dict(fields)
+        TrainConfig.from_dict({**TrainConfig().to_dict(), **fields})
 
 
 def test_config_from_dict_takes_declared_types():
-    cfg = TrainConfig.from_dict({"dropout": 0, "clip_norm": 1, "attn_dim": None,
+    cfg = TrainConfig.from_dict({**TrainConfig().to_dict(), "dropout": 0,
+                                 "clip_norm": 1, "attn_dim": None,
                                  "memory_span": None, "bigrams": True})
     assert cfg == TrainConfig(dropout=0.0, clip_norm=1.0, bigrams=True)
     assert type(cfg.dropout) is float and type(cfg.clip_norm) is float
@@ -763,6 +771,32 @@ def test_load_model_memory_is_bounded(tmp_path, region):
                               p.astype("<f4").astype(np.float64)), name
 
 
+def test_a_wrong_size_params_bin_allocates_nothing(tmp_path, region):
+    # the tensors are allocated only once fstat gives params.bin the size
+    # the config and vocabularies imply: a short file is hashed through
+    # the scratch and refused, with no region block and no table taken.
+    # The failed load's frames, which the traceback in `info` holds, keep
+    # what it read before params.bin, its vocabularies and the scratch,
+    # so `held` counts those, and an array allocated in any of them
+    model = wide_io_model()
+    d = str(tmp_path / "m")
+    save_model(model, d)
+    rehashed_edit(d, "params.bin", lambda raw: raw[:-4])
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="params.bin holds") as info:
+            load_model(d)
+        held, peak = tracemalloc.get_traced_memory()
+        arrays = tracemalloc.take_snapshot().filter_traces(
+            [tracemalloc.DomainFilter(True, np.lib.tracemalloc_domain)])
+    finally:
+        tracemalloc.stop()
+    assert info.traceback
+    assert region.used == 0
+    assert peak - held < MODEL_IO_BOUND
+    assert sum(t.size for t in arrays.traces) < MODEL_IO_BOUND
+
+
 def shared_block(model):
     """The shared block that holds a model's encoder tensors."""
     return model.params["out.b"].base
@@ -1234,6 +1268,23 @@ def test_load_ignores_blank_lexicon_lines(tmp_path):
     assert loaded.lexicon == model.lexicon
     assert preprocess("我们", loaded.lexicon) == [IDIOM]
     assert loaded.segment("我们") == ["我们"]
+
+
+def test_load_rejects_a_config_without_a_field(tmp_path):
+    # a model.json whose config lacks memory_span would load with its
+    # default, None, an unbounded attention span and other emissions
+    model, _, _ = toy_model(memory_span=2)
+    d = os.path.join(tmp_path, "m")
+    save_model(model, d)
+
+    def no_memory_span(meta):
+        del meta["config"]["memory_span"]
+        return meta
+
+    rehashed_edit(d, "model.json", json_edit(no_memory_span))
+    with pytest.raises(ValueError, match=re.escape(
+            "config fields ['memory_span'] are missing or unknown")):
+        load_model(d)
 
 
 @pytest.mark.parametrize("name, old, new", [
