@@ -791,7 +791,6 @@ def test_a_wrong_size_params_bin_allocates_nothing(tmp_path, region):
             [tracemalloc.DomainFilter(True, np.lib.tracemalloc_domain)])
     finally:
         tracemalloc.stop()
-    assert info.traceback
     assert region.used == 0
     assert peak - held < MODEL_IO_BOUND
     assert sum(t.size for t in arrays.traces) < MODEL_IO_BOUND
