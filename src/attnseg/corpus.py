@@ -9,6 +9,7 @@ downstream, and each token can report the text it stands for.
 """
 
 import string
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -32,28 +33,42 @@ _LATIN = _with_fullwidth(string.ascii_letters)
 _DIGITS = _with_fullwidth(string.digits)
 
 
+@contextmanager
+def naming(path):
+    """Re-raise a ValueError raised in the block as one whose message
+    starts with `path`, as "<path>: <problem>".  It is the one place a
+    refusal of an input file names the file, so a check inside the block
+    names no path itself."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
+
+
 def read_lines(path):
-    """The lines of a UTF-8 text file, as decode_lines gives them."""
-    with open(path, "rb") as fh:
-        return decode_lines(fh.read(), path)
+    """The lines of a UTF-8 text file, as decode_lines gives them; an
+    error names the file."""
+    with open(path, "rb") as fh, naming(path):
+        return decode_lines(fh.read())
 
 
-def decode_lines(raw, path):
-    """The lines of the UTF-8 bytes `raw` of the file at `path`, as a
-    list, without their "\n".
+def decode_lines(raw):
+    """The lines of the UTF-8 bytes `raw`, as a list, without their
+    "\n".
 
     Lines end at "\n" only: str.splitlines would also break inside a
     line at U+2028, U+0085 and other separators, and a text-mode file at
     a lone "\r".  A final "\n" ends the last line, and a leading UTF-8
     byte order mark (U+FEFF) is dropped.  Bytes that are not valid UTF-8
-    are a ValueError naming the path and the first bad line.  The bytes
-    are decoded whole, in one call, not line by line.
+    are a ValueError naming the first bad line; the caller, which knows
+    the file, names it (naming).  The bytes are decoded whole, in one
+    call, not line by line.
     """
     try:
         text = raw.decode("utf-8")
     except UnicodeDecodeError as exc:
         lineno = raw.count(b"\n", 0, exc.start) + 1
-        raise ValueError(f"{path}: line {lineno}: not valid UTF-8") from exc
+        raise ValueError(f"line {lineno}: not valid UTF-8") from exc
     lines = text.removeprefix("\ufeff").split("\n")
     if lines[-1] == "":
         lines.pop()
@@ -202,8 +217,9 @@ def read_sentences(path):
     on whitespace.  A file yielding zero sentences is an error naming
     it, and one that is not valid UTF-8 an error naming its line."""
     sentences = [words for words in map(str.split, read_lines(path)) if words]
-    if not sentences:
-        raise ValueError(f"{path}: no sentences found")
+    with naming(path):
+        if not sentences:
+            raise ValueError("no sentences found")
     return sentences
 
 
@@ -264,46 +280,43 @@ def load_embeddings(path, vocab, rng):
     from the generator `rng`, as random_embeddings draws it, and the
     file's rows then overwrite theirs.  File tokens absent from the vocab
     are ignored.  Malformed lines, non-finite values included, are errors
-    naming the line number.
+    naming the file and the line number.
     """
     lines = iter(read_lines(path))
-    header = next(lines, "")
-    parts = header.split()
-    if len(parts) != 2:
-        raise ValueError(f"{path}: line 1: malformed header {header!r}")
-    try:
-        count, dim = int(parts[0]), int(parts[1])
-    except ValueError as exc:
-        raise ValueError(f"{path}: line 1: malformed header {header!r}") from exc
-    if count < 0 or dim <= 0:
-        raise ValueError(f"{path}: line 1: malformed header {header!r}")
-    table = random_embeddings(len(vocab), dim, rng)
-    seen = 0
-    for lineno, line in enumerate(lines, start=2):
-        if not line.strip():
-            continue
-        fields = line.split()
-        if len(fields) != dim + 1:
-            raise ValueError(
-                f"{path}: line {lineno}: expected {dim + 1} fields, "
-                f"got {len(fields)}"
-            )
-        token = fields[0]
+    with naming(path):
+        header = next(lines, "")
         try:
-            values = [float(v) for v in fields[1:]]
+            # unpacking other than two fields is a ValueError too
+            count, dim = map(int, header.split())
         except ValueError as exc:
+            raise ValueError(f"line 1: malformed header {header!r}") from exc
+        if count < 0 or dim <= 0:
+            raise ValueError(f"line 1: malformed header {header!r}")
+        table = random_embeddings(len(vocab), dim, rng)
+        seen = 0
+        for lineno, line in enumerate(lines, start=2):
+            if not line.strip():
+                continue
+            fields = line.split()
+            if len(fields) != dim + 1:
+                raise ValueError(
+                    f"line {lineno}: expected {dim + 1} fields, "
+                    f"got {len(fields)}"
+                )
+            token = fields[0]
+            try:
+                values = [float(v) for v in fields[1:]]
+            except ValueError as exc:
+                raise ValueError(f"line {lineno}: non-numeric value") from exc
+            if not np.isfinite(values).all():
+                raise ValueError(f"line {lineno}: non-finite value")
+            seen += 1
+            if token in vocab:
+                table[vocab.id(token)] = values
+        if seen != count:
             raise ValueError(
-                f"{path}: line {lineno}: non-numeric value"
-            ) from exc
-        if not np.isfinite(values).all():
-            raise ValueError(f"{path}: line {lineno}: non-finite value")
-        seen += 1
-        if token in vocab:
-            table[vocab.id(token)] = values
-    if seen != count:
-        raise ValueError(
-            f"{path}: header promised {count} vectors, file has {seen}"
-        )
+                f"header promised {count} vectors, file has {seen}"
+            )
     return table
 
 

@@ -534,6 +534,8 @@ def _check_shapes(params, config, batch):
                 f"input dim {x.shape[1]} != configured {config.input_dim}"
             )
     for name, shape in param_shapes(config).items():
+        if name not in params:
+            raise ValueError(f"parameter {name} is missing")
         if params[name].shape != shape:
             raise ShapeError(
                 f"parameter {name} has shape {params[name].shape}, but the "

@@ -57,7 +57,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import Vocab, decode_lines, lexicon_from_lines
+from .corpus import Vocab, decode_lines, lexicon_from_lines, naming
 from .evaluate import evaluate_corpus
 from .model import Segmenter, TrainConfig, empty_params, param_shapes
 from .numerics import ShapeError, grad_check
@@ -304,27 +304,27 @@ def save_model(model, directory):
         fh.write(json.dumps(digests, indent=2) + "\n")
 
 
-def _parse_json_object(raw, path, keys):
-    """The JSON object in `raw`, the bytes of the file at `path`, which
-    must hold `keys`; a ValueError names the file and what is wrong with
-    it."""
+def _parse_json_object(raw, keys):
+    """The JSON object in the bytes `raw`, which must hold `keys`; a
+    ValueError says what is wrong, and the caller names the file."""
     try:
         data = json.loads(raw.decode("utf-8"))
     except (ValueError, RecursionError) as exc:
-        raise ValueError(f"{path} is not valid JSON: {exc}") from None
+        raise ValueError(f"is not valid JSON: {exc}") from None
     if not isinstance(data, dict):
-        raise ValueError(f"{path} holds a {type(data).__name__}, not a JSON object")
+        raise ValueError(f"holds a {type(data).__name__}, not a JSON object")
     for key in keys:
         if key not in data:
-            raise ValueError(f"{path} has no {key!r} field")
+            raise ValueError(f"has no {key!r} field")
     return data
 
 
-def _check_digest(path, digest, want, manifest_path):
-    if digest != want:
+def _check_digest(digest, want, manifest_path):
+    """Refuse a file whose sha256, as the hash object `digest` gives
+    it, is not `want`, the one that manifest_path lists."""
+    if (hexdigest := digest.hexdigest()) != want:
         raise ValueError(
-            f"{path}: checksum {digest} does not match {want!r} in "
-            f"{manifest_path}"
+            f"checksum {hexdigest} does not match {want!r} in {manifest_path}"
         )
 
 
@@ -346,7 +346,7 @@ def _read_params(path, config, shapes, want, manifest_path):
     digest = hashlib.sha256()
     got = 0
     params, nonfinite = None, None
-    with open(path, "rb") as fh:
+    with open(path, "rb") as fh, naming(path):
         if os.fstat(fh.fileno()).st_size == size:
             params = empty_params(config, shapes, tables=np.float32)
             for (name, p), count in zip(params.items(), counts):
@@ -362,14 +362,13 @@ def _read_params(path, config, shapes, want, manifest_path):
         while nbytes := fh.readinto(raw):
             digest.update(raw[:nbytes])
             got += nbytes
-    _check_digest(path, digest.hexdigest(), want, manifest_path)
-    if got != size or params is None:
-        raise ValueError(
-            f"{path} holds {got} bytes, the config and vocabularies "
-            f"give {size}"
-        )
-    if nonfinite is not None:
-        raise ValueError(f"{path}: parameter {nonfinite} holds a non-finite value")
+        _check_digest(digest, want, manifest_path)
+        if got != size or params is None:
+            raise ValueError(
+                f"holds {got} bytes, the config and vocabularies give {size}"
+            )
+        if nonfinite is not None:
+            raise ValueError(f"parameter {nonfinite} holds a non-finite value")
     return params
 
 
@@ -381,7 +380,9 @@ def load_model(directory):
     and of no other file than lexicon.txt.  Each listed file is read
     once and must match its sha256; no other file is read.  model.json
     must name this format and tag table, and params.bin must hold the
-    tensors the config and vocabularies imply, every value finite.
+    tensors the config and vocabularies imply, every value finite.  A
+    refusal is a ValueError whose message starts with the refused
+    file's path (corpus.naming).
 
     params.bin is streamed through a fixed scratch and hashed to its
     end before any of its checks fails, so a corrupted file reports its
@@ -395,56 +396,51 @@ def load_model(directory):
     astype(np.float64), or train_epoch refuses it.
     """
     manifest_path = os.path.join(directory, "manifest.json")
-    with open(manifest_path, "rb") as fh:
-        digests = _parse_json_object(fh.read(), manifest_path, ())
-    if not _REQUIRED_FILES <= digests.keys() <= _MODEL_FILES:
-        raise ValueError(
-            f"{manifest_path} is not an {FORMAT_VERSION} manifest (the sha256 "
-            f"of model.json, vocab.txt, params.bin and of no other file than "
-            f"bigrams.txt and lexicon.txt); retrain models of older formats"
-        )
+    with open(manifest_path, "rb") as fh, naming(manifest_path):
+        digests = _parse_json_object(fh.read(), ())
+        if not _REQUIRED_FILES <= digests.keys() <= _MODEL_FILES:
+            raise ValueError(
+                f"is not an {FORMAT_VERSION} manifest (the sha256 of model.json, "
+                f"vocab.txt, params.bin and of no other file than bigrams.txt "
+                f"and lexicon.txt); retrain models of older formats"
+            )
 
-    def read(name):
-        """(bytes, path) of a listed file whose bytes match its sha256."""
+    def read(name, parse):
+        """parse(bytes) of a listed file whose bytes match its sha256;
+        the errors of both checks name the file."""
         path = os.path.join(directory, name)
-        with open(path, "rb") as fh:
+        with open(path, "rb") as fh, naming(path):
             raw = fh.read()
-        _check_digest(path, hashlib.sha256(raw).hexdigest(), digests[name],
-                      manifest_path)
-        return raw, path
+            _check_digest(hashlib.sha256(raw), digests[name], manifest_path)
+            return parse(raw)
 
-    raw, meta_path = read("model.json")
-    meta = _parse_json_object(raw, meta_path, ("format", "config", "tags"))
-    if meta["format"] != FORMAT_VERSION:
-        raise ValueError(
-            f"{meta_path}: unknown model format {meta['format']!r}, "
-            f"expected {FORMAT_VERSION!r}"
-        )
-    if meta["tags"] != TAG_IDS:
-        raise ValueError(
-            f"{meta_path}: tag table {meta['tags']!r} is not {TAG_IDS!r}"
-        )
-    config = TrainConfig.from_dict(meta["config"])
-    if config.bigrams != ("bigrams.txt" in digests):
-        raise ValueError(
-            f"{meta_path} has bigrams {config.bigrams}, but {manifest_path} "
-            f"{'does not list' if config.bigrams else 'lists'} bigrams.txt"
-        )
+    def model_config(raw):
+        meta = _parse_json_object(raw, ("format", "config", "tags"))
+        if meta["format"] != FORMAT_VERSION:
+            raise ValueError(
+                f"unknown model format {meta['format']!r}, "
+                f"expected {FORMAT_VERSION!r}"
+            )
+        if meta["tags"] != TAG_IDS:
+            raise ValueError(f"tag table {meta['tags']!r} is not {TAG_IDS!r}")
+        config = TrainConfig.from_dict(meta["config"])
+        if config.bigrams != ("bigrams.txt" in digests):
+            raise ValueError(
+                f"has bigrams {config.bigrams}, but {manifest_path} "
+                f"{'does not list' if config.bigrams else 'lists'} bigrams.txt"
+            )
+        return config
 
-    def read_vocab(name):
-        """The Vocab of a listed token file; its errors name the file."""
-        raw, path = read(name)
-        lines = decode_lines(raw, path)
-        try:
-            return Vocab(lines)
-        except ValueError as exc:
-            raise ValueError(f"{path}: {exc}") from None
+    def vocab_of(raw):
+        return Vocab(decode_lines(raw))
 
-    vocab = read_vocab("vocab.txt")
-    bigram_vocab = read_vocab("bigrams.txt") if config.bigrams else None
+    config = read("model.json", model_config)
+    vocab = read("vocab.txt", vocab_of)
+    bigram_vocab = read("bigrams.txt", vocab_of) if config.bigrams else None
     lexicon = None
     if "lexicon.txt" in digests:
-        lexicon = lexicon_from_lines(decode_lines(*read("lexicon.txt")))
+        lexicon = read("lexicon.txt",
+                       lambda raw: lexicon_from_lines(decode_lines(raw)))
     shapes = param_shapes(config, vocab, bigram_vocab)
     params = _read_params(os.path.join(directory, "params.bin"), config,
                           shapes, digests["params.bin"], manifest_path)

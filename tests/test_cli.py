@@ -200,6 +200,12 @@ def test_train_negative_seed_is_one_error_naming_it(tmp_path, capsys):
     assert not (tmp_path / "m").exists()
 
 
+def test_gradcheck_negative_seed_is_one_error_naming_it(capsys):
+    # the fixture's generator took the seed before its config checked it
+    assert main(["gradcheck", "--seed", "-1"]) == 1
+    assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
+
+
 def test_segment_empty_line_stays_empty(tmp_path):
     model_dir = train_into(tmp_path, "m")
     raw = tmp_path / "raw.txt"
@@ -368,7 +374,7 @@ def test_segment_rejects_window_past_any_params_size(tmp_path, capsys):
     rehashed_edit(model_dir, "model.json", config_edit("window", 10 ** 30 + 1))
     rc, err = segment_one_char(tmp_path, model_dir, capsys)
     assert rc == 1
-    assert err.startswith("error:") and "params.bin holds" in err
+    assert err.startswith("error:") and "params.bin: holds" in err
 
 
 @pytest.mark.parametrize("name", ["model.json", "vocab.txt", "bigrams.txt",

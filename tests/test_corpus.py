@@ -4,7 +4,7 @@ import pytest
 from attnseg.corpus import (
     ENG, IDIOM, NUM, PAD, UNK, Sentence, Vocab, bigram_key,
     build_bigram_vocab, featurize, load_corpus, load_embeddings, load_lexicon,
-    load_toy_corpus, preprocess, random_embeddings, read_lines,
+    load_toy_corpus, preprocess, random_embeddings, read_lines, read_sentences,
     sentence_bigrams, split_train_dev, window_ids,
 )
 from attnseg.tagging import TAG_IDS, decode_tags
@@ -168,6 +168,11 @@ def test_load_corpus_empty_file_errors(tmp_path):
     p.write_text("\n\n", encoding="utf-8")
     with pytest.raises(ValueError):
         load_corpus(p)
+    # a file of blank lines names itself, as every refused input file does
+    p.write_text(" \n\t\n", encoding="utf-8")
+    with pytest.raises(ValueError) as info:
+        read_sentences(p)
+    assert str(info.value) == f"{p}: no sentences found"
 
 
 def test_load_corpus_bad_utf8_names_line(tmp_path):
@@ -296,30 +301,34 @@ def test_load_embeddings_ignores_tokens_outside_vocab(tmp_path):
 def test_load_embeddings_wrong_field_count_names_line(tmp_path):
     p = tmp_path / "emb.txt"
     p.write_text("1 3\n你 0.1 0.2 0.3 0.4\n", encoding="utf-8")
-    with pytest.raises(ValueError, match="line 2"):
+    with pytest.raises(ValueError, match="line 2") as info:
         load_embeddings(p, Vocab.build([["你"]]), np.random.default_rng(0))
+    assert str(info.value).startswith(f"{p}: ")
 
 
 @pytest.mark.parametrize("value", ["oops", "nan", "inf", "-inf"])
 def test_load_embeddings_non_numeric_names_line(tmp_path, value):
     p = tmp_path / "emb.txt"
     p.write_text(f"1 2\n你 0.1 {value}\n", encoding="utf-8")
-    with pytest.raises(ValueError, match="line 2"):
+    with pytest.raises(ValueError, match="line 2") as info:
         load_embeddings(p, Vocab.build([["你"]]), np.random.default_rng(0))
+    assert str(info.value).startswith(f"{p}: ")
 
 
 def test_load_embeddings_bad_header(tmp_path):
     p = tmp_path / "emb.txt"
     vocab = Vocab.build([["你"]])
-    # one field, a non-number, a negative count and a zero dimension
-    for header in ("3", "x 3", "-1 3", "2 0"):
+    # one field, three, a non-number, a negative count and a zero dimension
+    for header in ("3", "1 2 3", "x 3", "-1 3", "2 0"):
         p.write_text(header + "\n", encoding="utf-8")
-        with pytest.raises(ValueError, match="header"):
+        with pytest.raises(ValueError, match="header") as info:
             load_embeddings(p, vocab, np.random.default_rng(0))
+        assert str(info.value).startswith(f"{p}: line 1: ")
     # a count that the rows do not match
     p.write_text("2 2\n你 0.5 0.5\n", encoding="utf-8")
-    with pytest.raises(ValueError, match="promised 2 vectors, file has 1"):
+    with pytest.raises(ValueError, match="promised 2 vectors, file has 1") as info:
         load_embeddings(p, vocab, np.random.default_rng(0))
+    assert str(info.value).startswith(f"{p}: ")
 
 
 def test_featurize_window1_is_plain_lookup():

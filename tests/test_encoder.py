@@ -421,6 +421,21 @@ def test_forward_rejects_empty_input():
         forward(params, cfg, [np.zeros((3, cfg.input_dim + 1))])
 
 
+@pytest.mark.parametrize("name", ["enc0.bwd.cell.b", "out.b"])
+def test_a_missing_tensor_is_a_value_error_naming_it(name):
+    # a dict that lacks an encoder tensor raised a bare KeyError mid-pass
+    rng = np.random.default_rng(77)
+    cfg = small_config()
+    params = init_params(cfg, rng)
+    del params[name]
+    with pytest.raises(ValueError, match=f"parameter {re.escape(name)} is missing"):
+        forward(params, cfg, [rng.normal(size=(3, DIM))])
+    seg = Segmenter.build(load_toy_corpus()[:2], cfg)
+    del seg.params[name]
+    with pytest.raises(ValueError, match=f"parameter {re.escape(name)} is missing"):
+        seg.decode(["我", "们"])
+
+
 def test_forward_takes_a_list_of_sentences():
     # one sentence is a list of one; a bare (n, input_dim) array is not
     rng = np.random.default_rng(76)

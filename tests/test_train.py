@@ -784,7 +784,7 @@ def test_a_wrong_size_params_bin_allocates_nothing(tmp_path, region):
     rehashed_edit(d, "params.bin", lambda raw: raw[:-4])
     tracemalloc.start()
     try:
-        with pytest.raises(ValueError, match="params.bin holds") as info:
+        with pytest.raises(ValueError, match="params.bin: holds") as info:
             load_model(d)
         held, peak = tracemalloc.get_traced_memory()
         arrays = tracemalloc.take_snapshot().filter_traces(
@@ -1186,6 +1186,16 @@ def swapped_tags(meta):
     return meta
 
 
+def hidden_as_string(meta):
+    meta["config"]["hidden"] = "4"
+    return meta
+
+
+def no_memory_span(meta):
+    del meta["config"]["memory_span"]
+    return meta
+
+
 def no_sha256(manifest):
     del manifest["params.bin"]
     return manifest
@@ -1204,6 +1214,12 @@ def params_as_number(manifest):
                  id="model-string"),
     pytest.param("model.json", no_tags, "no 'tags'", id="model-no-tags"),
     pytest.param("model.json", swapped_tags, "tag table", id="model-swapped-tags"),
+    pytest.param("model.json", hidden_as_string,
+                 "config field hidden must be int, got '4'",
+                 id="model-config-mistyped"),
+    pytest.param("model.json", no_memory_span,
+                 "config fields ['memory_span'] are missing or unknown",
+                 id="model-config-no-field"),
     pytest.param("manifest.json", lambda manifest: list(manifest),
                  "holds a list", id="manifest-list"),
     pytest.param("manifest.json", lambda manifest: {},
@@ -1275,11 +1291,6 @@ def test_load_rejects_a_config_without_a_field(tmp_path):
     model, _, _ = toy_model(memory_span=2)
     d = os.path.join(tmp_path, "m")
     save_model(model, d)
-
-    def no_memory_span(meta):
-        del meta["config"]["memory_span"]
-        return meta
-
     rehashed_edit(d, "model.json", json_edit(no_memory_span))
     with pytest.raises(ValueError, match=re.escape(
             "config fields ['memory_span'] are missing or unknown")):
