@@ -38,10 +38,11 @@ weights, the arrays it was made with in WEIGHTS order (the model's
 own, named by direction_names(layer, direction), in forward()), so
 attend(), tape_step and backward need only the state, and the batch's
 arrays by sentence and row: the tapes side by side as [h_t | c_t], Wh
-h_t, Wx x_t, the gate input [h~_t | x_t] and, when kept for backward,
-the gate activations and c~_t.  It holds only rows that outlive a
-step: the summaries, tanh c_t and a decode step's gates are arrays the
-step makes for itself.  The ForwardCache of a kept forward holds the
+h_t, h~_t (in a kept state, the gate input [h~_t | x_t]), W_x x_t + b
+and Wx x_t of the input rows, and, when kept for backward, the gate
+activations and c~_t.  It holds only rows that outlive a step: the
+summaries and tanh c_t are arrays the step makes for itself.  The
+ForwardCache of a kept forward holds the
 states and, likewise, the model's own out.wf and out.wb arrays, so
 backward() reads the cache alone and adds into the gradient dict its
 caller passes.  No step keeps its window: attend()
@@ -57,44 +58,35 @@ reduction runs along each sentence's own axis in its own order, so a
 sentence's values do not depend on the batch it runs in, and stay
 bit-equal to the straight-line recurrence.
 
-Cost.  Wh h_i does not depend on t, so it is computed once, when h_i
-enters the tape; Wx x_t is computed for every t before the first step,
-one matrix-vector product per row (bit-equal to the per-step product,
-which one matrix product would not be).  A step then costs three
-matrix-vector products per sentence (Wp p_{t-1}, the gate block and
-Wh h_t), O(a·h) work, plus O(w·(a + h)) for its window of w entries,
-and a sentence of n tokens O(n·a·h + n²·(a + h)) per direction (rather
-than O(n²·a·h)).  Both summaries are one sum of products per step,
-which reads the window's [h_i | c_i] rows once and forms no (w, 2h)
-product array.  The backward pass sums the tape term of every later
+Cost.  Neither Wh h_i nor the input half of the gate product depends
+on the recurrence.  Wh h_i is computed once, when h_i enters the tape.
+With W = [W_h | W_x] split at column h, W_x x_t + b and Wx x_t are
+computed before the steps that read them, one matrix-vector product per
+row (bit-equal to the per-step product, which one matrix product would
+not be), and each step adds W_h h~_t, so z = (W_x x_t + b) + W_h h~_t,
+the split form of tests/oracles.py.  A step then costs three
+matrix-vector products per sentence (Wp p_{t-1}, W_h h~_t and Wh h_t),
+O(a·h + h²) work, plus O(w·(a + h)) for its window of w entries, and a
+sentence of n tokens O(n·(a + h)·(h + d) + n²·(a + h)) per direction
+(rather than O(n²·a·h)).  A step reads W_h, 600 x 150 float64 (720 KB)
+at paper dimensions, which stays in a 2 MB per-core L2 from step to
+step, where all of W (2.16 MB) did not.  Each row's product is the
+same call however many rows are stacked, so it gets the same bits in
+any block, at any BLAS thread count; tests/test_tooling.py checks that
+on the installed BLAS.  Both summaries are one sum of products per
+step, which reads the window's [h_i | c_i] rows once and forms no (w,
+2h) product array.  The backward pass sums the tape term of every later
 step's attention gradient per entry before multiplying by Wh^T, for the
 same bound.  A batch of B sentences takes one set of numpy calls per
-step for all of them, where one sentence at a time takes B sets.  A
-step of any k sentences forms the gate block by row blocks of W,
-GATE_BLOCK_ROWS (192) at a time, one stacked product per block: at
-paper dimensions W is 600 x 450 float64, 2.16 MB, more than a 2 MB
-per-core L2, so k products over all of W would each stream it from L3,
-while a 690 KB block is read from L3 once and from L2 for the other
-k - 1 sentences.  Each row of the result stays bit-equal to W @ x
-only if the BLAS forms it from the same kernel group in a block as in
-the whole product: OpenBLAS 0.3.31's dgemv_t (Haswell kernels) did so
-for blocks of 64, 128 and 192 rows in every case tried, at 1 to 8
-threads on a 2-core box, which fits output rows formed 4 at a time;
-block starts are kept at multiples of 64 rows so that any power-of-two
-row group up to 64 starts at the same row in a block as in W.
-Blocks of one gate (150 rows) or of 37 rows rounded differently (24 of
-48 random cases each), so W is not split by gate.  Another BLAS build
-or core count may group rows otherwise; tests/test_tooling.py checks
-the blocks on the installed one.  The blocks run first to last on
-even steps and last to first on odd ones, so each step starts on the
-block the previous step ended on, still in L2.  In one fixed order a
-lone sentence read every block from L3 on every step and took about 6%
-longer than one product over all of W; alternating, it takes as long.
+step for all of them, where one sentence at a time takes B sets.
 Training keeps each step's gate rows and c~_t for backward, and no
-window arrays: backward recomputes a step's window with attend(), one
+window arrays: its state forms W_x x_t + b into the gate rows of every
+token before the first step, and each step adds W_h h~_t into its row
+in place.  Backward recomputes a step's window with attend(), one
 window add, one matrix-vector product per sentence, one tanh and one
 softmax, the attention half of the forward step, and tanh c_t with one
-tanh of the tape row; h~_t is kept in the gate input.  So a kept
+tanh of the tape row; h~_t and x_t are kept in the gate input, where
+the gradient of W reads them.  So a kept
 forward holds O(n·(h + a + d)) memory per sentence and direction, 1800
 values per padded row at paper dimensions.  Backward runs one direction
 at a time and adds two gradient arrays, 2h + a values per padded row
@@ -104,11 +96,14 @@ its other two over kept rows it has read for the last time, d z over
 the gates and the window sums of d pre over Wx x_t.  It releases each
 direction's kept state once that direction is done, so the cache of a
 kept forward serves one backward call.  Decoding runs the same loop
-with keep_cache=False: it keeps no gates and no c~_t, and releases
-each direction's gate input and attention terms once its tape has been
-read, before the next direction runs, so it holds O(n·(h + a + d)) as
-well, 3h + 2a + d values per padded row (1050 at paper dimensions),
-plus one step's arrays.  The two directions of a layer share nothing
+with keep_cache=False: it keeps no gates and no c~_t, and forms W_x x_t
++ b and Wx x_t from the caller's input rows one block of
+DECODE_BLOCK_ROWS (64) rows at a time, when the loop reaches it; each
+step adds W_h h~_t into its row of the block, which becomes the step's
+gates.  It releases each direction's h~_t rows and attention terms once
+its tape has been read, before the next direction runs, so it holds
+3h + a values per padded row (600 at paper dimensions), plus one block,
+64 (4h + a) values per sentence, and one step's arrays.  The two directions of a layer share nothing
 until the layer above reads them, so a pass without a cache hands each
 layer's two (weights, inputs) pairs to worker.run_both, which runs the
 forward one in this process and offers the backward one to this
@@ -131,9 +126,9 @@ from . import worker
 from .numerics import ShapeError, sigmoid, softmax
 from .tagging import NUM_TAGS
 
-# rows of cell.w per gate product of a step: 690 KB at paper
-# dimensions, and a multiple of 64 (module docstring, Cost)
-GATE_BLOCK_ROWS = 192
+# input rows per block of a decode state's W_x x_t + b and Wx x_t rows
+# (module docstring, Cost)
+DECODE_BLOCK_ROWS = 64
 
 
 # the weights of one direction run, in the order a run takes them and
@@ -221,7 +216,8 @@ class DirectionState:
     DirectionState(weights, inputs, keep_steps, memory_span) makes the
     run's empty tapes over `inputs`, a list of (n_i, d) arrays with
     non-increasing n_i, for the direction with these six weights, in
-    WEIGHTS order, with the input rows of gate_in and wx_x filled in.
+    WEIGHTS order, with the first block of input rows of gate_x and
+    wx_x filled in (input_block), and, when kept, the x_t of gate_in.
     The weights stay as given, one attribute per WEIGHTS name (wh, wx,
     wp and v of the attention layer, w and b of the gate block); in
     forward() they are the model's own arrays.  lengths holds the n_i,
@@ -231,25 +227,33 @@ class DirectionState:
 
         tape      (B, n, 2h)    [h_t | c_t]: the hidden and memory tapes
         tape_wh   (B, n, a)     Wh h_t, stored when h_t enters the tape
-        wx_x      (B, n, a)     Wx x_t, for every t before the first step
-        gate_in   (B, n, h + d) [h~_t | x_t], the gate block's input; h~_t
-                                is also step t + 1's previous summary
+        gate_in   (B, n, h + d) [h~_t | x_t], the gate block's input, when
+                  (B, n, h)     kept, else h~_t; h~_t is also step t + 1's
+                                previous summary
+        gate_x    (B, r, 4h)    W_x x_t + b of input rows block_start ..
+                                block_start + r - 1, W_x = w[:, h:];
+                                step t adds W_h h~_t into row t -
+                                block_start, which becomes its gates
+        wx_x      (B, r, a)     Wx x_t of the same rows
         gates     (B, n, 4h)    i, f, o and chat after their activations
         c_summary (B, n, h)     c~_t
 
     gates and c_summary hold the steps kept for backward, and are None
-    unless keep_steps is set: the state of a pass without gradients is
-    its tapes and inputs alone.  Kept arrays have zero padding rows.  No
-    array holds a value that lives for one step: attend() recomputes a
-    step's attention window from tape_wh, wx_x and gate_in, and
-    backward recomputes tanh(c_t) from the tape.  Step t
-    reads and writes the arrays' [:active[t]] slices, batch axis
-    included for one sentence too, attends to tape rows window_starts[t]
-    .. t-1, and sentence p's rows are their [p, :lengths[p]] slices.
-    Once backward has run on a kept state, its gates rows hold d z, the
-    gradient of the gate pre-activations, and its wx_x rows the
-    gradient of the attention pre-activations summed over each step's
-    window.
+    unless keep_steps is set.  A kept state has r = n, block_start 0 and
+    gates one array with gate_x, all formed before the first step; a
+    state without gradients holds r = min(n, DECODE_BLOCK_ROWS) rows,
+    and its run's loop refills them at each block start, so it keeps
+    its tapes and h~_t rows alone for every token.  Kept arrays have
+    zero padding rows.  No array holds a value that lives for one
+    step: attend() recomputes a step's attention window from tape_wh,
+    wx_x and gate_in, and backward recomputes tanh(c_t) from the tape.
+    Step t reads and writes the arrays' [:active[t]] slices, batch axis
+    included for one sentence too, attends to tape rows
+    window_starts[t] .. t-1, and sentence p's rows are their [p,
+    :lengths[p]] slices.  Once backward has run on a kept state, its
+    gates rows hold d z, the gradient of the gate pre-activations, and
+    its wx_x rows the gradient of the attention pre-activations summed
+    over each step's window.
     """
 
     def __init__(self, weights, inputs, keep_steps, memory_span):
@@ -260,32 +264,43 @@ class DirectionState:
         batch = len(inputs)
         n, d = inputs[0].shape
         hidden = self.b.shape[0] // 4
-        attn_dim = self.wh.shape[0]
         # no step and no backward reads a padding row; a kept state, which
         # callers read too, zeroes them rather than hold stale memory
         alloc = np.zeros if keep_steps else np.empty
-        self.gate_in = alloc((batch, n, hidden + d))
-        self.wx_x = alloc((batch, n, attn_dim))
-        for p, (m, x) in enumerate(zip(lengths, inputs)):
-            self.gate_in[p, :m, hidden:] = x
-            # one matrix-vector product per row, bit-equal to Wx @ x_t;
-            # one matrix product (X @ Wx^T) rounds differently
-            np.matmul(self.wx, self.gate_in[p, :m, hidden:, None],
-                      out=self.wx_x[p, :m, :, None])
+        self.gate_in = alloc((batch, n, hidden + d if keep_steps else hidden))
         # active[t]: the sentences longer than t, a prefix of the batch
         self.active = []
         for p in range(batch, 0, -1):
             self.active += [p] * (lengths[p - 1] - len(self.active))
-        if memory_span is None:
-            self.window_starts = [0] * n
-        else:
-            self.window_starts = [max(0, t - memory_span) for t in range(n)]
+        self.window_starts = [0 if memory_span is None else max(0, t - memory_span)
+                              for t in range(n)]
         self.tape = alloc((batch, n, 2 * hidden))
-        self.tape_wh = alloc((batch, n, attn_dim))
-        self.gates = self.c_summary = None
+        self.tape_wh = alloc((batch, n, self.wh.shape[0]))
+        rows = n if keep_steps else min(n, DECODE_BLOCK_ROWS)
+        self.gate_x = alloc((batch, rows, 4 * hidden))
+        self.wx_x = alloc((batch, rows, self.wh.shape[0]))
         if keep_steps:
-            self.gates = np.zeros((batch, n, 4 * hidden))
-            self.c_summary = np.zeros((batch, n, hidden))
+            for p, (m, x) in enumerate(zip(lengths, inputs)):
+                self.gate_in[p, :m, hidden:] = x
+        # a kept state's steps add W_h h~ into their gate_x rows in place
+        self.gates = self.gate_x if keep_steps else None
+        self.c_summary = alloc((batch, n, hidden)) if keep_steps else None
+        self.input_block(inputs, 0)
+
+    def input_block(self, inputs, start):
+        """Write rows start .. start + r - 1 of every sentence's W_x x_t
+        + b into gate_x and of its Wx x_t into wx_x, r being their row
+        count, from `inputs`, the ones the state was made with, and make
+        start the block_start."""
+        self.block_start = start
+        w_x = self.w[:, self.b.shape[0] // 4:]
+        for p, x in enumerate(inputs):
+            x = x[start:start + self.wx_x.shape[1], :, None]
+            # one matrix-vector product per row, bit-equal to W_x @ x_t;
+            # one matrix product (X @ W_x^T) rounds differently
+            np.matmul(w_x, x, out=self.gate_x[p, :len(x), :, None])
+            self.gate_x[p, :len(x)] += self.b
+            np.matmul(self.wx, x, out=self.wx_x[p, :len(x), :, None])
 
 
 def attend(state, t):
@@ -294,14 +309,17 @@ def attend(state, t):
     activations (k, w, a) and its softmax weights (k, w).
 
     Reads only rows that step t does not write, so the forward step and
-    backward's recompute get the same bits from the same state.
+    backward's recompute get the same bits from the same state; Wx x_t
+    is row t - block_start of wx_x in a kept state and a decode state
+    alike.
     """
     k = state.active[t]
     hidden = state.wp.shape[1]
     # (Wh h_i + Wx x_t) + Wp p in the oracle's order, so tapes stay
     # bit-equal; a stack of row vectors times Wp^T runs one
     # matrix-vector product per sentence, the same one as Wp @ p
-    pre_tanh = state.tape_wh[:k, state.window_starts[t]:t] + state.wx_x[:k, t, None]
+    pre_tanh = (state.tape_wh[:k, state.window_starts[t]:t]
+                + state.wx_x[:k, t - state.block_start, None])
     pre_tanh += np.matmul(state.gate_in[:k, t - 1, None, :hidden], state.wp.T)
     np.tanh(pre_tanh, out=pre_tanh)
     # vecdot takes one dot product per row, like v @ u; pre_tanh @ v
@@ -315,11 +333,12 @@ def tape_step(state, t):
     first k = state.active[t], over their tape rows window_starts[t] ..
     t-1.
 
-    Reads x_t and Wx x_t from row t of the state and the previous
-    summary from gate_in row t-1 (with an empty window both summaries
-    are zero), and writes h_t, c_t, Wh h_t and h~_t into row t, and,
-    when the steps are kept, the gates and c~_t into row t of gates and
-    c_summary.  The summaries, tanh c_t and a decode step's gates are
+    Reads Wx x_t and W_x x_t + b from row t - block_start of the
+    state's input block and the previous summary from gate_in row t-1
+    (with an empty window both summaries are zero), writes h_t, c_t, Wh
+    h_t and h~_t into row t, and turns the input block's row into the
+    step's gates, in place: in a kept state that is row t of gates, and
+    c~_t goes into row t of c_summary.  The summaries and tanh c_t are
     arrays of the step's own.  Every array keeps its batch axis, one
     sentence's too, and every k takes the same calls.  The gate
     sigmoid saturates through exp overflow, so the caller holds
@@ -338,22 +357,14 @@ def tape_step(state, t):
                             state.tape[:k, window_start:t])
     else:
         summary = np.zeros((k, 2 * hidden))
-    gate_in = state.gate_in[:k, t]
-    gate_in[:, :hidden] = summary[:, :hidden]
-    if state.gates is not None:
+    state.gate_in[:k, t, :hidden] = summary[:, :hidden]
+    if state.c_summary is not None:
         state.c_summary[:k, t] = summary[:, hidden:]
-        z = state.gates[:k, t]
-    else:
-        z = np.empty((k, 4 * hidden))
-    # W [h~ | x_t], one matrix-vector product per sentence like Wp p,
-    # by row blocks of W that stay in L2 across the stack, last to first
-    # on odd steps so that each step starts on the block the previous
-    # one ended on (module docstring, Cost)
-    blocks = range(0, z.shape[1], GATE_BLOCK_ROWS)
-    for r in reversed(blocks) if t % 2 else blocks:
-        block = slice(r, r + GATE_BLOCK_ROWS)
-        np.matmul(gate_in[:, None, :], state.w[block].T, out=z[:, None, block])
-    z += state.b
+    # (W_x x_t + b) + W_h h~ in the oracle's split form, one
+    # matrix-vector product per sentence, added into the step's input
+    # row, which becomes its gates
+    z = state.gate_x[:k, t - state.block_start]
+    z += np.matmul(state.w[:, :hidden], summary[:, :hidden, None])[:, :, 0]
     gates_ifo, candidate = z[:, :3 * hidden], z[:, 3 * hidden:]
     sigmoid(gates_ifo, out=gates_ifo)
     np.tanh(candidate, out=candidate)
@@ -398,7 +409,6 @@ def _direction_backward(state, d_rows, order, positions, grads):
     """
     batch, n = state.tape.shape[:2]
     hidden = state.b.shape[0] // 4
-    attn_dim = state.wh.shape[0]
     tape_h, tape_c = state.tape[:, :, :hidden], state.tape[:, :, hidden:]
     # d z over the gates and the window sums of d pre over Wx x_t, row t
     # of each written once step t has read it (above)
@@ -406,8 +416,8 @@ def _direction_backward(state, d_rows, order, positions, grads):
     d_tape = np.zeros((batch, n, 2 * hidden))
     for p, d in zip(positions, d_rows):
         d_tape[p, :state.lengths[p], :hidden] = d[order]
-    d_tape_wh = np.zeros((batch, n, attn_dim))
-    g_v = np.zeros((batch, attn_dim))
+    d_tape_wh = np.zeros_like(state.tape_wh)
+    g_v = np.zeros((batch, state.wh.shape[0]))
     # stacks of vectors times these run one matrix-vector product per
     # sentence, the same one as a single sentence's W^T @ u
     wh_t, wp_t, w_summary_t = state.wh.T, state.wp.T, state.w[:, :hidden].T
@@ -549,6 +559,8 @@ def _run_direction(weights, inputs, keep_steps, memory_span):
     state = DirectionState(weights, inputs, keep_steps, memory_span)
     with np.errstate(over="ignore"):
         for t in range(state.tape.shape[1]):
+            if t == state.block_start + state.wx_x.shape[1]:
+                state.input_block(inputs, t)
             tape_step(state, t)
     return state
 
@@ -601,9 +613,8 @@ def forward(params, config, inputs, dropout=0.0, rng=None, keep_cache=True):
     lengths = [x.shape[0] for x in batch]
     # longest first; sorted() is stable, so equal lengths keep batch order
     by_length = sorted(range(len(batch)), key=lambda s: -lengths[s])
-    positions = [0] * len(batch)
-    for p, s in enumerate(by_length):
-        positions[s] = p
+    # positions[s] = p where by_length[p] = s, the inverse permutation
+    positions = sorted(range(len(batch)), key=by_length.__getitem__)
 
     layers = []
     for layer in range(1 + config.extra_layers):

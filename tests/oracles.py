@@ -202,7 +202,7 @@ def viterbi_numpy(emissions, trans):
 def lstm_step_reference(x, h_prev, c_prev, w, b):
     """Plain LSTM update, gate order (i, f, o, candidate)."""
     hidden = h_prev.shape[0]
-    z = w @ np.concatenate((h_prev, x)) + b
+    z = w[:, :hidden] @ h_prev + (w[:, hidden:] @ x + b)
     i = 1.0 / (1.0 + np.exp(-z[:hidden]))
     f = 1.0 / (1.0 + np.exp(-z[hidden:2 * hidden]))
     o = 1.0 / (1.0 + np.exp(-z[2 * hidden:3 * hidden]))
@@ -249,7 +249,7 @@ def lstmn_unrolled(inputs, wh, wx, wp, v, w, b, memory_span=None):
             for i in range(first, t):
                 h_sum += s[i - first] * tape_h[i]
                 c_sum += s[i - first] * tape_c[i]
-        z = w @ np.concatenate((h_sum, x)) + b
+        z = w[:, :hidden] @ h_sum + (w[:, hidden:] @ x + b)
         gi = 1.0 / (1.0 + np.exp(-z[:hidden]))
         gf = 1.0 / (1.0 + np.exp(-z[hidden:2 * hidden]))
         go = 1.0 / (1.0 + np.exp(-z[2 * hidden:3 * hidden]))

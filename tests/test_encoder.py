@@ -798,13 +798,15 @@ def test_training_memory_grows_linearly_with_length():
 
 @pytest.mark.parametrize("hidden, attn, dim", [(8, 8, 45), (150, 150, 300)])
 def test_decode_memory_is_the_state_rows_and_one_step(hidden, attn, dim):
-    # a direction run without a cache holds its tapes and inputs, 3h + 2a
-    # + d values per token, and one step's arrays: the window's tanh
-    # activations and weights, n (a + 1) values, the step's own rows,
-    # 16h values, and numpy's iterator buffer, np.getbufsize() values;
-    # the active and window_starts lists take 8 pointers per token, a
-    # temporary list and over-allocation included.  Kept gate rows (4h
-    # values per token) or kept windows exceed it
+    # a direction run without a cache holds its tapes and h~ rows, 3h + a
+    # values per token, one block of DECODE_BLOCK_ROWS rows of W_x x_t +
+    # b and Wx x_t, 4h + a values per row, and one step's arrays: the
+    # window's tanh activations and weights, n (a + 1) values, the step's
+    # own rows, 16h values, and numpy's iterator buffer, np.getbufsize()
+    # values; the active and window_starts lists take 8 pointers per
+    # token, a temporary list and over-allocation included.  Input rows
+    # or Wx x_t kept for every token (d + a values), or kept gate rows
+    # (4h), or kept windows exceed it
     rng = np.random.default_rng(83)
     weights = random_direction_params(rng, hidden, attn, dim)
     x = rng.normal(size=(400, dim))
@@ -821,8 +823,9 @@ def test_decode_memory_is_the_state_rows_and_one_step(hidden, attn, dim):
     peaks = {}
     for n in (200, 400):
         peaks[n] = peak(n)
-        values = (n * (3 * hidden + 2 * attn + dim) + n * (attn + 1)
-                  + 16 * hidden + np.getbufsize() + 8 * n)
+        values = (n * (3 * hidden + attn)
+                  + encoder.DECODE_BLOCK_ROWS * (4 * hidden + attn)
+                  + n * (attn + 1) + 16 * hidden + np.getbufsize() + 8 * n)
         assert peaks[n] <= 8 * values, (n, peaks[n], 8 * values)
     assert peaks[400] < 2.1 * peaks[200]
 

@@ -8,11 +8,11 @@ a library call the benchmark makes fails here too.
 
 The attention summaries rely on numpy's einsum adding products in order,
 backward's recomputed tanh c_t on numpy's tanh giving the same bits
-into a scratch row as into a fresh array, and the gate product of every
-step, one sentence's too, on OpenBLAS forming each row of a row block,
-in either block order, as it forms it in the whole product; a numpy or
-BLAS release that changes any of these fails here, by name, before the
-tape bit-equality tests fail without saying why.  Training's bytes
+into a scratch row as into a fresh array, and the gate products on
+OpenBLAS forming each row of a stacked product through a strided half
+of cell.w as the half's own product with that row; a numpy or BLAS
+release that changes any of these fails here, by name, before the tape
+bit-equality tests fail without saying why.  Training's bytes
 depend on the BLAS thread count, but the forward pass and decoding must
 not, and two processes at 1 and 2 threads check that.  A program that
 decoded leaves no decode worker running, when it exits or when it is
@@ -35,15 +35,13 @@ import numpy as np
 import pytest
 
 import attnseg
-from attnseg.encoder import GATE_BLOCK_ROWS
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PERFBENCH = os.path.join(ROOT, "perfbench")
 
 
 def blas_build():
-    # the BLAS and thread count decide how gemv groups rows (encoder
-    # module docstring, Cost)
+    # the BLAS build and thread count decide how gemv rounds
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     threads = os.environ.get("OPENBLAS_NUM_THREADS", "unset")
     return (f"numpy {np.__version__}, {blas.get('name')} {blas.get('version')}, "
@@ -143,30 +141,37 @@ def test_tanh_of_a_tape_slice_ignores_its_output_layout(hidden):
 
 
 @pytest.mark.parametrize("shape", [(600, 450), (600, 550), (20, 25)])
-@pytest.mark.parametrize("k", [1, 2, 3, 8, 26])
+@pytest.mark.parametrize("k", [1, 2, 3, 8, 26, 64])
 def test_gate_product_by_row_blocks_matches_each_sentence(shape, k):
-    # the layout of encoder.tape_step: k strided gate inputs times cell.w
-    # into strided gate rows, GATE_BLOCK_ROWS rows at a time, the blocks
-    # first to last and last to first; paper, bigram and toy dimensions
-    # of cell.w
+    # the layout of encoder.DirectionState.input_block and tape_step: a
+    # stack of k strided rows, in read order or reversed, times one of
+    # the strided halves w[:, h:] and w[:, :h] of cell.w, one
+    # matrix-vector product per row, into strided rows or a fresh array;
+    # each row must get the bits of the half's own product with it, as
+    # tests/oracles.py::lstmn_unrolled forms it.  Paper, bigram and toy
+    # dimensions of cell.w
     rng = np.random.default_rng(shape[1] + k)
     rows, cols = shape
+    hidden = rows // 4
     w = rng.uniform(-0.1, 0.1, size=shape)
-    gate_in = rng.normal(size=(k, 3, cols))[:, 1]
-    blocks = range(0, rows, GATE_BLOCK_ROWS)
-    for order in (blocks, reversed(blocks)):
-        z = np.zeros((k, 3, rows))[:, 1]
-        for r in order:
-            block = slice(r, r + GATE_BLOCK_ROWS)
-            np.matmul(gate_in[:, None, :], w[block].T, out=z[:, None, block])
-        for s in range(k):
-            assert np.array_equal(z[s], w @ gate_in[s]), (
-                f"{blas_build()}: the gate product by blocks of "
-                f"{GATE_BLOCK_ROWS} rows no longer equals W @ x for each "
-                f"sentence (W {shape}, k={k}, sentence {s}); "
-                "encoder.tape_step's steps would break the bit-equality pin "
-                "of the tapes to tests/oracles.py::lstmn_unrolled"
-            )
+    for half in (w[:, hidden:], w[:, :hidden]):
+        stack = rng.normal(size=(k, 3, half.shape[1]))[:, 1]
+        for order in (slice(None), slice(None, None, -1)):
+            x = stack[order]
+            out = np.zeros((k, 3, rows))[:, 1]
+            np.matmul(half, x[:, :, None], out=out[:, :, None])
+            fresh = np.matmul(half, x[:, :, None])[:, :, 0]
+            for s in range(k):
+                want = half @ x[s]
+                got = np.array_equal(out[s], want), np.array_equal(fresh[s], want)
+                assert all(got), (
+                    f"{blas_build()}: a stacked product through the "
+                    f"{half.shape} half of cell.w {shape} no longer equals "
+                    f"the half's own product with each row (k={k}, row {s}); "
+                    "the encoder's gate products would break the "
+                    "bit-equality pin of the tapes to "
+                    "tests/oracles.py::lstmn_unrolled"
+                )
 
 
 @pytest.mark.parametrize("workload, attempted, most_failed", [
@@ -242,6 +247,52 @@ def test_forward_and_segment_do_not_depend_on_blas_threads():
         assert one == two, (
             f"numpy {np.__version__}: toy sentence {line} hashes differently "
             "at 1 and 2 BLAS threads (emissions, segment output, decoded path)"
+        )
+
+
+# a random-init paper-dimension encoder (hidden = attention = 150, emb
+# 100, window 3); one line per sentence: the sha256 of its emission
+# bytes, for each of the five lengths alone, without a cache, then for
+# each sentence of one kept batch of 8, which holds the five and three
+# more
+FORWARD_THREADS_PROBE = """
+import hashlib
+import numpy as np
+from attnseg import encoder
+from attnseg.model import TrainConfig
+
+cfg = TrainConfig(hidden=150, attn_dim=150, emb_dim=100, window=3)
+rng = np.random.default_rng(17)
+params = encoder.init_params(cfg, rng)
+xs = [rng.normal(size=(n, cfg.input_dim)) for n in (4, 18, 70, 250, 600)]
+alone = [encoder.forward(params, cfg, [x], keep_cache=False)[0][0] for x in xs]
+batch = xs + [rng.normal(size=(n, cfg.input_dim)) for n in (33, 9, 1)]
+kept, _ = encoder.forward(params, cfg, batch)
+for e in alone + kept:
+    print(hashlib.sha256(e.tobytes()).hexdigest())
+"""
+
+
+def test_forward_at_every_length_does_not_depend_on_blas_threads():
+    # each step's W_h h~ and the hoisted W_x x_t + b are stacks of
+    # matrix-vector products, whose rows must not round by the BLAS
+    # thread split, from a 4-token sentence to a 600-token one, alone
+    # without a cache and in a kept batch
+    src = os.path.dirname(os.path.abspath(attnseg.__file__))
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.path.dirname(src))
+        done = subprocess.run([sys.executable, "-c", FORWARD_THREADS_PROBE],
+                              env=env, capture_output=True, text=True, check=True)
+        outputs.append(done.stdout.splitlines())
+    assert len(outputs[0]) == 13
+    # a sentence's emissions are the same alone and in the batch
+    assert outputs[0][:5] == outputs[0][5:10]
+    for line, (one, two) in enumerate(zip(*outputs), start=1):
+        assert one == two, (
+            f"{blas_build()}: encoder.forward's emissions, line {line} of "
+            "the probe, differ at 1 and 2 BLAS threads"
         )
 
 

@@ -1576,11 +1576,11 @@ def test_decode_memory_grows_linearly_with_length(in_process):
 
 def test_decode_releases_each_direction_before_the_next(in_process):
     # per token, decoding holds the input row, one direction's whole
-    # state row ([h | c], Wh h, Wx x, [h~ | x]), the other direction's
-    # tape row and the window temporaries of a step; holding the first
-    # direction's whole state while the second runs adds (2a + h + d) * 8
-    # bytes per token and breaks the bound.  Both directions run in this
-    # process, where tracemalloc sees them
+    # state row ([h | c], Wh h, h~), the other direction's tape row and
+    # the window temporaries of a step; holding the first direction's
+    # whole state while the second runs adds (a + h) * 8 bytes per token
+    # and breaks the bound.  Both directions run in this process, where
+    # tracemalloc sees them
     model, corpus, cfg = toy_model()
     h = a = cfg.hidden
     d = cfg.window * cfg.emb_dim
@@ -1596,7 +1596,7 @@ def test_decode_releases_each_direction_before_the_next(in_process):
         finally:
             tracemalloc.stop()
 
-    state_row = (2 * h + a + a + h + d) * 8
+    state_row = (2 * h + a + h) * 8
     per_token = in_process(lambda: (peak(800) - peak(400)) / 400)
     assert per_token < d * 8 + 2 * state_row
 
@@ -1629,6 +1629,6 @@ def test_forked_decode_holds_one_direction_in_the_parent(dispatches, in_process)
     forked = per_token()
     assert len(dispatches) == warm + 2
     here = in_process(per_token)
-    state_row = (2 * h + a + a + h + d) * 8
+    state_row = (2 * h + a + h) * 8
     bound = d * 8 + state_row + (a + 2 * h) * 8
     assert forked < bound <= here
