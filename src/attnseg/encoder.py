@@ -416,7 +416,7 @@ def _direction_backward(state, d_rows, order, positions, grads):
     d_tape = np.zeros((batch, n, 2 * hidden))
     for p, d in zip(positions, d_rows):
         d_tape[p, :state.lengths[p], :hidden] = d[order]
-    d_tape_wh = np.zeros_like(state.tape_wh)
+    d_tape_wh = np.zeros(state.tape_wh.shape)
     g_v = np.zeros((batch, state.wh.shape[0]))
     # stacks of vectors times these run one matrix-vector product per
     # sentence, the same one as a single sentence's W^T @ u
