@@ -231,17 +231,25 @@ for sent, path in zip(corpus, paths):
 """
 
 
-def test_forward_and_segment_do_not_depend_on_blas_threads():
-    # training's gradient products round by the BLAS thread split, so
-    # params.bin does; the forward pass and decoding must not
+def lines_at_blas_threads(probe):
+    """The stdout lines of the Python source `probe`, run in a
+    subprocess over this checkout's package at OPENBLAS_NUM_THREADS=1
+    and at 2, as a pair of lists."""
     src = os.path.dirname(os.path.abspath(attnseg.__file__))
     outputs = []
     for threads in ("1", "2"):
         env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
                    PYTHONPATH=os.path.dirname(src))
-        done = subprocess.run([sys.executable, "-c", THREADS_PROBE], env=env,
+        done = subprocess.run([sys.executable, "-c", probe], env=env,
                               capture_output=True, text=True, check=True)
         outputs.append(done.stdout.splitlines())
+    return outputs
+
+
+def test_forward_and_segment_do_not_depend_on_blas_threads():
+    # training's gradient products round by the BLAS thread split, so
+    # params.bin does; the forward pass and decoding must not
+    outputs = lines_at_blas_threads(THREADS_PROBE)
     assert len(outputs[0]) == 32
     for line, (one, two) in enumerate(zip(*outputs), start=1):
         assert one == two, (
@@ -278,14 +286,7 @@ def test_forward_at_every_length_does_not_depend_on_blas_threads():
     # matrix-vector products, whose rows must not round by the BLAS
     # thread split, from a 4-token sentence to a 600-token one, alone
     # without a cache and in a kept batch
-    src = os.path.dirname(os.path.abspath(attnseg.__file__))
-    outputs = []
-    for threads in ("1", "2"):
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
-                   PYTHONPATH=os.path.dirname(src))
-        done = subprocess.run([sys.executable, "-c", FORWARD_THREADS_PROBE],
-                              env=env, capture_output=True, text=True, check=True)
-        outputs.append(done.stdout.splitlines())
+    outputs = lines_at_blas_threads(FORWARD_THREADS_PROBE)
     assert len(outputs[0]) == 13
     # a sentence's emissions are the same alone and in the batch
     assert outputs[0][:5] == outputs[0][5:10]
