@@ -52,11 +52,15 @@ again on the same slices, with the same numpy calls on the same
 operands, so it sees bit-identical values.  tape_step slices the first
 k sentences of each array and keeps the batch axis for every k: one
 sentence is a batch of one, and one layout serves training and
-decoding alike.  Every product is a stack of matrix-vector products,
-one per sentence (np.matmul over a stack of vectors), and every
-reduction runs along each sentence's own axis in its own order, so a
-sentence's values do not depend on the batch it runs in, and stay
-bit-equal to the straight-line recurrence.
+decoding alike.  Every forward product is a stack of matrix-vector
+products, one per sentence (np.matmul over a stack of vectors), and
+every reduction runs along each sentence's own axis in its own order,
+so a sentence's forward values do not depend on the batch it runs in,
+and stay bit-equal to the straight-line recurrence.  Backward forms
+its products over the batch instead: a batch's weight gradients are one
+matrix product over all of its rows, not a sum of per-sentence
+gradients, so they round as the batch does; a batch of one gets the
+bits of its own sentence's products.
 
 Cost.  Neither Wh h_i nor the input half of the gate product depends
 on the recurrence.  Wh h_i is computed once, when h_i enters the tape.
@@ -78,7 +82,9 @@ step, which reads the window's [h_i | c_i] rows once and forms no (w,
 2h) product array.  The backward pass sums the tape term of every later
 step's attention gradient per entry before multiplying by Wh^T, for the
 same bound.  A batch of B sentences takes one set of numpy calls per
-step for all of them, where one sentence at a time takes B sets.
+step for all of them, where one sentence at a time takes B sets, and
+backward's d h~, d h and d p of a step are one matrix product each over
+the step's k sentences.
 Training keeps each step's gate rows and c~_t for backward, and no
 window arrays: its state forms W_x x_t + b into the gate rows of every
 token before the first step, and each step adds W_h h~_t into its row
@@ -93,7 +99,12 @@ at a time and adds two gradient arrays, 2h + a values per padded row
 (450 at paper dimensions), one step's gate factors, formed from that
 step's kept rows, and one step's (k, w, a) window at a time; it writes
 its other two over kept rows it has read for the last time, d z over
-the gates and the window sums of d pre over Wx x_t.  It releases each
+the gates and the window sums of d pre over Wx x_t.  After the loop it
+moves each sentence's rows of those arrays, of gate_in, of the tape
+and of d_tape_wh to the front of their memory, in place, and forms
+each weight gradient as one matrix product over the batch's M = sum
+n_i rows, where one product per sentence would form and add a dense
+gradient (600 x 450 for W) per sentence.  It releases each
 direction's kept state once that direction is done, so the cache of a
 kept forward serves one backward call.  Decoding runs the same loop
 with keep_cache=False: it keeps no gates and no c~_t, and forms W_x x_t
@@ -253,7 +264,9 @@ class DirectionState:
     :lengths[p]] slices.  Once backward has run on a kept state, its
     gates rows hold d z, the gradient of the gate pre-activations, and
     its wx_x rows the gradient of the attention pre-activations summed
-    over each step's window.
+    over each step's window, and the rows of gates, wx_x, gate_in and
+    tape are rearranged: each sentence's rows lie one after another at
+    the front of the array's memory.
     """
 
     def __init__(self, weights, inputs, keep_steps, memory_span):
@@ -377,24 +390,40 @@ def tape_step(state, t):
     np.matmul(h_t[:, None, :], state.wh.T, out=state.tape_wh[:k, t, None, :])
 
 
+def _packed(rows, lengths):
+    """Move each sentence's rows of a C-contiguous (B, n, c) state
+    array, rows[p, :lengths[p]], to the front of its memory in batch
+    position order, and return them as one (M, c) view, M =
+    sum(lengths).  The rows past the view keep stale values."""
+    flat = rows.reshape(-1, rows.shape[2])
+    at = 0
+    for p, m in enumerate(lengths):
+        if at != p * rows.shape[1]:
+            # numpy copies a source that overlaps its destination first
+            flat[at:at + m] = rows[p, :m]
+        at += m
+    return flat[:at]
+
+
 def _direction_backward(state, d_rows, order, positions, grads):
     """Gradients of one direction over a batch, given d loss / d h_t of
     every sentence: d_rows lists, in batch order, (n_i, h) arrays in
     input order, and `order` is the direction's read order.
 
-    Runs the steps in lock-step in reverse time.  Each sentence's
-    parameter gradients are then formed and added in place to `grads`,
-    the six gradient arrays of the state's weights in WEIGHTS order,
-    sentence by sentence in batch order: positions[s] is the position
-    of batch sentence s.  Returns the input
-    gradients in batch order, each in input order.
+    Runs the steps in lock-step in reverse time, one matrix product per
+    step over the k sentences still running for each of d h~, d h and
+    d p.  The batch's parameter gradients are then formed as one matrix
+    product each over all of its rows and added in place to `grads`, the
+    six gradient arrays of the state's weights in WEIGHTS order.
+    Returns the input gradients in batch order, each in input order:
+    positions[s] is the position of batch sentence s.
 
     The tape term of the attention pre-activation is accumulated per
     tape entry, D[i] = sum over later steps t of d pre[t, i], and is
     complete when reverse time reaches step i: then Wh^T D[i] joins
     d h_i, and after the loop g_wh = D^T H is one matrix product.
     Likewise the gate and attention input weights take their gradients
-    from per-step rows stacked over the sentence.  Each step forms its
+    from per-step rows stacked over the batch.  Each step forms its
     gate factors from the state's kept rows of that step alone, with
     tanh c_t recomputed from the tape by the forward's own call on the
     same rows; these and [d h~ | d c~] are arrays of the step's own.
@@ -403,9 +432,12 @@ def _direction_backward(state, d_rows, order, positions, grads):
     two over kept rows it has read for the last time: d z[t] over gates
     row t, once the step has copied that row to read in its place, and
     the window's summed d pre[t] over wx_x row t, once the step's
-    attend() has run.  So a spent state's gates and wx_x hold
-    gradients.  d_tape goes before the per-sentence products.  The
-    caller drops the state once this returns.
+    attend() has run.  d_tape goes before the products.  Then each
+    sentence's rows of gates (d z), wx_x (d pre), gate_in, d_tape_wh
+    and tape move to the front of their arrays, in place (_packed), so
+    a product reads them as one (M, .) view and no array is added.  So
+    a spent state holds gradients and rearranged rows; the caller drops
+    it once this returns.
     """
     batch, n = state.tape.shape[:2]
     hidden = state.b.shape[0] // 4
@@ -417,10 +449,8 @@ def _direction_backward(state, d_rows, order, positions, grads):
     for p, d in zip(positions, d_rows):
         d_tape[p, :state.lengths[p], :hidden] = d[order]
     d_tape_wh = np.zeros(state.tape_wh.shape)
-    g_v = np.zeros((batch, state.wh.shape[0]))
-    # stacks of vectors times these run one matrix-vector product per
-    # sentence, the same one as a single sentence's W^T @ u
-    wh_t, wp_t, w_summary_t = state.wh.T, state.wp.T, state.w[:, :hidden].T
+    g_v = np.zeros(state.wh.shape[0])
+    w_summary = state.w[:, :hidden]
     # d loss / d h_summary[t] through step t + 1's Wp p term
     d_summary = np.zeros((batch, hidden))
     for t in range(n - 1, -1, -1):
@@ -432,7 +462,7 @@ def _direction_backward(state, d_rows, order, positions, grads):
             k, 4, hidden).swapaxes(0, 1)
         # the forward's tanh call on the same rows, so the same bits
         tanh_c = np.tanh(tape_c[:k, t])
-        dh = np.matmul(wh_t, d_tape_wh[:k, t, :, None])[:, :, 0]
+        dh = d_tape_wh[:k, t] @ state.wh
         dh += d_tape[:k, t, :hidden]
         dc = d_tape[:k, t, hidden:] + dh * gate_o * (1.0 - tanh_c ** 2)
         # d z[t] = ((e * M[t]) * G[t]) * K[t], formed from step t's kept
@@ -455,7 +485,7 @@ def _direction_backward(state, d_rows, order, positions, grads):
         # [d h~ | d c~] of step t
         d_summaries = np.empty((k, 2 * hidden))
         d_h_summary, d_c_summary = d_summaries[:, :hidden], d_summaries[:, hidden:]
-        np.matmul(w_summary_t, dz[:, :, None], out=d_h_summary[:, :, None])
+        np.matmul(dz, w_summary, out=d_h_summary)
         d_h_summary += d_summary[:k]
         np.multiply(dc, gate_f, out=d_c_summary)
         if t > state.window_starts[t]:
@@ -468,7 +498,8 @@ def _direction_backward(state, d_rows, order, positions, grads):
             d_weights = d_weights[:, :, 0]
             d_tape[:k, window] += weights[:, :, None] * d_summaries[:, None]
             d_scores = weights * (d_weights - np.vecdot(weights, d_weights)[:, None])
-            g_v[:k] += np.matmul(d_scores[:, None], pre_tanh)[:, 0]
+            # one product over the step's k * w window rows
+            g_v += d_scores.reshape(-1) @ pre_tanh.reshape(-1, pre_tanh.shape[2])
             d_pre = (d_scores[:, :, None] * state.v) * (1.0 - pre_tanh ** 2)
             d_tape_wh[:k, window] += d_pre
             d_pre.sum(axis=1, out=d_pre_sums[:k, t])
@@ -476,26 +507,29 @@ def _direction_backward(state, d_rows, order, positions, grads):
             # an empty window (t = 0): both summaries are constant zero
             # vectors
             d_pre_sums[:k, t] = 0.0
-        np.matmul(wp_t, d_pre_sums[:k, t, :, None], out=d_summary[:k, :, None])
+        np.matmul(d_pre_sums[:k, t], state.wp, out=d_summary[:k])
     # freed before the products below, which never read it
     del d_tape
-    w_input = state.w[:, hidden:]
+    lengths = state.lengths
+    d_z, d_pre_sums, gate_in = (_packed(rows, lengths) for rows in
+                                (d_z, d_pre_sums, state.gate_in))
     g_wh, g_wx, g_wp, g_v_sum, g_w, g_b = grads
+    g_wh += _packed(d_tape_wh, lengths).T @ _packed(state.tape, lengths)[:, :hidden]
+    g_wx += d_pre_sums.T @ gate_in[:, hidden:]
+    # d pre[t] pairs with step t's previous summary h~[t - 1]; every
+    # sentence's first row of d pre is +0.0 (an empty window), so the
+    # pairs across a sentence boundary add exact zeros
+    g_wp += d_pre_sums[1:].T @ gate_in[:-1, :hidden]
+    g_v_sum += g_v
+    g_w += d_z.T @ gate_in
+    g_b += d_z.sum(axis=0)
+    # one sentence's input gradient at a time, of its packed rows
+    w_input = state.w[:, hidden:]
+    starts = np.cumsum([0] + lengths)
     d_inputs = []
     for p in positions:
-        m = state.lengths[p]
-        gate_in = state.gate_in[p, :m]
-        d_z_p, d_pre_p = d_z[p, :m], d_pre_sums[p, :m]
-        prev_summaries = np.zeros((m, hidden))
-        prev_summaries[1:] = gate_in[:-1, :hidden]
-        d_inputs.append((d_z_p @ w_input + d_pre_p @ state.wx)[order])
-        # added as formed: one sentence's dense gradient at a time
-        g_wh += d_tape_wh[p, :m].T @ tape_h[p, :m]
-        g_wx += d_pre_p.T @ gate_in[:, hidden:]
-        g_wp += d_pre_p.T @ prev_summaries
-        g_v_sum += g_v[p]
-        g_w += d_z_p.T @ gate_in
-        g_b += d_z_p.sum(axis=0)
+        rows = slice(starts[p], starts[p + 1])
+        d_inputs.append((d_z[rows] @ w_input + d_pre_sums[rows] @ state.wx)[order])
     return d_inputs
 
 
@@ -523,7 +557,8 @@ class ForwardCache:
     out of `layers` as it reaches it and releases each state when its
     direction is done; read attention weights or any other kept row from
     the states before calling backward(), since a state held past it
-    has gradients in its gates and wx_x rows.
+    has its tape, gate_in, gates and wx_x rows rearranged, and gradients
+    in its gates and wx_x rows.
     """
 
     inputs: list
@@ -659,12 +694,15 @@ def backward(cache, d_emissions, grads):
     """Gradients of a scalar loss through the cached forward pass.
 
     `cache` is the ForwardCache forward() returned, and d_emissions a
-    list of (n_i, num_tags) arrays in its batch order.  The gradient of
-    every encoder parameter, summed over the batch sentence by sentence
-    in batch order, is added in place to its array in `grads`, a dict
-    keyed by parameter name.  All weights come from the cache.  Returns
-    d_inputs, the gradients with respect to the original featurized
-    inputs (for the embedding tables), in batch order.
+    list of (n_i, num_tags) arrays in its batch order; a ShapeError
+    naming the first misshapen one is raised before any gradient is
+    added.  The gradient of every encoder parameter over the batch is
+    added in place to its array in `grads`, a dict keyed by parameter
+    name: the output layer's summed sentence by sentence in batch order,
+    each direction's weights as one matrix product over all of the
+    batch's rows (_direction_backward).  All weights come from the
+    cache.  Returns d_inputs, the gradients with respect to the original
+    featurized inputs (for the embedding tables), in batch order.
 
     It takes each layer's pair of states out of cache.layers, top layer
     first, and drops each direction's state once its gradients are
@@ -679,12 +717,19 @@ def backward(cache, d_emissions, grads):
     if len(d_emissions) != len(cache.inputs):
         raise ValueError(f"{len(d_emissions)} emission gradients for a batch "
                          f"of {len(cache.inputs)}")
+    d_emissions = [np.asarray(d_e, dtype=np.float64) for d_e in d_emissions]
+    # every shape before the first gradient is added
+    for s, (d_e, x) in enumerate(zip(d_emissions, cache.inputs)):
+        if d_e.shape != (x.shape[0], NUM_TAGS):
+            raise ShapeError(
+                f"emission gradient {s} has shape {d_e.shape}, but sentence "
+                f"{s} needs ({x.shape[0]}, {NUM_TAGS})"
+            )
     h = cache.out_w[0].shape[1]
 
     # d loss / d top_h, per direction and sentence
     d_top = ([], [])
     for s, d_e in enumerate(d_emissions):
-        d_e = np.asarray(d_e, dtype=np.float64)
         grads["out.b"] += d_e.sum(axis=0)
         for i, name in enumerate(("out.wf", "out.wb")):
             grads[name] += d_e.T @ cache.top_h[i][s]

@@ -290,9 +290,14 @@ class Segmenter:
         one encoder forward and one backward call.
 
         One sentence gives (loss, grads); a batch gives (losses, grads),
-        the per-sentence losses in batch order and each gradient summed
-        sentence by sentence in batch order, ((0 + g_1) + g_2) + ...
-        The grads dict has exactly the keys of self.params.  Embedding
+        the per-sentence losses in batch order and the batch's
+        gradients: the encoder's weights take theirs as one matrix
+        product over all of the batch's rows (encoder.backward), the
+        output layer and crf.trans the sum of each sentence's gradient
+        in batch order, ((0 + g_1) + g_2) + ..., and the embedding
+        tables each sentence's input gradient rows in batch order.  The
+        forward pass, and so each loss, is bit-equal to the sentence's
+        own.  The grads dict has exactly the keys of self.params.  Embedding
         gradients are tables with nonzero rows only where looked up: each
         sentence's gradient is summed over its own rows and added to
         those rows alone, so the work follows the rows looked up, not the

@@ -169,11 +169,13 @@ def train_epoch(model, corpus, config, rng, accum):
     copy.  With clip_norm set, the norm still sums each whole table
     (see _clip).
 
-    The rng drives the shuffle and every dropout mask, so a fixed
-    (corpus, config, seed) triple replays bit-identically, and the batch
-    sums and losses add up sentence by sentence in shuffled order, as a
-    loop over single sentences would.  Training NLL is unmasked;
-    decoding stays masked.
+    The rng drives the shuffle and every dropout mask, drawn per
+    sentence in shuffled order, so a fixed (corpus, config, seed) triple
+    replays bit-identically at a fixed BLAS thread count.  The losses add
+    up sentence by sentence in shuffled order; the batch's gradients are
+    those of one loss_and_grads call over the batch, whose encoder
+    weight gradients are one matrix product over the batch's rows.
+    Training NLL is unmasked; decoding stays masked.
 
     Every parameter must be float64: a ValueError names the first that
     is not (a loaded model's float32 tables, until widened) before any

@@ -548,25 +548,25 @@ def preprocess_scan(text, lexicon=None):
 
 
 def train_epoch_sequential(model, corpus, config, rng, accum):
-    """Reference for train.train_epoch: one sentence at a time, the loop
-    before batches ran in lock-step.  Per batch a fresh dict of sums gets
-    each sentence's single-sentence gradients in shuffled order; then the
+    """Reference for train.train_epoch with dense gradients and plain
+    numpy formulas.  Per batch one loss_and_grads call over the batch's
+    sentences in shuffled order gives a fresh dict of dense gradients
+    (its dropout masks are drawn per sentence in batch order); then the
     mean, the optional clip to config.clip_norm and the AdaGrad formula
-    with numpy temporaries update model.params and `accum` (a dict like
-    it) in place.  Returns the mean NLL."""
+    with numpy temporaries, over every row of every parameter, update
+    model.params and `accum` (a dict like it) in place.  Returns the
+    mean NLL, summed sentence by sentence in shuffled order."""
     n = len(corpus)
     order = rng.permutation(n)
     total_nll = 0.0
     for start in range(0, n, config.batch_size):
         batch = order[start:start + config.batch_size]
-        sums = {name: np.zeros_like(p) for name, p in model.params.items()}
-        for idx in batch:
-            loss, grads = model.loss_and_grads(
-                corpus[int(idx)], dropout=config.dropout, rng=rng
-            )
+        losses, sums = model.loss_and_grads(
+            [corpus[int(idx)] for idx in batch], dropout=config.dropout,
+            rng=rng,
+        )
+        for loss in losses:
             total_nll += loss
-            for name in sums:
-                sums[name] += grads[name]
         inv = 1.0 / len(batch)
         for g in sums.values():
             g *= inv

@@ -718,27 +718,39 @@ def test_decode_pass_matches_training_pass(dims, memory_span, extra_layers,
         assert np.array_equal(got, want)
 
 
-@pytest.mark.parametrize("dims, memory_span, extra_layers, dropout", BATCH_CASES)
+@pytest.mark.parametrize("dims, memory_span, extra_layers, dropout, lengths", [
+    pytest.param(*case.values, [5, 1, 9, 5, 3] if not case.values[0] else [4, 1, 7],
+                 id=case.id)
+    for case in BATCH_CASES
+] + [
+    # the train workload's shape: 8 sentences of 6 to 18 tokens
+    pytest.param(PAPER_DIMS, None, 0, 0.2, [12, 6, 18, 9, 15, 7, 18, 10],
+                 id="paper-train"),
+])
 def test_batched_backward_matches_batch_of_one(dims, memory_span, extra_layers,
-                                               dropout):
-    lengths = [5, 1, 9, 5, 3] if not dims else [4, 1, 7]
+                                               dropout, lengths):
+    # backward forms each step's products over its k sentences and each
+    # weight gradient over the batch's rows, which round apart from one
+    # sentence's; the forward stays bit-equal
     cfg, params, xs = batch_case(dims, memory_span, extra_layers, lengths, 69)
     rng = np.random.default_rng(70)
     d_emissions = [rng.normal(size=(n, 4)) for n in lengths]
-    _, cache = forward(params, cfg, xs, dropout=dropout,
-                       rng=np.random.default_rng(4))
+    out, cache = forward(params, cfg, xs, dropout=dropout,
+                         rng=np.random.default_rng(4))
     grads, d_inputs = backward_grads(params, cache, d_emissions)
     one_rng = np.random.default_rng(4)
     sums = {k: np.zeros_like(p) for k, p in params.items()}
     for s, x in enumerate(xs):
-        _, one_cache = forward(params, cfg, [x], dropout=dropout, rng=one_rng)
+        (one_out,), one_cache = forward(params, cfg, [x], dropout=dropout,
+                                        rng=one_rng)
+        assert np.array_equal(out[s], one_out)
         one_grads, (one_d_x,) = backward_grads(params, one_cache, [d_emissions[s]])
-        assert np.array_equal(d_inputs[s], one_d_x)
+        assert np.max(np.abs(d_inputs[s] - one_d_x)) <= 1e-12 * np.max(np.abs(one_d_x))
         for k in sums:
             sums[k] += one_grads[k]
     assert set(grads) == set(sums)
     for k in sums:
-        assert np.array_equal(grads[k], sums[k]), k
+        assert np.max(np.abs(grads[k] - sums[k])) <= 1e-12 * np.max(np.abs(sums[k])), k
 
 
 @pytest.mark.parametrize("dims, memory_span, extra_layers, dropout", BATCH_CASES)
@@ -944,6 +956,21 @@ def test_backward_needs_one_gradient_per_sentence():
     _, cache = forward(params, cfg, xs)
     with pytest.raises(ValueError):
         backward(cache, [np.zeros((3, 4))], {})
+
+
+@pytest.mark.parametrize("shape", [(2, 4), (3, 5), (3,)])
+def test_backward_refuses_a_misshapen_emission_gradient_before_adding(shape):
+    # sentence 1 has 3 tokens; no gradient may be added before the refusal,
+    # and the cache still serves a call with the right shapes
+    cfg, params, xs = batch_case({}, None, 0, [2, 3], 72)
+    _, cache = forward(params, cfg, xs)
+    grads = {name: np.zeros_like(p) for name, p in params.items()
+             if name.startswith(("enc", "out."))}
+    with pytest.raises(ShapeError, match=r"emission gradient 1 .*sentence 1"):
+        backward(cache, [np.ones((2, 4)), np.ones(shape)], grads)
+    for name, g in grads.items():
+        assert not np.any(g), name
+    backward(cache, [np.ones((2, 4)), np.ones((3, 4))], grads)
 
 
 def test_batch_state_rejects_unsorted_lengths():

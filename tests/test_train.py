@@ -296,11 +296,7 @@ def test_gradient_accumulation_is_batch_mean():
     train_epoch(model, corpus, cfg, rng, zero_accum(model))
 
     order = np.random.default_rng(cfg.seed).permutation(32)
-    sums = {k: np.zeros_like(p) for k, p in twin.params.items()}
-    for i in order:
-        _, grads = twin.loss_and_grads(corpus[int(i)])
-        for k in sums:
-            sums[k] += grads[k]
+    _, sums = twin.loss_and_grads([corpus[int(i)] for i in order])
     accum = {k: np.zeros_like(p) for k, p in twin.params.items()}
     for k in twin.params:
         adagrad_update(twin.params[k], sums[k] / 32.0, accum[k],
@@ -325,8 +321,14 @@ def test_batched_loss_and_grads_match_single_sentences(overrides):
         for k in sums:
             sums[k] += one_grads[k]
     assert list(grads) == list(model.params)
+    # backward's products over the batch round apart from one sentence's.
+    # At the toy model's initial weights the second layer's attention
+    # gradients are about 1e-10, differences of near-equal terms through
+    # the softmax whose rounding follows the terms' size, and the batch's
+    # rounding reaches 2e-11 of them
+    rel = 1e-10 if "extra_layers" in overrides else 1e-12
     for k in sums:
-        assert np.array_equal(grads[k], sums[k]), k
+        assert np.max(np.abs(grads[k] - sums[k])) <= rel * np.max(np.abs(sums[k])), k
 
 
 @pytest.mark.parametrize("overrides", [
