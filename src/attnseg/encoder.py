@@ -398,9 +398,8 @@ def _packed(rows, lengths):
     flat = rows.reshape(-1, rows.shape[2])
     at = 0
     for p, m in enumerate(lengths):
-        if at != p * rows.shape[1]:
-            # numpy copies a source that overlaps its destination first
-            flat[at:at + m] = rows[p, :m]
+        # numpy copies a source that overlaps its destination first
+        flat[at:at + m] = rows[p, :m]
         at += m
     return flat[:at]
 
@@ -523,7 +522,8 @@ def _direction_backward(state, d_rows, order, positions, grads):
     g_v_sum += g_v
     g_w += d_z.T @ gate_in
     g_b += d_z.sum(axis=0)
-    # one sentence's input gradient at a time, of its packed rows
+    # per sentence, from its packed rows: one (M, d) product pair would
+    # hold an (M, d) temporary for its second product
     w_input = state.w[:, hidden:]
     starts = np.cumsum([0] + lengths)
     d_inputs = []
