@@ -104,9 +104,10 @@ moves each sentence's rows of those arrays, of gate_in, of the tape
 and of d_tape_wh to the front of their memory, in place, and forms
 each weight gradient as one matrix product over the batch's M = sum
 n_i rows, where one product per sentence would form and add a dense
-gradient (600 x 450 for W) per sentence.  It releases each
-direction's kept state once that direction is done, so the cache of a
-kept forward serves one backward call.  Decoding runs the same loop
+gradient (600 x 450 for W) per sentence; a batch of several forms W's
+in four blocks of h rows, so its temporary is a quarter of W.  It
+releases each direction's kept state once that direction is done, so
+the cache of a kept forward serves one backward call.  Decoding runs the same loop
 with keep_cache=False: it keeps no gates and no c~_t, and forms W_x x_t
 + b and Wx x_t from the caller's input rows one block of
 DECODE_BLOCK_ROWS (64) rows at a time, when the loop reaches it; each
@@ -412,8 +413,9 @@ def _direction_backward(state, d_rows, order, positions, grads):
     Runs the steps in lock-step in reverse time, one matrix product per
     step over the k sentences still running for each of d h~, d h and
     d p.  The batch's parameter gradients are then formed as one matrix
-    product each over all of its rows and added in place to `grads`, the
-    six gradient arrays of the state's weights in WEIGHTS order.
+    product each over all of its rows (W's, for more than one sentence,
+    in blocks of h rows) and added in place to `grads`, the six
+    gradient arrays of the state's weights in WEIGHTS order.
     Returns the input gradients in batch order, each in input order:
     positions[s] is the position of batch sentence s.
 
@@ -520,7 +522,12 @@ def _direction_backward(state, d_rows, order, positions, grads):
     # pairs across a sentence boundary add exact zeros
     g_wp += d_pre_sums[1:].T @ gate_in[:-1, :hidden]
     g_v_sum += g_v
-    g_w += d_z.T @ gate_in
+    # a batch forms g_w in blocks of h rows, so its product's temporary
+    # is (h, h + d), not (4h, h + d); a batch of one forms it whole, as
+    # a lone sentence's product, since every split rounds apart from it
+    block = hidden if batch > 1 else 4 * hidden
+    for r in range(0, 4 * hidden, block):
+        g_w[r:r + block] += d_z[:, r:r + block].T @ gate_in
     g_b += d_z.sum(axis=0)
     # per sentence, from its packed rows: one (M, d) product pair would
     # hold an (M, d) temporary for its second product

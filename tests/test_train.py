@@ -321,14 +321,18 @@ def test_batched_loss_and_grads_match_single_sentences(overrides):
         for k in sums:
             sums[k] += one_grads[k]
     assert list(grads) == list(model.params)
-    # backward's products over the batch round apart from one sentence's.
-    # At the toy model's initial weights the second layer's attention
-    # gradients are about 1e-10, differences of near-equal terms through
-    # the softmax whose rounding follows the terms' size, and the batch's
-    # rounding reaches 2e-11 of them
-    rel = 1e-10 if "extra_layers" in overrides else 1e-12
+    # backward's products over the batch round apart from one sentence's,
+    # within 1e-12 of each gradient's largest entry. The second layer's
+    # attn.wx and attn.wp are the exception: they take each step's window
+    # sum of the d pre terms, which the softmax's shift invariance nearly
+    # cancels (at these weights to about 1e-4 of the terms), so their
+    # rounding follows the terms' size. attn.wh sums the same d pre terms
+    # over steps, without that cancellation, and gives their scale.
     for k in sums:
-        assert np.max(np.abs(grads[k] - sums[k])) <= rel * np.max(np.abs(sums[k])), k
+        scale = np.max(np.abs(sums[k]))
+        if k.startswith("enc1.") and k.endswith(("attn.wx", "attn.wp")):
+            scale = np.max(np.abs(sums[k.rsplit(".", 1)[0] + ".wh"]))
+        assert np.max(np.abs(grads[k] - sums[k])) <= 1e-12 * scale, k
 
 
 @pytest.mark.parametrize("overrides", [
