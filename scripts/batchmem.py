@@ -7,8 +7,11 @@ window 3, `--layers` extra layers) over `--batch` random sentences of
 Han characters, each of a length drawn uniformly from the two bounds of
 `--lengths` (both included) and cut into words of 1 to 4 characters,
 every draw from one generator seeded with `--seed`.  The model
-warms up on one short batch, then runs one `loss_and_grads` call over
-the batch, with the model's dropout rate, into gradient sums that are
+warms up on a second batch of the same count and length bounds, drawn
+after the first, so the measured call finds the BLAS buffers and the
+allocator's state that a batch of its shape leaves, and the figures
+are the batch's own; then it runs one `loss_and_grads` call over the
+first batch, with the model's dropout rate, into gradient sums that are
 zeroed in place.  The script prints
 
     peak_growth_mb   growth of the process's peak RSS (ru_maxrss / 1024)
@@ -38,7 +41,6 @@ import time
 SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
 # the first CJK unified ideograph and the number drawn from
 HAN_START, HAN_COUNT = 0x4E00, 3000
-WARM_UP = (2, 6)  # sentences and tokens of the warm-up batch
 
 
 def sentences(rng, count, low, high):
@@ -67,7 +69,7 @@ def measure(args):
 
     rng = np.random.default_rng(args.seed)
     batch = sentences(rng, args.batch, *args.lengths)
-    warm_up = sentences(rng, WARM_UP[0], WARM_UP[1], WARM_UP[1])
+    warm_up = sentences(rng, args.batch, *args.lengths)
     config = TrainConfig(hidden=150, attn_dim=150, emb_dim=100, window=3,
                          extra_layers=args.layers, seed=args.seed)
     model = Segmenter.build(batch + warm_up, config)

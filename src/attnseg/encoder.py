@@ -36,11 +36,11 @@ them, which all share the window [window_starts[t], t).  One
 DirectionState is one direction run: it holds the direction's six
 weights, the arrays it was made with in WEIGHTS order (the model's
 own, named by direction_names(layer, direction), in forward()), so
-attend(), tape_step and backward need only the state, and the batch's
-arrays by sentence and row: the tapes side by side as [h_t | c_t], Wh
-h_t, h~_t (in a kept state, the gate input [h~_t | x_t]), W_x x_t + b
-and Wx x_t of the input rows, and, when kept for backward, the gate
-activations and c~_t.  It holds only rows that outlive a step: the
+attend(), tape_step and backward need only the state, the input rows
+it was made with, and the batch's arrays by sentence and row: the tapes
+side by side as [h_t | c_t], Wh h_t, h~_t, W_x x_t + b and Wx x_t of
+the input rows, which each step turns into its gates, and, when kept
+for backward, c~_t.  It holds only rows that outlive a step: the
 summaries and tanh c_t are arrays the step makes for itself.  The
 ForwardCache of a kept forward holds the
 states and, likewise, the model's own out.wf and out.wb arrays, so
@@ -87,47 +87,48 @@ backward's d h~, d h and d p of a step are one matrix product each over
 the step's k sentences.
 Training keeps each step's gate rows and c~_t for backward, and no
 window arrays: its state forms W_x x_t + b into the gate rows of every
-token before the first step, and each step adds W_h h~_t into its row
-in place.  Backward recomputes a step's window with attend(), one
-window add, one matrix-vector product per sentence, one tanh and one
-softmax, the attention half of the forward step, and tanh c_t with one
-tanh of the tape row; h~_t and x_t are kept in the gate input, where
-the gradient of W reads them.  So a kept
-forward holds O(n·(h + a + d)) memory per sentence and direction, 1800
-values per padded row at paper dimensions.  Backward runs one direction
-at a time and adds two gradient arrays, 2h + a values per padded row
-(450 at paper dimensions), one step's gate factors, formed from that
-step's kept rows, and one step's (k, w, a) window at a time; it writes
-its other two over kept rows it has read for the last time, d z over
-the gates and the window sums of d pre over Wx x_t.  After the loop it
-moves each sentence's rows of those arrays, of gate_in, of the tape
-and of d_tape_wh to the front of their memory, in place, and forms
-each weight gradient as one matrix product over the batch's M = sum
-n_i rows, where one product per sentence would form and add a dense
-gradient (600 x 450 for W) per sentence; a batch of several forms W's
-in four blocks of h rows, so its temporary is a quarter of W.  It
-releases each direction's kept state once that direction is done, so
-the cache of a kept forward serves one backward call.  Decoding runs the same loop
-with keep_cache=False: it keeps no gates and no c~_t, and forms W_x x_t
-+ b and Wx x_t from the caller's input rows one block of
-DECODE_BLOCK_ROWS (64) rows at a time, when the loop reaches it; each
-step adds W_h h~_t into its row of the block, which becomes the step's
-gates.  It releases each direction's h~_t rows and attention terms once
-its tape has been read, before the next direction runs, so it holds
-3h + a values per padded row (600 at paper dimensions), plus one block,
-64 (4h + a) values per sentence, and one step's arrays.  The two directions of a layer share nothing
-until the layer above reads them, so a pass without a cache hands each
-layer's two (weights, inputs) pairs to worker.run_both, which runs the
-forward one in this process and offers the backward one to this
-process's decode worker, a forked child that runs it meanwhile.
-worker.py decides when the worker takes one (its Dispatch), and has
-the process, the one socket pair that carries its requests and
-replies, and the shared region it reads the weights from.  Every
-parameter dict the program makes keeps its encoder weights in that
-region, so a request carries six offsets and no weight; a direction
-whose weights lie elsewhere runs in this process.  Training's kept
-forward never uses the worker, since backward reads both directions'
-states.
+token before the first step, and each step adds W_h h~_t into its row in
+place.  Backward recomputes a step's window with attend(), one window
+add, one matrix-vector product per sentence, one tanh and one softmax,
+the attention half of the forward step, and tanh c_t with one tanh of
+the tape row.  A kept state holds h~_t and not x_t: the gradient of W
+reads both, from an array backward fills from the state's h~_t rows and
+inputs.  So a kept forward holds O(n·(h + a)) memory per sentence and
+direction, 1500 values per padded row at paper dimensions, beside the
+inputs.  Backward runs one direction at a time and adds two gradient
+arrays, 2h + a values per padded row (450 at paper dimensions), one
+step's gate factors, formed from that step's kept rows, and one step's
+(k, w, a) window at a time; it writes its other two over kept rows it
+has read for the last time, d z over the gates and the window sums of d
+pre over Wx x_t.  After the loop it moves each sentence's rows of those
+arrays, of the tape and of d_tape_wh to the front of their memory, in
+place, fills the gate input [h~_t | x_t] of the batch's M = sum n_i
+rows, (M, h + d), and forms each weight gradient as one matrix product
+over those rows, where one product per sentence would form and add a
+dense gradient (600 x 450 for W) per sentence; a batch of several forms
+W's in four blocks of h rows, so its temporary is a quarter of W.  It
+releases each direction's kept state once that direction is done, so the
+cache of a kept forward serves one backward call.  Decoding runs the
+same loop with keep_cache=False: its state has the kept state's layout,
+but keeps no c~_t and forms W_x x_t + b and Wx x_t from the caller's
+input rows one block of DECODE_BLOCK_ROWS (64) rows at a time, when the
+loop reaches it; each step adds W_h h~_t into its row of the block,
+which becomes the step's gates.  It releases each direction's h~_t rows
+and attention terms once its tape has been read, before the next
+direction runs, so it holds 3h + a values per padded row (600 at paper
+dimensions), plus one block, 64 (4h + a) values per sentence, and one
+step's arrays.  The two directions of a layer share nothing until the
+layer above reads them, so a pass without a cache hands each layer's two
+(weights, inputs) pairs to worker.run_both, which runs the forward one
+in this process and offers the backward one to this process's decode
+worker, a forked child that runs it meanwhile.  worker.py decides when
+the worker takes one (its Dispatch), and has the process, the one socket
+pair that carries its requests and replies, and the shared region it
+reads the weights from.  Every parameter dict the program makes keeps
+its encoder weights in that region, so a request carries six offsets and
+no weight; a direction whose weights lie elsewhere runs in this process.
+Training's kept forward never uses the worker, since backward reads both
+directions' states.
 """
 
 from dataclasses import dataclass
@@ -228,46 +229,45 @@ class DirectionState:
     DirectionState(weights, inputs, keep_steps, memory_span) makes the
     run's empty tapes over `inputs`, a list of (n_i, d) arrays with
     non-increasing n_i, for the direction with these six weights, in
-    WEIGHTS order, with the first block of input rows of gate_x and
-    wx_x filled in (input_block), and, when kept, the x_t of gate_in.
-    The weights stay as given, one attribute per WEIGHTS name (wh, wx,
-    wp and v of the attention layer, w and b of the gate block); in
-    forward() they are the model's own arrays.  lengths holds the n_i,
+    WEIGHTS order, with the first block of input rows of gates and wx_x
+    filled in (input_block).  The weights and `inputs` stay as given,
+    one attribute per WEIGHTS name (wh, wx, wp and v of the attention
+    layer, w and b of the gate block) and `inputs`; in forward() the
+    weights are the model's own arrays.  lengths holds the n_i,
     active[t] the number of sentences longer than t, and
     window_starts[t] step t's window start: 0, or the start of the last
     `memory_span` tape entries when that is set.  The arrays are
 
         tape      (B, n, 2h)    [h_t | c_t]: the hidden and memory tapes
         tape_wh   (B, n, a)     Wh h_t, stored when h_t enters the tape
-        gate_in   (B, n, h + d) [h~_t | x_t], the gate block's input, when
-                  (B, n, h)     kept, else h~_t; h~_t is also step t + 1's
-                                previous summary
-        gate_x    (B, r, 4h)    W_x x_t + b of input rows block_start ..
+        h_summary (B, n, h)     h~_t, also step t + 1's previous summary
+        c_summary (B, n, h)     c~_t, kept for backward, else None
+        gates     (B, r, 4h)    W_x x_t + b of input rows block_start ..
                                 block_start + r - 1, W_x = w[:, h:];
                                 step t adds W_h h~_t into row t -
-                                block_start, which becomes its gates
+                                block_start and turns it into i, f, o
+                                and chat after their activations
         wx_x      (B, r, a)     Wx x_t of the same rows
-        gates     (B, n, 4h)    i, f, o and chat after their activations
-        c_summary (B, n, h)     c~_t
 
-    gates and c_summary hold the steps kept for backward, and are None
-    unless keep_steps is set.  A kept state has r = n, block_start 0 and
-    gates one array with gate_x, all formed before the first step; a
-    state without gradients holds r = min(n, DECODE_BLOCK_ROWS) rows,
-    and its run's loop refills them at each block start, so it keeps
-    its tapes and h~_t rows alone for every token.  Kept arrays have
-    zero padding rows.  No array holds a value that lives for one
-    step: attend() recomputes a step's attention window from tape_wh,
-    wx_x and gate_in, and backward recomputes tanh(c_t) from the tape.
+    A kept state (keep_steps set) has r = n and block_start 0, its
+    input rows all formed before the first step, so gates keeps every
+    step's gates for backward; a decode state, whose c_summary is None,
+    holds r = min(n, DECODE_BLOCK_ROWS) rows, and its run's loop
+    refills them at each block start, so it keeps its tapes and h~_t
+    rows alone for every token.  Both keep the same arrays in the same
+    layout otherwise.  Kept arrays have zero padding rows.  No array
+    holds a value that lives for one step: attend() recomputes a step's
+    attention window from tape_wh, wx_x and h_summary, and backward
+    recomputes tanh(c_t) from the tape.
     Step t reads and writes the arrays' [:active[t]] slices, batch axis
     included for one sentence too, attends to tape rows
     window_starts[t] .. t-1, and sentence p's rows are their [p,
     :lengths[p]] slices.  Once backward has run on a kept state, its
     gates rows hold d z, the gradient of the gate pre-activations, and
     its wx_x rows the gradient of the attention pre-activations summed
-    over each step's window, and the rows of gates, wx_x, gate_in and
-    tape are rearranged: each sentence's rows lie one after another at
-    the front of the array's memory.
+    over each step's window, and the rows of gates, wx_x and tape are
+    rearranged: each sentence's rows lie one after another at the front
+    of the array's memory.
     """
 
     def __init__(self, weights, inputs, keep_steps, memory_span):
@@ -275,13 +275,12 @@ class DirectionState:
         if lengths != sorted(lengths, reverse=True):
             raise ValueError(f"batch lengths {lengths} are not longest first")
         self.wh, self.wx, self.wp, self.v, self.w, self.b = weights
-        batch = len(inputs)
-        n, d = inputs[0].shape
+        self.inputs = inputs
+        batch, n = len(inputs), lengths[0]
         hidden = self.b.shape[0] // 4
         # no step and no backward reads a padding row; a kept state, which
         # callers read too, zeroes them rather than hold stale memory
         alloc = np.zeros if keep_steps else np.empty
-        self.gate_in = alloc((batch, n, hidden + d if keep_steps else hidden))
         # active[t]: the sentences longer than t, a prefix of the batch
         self.active = []
         for p in range(batch, 0, -1):
@@ -290,30 +289,25 @@ class DirectionState:
                               for t in range(n)]
         self.tape = alloc((batch, n, 2 * hidden))
         self.tape_wh = alloc((batch, n, self.wh.shape[0]))
-        rows = n if keep_steps else min(n, DECODE_BLOCK_ROWS)
-        self.gate_x = alloc((batch, rows, 4 * hidden))
-        self.wx_x = alloc((batch, rows, self.wh.shape[0]))
-        if keep_steps:
-            for p, (m, x) in enumerate(zip(lengths, inputs)):
-                self.gate_in[p, :m, hidden:] = x
-        # a kept state's steps add W_h h~ into their gate_x rows in place
-        self.gates = self.gate_x if keep_steps else None
+        self.h_summary = alloc((batch, n, hidden))
         self.c_summary = alloc((batch, n, hidden)) if keep_steps else None
-        self.input_block(inputs, 0)
+        rows = n if keep_steps else min(n, DECODE_BLOCK_ROWS)
+        self.gates = alloc((batch, rows, 4 * hidden))
+        self.wx_x = alloc((batch, rows, self.wh.shape[0]))
+        self.input_block(0)
 
-    def input_block(self, inputs, start):
+    def input_block(self, start):
         """Write rows start .. start + r - 1 of every sentence's W_x x_t
-        + b into gate_x and of its Wx x_t into wx_x, r being their row
-        count, from `inputs`, the ones the state was made with, and make
-        start the block_start."""
+        + b into gates and of its Wx x_t into wx_x, r being their row
+        count, from the state's inputs, and make start the block_start."""
         self.block_start = start
         w_x = self.w[:, self.b.shape[0] // 4:]
-        for p, x in enumerate(inputs):
+        for p, x in enumerate(self.inputs):
             x = x[start:start + self.wx_x.shape[1], :, None]
             # one matrix-vector product per row, bit-equal to W_x @ x_t;
             # one matrix product (X @ W_x^T) rounds differently
-            np.matmul(w_x, x, out=self.gate_x[p, :len(x), :, None])
-            self.gate_x[p, :len(x)] += self.b
+            np.matmul(w_x, x, out=self.gates[p, :len(x), :, None])
+            self.gates[p, :len(x)] += self.b
             np.matmul(self.wx, x, out=self.wx_x[p, :len(x), :, None])
 
 
@@ -324,17 +318,16 @@ def attend(state, t):
 
     Reads only rows that step t does not write, so the forward step and
     backward's recompute get the same bits from the same state; Wx x_t
-    is row t - block_start of wx_x in a kept state and a decode state
-    alike.
+    is row t - block_start of wx_x, and the previous summary row t - 1
+    of h_summary, in a kept state and a decode state alike.
     """
     k = state.active[t]
-    hidden = state.wp.shape[1]
     # (Wh h_i + Wx x_t) + Wp p in the oracle's order, so tapes stay
     # bit-equal; a stack of row vectors times Wp^T runs one
     # matrix-vector product per sentence, the same one as Wp @ p
     pre_tanh = (state.tape_wh[:k, state.window_starts[t]:t]
                 + state.wx_x[:k, t - state.block_start, None])
-    pre_tanh += np.matmul(state.gate_in[:k, t - 1, None, :hidden], state.wp.T)
+    pre_tanh += np.matmul(state.h_summary[:k, t - 1, None], state.wp.T)
     np.tanh(pre_tanh, out=pre_tanh)
     # vecdot takes one dot product per row, like v @ u; pre_tanh @ v
     # (a matrix-vector product) rounds differently
@@ -348,11 +341,11 @@ def tape_step(state, t):
     t-1.
 
     Reads Wx x_t and W_x x_t + b from row t - block_start of the
-    state's input block and the previous summary from gate_in row t-1
+    state's input block and the previous summary from h_summary row t-1
     (with an empty window both summaries are zero), writes h_t, c_t, Wh
-    h_t and h~_t into row t, and turns the input block's row into the
-    step's gates, in place: in a kept state that is row t of gates, and
-    c~_t goes into row t of c_summary.  The summaries and tanh c_t are
+    h_t and h~_t into row t, and turns the input block's row of gates
+    into the step's gates, in place; in a kept state c~_t goes into row
+    t of c_summary.  The summaries and tanh c_t are
     arrays of the step's own.  Every array keeps its batch axis, one
     sentence's too, and every k takes the same calls.  The gate
     sigmoid saturates through exp overflow, so the caller holds
@@ -371,13 +364,13 @@ def tape_step(state, t):
                             state.tape[:k, window_start:t])
     else:
         summary = np.zeros((k, 2 * hidden))
-    state.gate_in[:k, t, :hidden] = summary[:, :hidden]
+    state.h_summary[:k, t] = summary[:, :hidden]
     if state.c_summary is not None:
         state.c_summary[:k, t] = summary[:, hidden:]
     # (W_x x_t + b) + W_h h~ in the oracle's split form, one
     # matrix-vector product per sentence, added into the step's input
     # row, which becomes its gates
-    z = state.gate_x[:k, t - state.block_start]
+    z = state.gates[:k, t - state.block_start]
     z += np.matmul(state.w[:, :hidden], summary[:, :hidden, None])[:, :, 0]
     gates_ifo, candidate = z[:, :3 * hidden], z[:, 3 * hidden:]
     sigmoid(gates_ifo, out=gates_ifo)
@@ -434,11 +427,13 @@ def _direction_backward(state, d_rows, order, positions, grads):
     row t, once the step has copied that row to read in its place, and
     the window's summed d pre[t] over wx_x row t, once the step's
     attend() has run.  d_tape goes before the products.  Then each
-    sentence's rows of gates (d z), wx_x (d pre), gate_in, d_tape_wh
-    and tape move to the front of their arrays, in place (_packed), so
-    a product reads them as one (M, .) view and no array is added.  So
-    a spent state holds gradients and rearranged rows; the caller drops
-    it once this returns.
+    sentence's rows of gates (d z), wx_x (d pre), d_tape_wh and tape
+    move to the front of their arrays, in place (_packed), so a product
+    reads them as one (M, .) view, and the (M, h + d) gate input [h~ |
+    x] that the W, Wx and Wp gradients read is filled in the same row
+    order, sentence by sentence from h_summary and the state's inputs.
+    So a spent state holds gradients and rearranged rows; the caller
+    drops it once this returns.
     """
     batch, n = state.tape.shape[:2]
     hidden = state.b.shape[0] // 4
@@ -494,9 +489,8 @@ def _direction_backward(state, d_rows, order, positions, grads):
             pre_tanh, weights = attend(state, t)
             # summaries -> tape entries and attention weights
             window = slice(state.window_starts[t], t)
-            d_weights = np.matmul(tape_h[:k, window], d_h_summary[:, :, None])
-            d_weights += np.matmul(tape_c[:k, window], d_c_summary[:, :, None])
-            d_weights = d_weights[:, :, 0]
+            d_weights = np.matmul(tape_h[:k, window], d_h_summary[:, :, None])[:, :, 0]
+            d_weights += np.matmul(tape_c[:k, window], d_c_summary[:, :, None])[:, :, 0]
             d_tape[:k, window] += weights[:, :, None] * d_summaries[:, None]
             d_scores = weights * (d_weights - np.vecdot(weights, d_weights)[:, None])
             # one product over the step's k * w window rows
@@ -512,8 +506,14 @@ def _direction_backward(state, d_rows, order, positions, grads):
     # freed before the products below, which never read it
     del d_tape
     lengths = state.lengths
-    d_z, d_pre_sums, gate_in = (_packed(rows, lengths) for rows in
-                                (d_z, d_pre_sums, state.gate_in))
+    d_z, d_pre_sums = _packed(d_z, lengths), _packed(d_pre_sums, lengths)
+    # the gate input [h~ | x] of the batch's rows in the packed order,
+    # filled sentence by sentence
+    starts = np.cumsum([0] + lengths)
+    gate_in = np.empty((starts[-1], hidden + state.inputs[0].shape[1]))
+    for x, h_rows, at in zip(state.inputs, state.h_summary, starts):
+        gate_in[at:at + len(x), :hidden] = h_rows[:len(x)]
+        gate_in[at:at + len(x), hidden:] = x
     g_wh, g_wx, g_wp, g_v_sum, g_w, g_b = grads
     g_wh += _packed(d_tape_wh, lengths).T @ _packed(state.tape, lengths)[:, :hidden]
     g_wx += d_pre_sums.T @ gate_in[:, hidden:]
@@ -531,13 +531,9 @@ def _direction_backward(state, d_rows, order, positions, grads):
     g_b += d_z.sum(axis=0)
     # per sentence, from its packed rows: one (M, d) product pair would
     # hold an (M, d) temporary for its second product
-    w_input = state.w[:, hidden:]
-    starts = np.cumsum([0] + lengths)
-    d_inputs = []
-    for p in positions:
-        rows = slice(starts[p], starts[p + 1])
-        d_inputs.append((d_z[rows] @ w_input + d_pre_sums[rows] @ state.wx)[order])
-    return d_inputs
+    return [(d_z[starts[p]:starts[p + 1]] @ state.w[:, hidden:]
+             + d_pre_sums[starts[p]:starts[p + 1]] @ state.wx)[order]
+            for p in positions]
 
 
 # (name, read order) of each direction (module docstring, State)
@@ -564,8 +560,8 @@ class ForwardCache:
     out of `layers` as it reaches it and releases each state when its
     direction is done; read attention weights or any other kept row from
     the states before calling backward(), since a state held past it
-    has its tape, gate_in, gates and wx_x rows rearranged, and gradients
-    in its gates and wx_x rows.
+    has its tape, gates and wx_x rows rearranged, and gradients in its
+    gates and wx_x rows.
     """
 
     inputs: list
@@ -602,7 +598,7 @@ def _run_direction(weights, inputs, keep_steps, memory_span):
     with np.errstate(over="ignore"):
         for t in range(state.tape.shape[1]):
             if t == state.block_start + state.wx_x.shape[1]:
-                state.input_block(inputs, t)
+                state.input_block(t)
             tape_step(state, t)
     return state
 

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import crf, encoder, tagging
 from .corpus import (
-    Vocab, build_bigram_vocab, featurize, load_embeddings, preprocess,
+    Vocab, build_bigram_vocab, featurize, load_embeddings, naming, preprocess,
     random_embeddings, sentence_bigrams, window_ids,
 )
 from .numerics import ShapeError
@@ -240,7 +240,7 @@ class Segmenter:
         and takes the first draw from the same generator, so the rows of
         tokens the file lacks, emb.bi and the encoder get the draws of
         the same build without the file.  Its width must be
-        config.emb_dim.
+        config.emb_dim; a file of another width is refused by name.
         """
         vocab = Vocab.build(sent.tokens for sent in train_corpus)
         rng = np.random.default_rng(config.seed)
@@ -248,6 +248,11 @@ class Segmenter:
             emb = random_embeddings(len(vocab), config.emb_dim, rng)
         else:
             emb = load_embeddings(embeddings, vocab, rng)
+            with naming(embeddings):
+                if emb.shape[1] != config.emb_dim:
+                    raise ValueError(f"emb.uni {emb.shape} does not match ({len(vocab)}, "
+                                     f"{config.emb_dim}): the vectors are {emb.shape[1]} "
+                                     f"wide, emb_dim is {config.emb_dim}")
         params = {"emb.uni": emb}
         bigram_vocab = None
         if config.bigrams:

@@ -274,8 +274,9 @@ def direction_weights(params, prefix):
 def sentence_rows(state, p, windows=False):
     """The rows of the sentence at position p of an encoder.DirectionState
     whose steps were kept, as views without the batch axis: every kept
-    array's rows, the tape also split into tape_h and tape_c, tanh_c
-    recomputed from tape_c, and each step's window start.  With
+    array's rows, its input rows x, the tape also split into tape_h and
+    tape_c, tanh_c recomputed from tape_c, and each step's window
+    start.  With
     `windows`, also the window arrays of each step, weights[t] (w,) and
     pre_tanh[t] (w, a), formed by encoder.attend from the state alone,
     as forward and backward form them."""
@@ -294,7 +295,8 @@ def sentence_rows(state, p, windows=False):
         tape_c=state.tape[p, :m, hidden:],
         tape_wh=state.tape_wh[p, :m],
         wx_x=state.wx_x[p, :m],
-        gate_in=state.gate_in[p, :m],
+        x=state.inputs[p],
+        h_summary=state.h_summary[p, :m],
         c_summary=state.c_summary[p, :m],
         gates=state.gates[p, :m],
         # recomputed from the tape, as encoder backward does
@@ -329,12 +331,12 @@ def _step_fields(state, t):
     hidden = state.tanh_c.shape[1]
     gates = state.gates[t]
     return SimpleNamespace(
-        x=state.gate_in[t, hidden:],
+        x=state.x[t],
         window_start=state.window_starts[t],
         weights=state.weights[t],
         pre_tanh=state.pre_tanh[t],
-        prev_summary=state.gate_in[t - 1, :hidden] if t else np.zeros(hidden),
-        h_summary=state.gate_in[t, :hidden],
+        prev_summary=state.h_summary[t - 1] if t else np.zeros(hidden),
+        h_summary=state.h_summary[t],
         c_summary=state.c_summary[t],
         gate_i=gates[:hidden],
         gate_f=gates[hidden:2 * hidden],

@@ -192,6 +192,18 @@ def test_train_embeddings_of_another_dim_is_one_error(tmp_path, capsys):
     assert not (tmp_path / "m").exists()
 
 
+def test_train_embeddings_of_another_dim_names_the_file(tmp_path, capsys):
+    vectors = tmp_path / "vectors.txt"
+    write_vectors(vectors, 3)
+    capsys.readouterr()
+    rc = main(["train", "--train", TOY, "--dev", TOY, "--out",
+               str(tmp_path / "m"), "--embeddings", str(vectors)] + FAST)
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith(f"error: {vectors}: ")
+    assert err.endswith("the vectors are 3 wide, emb_dim is 4\n")
+
+
 def test_train_negative_seed_is_one_error_naming_it(tmp_path, capsys):
     rc = main(["train", "--train", TOY, "--out", str(tmp_path / "m"),
                "--seed", "-1"])

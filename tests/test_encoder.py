@@ -83,13 +83,13 @@ def step_after(x, hs, cs, summary, weights):
         rows.tape[i] = np.concatenate((hs[i], cs[i]))
         rows.tape_wh[i] = weights[0] @ hs[i]
     if t:
-        rows.gate_in[t - 1, :hidden] = summary
+        rows.h_summary[t - 1] = summary
     with np.errstate(over="ignore"):
         tape_step(batch, t)
     rows = sentence_rows(batch, 0, windows=True)
     step = SimpleNamespace(
         weights=rows.weights[t],
-        h_summary=rows.gate_in[t, :hidden],
+        h_summary=rows.h_summary[t],
         c_summary=rows.c_summary[t],
     )
     return rows.tape[t, :hidden], rows.tape[t, hidden:], step
@@ -983,24 +983,31 @@ def test_batch_state_rejects_unsorted_lengths():
 
 def test_kept_state_pads_with_zero_rows_and_decode_keeps_no_steps():
     # every row of a kept state's arrays past the short sentence's length
-    # stays exactly zero; a run without keeping has the same four tapes
-    # and input arrays but no gates or c_summary, and neither mode holds
-    # a step's scratch (summary, tanh_c), which each step makes itself
+    # stays exactly zero; both modes hold the inputs they were made with
+    # and h~_t alone, (B, n, h), and a run without keeping has the same
+    # tapes, no c_summary and one block of input rows, and neither mode
+    # holds a step's scratch (summary, tanh_c), which each step makes
+    # itself
     rng = np.random.default_rng(74)
     weights = random_direction_params(rng)
-    inputs = [rng.normal(size=(n, DIM)) for n in (5, 2)]
+    n = encoder.DECODE_BLOCK_ROWS + 6
+    inputs = [rng.normal(size=(m, DIM)) for m in (n, 2)]
     kept = encoder._run_direction(weights, inputs, True, None)
-    arrays = ("tape", "tape_wh", "wx_x", "gate_in", "gates", "c_summary")
+    arrays = ("tape", "tape_wh", "h_summary", "wx_x", "gates", "c_summary")
     for name in arrays:
         array = getattr(kept, name)
-        assert array.shape[:2] == (2, 5), name
+        assert array.shape[:2] == (2, n), name
         assert np.any(array[0] != 0.0), name
         assert np.all(array[1, 2:] == 0.0), name
     decode = encoder._run_direction(weights, inputs, False, None)
-    assert decode.gates is None and decode.c_summary is None
-    for name in arrays[:-2]:
-        assert getattr(decode, name).shape[:2] == (2, 5), name
+    assert decode.c_summary is None
+    for name in arrays[:3]:
+        assert getattr(decode, name).shape[:2] == (2, n), name
+    for name in ("wx_x", "gates"):
+        assert getattr(decode, name).shape[:2] == (2, encoder.DECODE_BLOCK_ROWS), name
     for state in (kept, decode):
+        assert state.inputs is inputs
+        assert state.h_summary.shape == (2, n, HID)
         for name in ("summary", "tanh_c"):
             assert not hasattr(state, name), name
 
@@ -1027,7 +1034,7 @@ def test_direction_state_holds_its_weights():
                 rows = sentence_rows(state, p, windows=True)
                 for t in range(1, len(rows.tape)):
                     # the straight-line scores over the kept rows
-                    x, prev = rows.gate_in[t, HID:], rows.gate_in[t - 1, :HID]
+                    x, prev = rows.x[t], rows.h_summary[t - 1]
                     scores = np.array([v @ np.tanh(wh @ h + wx @ x + wp @ prev)
                                        for h in rows.tape_h[:t]])
                     e = np.exp(scores - np.max(scores))

@@ -1480,6 +1480,18 @@ def test_build_starts_from_given_embeddings(tmp_path):
                         embeddings=vectors)
 
 
+def test_build_refuses_embeddings_of_another_width_by_name(tmp_path):
+    corpus = load_toy_corpus()
+    vectors = tmp_path / "vectors.txt"
+    vectors.write_text("1 3\n我 0.5 0.5 0.5\n", encoding="utf-8")
+    with pytest.raises(ValueError) as refused:
+        Segmenter.build(corpus, TrainConfig(**{**TOY_CONFIG, "emb_dim": 5}),
+                        embeddings=vectors)
+    message = str(refused.value)
+    assert message.startswith(f"{vectors}: ")
+    assert message.endswith("the vectors are 3 wide, emb_dim is 5")
+
+
 def test_build_from_embeddings_draws_the_rest_as_without_them(tmp_path):
     # the vector file replaces its tokens' rows and nothing else: the rows
     # it lacks, emb.bi and every encoder weight come from the one
