@@ -9,10 +9,12 @@ Han characters, each of a length drawn uniformly from the two bounds of
 every draw from one generator seeded with `--seed`.  The model
 warms up on a second batch of the same count and length bounds, drawn
 after the first, so the measured call finds the BLAS buffers and the
-allocator's state that a batch of its shape leaves, and the figures
-are the batch's own; then it runs one `loss_and_grads` call over the
-first batch, with the model's dropout rate, into gradient sums that are
-zeroed in place.  The script prints
+allocator's state that a batch of its shape leaves, not those of a
+smaller batch; then it runs one `loss_and_grads` call over the first
+batch, with the model's dropout rate, into gradient sums that are
+zeroed in place.  So peak_growth_mb is what the batch adds to the
+warm-up's peak, and minor_faults the pages it takes beyond the memory
+the warm-up left.  The script prints
 
     peak_growth_mb   growth of the process's peak RSS (ru_maxrss / 1024)
                      over that one call

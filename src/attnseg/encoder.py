@@ -508,7 +508,7 @@ def _direction_backward(state, d_rows, order, positions, grads):
     lengths = state.lengths
     d_z, d_pre_sums = _packed(d_z, lengths), _packed(d_pre_sums, lengths)
     # the gate input [h~ | x] of the batch's rows in the packed order,
-    # filled sentence by sentence
+    # filled sentence by sentence, so no (M, d) copy of x is formed
     starts = np.cumsum([0] + lengths)
     gate_in = np.empty((starts[-1], hidden + state.inputs[0].shape[1]))
     for x, h_rows, at in zip(state.inputs, state.h_summary, starts):
